@@ -6,7 +6,8 @@ evaluation, sampled decoding and the store's counting queries.  What sets a
 workload apart is its world size and which stage its closed loop repeats for
 the measured seconds:
 
-    train-x4   x4 world, repeats a one-epoch training run (all three modes)
+    train-x4   x4 world, repeats a one-epoch training run of one mode, the three
+               modes in turn
     eval-x1    default world plus an unlabeled shard, repeats the `bilayer eval`
                experiments, the `bilayer ssl` path and the decode streams
     world-x10  x10 world, repeats a round of counting queries over the store
@@ -35,10 +36,11 @@ from bilayer import evaluation, network, training, world
 from bilayer.evaluation import EvalContext
 from bilayer.network import DecodeRequest
 from bilayer.params import ColumnMap, NetConfig, NetParams, params_digest
-from bilayer.training import TrainConfig
+from bilayer.training import ALL_MODES, TrainConfig
 from bilayer.triple_store import UNKNOWN
 from bilayer.vocab import IDENTITY_FAMILY, Kind
 from bilayer.world import WorldConfig, substream
+from pace import Pace
 
 SCALES = {"train-x4": 4, "eval-x1": 1, "world-x10": 10}
 VARIANTS = ("samp", "sa", "direct")
@@ -62,20 +64,27 @@ class Sizes:
     stream_passes: int = 50         # passes per decode stream (episodic, semantic, fuse)
     truth_queries: int = 3000       # per kind: positive, negative, unknown
     entity_sample: int = 40         # entities whose label triples expected_truth asks about
+    truth_reps: int = 8             # times a query round asks its truth_of list
+    expected_reps: int = 40         # times a query round asks its expected_truth list
     warmup_examples: int = 256
     pseudo_examples: int = 1536     # world-x10 trains on this many unary examples
     side_samples: int = 6           # samples of each side part, interleaved with the loop
+    min_loop_calls: int = 2         # the loop makes at least this many calls
 
 
 def sizes_for(workload: str, tiny: bool) -> Sizes:
     if tiny:
         return Sizes(eval_train_epochs=1, side_scenes=4, stream_passes=8,
-                     truth_queries=50, entity_sample=6, warmup_examples=32,
-                     pseudo_examples=64, side_samples=2)
+                     truth_queries=50, entity_sample=6, truth_reps=1, expected_reps=1,
+                     warmup_examples=32, pseudo_examples=64, side_samples=2,
+                     min_loop_calls=len(ALL_MODES) if workload == "train-x4" else 2)
     # the x1 gen path is short enough to repeat; x10 stages are long enough to need fewer
     if workload == "world-x10":
         return Sizes(side_samples=3)
-    return Sizes(gen_repeats=3 if workload == "eval-x1" else 1)
+    if workload == "train-x4":
+        # at least three epochs of each mode
+        return Sizes(min_loop_calls=3 * len(ALL_MODES))
+    return Sizes(gen_repeats=3)
 
 
 def world_config(workload: str, seed: int, tiny: bool) -> WorldConfig:
@@ -117,6 +126,7 @@ class Run:
         self.attempted = 0
         self.failed = 0
         self.failures: list[str] = []
+        self.pace = Pace()
 
     def check(self, ok: bool, what: str) -> None:
         self.attempted += 1
@@ -140,6 +150,12 @@ class Run:
     def untraced(self):
         return self.tracer.paused() if self.tracer is not None else nullcontext()
 
+    def timed(self, fn) -> tuple[float, object]:
+        """(adjusted seconds, result) of one call, timed as mixed work."""
+        watch = self.pace.stopwatch("mixed")
+        result = fn()
+        return watch.stop(), result
+
 
 # -- gen and open paths ------------------------------------------------------------
 
@@ -150,11 +166,11 @@ def gen_path(run: Run) -> str:
     times = []
     for _ in range(run.sizes.gen_repeats):
         gc.collect()
-        t0 = time.perf_counter()
+        watch = run.pace.stopwatch("python")
         w = world.gen_world(run.config)
         store = w.build_store()
         world.export_world(w, outdir)
-        times.append(time.perf_counter() - t0)
+        times.append(watch.stop())
         run.info["gen_digest"] = (w.vocab.digest(), store.total_statements())
         w = store = None
     run.metrics["gen_s"] = median(times)
@@ -176,24 +192,27 @@ class Opened:
     def vocab(self):
         return self.world.vocab
 
-    def examples_per_epoch(self) -> int:
-        return len(self.per[0]) + len(self.per[1]) + 2 * (len(self.mem[0]) + len(self.mem[1]))
+    def examples_per_epoch(self, modes: tuple = ALL_MODES) -> int:
+        per = len(self.per[0]) + len(self.per[1])
+        mem = len(self.mem[0]) + len(self.mem[1])
+        return sum(per if mode == "perception" else mem for mode in modes)
 
 
-def open_path(world_dir: str) -> Opened:
+def open_path(run: Run, world_dir: str) -> Opened:
     """What `bilayer train/eval/ssl` run before anything else."""
-    t0 = time.perf_counter()
+    watch = run.pace.stopwatch("python")
     w = world.load_world(world_dir)
     store = w.build_store()
     mem = training.memory_examples(store, w.vocab)
     per = training.perception_examples(w, w.vocab)
     training.injection_pool(store, w.vocab)
-    return Opened(w, store, mem, per, time.perf_counter() - t0)
+    return Opened(w, store, mem, per, watch.stop())
 
 
 class Setup:
-    """Set-up: the open path, plus `extra` (eval-x1's short training).  It runs
-    once before the loop and then again as a side part of the loop, so
+    """Set-up: the open path, plus `extra` (eval-x1's short training, which
+    returns its Phase); its time is the open path's plus the training's.  It
+    runs once before the loop and then again as a side part of the loop, so
     setup_s and open_s are medians over samples spread across the run."""
 
     def __init__(self, run: Run, world_dir: str, extra=None):
@@ -206,11 +225,13 @@ class Setup:
 
     def __call__(self) -> Opened:
         gc.collect()
-        t0 = time.perf_counter()
-        opened = open_path(self.world_dir)
+        opened = open_path(self.run, self.world_dir)
+        total = opened.seconds
         if self.extra is not None:
-            self.extras.append(self.extra(opened))
-        self.totals.append(time.perf_counter() - t0)
+            phase = self.extra(opened)
+            self.extras.append(phase)
+            total += phase.seconds
+        self.totals.append(total)
         self.opens.append(opened.seconds)
         return opened
 
@@ -246,6 +267,7 @@ class Setup:
 class Phase:
     params: NetParams
     cmap: ColumnMap
+    modes: tuple
     seconds: float
     examples: int
     loss: float
@@ -253,31 +275,43 @@ class Phase:
     finite: bool
 
 
-def train_phase(run: Run, op: Opened, epochs: int, pseudo=None) -> Phase:
-    """A seeded training run from fresh weights with the default TrainConfig."""
+def train_phase(run: Run, op: Opened, epochs: int, pseudo=None, modes=ALL_MODES) -> Phase:
+    """A seeded training run from fresh weights with the default TrainConfig,
+    restricted to `modes`."""
     vocab = op.vocab
     params = NetParams.init(vocab, NetConfig(feature_dim=op.world.config.feature_dim),
                             substream(run.seed, "init"))
     cmap = ColumnMap(vocab)
-    config = TrainConfig(epochs=epochs, seed=run.seed)
-    t0 = time.perf_counter()
+    config = TrainConfig(epochs=epochs, seed=run.seed, modes=modes)
+    watch = run.pace.stopwatch("numpy")
     history = training.train(params, cmap, vocab, op.store, config, world=op.world,
                              pseudo=pseudo)
-    seconds = time.perf_counter() - t0
-    per_epoch = op.examples_per_epoch() if pseudo is None else 3 * (len(pseudo[0]) + len(pseudo[1]))
+    seconds = watch.stop()
+    if pseudo is None:
+        per_epoch = op.examples_per_epoch(modes)
+    else:
+        per_epoch = len(modes) * (len(pseudo[0]) + len(pseudo[1]))
     last = [row["loss"] for row in history if row["epoch"] == epochs - 1]
-    return Phase(params, cmap, seconds, epochs * per_epoch, float(np.mean(last)),
+    return Phase(params, cmap, modes, seconds, epochs * per_epoch, float(np.mean(last)),
                  params_digest(params), all(math.isfinite(r["loss"]) for r in history))
 
 
 def record_training(run: Run, phases: list[Phase]) -> None:
-    """train_examples_per_s and train_loss, plus the rerun and finiteness checks."""
-    run.metrics["train_examples_per_s"] = median_rate((p.examples, p.seconds) for p in phases)
-    run.metrics["train_loss"] = phases[-1].loss
+    """train_examples_per_s and train_loss, plus the rerun and finiteness checks.
+    Phases that train different modes are grouped by their modes: the rate is
+    the examples of one phase of each group over the sum of the groups'
+    median times, and the loss is the mean of each group's last loss."""
+    groups: dict[tuple, list[Phase]] = {}
     for p in phases:
-        run.check(p.finite, "a training loss is not finite")
-        run.check((p.digest, p.loss) == (phases[0].digest, phases[0].loss),
-                  "a rerun of a seeded training phase gave other weights or loss")
+        groups.setdefault(p.modes, []).append(p)
+    seconds = sum(median(p.seconds for p in g) for g in groups.values())
+    run.metrics["train_examples_per_s"] = sum(g[0].examples for g in groups.values()) / seconds
+    run.metrics["train_loss"] = float(np.mean([g[-1].loss for g in groups.values()]))
+    for g in groups.values():
+        for p in g:
+            run.check(p.finite, "a training loss is not finite")
+            run.check((p.digest, p.loss) == (g[0].digest, g[0].loss),
+                      "a rerun of a seeded training phase gave other weights or loss")
 
 
 def pseudo_subset(op: Opened, n_unary: int) -> tuple[list, list]:
@@ -326,7 +360,7 @@ def decode_streams(run: Run, op: Opened, params: NetParams, cmap: ColumnMap,
         traces.append((network.decode(params, cmap, vocab, request, r), kwargs))
         return {}
 
-    t0 = time.perf_counter()
+    watch = run.pace.stopwatch("mixed")
     for _ in range(n):
         draw("episodic", rng, instance_id=t)
     for _ in range(n):
@@ -335,7 +369,7 @@ def decode_streams(run: Run, op: Opened, params: NetParams, cmap: ColumnMap,
                                   lambda r: draw("episodic", r, instance_id=t),
                                   1.0, store.n_statements(t), rng, n):
         pass
-    seconds = time.perf_counter() - t0
+    seconds = watch.stop()
     for trace, kwargs in traces:
         check_trace(run, vocab, trace, kwargs.get("instance_id"))
     return len(traces), seconds
@@ -395,10 +429,6 @@ class QueryPlan:
     triples: list        # (triple, expected answer)
     n_positive: int
     n_negative: int
-
-    @property
-    def size(self) -> int:
-        return len(self.truth) + len(self.pairs) + len(self.triples) + 2
 
 
 def _ratio(num: int, den: int):
@@ -468,13 +498,35 @@ def query_plan(run: Run, op: Opened) -> QueryPlan:
     return QueryPlan(truth, pairs, triples, n_pos, n_neg)
 
 
-def query_round(store, plan: QueryPlan) -> tuple:
-    truth = [store.truth_of(*q) for q, _ in plan.truth]
+QUERY_KINDS = ("truth_of", "label_conditional", "expected_truth", "scan")
+
+
+def query_round(run: Run, store, plan: QueryPlan) -> tuple[dict, tuple]:
+    """One round of each kind of counting query, each kind timed on its own.
+    Returns {kind: (queries, seconds)} and the answers.  The cheap kinds are
+    asked several times over so that each kind's time is long enough to
+    measure.  A scan is consumed in full inside its span, so the span holds
+    the whole scan whether the store sorts eagerly or yields lazily."""
+    sizes = run.sizes
+    timings = {}
+    watch = run.pace.stopwatch("python")
+    for _ in range(sizes.truth_reps):
+        truth = [store.truth_of(*q) for q, _ in plan.truth]
+    timings["truth_of"] = (sizes.truth_reps * len(plan.truth), watch.stop())
+    watch = run.pace.stopwatch("python")
     pairs = [store.label_conditional(c1, c2) for (c1, c2), _ in plan.pairs]
-    triples = [store.expected_truth(*k) for k, _ in plan.triples]
-    n_pos = sum(1 for _ in store.iter_positive())
-    n_neg = sum(1 for _ in store.iter_negative())
-    return truth, pairs, triples, n_pos, n_neg
+    timings["label_conditional"] = (len(plan.pairs), watch.stop())
+    watch = run.pace.stopwatch("python")
+    for _ in range(sizes.expected_reps):
+        triples = [store.expected_truth(*k) for k, _ in plan.triples]
+    timings["expected_truth"] = (sizes.expected_reps * len(plan.triples), watch.stop())
+    watch = run.pace.stopwatch("python")
+    with run.span("triple_store.iter_positive"):
+        n_pos = sum(1 for _ in store.iter_positive())
+    with run.span("triple_store.iter_negative"):
+        n_neg = sum(1 for _ in store.iter_negative())
+    timings["scan"] = (2, watch.stop())
+    return timings, (truth, pairs, triples, n_pos, n_neg)
 
 
 def _same(got, want) -> bool:
@@ -492,50 +544,60 @@ def check_queries(run: Run, plan: QueryPlan, answers: tuple) -> None:
     run.check((n_pos, n_neg) == (plan.n_positive, plan.n_negative), "a full scan changed length")
 
 
-def record_queries(run: Run, plan: QueryPlan, samples: list) -> None:
-    run.metrics["query_per_s"] = median_rate((plan.size, dt) for dt, _ in samples)
-    for _, answers in samples:
+def record_queries(run: Run, plan: QueryPlan, rounds: list) -> None:
+    """query_per_s is the geometric mean of the per-kind rates (each the
+    median over rounds), so every kind weighs the same whatever its volume or
+    cost: making any one kind twice as fast raises it by the same 19%."""
+    rates = {kind: median_rate(timings[kind] for timings, _ in rounds) for kind in QUERY_KINDS}
+    run.metrics["query_per_s"] = math.exp(statistics.fmean(math.log(r) for r in rates.values()))
+    seconds = {kind: median(timings[kind][1] for timings, _ in rounds) for kind in QUERY_KINDS}
+    run.info["query_per_s_by_kind"] = rates
+    run.info["query_round_share"] = {k: v / sum(seconds.values()) for k, v in seconds.items()}
+    run.info["query_round_counts"] = {kind: rounds[0][0][kind][0] for kind in QUERY_KINDS}
+    for _, answers in rounds:
         check_queries(run, plan, answers)
 
 
 # -- the workloads ----------------------------------------------------------------------
 
 
-def timed(fn) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - t0, result
-
-
-def measure(run: Run, focus, parts: dict, warmup) -> tuple[list, dict]:
-    """The closed loop.  Call `focus` for the measured seconds (at least twice),
-    each call followed by one sample of every side part; then keep sampling
-    the parts until each has `side_samples`.  Interleaving spreads every
-    metric's samples over the run, so a slow spell of a shared machine reaches
-    few of them.  Warm-up comes first and is reported, not measured.  A traced
-    run makes one untraced focus call before the loop: the reference for the
-    tracing overhead.  Returns the focus calls and the samples per part, each
-    a (seconds, result) pair."""
-    run.info["warmup_s"] = timed(warmup)[0]
+def measure(run: Run, focus, parts: dict, warmup, period: int = 1) -> tuple[list, dict]:
+    """The closed loop.  Call `focus` for the measured seconds, and at least
+    `min_loop_calls` times, each call followed by one side part in turn; then
+    keep sampling the parts in turn until each has `side_samples`.
+    Interleaving spreads every metric's samples over the run, so a slow spell
+    of a shared machine reaches few of them.  Warm-up comes first and is
+    reported, not measured.  `focus` cycles through `period` kinds of call
+    (train-x4's modes).  A traced run makes one untraced cycle before the loop:
+    the reference for the tracing overhead.  Returns the focus calls and the
+    samples per part, each a (seconds, result) pair."""
+    run.info["warmup_s"] = run.timed(warmup)[0]
     reference = None
     if run.tracer is not None:
         with run.untraced():
-            reference = timed(focus)[0]
-    samples = {name: [] for name in parts}
+            reference = sum(run.timed(focus)[0] for _ in range(period))
+    names = list(parts)
+    samples = {name: [] for name in names}
+    turn = 0
 
-    def side_cycle() -> None:
-        for name, fn in parts.items():
-            samples[name].append(timed(fn))
+    def side_part() -> None:
+        nonlocal turn
+        name = names[turn % len(names)]
+        turn += 1
+        samples[name].append(run.timed(parts[name]))
 
     calls = []
     deadline = time.perf_counter() + run.seconds
-    while len(calls) < 2 or time.perf_counter() < deadline:
-        calls.append(timed(focus))
-        side_cycle()
-    while parts and min(map(len, samples.values())) < run.sizes.side_samples:
-        side_cycle()
+    while len(calls) < run.sizes.min_loop_calls or time.perf_counter() < deadline:
+        calls.append(run.timed(focus))
+        if names:
+            side_part()
+    while names and min(map(len, samples.values())) < run.sizes.side_samples:
+        side_part()
     if reference is not None:
-        run.layer_counts["trace.overhead_pct"] = 100.0 * (median(d for d, _ in calls) / reference - 1)
+        traced = sum(median(d for i, (d, _) in enumerate(calls) if i % period == k)
+                     for k in range(period))
+        run.layer_counts["trace.overhead_pct"] = 100.0 * (traced / reference - 1)
     run.info["loop_calls"] = len(calls)
     run.info["samples_s"] = {"loop": [d for d, _ in calls],
                              **{k: [d for d, _ in v] for k, v in samples.items()}}
@@ -553,26 +615,29 @@ def train_x4(run: Run) -> None:
     phases: list[Phase] = []
 
     def focus() -> None:
-        phases.append(train_phase(run, op, 1))
+        mode = ALL_MODES[len(phases) % len(ALL_MODES)]
+        phases.append(train_phase(run, op, 1, modes=(mode,)))
 
     def model() -> tuple:
-        return phases[-1].params, phases[-1].cmap
+        last = next(p for p in reversed(phases) if "perception" in p.modes)
+        return last.params, last.cmap
 
     parts = {
         **eval_parts(run, op, model),
         "decode": lambda: decode_streams(run, op, *model(), run.sizes.stream_passes),
-        "query": lambda: query_round(op.store, plan),
+        "query": lambda: query_round(run, op.store, plan),
         "setup": setup.again,
     }
     warm = pseudo_subset(op, run.sizes.warmup_examples)
     with run.stage("loop"):
         _, samples = measure(run, focus, parts,
-                             lambda: train_phase(run, op, 1, pseudo=warm))
+                             lambda: train_phase(run, op, 1, pseudo=warm),
+                             period=len(ALL_MODES))
     setup.record()
     record_training(run, phases)
     record_eval_parts(run, samples)
     run.metrics["decode_per_s"] = median_rate(r for _, r in samples["decode"])
-    record_queries(run, plan, samples["query"])
+    record_queries(run, plan, [r for _, r in samples["query"]])
 
 
 def ssl_cli_path(run: Run, world_dir: str, params: NetParams) -> None:
@@ -619,7 +684,7 @@ def eval_x1(run: Run) -> None:
 
     parts = {
         "decode": lambda: decode_streams(run, op, params, cmap, 4 * run.sizes.stream_passes),
-        "query": lambda: query_round(op.store, plan),
+        "query": lambda: query_round(run, op.store, plan),
         "setup": setup.again,
     }
     with run.stage("loop"):
@@ -636,7 +701,7 @@ def eval_x1(run: Run) -> None:
             check_bitwise(run, name, report)
         again = [json.dumps(rep.to_dict(volatile=False), sort_keys=True) for rep in r.values()]
         run.check(again == first, "an experiment report changed on a rerun")
-    record_queries(run, plan, samples["query"])
+    record_queries(run, plan, [r for _, r in samples["query"]])
 
 
 def world_x10(run: Run) -> None:
@@ -662,10 +727,10 @@ def world_x10(run: Run) -> None:
         "setup": setup.again,
     }
     with run.stage("loop"):
-        calls, samples = measure(run, lambda: query_round(op.store, plan), parts,
-                                 lambda: query_round(op.store, warm))
+        calls, samples = measure(run, lambda: query_round(run, op.store, plan), parts,
+                                 lambda: query_round(run, op.store, warm))
     setup.record()
-    record_queries(run, plan, calls)
+    record_queries(run, plan, [r for _, r in calls])
     phases = [p for _, p in samples["train"]]
     record_training(run, phases)
     run.check(first.digest == phases[0].digest, "a rerun of a seeded training phase gave other weights")
@@ -679,4 +744,5 @@ WORKLOADS = {"train-x4": train_x4, "eval-x1": eval_x1, "world-x10": world_x10}
 def run_workload(run: Run) -> None:
     WORKLOADS[run.workload](run)
     run.metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    run.info["pace"] = run.pace.summary()
     run.info["error_rate"] = run.failed / max(run.attempted, 1)
