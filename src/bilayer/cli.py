@@ -98,7 +98,11 @@ def _split_train_config(doc: dict, feature_dim: int, seed: int | None) -> tuple[
     train_doc = {k: v for k, v in doc.items() if k not in net_keys}
     if seed is not None:
         train_doc["seed"] = seed
-    return TrainConfig.from_dict(train_doc), NetConfig(feature_dim=feature_dim, **net_doc)
+    try:
+        train_config = TrainConfig.from_dict(train_doc)
+    except TypeError as exc:
+        raise UsageError(f"bad train config: {exc}") from exc
+    return train_config, NetConfig(feature_dim=feature_dim, **net_doc)
 
 
 def _manifest_run(command: str, args: argparse.Namespace, inputs: list[str], body) -> None:

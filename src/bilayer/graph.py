@@ -78,9 +78,9 @@ class Batch:
 
 def _ce_head(scores: np.ndarray, target_pos: np.ndarray, inv_b: float) -> dict:
     """Row-wise softmax cross-entropy; returns probs, summed loss, dscores."""
-    m = scores.max(axis=1, keepdims=True)
-    e = np.exp(scores - m)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = scores - scores.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     rows = np.arange(scores.shape[0])
     picked = probs[rows, target_pos]
     loss = float(-np.log(np.maximum(picked, 1e-300)).sum() * inv_b)
@@ -121,7 +121,7 @@ def forward(
     inv_b = 1.0 / b
     dt = params.emb.dtype
     read = params.readout
-    r_cpt = read[:, cmap.concept_cols]
+    r_cpt = read[:, cmap.concept_idx]
     cache: dict = {"heads": {}, "fam_heads": {}, "batch": batch}
     heads = cache["heads"]
 
@@ -147,7 +147,7 @@ def forward(
         qt_tilde = enc(batch.feat_scene)
         zt_tilde = sigmoid(qt_tilde)
         heads["NT"] = _ce_head(
-            zt_tilde @ read[:, cmap.instance_cols],
+            zt_tilde @ read[:, cmap.instance_idx],
             cmap.instance_pos(batch.inst_cols),
             inv_b,
         )
@@ -179,9 +179,8 @@ def forward(
     if batch.arity == "unary":
         for fam in sorted(batch.fam_rows):
             rows = batch.fam_rows[fam]
-            fcols = cmap.family_cols[fam]
-            scores = zs[rows] @ read[:, fcols]
-            pos_in_fam = np.searchsorted(fcols, batch.fam_target_cols[fam])
+            scores = zs[rows] @ read[:, cmap.family_idx[fam]]
+            pos_in_fam = np.searchsorted(cmap.family_cols[fam], batch.fam_target_cols[fam])
             cache["fam_heads"][fam] = _ce_head(scores, pos_in_fam, inv_b)
     else:
         m2 = sh1 + zs @ params.ctx_in.T
@@ -204,7 +203,7 @@ def forward(
         qp = g3 + (enc(batch.feat_pred) if perceiving else 0.0)
         zp = sigmoid(qp)
         heads["NP"] = _ce_head(
-            zp @ read[:, cmap.predicate_cols],
+            zp @ read[:, cmap.predicate_idx],
             cmap.predicate_pos(batch.pred_cols),
             inv_b,
         )
@@ -232,25 +231,26 @@ def _forward_direct(params, cmap, batch, cache, inv_b) -> tuple[float, dict]:
     zt = sigmoid(enc(batch.feat_scene))
     zs = sigmoid(enc(batch.feat_subj))
     heads["NT"] = _ce_head(
-        zt @ read[:, cmap.instance_cols], cmap.instance_pos(batch.inst_cols), inv_b
+        zt @ read[:, cmap.instance_idx], cmap.instance_pos(batch.inst_cols), inv_b
     )
     heads["NS"] = _ce_head(
-        zs @ read[:, cmap.concept_cols], cmap.concept_pos(batch.subj_inject_cols), inv_b
+        zs @ read[:, cmap.concept_idx], cmap.concept_pos(batch.subj_inject_cols), inv_b
     )
     if batch.arity == "unary":
         for fam in sorted(batch.fam_rows):
             rows = batch.fam_rows[fam]
-            fcols = cmap.family_cols[fam]
-            pos_in_fam = np.searchsorted(fcols, batch.fam_target_cols[fam])
-            cache["fam_heads"][fam] = _ce_head(zs[rows] @ read[:, fcols], pos_in_fam, inv_b)
+            pos_in_fam = np.searchsorted(cmap.family_cols[fam], batch.fam_target_cols[fam])
+            cache["fam_heads"][fam] = _ce_head(
+                zs[rows] @ read[:, cmap.family_idx[fam]], pos_in_fam, inv_b
+            )
     else:
         zo = sigmoid(enc(batch.feat_obj))
         zp = sigmoid(enc(batch.feat_pred))
         heads["NO"] = _ce_head(
-            zo @ read[:, cmap.concept_cols], cmap.concept_pos(batch.obj_inject_cols), inv_b
+            zo @ read[:, cmap.concept_idx], cmap.concept_pos(batch.obj_inject_cols), inv_b
         )
         heads["NP"] = _ce_head(
-            zp @ read[:, cmap.predicate_cols], cmap.predicate_pos(batch.pred_cols), inv_b
+            zp @ read[:, cmap.predicate_idx], cmap.predicate_pos(batch.pred_cols), inv_b
         )
         cache.update(zo=zo, zp=zp)
     cache.update(zt=zt, zs=zs)
@@ -293,11 +293,11 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     heads = cache["heads"]
     perceiving = batch.mode == "perception"
 
-    def head_into(name: str, z: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Backprop one CE head; returns dZ at its squashed input."""
-        h = heads[name]
-        d_read[:, cols] += z.T @ h["dscores"]
-        return h["dscores"] @ read[:, cols].T
+    def head_into(h: dict, z: np.ndarray, idx) -> np.ndarray:
+        """Backprop one CE head reading `read[:, idx]`; returns dZ at its
+        squashed input.  With a slice `idx` the add is in place on a view."""
+        d_read[:, idx] += z.T @ h["dscores"]
+        return h["dscores"] @ read[:, idx].T
 
     def enc_grads(dq: np.ndarray, feats: np.ndarray) -> None:
         grads["enc_w"] += dq.T @ feats.astype(dq.dtype)
@@ -312,7 +312,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
         return d_sh * raw * (1.0 - raw)
 
     if batch.direct:
-        _backward_direct(params, cmap, batch, cache, grads, head_into, enc_grads)
+        _backward_direct(cmap, batch, cache, head_into, enc_grads)
         return grads
 
     zt, zs = cache["zt"], cache["zs"]
@@ -324,17 +324,14 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
 
     if batch.arity == "unary":
         for fam in sorted(batch.fam_rows):
-            h = cache["fam_heads"][fam]
             rows = batch.fam_rows[fam]
-            fcols = cmap.family_cols[fam]
-            d_read[:, fcols] += zs[rows].T @ h["dscores"]
-            d_zs[rows] += h["dscores"] @ read[:, fcols].T
+            d_zs[rows] += head_into(cache["fam_heads"][fam], zs[rows], cmap.family_idx[fam])
     else:
         zo, zo_tilde, zp = cache["zo"], cache["zo_tilde"], cache["zp"]
         sh2, z2 = cache["sh2"], cache["z2"]
         sh3, z3 = cache["sh3"], cache["z3"]
 
-        d_zp = head_into("NP", zp, cmap.predicate_cols)
+        d_zp = head_into(heads["NP"], zp, cmap.predicate_idx)
         d_qp = d_zp * zp * (1.0 - zp)
         if perceiving:
             enc_grads(d_qp, batch.feat_pred)
@@ -349,7 +346,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
         d_qo = d_zo * zo * (1.0 - zo)
         np.add.at(d_emb.T, batch.obj_inject_cols, d_qo)
         d_qo_tilde = d_qo
-        d_zo_tilde = head_into("NO", zo_tilde, cmap.concept_cols)
+        d_zo_tilde = head_into(heads["NO"], zo_tilde, cmap.concept_idx)
         d_qo_tilde = d_qo_tilde + d_zo_tilde * zo_tilde * (1.0 - zo_tilde)
         if perceiving:
             enc_grads(d_qo_tilde, batch.feat_obj)
@@ -366,7 +363,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     np.add.at(d_emb.T, batch.subj_inject_cols, d_qs)
     d_qs_tilde = d_qs
     if batch.mode != "semantic":
-        d_zs_tilde = head_into("NS", zs_tilde, cmap.concept_cols)
+        d_zs_tilde = head_into(heads["NS"], zs_tilde, cmap.concept_idx)
         d_qs_tilde = d_qs_tilde + d_zs_tilde * zs_tilde * (1.0 - zs_tilde)
     if perceiving:
         enc_grads(d_qs_tilde, batch.feat_subj)
@@ -386,37 +383,33 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     else:
         np.add.at(d_emb.T, batch.inst_cols, d_qt)
         zt_tilde = cache["zt_tilde"]
-        d_zt_tilde = head_into("NT", zt_tilde, cmap.instance_cols)
+        d_zt_tilde = head_into(heads["NT"], zt_tilde, cmap.instance_idx)
         d_qt_tilde = d_qt + d_zt_tilde * zt_tilde * (1.0 - zt_tilde)
         enc_grads(d_qt_tilde, batch.feat_scene)
     return grads
 
 
-def _backward_direct(params, cmap, batch, cache, grads, head_into, enc_grads) -> None:
+def _backward_direct(cmap, batch, cache, head_into, enc_grads) -> None:
     zt, zs = cache["zt"], cache["zs"]
-    read = params.readout
-    d_read = grads["emb_up"] if not params.config.tied else grads["emb"]
+    heads = cache["heads"]
 
-    d_zt = head_into("NT", zt, cmap.instance_cols)
+    d_zt = head_into(heads["NT"], zt, cmap.instance_idx)
     enc_grads(d_zt * zt * (1.0 - zt), batch.feat_scene)
 
-    d_zs = head_into("NS", zs, cmap.concept_cols)
+    d_zs = head_into(heads["NS"], zs, cmap.concept_idx)
     if batch.arity == "unary":
         d_zs_fam = np.zeros_like(zs)
         for fam in sorted(batch.fam_rows):
-            h = cache["fam_heads"][fam]
             rows = batch.fam_rows[fam]
-            fcols = cmap.family_cols[fam]
-            d_read[:, fcols] += zs[rows].T @ h["dscores"]
-            d_zs_fam[rows] += h["dscores"] @ read[:, fcols].T
+            d_zs_fam[rows] += head_into(cache["fam_heads"][fam], zs[rows], cmap.family_idx[fam])
         d_zs = d_zs + d_zs_fam
     enc_grads(d_zs * zs * (1.0 - zs), batch.feat_subj)
 
     if batch.arity == "binary":
         zo, zp = cache["zo"], cache["zp"]
-        d_zo = head_into("NO", zo, cmap.concept_cols)
+        d_zo = head_into(heads["NO"], zo, cmap.concept_idx)
         enc_grads(d_zo * zo * (1.0 - zo), batch.feat_obj)
-        d_zp = head_into("NP", zp, cmap.predicate_cols)
+        d_zp = head_into(heads["NP"], zp, cmap.predicate_idx)
         enc_grads(d_zp * zp * (1.0 - zp), batch.feat_pred)
 
 

@@ -37,12 +37,13 @@ class NumericsError(ArithmeticError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, overflow-free: with e = exp(-|x|) <= 1 it is
+    1 / (1 + e) for x >= 0 and e / (1 + e) below.  `minimum(x, -x)` is -|x|
+    that keeps the sign of a NaN input, so NaNs pass through bit for bit."""
     x = np.asarray(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pos = 1.0 / (1.0 + np.exp(-x))
-        ex = np.exp(x)
-        neg = ex / (1.0 + ex)
-    return np.where(x >= 0, pos, neg)
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def softmax(scores: np.ndarray, beta: float = 1.0) -> np.ndarray:
@@ -98,34 +99,33 @@ def encode_input(params: NetParams, feat: np.ndarray) -> np.ndarray:
     return params.enc_w @ feat + params.enc_b
 
 
-def index_scores(params: NetParams, rep: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Pre-activations of the index units in `cols` given a representation."""
-    return params.readout[:, cols].T @ sigmoid(rep)
+def index_scores(params: NetParams, rep: np.ndarray, idx) -> np.ndarray:
+    """Pre-activations of the index units `read[:, idx]` given a representation;
+    `idx` is a readout index of the ColumnMap or any column array."""
+    return params.readout[:, idx].T @ sigmoid(rep)
 
 
 # -- attention approximations ---------------------------------------------------
 
 
-def attention_update(
-    params: NetParams, rep: np.ndarray, cols: np.ndarray, beta: float = 1.0
-) -> np.ndarray:
-    """Add the attention-weighted mixture of the given columns instead of a
-    single sampled column.  At beta=inf this equals the winner-take-all
+def attention_update(params: NetParams, rep: np.ndarray, idx, beta: float = 1.0) -> np.ndarray:
+    """Add the attention-weighted mixture of the columns `emb[:, idx]` instead
+    of a single sampled column.  At beta=inf this equals the winner-take-all
     committed update."""
-    weights = softmax(index_scores(params, rep, cols), beta)
-    return rep + params.emb[:, cols] @ weights.astype(rep.dtype)
+    weights = softmax(index_scores(params, rep, idx), beta)
+    return rep + params.emb[:, idx] @ weights.astype(rep.dtype)
 
 
 def concept_attention(params: NetParams, cmap: ColumnMap, rep: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """Soft subject/object commitment over entity columns."""
-    return attention_update(params, rep, cmap.entity_cols, beta)
+    return attention_update(params, rep, cmap.entity_idx, beta)
 
 
 def instance_attention(params: NetParams, cmap: ColumnMap, rep: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """Soft episodic-instance commitment over instance columns.  With no scene
     evidence this tends toward the mean instance column, the same role the
     trained pooled vector plays."""
-    return attention_update(params, rep, cmap.instance_cols, beta)
+    return attention_update(params, rep, cmap.instance_idx, beta)
 
 
 # -- boolean heads ---------------------------------------------------------------
@@ -210,6 +210,23 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _commit_concept(params, cmap, rep, support: str, concept_scores, pick) -> int:
+    """Column committed at a subject/object step: picked over the entity
+    columns, or over all concepts, whose scores the caller already has."""
+    if support == "entities":
+        return int(cmap.entity_cols[pick(index_scores(params, rep, cmap.entity_idx))])
+    return int(cmap.concept_cols[pick(concept_scores)])
+
+
+def _pick_labels(params, cmap, rep, pick) -> dict[str, int]:
+    """One label per nonempty family, picked from that family's scores."""
+    return {
+        fam: cmap.id_of_col(cols[pick(index_scores(params, rep, cmap.family_idx[fam]))])
+        for fam, cols in sorted(cmap.family_cols.items())
+        if cols.size
+    }
+
+
 def decode(
     params: NetParams,
     cmap: ColumnMap,
@@ -262,11 +279,11 @@ def decode(
     if perceiving:
         rep_t_tilde = encode_input(params, request.features.scene)
         inst_scores = _check_finite(
-            "instance scores", index_scores(params, rep_t_tilde, cmap.instance_cols)
+            "instance scores", index_scores(params, rep_t_tilde, cmap.instance_idx)
         )
         trace.scores["instance"] = inst_scores
         if request.instance_attention:
-            rep_t = attention_update(params, rep_t_tilde, cmap.instance_cols, soft_beta)
+            rep_t = attention_update(params, rep_t_tilde, cmap.instance_idx, soft_beta)
         else:
             pos = pick(inst_scores)
             trace.instance_id = cmap.id_of_col(cmap.instance_cols[pos])
@@ -277,7 +294,7 @@ def decode(
     else:  # semantic: only the pooled stand-in embedding, never a real column
         rep_t = params.pooled.copy()
     trace.reps["instance"] = rep_t
-    trace.scores["instance_label"] = index_scores(params, rep_t, cmap.concept_cols)
+    trace.scores["instance_label"] = index_scores(params, rep_t, cmap.concept_idx)
 
     ctx = context_step(params, ctx, rep_t)
     trace.ctx_history.append(ctx)
@@ -287,7 +304,7 @@ def decode(
     if perceiving:
         rep_s_tilde = rep_s_tilde + encode_input(params, request.features.subject_box)
     subj_scores = _check_finite(
-        "subject scores", index_scores(params, rep_s_tilde, cmap.concept_cols)
+        "subject scores", index_scores(params, rep_s_tilde, cmap.concept_idx)
     )
     trace.scores["subject"] = subj_scores
     if request.subject_id is not None:
@@ -296,20 +313,16 @@ def decode(
     elif perceiving and request.concept_attention:
         rep_s = concept_attention(params, cmap, rep_s_tilde, soft_beta)
     else:
-        support = cmap.entity_cols if request.subject_support == "entities" else cmap.concept_cols
-        pos = pick(index_scores(params, rep_s_tilde, support))
-        trace.subject_id = cmap.id_of_col(support[pos])
-        rep_s = rep_s_tilde + params.emb[:, support[pos]]
+        col = _commit_concept(
+            params, cmap, rep_s_tilde, request.subject_support, subj_scores, pick
+        )
+        trace.subject_id = cmap.id_of_col(col)
+        rep_s = rep_s_tilde + params.emb[:, col]
     trace.reps["subject"] = rep_s
 
     # subject labels, one per family
-    label_scores = index_scores(params, rep_s, cmap.concept_cols)
-    trace.scores["label"] = label_scores
-    for fam, cols in sorted(cmap.family_cols.items()):
-        if cols.size == 0:
-            continue
-        pos = pick(index_scores(params, rep_s, cols))
-        trace.labels[fam] = cmap.id_of_col(cols[pos])
+    trace.scores["label"] = index_scores(params, rep_s, cmap.concept_idx)
+    trace.labels = _pick_labels(params, cmap, rep_s, pick)
 
     if perceiving and request.features.object_box is None:
         return trace  # unary pass: no relation boxes to decode
@@ -322,16 +335,15 @@ def decode(
     if perceiving:
         rep_o_tilde = rep_o_tilde + encode_input(params, request.features.object_box)
     obj_scores = _check_finite(
-        "object scores", index_scores(params, rep_o_tilde, cmap.concept_cols)
+        "object scores", index_scores(params, rep_o_tilde, cmap.concept_idx)
     )
     trace.scores["object"] = obj_scores
     if perceiving and request.concept_attention:
         rep_o = concept_attention(params, cmap, rep_o_tilde, soft_beta)
     else:
-        support = cmap.entity_cols if request.object_support == "entities" else cmap.concept_cols
-        pos = pick(index_scores(params, rep_o_tilde, support))
-        trace.object_id = cmap.id_of_col(support[pos])
-        rep_o = rep_o_tilde + params.emb[:, support[pos]]
+        col = _commit_concept(params, cmap, rep_o_tilde, request.object_support, obj_scores, pick)
+        trace.object_id = cmap.id_of_col(col)
+        rep_o = rep_o_tilde + params.emb[:, col]
     trace.reps["object"] = rep_o
 
     ctx = context_step(params, ctx, rep_o)
@@ -342,7 +354,7 @@ def decode(
     if perceiving:
         rep_p = rep_p + encode_input(params, request.features.predicate_box)
     pred_scores = _check_finite(
-        "predicate scores", index_scores(params, rep_p, cmap.predicate_cols)
+        "predicate scores", index_scores(params, rep_p, cmap.predicate_idx)
     )
     trace.scores["predicate"] = pred_scores
     if cmap.predicate_cols.size:
@@ -359,30 +371,29 @@ def _decode_direct(params, cmap, request, trace, pick) -> DecodeTrace:
     rep_t = encode_input(params, feats.scene)
     rep_s = encode_input(params, feats.subject_box)
     trace.reps = {"instance": rep_t, "subject": rep_s}
-    inst_scores = index_scores(params, rep_t, cmap.instance_cols)
+    inst_scores = index_scores(params, rep_t, cmap.instance_idx)
     trace.scores["instance"] = inst_scores
     if inst_scores.size:
         trace.instance_id = cmap.id_of_col(cmap.instance_cols[pick(inst_scores)])
-    subj_scores = index_scores(params, rep_s, cmap.concept_cols)
+    subj_scores = index_scores(params, rep_s, cmap.concept_idx)
     trace.scores["subject"] = subj_scores
-    support = cmap.entity_cols if request.subject_support == "entities" else cmap.concept_cols
-    pos = pick(index_scores(params, rep_s, support))
-    trace.subject_id = cmap.id_of_col(support[pos])
-    trace.scores["label"] = index_scores(params, rep_s, cmap.concept_cols)
-    for fam, cols in sorted(cmap.family_cols.items()):
-        if cols.size == 0:
-            continue
-        trace.labels[fam] = cmap.id_of_col(cols[pick(index_scores(params, rep_s, cols))])
+    trace.subject_id = cmap.id_of_col(
+        _commit_concept(params, cmap, rep_s, request.subject_support, subj_scores, pick)
+    )
+    # labels read the same representation, so their concept scores are the subject's
+    trace.scores["label"] = subj_scores
+    trace.labels = _pick_labels(params, cmap, rep_s, pick)
     if feats.object_box is None:
         return trace
     rep_o = encode_input(params, feats.object_box)
     rep_p = encode_input(params, feats.predicate_box)
     trace.reps.update(object=rep_o, predicate=rep_p)
-    obj_scores = index_scores(params, rep_o, cmap.concept_cols)
+    obj_scores = index_scores(params, rep_o, cmap.concept_idx)
     trace.scores["object"] = obj_scores
-    support = cmap.entity_cols if request.object_support == "entities" else cmap.concept_cols
-    trace.object_id = cmap.id_of_col(support[pick(index_scores(params, rep_o, support))])
-    pred_scores = index_scores(params, rep_p, cmap.predicate_cols)
+    trace.object_id = cmap.id_of_col(
+        _commit_concept(params, cmap, rep_o, request.object_support, obj_scores, pick)
+    )
+    pred_scores = index_scores(params, rep_p, cmap.predicate_idx)
     trace.scores["predicate"] = pred_scores
     if pred_scores.size:
         trace.predicate_id = cmap.id_of_col(cmap.predicate_cols[pick(pred_scores)])

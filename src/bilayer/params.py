@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -26,8 +27,23 @@ class ParamError(ValueError):
     pass
 
 
+def _readout_index(cols: np.ndarray) -> slice | np.ndarray:
+    """Index that reads the sorted columns `cols` out of a readout matrix: a
+    slice, so `read[:, idx]` is a view, when they form one contiguous run,
+    else the column array itself."""
+    if cols.size and int(cols[-1]) - int(cols[0]) + 1 == cols.size:
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
+
+
 class ColumnMap:
-    """Symbol id <-> embedding column position, plus index-set column arrays."""
+    """Symbol id <-> embedding column position, plus index-set column arrays.
+
+    Each group a head scores (entity, concept, instance, predicate, every
+    label family) also has a readout index, `<group>_idx` and
+    `family_idx[fam]`: `read[:, idx]` is its block of columns, and position
+    `i` in that block is column `<group>_cols[i]`.
+    """
 
     def __init__(self, vocab: Vocabulary):
         entities = list(vocab.entities)
@@ -57,6 +73,13 @@ class ColumnMap:
             fam: np.sort(np.array([self.col_of(i) for i in members], dtype=np.int64))
             for fam, members in vocab.families.items()
         }
+        # the kind groups are contiguous by the canonical order; a label family
+        # is contiguous unless a hand-written vocabulary interleaves it
+        self.entity_idx = _readout_index(self.entity_cols)
+        self.concept_idx = _readout_index(self.concept_cols)
+        self.instance_idx = _readout_index(self.instance_cols)
+        self.predicate_idx = _readout_index(self.predicate_cols)
+        self.family_idx = {fam: _readout_index(cols) for fam, cols in self.family_cols.items()}
         # position of a column inside the concept / instance / predicate lists
         self._concept_pos = np.full(self.n_columns, -1, dtype=np.int64)
         self._concept_pos[self.concept_cols] = np.arange(self.concept_cols.size)
@@ -270,6 +293,23 @@ def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tup
     return manifest_path, blob_path
 
 
+def _check_tensor_specs(specs: list[dict], blob_len: int, itemsize: int) -> None:
+    """Each tensor's bytes must hold its shape, and the tensors must tile the
+    blob from byte 0 to its end, so a truncated or padded blob is refused."""
+    end = 0
+    for spec in sorted(specs, key=lambda s: s["offset"]):
+        name, shape, nbytes = spec["name"], spec["shape"], spec["nbytes"]
+        if any(d < 0 for d in shape) or nbytes != math.prod(shape) * itemsize:
+            raise ParamError(f"checkpoint tensor {name!r}: {nbytes} bytes cannot hold {shape}")
+        if spec["offset"] != end:
+            raise ParamError(f"checkpoint tensor {name!r} starts at byte {spec['offset']}")
+        end += nbytes
+        if end > blob_len:
+            raise ParamError(f"checkpoint blob has {blob_len} bytes; {name!r} ends at {end}")
+    if end != blob_len:
+        raise ParamError(f"checkpoint blob has {blob_len} bytes; its tensors cover {end}")
+
+
 def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     manifest_path = base_path + ".json"
     blob_path = base_path + ".bin"
@@ -287,6 +327,7 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     with open(blob_path, "rb") as fp:
         blob = fp.read()
     wire = "<f4" if config.dtype == "float32" else "<f8"
+    _check_tensor_specs(manifest["tensors"], len(blob), np.dtype(wire).itemsize)
     arrays: dict[str, np.ndarray] = {}
     for spec in manifest["tensors"]:
         raw = blob[spec["offset"]: spec["offset"] + spec["nbytes"]]

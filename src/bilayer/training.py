@@ -284,7 +284,13 @@ def build_batches(
 
 class Adam:
     """Adam with bias correction; frozen blocks and masked embedding columns
-    are skipped exactly (their parameters stay bit-identical)."""
+    are skipped exactly (their parameters stay bit-identical).
+
+    The update runs in two scratch buffers per block that the optimizer owns,
+    in the operation order of the textbook expressions
+    `m = b1 m + (1 - b1) g`, `v = b2 v + (1 - b2) g^2`,
+    `p -= lr (m / c1) / (sqrt(v / c2) + eps)`, so it allocates nothing per step.
+    """
 
     def __init__(
         self,
@@ -299,6 +305,9 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.blocks().items()}
         self.v = {k: np.zeros_like(v) for k, v in params.blocks().items()}
+        self._scratch = {
+            k: (np.empty_like(v), np.empty_like(v)) for k, v in params.blocks().items()
+        }
 
     def step(
         self,
@@ -315,14 +324,21 @@ class Adam:
                 continue
             g = grads[name]
             m, v = self.m[name], self.v[name]
+            a, b = self._scratch[name]
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(1.0 - self.b1, g, out=a)
             v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, g, out=a)
+            v += np.multiply(1.0 - self.b2, a, out=a)
+            np.divide(m, c1, out=a)
+            np.multiply(self.lr, a, out=a)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
             if emb_col_mask is not None and name in ("emb", "emb_up"):
-                update = update * emb_col_mask
-            p -= update.astype(p.dtype)
+                a *= emb_col_mask
+            p -= a
 
 
 # -- training loop -------------------------------------------------------------------
@@ -497,7 +513,7 @@ def ssl_step(
             rep, _ = _ssl_subject_state(
                 params, world.features[scene.scene_key], world.features[scene.bb_key(m)], t_col
             )
-            sig = sigmoid(index_scores(params, rep, cmap.entity_cols))
+            sig = sigmoid(index_scores(params, rep, cmap.entity_idx))
             novel = detect_novel_entity(sig, config.novelty_threshold)
             rows.append(
                 {"box": m, "novel": novel,
@@ -533,8 +549,8 @@ def ssl_step(
             for fam in label_families:
                 if fam in hidden:
                     continue
-                cols = cmap.family_cols[fam]
-                label = cmap.id_of_col(cols[int(np.argmax(index_scores(params, rep, cols)))])
+                scores = index_scores(params, rep, cmap.family_idx[fam])
+                label = cmap.id_of_col(cmap.family_cols[fam][int(np.argmax(scores))])
                 report.pseudo_unary.append({**base, "fam": fam, "o": label})
                 # two boxes may resolve to one entity; record each statement once
                 if store is not None and store.truth_of(row["entity"], ha, label, t) is UNKNOWN:
@@ -557,8 +573,8 @@ def ssl_step(
             rep_p = context_out(params, ctx) + encode_input(
                 params, world.features[scene.rel_key(i)]
             )
-            pcols = cmap.predicate_cols
-            pred = cmap.id_of_col(pcols[int(np.argmax(index_scores(params, rep_p, pcols)))])
+            scores = index_scores(params, rep_p, cmap.predicate_idx)
+            pred = cmap.id_of_col(cmap.predicate_cols[int(np.argmax(scores))])
             report.pseudo_binary.append(
                 {"t": t, "s": s_row["entity"], "p": pred, "o": o_row["entity"],
                  "scene": scene.scene_key, "s_bb": scene.bb_key(s_box),

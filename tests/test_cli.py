@@ -78,6 +78,15 @@ def _write_json(path, doc) -> str:
     return str(path)
 
 
+def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the command line in a fresh interpreter, so stderr is what a user sees."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(bilayer.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "bilayer.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 def _dir_bytes(path, skip=("manifest.json",)) -> dict[str, bytes]:
     out = {}
     for name in sorted(os.listdir(path)):
@@ -248,6 +257,20 @@ class TestTrain:
     def test_missing_world_is_data_error(self, tmp_path):
         assert main(["train", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")]) == 3
 
+    def test_unknown_config_key_is_usage_error(self, ws, tmp_path):
+        cfg = _write_json(tmp_path / "typo.json", {"epochs": 1, "epohcs": 2})
+        proc = _run_cli(["train", ws["world_dir"], "--config", cfg, "--out", str(tmp_path / "r")])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "bad train config" in lines[0] and "epohcs" in lines[0]
+
+    @pytest.mark.parametrize("command", ["eval", "ssl"])
+    def test_unknown_config_key_is_usage_error_elsewhere(self, ws, tmp_path, command):
+        cfg = _write_json(tmp_path / "typo.json", {"epochs": 1, "epohcs": 2})
+        assert main([command, ws["checkpoint"], ws["world_dir"], "--config", cfg,
+                     "--out", str(tmp_path / "r")]) == 2
+
     def test_divergence_exit_code(self, ws, tmp_path):
         vocab = ws["world"].vocab
         params = load_checkpoint(os.path.join(ws["run_dir"], "model"), vocab)
@@ -318,6 +341,17 @@ class TestDecode:
     def test_missing_checkpoint_is_data_error(self, ws, tmp_path):
         assert main(["decode", str(tmp_path / "ghost.json"), "--world", ws["world_dir"],
                      "--mode", "semantic", "--out", str(tmp_path / "d")]) == 3
+
+    def test_truncated_checkpoint_is_data_error(self, ws, tmp_path):
+        for ext in (".json", ".bin"):
+            shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
+        blob = tmp_path / "model.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        proc = _run_cli(["decode", str(tmp_path / "model.json"), "--world", ws["world_dir"],
+                         "--mode", "semantic", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "checkpoint blob" in proc.stderr
 
     def test_same_seed_stream_is_identical(self, ws, tmp_path, capsys):
         scene = ws["world"].scenes_of_kind("train")[0]

@@ -45,7 +45,38 @@ def _sig(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
+def _two_exp_sigmoid(x):
+    """Reference logistic: 1/(1+exp(-x)) on x >= 0 and exp(x)/(1+exp(x))
+    below, each branch computed over the whole array."""
+    x = np.asarray(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = 1.0 / (1.0 + np.exp(-x))
+        ex = np.exp(x)
+        neg = ex / (1.0 + ex)
+    return np.where(x >= 0, pos, neg)
+
+
 class TestActivations:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_two_exp_reference_bitwise(self, dtype):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 100.0, -100.0,
+                   104.0, -104.0, 745.0, -745.0, 1e30, -1e30, 88.7, -88.7]
+        x = np.concatenate([
+            np.array(special),
+            np.random.default_rng(0).standard_normal(4000) * 40.0,
+        ]).astype(dtype)
+        for arr in (x, x.reshape(16, -1)[:, ::2], x[5]):
+            got, want = sigmoid(arr), _two_exp_sigmoid(arr)
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_sigmoid_needs_no_errstate_guard(self):
+        # underflow to 0 is the intended saturation; nothing may overflow
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e30], dtype=np.float32)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sigmoid(x)
+
     def test_sigmoid_hand_values(self):
         assert sigmoid(np.array(0.0)) == 0.5
         np.testing.assert_allclose(sigmoid(np.array([1.0, -1.0])), _sig([1.0, -1.0]), rtol=1e-12)
@@ -200,11 +231,11 @@ class TestAttention:
         rep = np.linspace(-1, 1, 8).astype(np.float32)
         np.testing.assert_array_equal(
             concept_attention(params, cmap, rep, 2.0),
-            attention_update(params, rep, cmap.entity_cols, 2.0),
+            attention_update(params, rep, cmap.entity_idx, 2.0),
         )
         np.testing.assert_array_equal(
             instance_attention(params, cmap, rep, 2.0),
-            attention_update(params, rep, cmap.instance_cols, 2.0),
+            attention_update(params, rep, cmap.instance_idx, 2.0),
         )
 
 
@@ -435,7 +466,7 @@ class TestDecodeBehavior:
         req = DecodeRequest(mode="perception", features=feats, direct=True, winner_take_all=True)
         trace = decode(params, cmap, v, req, substream(0, "d"))
         assert trace.direct
-        want = index_scores(params, encode_input(params, feats.subject_box), cmap.concept_cols)
+        want = index_scores(params, encode_input(params, feats.subject_box), cmap.concept_idx)
         np.testing.assert_array_equal(trace.scores["subject"], want)
         # changing the scene box must not move the subject scores in direct mode
         feats2 = _scene_features(9)

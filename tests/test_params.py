@@ -14,6 +14,7 @@ from bilayer.params import (
     load_checkpoint,
     save_checkpoint,
 )
+from bilayer.network import index_scores, sigmoid
 from bilayer.world import substream
 
 from util import small_params, small_vocab
@@ -65,6 +66,40 @@ class TestColumnMap:
         assert species == {v.id_of("Dog"), v.id_of("Cat")}
         identity = {cmap.id_of_col(c) for c in cmap.family_cols["Identity"]}
         assert identity == set(v.entities)
+
+    def test_readout_groups_are_views(self, tiny_world):
+        """On a generated vocabulary every kind group and every family is one
+        contiguous run, so reading it from the readout copies nothing."""
+        cmap = ColumnMap(tiny_world.vocab)
+        params = NetParams.init(
+            tiny_world.vocab, NetConfig(rep_dim=8, ctx_dim=4, feature_dim=6), substream(1, "x")
+        )
+        read = params.readout
+        groups = [
+            (cmap.entity_idx, cmap.entity_cols),
+            (cmap.concept_idx, cmap.concept_cols),
+            (cmap.instance_idx, cmap.instance_cols),
+            (cmap.predicate_idx, cmap.predicate_cols),
+        ] + [(cmap.family_idx[f], cmap.family_cols[f]) for f in sorted(cmap.family_cols)]
+        assert "Identity" in cmap.family_idx
+        for idx, cols in groups:
+            assert isinstance(idx, slice)
+            block = read[:, idx]
+            assert np.shares_memory(block, read)
+            np.testing.assert_array_equal(block, read[:, cols])
+
+    def test_interleaved_family_keeps_its_columns(self):
+        v = small_vocab(families={"Species": ["Dog", "Mammal"], "Pet": ["Cat"]})
+        params, cmap = small_params(v, seed=4)
+        idx = cmap.family_idx["Species"]
+        assert isinstance(idx, np.ndarray)
+        assert idx.tolist() == cmap.family_cols["Species"].tolist() == [4, 6]
+        assert isinstance(cmap.family_idx["Pet"], slice)
+        rep = np.linspace(-1, 1, 8).astype(np.float32)
+        np.testing.assert_array_equal(
+            index_scores(params, rep, idx),
+            params.readout[:, [4, 6]].T @ sigmoid(rep),
+        )
 
     def test_positions_within_index_sets(self):
         v = small_vocab()
@@ -184,6 +219,32 @@ class TestCheckpoint:
         with open(base + ".json", "w") as fp:
             json.dump(manifest, fp)
         with pytest.raises(ParamError, match="manifest"):
+            load_checkpoint(base, v)
+
+    @pytest.mark.parametrize("cut", [-4, 1], ids=["truncated", "padded"])
+    def test_rejects_blob_of_wrong_length(self, tmp_path, cut):
+        v = small_vocab()
+        params, _ = small_params(v)
+        base = str(tmp_path / "ck")
+        _, blob_path = save_checkpoint(params, v, base)
+        with open(blob_path, "rb") as fp:
+            blob = fp.read()
+        with open(blob_path, "wb") as fp:
+            fp.write(blob[:cut] if cut < 0 else blob + b"\0" * cut)
+        with pytest.raises(ParamError, match="checkpoint blob has"):
+            load_checkpoint(base, v)
+
+    def test_rejects_tensor_bytes_that_miss_its_shape(self, tmp_path):
+        v = small_vocab()
+        params, _ = small_params(v)
+        base = str(tmp_path / "ck")
+        save_checkpoint(params, v, base)
+        with open(base + ".json") as fp:
+            manifest = json.load(fp)
+        manifest["tensors"][0]["shape"][1] -= 1
+        with open(base + ".json", "w") as fp:
+            json.dump(manifest, fp)
+        with pytest.raises(ParamError, match="cannot hold"):
             load_checkpoint(base, v)
 
     def test_rejects_unknown_version(self, tmp_path):

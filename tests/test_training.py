@@ -209,7 +209,58 @@ class TestBuildBatches:
         assert all(b.inst_cols is not None for b in batches)
 
 
+def _reference_adam_step(opt_state, params, grads, lr, b1, b2, eps, frozen, emb_col_mask):
+    """Textbook Adam written as plain expressions over fresh temporaries: the
+    reference the buffered Adam.step must match bit for bit."""
+    opt_state["t"] += 1
+    t = opt_state["t"]
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for name, p in params.blocks().items():
+        if name in frozen:
+            continue
+        g = grads[name]
+        m, v = opt_state["m"][name], opt_state["v"][name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        if emb_col_mask is not None and name in ("emb", "emb_up"):
+            update = update * emb_col_mask
+        p -= update.astype(p.dtype)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_matches_reference_bit_for_bit(self, dtype, tied):
+        v = small_vocab()
+        params, cmap = small_params(v, dtype=dtype, tied=tied, seed=3)
+        ref = params.copy()
+        lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-7
+        opt = Adam(params, lr, b1, b2, eps)
+        state = {
+            "t": 0,
+            "m": {k: np.zeros_like(a) for k, a in ref.blocks().items()},
+            "v": {k: np.zeros_like(a) for k, a in ref.blocks().items()},
+        }
+        mask = (np.arange(cmap.n_columns) % 3 != 0).astype(params.emb.dtype)
+        rng = substream(3, "grads")
+        for step in range(6):
+            grads = {
+                k: rng.standard_normal(a.shape).astype(a.dtype)
+                for k, a in params.blocks().items()
+            }
+            frozen = frozenset({"ctx_rec", "enc_b"}) if step % 2 else frozenset()
+            col_mask = mask if step >= 3 else None
+            opt.step(params, grads, frozen, col_mask)
+            _reference_adam_step(state, ref, grads, lr, b1, b2, eps, frozen, col_mask)
+        for name, arr in ref.blocks().items():
+            np.testing.assert_array_equal(params.blocks()[name], arr)
+            np.testing.assert_array_equal(opt.m[name], state["m"][name])
+            np.testing.assert_array_equal(opt.v[name], state["v"][name])
+
     def test_single_step_closed_form(self):
         v = small_vocab()
         params, _ = small_params(v, dtype="float64")
