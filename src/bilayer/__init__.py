@@ -30,6 +30,7 @@ from .network import (
     SceneInput,
     chain_labels,
     decode,
+    decode_many,
     fused_stream,
     sigmoid,
     softmax,

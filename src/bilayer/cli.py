@@ -443,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat JSON world config")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a model on a generated world")
@@ -452,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint", help="resume from this checkpoint")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("decode", help="stream sampled statements from a checkpoint")
@@ -467,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", choices=("concepts", "entities"), default="entities",
                    help="index support for subject/object sampling")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("eval", help="run experiment scenarios and write reports")
@@ -478,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="train config for scenarios that train models")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ssl", help="self-labeled growth on the unlabeled shard")
@@ -487,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_ssl)
     return parser
 
@@ -496,8 +491,6 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) != 1:
-        log.info("--threads is accepted but execution is single-threaded")
     try:
         args.fn(args)
     except UsageError as exc:

@@ -3,8 +3,9 @@
 Experiments come in two styles.  Teacher-forced metrics run the training graph
 with ground-truth commitments and read head accuracies (memory recall, ranking
 quality given known subjects/objects).  Pipeline metrics run the decoder
-end to end per box or per relation (perception variants, zero-shot, hidden
-labels) so recognition errors propagate the way they would in use.
+end to end, one batched pass over every box or relation of a split
+(perception variants, zero-shot, hidden labels), so recognition errors
+propagate the way they would in use.
 
 Every experiment is a pure function of (world, store, params, seed); reports
 carry a fingerprint over those inputs so reruns are comparable.
@@ -16,12 +17,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import graph
 from .graph import Batch
-from .network import DecodeRequest, SceneInput, decode
+from .network import DecodeRequest, DecodeTrace, SceneInput, decode_chunked
 from .params import ColumnMap, NetConfig, NetParams
 from .triple_store import TripleStore, is_known
 from .training import (
@@ -156,28 +158,29 @@ def label_conditional_estimate(
 # -- decode pipelines ------------------------------------------------------------------
 
 
-_VARIANTS = ("samp", "sa", "direct")
+_VARIANTS = {
+    "samp": dict(instance_attention=True, subject_support="entities", object_support="entities"),
+    "sa": dict(instance_attention=True, concept_attention=True),
+    "direct": dict(direct=True, subject_support="entities", object_support="entities"),
+}
 
 
-def _variant_request(variant: str, feats: SceneInput, attention_beta: float) -> DecodeRequest:
-    if variant == "samp":
-        return DecodeRequest(
-            mode="perception", features=feats, winner_take_all=True,
-            instance_attention=True, attention_beta=attention_beta,
-            subject_support="entities", object_support="entities",
-        )
-    if variant == "sa":
-        return DecodeRequest(
-            mode="perception", features=feats, winner_take_all=True,
-            instance_attention=True, concept_attention=True,
-            attention_beta=attention_beta,
-        )
-    if variant == "direct":
-        return DecodeRequest(
-            mode="perception", features=feats, winner_take_all=True, direct=True,
-            subject_support="entities", object_support="entities",
-        )
-    raise EvalError(f"unknown perception variant {variant!r}; choose from {_VARIANTS}")
+def _perceive(params, cmap, vocab, variant: str, inputs: list[SceneInput], attention_beta: float,
+              rng) -> Iterator[DecodeTrace]:
+    """Winner-take-all perception traces of one variant, in batched passes."""
+    if variant not in _VARIANTS:
+        raise EvalError(f"unknown perception variant {variant!r}; choose from {tuple(_VARIANTS)}")
+    requests = [
+        DecodeRequest(mode="perception", features=feats, winner_take_all=True,
+                      attention_beta=attention_beta, **_VARIANTS[variant])
+        for feats in inputs
+    ]
+    return decode_chunked(params, cmap, vocab, requests, rng)
+
+
+def _box_inputs(world: GroundTruthWorld, boxes: list[tuple]) -> list[SceneInput]:
+    """Unary perception inputs, one per (scene, member) box."""
+    return [SceneInput(world.features[s.scene_key], world.features[s.bb_key(m)]) for s, m in boxes]
 
 
 def perception_unary_eval(
@@ -190,31 +193,28 @@ def perception_unary_eval(
     families: tuple | None = None,
     attention_beta: float = 1.0,
 ) -> dict:
-    """Per-box decoding: one pass per scene member, label accuracy per family."""
+    """Per-box decoding: one pass per scene member, all in one batch, label
+    accuracy per family."""
     rng = substream(0, "perception-eval")
     fams = tuple(families or [f for f in sorted(cmap.family_cols) if f != IDENTITY_FAMILY])
+    boxes = [(scene, m) for scene in scenes for m in scene.members]
+    if not boxes:
+        raise EvalError("no boxes to evaluate")
+    inputs = _box_inputs(world, boxes)
+    traces = _perceive(params, cmap, vocab, variant, inputs, attention_beta, rng)
     hit = {f: 0 for f in fams}
-    n = 0
+    n = len(boxes)
     subj_hit = 0
     subj_known = 0
-    for scene in scenes:
-        for m in scene.members:
-            feats = SceneInput(
-                scene=world.features[scene.scene_key],
-                subject_box=world.features[scene.bb_key(m)],
-            )
-            trace = decode(params, cmap, vocab, _variant_request(variant, feats, attention_beta), rng)
-            rec = world.entity_record(m)
-            for fam in fams:
-                if fam in trace.labels and trace.labels[fam] == vocab.id_of(rec.labels[fam]):
-                    hit[fam] += 1
-            n += 1
-            if m in vocab:
-                subj_known += 1
-                if trace.subject_id == vocab.id_of(m):
-                    subj_hit += 1
-    if n == 0:
-        raise EvalError("no boxes to evaluate")
+    for (_scene, m), trace in zip(boxes, traces):
+        rec = world.entity_record(m)
+        for fam in fams:
+            if fam in trace.labels and trace.labels[fam] == vocab.id_of(rec.labels[fam]):
+                hit[fam] += 1
+        if m in vocab:
+            subj_known += 1
+            if trace.subject_id == vocab.id_of(m):
+                subj_hit += 1
     out = {
         "families": {f: hit[f] / n for f in fams},
         "mean_unary": float(np.mean([hit[f] / n for f in fams])),
@@ -236,31 +236,27 @@ def perception_binary_eval(
     ks: tuple = (1, 10),
     attention_beta: float = 1.0,
 ) -> dict:
-    """Full-chain decoding per relation example.
+    """Full-chain decoding per relation example, all in one batch.
 
     Each example names feature keys (scene, s, o, rel) and the true predicate;
     subject and object commitments come from the model, predicate is ranked at
     the end.
     """
+    if not examples:
+        raise EvalError("no relation examples to evaluate")
     rng = substream(0, "perception-eval")
     hits = {k: 0 for k in ks}
     pred_ids = [cmap.id_of_col(c) for c in cmap.predicate_cols]
-    for ex in examples:
-        feats = SceneInput(
-            scene=world.features[ex["scene"]],
-            subject_box=world.features[ex["s_bb"]],
-            object_box=world.features[ex["o_bb"]],
-            predicate_box=world.features[ex["rel"]],
-        )
-        trace = decode(params, cmap, vocab, _variant_request(variant, feats, attention_beta), rng)
+    keys = ("scene", "s_bb", "o_bb", "rel")
+    inputs = [SceneInput(*(world.features[ex[k]] for k in keys)) for ex in examples]
+    traces = _perceive(params, cmap, vocab, variant, inputs, attention_beta, rng)
+    for ex, trace in zip(examples, traces):
         order = ranked_cols(trace.scores["predicate"])
         truth = vocab.id_of(ex["p"]) if isinstance(ex["p"], str) else ex["p"]
         ranked = [pred_ids[int(i)] for i in order]
         for k in ks:
             if truth in ranked[:k]:
                 hits[k] += 1
-    if not examples:
-        raise EvalError("no relation examples to evaluate")
     n = len(examples)
     return {
         "predicate_hits": {str(k): hits[k] / n for k in ks},
@@ -490,17 +486,10 @@ def _experiment_hidden_label(
         balanced.extend(by_label[label][:take])
 
     def risk_accuracy(params, cmap) -> float:
-        rng = substream(0, "hidden-label")
+        traces = _perceive(params, cmap, ctx.vocab, "samp", _box_inputs(ctx.world, balanced),
+                           ctx.attention_beta, substream(0, "hidden-label"))
         hits = 0
-        for scene, m in balanced:
-            feats = SceneInput(
-                scene=ctx.world.features[scene.scene_key],
-                subject_box=ctx.world.features[scene.bb_key(m)],
-            )
-            trace = decode(
-                params, cmap, ctx.vocab,
-                _variant_request("samp", feats, ctx.attention_beta), rng,
-            )
+        for (_scene, m), trace in zip(balanced, traces):
             truth = ctx.vocab.id_of(ctx.world.entity_record(m).labels[family])
             hits += int(trace.labels.get(family) == truth)
         return hits / len(balanced)
@@ -652,18 +641,15 @@ def _experiment_consolidation(ctx: EvalContext) -> tuple[dict, dict]:
     params2, cmap2, dup = consolidate(params.copy(), cmap, vocab2, target)
 
     subjects = sorted({s for s, _p, _o in ctx.store.positives_at(target)})
-    rng = substream(0, "consolidation")
-    matches = 0
-    for s in subjects:
-        outs = []
-        for t in (target, dup):
-            trace = decode(
-                params2, cmap2, vocab2,
-                DecodeRequest(mode="episodic", instance_id=t, subject_id=s, winner_take_all=True),
-                rng,
-            )
-            outs.append((tuple(sorted(trace.labels.items())), trace.object_id, trace.predicate_id))
-        matches += int(outs[0] == outs[1])
+    requests = [
+        DecodeRequest(mode="episodic", instance_id=t, subject_id=s, winner_take_all=True)
+        for s in subjects for t in (target, dup)
+    ]
+    outs = [
+        (tuple(sorted(trace.labels.items())), trace.object_id, trace.predicate_id)
+        for trace in decode_chunked(params2, cmap2, vocab2, requests, substream(0, "consolidation"))
+    ]
+    matches = sum(int(a == b) for a, b in zip(outs[::2], outs[1::2]))
 
     old = params.blocks()
     new = params2.blocks()

@@ -9,14 +9,27 @@ context layer carries information across the steps of one decoding pass.
 
 A decoding pass walks a fixed schedule: instance, subject, subject labels,
 object, predicate.  Perception feeds encoded feature vectors into each step;
-episodic recall clamps the instance index; semantic recall replaces the
-instance embedding with the trained pooled vector and usually clamps the
-subject.
+episodic recall starts from the clamped instance index; semantic recall
+replaces the instance embedding with the trained pooled vector.
+
+`decode_many` walks the schedule once for a batch of requests that share the
+mode, every flag and the arity; they differ only in features and clamps.
+Each step scores every row with one matrix product, and every score block a
+step picks from or mixes over must be finite.  A commitment takes, per row,
+the clamped index if the request names one (`instance_id` in episodic and
+perception mode, `subject_id`, `object_id`), else the attention mixture the
+variant asks for, else a pick: the argmax under winner-take-all, otherwise
+one draw per row in row order, steps in schedule order, so one request draws
+as a single pass always has.  Every family's label is read from the one
+concept-score block at the committed subject.  The direct variant scores
+each head from its own encoded box, with no feedback or context, and takes
+no clamps.  `decode_chunked` hands a long request list to `decode_many` in
+runs of DECODE_CHUNK, so the score blocks alive at once do not grow with it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,106 +59,90 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
+def _softmax_rows(scores: np.ndarray, beta: float) -> np.ndarray:
+    """Tempered softmax over the last axis in float64; each row comes out
+    exactly as a one-row call would give it."""
+    if beta < 0:
+        raise NetworkError("beta must be nonnegative")
+    scores = np.asarray(scores, dtype=np.float64)
+    if math.isinf(beta):
+        return (np.arange(scores.shape[-1]) == scores.argmax(axis=-1)[..., None]).astype(np.float64)
+    e = np.exp(beta * (scores - scores.max(axis=-1, keepdims=True)))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(scores: np.ndarray, beta: float = 1.0) -> np.ndarray:
     """Tempered softmax. beta=0 is uniform; beta=inf is a one-hot argmax with
     ties broken toward the lowest index."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise NetworkError("softmax expects a nonempty vector")
-    if beta < 0:
-        raise NetworkError("beta must be nonnegative")
-    if math.isinf(beta):
-        out = np.zeros_like(scores)
-        out[int(np.argmax(scores))] = 1.0
-        return out
-    z = beta * (scores - scores.max())
-    e = np.exp(z)
-    return e / e.sum()
+    return _softmax_rows(scores, beta)
 
 
 def sample_index(scores: np.ndarray, beta: float, rng: np.random.Generator) -> int:
-    """Draw a position from the tempered softmax over scores."""
-    probs = softmax(scores, beta)
+    """Draw a position from the tempered softmax over a score vector."""
+    scores = np.asarray(scores)
+    if scores.ndim != 1:
+        raise NetworkError("sample_index expects a vector")
+    return int(_pick(scores[None], beta, rng)[0])
+
+
+def _pick(scores: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
+    """One position per row of `scores`: the argmax (ties low, no draw) at
+    beta=inf, else a draw from the row's tempered softmax, rows in order."""
+    if scores.shape[-1] == 0:
+        raise NetworkError("no index units to pick from")
     if math.isinf(beta):
-        return int(np.argmax(probs))
-    return int(rng.choice(scores.shape[0], p=probs))
+        return scores.argmax(axis=-1)
+    probs = _softmax_rows(scores, beta)
+    return np.array([rng.choice(probs.shape[-1], p=p) for p in probs], dtype=np.int64)
 
 
-# -- context layer -------------------------------------------------------------
+# -- context layer and scoring ---------------------------------------------------
+#
+# Each function takes one vector or a batch of them, one per row.
 
 
 def context_step(params: NetParams, ctx: np.ndarray, rep: np.ndarray) -> np.ndarray:
     """One recurrence: fold the squashed representation into the context."""
-    m = sigmoid(ctx) + params.ctx_in @ sigmoid(rep)
-    return params.ctx_rec @ sigmoid(m)
+    m = sigmoid(ctx) + sigmoid(rep) @ params.ctx_in.T
+    return sigmoid(m) @ params.ctx_rec.T
 
 
 def context_out(params: NetParams, ctx: np.ndarray) -> np.ndarray:
-    return params.ctx_out @ sigmoid(ctx)
-
-
-def context_map(params: NetParams, rep: np.ndarray) -> np.ndarray:
-    """The pure three-layer representation-to-representation map (no carried
-    context): readout(ctx_rec . sig(ctx_in . sig(rep)))."""
-    return params.ctx_out @ sigmoid(params.ctx_rec @ sigmoid(params.ctx_in @ sigmoid(rep)))
+    return sigmoid(ctx) @ params.ctx_out.T
 
 
 def encode_input(params: NetParams, feat: np.ndarray) -> np.ndarray:
     feat = np.asarray(feat, dtype=params.emb.dtype)
-    if feat.shape != (params.config.feature_dim,):
+    if feat.ndim not in (1, 2) or feat.shape[-1] != params.config.feature_dim:
         raise NetworkError(
             f"feature vector has shape {feat.shape}, expected ({params.config.feature_dim},)"
         )
-    return params.enc_w @ feat + params.enc_b
+    return feat @ params.enc_w.T + params.enc_b
 
 
 def index_scores(params: NetParams, rep: np.ndarray, idx) -> np.ndarray:
     """Pre-activations of the index units `read[:, idx]` given a representation;
     `idx` is a readout index of the ColumnMap or any column array."""
-    return params.readout[:, idx].T @ sigmoid(rep)
-
-
-# -- attention approximations ---------------------------------------------------
+    return sigmoid(rep) @ params.readout[:, idx]
 
 
 def attention_update(params: NetParams, rep: np.ndarray, idx, beta: float = 1.0) -> np.ndarray:
     """Add the attention-weighted mixture of the columns `emb[:, idx]` instead
     of a single sampled column.  At beta=inf this equals the winner-take-all
     committed update."""
-    weights = softmax(index_scores(params, rep, idx), beta)
-    return rep + params.emb[:, idx] @ weights.astype(rep.dtype)
-
-
-def concept_attention(params: NetParams, cmap: ColumnMap, rep: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """Soft subject/object commitment over entity columns."""
-    return attention_update(params, rep, cmap.entity_idx, beta)
-
-
-def instance_attention(params: NetParams, cmap: ColumnMap, rep: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """Soft episodic-instance commitment over instance columns.  With no scene
-    evidence this tends toward the mean instance column, the same role the
-    trained pooled vector plays."""
-    return attention_update(params, rep, cmap.instance_idx, beta)
-
-
-# -- boolean heads ---------------------------------------------------------------
-
-
-def unary_truth(params: NetParams, cmap: ColumnMap, rep_subject: np.ndarray, label_id: int) -> float:
-    """P(label holds | committed subject representation)."""
-    col = cmap.col_of(label_id)
-    return float(sigmoid(params.readout[:, col] @ sigmoid(rep_subject)))
-
-
-def binary_truth(params: NetParams, cmap: ColumnMap, rep_predicate: np.ndarray, predicate_id: int) -> float:
-    col = cmap.col_of(predicate_id)
-    return float(sigmoid(params.readout[:, col] @ sigmoid(rep_predicate)))
+    scores = _check_finite("attention scores", index_scores(params, rep, idx))
+    weights = _softmax_rows(scores, beta).astype(rep.dtype)
+    return rep + weights @ params.emb[:, idx].T
 
 
 # -- decoding --------------------------------------------------------------------
 
 
 MODES = ("perception", "episodic", "semantic")
+SUPPORTS = ("concepts", "entities")
 
 
 @dataclass
@@ -164,8 +161,9 @@ class SceneInput:
 class DecodeRequest:
     mode: str
     features: SceneInput | None = None
-    instance_id: int | None = None   # required for episodic
-    subject_id: int | None = None    # optional clamp, semantic mode
+    instance_id: int | None = None   # clamp: required for episodic, optional in perception
+    subject_id: int | None = None    # optional clamp
+    object_id: int | None = None     # optional clamp on a binary pass
     beta: float = 1.0
     winner_take_all: bool = False
     instance_attention: bool = False  # perception: soft instance commitment
@@ -174,7 +172,11 @@ class DecodeRequest:
     direct: bool = False              # perception: heads read only encoded boxes
     subject_support: str = "concepts"  # or "entities"
     object_support: str = "concepts"   # or "entities"
-    init_ctx: np.ndarray | None = None
+
+
+# what every request of one decode_many batch has in common: all but these
+_PER_REQUEST = ("features", "instance_id", "subject_id", "object_id")
+_SHARED = [f.name for f in fields(DecodeRequest) if f.name not in _PER_REQUEST]
 
 
 @dataclass
@@ -188,7 +190,6 @@ class DecodeTrace:
     predicate_id: int | None
     scores: dict[str, np.ndarray] = field(default_factory=dict)
     reps: dict[str, np.ndarray] = field(default_factory=dict)
-    ctx_history: list[np.ndarray] = field(default_factory=list)
 
     def triples(self, vocab: Vocabulary) -> list[tuple[int, int, int]]:
         """Statements mirrored by the firing pattern of this pass."""
@@ -210,194 +211,229 @@ def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _commit_concept(params, cmap, rep, support: str, concept_scores, pick) -> int:
-    """Column committed at a subject/object step: picked over the entity
-    columns, or over all concepts, whose scores the caller already has."""
-    if support == "entities":
-        return int(cmap.entity_cols[pick(index_scores(params, rep, cmap.entity_idx))])
-    return int(cmap.concept_cols[pick(concept_scores)])
+def _binary(request: DecodeRequest) -> bool:
+    return request.features is None or request.features.object_box is not None
 
 
-def _pick_labels(params, cmap, rep, pick) -> dict[str, int]:
-    """One label per nonempty family, picked from that family's scores."""
-    return {
-        fam: cmap.id_of_col(cols[pick(index_scores(params, rep, cmap.family_idx[fam]))])
-        for fam, cols in sorted(cmap.family_cols.items())
-        if cols.size
-    }
-
-
-def decode(
-    params: NetParams,
-    cmap: ColumnMap,
-    vocab: Vocabulary,
-    request: DecodeRequest,
-    rng: np.random.Generator,
-) -> DecodeTrace:
-    if request.mode not in MODES:
-        raise NetworkError(f"unknown mode {request.mode!r}")
-    perceiving = request.mode == "perception"
-    if perceiving and request.features is None:
+def _check_request(request: DecodeRequest) -> None:
+    mode, feats = request.mode, request.features
+    if mode not in MODES:
+        raise NetworkError(f"unknown mode {mode!r}")
+    perceiving = mode == "perception"
+    if perceiving and feats is None:
         raise NetworkError("perception requires feature inputs")
-    if perceiving and (request.features.object_box is None) != (
-        request.features.predicate_box is None
-    ):
+    if perceiving and (feats.object_box is None) != (feats.predicate_box is None):
         raise NetworkError("object and predicate boxes come together or not at all")
-    if not perceiving and request.features is not None:
-        raise NetworkError(f"{request.mode} mode forbids feature inputs")
-    if request.mode == "episodic" and request.instance_id is None:
+    if not perceiving and feats is not None:
+        raise NetworkError(f"{mode} mode forbids feature inputs")
+    if mode == "episodic" and request.instance_id is None:
         raise NetworkError("episodic mode requires an instance id")
+    if mode == "semantic" and request.instance_id is not None:
+        raise NetworkError("semantic mode takes no instance clamp")
     if request.direct and not perceiving:
         raise NetworkError("direct decoding only applies to perception")
+    clamps = (request.instance_id, request.subject_id, request.object_id)
+    if request.direct and any(c is not None for c in clamps):
+        raise NetworkError("direct decoding takes no clamps")
+    if request.object_id is not None and not _binary(request):
+        raise NetworkError("an object clamp needs object and predicate boxes")
+    for step in ("subject", "object"):
+        support = getattr(request, f"{step}_support")
+        if support not in SUPPORTS:
+            raise NetworkError(f"unknown {step} support {support!r}; choose from {SUPPORTS}")
 
-    beta = math.inf if request.winner_take_all else request.beta
-    soft_beta = request.attention_beta if request.attention_beta is not None else beta
+
+def _encode(params: NetParams, feats: list[SceneInput], box: str) -> np.ndarray:
+    return encode_input(params, np.stack([getattr(f, box) for f in feats]))
+
+
+def _scores(params: NetParams, step: str, rep: np.ndarray, idx) -> np.ndarray:
+    return _check_finite(f"{step} scores", index_scores(params, rep, idx))
+
+
+def _pick_ids(cmap: ColumnMap, pick, scores: np.ndarray, cols: np.ndarray) -> list[int]:
+    """Per row, the symbol id of the column picked from `scores` over `cols`."""
+    return cmap.ids[cols[pick(scores)]].tolist()
+
+
+def _support(cmap: ColumnMap, scores: np.ndarray, request: DecodeRequest, step: str) -> tuple:
+    """The part of a concept-score block the request's subject/object pick
+    ranges over, and its columns.  Concepts lead the canonical column order,
+    so a concept column is its own position in the block."""
+    if getattr(request, f"{step}_support") == "entities":
+        return scores[:, cmap.entity_idx], cmap.entity_cols
+    return scores, cmap.concept_cols
+
+
+def _commit(params, cmap, rep, clamps, scores, cols, pick, mix=None):
+    """One commitment for every row.  A clamped row adds its symbol's column.
+    Each other row adds the column picked from `scores` (positions in
+    `cols`), or, with `mix = (idx, beta)`, the attention mixture over
+    `emb[:, idx]`, which commits no id.  Returns the new representations and
+    the per-row ids."""
+    ids = list(clamps)
+    free = [i for i, c in enumerate(ids) if c is None]
+    if mix is None:
+        if free:
+            block = scores if len(free) == len(ids) else scores[free]
+            for i, sid in zip(free, _pick_ids(cmap, pick, block, cols)):
+                ids[i] = sid
+        return rep + params.emb.T[cmap.cols_of(ids)], ids
+    out = attention_update(params, rep, *mix)
+    fixed = [i for i, c in enumerate(ids) if c is not None]
+    if fixed:
+        out[fixed] = rep[fixed] + params.emb.T[cmap.cols_of([ids[i] for i in fixed])]
+    return out, ids
+
+
+def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, pick) -> list[dict[str, int]]:
+    """Per row, one label per nonempty family, picked from that family's part
+    of the concept-score block."""
+    out: list[dict[str, int]] = [{} for _ in range(label_scores.shape[0])]
+    for fam, cols in sorted(cmap.family_cols.items()):
+        if cols.size:
+            won = _pick_ids(cmap, pick, label_scores[:, cmap.family_idx[fam]], cols)
+            for labels, label in zip(out, won):
+                labels[fam] = label
+    return out
+
+
+def _split(first: DecodeRequest, ids: dict, labels: list, scores: dict,
+           reps: dict) -> list[DecodeTrace]:
+    """One trace per row; its scores and reps are rows of the batch blocks."""
+    none = [None] * len(labels)
+    t, s, o, p = (ids.get(k, none) for k in ("instance", "subject", "object", "predicate"))
+    return [
+        DecodeTrace(
+            mode=first.mode, direct=first.direct, instance_id=t[i], subject_id=s[i],
+            labels=labels[i], object_id=o[i], predicate_id=p[i],
+            scores={k: v[i] for k, v in scores.items()}, reps={k: v[i] for k, v in reps.items()},
+        )
+        for i in range(len(labels))
+    ]
+
+
+def decode(params: NetParams, cmap: ColumnMap, vocab: Vocabulary, request: DecodeRequest,
+           rng: np.random.Generator) -> DecodeTrace:
+    """One pass through the schedule."""
+    return decode_many(params, cmap, vocab, [request], rng)[0]
+
+
+def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
+                requests: list[DecodeRequest], rng: np.random.Generator) -> list[DecodeTrace]:
+    """One batched pass through the schedule; one trace per request, in order."""
+    requests = list(requests)
+    if not requests:
+        return []
+    first = requests[0]
+    for request in requests:
+        _check_request(request)
+        if request is not first and (
+            any(getattr(request, k) != getattr(first, k) for k in _SHARED)
+            or _binary(request) != _binary(first)
+        ):
+            raise NetworkError("batched requests must share the mode, every flag and the arity")
+
+    beta = math.inf if first.winner_take_all else first.beta
+    soft_beta = first.attention_beta if first.attention_beta is not None else beta
+
+    def pick(scores: np.ndarray) -> np.ndarray:
+        return _pick(scores, beta, rng)
+
+    if first.direct:
+        return _decode_direct(params, cmap, requests, pick)
+
+    perceiving = first.mode == "perception"
+    feats = [r.features for r in requests]
     dt = params.emb.dtype
-    trace = DecodeTrace(
-        mode=request.mode,
-        direct=request.direct,
-        instance_id=None,
-        subject_id=None,
-        labels={},
-        object_id=None,
-        predicate_id=None,
-    )
+    ids: dict[str, list] = {}
+    scores: dict[str, np.ndarray] = {}
+    reps: dict[str, np.ndarray] = {}
 
-    def pick(scores: np.ndarray) -> int:
-        return sample_index(scores, beta, rng)
+    def fed(rep: np.ndarray, box: str) -> np.ndarray:
+        return rep + _encode(params, feats, box) if perceiving else rep
 
-    if request.direct:
-        return _decode_direct(params, cmap, request, trace, pick)
-
-    ctx = (
-        np.zeros(params.config.ctx_dim, dtype=dt)
-        if request.init_ctx is None
-        else np.asarray(request.init_ctx, dtype=dt)
-    )
+    def concept_step(step: str, ctx: np.ndarray) -> None:
+        """The subject or object step: score every concept, then commit."""
+        rep = fed(context_out(params, ctx), f"{step}_box")
+        scores[step] = _scores(params, step, rep, cmap.concept_idx)
+        block, cols = _support(cmap, scores[step], first, step)
+        mix = (cmap.entity_idx, soft_beta) if perceiving and first.concept_attention else None
+        clamps = [getattr(r, f"{step}_id") for r in requests]
+        reps[step], ids[step] = _commit(params, cmap, rep, clamps, block, cols, pick, mix)
 
     # instance step
+    clamps = [r.instance_id for r in requests]
     if perceiving:
-        rep_t_tilde = encode_input(params, request.features.scene)
-        inst_scores = _check_finite(
-            "instance scores", index_scores(params, rep_t_tilde, cmap.instance_idx)
+        rep = _encode(params, feats, "scene")
+        scores["instance"] = _scores(params, "instance", rep, cmap.instance_idx)
+        mix = (cmap.instance_idx, soft_beta) if first.instance_attention else None
+        rep_t, ids["instance"] = _commit(
+            params, cmap, rep, clamps, scores["instance"], cmap.instance_cols, pick, mix
         )
-        trace.scores["instance"] = inst_scores
-        if request.instance_attention:
-            rep_t = attention_update(params, rep_t_tilde, cmap.instance_idx, soft_beta)
-        else:
-            pos = pick(inst_scores)
-            trace.instance_id = cmap.id_of_col(cmap.instance_cols[pos])
-            rep_t = rep_t_tilde + params.emb[:, cmap.instance_cols[pos]]
-    elif request.mode == "episodic":
-        trace.instance_id = request.instance_id
-        rep_t = params.emb[:, cmap.col_of(request.instance_id)].copy()
+    elif first.mode == "episodic":
+        rep_t, ids["instance"] = params.emb.T[cmap.cols_of(clamps)], clamps
     else:  # semantic: only the pooled stand-in embedding, never a real column
-        rep_t = params.pooled.copy()
-    trace.reps["instance"] = rep_t
-    trace.scores["instance_label"] = index_scores(params, rep_t, cmap.concept_idx)
+        rep_t = np.tile(params.pooled, (len(requests), 1))
+    reps["instance"] = rep_t
+    scores["instance_label"] = index_scores(params, rep_t, cmap.concept_idx)
+    ctx = context_step(params, np.zeros(params.config.ctx_dim, dtype=dt), rep_t)
+    concept_step("subject", ctx)
 
-    ctx = context_step(params, ctx, rep_t)
-    trace.ctx_history.append(ctx)
-
-    # subject step
-    rep_s_tilde = context_out(params, ctx)
-    if perceiving:
-        rep_s_tilde = rep_s_tilde + encode_input(params, request.features.subject_box)
-    subj_scores = _check_finite(
-        "subject scores", index_scores(params, rep_s_tilde, cmap.concept_idx)
-    )
-    trace.scores["subject"] = subj_scores
-    if request.subject_id is not None:
-        trace.subject_id = request.subject_id
-        rep_s = rep_s_tilde + params.emb[:, cmap.col_of(request.subject_id)]
-    elif perceiving and request.concept_attention:
-        rep_s = concept_attention(params, cmap, rep_s_tilde, soft_beta)
-    else:
-        col = _commit_concept(
-            params, cmap, rep_s_tilde, request.subject_support, subj_scores, pick
-        )
-        trace.subject_id = cmap.id_of_col(col)
-        rep_s = rep_s_tilde + params.emb[:, col]
-    trace.reps["subject"] = rep_s
-
-    # subject labels, one per family
-    trace.scores["label"] = index_scores(params, rep_s, cmap.concept_idx)
-    trace.labels = _pick_labels(params, cmap, rep_s, pick)
-
-    if perceiving and request.features.object_box is None:
-        return trace  # unary pass: no relation boxes to decode
-
-    ctx = context_step(params, ctx, rep_s)
-    trace.ctx_history.append(ctx)
+    # subject labels, one per family, from one concept-score block
+    scores["label"] = _scores(params, "label", reps["subject"], cmap.concept_idx)
+    labels = _pick_labels(cmap, scores["label"], pick)
+    if not _binary(first):
+        return _split(first, ids, labels, scores, reps)  # unary pass: no relation boxes
 
     # object step
-    rep_o_tilde = context_out(params, ctx)
-    if perceiving:
-        rep_o_tilde = rep_o_tilde + encode_input(params, request.features.object_box)
-    obj_scores = _check_finite(
-        "object scores", index_scores(params, rep_o_tilde, cmap.concept_idx)
-    )
-    trace.scores["object"] = obj_scores
-    if perceiving and request.concept_attention:
-        rep_o = concept_attention(params, cmap, rep_o_tilde, soft_beta)
-    else:
-        col = _commit_concept(params, cmap, rep_o_tilde, request.object_support, obj_scores, pick)
-        trace.object_id = cmap.id_of_col(col)
-        rep_o = rep_o_tilde + params.emb[:, col]
-    trace.reps["object"] = rep_o
-
-    ctx = context_step(params, ctx, rep_o)
-    trace.ctx_history.append(ctx)
+    ctx = context_step(params, ctx, reps["subject"])
+    concept_step("object", ctx)
 
     # predicate step: read out, no commitment
-    rep_p = context_out(params, ctx)
-    if perceiving:
-        rep_p = rep_p + encode_input(params, request.features.predicate_box)
-    pred_scores = _check_finite(
-        "predicate scores", index_scores(params, rep_p, cmap.predicate_idx)
-    )
-    trace.scores["predicate"] = pred_scores
+    ctx = context_step(params, ctx, reps["object"])
+    reps["predicate"] = fed(context_out(params, ctx), "predicate_box")
+    scores["predicate"] = _scores(params, "predicate", reps["predicate"], cmap.predicate_idx)
     if cmap.predicate_cols.size:
-        pos = pick(pred_scores)
-        trace.predicate_id = cmap.id_of_col(cmap.predicate_cols[pos])
-    trace.reps["predicate"] = rep_p
-    trace.ctx_history.append(ctx)
-    return trace
+        ids["predicate"] = _pick_ids(cmap, pick, scores["predicate"], cmap.predicate_cols)
+    return _split(first, ids, labels, scores, reps)
 
 
-def _decode_direct(params, cmap, request, trace, pick) -> DecodeTrace:
+DECODE_CHUNK = 64  # requests per decode_many call in decode_chunked
+
+
+def decode_chunked(params: NetParams, cmap: ColumnMap, vocab: Vocabulary, requests: list,
+                   rng: np.random.Generator) -> Iterator[DecodeTrace]:
+    """`decode_many` over runs of DECODE_CHUNK requests, traces yielded in order, so one
+    run's score blocks are alive at a time.  Sampled picks draw run by run."""
+    for start in range(0, len(requests), DECODE_CHUNK):
+        yield from decode_many(params, cmap, vocab, requests[start:start + DECODE_CHUNK], rng)
+
+
+def _decode_direct(params, cmap, requests, pick) -> list[DecodeTrace]:
     """Feature-only readouts: no index feedback, no context propagation."""
-    feats = request.features
-    rep_t = encode_input(params, feats.scene)
-    rep_s = encode_input(params, feats.subject_box)
-    trace.reps = {"instance": rep_t, "subject": rep_s}
-    inst_scores = index_scores(params, rep_t, cmap.instance_idx)
-    trace.scores["instance"] = inst_scores
-    if inst_scores.size:
-        trace.instance_id = cmap.id_of_col(cmap.instance_cols[pick(inst_scores)])
-    subj_scores = index_scores(params, rep_s, cmap.concept_idx)
-    trace.scores["subject"] = subj_scores
-    trace.subject_id = cmap.id_of_col(
-        _commit_concept(params, cmap, rep_s, request.subject_support, subj_scores, pick)
-    )
+    first = requests[0]
+    feats = [r.features for r in requests]
+    ids: dict[str, list] = {}
+    reps = {"instance": _encode(params, feats, "scene"),
+            "subject": _encode(params, feats, "subject_box")}
+    scores = {"instance": _scores(params, "instance", reps["instance"], cmap.instance_idx)}
+    if cmap.instance_cols.size:
+        ids["instance"] = _pick_ids(cmap, pick, scores["instance"], cmap.instance_cols)
+    scores["subject"] = _scores(params, "subject", reps["subject"], cmap.concept_idx)
+    ids["subject"] = _pick_ids(cmap, pick, *_support(cmap, scores["subject"], first, "subject"))
     # labels read the same representation, so their concept scores are the subject's
-    trace.scores["label"] = subj_scores
-    trace.labels = _pick_labels(params, cmap, rep_s, pick)
-    if feats.object_box is None:
-        return trace
-    rep_o = encode_input(params, feats.object_box)
-    rep_p = encode_input(params, feats.predicate_box)
-    trace.reps.update(object=rep_o, predicate=rep_p)
-    obj_scores = index_scores(params, rep_o, cmap.concept_idx)
-    trace.scores["object"] = obj_scores
-    trace.object_id = cmap.id_of_col(
-        _commit_concept(params, cmap, rep_o, request.object_support, obj_scores, pick)
-    )
-    pred_scores = index_scores(params, rep_p, cmap.predicate_idx)
-    trace.scores["predicate"] = pred_scores
-    if pred_scores.size:
-        trace.predicate_id = cmap.id_of_col(cmap.predicate_cols[pick(pred_scores)])
-    return trace
+    scores["label"] = scores["subject"]
+    labels = _pick_labels(cmap, scores["label"], pick)
+    if _binary(first):
+        reps["object"] = _encode(params, feats, "object_box")
+        reps["predicate"] = _encode(params, feats, "predicate_box")
+        scores["object"] = _scores(params, "object", reps["object"], cmap.concept_idx)
+        ids["object"] = _pick_ids(cmap, pick, *_support(cmap, scores["object"], first, "object"))
+        scores["predicate"] = _scores(params, "predicate", reps["predicate"], cmap.predicate_idx)
+        if cmap.predicate_cols.size:
+            ids["predicate"] = _pick_ids(cmap, pick, scores["predicate"], cmap.predicate_cols)
+    return _split(first, ids, labels, scores, reps)
 
 
 # -- embedded label chaining -----------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import graph
 from .graph import Batch
-from .network import NumericsError, encode_input, context_step, context_out, index_scores, sigmoid
+from .network import DecodeRequest, NumericsError, SceneInput, decode_chunked, sigmoid
 from .params import ColumnMap, NetParams
 from .triple_store import UNKNOWN, TripleStore
 from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
@@ -467,13 +467,6 @@ class SslReport:
     history: list[dict] = field(default_factory=list)
 
 
-def _ssl_subject_state(params, scene_feat, box_feat, t_col):
-    """Context-aware subject pre-activation for one box in one scene."""
-    rep_t = encode_input(params, scene_feat) + params.emb[:, t_col]
-    ctx = context_step(params, np.zeros(params.config.ctx_dim, dtype=params.emb.dtype), rep_t)
-    return context_out(params, ctx) + encode_input(params, box_feat), ctx
-
-
 def ssl_step(
     params: NetParams,
     cmap: ColumnMap,
@@ -490,7 +483,9 @@ def ssl_step(
     entity index is allocated for it.  Winner-take-all labels and predicates
     become pseudo-observations, and only the entity and instance embedding
     columns train on them, at the dedicated low rate.  All other blocks stay
-    bit-identical.
+    bit-identical.  Recognition and labeling are winner-take-all perception
+    passes of `decode_chunked` with the scene's instance clamped, and for
+    labeling the recognized entities too.
     """
     report = SslReport()
     scenes = [world.scene(n) for n in scene_names]
@@ -501,26 +496,28 @@ def ssl_step(
         report.new_instances.append(scene.name)
     grow_rng = substream(config.seed, "ssl-grow")
     cmap = params.grow(vocab, grow_rng)
+    feats = world.features
+    rng = substream(config.seed, "ssl-decode")  # winner-take-all passes draw nothing
+
+    def perceive(scene, keys: list[str], **clamps) -> DecodeRequest:
+        """A pass over the scene and the boxes `keys`: subject, or subject, object, relation."""
+        return DecodeRequest(
+            mode="perception", features=SceneInput(feats[scene.scene_key], *(feats[k] for k in keys)),
+            instance_id=vocab.id_of(scene.name), winner_take_all=True, subject_support="entities",
+            **clamps,
+        )
 
     # recognition pass: novelty detection per box with current weights
-    label_families = sorted(f for f in cmap.family_cols if f != IDENTITY_FAMILY)
-    hidden = set(config.hidden_families) | set(config.excluded_families)
-    assignments: dict[str, list[dict]] = {}
-    for scene in scenes:
-        t_col = cmap.col_of(vocab.id_of(scene.name))
-        rows = []
-        for m in scene.members:
-            rep, _ = _ssl_subject_state(
-                params, world.features[scene.scene_key], world.features[scene.bb_key(m)], t_col
-            )
-            sig = sigmoid(index_scores(params, rep, cmap.entity_idx))
-            novel = detect_novel_entity(sig, config.novelty_threshold)
-            rows.append(
-                {"box": m, "novel": novel,
-                 "entity": None if novel else cmap.id_of_col(cmap.entity_cols[int(np.argmax(sig))]),
-                 "max_activation": float(sig.max()) if sig.size else 0.0}
-            )
-        assignments[scene.name] = rows
+    boxes = [(scene, m) for scene in scenes for m in scene.members]
+    traces = decode_chunked(params, cmap, vocab, [perceive(s, [s.bb_key(m)]) for s, m in boxes], rng)
+    assignments: dict[str, list[dict]] = {scene.name: [] for scene in scenes}
+    for (scene, m), trace in zip(boxes, traces):
+        sig = sigmoid(trace.scores["subject"][cmap.entity_idx])
+        novel = detect_novel_entity(sig, config.novelty_threshold)
+        assignments[scene.name].append(
+            {"box": m, "novel": novel, "entity": None if novel else trace.subject_id,
+             "max_activation": float(sig.max()) if sig.size else 0.0}
+        )
 
     for scene in scenes:
         for i, row in enumerate(assignments[scene.name]):
@@ -532,58 +529,44 @@ def ssl_step(
         cmap = params.grow(vocab, grow_rng)
 
     # labeling pass: winner-take-all pseudo-statements through committed states
+    entity_of = {(scene.name, row["box"]): row["entity"]
+                 for scene in scenes for row in assignments[scene.name]}
+    labeled = decode_chunked(params, cmap, vocab, [
+        perceive(scene, [scene.bb_key(m)], subject_id=entity_of[scene.name, m]) for scene, m in boxes
+    ], rng)
+    related = decode_chunked(params, cmap, vocab, [
+        perceive(scene, [scene.bb_key(s_box), scene.bb_key(o_box), scene.rel_key(i)],
+                 subject_id=entity_of[scene.name, s_box],
+                 object_id=entity_of[scene.name, o_box])
+        for scene in scenes for i, (s_box, _p, o_box) in enumerate(scene.binaries)
+    ], rng)
+    hidden = set(config.hidden_families) | set(config.excluded_families)
     ha = vocab.has_attribute
     for scene in scenes:
         t = vocab.id_of(scene.name)
-        t_col = cmap.col_of(t)
         rows = assignments[scene.name]
-        by_box = {row["box"]: row for row in rows}
         for row in rows:
-            rep_tilde, _ = _ssl_subject_state(
-                params, world.features[scene.scene_key],
-                world.features[scene.bb_key(row["box"])], t_col,
-            )
-            rep = rep_tilde + params.emb[:, cmap.col_of(row["entity"])]
+            trace = next(labeled)
             base = {"t": t, "s": row["entity"], "scene": scene.scene_key,
                     "bb": scene.bb_key(row["box"])}
-            for fam in label_families:
-                if fam in hidden:
+            for fam, label in sorted(trace.labels.items()):
+                if fam == IDENTITY_FAMILY or fam in hidden:
                     continue
-                scores = index_scores(params, rep, cmap.family_idx[fam])
-                label = cmap.id_of_col(cmap.family_cols[fam][int(np.argmax(scores))])
                 report.pseudo_unary.append({**base, "fam": fam, "o": label})
                 # two boxes may resolve to one entity; record each statement once
                 if store is not None and store.truth_of(row["entity"], ha, label, t) is UNKNOWN:
                     store.add_observation(row["entity"], ha, label, t, True)
             report.pseudo_unary.append({**base, "fam": IDENTITY_FAMILY, "o": row["entity"]})
         for i, (s_box, _p, o_box) in enumerate(scene.binaries):
-            s_row, o_row = by_box[s_box], by_box[o_box]
-            rep_s_tilde, ctx = _ssl_subject_state(
-                params, world.features[scene.scene_key],
-                world.features[scene.bb_key(s_box)], t_col,
-            )
-            rep_s = rep_s_tilde + params.emb[:, cmap.col_of(s_row["entity"])]
-            ctx = context_step(params, ctx, rep_s)
-            rep_o = (
-                context_out(params, ctx)
-                + encode_input(params, world.features[scene.bb_key(o_box)])
-                + params.emb[:, cmap.col_of(o_row["entity"])]
-            )
-            ctx = context_step(params, ctx, rep_o)
-            rep_p = context_out(params, ctx) + encode_input(
-                params, world.features[scene.rel_key(i)]
-            )
-            scores = index_scores(params, rep_p, cmap.predicate_idx)
-            pred = cmap.id_of_col(cmap.predicate_cols[int(np.argmax(scores))])
+            trace = next(related)
+            s, pred, o = trace.subject_id, trace.predicate_id, trace.object_id
             report.pseudo_binary.append(
-                {"t": t, "s": s_row["entity"], "p": pred, "o": o_row["entity"],
+                {"t": t, "s": s, "p": pred, "o": o,
                  "scene": scene.scene_key, "s_bb": scene.bb_key(s_box),
                  "o_bb": scene.bb_key(o_box), "rel": scene.rel_key(i)}
             )
-            if store is not None and (
-                store.truth_of(s_row["entity"], pred, o_row["entity"], t) is UNKNOWN
-            ):
-                store.add_observation(s_row["entity"], pred, o_row["entity"], t, True)
+            if store is not None and store.truth_of(s, pred, o, t) is UNKNOWN:
+                store.add_observation(s, pred, o, t, True)
         report.recognized[scene.name] = rows
 
     # train only entity and instance embedding columns on the pseudo-statements

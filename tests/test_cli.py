@@ -16,7 +16,7 @@ import pytest
 
 import bilayer
 from bilayer.cli import main
-from bilayer.params import load_checkpoint, params_digest, save_checkpoint
+from bilayer.params import ColumnMap, load_checkpoint, params_digest, save_checkpoint
 from bilayer.world import load_world
 
 WORLD_CONFIG = {
@@ -160,6 +160,12 @@ class TestParsing:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    def test_threads_flag_is_a_usage_error(self, ws, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["ssl", ws["checkpoint"], ws["world_dir"], "--threads", "4",
+                  "--out", str(tmp_path / "ssl")])
         assert exc.value.code == 2
 
     def test_bad_mode_choice(self, ws):
@@ -353,6 +359,21 @@ class TestDecode:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "checkpoint blob" in proc.stderr
 
+    def test_non_finite_scores_are_numeric_error(self, ws, tmp_path):
+        # untied, so only the committed subject's NaN column reaches the label scores
+        tcfg = _write_json(tmp_path / "train.json", {**TRAIN_CONFIG, "epochs": 1, "tied": False})
+        run = str(tmp_path / "run")
+        assert main(["train", ws["world_dir"], "--config", tcfg, "--out", run]) == 0
+        vocab = ws["world"].vocab
+        params = load_checkpoint(str(tmp_path / "run" / "model"), vocab)
+        params.emb[:, ColumnMap(vocab).entity_cols] = np.nan
+        save_checkpoint(params, vocab, str(tmp_path / "nan"))
+        proc = _run_cli(["decode", str(tmp_path / "nan.json"), "--world", ws["world_dir"],
+                         "--mode", "semantic", "--n", "2", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "non-finite" in proc.stderr
+
     def test_same_seed_stream_is_identical(self, ws, tmp_path, capsys):
         scene = ws["world"].scenes_of_kind("train")[0]
         streams = []
@@ -417,8 +438,3 @@ class TestSsl:
         with open(os.path.join(out, "pseudo.jsonl")) as fp:
             rows = [json.loads(l) for l in fp]
         assert rows and all(r["y"] == 1 and r["provenance"] == "ssl" for r in rows)
-
-    def test_threads_flag_accepted(self, ws, tmp_path):
-        out = str(tmp_path / "ssl")
-        assert main(["ssl", ws["checkpoint"], ws["world_dir"], "--seed", "7",
-                     "--threads", "4", "--out", out]) == 0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bilayer import graph
+from bilayer import graph, network
 from bilayer.evaluation import (
     EXPERIMENTS,
     EvalContext,
@@ -195,6 +195,28 @@ class TestPerceptionPipelines:
         assert 0.0 <= hits["1"] <= hits["10"] <= 1.0
         with pytest.raises(EvalError):
             perception_binary_eval(params, cmap, v, tiny_world, [], "samp")
+
+
+    def test_results_do_not_depend_on_the_decode_runs(self, tiny_model, tiny_world, monkeypatch):
+        params, cmap, _ = tiny_model
+        v = tiny_world.vocab
+        scenes = tiny_world.scenes_of_kind("ex_test")
+        examples = [
+            {"scene": sc.scene_key, "s_bb": sc.bb_key(s), "o_bb": sc.bb_key(o),
+             "rel": sc.rel_key(i), "p": p}
+            for sc in scenes for i, (s, p, o) in enumerate(sc.binaries)
+        ]
+
+        def run():
+            return [
+                (perception_unary_eval(params, cmap, v, tiny_world, scenes, variant),
+                 perception_binary_eval(params, cmap, v, tiny_world, examples, variant))
+                for variant in ("samp", "sa", "direct")
+            ]
+
+        whole = run()
+        monkeypatch.setattr(network, "DECODE_CHUNK", 2)
+        assert run() == whole
 
 
 class TestZeroShotSplit:

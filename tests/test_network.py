@@ -3,7 +3,8 @@
 The decode invariants under test: every distribution head normalizes, the
 argmax survives any positive temperature, semantic recall never touches real
 instance columns, winner-take-all equals the infinite-temperature attention
-limit, and sampled ids stay inside their declared index sets.
+limit, sampled ids stay inside their declared index sets, and a batched walk
+agrees with single passes and with the float64 reference walk in `util`.
 """
 from __future__ import annotations
 
@@ -14,31 +15,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilayer import network
 from bilayer.network import (
     DecodeRequest,
     NetworkError,
     NumericsError,
     SceneInput,
     attention_update,
-    binary_truth,
     chain_labels,
-    concept_attention,
-    context_map,
     context_out,
     context_step,
     decode,
+    decode_chunked,
+    decode_many,
     encode_input,
     fused_stream,
     index_scores,
-    instance_attention,
     sample_index,
     sigmoid,
     softmax,
-    unary_truth,
 )
 from bilayer.world import substream
 
-from util import small_params, small_vocab
+from util import reference_decode, small_params, small_vocab
 
 
 def _sig(x):
@@ -156,6 +155,10 @@ class TestActivations:
         sd = math.sqrt(n * 0.75 * 0.25)
         assert abs(hits - 0.75 * n) <= 3 * sd
 
+    def test_sample_index_rejects_a_matrix(self):
+        with pytest.raises(NetworkError, match="vector"):
+            sample_index(np.ones((2, 2)), 1.0, substream(0, "m"))
+
 
 class TestContextAndEncoding:
     def test_context_step_formula(self):
@@ -174,13 +177,6 @@ class TestContextAndEncoding:
         np.testing.assert_allclose(
             context_out(params, ctx), params.ctx_out @ _sig(ctx), rtol=1e-5
         )
-
-    def test_context_map_composes_layers(self):
-        v = small_vocab()
-        params, _ = small_params(v, seed=3)
-        rep = np.linspace(-1, 1, 8).astype(np.float32)
-        want = params.ctx_out @ _sig(params.ctx_rec @ _sig(params.ctx_in @ _sig(rep)))
-        np.testing.assert_allclose(context_map(params, rep), want, rtol=1e-5)
 
     def test_encode_input_affine(self):
         v = small_vocab()
@@ -224,40 +220,6 @@ class TestAttention:
         np.testing.assert_allclose(
             got, rep + params.emb[:, cmap.entity_cols].mean(axis=1), rtol=1e-5
         )
-
-    def test_named_wrappers_use_their_index_sets(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=8)
-        rep = np.linspace(-1, 1, 8).astype(np.float32)
-        np.testing.assert_array_equal(
-            concept_attention(params, cmap, rep, 2.0),
-            attention_update(params, rep, cmap.entity_idx, 2.0),
-        )
-        np.testing.assert_array_equal(
-            instance_attention(params, cmap, rep, 2.0),
-            attention_update(params, rep, cmap.instance_idx, 2.0),
-        )
-
-
-class TestTruthHeads:
-    def test_unary_truth_neutral_on_zero_column(self):
-        v = small_vocab()
-        params, cmap = small_params(v)
-        label = v.id_of("Young")
-        params.emb[:, cmap.col_of(label)] = 0.0
-        assert unary_truth(params, cmap, np.ones(8, dtype=np.float32), label) == 0.5
-
-    def test_truth_heads_formula(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=9)
-        rep = np.linspace(-1, 1, 8).astype(np.float32)
-        label = v.id_of("Dog")
-        want = _sig(params.emb[:, cmap.col_of(label)] @ _sig(rep))
-        assert abs(unary_truth(params, cmap, rep, label) - want) < 1e-6
-        pred = v.id_of("near")
-        want = _sig(params.emb[:, cmap.col_of(pred)] @ _sig(rep))
-        assert abs(binary_truth(params, cmap, rep, pred) - want) < 1e-6
-
 
 def _scene_features(seed: int, with_relation: bool = True) -> SceneInput:
     rng = substream(seed, "feat")
@@ -319,6 +281,71 @@ class TestDecodeValidation:
         req = DecodeRequest(mode="perception", features=_scene_features(1))
         with pytest.raises(NumericsError):
             decode(params, cmap, v, req, substream(0, "d"))
+
+    def test_non_finite_label_scores_raise(self):
+        # an untied readout scores the subject fine; the committed NaN column
+        # only shows in the label scores
+        v = small_vocab()
+        params, cmap = small_params(v, tied=False)
+        params.emb[:, cmap.entity_cols] = np.nan
+        req = DecodeRequest(mode="semantic", subject_support="entities", object_support="entities")
+        with pytest.raises(NumericsError, match="label scores"):
+            decode(params, cmap, v, req, substream(0, "d"))
+
+    def test_non_finite_attention_scores_raise(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        params.emb[:, cmap.instance_cols[0]] = np.nan
+        with pytest.raises(NumericsError, match="attention"):
+            attention_update(params, np.zeros(8, dtype=np.float32), cmap.instance_idx)
+
+    def test_semantic_rejects_instance_clamp(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        req = DecodeRequest(mode="semantic", instance_id=v.id_of("t0"))
+        with pytest.raises(NetworkError, match="instance clamp"):
+            decode(params, cmap, v, req, substream(0, "d"))
+
+    @pytest.mark.parametrize("clamp, name", [
+        ("instance_id", "t0"), ("subject_id", "e1"), ("object_id", "e2"),
+    ])
+    def test_direct_rejects_clamps(self, clamp, name):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        req = DecodeRequest(
+            mode="perception", features=_scene_features(0), direct=True, **{clamp: v.id_of(name)}
+        )
+        with pytest.raises(NetworkError, match="clamps"):
+            decode(params, cmap, v, req, substream(0, "d"))
+
+    @pytest.mark.parametrize("field", ["subject_support", "object_support"])
+    def test_unknown_support(self, field):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        req = DecodeRequest(mode="semantic", **{field: "entity"})
+        with pytest.raises(NetworkError, match="support"):
+            decode(params, cmap, v, req, substream(0, "d"))
+
+    def test_object_clamp_needs_a_binary_pass(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        req = DecodeRequest(
+            mode="perception", features=_scene_features(0, with_relation=False),
+            object_id=v.id_of("e1"),
+        )
+        with pytest.raises(NetworkError, match="object clamp"):
+            decode(params, cmap, v, req, substream(0, "d"))
+
+    def test_batch_shares_flags_and_arity(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        base = DecodeRequest(mode="perception", features=_scene_features(0))
+        for other in (
+            DecodeRequest(mode="perception", features=_scene_features(1), winner_take_all=True),
+            DecodeRequest(mode="perception", features=_scene_features(1, with_relation=False)),
+        ):
+            with pytest.raises(NetworkError, match="share"):
+                decode_many(params, cmap, v, [base, other], substream(0, "d"))
 
 
 def _traces_equal(a, b) -> bool:
@@ -506,6 +533,177 @@ class TestDecodeBehavior:
         assert len(unary) == len([f for f in trace.labels if f != "Identity"])
         binary = [(s, p, o) for s, p, o in triples if p != ha]
         assert binary == [(trace.subject_id, trace.predicate_id, trace.object_id)]
+
+
+_VARIANT_FLAGS = {
+    "samp": dict(instance_attention=True, attention_beta=1.0,
+                 subject_support="entities", object_support="entities"),
+    "sa": dict(instance_attention=True, concept_attention=True, attention_beta=1.0),
+    "direct": dict(direct=True, subject_support="entities", object_support="entities"),
+}
+
+
+def _batch(v, mode: str, variant: str | None, binary: bool) -> list[DecodeRequest]:
+    """Four winner-take-all requests of one kind; the clamps vary by row, so
+    clamped and free rows share a batch."""
+    ids = lambda *names: [None if n is None else v.id_of(n) for n in names]  # noqa: E731
+    flags = dict(_VARIANT_FLAGS[variant]) if variant else {}
+    if mode == "episodic":  # semantic keeps the default concept support
+        flags.update(subject_support="entities", object_support="entities")
+    rows = []
+    for k in range(4):
+        clamps = {}
+        if mode == "perception" and variant != "direct":
+            clamps["instance_id"] = ids(None, "t1", None, "t2")[k]
+            clamps["subject_id"] = ids(None, None, "e2", None)[k]
+            if binary:
+                clamps["object_id"] = ids(None, "e3", None, "Dog")[k]
+        elif mode == "episodic":
+            clamps["instance_id"] = ids("t0", "t1", "t2", "t0")[k]
+            clamps["subject_id"] = ids(None, "e1", None, None)[k]
+            clamps["object_id"] = ids(None, None, "e0", None)[k]
+        elif mode == "semantic":
+            clamps["subject_id"] = ids(None, "e1", None, "Cat")[k]
+            clamps["object_id"] = ids(None, None, "e3", None)[k]
+        rows.append(DecodeRequest(
+            mode=mode, winner_take_all=True,
+            features=_scene_features(40 + k, with_relation=binary) if mode == "perception" else None,
+            **clamps, **flags,
+        ))
+    return rows
+
+
+_CASES = [
+    ("perception", variant, binary)
+    for variant in ("samp", "sa", "direct") for binary in (False, True)
+] + [("episodic", None, True), ("semantic", None, True)]
+
+
+def _trace_ids(trace):
+    return (trace.instance_id, trace.subject_id, trace.object_id, trace.predicate_id)
+
+
+class TestReferenceWalk:
+    @pytest.mark.parametrize("dtype, rtol", [("float64", 1e-10), ("float32", 1e-4)])
+    @pytest.mark.parametrize("mode, variant, binary", _CASES)
+    def test_decode_and_decode_many_match_the_reference(self, mode, variant, binary, dtype, rtol):
+        v = small_vocab()
+        # float64 runs tied and float32 untied, so both readout layouts are read
+        params, cmap = small_params(v, seed=50, dtype=dtype, tied=(dtype == "float64"))
+        requests = _batch(v, mode, variant, binary)
+        batch = decode_many(params, cmap, v, requests, substream(0, "ref"))
+        for request, trace in zip(requests, batch):
+            single = decode(params, cmap, v, request, substream(0, "ref"))
+            ref = reference_decode(params, v, request)
+            want = tuple(ref["ids"].get(k) for k in ("instance", "subject", "object", "predicate"))
+            for got in (trace, single):
+                assert _trace_ids(got) == want
+                assert got.labels == ref["labels"]
+                assert set(got.scores) == set(ref["scores"])
+                for key, scores in ref["scores"].items():
+                    np.testing.assert_allclose(got.scores[key], scores, rtol=rtol, atol=rtol)
+
+    @pytest.mark.parametrize("mode, variant, binary", _CASES)
+    def test_batch_equals_single_passes(self, mode, variant, binary):
+        v = small_vocab()
+        params, cmap = small_params(v, seed=51)
+        requests = _batch(v, mode, variant, binary)
+        batch = decode_many(params, cmap, v, requests, substream(0, "b"))
+        assert len(batch) == len(requests)
+        for request, got in zip(requests, batch):
+            want = decode(params, cmap, v, request, substream(0, "b"))
+            assert _trace_ids(got) == _trace_ids(want)
+            assert got.labels == want.labels
+            assert set(got.scores) == set(want.scores) and set(got.reps) == set(want.reps)
+            for key in want.scores:
+                np.testing.assert_allclose(got.scores[key], want.scores[key], rtol=1e-5, atol=1e-6)
+            for key in want.reps:
+                np.testing.assert_allclose(got.reps[key], want.reps[key], rtol=1e-5, atol=1e-6)
+
+    def test_trained_perception_batch_matches_the_reference(self, tiny_model, tiny_world):
+        params, cmap, _ = tiny_model
+        v = tiny_world.vocab
+        feats = tiny_world.features
+        requests = [
+            DecodeRequest(
+                mode="perception", winner_take_all=True,
+                features=SceneInput(feats[scene.scene_key], feats[scene.bb_key(m)]),
+                **_VARIANT_FLAGS["samp"],
+            )
+            for scene in tiny_world.scenes_of_kind("ex_test") for m in scene.members
+        ]
+        traces = decode_many(params, cmap, v, requests, substream(0, "t"))
+        for request, trace in zip(requests, traces):
+            ref = reference_decode(params, v, request)
+            assert trace.subject_id == ref["ids"]["subject"]
+            assert trace.labels == ref["labels"]
+            np.testing.assert_allclose(
+                trace.scores["label"], ref["scores"]["label"], rtol=1e-4, atol=1e-4
+            )
+
+    def test_empty_batch(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        assert decode_many(params, cmap, v, [], substream(0, "e")) == []
+
+
+class TestDecodeChunked:
+    @staticmethod
+    def _requests(v, winner_take_all: bool) -> list[DecodeRequest]:
+        subjects = [None, "e1", None, "Cat", None, None, "e2"]
+        return [
+            DecodeRequest(mode="semantic", winner_take_all=winner_take_all,
+                          subject_id=None if s is None else v.id_of(s))
+            for s in subjects
+        ]
+
+    @staticmethod
+    def _calls(monkeypatch) -> list[int]:
+        """Shrink the run length to 3 and record how many requests each
+        decode_many call gets."""
+        sizes: list[int] = []
+        inner = network.decode_many
+
+        def recording(params, cmap, vocab, requests, rng):
+            sizes.append(len(requests))
+            return inner(params, cmap, vocab, requests, rng)
+
+        monkeypatch.setattr(network, "DECODE_CHUNK", 3)
+        monkeypatch.setattr(network, "decode_many", recording)
+        return sizes
+
+    def test_sampled_runs_draw_run_by_run(self, monkeypatch):
+        v = small_vocab()
+        params, cmap = small_params(v, seed=52)
+        requests = self._requests(v, winner_take_all=False)
+        rng = substream(0, "runs")
+        want = [t for k in (0, 3, 6) for t in decode_many(params, cmap, v, requests[k:k + 3], rng)]
+        sizes = self._calls(monkeypatch)
+        got = list(decode_chunked(params, cmap, v, requests, substream(0, "runs")))
+        assert sizes == [3, 3, 1]
+        assert [_trace_ids(t) for t in got] == [_trace_ids(t) for t in want]
+        assert [t.labels for t in got] == [t.labels for t in want]
+
+    def test_runs_are_decoded_as_the_traces_are_read(self, monkeypatch):
+        v = small_vocab()
+        params, cmap = small_params(v, seed=52)
+        sizes = self._calls(monkeypatch)
+        traces = decode_chunked(params, cmap, v, self._requests(v, True), substream(0, "lazy"))
+        assert sizes == []
+        next(traces)
+        assert sizes == [3]
+
+    def test_winner_take_all_matches_one_call(self, monkeypatch):
+        v = small_vocab()
+        params, cmap = small_params(v, seed=53, dtype="float64")
+        requests = self._requests(v, winner_take_all=True)
+        want = decode_many(params, cmap, v, requests, substream(0, "w"))
+        self._calls(monkeypatch)
+        got = list(decode_chunked(params, cmap, v, requests, substream(0, "w")))
+        assert [_trace_ids(t) for t in got] == [_trace_ids(t) for t in want]
+        assert [t.labels for t in got] == [t.labels for t in want]
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.scores["label"], b.scores["label"], rtol=1e-12)
 
 
 class TestChainLabels:

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from bilayer.network import DecodeRequest, decode
+from bilayer.network import DecodeRequest, SceneInput, decode
 from bilayer.params import NetConfig, NetParams
 from bilayer.training import (
     Adam,
@@ -28,7 +28,13 @@ from bilayer.training import (
 from bilayer.triple_store import TripleStore
 from bilayer.world import WorldConfig, gen_world, substream
 
-from util import random_records, small_params, small_vocab, store_from_records
+from util import (
+    random_records,
+    reference_decode,
+    small_params,
+    small_vocab,
+    store_from_records,
+)
 
 
 class TestTrainConfig:
@@ -467,6 +473,44 @@ class TestSelfLabeledGrowth:
         for sid, before in concept_cols.items():
             np.testing.assert_array_equal(params.emb[:, cmap.col_of(sid)], before)
         assert report.history  # the low-rate pseudo-training actually ran
+
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_ssl_pseudo_statements_follow_the_reference_walk(self, ssl_world, chunk, monkeypatch):
+        from bilayer import network
+        from bilayer.params import ColumnMap
+
+        if chunk is not None:  # labeling and relation runs then interleave
+            monkeypatch.setattr(network, "DECODE_CHUNK", chunk)
+
+        # float64 weights, so an argmax cannot flip between the model and the
+        # float64 reference; no pseudo-training, so the weights stay those
+        # the labeling pass read; the threshold splits the boxes between
+        # known and newly grown entities
+        v = ssl_world.vocab
+        net = NetConfig(rep_dim=16, ctx_dim=8, feature_dim=24, dtype="float64")
+        params = NetParams.init(v, net, substream(0, "init"))
+        unlabeled = sorted(s.name for s in ssl_world.scenes_of_kind("unlabeled"))
+        config = TrainConfig(seed=1, ssl_epochs=0, novelty_threshold=0.78)
+        params, cmap, report = ssl_step(params, ColumnMap(v), v, ssl_world, unlabeled, config)
+        novel = [row["novel"] for rows in report.recognized.values() for row in rows]
+        assert any(novel) and not all(novel)
+        feats = ssl_world.features
+        labels = [ex for ex in report.pseudo_unary if ex["fam"] != "Identity"]
+        assert labels and report.pseudo_binary
+        for ex in labels:
+            ref = reference_decode(params, v, DecodeRequest(
+                mode="perception", features=SceneInput(feats[ex["scene"]], feats[ex["bb"]]),
+                instance_id=ex["t"], subject_id=ex["s"], winner_take_all=True,
+            ))
+            assert ex["o"] == ref["labels"][ex["fam"]]
+        for ex in report.pseudo_binary:
+            ref = reference_decode(params, v, DecodeRequest(
+                mode="perception",
+                features=SceneInput(feats[ex["scene"]], feats[ex["s_bb"]], feats[ex["o_bb"]],
+                                    feats[ex["rel"]]),
+                instance_id=ex["t"], subject_id=ex["s"], object_id=ex["o"], winner_take_all=True,
+            ))
+            assert ex["p"] == ref["ids"]["predicate"]
 
     def test_ssl_step_rejects_featureless_scene(self, ssl_world):
         from bilayer.params import ColumnMap

@@ -1,12 +1,15 @@
 """Shared test helpers: a hand-rolled vocabulary builder and independent
-brute-force reference implementations of every counting model.
+brute-force reference implementations of every counting model and of the
+decode walk.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
-counters in the store can be checked against first principles.
+counters in the store can be checked against first principles, and it walks
+the decode schedule one unit at a time in float64 from the formulas.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -138,3 +141,130 @@ def brute_label_conditional(records: list[Record], ha: int, c1: int, c2: int):
     if den == 0:
         return None
     return Fraction(num, den)
+
+
+# -- reference decode walk (float64, one pass, straight from the formulas) ---------
+
+
+def _ref_sig(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
+    """One winner-take-all pass of the schedule for a decode request, in
+    float64, one index unit and one step at a time.
+
+    The formulas: a unit's score is its readout column dotted with the
+    squashed representation; a commitment adds the winning unit's embedding
+    column (an attention commitment adds the softmax-weighted sum of the
+    entity or instance columns instead); the context after a step is
+    ctx_rec . sig(sig(ctx) + ctx_in . sig(rep)) from ctx = 0, and feeds the
+    next step through ctx_out . sig(ctx); perception adds enc_w . box + enc_b
+    to every step.  Each family's label is the argmax of its members' scores
+    at the committed subject.  The direct variant scores each head from its
+    encoded box alone.  Columns follow the canonical order (entities,
+    classes, attributes, predicates, instances).  Returns the committed ids,
+    the labels and the score vectors by step.
+    """
+    f64 = lambda a: np.asarray(a, dtype=np.float64)  # noqa: E731
+    emb = f64(params.emb)
+    read = emb if params.config.tied else f64(params.emb_up)
+    entities = list(vocab.entities)
+    concepts = entities + list(vocab.classes) + list(vocab.attributes)
+    predicates = list(vocab.binary_predicates)
+    instances = list(vocab.instances)
+    col = {sid: i for i, sid in enumerate(concepts + predicates + instances)}
+    support = {"entities": entities, "concepts": concepts}
+    families = {f: sorted(m, key=col.get) for f, m in vocab.families.items() if m}
+    mix_beta = request.attention_beta if request.attention_beta is not None else math.inf
+
+    def scores(rep, ids):
+        z = _ref_sig(rep)
+        return np.array([float(read[:, col[i]] @ z) for i in ids])
+
+    def argmax(rep, ids):
+        return ids[int(np.argmax(scores(rep, ids)))]
+
+    def mixture(rep, ids):
+        s = scores(rep, ids)
+        w = np.zeros_like(s)
+        if math.isinf(mix_beta):
+            w[int(np.argmax(s))] = 1.0
+        else:
+            w = np.exp(mix_beta * (s - s.max()))
+            w /= w.sum()
+        return rep + sum(wk * emb[:, col[i]] for wk, i in zip(w, ids))
+
+    def enc(box):
+        return f64(params.enc_w) @ f64(box) + f64(params.enc_b)
+
+    def step(ctx, rep):
+        return f64(params.ctx_rec) @ _ref_sig(_ref_sig(ctx) + f64(params.ctx_in) @ _ref_sig(rep))
+
+    def out(ctx):
+        return f64(params.ctx_out) @ _ref_sig(ctx)
+
+    def commit(rep, clamp, ids, mix_ids):
+        if clamp is not None:
+            return rep + emb[:, col[clamp]], clamp
+        if mix_ids is not None:
+            return mixture(rep, mix_ids), None
+        won = argmax(rep, ids)
+        return rep + emb[:, col[won]], won
+
+    res = {"ids": {}, "labels": {}, "scores": {}}
+    ids, sc = res["ids"], res["scores"]
+    feats = request.features
+    perceiving = request.mode == "perception"
+    binary = feats is None or feats.object_box is not None
+
+    def labels_at(rep):
+        res["labels"] = {f: argmax(rep, m) for f, m in sorted(families.items())}
+
+    if request.direct:
+        rep_t, rep_s = enc(feats.scene), enc(feats.subject_box)
+        sc["instance"] = scores(rep_t, instances)
+        if instances:
+            ids["instance"] = argmax(rep_t, instances)
+        sc["subject"] = sc["label"] = scores(rep_s, concepts)
+        ids["subject"] = argmax(rep_s, support[request.subject_support])
+        labels_at(rep_s)
+        if binary:
+            rep_o, rep_p = enc(feats.object_box), enc(feats.predicate_box)
+            sc["object"] = scores(rep_o, concepts)
+            ids["object"] = argmax(rep_o, support[request.object_support])
+            sc["predicate"] = scores(rep_p, predicates)
+            ids["predicate"] = argmax(rep_p, predicates)
+        return res
+
+    if perceiving:
+        rep = enc(feats.scene)
+        sc["instance"] = scores(rep, instances)
+        rep_t, ids["instance"] = commit(
+            rep, request.instance_id, instances, instances if request.instance_attention else None
+        )
+    elif request.mode == "episodic":
+        rep_t, ids["instance"] = emb[:, col[request.instance_id]], request.instance_id
+    else:
+        rep_t = f64(params.pooled)
+    sc["instance_label"] = scores(rep_t, concepts)
+    ctx = step(np.zeros(params.config.ctx_dim), rep_t)
+    mix = entities if perceiving and request.concept_attention else None
+
+    rep = out(ctx) + (enc(feats.subject_box) if perceiving else 0.0)
+    sc["subject"] = scores(rep, concepts)
+    rep_s, ids["subject"] = commit(rep, request.subject_id, support[request.subject_support], mix)
+    sc["label"] = scores(rep_s, concepts)
+    labels_at(rep_s)
+    if not binary:
+        return res
+    ctx = step(ctx, rep_s)
+    rep = out(ctx) + (enc(feats.object_box) if perceiving else 0.0)
+    sc["object"] = scores(rep, concepts)
+    rep_o, ids["object"] = commit(rep, request.object_id, support[request.object_support], mix)
+    ctx = step(ctx, rep_o)
+    rep_p = out(ctx) + (enc(feats.predicate_box) if perceiving else 0.0)
+    sc["predicate"] = scores(rep_p, predicates)
+    if predicates:
+        ids["predicate"] = argmax(rep_p, predicates)
+    return res
