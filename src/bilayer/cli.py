@@ -51,7 +51,7 @@ from .training import (
     train,
     write_history_csv,
 )
-from .triple_store import StoreError
+from .triple_store import StoreError, write_statements
 from .vocab import VocabError, Vocabulary
 from .world import (
     WorldConfig,
@@ -394,19 +394,12 @@ def cmd_ssl(args: argparse.Namespace) -> None:
         save_checkpoint(params, vocab, os.path.join(args.out, "model"))
         with open(os.path.join(args.out, "vocab.json"), "w", encoding="utf-8") as fp:
             fp.write(vocab.dumps() + "\n")
+        ha = vocab.has_attribute
+        quads = [(ex["s"], ha, ex["o"], ex["t"])
+                 for ex in report.pseudo_unary if ex["fam"] != "Identity"]
+        quads += [(ex["s"], ex["p"], ex["o"], ex["t"]) for ex in report.pseudo_binary]
         with open(os.path.join(args.out, "pseudo.jsonl"), "w", encoding="utf-8") as fp:
-            for ex in report.pseudo_unary:
-                if ex["fam"] == "Identity":
-                    continue
-                fp.write(json.dumps(
-                    {"s": vocab.name_of(ex["s"]), "p": "hasAttribute",
-                     "o": vocab.name_of(ex["o"]), "t": vocab.name_of(ex["t"]),
-                     "y": 1, "provenance": "ssl"}, separators=(", ", ": ")) + "\n")
-            for ex in report.pseudo_binary:
-                fp.write(json.dumps(
-                    {"s": vocab.name_of(ex["s"]), "p": vocab.name_of(ex["p"]),
-                     "o": vocab.name_of(ex["o"]), "t": vocab.name_of(ex["t"]),
-                     "y": 1, "provenance": "ssl"}, separators=(", ", ": ")) + "\n")
+            write_statements(fp, vocab, quads, truth=True, provenance="ssl")
         summary = {
             "event": "ssl",
             "new_instances": len(report.new_instances),

@@ -23,8 +23,10 @@ one draw per row in row order, steps in schedule order, so one request draws
 as a single pass always has.  Every family's label is read from the one
 concept-score block at the committed subject.  The direct variant scores
 each head from its own encoded box, with no feedback or context, and takes
-no clamps.  `decode_chunked` hands a long request list to `decode_many` in
-runs of DECODE_CHUNK, so the score blocks alive at once do not grow with it.
+no clamps.  The attention flags apply only to perception that is not direct;
+anywhere else they are refused, as an ignored clamp is.  `decode_chunked`
+hands a long request list to `decode_many` in runs of DECODE_CHUNK, so the
+score blocks alive at once do not grow with it.
 """
 from __future__ import annotations
 
@@ -235,6 +237,9 @@ def _check_request(request: DecodeRequest) -> None:
     clamps = (request.instance_id, request.subject_id, request.object_id)
     if request.direct and any(c is not None for c in clamps):
         raise NetworkError("direct decoding takes no clamps")
+    for flag in ("instance_attention", "concept_attention"):
+        if getattr(request, flag) and (request.direct or not perceiving):
+            raise NetworkError(f"{flag} only applies to perception that is not direct")
     if request.object_id is not None and not _binary(request):
         raise NetworkError("an object clamp needs object and predicate boxes")
     for step in ("subject", "object"):

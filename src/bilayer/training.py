@@ -366,18 +366,27 @@ def train(
     if store.total_statements() == 0 and pseudo is None:
         raise TrainError("empty store")
 
+    # build only the example sets and injection pools the configured modes read
+    # (a mode that injects nothing never reads its pool)
+    modes = set(config.modes)
+    injecting = config.inject_rho > 0.0
     if pseudo is not None:
         mem_unary, mem_binary = pseudo
         per_unary, per_binary = pseudo
-        mem_pool: dict[int, np.ndarray] = {}
-        per_pool: dict[int, np.ndarray] = {}
+        # empty pools, not None: with rho > 0 each example still draws once
+        mem_pool: dict[int, np.ndarray] | None = {}
+        per_pool: dict[int, np.ndarray] | None = {}
     else:
-        mem_unary, mem_binary = memory_examples(store, vocab, config.excluded_families)
-        mem_pool = injection_pool(store, vocab, config.excluded_families)
-        if "perception" in config.modes:
+        mem_pool = per_pool = None
+        if modes & {"episodic", "semantic"}:
+            mem_unary, mem_binary = memory_examples(store, vocab, config.excluded_families)
+        if "semantic" in modes and config.inject_semantic and injecting:
+            mem_pool = injection_pool(store, vocab, config.excluded_families)
+        if "perception" in modes:
             per_hidden = tuple(set(config.hidden_families) | set(config.excluded_families))
             per_unary, per_binary = perception_examples(world, vocab, per_hidden)
-            per_pool = injection_pool(store, vocab, per_hidden)
+            if injecting:
+                per_pool = injection_pool(store, vocab, per_hidden)
 
     opt = optimizer or Adam(
         params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .triple_store import TripleStore
+from .triple_store import TripleStore, read_jsonl, write_jsonl
 from .vocab import Vocabulary
 
 
@@ -425,16 +425,6 @@ def social_network(
     return out
 
 
-def orientation_probability(
-    latent_a: np.ndarray, latent_b: np.ndarray, beta: float
-) -> float:
-    """Closed-form probability that the edge is oriented a -> b."""
-    denom = max(float(np.linalg.norm(latent_a + latent_b)), 1e-12)
-    w_ab = float(np.exp(beta * np.linalg.norm(latent_a))) / denom
-    w_ba = float(np.exp(beta * np.linalg.norm(latent_b))) / denom
-    return w_ab / (w_ab + w_ba)
-
-
 def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTruthWorld:
     onto = ontology or Ontology()
     seed = config.seed
@@ -701,10 +691,14 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
     os.makedirs(outdir, exist_ok=True)
     written = []
 
-    def _write(name: str, text: str) -> None:
+    def _write(name: str, content) -> None:
+        """`content` is a string, or a function that writes to the open file."""
         path = os.path.join(outdir, name)
         with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
+            if callable(content):
+                content(fp)
+            else:
+                fp.write(content)
         written.append(name)
 
     _write("config.json", json.dumps(
@@ -713,15 +707,8 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
     _write("vocab.json", world.vocab.dumps() + "\n")
 
     store = world.build_store()
-    from .triple_store import write_jsonl  # local import to avoid cycle at module load
-
-    import io
-    buf = io.StringIO()
-    write_jsonl(store, buf, truth=True)
-    _write("triples.jsonl", buf.getvalue())
-    buf = io.StringIO()
-    write_jsonl(store, buf, truth=False)
-    _write("negatives.jsonl", buf.getvalue())
+    _write("triples.jsonl", lambda fp: write_jsonl(store, fp, truth=True))
+    _write("negatives.jsonl", lambda fp: write_jsonl(store, fp, truth=False))
 
     doc = {
         "entities": [
@@ -802,8 +789,6 @@ def load_world(indir: str) -> GroundTruthWorld:
 
 
 def rebuild_store_from_files(world: GroundTruthWorld, indir: str) -> TripleStore:
-    from .triple_store import read_jsonl
-
     store = TripleStore(world.vocab, duplicate_policy="error")
     with open(os.path.join(indir, "triples.jsonl"), "r", encoding="utf-8") as fp:
         read_jsonl(store, fp)

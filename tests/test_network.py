@@ -274,6 +274,29 @@ class TestDecodeValidation:
         with pytest.raises(NetworkError, match="direct"):
             decode(params, cmap, v, req, substream(0, "d"))
 
+    def test_instance_attention_only_in_perception(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        req = DecodeRequest(mode="episodic", instance_id=v.id_of("t0"), instance_attention=True)
+        with pytest.raises(NetworkError, match="instance_attention"):
+            decode(params, cmap, v, req, substream(0, "d"))
+
+    def test_concept_attention_only_in_perception(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        req = DecodeRequest(mode="semantic", concept_attention=True)
+        with pytest.raises(NetworkError, match="concept_attention"):
+            decode(params, cmap, v, req, substream(0, "d"))
+
+    def test_direct_decoding_takes_no_attention(self):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        for flag in ("instance_attention", "concept_attention"):
+            req = DecodeRequest(mode="perception", features=_scene_features(0), direct=True,
+                                **{flag: True})
+            with pytest.raises(NetworkError, match=flag):
+                decode(params, cmap, v, req, substream(0, "d"))
+
     def test_non_finite_inputs_raise(self):
         v = small_vocab()
         params, cmap = small_params(v)

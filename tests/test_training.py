@@ -7,8 +7,9 @@ import io
 import numpy as np
 import pytest
 
+from bilayer import training
 from bilayer.network import DecodeRequest, SceneInput, decode
-from bilayer.params import NetConfig, NetParams
+from bilayer.params import ColumnMap, NetConfig, NetParams
 from bilayer.training import (
     Adam,
     TrainConfig,
@@ -385,6 +386,39 @@ class TestTrainLoop:
             train(params, cmap, v, store, config)
         assert err.value.epoch == 0
         assert err.value.mode == "episodic"
+
+    @staticmethod
+    def _count_builders(monkeypatch) -> dict:
+        """Count the calls train() makes to the example and pool builders."""
+        calls = {}
+
+        def counting(name: str):
+            real = getattr(training, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("memory_examples", "perception_examples", "injection_pool"):
+            monkeypatch.setattr(training, name, counting(name))
+        return calls
+
+    def test_perception_only_builds_no_memory_examples(
+        self, tiny_world, tiny_store, tiny_net_config, monkeypatch
+    ):
+        calls = self._count_builders(monkeypatch)
+        v = tiny_world.vocab
+        params = NetParams.init(v, tiny_net_config, substream(0, "init"))
+        config = TrainConfig(epochs=1, batch_size=64, modes=("perception",))
+        train(params, ColumnMap(v), v, tiny_store, config, world=tiny_world)
+        assert calls == {"perception_examples": 1, "injection_pool": 1}
+
+    def test_episodic_only_builds_no_injection_pool(self, monkeypatch):
+        calls = self._count_builders(monkeypatch)
+        v, params, cmap, store = _memory_setup(seed=8)
+        train(params, cmap, v, store, TrainConfig(epochs=1, modes=("episodic",)))
+        assert calls == {"memory_examples": 1}
 
     def test_history_csv(self):
         buf = io.StringIO()

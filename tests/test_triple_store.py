@@ -1,9 +1,12 @@
-"""The store's incremental counting models against brute-force references."""
+"""The store's incremental counting models against brute-force references,
+and its statement files against a per-line `json.dumps` writer."""
 import io
+import json
 
 import numpy as np
 import pytest
 
+from bilayer import triple_store
 from bilayer.triple_store import (
     UNKNOWN,
     ConflictError,
@@ -12,6 +15,7 @@ from bilayer.triple_store import (
     is_known,
     read_jsonl,
     write_jsonl,
+    write_statements,
 )
 from bilayer.vocab import Vocabulary
 
@@ -21,6 +25,7 @@ from util import (
     brute_observation_dist,
     brute_pooled_dist,
     random_records,
+    reference_jsonl,
     small_vocab,
     store_from_records,
 )
@@ -272,6 +277,60 @@ class TestInterchange:
             write_jsonl(store, buf)
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("truth", [True, False])
+    def test_generated_world_matches_reference(self, tiny_store, truth, monkeypatch):
+        # chunks of 7 lines, so each file takes many writes
+        monkeypatch.setattr(triple_store, "WRITE_CHUNK", 7)
+        buf = io.StringIO()
+        n = write_jsonl(tiny_store, buf, truth=truth)
+        want = reference_jsonl(tiny_store, truth)
+        assert n == want.count("\n")
+        assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("truth", [True, False])
+    def test_names_that_need_escaping_match_reference(self, truth, monkeypatch):
+        # registered out of name order; quote, backslash, control character,
+        # non-ASCII text, U+2028 and a character outside the BMP
+        monkeypatch.setattr(triple_store, "WRITE_CHUNK", 5)
+        v = Vocabulary()
+        for name in ('t"2', "t\\1", "t\x010"):
+            v.add_instance(name)
+        for name in ("zoë", 'e"q', "e\\b", "e\u2028ls", "e\tx", "ä", "e😀"):
+            v.add_entity(name)
+        for name in ("Ünder", "near\u2029", "chasés"):
+            v.add_predicate(name)
+        v.add_class("Dög")
+        v.add_attribute("Old\x7f")
+        v.define_family("Kind", ["Dög", "Old\x7f"])
+        store = store_from_records(v, random_records(v, np.random.default_rng(5), 30, 25))
+        buf = io.StringIO()
+        n = write_jsonl(store, buf, truth=truth)
+        want = reference_jsonl(store, truth)
+        assert n == (30 if truth else 25)
+        assert buf.getvalue() == want
+        assert buf.getvalue().isascii()
+
+    @pytest.mark.parametrize("truth", [True, False])
+    def test_empty_store_writes_nothing(self, vocab, truth):
+        buf = io.StringIO()
+        assert write_jsonl(TripleStore(vocab), buf, truth=truth) == 0
+        assert buf.getvalue() == ""
+
+    def test_statements_keep_their_order_and_end_with_provenance(self, vocab):
+        e0, e1, near, t1, t0 = ids(vocab, "e0", "e1", "near", "t1", "t0")
+        quads = [(e1, near, e0, t1), (e0, vocab.has_attribute, vocab.id_of("Dog"), t0)]
+        buf = io.StringIO()
+        assert write_statements(buf, vocab, quads, truth=True, provenance="ssl") == 2
+        want = "".join(
+            json.dumps({"s": s, "p": p, "o": o, "t": t, "y": 1, "provenance": "ssl"},
+                       separators=(", ", ": ")) + "\n"
+            for s, p, o, t in (("e1", "near", "e0", "t1"), ("e0", "hasAttribute", "Dog", "t0"))
+        )
+        assert buf.getvalue() == want
+        empty = io.StringIO()
+        assert write_statements(empty, vocab, [], truth=False) == 0
+        assert empty.getvalue() == ""
 
     def test_malformed_line_raises(self, vocab):
         store = TripleStore(vocab)

@@ -19,13 +19,14 @@ from bilayer.world import (
     export_world,
     gen_world,
     load_world,
-    orientation_probability,
     read_features,
     rebuild_store_from_files,
     social_network,
     substream,
     write_features,
 )
+
+from util import orientation_probability, reference_jsonl
 
 
 class TestOntology:
@@ -417,3 +418,17 @@ class TestExport:
             write_jsonl(original, buf_a, truth=truth)
             write_jsonl(rebuilt, buf_b, truth=truth)
             assert buf_a.getvalue() == buf_b.getvalue()
+
+    def test_seeded_export_is_byte_identical_and_matches_reference(self, tmp_path):
+        # a default-size world: both statement files run to several write chunks
+        config = WorldConfig(seed=21)
+        worlds = [gen_world(config), gen_world(config)]
+        dirs = [tmp_path / "one", tmp_path / "two"]
+        files = [export_world(w, str(outdir)) for w, outdir in zip(worlds, dirs)]
+        assert files[0] == files[1]
+        for name in files[0]:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+        store = worlds[0].build_store()
+        for name, truth in (("triples.jsonl", True), ("negatives.jsonl", False)):
+            text = (dirs[0] / name).read_text(encoding="utf-8")
+            assert text == reference_jsonl(store, truth), name

@@ -1,6 +1,6 @@
 """Shared test helpers: a hand-rolled vocabulary builder and independent
-brute-force reference implementations of every counting model and of the
-decode walk.
+brute-force reference implementations of every counting model, of the decode
+walk, of the statement-file bytes and of the social-edge orientation model.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
@@ -9,6 +9,7 @@ the decode schedule one unit at a time in float64 from the formulas.
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -141,6 +142,35 @@ def brute_label_conditional(records: list[Record], ha: int, c1: int, c2: int):
     if den == 0:
         return None
     return Fraction(num, den)
+
+
+# -- reference statement file (one json.dumps per line) ------------------------------
+
+
+def reference_jsonl(store: TripleStore, truth: bool) -> str:
+    """The bytes `write_jsonl` must produce: the statements of one truth value
+    as named (t, s, p, o) tuples, sorted as strings, one `json.dumps` each."""
+    v = store.vocab
+    quads = store.iter_positive() if truth else store.iter_negative()
+    named = sorted(
+        (v.name_of(t), v.name_of(s), v.name_of(p), v.name_of(o)) for s, p, o, t in quads
+    )
+    return "".join(
+        json.dumps({"s": s, "p": p, "o": o, "t": t, "y": 1 if truth else 0},
+                   separators=(", ", ": ")) + "\n"
+        for t, s, p, o in named
+    )
+
+
+# -- closed-form orientation of a social edge ----------------------------------------
+
+
+def orientation_probability(latent_a: np.ndarray, latent_b: np.ndarray, beta: float) -> float:
+    """Closed-form probability that `world.social_network` orients the edge a -> b."""
+    denom = max(float(np.linalg.norm(latent_a + latent_b)), 1e-12)
+    w_ab = float(np.exp(beta * np.linalg.norm(latent_a))) / denom
+    w_ba = float(np.exp(beta * np.linalg.norm(latent_b))) / denom
+    return w_ab / (w_ab + w_ba)
 
 
 # -- reference decode walk (float64, one pass, straight from the formulas) ---------
