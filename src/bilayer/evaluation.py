@@ -27,6 +27,7 @@ from .network import DecodeRequest, DecodeTrace, SceneInput, decode_chunked
 from .params import ColumnMap, NetConfig, NetParams
 from .triple_store import TripleStore, is_known
 from .training import (
+    Examples,
     TrainConfig,
     build_batches,
     consolidate,
@@ -75,18 +76,15 @@ def ranked_cols(scores: np.ndarray) -> np.ndarray:
 def head_metrics(
     params: NetParams,
     cmap: ColumnMap,
-    unary: list[dict],
-    binary: list[dict],
+    unary: Examples,
+    binary: Examples,
     mode: str,
-    features: dict | None = None,
     batch_size: int = 512,
     ks: tuple = (1, 10),
 ) -> dict:
     """Accuracy of each prediction head with ground truth committed upstream."""
     rng = substream(0, "eval-order")
-    batches = build_batches(
-        unary, binary, mode=mode, cmap=cmap, batch_size=batch_size, rng=rng, features=features
-    )
+    batches = build_batches(unary, binary, mode=mode, cmap=cmap, batch_size=batch_size, rng=rng)
     fam_hit: dict[str, int] = {}
     fam_n: dict[str, int] = {}
     head_hit: dict[str, int] = {}
@@ -100,9 +98,8 @@ def head_metrics(
         loss_sum += loss * len(batch)
         n_total += len(batch)
         for fam, h in cache["fam_heads"].items():
-            hits = int((h["scores"].argmax(axis=1) == h["targets"]).sum())
-            fam_hit[fam] = fam_hit.get(fam, 0) + hits
-            fam_n[fam] = fam_n.get(fam, 0) + len(h["targets"])
+            fam_hit[fam] = fam_hit.get(fam, 0) + h["hits"]
+            fam_n[fam] = fam_n.get(fam, 0) + h["n"]
         for name, h in cache["heads"].items():
             hits = int((h["scores"].argmax(axis=1) == h["targets"]).sum())
             head_hit[name] = head_hit.get(name, 0) + hits
@@ -149,10 +146,10 @@ def label_conditional_estimate(
         fam_target_cols={fam: cmap.cols_of([c2])},
     )
     _, cache = graph.forward(params, cmap, batch)
-    head = cache["fam_heads"][fam]
-    fcols = cmap.family_cols[fam]
-    pos = int(np.searchsorted(fcols, cmap.col_of(c2)))
-    return float(head["probs"][0, pos])
+    if fam == IDENTITY_FAMILY:
+        pos = int(np.searchsorted(cmap.family_cols[fam], cmap.col_of(c2)))
+        return float(cache["identity"]["probs"][0, pos])
+    return float(cache["labels"]["probs"][0, cmap.col_of(c2) - cmap.label_cols[0]])
 
 
 # -- decode pipelines ------------------------------------------------------------------
@@ -566,8 +563,9 @@ def _experiment_social_recall(ctx: EvalContext) -> tuple[dict, dict]:
     if not social_instances:
         raise EvalError("world has no social instances")
     unary, binary = memory_examples(ctx.store, ctx.vocab)
-    binary = [ex for ex in binary if ex["t"] in social_instances]
-    unary = [ex for ex in unary if ex["t"] in social_instances]
+    social = list(social_instances)
+    binary = binary[np.isin(binary.cols["t"], social)]
+    unary = unary[np.isin(unary.cols["t"], social)]
     m = head_metrics(params, cmap, unary, binary, "episodic")
     metrics = {
         "object_hits": m.get("object_hits", {}),

@@ -5,12 +5,19 @@ schedule the decoder walks, but injects ground-truth (or deliberately
 substituted) indices at every commitment instead of sampled ones.  Each batch
 element is one statement; heads active per mode and arity:
 
-    episodic   unary   subject CE + one family CE
+    episodic   unary   subject CE + label CE
     episodic   binary  subject CE + object CE + predicate CE
-    semantic   unary   family CE                      (subject given, pooled instance)
+    semantic   unary   label CE                       (subject given, pooled instance)
     semantic   binary  object CE + predicate CE
-    perception unary   instance CE + subject CE + family CE
+    perception unary   instance CE + subject CE + label CE
     perception binary  instance CE + subject CE + object CE + predicate CE
+
+A unary row's label CE is a softmax over its family's columns.  Two heads
+serve every family of a batch: the Identity family (the entity columns) has
+its own, and all other families share one segmented head that scores each
+(row, family) occurrence over the class and attribute block with one gemm
+and masks it to its family's columns.  Loss and accuracy are still reported
+per family.
 
 The backward pass is derived by hand for this fixed graph; tests check it
 against 64-bit central finite differences.
@@ -23,6 +30,7 @@ import numpy as np
 
 from .network import NumericsError, sigmoid
 from .params import ColumnMap, NetParams
+from .vocab import IDENTITY_FAMILY
 
 MODES = ("episodic", "semantic", "perception")
 ARITIES = ("unary", "binary")
@@ -77,25 +85,116 @@ class Batch:
 
 
 def _ce_head(scores: np.ndarray, target_pos: np.ndarray, inv_b: float) -> dict:
-    """Row-wise softmax cross-entropy; returns probs, summed loss, dscores."""
+    """Row-wise softmax cross-entropy: probs, per-row negative log-likelihood
+    and hit, summed loss and accuracy.  `_ce_grad` turns probs into the
+    gradient later, in place.  The clamp is the dtype's smallest normal: a
+    Python 1e-300 would round to 0 in float32 and clamp nothing."""
     probs = scores - scores.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     rows = np.arange(scores.shape[0])
-    picked = probs[rows, target_pos]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).sum() * inv_b)
-    dscores = probs.copy()
-    dscores[rows, target_pos] -= 1.0
-    dscores *= inv_b
-    acc = float((scores.argmax(axis=1) == target_pos).mean())
+    nll = -np.log(np.maximum(probs[rows, target_pos], np.finfo(probs.dtype).tiny))
+    hits = scores.argmax(axis=1) == target_pos
     return {
         "scores": scores,
         "probs": probs,
         "targets": target_pos,
-        "loss": loss,
-        "dscores": dscores,
-        "accuracy": acc,
+        "inv_b": inv_b,
+        "nll": nll,
+        "hits": hits,
+        "loss": float(nll.sum() * inv_b),
+        "accuracy": np.count_nonzero(hits) / hits.size,
     }
+
+
+def _ce_grad(h: dict) -> np.ndarray:
+    """dscores of a CE head, (probs - onehot(target)) / B.  Built once, in
+    place on the head's probs, which it then replaces."""
+    if "dscores" not in h:
+        d = h.pop("probs")
+        d[np.arange(d.shape[0]), h["targets"]] -= 1.0
+        d *= h["inv_b"]
+        h["dscores"] = d
+    return h["dscores"]
+
+
+def _label_heads(
+    zs: np.ndarray, read: np.ndarray, cmap: ColumnMap, batch: Batch, inv_b: float
+) -> dict:
+    """The label heads of a unary batch at the subject state `zs`.
+
+    Returns `identity` (the Identity family's head, with its `rows`),
+    `labels` (the segmented head of every other family, with the `rows` and
+    family `codes` of its occurrences; its positions index the class and
+    attribute block `cmap.label_idx`, scores outside a row's family are
+    -inf) and `fam_heads`: per family, in name order, its loss, accuracy,
+    hits and row count.
+    """
+    out: dict = {"fam_heads": {}}
+    fams = sorted(batch.fam_rows)
+    if IDENTITY_FAMILY in batch.fam_rows:
+        rows = batch.fam_rows[IDENTITY_FAMILY]
+        pos = np.searchsorted(
+            cmap.family_cols[IDENTITY_FAMILY], batch.fam_target_cols[IDENTITY_FAMILY]
+        )
+        out["identity"] = head = _ce_head(
+            zs[rows] @ read[:, cmap.family_idx[IDENTITY_FAMILY]], pos, inv_b
+        )
+        head["rows"] = rows
+    labels = [f for f in fams if f != IDENTITY_FAMILY]
+    if labels:
+        rows = np.concatenate([batch.fam_rows[f] for f in labels])
+        codes = np.repeat(
+            [cmap.label_family_code[f] for f in labels], [batch.fam_rows[f].size for f in labels]
+        )
+        targets = np.concatenate([batch.fam_target_cols[f] for f in labels])
+        scores = zs[rows] @ read[:, cmap.label_idx]
+        np.copyto(scores, -np.inf, where=cmap.label_outside[codes])
+        out["labels"] = head = _ce_head(scores, targets - cmap.label_cols[0], inv_b)
+        head.update(rows=rows, codes=codes)
+        n = len(cmap.label_family_code)
+        counts = np.bincount(codes, minlength=n)
+        hits = np.bincount(codes, weights=head["hits"], minlength=n)
+        losses = np.bincount(codes, weights=head["nll"], minlength=n) * inv_b
+    for fam in fams:
+        if fam == IDENTITY_FAMILY:
+            h = out["identity"]
+            out["fam_heads"][fam] = {"loss": h["loss"], "accuracy": h["accuracy"],
+                                     "hits": int(h["hits"].sum()), "n": h["hits"].size}
+        else:
+            k = cmap.label_family_code[fam]
+            out["fam_heads"][fam] = {"loss": float(losses[k]), "accuracy": hits[k] / counts[k],
+                                     "hits": int(hits[k]), "n": int(counts[k])}
+    return out
+
+
+def _head_into(h: dict, z: np.ndarray, read: np.ndarray, d_read: np.ndarray, idx) -> np.ndarray:
+    """Backprop one CE head reading `read[:, idx]` from the squashed input
+    `z`: adds its readout gradient into `d_read` and returns dZ.  With a
+    slice `idx` the add is in place on a view."""
+    dscores = _ce_grad(h)
+    d_read[:, idx] += z.T @ dscores
+    return dscores @ read[:, idx].T
+
+
+def _label_grads(
+    zs: np.ndarray, cache: dict, cmap: ColumnMap, read: np.ndarray, d_read: np.ndarray
+) -> np.ndarray:
+    """Backprop the label heads of `_label_heads`; returns dZ at `zs`."""
+    d_zs = np.zeros_like(zs)
+    if "identity" in cache:
+        h = cache["identity"]
+        idx = cmap.family_idx[IDENTITY_FAMILY]
+        d_zs[h["rows"]] += _head_into(h, zs[h["rows"]], read, d_read, idx)
+    if "labels" in cache:
+        h = cache["labels"]
+        rows = h["rows"]
+        d = _head_into(h, zs[rows], read, d_read, cmap.label_idx)
+        if np.bincount(rows).max() == 1:
+            d_zs[rows] += d
+        else:  # a hand-built batch may list a row in two families
+            np.add.at(d_zs, rows, d)
+    return d_zs
 
 
 def forward(
@@ -177,11 +276,7 @@ def forward(
     zs = sigmoid(qs)
 
     if batch.arity == "unary":
-        for fam in sorted(batch.fam_rows):
-            rows = batch.fam_rows[fam]
-            scores = zs[rows] @ read[:, cmap.family_idx[fam]]
-            pos_in_fam = np.searchsorted(cmap.family_cols[fam], batch.fam_target_cols[fam])
-            cache["fam_heads"][fam] = _ce_head(scores, pos_in_fam, inv_b)
+        cache.update(_label_heads(zs, read, cmap, batch, inv_b))
     else:
         m2 = sh1 + zs @ params.ctx_in.T
         z2 = sigmoid(m2)
@@ -237,12 +332,7 @@ def _forward_direct(params, cmap, batch, cache, inv_b) -> tuple[float, dict]:
         zs @ read[:, cmap.concept_idx], cmap.concept_pos(batch.subj_inject_cols), inv_b
     )
     if batch.arity == "unary":
-        for fam in sorted(batch.fam_rows):
-            rows = batch.fam_rows[fam]
-            pos_in_fam = np.searchsorted(cmap.family_cols[fam], batch.fam_target_cols[fam])
-            cache["fam_heads"][fam] = _ce_head(
-                zs[rows] @ read[:, cmap.family_idx[fam]], pos_in_fam, inv_b
-            )
+        cache.update(_label_heads(zs, read, cmap, batch, inv_b))
     else:
         zo = sigmoid(enc(batch.feat_obj))
         zp = sigmoid(enc(batch.feat_pred))
@@ -263,7 +353,7 @@ def _forward_direct(params, cmap, batch, cache, inv_b) -> tuple[float, dict]:
 
 def _total_loss(cache: dict) -> float:
     loss = sum(h["loss"] for h in cache["heads"].values())
-    loss += sum(h["loss"] for h in cache["fam_heads"].values())
+    loss += sum(cache[k]["loss"] for k in ("labels", "identity") if k in cache)
     return float(loss)
 
 
@@ -294,10 +384,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     perceiving = batch.mode == "perception"
 
     def head_into(h: dict, z: np.ndarray, idx) -> np.ndarray:
-        """Backprop one CE head reading `read[:, idx]`; returns dZ at its
-        squashed input.  With a slice `idx` the add is in place on a view."""
-        d_read[:, idx] += z.T @ h["dscores"]
-        return h["dscores"] @ read[:, idx].T
+        return _head_into(h, z, read, d_read, idx)
 
     def enc_grads(dq: np.ndarray, feats: np.ndarray) -> None:
         grads["enc_w"] += dq.T @ feats.astype(dq.dtype)
@@ -312,20 +399,17 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
         return d_sh * raw * (1.0 - raw)
 
     if batch.direct:
-        _backward_direct(cmap, batch, cache, head_into, enc_grads)
+        _backward_direct(cmap, batch, cache, head_into, enc_grads, read, d_read)
         return grads
 
     zt, zs = cache["zt"], cache["zs"]
     zs_tilde = cache["zs_tilde"]
     sh1, z1, m1 = cache["sh1"], cache["z1"], cache["m1"]
 
-    d_zs = np.zeros_like(zs)
     d_sh1 = np.zeros_like(sh1)
 
     if batch.arity == "unary":
-        for fam in sorted(batch.fam_rows):
-            rows = batch.fam_rows[fam]
-            d_zs[rows] += head_into(cache["fam_heads"][fam], zs[rows], cmap.family_idx[fam])
+        d_zs = _label_grads(zs, cache, cmap, read, d_read)
     else:
         zo, zo_tilde, zp = cache["zo"], cache["zo_tilde"], cache["zp"]
         sh2, z2 = cache["sh2"], cache["z2"]
@@ -357,7 +441,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
         d_m2 = (d_h2 @ params.ctx_rec) * z2 * (1.0 - z2)
         d_sh1 += d_m2
         grads["ctx_in"] += d_m2.T @ zs
-        d_zs += d_m2 @ params.ctx_in
+        d_zs = d_m2 @ params.ctx_in
 
     d_qs = d_zs * zs * (1.0 - zs)
     np.add.at(d_emb.T, batch.subj_inject_cols, d_qs)
@@ -389,7 +473,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     return grads
 
 
-def _backward_direct(cmap, batch, cache, head_into, enc_grads) -> None:
+def _backward_direct(cmap, batch, cache, head_into, enc_grads, read, d_read) -> None:
     zt, zs = cache["zt"], cache["zs"]
     heads = cache["heads"]
 
@@ -398,11 +482,7 @@ def _backward_direct(cmap, batch, cache, head_into, enc_grads) -> None:
 
     d_zs = head_into(heads["NS"], zs, cmap.concept_idx)
     if batch.arity == "unary":
-        d_zs_fam = np.zeros_like(zs)
-        for fam in sorted(batch.fam_rows):
-            rows = batch.fam_rows[fam]
-            d_zs_fam[rows] += head_into(cache["fam_heads"][fam], zs[rows], cmap.family_idx[fam])
-        d_zs = d_zs + d_zs_fam
+        d_zs = d_zs + _label_grads(zs, cache, cmap, read, d_read)
     enc_grads(d_zs * zs * (1.0 - zs), batch.feat_subj)
 
     if batch.arity == "binary":

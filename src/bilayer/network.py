@@ -53,12 +53,14 @@ class NumericsError(ArithmeticError):
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-free: with e = exp(-|x|) <= 1 it is
-    1 / (1 + e) for x >= 0 and e / (1 + e) below.  `minimum(x, -x)` is -|x|
-    that keeps the sign of a NaN input, so NaNs pass through bit for bit."""
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, one division for both.
+    `minimum(x, -x)` is -|x| that keeps the sign of a NaN input, so NaNs pass
+    through bit for bit."""
     x = np.asarray(x)
     e = np.exp(np.minimum(x, -x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    out = np.where(x >= 0, 1, e)
+    out /= 1.0 + e
+    return out
 
 
 def _softmax_rows(scores: np.ndarray, beta: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vocab import Vocabulary
+from .vocab import IDENTITY_FAMILY, Vocabulary
 
 CHECKPOINT_FORMAT = "bilayer-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -39,8 +39,8 @@ def _readout_index(cols: np.ndarray) -> slice | np.ndarray:
 class ColumnMap:
     """Symbol id <-> embedding column position, plus index-set column arrays.
 
-    Each group a head scores (entity, concept, instance, predicate, every
-    label family) also has a readout index, `<group>_idx` and
+    Each group a head scores (entity, concept, instance, predicate, label,
+    every label family) also has a readout index, `<group>_idx` and
     `family_idx[fam]`: `read[:, idx]` is its block of columns, and position
     `i` in that block is column `<group>_cols[i]`.
     """
@@ -80,6 +80,15 @@ class ColumnMap:
         self.instance_idx = _readout_index(self.instance_cols)
         self.predicate_idx = _readout_index(self.predicate_cols)
         self.family_idx = {fam: _readout_index(cols) for fam, cols in self.family_cols.items()}
+        # the label families' segmented head scores the class and attribute
+        # block, one row per family code, and masks out the columns `True`
+        # in that family's row of `label_outside`
+        self.label_idx = _readout_index(self.label_cols)
+        label_fams = sorted(f for f in self.family_cols if f != IDENTITY_FAMILY)
+        self.label_family_code = {fam: k for k, fam in enumerate(label_fams)}
+        self.label_outside = np.ones((len(label_fams), self.label_cols.size), dtype=bool)
+        for fam, k in self.label_family_code.items():
+            self.label_outside[k, self.family_cols[fam] - offsets[1]] = False
         # position of a column inside the concept / instance / predicate lists
         self._concept_pos = np.full(self.n_columns, -1, dtype=np.int64)
         self._concept_pos[self.concept_cols] = np.arange(self.concept_cols.size)
@@ -277,6 +286,7 @@ def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tup
         )
         offset += raw.nbytes
         chunks.append(raw.tobytes())
+    blob = b"".join(chunks)
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -284,12 +294,14 @@ def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tup
         "kind_counts": list(params.kind_counts),
         "vocab_sha256": vocab.digest(),
         "tensors": tensors,
+        "blob_nbytes": len(blob),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
     with open(manifest_path, "w", encoding="utf-8") as fp:
         json.dump(manifest, fp, indent=2, sort_keys=True)
         fp.write("\n")
     with open(blob_path, "wb") as fp:
-        fp.write(b"".join(chunks))
+        fp.write(blob)
     return manifest_path, blob_path
 
 
@@ -326,6 +338,13 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     config = NetConfig.from_dict(manifest["config"])
     with open(blob_path, "rb") as fp:
         blob = fp.read()
+    # manifests written before the blob's length and digest were recorded lack both
+    if "blob_nbytes" in manifest and len(blob) != manifest["blob_nbytes"]:
+        raise ParamError(
+            f"checkpoint blob has {len(blob)} bytes; its manifest records {manifest['blob_nbytes']}"
+        )
+    if "blob_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+        raise ParamError("checkpoint blob does not match the sha256 in its manifest")
     wire = "<f4" if config.dtype == "float32" else "<f8"
     _check_tensor_specs(manifest["tensors"], len(blob), np.dtype(wire).itemsize)
     arrays: dict[str, np.ndarray] = {}

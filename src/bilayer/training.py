@@ -5,11 +5,18 @@ Examples are per-statement: each unary quadruple contributes one family target
 where it was observed), each binary quadruple one subject/object/predicate
 chain.  Teacher forcing injects ground-truth indices at every commitment.
 
+An example set is built once per `train` call as an `Examples` table of
+integer columns (symbol ids, family codes, and for perception sets rows of
+one stacked feature matrix); a batch is a slice of one permutation of it.
+
 Generalized statements: with probability `inject_rho` the injected subject (or
 object) index is swapped for one of the entity's own class/attribute labels and
 the matching index target follows the swap, while family targets keep the
 entity's actual labels.  Aggregated over entities this trains the label
 conditionals P(c2 | c1).  Episodic batches are never swapped; they memorize.
+The swaps of a whole set are drawn at once, after its permutation: one
+uniform draw per swappable index and one integer draw per swap, from the
+entity's labels in the `InjectionPool`.
 """
 from __future__ import annotations
 
@@ -132,29 +139,115 @@ class TrainConfig:
 # -- example construction --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Examples:
+    """One example set as integer columns, one row per example.
+
+    Unary sets hold the columns `t, s, fam, o`, where `fam` indexes
+    `families` (every family of the vocabulary, sorted by name); binary sets
+    hold `t, s, p, o`.  Perception sets also hold, for each feature input,
+    the row of `features` (one stacked float32 matrix) it reads: `scene, bb`
+    in unary sets, `scene, s_bb, o_bb, rel` in binary sets.  Indexing with a
+    slice, a mask or row indices selects those rows.
+    """
+
+    cols: dict[str, np.ndarray]
+    families: tuple[str, ...] = ()
+    features: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.cols["t"])
+
+    def __getitem__(self, rows) -> "Examples":
+        return Examples({k: v[rows] for k, v in self.cols.items()}, self.families, self.features)
+
+
+def _families(vocab: Vocabulary) -> tuple[str, ...]:
+    return tuple(sorted(vocab.families))
+
+
+def _family_codes(vocab: Vocabulary, families: tuple[str, ...]) -> np.ndarray:
+    """Per symbol id: the index of its family in `families`, -1 for none."""
+    code = np.full(len(vocab), -1, dtype=np.int64)
+    for i, fam in enumerate(families):
+        code[list(vocab.family_members(fam))] = i
+    return code
+
+
+_UNARY_COLS = ("t", "s", "fam", "o", "scene", "bb")
+_BINARY_COLS = ("t", "s", "p", "o", "scene", "s_bb", "o_bb", "rel")
+_FEATURE_COLS = ("scene", "bb", "s_bb", "o_bb", "rel")
+
+
+def _table(values: list[int], names: tuple[str, ...], **kwargs) -> Examples:
+    """A table from its rows' values, row after row, in the order of `names`."""
+    data = np.array(values, dtype=np.int64).reshape(-1, len(names))
+    return Examples({k: data[:, i] for i, k in enumerate(names)}, **kwargs)
+
+
+def _stack(features: dict[str, np.ndarray], keys: dict[str, int]) -> np.ndarray | None:
+    """The feature vectors of `keys` (key -> row), stacked in row order."""
+    if not keys:
+        return None
+    return np.stack([features[k] for k in keys]).astype(np.float32, copy=False)
+
+
+def examples_from_rows(
+    rows: list[dict], arity: str, vocab: Vocabulary, features: dict[str, np.ndarray]
+) -> Examples:
+    """A perception example set of `arity` from per-example dicts (the
+    self-labeled statements), rows in order; their feature keys become rows
+    of one stacked matrix."""
+    families = _families(vocab)
+    code = {f: i for i, f in enumerate(families)}
+    keys: dict[str, int] = {}
+
+    def value(ex: dict, k: str) -> int:
+        if k == "fam":
+            return code[ex[k]]
+        if k in _FEATURE_COLS:
+            return keys.setdefault(ex[k], len(keys))
+        return ex[k]
+
+    names = _UNARY_COLS if arity == "unary" else _BINARY_COLS
+    values = [value(ex, k) for ex in rows for k in names]
+    return _table(values, names, families=families, features=_stack(features, keys))
+
+
 def memory_examples(
     store: TripleStore, vocab: Vocabulary, excluded_families: tuple = ()
-) -> tuple[list[dict], list[dict]]:
-    """Per-statement examples from the store's positives, plus one identity
-    pseudo-statement per (entity, instance) observation."""
-    ha = vocab.has_attribute
-    excluded = set(excluded_families)
-    unary: list[dict] = []
-    binary: list[dict] = []
-    observed: set[tuple[int, int]] = set()
-    for s, p, o, t in store.iter_positive():
-        observed.add((s, t))
-        if p == ha:
-            fam = vocab.family_of(o)
-            if fam in excluded:
-                continue
-            unary.append({"t": t, "s": s, "fam": fam, "o": o})
-        else:
-            if vocab.kind_of(o) is Kind.ENTITY:
-                observed.add((o, t))
-            binary.append({"t": t, "s": s, "p": p, "o": o})
-    for s, t in sorted(observed):
-        unary.append({"t": t, "s": s, "fam": IDENTITY_FAMILY, "o": s})
+) -> tuple[Examples, Examples]:
+    """Per-statement examples from the store's positives, in `iter_positive`
+    order, then one identity pseudo-statement per (entity, instance)
+    observation, sorted by entity and instance."""
+    families = _families(vocab)
+    fam_code = _family_codes(vocab, families)
+    s, p, o, t = store.positive_array().T
+    label = p == vocab.has_attribute
+    fam = fam_code[o]
+    if np.any(label & (fam < 0)):
+        bad = vocab.name_of(int(o[label & (fam < 0)][0]))
+        raise TrainError(f"label {bad!r} belongs to no family")
+    excluded = [families.index(f) for f in set(excluded_families) if f in families]
+    keep = label & ~np.isin(fam, excluded)
+    # observed (entity, instance) pairs: every subject, and entity objects of binaries
+    entity = np.zeros(len(vocab), dtype=bool)
+    entity[list(vocab.entities)] = True
+    obj = ~label & entity[o]
+    n = len(vocab)
+    pairs = np.unique(np.concatenate([s * n + t, o[obj] * n + t[obj]]))
+    ident_s, ident_t = pairs // n, pairs % n
+    identity = families.index(IDENTITY_FAMILY)
+    unary = Examples(
+        {
+            "t": np.concatenate([t[keep], ident_t]),
+            "s": np.concatenate([s[keep], ident_s]),
+            "fam": np.concatenate([fam[keep], np.full(ident_s.size, identity)]),
+            "o": np.concatenate([o[keep], ident_s]),
+        },
+        families,
+    )
+    binary = Examples({"t": t[~label], "s": s[~label], "p": p[~label], "o": o[~label]}, families)
     return unary, binary
 
 
@@ -163,116 +256,178 @@ def perception_examples(
     vocab: Vocabulary,
     hidden_families: tuple = (),
     kinds: tuple = ("train", "ex_train"),
-) -> tuple[list[dict], list[dict]]:
-    """Feature-bearing examples from scenes that are registered instances."""
+) -> tuple[Examples, Examples]:
+    """Feature-bearing examples from scenes that are registered instances:
+    per member, one row per visible label and an identity row; one row per
+    scene relation."""
     hidden = set(hidden_families)
-    unary: list[dict] = []
-    binary: list[dict] = []
+    families = _families(vocab)
+    code = {f: i for i, f in enumerate(families)}
+    identity = code[IDENTITY_FAMILY]
+    keys: dict[str, int] = {}  # feature key -> row of the stacked matrix
+    visible: dict[str, list] = {}  # member -> (family code, label id) of its visible labels
+    unary: list[int] = []
+    binary: list[int] = []
     for scene in world.scenes_of_kind(*kinds):
         if not scene.instance:
             continue
         t = vocab.id_of(scene.name)
+        sc = keys.setdefault(scene.scene_key, len(keys))
         for m in scene.members:
-            rec = world.entity_record(m)
             s = vocab.id_of(m)
-            base = {"t": t, "s": s, "scene": scene.scene_key, "bb": scene.bb_key(m)}
-            for fam, label in rec.labels.items():
-                if fam in hidden:
-                    continue
-                unary.append({**base, "fam": fam, "o": vocab.id_of(label)})
-            unary.append({**base, "fam": IDENTITY_FAMILY, "o": s})
+            bb = keys.setdefault(scene.bb_key(m), len(keys))
+            labels = visible.get(m)
+            if labels is None:
+                labels = visible[m] = [
+                    (code[fam], vocab.id_of(label))
+                    for fam, label in world.entity_record(m).labels.items() if fam not in hidden
+                ]
+            for fam, o in labels:
+                unary += (t, s, fam, o, sc, bb)
+            unary += (t, s, identity, s, sc, bb)
         for i, (s, p, o) in enumerate(scene.binaries):
-            binary.append(
-                {
-                    "t": t, "s": vocab.id_of(s), "p": vocab.id_of(p), "o": vocab.id_of(o),
-                    "scene": scene.scene_key, "s_bb": scene.bb_key(s),
-                    "o_bb": scene.bb_key(o), "rel": scene.rel_key(i),
-                }
-            )
-    return unary, binary
+            binary += (t, vocab.id_of(s), vocab.id_of(p), vocab.id_of(o), sc,
+                       keys.setdefault(scene.bb_key(s), len(keys)),
+                       keys.setdefault(scene.bb_key(o), len(keys)),
+                       keys.setdefault(scene.rel_key(i), len(keys)))
+    feats = _stack(world.features, keys)
+    return (
+        _table(unary, _UNARY_COLS, families=families, features=feats),
+        _table(binary, _BINARY_COLS, families=families, features=feats),
+    )
+
+
+@dataclass(frozen=True)
+class InjectionPool:
+    """Per entity, the labels eligible to replace its index in a swap, as CSR
+    arrays: the labels of `entities[i]` are `labels[offsets[i]:offsets[i + 1]]`,
+    sorted; `entities` is sorted."""
+
+    entities: np.ndarray
+    offsets: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.entities.size)
 
 
 def injection_pool(
     store: TripleStore, vocab: Vocabulary, excluded_families: tuple = ()
-) -> dict[int, np.ndarray]:
+) -> InjectionPool:
     """Per entity: the labels eligible to replace its index in a swap."""
-    ha = vocab.has_attribute
-    excluded = set(excluded_families)
-    pool: dict[int, set] = {}
-    for s, p, o, t in store.iter_positive():
-        if p == ha and vocab.family_of(o) not in excluded:
-            pool.setdefault(s, set()).add(o)
-    return {s: np.array(sorted(v), dtype=np.int64) for s, v in pool.items()}
+    families = _families(vocab)
+    fam_code = _family_codes(vocab, families)
+    s, p, o, _ = store.positive_array().T
+    excluded = [families.index(f) for f in set(excluded_families) if f in families]
+    keep = (p == vocab.has_attribute) & ~np.isin(fam_code[o], excluded)
+    n = len(vocab)
+    pairs = np.unique(s[keep] * n + o[keep])
+    entities, counts = np.unique(pairs // n, return_counts=True)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return InjectionPool(entities, offsets, pairs % n)
 
 
-def _chunks(order: np.ndarray, size: int):
-    for i in range(0, len(order), size):
-        yield order[i: i + size]
+def _swapped(
+    ids: np.ndarray, eligible: np.ndarray, rng: np.random.Generator, rho: float,
+    pool: InjectionPool | None,
+) -> np.ndarray:
+    """`ids`, each eligible id that has a pool replaced with probability `rho`
+    by one of its pool's labels, uniformly.  The draws for the whole set are
+    one uniform draw per candidate and one integer draw per swap; nothing is
+    drawn when `rho` is 0 or the pool is empty."""
+    if rho == 0.0 or pool is None or not len(pool):
+        return ids
+    # each id's labels: `size` of them from `start` (none for an id without a pool)
+    i = np.minimum(np.searchsorted(pool.entities, ids), len(pool) - 1)
+    start = pool.offsets[i]
+    size = np.where(pool.entities[i] == ids, pool.offsets[i + 1] - start, 0)
+    candidates = np.flatnonzero(eligible & (size > 0))
+    hit = candidates[rng.random(candidates.size) < rho]
+    out = ids.copy()
+    out[hit] = pool.labels[start[hit] + rng.integers(0, size[hit])]
+    return out
 
 
 def build_batches(
-    unary: list[dict],
-    binary: list[dict],
+    unary: Examples,
+    binary: Examples,
     *,
     mode: str,
     cmap: ColumnMap,
     batch_size: int,
     rng: np.random.Generator,
     rho: float = 0.0,
-    pool: dict[int, np.ndarray] | None = None,
-    features: dict[str, np.ndarray] | None = None,
+    pool: InjectionPool | None = None,
     direct: bool = False,
 ) -> list[Batch]:
-    """Shuffle, apply index swaps, resolve ids to columns, group into batches."""
+    """Shuffle, apply index swaps, resolve ids to columns, group into batches.
 
-    def swapped(eid: int) -> int:
-        if rho > 0.0 and pool is not None and rng.random() < rho:
-            options = pool.get(eid)
-            if options is not None and options.size:
-                return int(options[int(rng.integers(options.size))])
-        return eid
-
-    def stack(exs: list[dict], key: str) -> np.ndarray | None:
-        if features is None:
-            return None
-        return np.stack([features[ex[key]] for ex in exs])
-
+    Each set is shuffled by one permutation and its batches are consecutive
+    slices of it, the unary set first.  Swaps (`_swapped`) touch unary
+    subjects outside the identity family, and binary subjects and objects
+    independently.  Perception batches gather their rows of the set's
+    feature matrix.
+    """
     batches: list[Batch] = []
-    if unary:
-        for chunk in _chunks(rng.permutation(len(unary)), batch_size):
-            exs = [unary[int(i)] for i in chunk]
-            inj = [ex["s"] if ex["fam"] == IDENTITY_FAMILY else swapped(ex["s"]) for ex in exs]
-            fam_rows: dict[str, list[int]] = {}
-            fam_targets: dict[str, list[int]] = {}
-            for row, ex in enumerate(exs):
-                fam_rows.setdefault(ex["fam"], []).append(row)
-                fam_targets.setdefault(ex["fam"], []).append(ex["o"])
+    perceiving = mode == "perception"
+
+    def columns(table: Examples, order: np.ndarray, ids: dict[str, np.ndarray]) -> tuple:
+        """In shuffled order: the instance columns, the columns of `ids` and,
+        for perception, the feature rows."""
+        inst = None if mode == "semantic" else cmap.cols_of(table.cols["t"][order])
+        cols = {k: cmap.cols_of(v[order]) for k, v in ids.items()}
+        feats = {k: table.cols[k][order] for k in _FEATURE_COLS if perceiving and k in table.cols}
+        return inst, cols, feats
+
+    def gather(table: Examples, feats: dict, key: str, rows: slice) -> np.ndarray | None:
+        return table.features[feats[key][rows]] if perceiving else None
+
+    if len(unary):
+        order = rng.permutation(len(unary))
+        c = unary.cols
+        identity = unary.families.index(IDENTITY_FAMILY)
+        inj = _swapped(c["s"], c["fam"] != identity, rng, rho, pool)
+        inst, cols, feats = columns(unary, order, {"s": inj, "o": c["o"]})
+        fam = c["fam"][order]
+        for lo in range(0, len(order), batch_size):
+            rows = slice(lo, lo + batch_size)
+            # rows grouped by family code (the families' sorted order), in row order
+            counts = np.bincount(fam[rows], minlength=len(unary.families))
+            by_fam = np.split(np.argsort(fam[rows], kind="stable"), np.cumsum(counts)[:-1])
+            fam_rows = {unary.families[k]: by_fam[k] for k in np.flatnonzero(counts)}
+            targets = cols["o"][rows]
             batches.append(
                 Batch(
                     mode=mode, arity="unary",
-                    inst_cols=None if mode == "semantic" else cmap.cols_of([ex["t"] for ex in exs]),
-                    subj_inject_cols=cmap.cols_of(inj),
-                    fam_rows={f: np.asarray(r, dtype=np.int64) for f, r in fam_rows.items()},
-                    fam_target_cols={f: cmap.cols_of(t) for f, t in fam_targets.items()},
-                    feat_scene=stack(exs, "scene"),
-                    feat_subj=stack(exs, "bb"),
+                    inst_cols=None if inst is None else inst[rows],
+                    subj_inject_cols=cols["s"][rows],
+                    fam_rows=fam_rows,
+                    fam_target_cols={f: targets[r] for f, r in fam_rows.items()},
+                    feat_scene=gather(unary, feats, "scene", rows),
+                    feat_subj=gather(unary, feats, "bb", rows),
                     direct=direct,
                 )
             )
-    if binary:
-        for chunk in _chunks(rng.permutation(len(binary)), batch_size):
-            exs = [binary[int(i)] for i in chunk]
+    if len(binary):
+        n = len(binary)
+        order = rng.permutation(n)
+        c = binary.cols
+        ends = _swapped(np.concatenate([c["s"], c["o"]]), np.ones(2 * n, dtype=bool), rng, rho,
+                        pool)
+        inst, cols, feats = columns(binary, order, {"s": ends[:n], "o": ends[n:], "p": c["p"]})
+        for lo in range(0, n, batch_size):
+            rows = slice(lo, lo + batch_size)
             batches.append(
                 Batch(
                     mode=mode, arity="binary",
-                    inst_cols=None if mode == "semantic" else cmap.cols_of([ex["t"] for ex in exs]),
-                    subj_inject_cols=cmap.cols_of([swapped(ex["s"]) for ex in exs]),
-                    obj_inject_cols=cmap.cols_of([swapped(ex["o"]) for ex in exs]),
-                    pred_cols=cmap.cols_of([ex["p"] for ex in exs]),
-                    feat_scene=stack(exs, "scene"),
-                    feat_subj=stack(exs, "s_bb"),
-                    feat_obj=stack(exs, "o_bb"),
-                    feat_pred=stack(exs, "rel"),
+                    inst_cols=None if inst is None else inst[rows],
+                    subj_inject_cols=cols["s"][rows],
+                    obj_inject_cols=cols["o"][rows],
+                    pred_cols=cols["p"][rows],
+                    feat_scene=gather(binary, feats, "scene", rows),
+                    feat_subj=gather(binary, feats, "s_bb", rows),
+                    feat_obj=gather(binary, feats, "o_bb", rows),
+                    feat_pred=gather(binary, feats, "rel", rows),
                     direct=direct,
                 )
             )
@@ -353,13 +508,14 @@ def train(
     world: GroundTruthWorld | None = None,
     emb_col_mask: np.ndarray | None = None,
     optimizer: Adam | None = None,
-    pseudo: tuple[list[dict], list[dict]] | None = None,
+    pseudo: tuple[Examples, Examples] | None = None,
 ) -> list[dict]:
     """Multi-task loop over the configured modes; params update in place.
 
     Returns one history row per (epoch, mode): epoch, split, loss, metric.
-    `pseudo` substitutes a prebuilt (unary, binary) example pair for both the
-    perception and episodic modes (self-labeled training).
+    `pseudo` substitutes a prebuilt (unary, binary) pair of perception
+    example sets for both the perception and episodic modes (self-labeled
+    training); it swaps nothing.
     """
     if "perception" in config.modes and world is None and pseudo is None:
         raise TrainError("perception training needs a world with features")
@@ -370,14 +526,11 @@ def train(
     # (a mode that injects nothing never reads its pool)
     modes = set(config.modes)
     injecting = config.inject_rho > 0.0
+    mem_pool = per_pool = None
     if pseudo is not None:
         mem_unary, mem_binary = pseudo
         per_unary, per_binary = pseudo
-        # empty pools, not None: with rho > 0 each example still draws once
-        mem_pool: dict[int, np.ndarray] | None = {}
-        per_pool: dict[int, np.ndarray] | None = {}
     else:
-        mem_pool = per_pool = None
         if modes & {"episodic", "semantic"}:
             mem_unary, mem_binary = memory_examples(store, vocab, config.excluded_families)
         if "semantic" in modes and config.inject_semantic and injecting:
@@ -392,7 +545,6 @@ def train(
         params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
     )
     frozen = config.frozen_blocks()
-    features = world.features if world is not None else None
     history: list[dict] = []
 
     for epoch in range(config.epochs):
@@ -404,8 +556,7 @@ def train(
                 bs = build_batches(
                     per_unary, per_binary, mode=mode, cmap=cmap,
                     batch_size=config.batch_size, rng=rng,
-                    rho=config.inject_rho, pool=per_pool,
-                    features=features, direct=config.direct,
+                    rho=config.inject_rho, pool=per_pool, direct=config.direct,
                 )
             elif mode == "episodic":
                 bs = build_batches(
@@ -599,7 +750,8 @@ def ssl_step(
     report.history = train(
         params, cmap, vocab, store if store is not None else TripleStore(vocab),
         ssl_config, world=world, emb_col_mask=mask,
-        pseudo=(report.pseudo_unary, report.pseudo_binary),
+        pseudo=(examples_from_rows(report.pseudo_unary, "unary", vocab, feats),
+                examples_from_rows(report.pseudo_binary, "binary", vocab, feats)),
     )
     return params, cmap, report
 

@@ -72,6 +72,8 @@ class TripleStore:
     _pos_sites: dict[tuple[int, int], set[tuple[int, int]]] = field(
         default_factory=lambda: defaultdict(set)
     )  # (p, o) -> {(s, t)}
+    # positives only grow, so the sorted array stays valid while their count holds
+    _positive_array: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.duplicate_policy not in ("error", "ignore"):
@@ -208,6 +210,17 @@ class TripleStore:
     def iter_negative(self) -> Iterable[Quad]:
         return iter(sorted(self._negative, key=lambda q: (q[3], q[0], q[1], q[2])))
 
+    def positive_array(self) -> np.ndarray:
+        """The true statements as a read-only (n, 4) int64 array with columns
+        s, p, o, t, in `iter_positive` order."""
+        cached = self._positive_array
+        if cached is None or len(cached) != len(self._positive):
+            ids = _quad_array(self._positive)
+            cached = ids[np.lexsort([ids[:, k] for k in (2, 1, 0, 3)])]  # the last key is primary
+            cached.flags.writeable = False
+            self._positive_array = cached
+        return cached
+
     # -- counting models -------------------------------------------------------
 
     def observation_dist(self, t: int) -> Categorical:
@@ -307,6 +320,12 @@ def write_statements(
     return len(quads)
 
 
+def _quad_array(quads) -> np.ndarray:
+    """A collection of (s, p, o, t) quads as an (n, 4) int64 array."""
+    ids = np.fromiter(chain.from_iterable(quads), dtype=np.int64, count=4 * len(quads))
+    return ids.reshape(-1, 4)
+
+
 def write_jsonl(store: TripleStore, fp: IO[str], truth: bool = True) -> int:
     """Write the store's statements of one truth value, ordered by symbol names.
 
@@ -320,8 +339,7 @@ def write_jsonl(store: TripleStore, fp: IO[str], truth: bool = True) -> int:
     quads = store._positive if truth else store._negative
     rank = np.empty(len(v), dtype=np.int64)
     rank[sorted(range(len(v)), key=v.name_of)] = np.arange(len(v))
-    ids = np.fromiter(chain.from_iterable(quads), dtype=np.int64, count=4 * len(quads))
-    ids = ids.reshape(-1, 4)  # columns s, p, o, t
+    ids = _quad_array(quads)
     order = np.lexsort([rank[ids[:, k]] for k in (2, 1, 0, 3)])  # the last key is primary
     return write_statements(fp, v, ids[order], truth)
 

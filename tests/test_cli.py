@@ -359,6 +359,19 @@ class TestDecode:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "checkpoint blob" in proc.stderr
 
+    def test_flipped_bit_checkpoint_is_data_error(self, ws, tmp_path):
+        for ext in (".json", ".bin"):
+            shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
+        blob = tmp_path / "model.bin"
+        data = bytearray(blob.read_bytes())
+        data[len(data) // 3] ^= 0x01  # one bit of one embedding value
+        blob.write_bytes(bytes(data))
+        proc = _run_cli(["decode", str(tmp_path / "model.json"), "--world", ws["world_dir"],
+                         "--mode", "semantic", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "sha256" in proc.stderr
+
     def test_non_finite_scores_are_numeric_error(self, ws, tmp_path):
         # untied, so only the committed subject's NaN column reaches the label scores
         tcfg = _write_json(tmp_path / "train.json", {**TRAIN_CONFIG, "epochs": 1, "tied": False})

@@ -27,6 +27,8 @@ from bilayer.network import DecodeRequest, decode
 from bilayer.training import TrainConfig, memory_examples
 from bilayer.world import substream
 
+from util import table_rows
+
 
 class TestElementaryMetrics:
     def test_top1(self):
@@ -95,7 +97,7 @@ class TestHeadMetrics:
         params, cmap, _ = tiny_model
         v = tiny_world.vocab
         unary, _ = memory_examples(tiny_store, v)
-        examples = [e for e in unary if e["fam"] != "Identity"][:5]
+        examples = [e for e in table_rows(unary) if e["fam"] != "Identity"][:5]
         for ex in examples:
             batch = Batch(
                 mode="episodic", arity="unary",
@@ -105,7 +107,8 @@ class TestHeadMetrics:
                 fam_target_cols={ex["fam"]: cmap.cols_of([ex["o"]])},
             )
             _, cache = graph.forward(params, cmap, batch)
-            head_scores = cache["fam_heads"][ex["fam"]]["scores"][0]
+            fcols = cmap.family_cols[ex["fam"]]
+            head_scores = cache["labels"]["scores"][0, fcols - cmap.label_cols[0]]
             trace = decode(
                 params, cmap, v,
                 DecodeRequest(
@@ -114,7 +117,6 @@ class TestHeadMetrics:
                 ),
                 substream(0, "agree"),
             )
-            fcols = cmap.family_cols[ex["fam"]]
             positions = cmap.concept_pos(fcols)
             decode_scores = trace.scores["label"][positions]
             np.testing.assert_allclose(decode_scores, head_scores, rtol=1e-4, atol=1e-4)

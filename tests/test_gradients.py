@@ -1,17 +1,20 @@
 """Analytic gradients checked coordinate-by-coordinate against 64-bit central
 finite differences, across every graph shape: all three modes, both arities,
 tied and untied readout, the direct perception variant, dropout, and batch
-sizes from one to nine.  Every trainable coordinate is probed.
+sizes from one to nine.  Every trainable coordinate is probed.  The segmented
+label head is also checked against one softmax head per family.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from bilayer import graph
 from bilayer.graph import Batch, backward, forward, loss_and_grads, zero_grads
+from bilayer.network import sigmoid
 from bilayer.world import substream
 
-from util import small_params, small_vocab
+from util import reference_family_heads, small_params, small_vocab
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -20,7 +23,8 @@ REL_TOL = 1e-4
 INTERLEAVED = {"Species": ["Dog", "Mammal"], "Pet": ["Cat"], "Age": ["Young", "Old"]}
 
 
-def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5) -> Batch:
+def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5,
+                labels: tuple = ("Species", "Age")) -> Batch:
     ents = cmap.entity_cols
     kwargs: dict = {
         "mode": mode,
@@ -33,11 +37,9 @@ def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5) -> B
         kwargs["inst_cols"] = insts[rng.integers(0, insts.size, size=b)]
     if arity == "unary":
         rows = np.arange(b)
-        fam_rows = {
-            "Species": rows[:: 2],
-            "Age": rows[1:: 2],
-            "Identity": rows,
-        }
+        # the label families take turns over the rows; every row is also an identity row
+        fam_rows = {f: rows[i:: len(labels)] for i, f in enumerate(labels)}
+        fam_rows["Identity"] = rows
         kwargs["fam_rows"] = {f: r for f, r in fam_rows.items() if r.size}
         kwargs["fam_target_cols"] = {
             fam: cmap.family_cols[fam][
@@ -84,6 +86,7 @@ CONFIGS = [
     {"mode": "perception", "arity": "binary", "tied": True, "batch": 9},
     {"mode": "perception", "arity": "unary", "tied": False, "interleaved": True},
     {"mode": "perception", "arity": "unary", "tied": True, "direct": True, "interleaved": True},
+    {"mode": "episodic", "arity": "unary", "tied": True, "batch": 7, "all_families": True},
 ]
 
 
@@ -97,6 +100,8 @@ def _config_id(cfg: dict) -> str:
         bits.append(f"b{cfg['batch']}")
     if cfg.get("interleaved"):
         bits.append("interleaved")
+    if cfg.get("all_families"):
+        bits.append("allfam")
     return "-".join(bits)
 
 
@@ -118,8 +123,10 @@ def test_gradients_match_finite_differences(cfg):
     if cfg.get("interleaved"):
         assert isinstance(cmap.family_idx["Species"], np.ndarray)
     rng = substream(seed, "batch")
+    labels = ("Species", "Rank", "Age") if cfg.get("all_families") else ("Species", "Age")
     batch = _make_batch(
-        cmap, cfg["mode"], cfg["arity"], cfg.get("direct", False), rng, cfg.get("batch", 5)
+        cmap, cfg["mode"], cfg["arity"], cfg.get("direct", False), rng, cfg.get("batch", 5),
+        labels,
     )
     dropout = cfg.get("dropout", 0.0)
 
@@ -164,3 +171,67 @@ def test_zero_grads_mirror_blocks():
     for name, arr in params.blocks().items():
         assert grads[name].shape == arr.shape
         assert not np.any(grads[name])
+
+
+@pytest.mark.parametrize("families", [None, INTERLEAVED], ids=["contiguous", "interleaved"])
+def test_label_head_matches_one_head_per_family(families):
+    v = small_vocab(families=families)
+    params, cmap = small_params(v, dtype="float64", tied=False, seed=61)
+    rng = substream(61, "label-head")
+    b = 9
+    zs = sigmoid(rng.standard_normal((b, params.config.rep_dim)))
+    labels = sorted(f for f in cmap.family_cols if f != "Identity")
+    rows = np.arange(b)
+    fam_rows = {f: rows[i:: len(labels)] for i, f in enumerate(labels)}
+    fam_rows[labels[1]] = np.union1d(fam_rows[labels[1]], [0])  # row 0 sits in two families
+    fam_rows["Identity"] = rows[::2]
+    batch = Batch(
+        mode="semantic", arity="unary",
+        subj_inject_cols=cmap.entity_cols[rng.integers(0, cmap.entity_cols.size, size=b)],
+        fam_rows=fam_rows,
+        fam_target_cols={
+            f: cmap.family_cols[f][rng.integers(0, cmap.family_cols[f].size, size=r.size)]
+            for f, r in fam_rows.items()
+        },
+    )
+    read = params.readout
+    want = reference_family_heads(zs, read, cmap, batch, 1.0 / b)
+    heads = graph._label_heads(zs, read, cmap, batch, 1.0 / b)
+    d_read = np.zeros_like(read)
+    d_zs = graph._label_grads(zs, heads, cmap, read, d_read)
+    assert list(heads["fam_heads"]) == sorted(fam_rows)
+    for fam, h in heads["fam_heads"].items():
+        np.testing.assert_allclose(h["loss"], want["loss"][fam], rtol=1e-6)
+        assert h["accuracy"] == want["accuracy"][fam]
+        assert h["n"] == fam_rows[fam].size
+    total = sum(h["loss"] for k, h in heads.items() if k != "fam_heads")
+    np.testing.assert_allclose(total, sum(want["loss"].values()), rtol=1e-6)
+    np.testing.assert_allclose(d_zs, want["d_zs"], rtol=1e-6, atol=1e-12)
+    np.testing.assert_allclose(d_read, want["d_read"], rtol=1e-6, atol=1e-12)
+
+
+def test_ce_head_clamps_an_underflowed_target_at_tiny():
+    # exp(-200) is 0 in float32; a 1e-300 clamp would round to 0 and give inf
+    head = graph._ce_head(np.array([[0.0, -200.0]], dtype=np.float32), np.array([1]), 1.0)
+    tiny = np.finfo(np.float32).tiny
+    assert head["probs"][0, 1] == 0.0
+    assert np.isfinite(head["loss"])
+    assert head["loss"] == float(-np.log(tiny))
+
+
+def test_a_unary_batch_makes_three_softmax_heads(monkeypatch):
+    # NS, the segmented label head and Identity, however many families the batch holds
+    v = small_vocab()
+    params, cmap = small_params(v)
+    batch = _make_batch(cmap, "episodic", "unary", False, substream(0, "heads"), 7,
+                        ("Species", "Rank", "Age"))
+    calls = []
+    real = graph._ce_head
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_ce_head", counted)
+    forward(params, cmap, batch)
+    assert len(calls) == 3

@@ -37,7 +37,7 @@ from bilayer.network import (
 )
 from bilayer.world import substream
 
-from util import reference_decode, small_params, small_vocab
+from util import reference_decode, small_params, small_vocab, two_division_sigmoid
 
 
 def _sig(x):
@@ -68,6 +68,17 @@ class TestActivations:
             got, want = sigmoid(arr), _two_exp_sigmoid(arr)
             assert got.dtype == want.dtype == dtype
             assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_two_division_oracle_bitwise(self, dtype):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 100.5, -100.5, 150.0, -150.0,
+                   1e4, -1e4, 745.5, -745.5]
+        grid = np.concatenate([np.array(special), np.linspace(-120.0, 120.0, 4801)]).astype(dtype)
+        for arr in (grid, grid.reshape(5, -1)[:, ::3], grid[1], grid[4]):
+            got, want = sigmoid(arr), two_division_sigmoid(arr)
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
     def test_sigmoid_needs_no_errstate_guard(self):

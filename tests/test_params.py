@@ -1,6 +1,7 @@
 """Column bookkeeping, parameter init, checkpoint round trips, vocabulary growth."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -233,6 +234,45 @@ class TestCheckpoint:
             fp.write(blob[:cut] if cut < 0 else blob + b"\0" * cut)
         with pytest.raises(ParamError, match="checkpoint blob has"):
             load_checkpoint(base, v)
+
+    def test_manifest_records_blob_length_and_sha256(self, tmp_path):
+        v = small_vocab()
+        params, _ = small_params(v)
+        manifest_path, blob_path = save_checkpoint(params, v, str(tmp_path / "ck"))
+        with open(manifest_path) as fp:
+            manifest = json.load(fp)
+        with open(blob_path, "rb") as fp:
+            blob = fp.read()
+        assert manifest["blob_nbytes"] == len(blob)
+        assert manifest["blob_sha256"] == hashlib.sha256(blob).hexdigest()
+
+    def test_rejects_a_flipped_bit(self, tmp_path):
+        v = small_vocab()
+        params, _ = small_params(v)
+        base = str(tmp_path / "ck")
+        _, blob_path = save_checkpoint(params, v, base)
+        with open(blob_path, "rb") as fp:
+            blob = bytearray(fp.read())
+        blob[len(blob) // 2] ^= 0x10  # inside the embedding tensor
+        with open(blob_path, "wb") as fp:
+            fp.write(blob)
+        with pytest.raises(ParamError, match="sha256"):
+            load_checkpoint(base, v)
+
+    def test_loads_a_manifest_without_blob_fields(self, tmp_path):
+        # written before the blob's length and digest were recorded
+        v = small_vocab()
+        params, _ = small_params(v, seed=4)
+        base = str(tmp_path / "ck")
+        save_checkpoint(params, v, base)
+        with open(base + ".json") as fp:
+            manifest = json.load(fp)
+        del manifest["blob_nbytes"], manifest["blob_sha256"]
+        with open(base + ".json", "w") as fp:
+            json.dump(manifest, fp)
+        loaded = load_checkpoint(base, v)
+        for name, arr in params.blocks().items():
+            np.testing.assert_array_equal(loaded.blocks()[name], arr)
 
     def test_rejects_tensor_bytes_that_miss_its_shape(self, tmp_path):
         v = small_vocab()

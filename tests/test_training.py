@@ -7,9 +7,9 @@ import io
 import numpy as np
 import pytest
 
-from bilayer import training
+from bilayer import graph, training
 from bilayer.network import DecodeRequest, SceneInput, decode
-from bilayer.params import ColumnMap, NetConfig, NetParams
+from bilayer.params import ColumnMap, NetConfig, NetParams, params_digest
 from bilayer.training import (
     Adam,
     TrainConfig,
@@ -18,6 +18,7 @@ from bilayer.training import (
     build_batches,
     consolidate,
     detect_novel_entity,
+    examples_from_rows,
     forgetting_probe,
     injection_pool,
     memory_examples,
@@ -30,11 +31,21 @@ from bilayer.triple_store import TripleStore
 from bilayer.world import WorldConfig, gen_world, substream
 
 from util import (
+    copying_ce_head,
+    dict_table,
+    keyed_rows,
+    pool_dict,
+    pool_from_dict,
     random_records,
+    reference_build_batches,
     reference_decode,
+    reference_injection_pool,
+    reference_memory_examples,
+    reference_perception_examples,
     small_params,
     small_vocab,
     store_from_records,
+    table_rows,
 )
 
 
@@ -66,7 +77,8 @@ class TestTrainConfig:
 
 
 class TestExampleConstruction:
-    def _toy_store(self, v):
+    @staticmethod
+    def _toy_store(v):
         ha = v.has_attribute
         rows = [
             (v.id_of("e0"), ha, v.id_of("Dog"), v.id_of("t0"), True),
@@ -80,7 +92,7 @@ class TestExampleConstruction:
     def test_memory_examples(self):
         v = small_vocab()
         store = self._toy_store(v)
-        unary, binary = memory_examples(store, v)
+        unary, binary = (table_rows(x) for x in memory_examples(store, v))
         label_rows = [ex for ex in unary if ex["fam"] != "Identity"]
         ident_rows = [ex for ex in unary if ex["fam"] == "Identity"]
         # three positive labels; the negative contributes nothing
@@ -104,27 +116,36 @@ class TestExampleConstruction:
         v = small_vocab()
         store = self._toy_store(v)
         unary, _ = memory_examples(store, v, excluded_families=("Species",))
-        fams = {ex["fam"] for ex in unary}
+        fams = {ex["fam"] for ex in table_rows(unary)}
         assert "Species" not in fams
         assert "Age" in fams and "Identity" in fams
 
     def test_injection_pool(self):
         v = small_vocab()
         store = self._toy_store(v)
-        pool = injection_pool(store, v)
-        assert pool[v.id_of("e0")].tolist() == sorted([v.id_of("Dog"), v.id_of("Young")])
-        assert pool[v.id_of("e1")].tolist() == [v.id_of("Cat")]
+        pool = pool_dict(injection_pool(store, v))
+        assert pool[v.id_of("e0")] == sorted([v.id_of("Dog"), v.id_of("Young")])
+        assert pool[v.id_of("e1")] == [v.id_of("Cat")]
         no_species = injection_pool(store, v, excluded_families=("Species", "Age"))
-        assert no_species == {}
+        assert len(no_species) == 0 and pool_dict(no_species) == {}
+
+    def test_a_label_outside_every_family_is_refused(self):
+        v = small_vocab(families={"Species": ["Dog", "Cat"]})
+        store = self._toy_store(v)  # e0 is Young, which no family holds
+        with pytest.raises(TrainError, match="'Young' belongs to no family"):
+            memory_examples(store, v)
 
     def test_perception_examples(self, tiny_world):
         v = tiny_world.vocab
         unary, binary = perception_examples(tiny_world, v)
         scenes = {s.name: s for s in tiny_world.scenes_of_kind("train", "ex_train")}
-        assert unary and binary
+        assert len(unary) and len(binary)
+        assert unary.features.dtype == np.float32 and unary.features is binary.features
+        vectors = {f.tobytes() for f in tiny_world.features.values()}
+        unary, binary = table_rows(unary), table_rows(binary)
         for ex in unary:
             assert v.name_of(ex["t"]) in scenes
-            assert ex["scene"] in tiny_world.features and ex["bb"] in tiny_world.features
+            assert ex["scene"] in vectors and ex["bb"] in vectors
             if ex["fam"] == "Identity":
                 assert ex["o"] == ex["s"]
             else:
@@ -132,14 +153,69 @@ class TestExampleConstruction:
         for ex in binary:
             scene = scenes[v.name_of(ex["t"])]
             assert (v.name_of(ex["s"]), v.name_of(ex["p"]), v.name_of(ex["o"])) in scene.binaries
-            assert ex["rel"] in tiny_world.features
+            assert ex["rel"] in vectors
         # every member of every instance scene gets an identity row
         want = sum(len(s.members) for s in scenes.values() if s.instance)
         assert sum(1 for ex in unary if ex["fam"] == "Identity") == want
 
     def test_perception_examples_hide_families(self, tiny_world):
         unary, _ = perception_examples(tiny_world, tiny_world.vocab, hidden_families=("Risk",))
-        assert all(ex["fam"] != "Risk" for ex in unary)
+        assert all(ex["fam"] != "Risk" for ex in table_rows(unary))
+
+
+class TestExampleTables:
+    """The tables hold the rows of the per-example dict builders, in order."""
+
+    @pytest.mark.parametrize("excluded", [(), ("Species",), ("Species", "Age")])
+    def test_memory_tables_match_the_dict_builder_on_a_toy_store(self, excluded):
+        v = small_vocab()
+        store = TestExampleConstruction._toy_store(v)
+        unary, binary = memory_examples(store, v, excluded)
+        ref_unary, ref_binary = reference_memory_examples(store, v, excluded)
+        assert table_rows(unary) == ref_unary
+        assert table_rows(binary) == ref_binary
+        assert pool_dict(injection_pool(store, v, excluded)) == \
+            reference_injection_pool(store, v, excluded)
+
+    @pytest.mark.parametrize("excluded", [(), ("PClass", "Risk")])
+    def test_memory_tables_match_the_dict_builder_on_a_world(self, tiny_world, tiny_store,
+                                                             excluded):
+        v = tiny_world.vocab
+        unary, binary = memory_examples(tiny_store, v, excluded)
+        ref_unary, ref_binary = reference_memory_examples(tiny_store, v, excluded)
+        assert len(unary) == len(ref_unary) and len(binary) == len(ref_binary)
+        assert table_rows(unary) == ref_unary
+        assert table_rows(binary) == ref_binary
+        assert pool_dict(injection_pool(tiny_store, v, excluded)) == \
+            reference_injection_pool(tiny_store, v, excluded)
+
+    @pytest.mark.parametrize("hidden", [(), ("Risk",), ("Age", "Color")])
+    def test_perception_tables_match_the_dict_builder(self, tiny_world, hidden):
+        v = tiny_world.vocab
+        unary, binary = perception_examples(tiny_world, v, hidden)
+        ref_unary, ref_binary = reference_perception_examples(tiny_world, v, hidden)
+        assert table_rows(unary) == keyed_rows(ref_unary, tiny_world.features)
+        assert table_rows(binary) == keyed_rows(ref_binary, tiny_world.features)
+
+    def test_pseudo_dicts_convert_row_for_row(self, tiny_world):
+        # self-labeled statements arrive as dicts of this layout
+        v = tiny_world.vocab
+        ref_unary, ref_binary = reference_perception_examples(tiny_world, v)
+        for rows, arity in ((ref_unary, "unary"), (ref_binary, "binary")):
+            table = examples_from_rows(rows, arity, v, tiny_world.features)
+            assert table_rows(table) == keyed_rows(rows, tiny_world.features)
+            assert table_rows(table[:7]) == keyed_rows(rows[:7], tiny_world.features)
+        assert len(examples_from_rows([], "binary", v, tiny_world.features)) == 0
+
+    def test_a_slice_is_a_table_of_those_rows(self, tiny_world):
+        unary, _ = perception_examples(tiny_world, tiny_world.vocab)
+        head = unary[:5]
+        assert len(head) == 5 and head.features is unary.features
+        assert table_rows(head) == table_rows(unary)[:5]
+
+
+def _tables(v, unary: list[dict], binary: list[dict]) -> tuple:
+    return dict_table(unary, "unary", v), dict_table(binary, "binary", v)
 
 
 class TestBuildBatches:
@@ -151,8 +227,8 @@ class TestBuildBatches:
         rows = [{"t": v.id_of("t0"), "s": e0, "fam": "Identity", "o": e0}]
         for seed in range(10):
             (batch,) = build_batches(
-                rows, [], mode="episodic", cmap=cmap, batch_size=4,
-                rng=substream(seed, "b"), rho=1.0, pool=pool,
+                *_tables(v, rows, []), mode="episodic", cmap=cmap, batch_size=4,
+                rng=substream(seed, "b"), rho=1.0, pool=pool_from_dict(pool),
             )
             assert batch.subj_inject_cols.tolist() == [cmap.col_of(e0)]
 
@@ -163,8 +239,8 @@ class TestBuildBatches:
         pool = {e0: np.array([young], dtype=np.int64)}
         rows = [{"t": v.id_of("t0"), "s": e0, "fam": "Species", "o": dog}]
         (batch,) = build_batches(
-            rows, [], mode="episodic", cmap=cmap, batch_size=4,
-            rng=substream(0, "b"), rho=1.0, pool=pool,
+            *_tables(v, rows, []), mode="episodic", cmap=cmap, batch_size=4,
+            rng=substream(0, "b"), rho=1.0, pool=pool_from_dict(pool),
         )
         # the injected index (also the subject-head target) follows the swap
         assert batch.subj_inject_cols.tolist() == [cmap.col_of(young)]
@@ -178,8 +254,8 @@ class TestBuildBatches:
         pool = {e0: np.array([v.id_of("Young")], dtype=np.int64)}
         rows = [{"t": v.id_of("t0"), "s": e0, "fam": "Species", "o": v.id_of("Dog")}]
         (batch,) = build_batches(
-            rows, [], mode="episodic", cmap=cmap, batch_size=4,
-            rng=substream(0, "b"), rho=0.0, pool=pool,
+            *_tables(v, rows, []), mode="episodic", cmap=cmap, batch_size=4,
+            rng=substream(0, "b"), rho=0.0, pool=pool_from_dict(pool),
         )
         assert batch.subj_inject_cols.tolist() == [cmap.col_of(e0)]
 
@@ -193,8 +269,8 @@ class TestBuildBatches:
         }
         rows = [{"t": v.id_of("t0"), "s": e0, "p": v.id_of("near"), "o": e1}]
         (batch,) = build_batches(
-            [], rows, mode="semantic", cmap=cmap, batch_size=4,
-            rng=substream(1, "b"), rho=1.0, pool=pool,
+            *_tables(v, [], rows), mode="semantic", cmap=cmap, batch_size=4,
+            rng=substream(1, "b"), rho=1.0, pool=pool_from_dict(pool),
         )
         assert batch.subj_inject_cols.tolist() == [cmap.col_of(young)]
         assert batch.obj_inject_cols.tolist() == [cmap.col_of(old)]
@@ -210,10 +286,145 @@ class TestBuildBatches:
             for i in range(5)
         ]
         batches = build_batches(
-            rows, [], mode="episodic", cmap=cmap, batch_size=2, rng=substream(0, "b")
+            *_tables(v, rows, []), mode="episodic", cmap=cmap, batch_size=2, rng=substream(0, "b")
         )
         assert [len(b) for b in batches] == [2, 2, 1]
         assert all(b.inst_cols is not None for b in batches)
+
+
+def _same_batches(got: list, want: list) -> None:
+    """Batches equal field for field, bit for bit (family dicts in any order)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.mode, a.arity, a.direct) == (b.mode, b.arity, b.direct)
+        for name in ("inst_cols", "subj_inject_cols", "obj_inject_cols", "pred_cols",
+                     "feat_scene", "feat_subj", "feat_obj", "feat_pred"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if x is not None:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert sorted(a.fam_rows) == sorted(b.fam_rows)
+        for fam in a.fam_rows:
+            assert a.fam_rows[fam].dtype == b.fam_rows[fam].dtype
+            assert a.fam_rows[fam].tolist() == b.fam_rows[fam].tolist()
+            assert a.fam_target_cols[fam].tolist() == b.fam_target_cols[fam].tolist()
+
+
+class CountingGenerator:
+    """A generator whose method calls are counted."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def _swap_setup(n: int, seed: int = 0):
+    """A vocabulary whose every entity has a pool, and n unary label rows plus
+    n binary rows over it."""
+    v = small_vocab(n_entities=40, n_instances=5)
+    _, cmap = small_params(v)
+    rng = substream(seed, "swap-rows")
+    ents = np.array(v.entities)
+    labels = np.array([v.id_of(x) for x in ("Dog", "Cat", "Mammal", "Young", "Old")])
+    pool = pool_from_dict({int(e): labels[rng.permutation(5)[:1 + i % 3]] for i, e in enumerate(ents)})
+    t = np.array(v.instances)[rng.integers(0, 5, size=n)]
+    s, o = ents[rng.integers(0, 40, size=n)], ents[rng.integers(0, 40, size=n)]
+    species = [v.id_of("Dog"), v.id_of("Cat")]
+    unary = dict_table(
+        [{"t": int(t[i]), "s": int(s[i]), "fam": "Identity" if i % 4 == 0 else "Species",
+          "o": int(s[i]) if i % 4 == 0 else species[i % 2]} for i in range(n)],
+        "unary", v)
+    binary = dict_table(
+        [{"t": int(t[i]), "s": int(s[i]), "p": v.id_of("near"), "o": int(o[i])} for i in range(n)],
+        "binary", v)
+    return v, cmap, pool, unary, binary
+
+
+class TestVectorizedBatches:
+    @pytest.mark.parametrize("mode", ["perception", "episodic", "semantic"])
+    def test_zero_rho_batches_equal_the_dict_builder(self, tiny_world, tiny_store, mode):
+        v = tiny_world.vocab
+        cmap = ColumnMap(v)
+        if mode == "perception":
+            tables = perception_examples(tiny_world, v)
+            dicts = reference_perception_examples(tiny_world, v)
+            features = tiny_world.features
+        else:
+            tables = memory_examples(tiny_store, v)
+            dicts = reference_memory_examples(tiny_store, v)
+            features = None
+        pool = injection_pool(tiny_store, v)
+        for batch_size in (7, 64):
+            got = build_batches(*tables, mode=mode, cmap=cmap, batch_size=batch_size,
+                                rng=substream(5, "b"), rho=0.0, pool=pool)
+            want = reference_build_batches(*dicts, mode=mode, cmap=cmap, batch_size=batch_size,
+                                           rng=substream(5, "b"), features=features)
+            _same_batches(got, want)
+
+    def test_full_rho_swaps_every_eligible_index(self):
+        v, cmap, pool, unary, binary = _swap_setup(400)
+        pools = {cmap.col_of(e): {cmap.col_of(x) for x in xs} for e, xs in pool_dict(pool).items()}
+        kwargs = dict(mode="semantic", cmap=cmap, batch_size=64, pool=pool)
+        # a set's permutation comes before its swaps, so rho 0 gives its rows unswapped
+        plain, swapped = [], []
+        for sets in ((unary, binary[:0]), (unary[:0], binary)):
+            plain += build_batches(*sets, rng=substream(2, "b"), rho=0.0, **kwargs)
+            swapped += build_batches(*sets, rng=substream(2, "b"), rho=1.0, **kwargs)
+        assert len(plain) == len(swapped) == 14
+        for a, b in zip(plain, swapped):
+            if a.arity == "unary":
+                ident = a.fam_rows["Identity"]
+                assert np.array_equal(b.subj_inject_cols[ident], a.subj_inject_cols[ident])
+                for row in a.fam_rows["Species"]:
+                    assert b.subj_inject_cols[row] in pools[a.subj_inject_cols[row]]
+                # family targets keep the entity's own labels
+                for fam in a.fam_rows:
+                    assert np.array_equal(a.fam_target_cols[fam], b.fam_target_cols[fam])
+            else:
+                for end in ("subj_inject_cols", "obj_inject_cols"):
+                    got, was = getattr(b, end), getattr(a, end)
+                    assert all(g in pools[w] for g, w in zip(got, was))
+                assert np.array_equal(a.pred_cols, b.pred_cols)
+
+    def test_half_rho_swap_counts_are_binomial(self):
+        n = 10_000
+        v, cmap, pool, unary, binary = _swap_setup(n, seed=1)
+        batches = build_batches(unary, binary, mode="semantic", cmap=cmap, batch_size=128,
+                                rng=substream(4, "b"), rho=0.5, pool=pool)
+        entity = set(cmap.entity_cols.tolist())
+        swapped = lambda cols: ~np.isin(cols, list(entity))  # noqa: E731
+        n_label = int(np.sum(unary.cols["fam"] != unary.families.index("Identity")))
+        unary_swaps = sum(int(swapped(b.subj_inject_cols).sum()) for b in batches
+                          if b.arity == "unary")
+        s_sw = np.concatenate([swapped(b.subj_inject_cols) for b in batches if b.arity == "binary"])
+        o_sw = np.concatenate([swapped(b.obj_inject_cols) for b in batches if b.arity == "binary"])
+
+        def within_4_sigma(count: int, trials: int, p: float) -> bool:
+            return abs(count - trials * p) <= 4 * np.sqrt(trials * p * (1 - p))
+
+        assert within_4_sigma(unary_swaps, n_label, 0.5)
+        assert within_4_sigma(int(s_sw.sum()), n, 0.5)
+        assert within_4_sigma(int(o_sw.sum()), n, 0.5)
+        # subject and object swap independently: both swap in a quarter of the rows
+        assert within_4_sigma(int((s_sw & o_sw).sum()), n, 0.25)
+
+    def test_generator_calls_do_not_grow_with_the_rows(self):
+        calls = []
+        for n in (100, 10_000):
+            _, cmap, pool, unary, binary = _swap_setup(n)
+            rng = CountingGenerator(substream(6, "b"))
+            build_batches(unary, binary, mode="semantic", cmap=cmap, batch_size=128, rng=rng,
+                          rho=0.5, pool=pool)
+            calls.append(rng.calls)
+        assert calls[0] == calls[1] <= 6
 
 
 def _reference_adam_step(opt_state, params, grads, lr, b1, b2, eps, frozen, emb_col_mask):
@@ -419,6 +630,17 @@ class TestTrainLoop:
         v, params, cmap, store = _memory_setup(seed=8)
         train(params, cmap, v, store, TrainConfig(epochs=1, modes=("episodic",)))
         assert calls == {"memory_examples": 1}
+
+    def test_in_place_gradient_heads_match_the_copying_head(self, monkeypatch):
+        v, params, cmap, store = _memory_setup(seed=9)
+        config = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=4,
+                             modes=("episodic",))
+        a, b = params.copy(), params.copy()
+        hist_a = train(a, cmap, v, store, config)
+        monkeypatch.setattr(graph, "_ce_head", copying_ce_head)
+        hist_b = train(b, cmap, v, store, config)
+        assert hist_a == hist_b
+        assert params_digest(a) == params_digest(b)
 
     def test_history_csv(self):
         buf = io.StringIO()

@@ -104,6 +104,21 @@ class TestIngestion:
         assert store.lcwa_expand(t, [s, o]) == []
 
 
+class TestPositiveArray:
+    def test_rows_follow_iter_positive_and_track_new_positives(self, vocab):
+        rng = np.random.default_rng(7)
+        records = random_records(vocab, rng, n_true=30, n_false=10)
+        store = store_from_records(vocab, records[:20] + records[30:])
+        first = store.positive_array()
+        assert first.tolist() == [list(q) for q in store.iter_positive()]
+        assert not first.flags.writeable
+        assert store.positive_array() is first  # nothing added: the same array
+        for s, p, o, t, truth in records[20:30]:
+            store.add_observation(s, p, o, t, truth)
+        assert store.positive_array().tolist() == [list(q) for q in store.iter_positive()]
+        assert len(store.positive_array()) == 30
+
+
 class TestCountingOracles:
     """The exact semantics the network can only approximate, proven against
     independent nested-loop enumeration in exact rational arithmetic."""

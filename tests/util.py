@@ -1,6 +1,9 @@
 """Shared test helpers: a hand-rolled vocabulary builder and independent
 brute-force reference implementations of every counting model, of the decode
-walk, of the statement-file bytes and of the social-edge orientation model.
+walk, of the statement-file bytes, of the social-edge orientation model, and
+of the training inputs and heads as they were written per item: example dicts,
+per-example index swaps, one softmax head per label family, the copying CE
+head and the two-division sigmoid.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
@@ -15,9 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from bilayer.graph import Batch
 from bilayer.params import ColumnMap, NetConfig, NetParams
+from bilayer.training import Examples, InjectionPool
 from bilayer.triple_store import TripleStore
-from bilayer.vocab import Vocabulary
+from bilayer.vocab import IDENTITY_FAMILY, Kind, Vocabulary
 from bilayer.world import substream
 
 
@@ -298,3 +303,215 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
     if predicates:
         ids["predicate"] = argmax(rep_p, predicates)
     return res
+
+
+# -- training inputs as per-example dicts (the layout the example tables replace) --
+
+
+def reference_memory_examples(store, vocab, excluded_families=()):
+    """Per-statement example dicts from the store's positives, plus one
+    identity pseudo-statement per (entity, instance) observation."""
+    ha = vocab.has_attribute
+    excluded = set(excluded_families)
+    unary, binary, observed = [], [], set()
+    for s, p, o, t in store.iter_positive():
+        observed.add((s, t))
+        if p == ha:
+            fam = vocab.family_of(o)
+            if fam in excluded:
+                continue
+            unary.append({"t": t, "s": s, "fam": fam, "o": o})
+        else:
+            if vocab.kind_of(o) is Kind.ENTITY:
+                observed.add((o, t))
+            binary.append({"t": t, "s": s, "p": p, "o": o})
+    for s, t in sorted(observed):
+        unary.append({"t": t, "s": s, "fam": IDENTITY_FAMILY, "o": s})
+    return unary, binary
+
+
+def reference_perception_examples(world, vocab, hidden_families=(), kinds=("train", "ex_train")):
+    """Feature-keyed example dicts from scenes that are registered instances."""
+    hidden = set(hidden_families)
+    unary, binary = [], []
+    for scene in world.scenes_of_kind(*kinds):
+        if not scene.instance:
+            continue
+        t = vocab.id_of(scene.name)
+        for m in scene.members:
+            s = vocab.id_of(m)
+            base = {"t": t, "s": s, "scene": scene.scene_key, "bb": scene.bb_key(m)}
+            for fam, label in world.entity_record(m).labels.items():
+                if fam not in hidden:
+                    unary.append({**base, "fam": fam, "o": vocab.id_of(label)})
+            unary.append({**base, "fam": IDENTITY_FAMILY, "o": s})
+        for i, (s, p, o) in enumerate(scene.binaries):
+            binary.append({
+                "t": t, "s": vocab.id_of(s), "p": vocab.id_of(p), "o": vocab.id_of(o),
+                "scene": scene.scene_key, "s_bb": scene.bb_key(s), "o_bb": scene.bb_key(o),
+                "rel": scene.rel_key(i),
+            })
+    return unary, binary
+
+
+def reference_injection_pool(store, vocab, excluded_families=()) -> dict:
+    """Per entity: the sorted list of labels eligible to replace its index."""
+    ha = vocab.has_attribute
+    excluded = set(excluded_families)
+    pool: dict[int, set] = {}
+    for s, p, o, t in store.iter_positive():
+        if p == ha and vocab.family_of(o) not in excluded:
+            pool.setdefault(s, set()).add(o)
+    return {s: sorted(v) for s, v in pool.items()}
+
+
+def dict_table(rows: list[dict], arity: str, vocab: Vocabulary) -> Examples:
+    """A feature-free example table from example dicts, rows in order."""
+    families = tuple(sorted(vocab.families))
+    names = ("t", "s", "fam", "o") if arity == "unary" else ("t", "s", "p", "o")
+    return Examples({
+        k: np.array([families.index(ex[k]) if k == "fam" else ex[k] for ex in rows],
+                    dtype=np.int64).reshape(-1)
+        for k in names
+    }, families)
+
+
+def table_rows(table) -> list[dict]:
+    """An example table's rows as dicts: family names for codes, and each
+    feature column as the bytes of the feature vector it points at."""
+    out = []
+    for i in range(len(table)):
+        row = {}
+        for k, col in table.cols.items():
+            if k == "fam":
+                row[k] = table.families[int(col[i])]
+            elif k in ("scene", "bb", "s_bb", "o_bb", "rel"):
+                row[k] = table.features[int(col[i])].tobytes()
+            else:
+                row[k] = int(col[i])
+        out.append(row)
+    return out
+
+
+def keyed_rows(rows: list[dict], features: dict) -> list[dict]:
+    """Example dicts with each feature key replaced by its vector's bytes."""
+    keys = ("scene", "bb", "s_bb", "o_bb", "rel")
+    return [{k: features[v].tobytes() if k in keys else v for k, v in ex.items()} for ex in rows]
+
+
+def pool_dict(pool: InjectionPool) -> dict:
+    return {int(e): pool.labels[pool.offsets[i]:pool.offsets[i + 1]].tolist()
+            for i, e in enumerate(pool.entities)}
+
+
+def pool_from_dict(pool: dict) -> InjectionPool:
+    entities = np.array(sorted(pool), dtype=np.int64)
+    labels = [np.sort(np.asarray(pool[e], dtype=np.int64)) for e in entities]
+    offsets = np.cumsum([0] + [x.size for x in labels]).astype(np.int64)
+    flat = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
+    return InjectionPool(entities, offsets, flat)
+
+
+def reference_build_batches(unary, binary, *, mode, cmap, batch_size, rng, rho=0.0, pool=None,
+                            features=None, direct=False) -> list[Batch]:
+    """Batches from example dicts, one index swap draw per example: shuffle,
+    swap, resolve ids to columns, group into batches."""
+
+    def swapped(eid):
+        if rho > 0.0 and pool is not None and rng.random() < rho:
+            options = pool.get(eid)
+            if options is not None and len(options):
+                return int(options[int(rng.integers(len(options)))])
+        return eid
+
+    def stack(exs, key):
+        return None if features is None else np.stack([features[ex[key]] for ex in exs])
+
+    def chunks(n):
+        order = rng.permutation(n)
+        return [order[i: i + batch_size] for i in range(0, n, batch_size)]
+
+    batches = []
+    if unary:
+        for chunk in chunks(len(unary)):
+            exs = [unary[int(i)] for i in chunk]
+            inj = [ex["s"] if ex["fam"] == IDENTITY_FAMILY else swapped(ex["s"]) for ex in exs]
+            fam_rows, fam_targets = {}, {}
+            for row, ex in enumerate(exs):
+                fam_rows.setdefault(ex["fam"], []).append(row)
+                fam_targets.setdefault(ex["fam"], []).append(ex["o"])
+            batches.append(Batch(
+                mode=mode, arity="unary",
+                inst_cols=None if mode == "semantic" else cmap.cols_of([ex["t"] for ex in exs]),
+                subj_inject_cols=cmap.cols_of(inj),
+                fam_rows={f: np.asarray(r, dtype=np.int64) for f, r in fam_rows.items()},
+                fam_target_cols={f: cmap.cols_of(t) for f, t in fam_targets.items()},
+                feat_scene=stack(exs, "scene"), feat_subj=stack(exs, "bb"), direct=direct,
+            ))
+    if binary:
+        for chunk in chunks(len(binary)):
+            exs = [binary[int(i)] for i in chunk]
+            batches.append(Batch(
+                mode=mode, arity="binary",
+                inst_cols=None if mode == "semantic" else cmap.cols_of([ex["t"] for ex in exs]),
+                subj_inject_cols=cmap.cols_of([swapped(ex["s"]) for ex in exs]),
+                obj_inject_cols=cmap.cols_of([swapped(ex["o"]) for ex in exs]),
+                pred_cols=cmap.cols_of([ex["p"] for ex in exs]),
+                feat_scene=stack(exs, "scene"), feat_subj=stack(exs, "s_bb"),
+                feat_obj=stack(exs, "o_bb"), feat_pred=stack(exs, "rel"), direct=direct,
+            ))
+    return batches
+
+
+# -- heads as they were written per family --------------------------------------------
+
+
+def copying_ce_head(scores, target_pos, inv_b) -> dict:
+    """Softmax cross-entropy that makes its gradient in the forward pass, on
+    a copy of the probabilities, so the probabilities stay intact."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(scores.shape[0])
+    nll = -np.log(np.maximum(probs[rows, target_pos], np.finfo(probs.dtype).tiny))
+    dscores = probs.copy()
+    dscores[rows, target_pos] -= 1.0
+    dscores *= inv_b
+    hits = scores.argmax(axis=1) == target_pos
+    return {"scores": scores, "probs": probs, "targets": target_pos, "inv_b": inv_b,
+            "nll": nll, "hits": hits, "loss": float(nll.sum() * inv_b),
+            "accuracy": float(hits.mean()), "dscores": dscores}
+
+
+def reference_family_heads(zs, read, cmap, batch, inv_b) -> dict:
+    """One softmax cross-entropy per label family of a unary batch, each over
+    its own family's columns.  Returns per-family loss and accuracy and the
+    gradients of their summed loss at `zs` and at the readout."""
+    loss, acc = {}, {}
+    d_zs = np.zeros_like(zs)
+    d_read = np.zeros_like(read)
+    for fam in sorted(batch.fam_rows):
+        rows = batch.fam_rows[fam]
+        cols = cmap.family_cols[fam]
+        target = np.searchsorted(cols, batch.fam_target_cols[fam])
+        scores = zs[rows] @ read[:, cols]
+        probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        picked = probs[np.arange(rows.size), target]
+        loss[fam] = float(-np.log(picked).sum() * inv_b)
+        acc[fam] = float((scores.argmax(axis=1) == target).mean())
+        dscores = probs.copy()
+        dscores[np.arange(rows.size), target] -= 1.0
+        dscores *= inv_b
+        d_read[:, cols] += zs[rows].T @ dscores
+        d_zs[rows] += dscores @ read[:, cols].T
+    return {"loss": loss, "accuracy": acc, "d_zs": d_zs, "d_read": d_read}
+
+
+def two_division_sigmoid(x):
+    """Logistic function from e = exp(-|x|): 1 / (1 + e) for x >= 0 and
+    e / (1 + e) below, each a division of its own over the whole array."""
+    x = np.asarray(x)
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
