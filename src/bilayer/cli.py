@@ -175,8 +175,8 @@ def cmd_gen(args: argparse.Namespace) -> None:
                 "test_entities": len(world.test_entities),
                 "scenes": len(world.scenes),
                 "instances": len(world.vocab.instances),
-                "triples": sum(1 for _ in store.iter_positive()),
-                "negatives": sum(1 for _ in store.iter_negative()),
+                "triples": store.total_statements(True),
+                "negatives": store.total_statements(False),
                 "held_out_combos": len(world.heldout),
                 "out": args.out,
             }

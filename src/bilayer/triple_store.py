@@ -5,6 +5,37 @@ instance t, each carrying an explicit truth value.  Truth values never
 default: a statement is true, false, or unknown (absent).  Unary statements
 use the reserved hasAttribute predicate with a class/attribute object.
 
+State.  The store's canonical state is two (n, 4) int64 arrays of (s, p, o, t)
+id rows, the true and the false statements, each sorted in (t, s, p, o)
+order: the order of `iter_positive` and `iter_negative`.  An add appends its
+rows as one more sorted block, and the first reader that needs the array
+merges the blocks.  Statements arrive in bulk, in a few array passes:
+
+* `add_observations` checks a batch of rows at once: kinds against a per-id
+  kind array, duplicates and conflicts within the batch with one sort, and
+  against the statements already stored through the point lookup below;
+* `close_instances` builds the closed-world negatives of many instances:
+  members x label-family members and ordered member pairs x predicates, minus
+  the statements already known at those instances.
+
+`add_observation` and `lcwa_expand` are their one-quad and one-instance
+cases.  A batch that fails a check adds nothing; the error names the first
+bad row in input order, with the message the one-quad case gives.
+
+Derived indexes.  Queries read indexes built from the arrays the first time a
+query needs one, so a store that is only built, trained on or written pays
+for none of them:
+
+* the point lookup behind `truth_of`: (s, p, o, t) -> truth, one dict lookup
+  per call, keyed by tuples that share one int object per id;
+* the positive and known counts behind `expected_truth`: (s, p, o) -> count;
+* the sites behind `label_conditional`: (p, o) -> the (s, t) rows at which
+  (s, p, o, t) is true;
+* the per-instance positives: t -> its slice of the positive array.
+
+Adds update the first two in place.  The last two point into the positive
+array, so adding positives drops them and the next query rebuilds them.
+
 The counting models implemented here are the exact reference semantics for
 everything the trainable network only approximates:
 
@@ -16,9 +47,9 @@ everything the trainable network only approximates:
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -55,25 +86,89 @@ def is_known(value) -> bool:
 
 Quad = tuple[int, int, int, int]  # (s, p, o, t)
 
+_KIND_CODE = {kind: code for code, kind in enumerate(Kind)}
+_ENTITY, _CLASS, _ATTRIBUTE, _PREDICATE, _INSTANCE = (
+    _KIND_CODE[k] for k in (Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE, Kind.PREDICATE, Kind.INSTANCE)
+)
+_OUTSIDE = -1  # kind code of an id the vocabulary does not hold
 
-@dataclass
+ITER_CHUNK = 8192  # rows turned into tuples at a time
+
+
+def _pack(cols) -> np.ndarray:
+    """One int64 per row that orders and identifies the rows as their columns
+    do, the first column most significant.  Ids are nonnegative.  When the
+    next column would overflow int64, the key so far is first replaced by its
+    rank among the rows' keys."""
+    key = cols[0]
+    for col in cols[1:]:
+        radix = int(col.max()) + 1 if len(col) else 1
+        if len(key) and (int(key.max()) + 1) * radix > np.iinfo(np.int64).max:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+        key = key * radix + col
+    return key
+
+
+def _quad_key(rows: np.ndarray) -> np.ndarray:
+    """Sort keys of (s, p, o, t) rows in (t, s, p, o) order."""
+    return _pack([rows[:, 3], rows[:, 0], rows[:, 1], rows[:, 2]])
+
+
+def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows by quad with one stable sort.  Returns the rows' sort
+    order in (t, s, p, o) order, a mask of the rows that hold the first
+    occurrence of their quad in input order, and for every row the input
+    index of that first occurrence."""
+    if len(rows) < 2:
+        zero = np.zeros(len(rows), dtype=np.int64)
+        return zero, np.ones(len(rows), dtype=bool), zero
+    key = _quad_key(rows)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    first = np.empty(len(rows), dtype=bool)
+    first[order] = starts
+    head = np.empty(len(rows), dtype=np.int64)
+    head[order] = order[np.maximum.accumulate(np.where(starts, np.arange(len(rows)), 0))]
+    return order, first, head
+
+
+def _csr(groups: list) -> tuple[np.ndarray, np.ndarray]:
+    """Lists of ids as one flat int64 array and the offsets of each list in it."""
+    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)), out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(offsets[-1]))
+    return flat, offsets
+
+
+def _cross(a_off: np.ndarray, b_off: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of a position in group g of `a` and one in group g of `b`,
+    for groups given by offsets, group by group in row-major order: the index
+    arrays (g, i, j)."""
+    na, nb = np.diff(a_off), np.diff(b_off)
+    n = na * nb
+    g = np.repeat(np.arange(len(n)), n)
+    local = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    return g, a_off[g] + local // nb[g], b_off[g] + local % nb[g]
+
+
+@dataclass(eq=False)
 class TripleStore:
     vocab: Vocabulary
     duplicate_policy: str = "error"  # "error" | "ignore"
     horizon: int | None = None  # expected_truth window, in instances; None = all
 
-    _positive: set[Quad] = field(default_factory=set)
-    _negative: set[Quad] = field(default_factory=set)
-    _pos_by_instance: dict[int, list[tuple[int, int, int]]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    _pos_count: Counter = field(default_factory=Counter)
-    _known_count: Counter = field(default_factory=Counter)
-    _pos_sites: dict[tuple[int, int], set[tuple[int, int]]] = field(
-        default_factory=lambda: defaultdict(set)
-    )  # (p, o) -> {(s, t)}
-    # positives only grow, so the sorted array stays valid while their count holds
-    _positive_array: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # canonical state: per truth value, sorted (n, 4) s, p, o, t blocks
+    _blocks: dict = field(default_factory=lambda: {True: [], False: []}, repr=False)
+    # derived indexes, None until a query needs them
+    _truth: dict | None = field(default=None, repr=False)  # (s, p, o, t) -> bool
+    _counts: tuple | None = field(default=None, repr=False)  # Counters (s, p, o) -> positives, known
+    _sites: dict | None = field(default=None, repr=False)  # (p, o) -> (k, 2) s, t rows
+    _spans: dict | None = field(default=None, repr=False)  # t -> (lo, hi) in the positive array
+    # per-id kind codes and shared int objects, extended as the vocabulary grows
+    _kind_codes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8), repr=False)
+    _ints: np.ndarray = field(default_factory=lambda: np.zeros(0, object), repr=False)
 
     def __post_init__(self) -> None:
         if self.duplicate_policy not in ("error", "ignore"):
@@ -81,9 +176,69 @@ class TripleStore:
         if self.horizon is not None and self.horizon < 1:
             raise StoreError("horizon must be a positive instance count")
 
+    # -- canonical arrays --------------------------------------------------------
+
+    def _rows(self, truth: bool) -> np.ndarray:
+        """The statements of one truth value: a read-only (n, 4) int64 array of
+        s, p, o, t rows in (t, s, p, o) order."""
+        blocks = self._blocks[truth]
+        if len(blocks) != 1:
+            rows = np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
+            if len(blocks) > 1:
+                rows = rows[np.argsort(_quad_key(rows), kind="stable")]
+            rows.flags.writeable = False
+            blocks[:] = [rows]
+        return blocks[0]
+
+    def _append(self, rows: np.ndarray, truth: bool) -> None:
+        """Store sorted new rows of one truth value and bring the indexes along."""
+        if not len(rows):
+            return
+        rows.flags.writeable = False
+        self._blocks[truth].append(rows)
+        if self._truth is not None:
+            self._truth.update(zip(self._shared(rows), repeat(truth)))
+        if self._counts is not None:
+            positives, known = self._counts
+            keys = list(self._shared(rows[:, :3]))
+            known.update(keys)
+            if truth:
+                positives.update(keys)
+        if truth:
+            self._sites = self._spans = None
+
+    def _shared(self, rows: np.ndarray) -> Iterable[tuple]:
+        """The rows as tuples of ints, one chunk converted at a time.  Every id
+        is one shared int object, so the index keys cost no int objects of
+        their own and compare item by item by identity."""
+        ints = self._ints
+        if len(ints) < len(self.vocab):
+            new = np.array(range(len(ints), len(self.vocab)), dtype=object)
+            ints = self._ints = np.concatenate([ints, new])
+        return chain.from_iterable(
+            zip(*ints[rows[start:start + ITER_CHUNK]].T.tolist())
+            for start in range(0, len(rows), ITER_CHUNK)
+        )
+
     # -- ingestion -----------------------------------------------------------
 
+    def _kinds(self, ids: np.ndarray) -> np.ndarray:
+        """Kind codes of an id array; `_OUTSIDE` for ids the vocabulary lacks."""
+        v = self.vocab
+        codes = self._kind_codes
+        if len(codes) < len(v):
+            new = [_KIND_CODE[v.kind_of(i)] for i in range(len(codes), len(v))]
+            codes = self._kind_codes = np.concatenate([codes, np.array(new, dtype=np.int8)])
+        inside = (ids >= 0) & (ids < len(codes))
+        return np.where(inside, codes[np.where(inside, ids, 0)], _OUTSIDE)
+
+    def _check_id(self, i: int) -> None:
+        if not 0 <= i < len(self.vocab):
+            raise StoreError(f"id {i} is not in the vocabulary")
+
     def _check_kinds(self, s: int, p: int, o: int, t: int) -> None:
+        for i in (s, p, o, t):
+            self._check_id(i)
         v = self.vocab
         if v.kind_of(s) is not Kind.ENTITY:
             raise StoreError(f"subject {v.name_of(s)!r} is not an entity")
@@ -101,27 +256,115 @@ class TripleStore:
                 f"binary statement object {v.name_of(o)!r} is not an entity"
             )
 
-    def add_observation(self, s: int, p: int, o: int, t: int, truth: bool) -> None:
-        self._check_kinds(s, p, o, t)
-        quad = (s, p, o, t)
-        opposite = self._negative if truth else self._positive
-        if quad in opposite:
-            raise ConflictError(
-                f"({self.vocab.name_of(s)}, {self.vocab.name_of(p)}, "
-                f"{self.vocab.name_of(o)}) at {self.vocab.name_of(t)} "
-                f"already asserted with truth={not truth}"
+    def _bad_kinds(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the rows `_check_kinds` refuses."""
+        s, p, o, t = self._kinds(rows).T
+        unary = rows[:, 1] == self.vocab.has_attribute
+        o_ok = np.where(unary, (o == _CLASS) | (o == _ATTRIBUTE), o == _ENTITY)
+        return ~((s == _ENTITY) & (t == _INSTANCE) & (p == _PREDICATE) & o_ok)
+
+    def add_observations(self, rows, truth) -> int:
+        """Add (s, p, o, t) id rows, each true or false (`truth` is one bool for
+        all rows or one per row), as one step, and return how many were new.
+
+        A row is refused if its ids have the wrong kinds, or if its quad is
+        already stored or comes earlier in the batch: with the other truth value
+        that is a `ConflictError`, with the same one a duplicate, which raises
+        under the "error" policy and is skipped under "ignore".  The error names
+        the first refused row in input order and nothing is added."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+        truth = np.broadcast_to(np.asarray(truth, dtype=bool), (len(rows),))
+        if not len(rows):
+            return 0
+        bad_kind = self._bad_kinds(rows)
+        # a row with ids outside the vocabulary can share a sort key with another
+        # row; that marks only the later of the two, and the bad row is refused
+        # itself, so the first refused row is still the first bad one
+        order, first, head = _first_seen(rows)
+        # truth of an earlier statement of the row's quad: -1 none, 0 false, 1 true
+        prior = np.where(first, -1, truth[head].astype(np.int8))
+        if self.total_statements(True) or self.total_statements(False):
+            stored = np.array(
+                list(map(self._truth_index().get, zip(*rows.T.tolist()), repeat(-1))), dtype=np.int8
             )
-        same = self._positive if truth else self._negative
-        if quad in same:
-            if self.duplicate_policy == "error":
-                raise StoreError(f"duplicate observation {quad}")
-            return
-        same.add(quad)
-        self._known_count[(s, p, o)] += 1
-        if truth:
-            self._pos_by_instance[t].append((s, p, o))
-            self._pos_count[(s, p, o)] += 1
-            self._pos_sites[(p, o)].add((s, t))
+            prior = np.where(stored >= 0, stored, prior)
+        conflict = (prior >= 0) & (prior != truth)
+        refused = bad_kind | conflict
+        if self.duplicate_policy == "error":
+            refused |= prior >= 0
+        if refused.any():
+            i = int(np.argmax(refused))
+            s, p, o, t = rows[i].tolist()
+            if bad_kind[i]:
+                self._check_kinds(s, p, o, t)
+            if conflict[i]:
+                v = self.vocab
+                raise ConflictError(
+                    f"({v.name_of(s)}, {v.name_of(p)}, {v.name_of(o)}) at {v.name_of(t)} "
+                    f"already asserted with truth={not truth[i]}"
+                )
+            raise StoreError(f"duplicate observation {(s, p, o, t)}")
+        new = prior < 0
+        for value in (True, False):
+            self._append(rows[order[(new & (truth == value))[order]]], value)
+        return int(new.sum())
+
+    def add_observation(self, s: int, p: int, o: int, t: int, truth: bool) -> None:
+        self.add_observations([(s, p, o, t)], truth)
+
+    def close_instances(self, closures: Iterable[tuple]) -> np.ndarray:
+        """Close instances under the local closed-world assumption.
+
+        Each closure is (t, entities, labels, predicates).  Every statement
+        (e, hasAttribute, c, t) for an entity e and a label c, and (s, p, o, t)
+        for an ordered pair of distinct entities s, o and a predicate p, that is
+        not known yet is recorded false.  Returns these new negatives as (n, 4)
+        s, p, o, t rows: the unary rows of every closure, then the binary rows,
+        each in the order of the loops just named."""
+        closures = list(closures)
+        ts = np.array([c[0] for c in closures], dtype=np.int64)
+        ents, ent_off = _csr([c[1] for c in closures])
+        labels, lab_off = _csr([c[2] for c in closures])
+        preds, pred_off = _csr([c[3] for c in closures])
+        # a closure is refused if its instance or one of its entities has the wrong kind
+        bad = self._kinds(ts) != _INSTANCE
+        bad[np.repeat(np.arange(len(ts)), np.diff(ent_off))[self._kinds(ents) != _ENTITY]] = True
+        if bad.any():
+            t, entities = closures[int(np.argmax(bad))][:2]
+            self._check_closure(t, entities)
+        others = np.r_[labels, preds]
+        outside = others[self._kinds(others) == _OUTSIDE]
+        if len(outside):
+            self._check_id(int(outside[0]))
+
+        ha = self.vocab.has_attribute
+        g, i, j = _cross(ent_off, lab_off)
+        unary = np.stack([ents[i], np.full(len(g), ha), labels[j], ts[g]], axis=1)
+        g, i, j = _cross(ent_off, ent_off)
+        distinct = ents[i] != ents[j]
+        g, i, j = g[distinct], i[distinct], j[distinct]
+        g, k, m = _cross(np.searchsorted(g, np.arange(len(ts) + 1)), pred_off)
+        binary = np.stack([ents[i[k]], preds[m], ents[j[k]], ts[g]], axis=1)
+
+        # what is known at these instances comes first, so it wins every tie
+        known = [rows[np.isin(rows[:, 3], ts)] for rows in (self._rows(True), self._rows(False))]
+        both = np.concatenate(known + [unary, binary])
+        order, first, _ = _first_seen(both)
+        n_known = len(known[0]) + len(known[1])
+        new = first.copy()
+        new[:n_known] = False
+        self._append(both[order[new[order]]], False)
+        return both[n_known:][new[n_known:]]
+
+    def _check_closure(self, t: int, entities) -> None:
+        v = self.vocab
+        for e in entities:
+            self._check_id(e)
+            if v.kind_of(e) is not Kind.ENTITY:
+                raise StoreError(f"observed id {v.name_of(e)!r} is not an entity")
+        self._check_id(t)
+        if v.kind_of(t) is not Kind.INSTANCE:
+            raise StoreError(f"{v.name_of(t)!r} is not an instance")
 
     def lcwa_expand(
         self,
@@ -140,86 +383,77 @@ class TripleStore:
         newly implied negatives.
         """
         v = self.vocab
-        entities = list(dict.fromkeys(observed_entities))
-        for e in entities:
-            if v.kind_of(e) is not Kind.ENTITY:
-                raise StoreError(f"observed id {v.name_of(e)!r} is not an entity")
-        if v.kind_of(t) is not Kind.INSTANCE:
-            raise StoreError(f"{v.name_of(t)!r} is not an instance")
         fam_names = list(families) if families is not None else [
             f for f in v.families if f != "Identity"
         ]
+        labels = [c for fam in fam_names for c in v.family_members(fam)]
         preds = list(predicates) if predicates is not None else list(v.binary_predicates)
-        ha = v.has_attribute
-        implied: list[Quad] = []
-        for e in entities:
-            for fam in fam_names:
-                for c in v.family_members(fam):
-                    quad = (e, ha, c, t)
-                    if quad in self._positive or quad in self._negative:
-                        continue
-                    self._negative.add(quad)
-                    self._known_count[(e, ha, c)] += 1
-                    implied.append(quad)
-        for s in entities:
-            for o in entities:
-                if s == o:
-                    continue
-                for p in preds:
-                    quad = (s, p, o, t)
-                    if quad in self._positive or quad in self._negative:
-                        continue
-                    self._negative.add(quad)
-                    self._known_count[(s, p, o)] += 1
-                    implied.append(quad)
-        return implied
+        implied = self.close_instances([(t, list(observed_entities), labels, preds)])
+        return list(map(tuple, implied.tolist()))
 
     # -- raw counts ----------------------------------------------------------
 
+    def _truth_index(self) -> dict:
+        if self._truth is None:
+            index = {}
+            for truth in (True, False):
+                index.update(zip(self._shared(self._rows(truth)), repeat(truth)))
+            self._truth = index
+        return self._truth
+
     def truth_of(self, s: int, p: int, o: int, t: int):
-        if (s, p, o, t) in self._positive:
-            return True
-        if (s, p, o, t) in self._negative:
-            return False
-        return UNKNOWN
+        index = self._truth
+        if index is None:
+            index = self._truth_index()
+        return index.get((s, p, o, t), UNKNOWN)
+
+    def _instance_rows(self, t: int) -> np.ndarray:
+        """The positives at instance t: rows of the positive array, in (s, p, o) order."""
+        rows = self._rows(True)
+        if self._spans is None:
+            ts, lo, n = np.unique(rows[:, 3], return_index=True, return_counts=True)
+            self._spans = dict(zip(ts.tolist(), zip(lo.tolist(), (lo + n).tolist())))
+        lo, hi = self._spans.get(t, (0, 0))
+        return rows[lo:hi]
 
     def n_statements(self, t: int) -> int:
         """Number of true statements recorded at instance t."""
-        return len(self._pos_by_instance.get(t, ()))
+        return len(self._instance_rows(t))
 
-    def total_statements(self) -> int:
-        return len(self._positive)
+    def total_statements(self, truth: bool = True) -> int:
+        """Number of statements of one truth value; true ones by default."""
+        return sum(map(len, self._blocks[truth]))
+
+    def _count_index(self) -> tuple[Counter, Counter]:
+        if self._counts is None:
+            counts = []
+            for rows in (self._rows(True), np.concatenate([self._rows(True), self._rows(False)])):
+                key = _pack([rows[:, 0], rows[:, 1], rows[:, 2]])
+                _, first, n = np.unique(key, return_index=True, return_counts=True)
+                counts.append(Counter(dict(zip(self._shared(rows[first, :3]), n.tolist()))))
+            self._counts = tuple(counts)
+        return self._counts
 
     def positive_count(self, s: int, p: int, o: int) -> int:
-        return self._pos_count[(s, p, o)]
-
-    def known_count(self, s: int, p: int, o: int) -> int:
-        return self._known_count[(s, p, o)]
+        return self._count_index()[0][(s, p, o)]
 
     def observed_instances(self) -> tuple[int, ...]:
-        ts = {t for (_, _, _, t) in self._positive}
-        ts.update(t for (_, _, _, t) in self._negative)
-        return tuple(sorted(ts))
+        ts = np.concatenate([self._rows(True)[:, 3], self._rows(False)[:, 3]])
+        return tuple(np.unique(ts).tolist())
 
     def positives_at(self, t: int) -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(set(self._pos_by_instance.get(t, ()))))
+        return tuple(map(tuple, self._instance_rows(t)[:, :3].tolist()))
 
     def iter_positive(self) -> Iterable[Quad]:
-        return iter(sorted(self._positive, key=lambda q: (q[3], q[0], q[1], q[2])))
+        return self._shared(self._rows(True))
 
     def iter_negative(self) -> Iterable[Quad]:
-        return iter(sorted(self._negative, key=lambda q: (q[3], q[0], q[1], q[2])))
+        return self._shared(self._rows(False))
 
     def positive_array(self) -> np.ndarray:
         """The true statements as a read-only (n, 4) int64 array with columns
         s, p, o, t, in `iter_positive` order."""
-        cached = self._positive_array
-        if cached is None or len(cached) != len(self._positive):
-            ids = _quad_array(self._positive)
-            cached = ids[np.lexsort([ids[:, k] for k in (2, 1, 0, 3)])]  # the last key is primary
-            cached.flags.writeable = False
-            self._positive_array = cached
-        return cached
+        return self._rows(True)
 
     # -- counting models -------------------------------------------------------
 
@@ -227,22 +461,19 @@ class TripleStore:
         """P(s,p,o | t): uniform over the statements observed true at t."""
         if self.vocab.kind_of(t) is not Kind.INSTANCE:
             raise StoreError(f"{self.vocab.name_of(t)!r} is not an instance")
-        triples = self._pos_by_instance.get(t)
-        if not triples:
+        support = self.positives_at(t)
+        if not support:
             raise StoreError(f"no true statements recorded at {self.vocab.name_of(t)!r}")
-        counts = Counter(triples)
-        support = tuple(sorted(counts))
-        n_t = sum(counts.values())
-        probs = [counts[k] / n_t for k in support]
-        return Categorical(support, probs)
+        return Categorical(support, [1 / len(support)] * len(support))
 
     def pooled_dist(self) -> Categorical:
         """P(s,p,o) pooled over every instance: the background model."""
-        if not self._positive:
+        if not self.total_statements():
             raise StoreError("store holds no true statements")
-        support = tuple(sorted(self._pos_count))
-        total = sum(self._pos_count.values())
-        probs = [self._pos_count[k] / total for k in support]
+        counts = self._count_index()[0]
+        support = tuple(sorted(counts))
+        total = sum(counts.values())
+        probs = [counts[k] / total for k in support]
         return Categorical(support, probs)
 
     def _window(self) -> set[int] | None:
@@ -254,33 +485,51 @@ class TripleStore:
         """Fraction of known occasions on which (s,p,o) was true, or UNKNOWN."""
         window = self._window()
         if window is None:
-            known = self._known_count[(s, p, o)]
-            if known == 0:
+            counts = self._counts
+            if counts is None:
+                counts = self._count_index()
+            positives, known = counts
+            key = (s, p, o)
+            n = known.get(key)
+            if n is None:
                 return UNKNOWN
-            return self._pos_count[(s, p, o)] / known
-        pos = sum(1 for t in window if (s, p, o, t) in self._positive)
-        known = pos + sum(1 for t in window if (s, p, o, t) in self._negative)
+            return positives[key] / n
+        get = self._truth_index().get
+        truths = [get((s, p, o, t)) for t in window]
+        pos = truths.count(True)
+        known = pos + truths.count(False)
         if known == 0:
             return UNKNOWN
         return pos / known
+
+    def _site_index(self) -> dict:
+        if self._sites is None:
+            rows = self._rows(True)
+            key = _pack([rows[:, 1], rows[:, 2]])
+            order = np.argsort(key, kind="stable")
+            rows = rows[order]
+            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+            ends = np.r_[starts[1:], len(rows)]
+            sites = rows[:, [0, 3]]
+            p, o = rows[starts, 1].tolist(), rows[starts, 2].tolist()
+            self._sites = {
+                po: sites[lo:hi] for po, lo, hi in zip(zip(p, o), starts.tolist(), ends.tolist())
+            }
+        return self._sites
 
     def label_conditional(self, c1: int, c2: int):
         """P(c2 | c1): among occasions where an entity carried label c1 and the
         truth of c2 for it was known, the fraction where c2 held too."""
         ha = self.vocab.has_attribute
-        sites = self._pos_sites.get((ha, c1))
-        if not sites:
+        sites = self._site_index().get((ha, c1))
+        if sites is None:
             raise StoreError(
                 f"label {self.vocab.name_of(c1)!r} never observed on any entity"
             )
-        num = 0
-        den = 0
-        for s, t in sites:
-            truth = self.truth_of(s, ha, c2, t)
-            if truth is UNKNOWN:
-                continue
-            den += 1
-            num += int(truth)
+        s, t = sites.T.tolist()
+        truths = list(map(self._truth_index().get, zip(s, repeat(ha), repeat(c2), t)))
+        num = truths.count(True)
+        den = num + truths.count(False)
         if den == 0:
             return UNKNOWN
         return num / den
@@ -320,12 +569,6 @@ def write_statements(
     return len(quads)
 
 
-def _quad_array(quads) -> np.ndarray:
-    """A collection of (s, p, o, t) quads as an (n, 4) int64 array."""
-    ids = np.fromiter(chain.from_iterable(quads), dtype=np.int64, count=4 * len(quads))
-    return ids.reshape(-1, 4)
-
-
 def write_jsonl(store: TripleStore, fp: IO[str], truth: bool = True) -> int:
     """Write the store's statements of one truth value, ordered by symbol names.
 
@@ -336,29 +579,31 @@ def write_jsonl(store: TripleStore, fp: IO[str], truth: bool = True) -> int:
     comparing strings per quad.
     """
     v = store.vocab
-    quads = store._positive if truth else store._negative
     rank = np.empty(len(v), dtype=np.int64)
     rank[sorted(range(len(v)), key=v.name_of)] = np.arange(len(v))
-    ids = _quad_array(quads)
-    order = np.lexsort([rank[ids[:, k]] for k in (2, 1, 0, 3)])  # the last key is primary
+    ids = store._rows(truth)
+    order = np.argsort(_quad_key(rank[ids]), kind="stable")
     return write_statements(fp, v, ids[order], truth)
 
 
 def read_jsonl(store: TripleStore, fp: IO[str]) -> int:
+    """Read statement lines into one id array and add it to the store in one
+    `add_observations` call.  Returns the number of statement lines."""
     v = store.vocab
-    n = 0
+    rows: list[list[int]] = []
+    truths: list[bool] = []
     for line_no, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
-            s, p, o, t = (v.id_of(rec[k]) for k in ("s", "p", "o", "t"))
+            rows.append([v.id_of(rec[k]) for k in ("s", "p", "o", "t")])
             y = rec["y"]
             if y not in (0, 1):
                 raise StoreError(f"bad truth value {y!r}")
         except (KeyError, json.JSONDecodeError) as exc:
             raise StoreError(f"line {line_no}: malformed statement ({exc})") from exc
-        store.add_observation(s, p, o, t, bool(y))
-        n += 1
-    return n
+        truths.append(bool(y))
+    store.add_observations(rows, truths)
+    return len(rows)

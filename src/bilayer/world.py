@@ -624,35 +624,82 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
 
 
 def _ingest(world: GroundTruthWorld, duplicate_policy: str) -> TripleStore:
+    """The world's store in two bulk steps: the positives of every instance
+    scene as one array, in scene order (each member's labels in family order,
+    then the scene's binary statements), then the closure of every instance.
+    Labeled scenes close every label family; train scenes close the scene
+    predicates, background scenes the nonvisual ones, social scenes only the
+    social predicate."""
     v = world.vocab
     onto = world.ontology
     store = TripleStore(v, duplicate_policy=duplicate_policy)
     ha = v.has_attribute
-    scene_preds = [v.id_of(p) for p in onto.scene_predicates]
-    nonvisual_preds = [v.id_of(p) for p in onto.nonvisual_predicates]
-    social_pred = [v.id_of(onto.social_predicate)]
-    for scene in world.scenes:
+    labels = [c for fam in onto.label_families for c in v.family_members(fam)]
+    closing = {
+        "train": (labels, [v.id_of(p) for p in onto.scene_predicates]),
+        "background": (labels, [v.id_of(p) for p in onto.nonvisual_predicates]),
+        "social": ([], [v.id_of(onto.social_predicate)]),
+    }
+    closing["ex_train"] = closing["train"]
+    label_ids: dict[str, list[int]] = {}  # entity name -> its labels in family order
+    labeled: list[tuple[int, int, int]] = []  # (scene position, entity, t) per labeled member
+    unary_labels: list[list[int]] = []
+    binaries: list[tuple[int, int, int, int]] = []
+    binary_pos: list[int] = []
+    closures = []
+    for pos, scene in enumerate(world.scenes):
         if not scene.instance:
             continue
         t = v.id_of(scene.name)
         member_ids = [v.id_of(m) for m in scene.members]
         if scene.kind in ("train", "ex_train", "background"):
             for name, e in zip(scene.members, member_ids):
-                for fam in onto.label_families:
-                    label = world.entity_record(name).labels[fam]
-                    store.add_observation(e, ha, v.id_of(label), t, True)
-        for s, p, o in scene.binaries:
-            store.add_observation(v.id_of(s), v.id_of(p), v.id_of(o), t, True)
-        if scene.kind in ("train", "ex_train"):
-            store.lcwa_expand(t, member_ids, onto.label_families, scene_preds)
-        elif scene.kind == "background":
-            store.lcwa_expand(t, member_ids, onto.label_families, nonvisual_preds)
-        elif scene.kind == "social":
-            store.lcwa_expand(t, member_ids, [], social_pred)
+                if name not in label_ids:
+                    rec = world.entity_record(name)
+                    label_ids[name] = [v.id_of(rec.labels[fam]) for fam in onto.label_families]
+                labeled.append((pos, e, t))
+                unary_labels.append(label_ids[name])
+        binaries.extend((v.id_of(s), v.id_of(p), v.id_of(o), t) for s, p, o in scene.binaries)
+        binary_pos.extend([pos] * len(scene.binaries))
+        if scene.kind in closing:
+            closures.append((t, member_ids, *closing[scene.kind]))
+
+    n_fam = len(onto.label_families)
+    where, e, t = np.array(labeled, dtype=np.int64).reshape(-1, 3).T
+    unary = np.stack([
+        np.repeat(e, n_fam), np.full(len(e) * n_fam, ha),
+        np.array(unary_labels, dtype=np.int64).reshape(-1), np.repeat(t, n_fam),
+    ], axis=1)
+    rows = np.concatenate([unary, np.array(binaries, dtype=np.int64).reshape(-1, 4)])
+    # input order: scene by scene, its unary rows before its binary ones
+    order = np.argsort(np.r_[np.repeat(where, n_fam), binary_pos], kind="stable")
+    store.add_observations(rows[order], True)
+    store.close_instances(closures)
     return store
 
 
 # -- export / import -----------------------------------------------------------------
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _dump_json(doc: dict) -> str:
+    """`doc` as JSON text with sorted keys: each top-level item on lines of its
+    own, and each element of a list or dict item on a line of its own.  Every
+    piece goes through the C encoder, which an indented `json.dump` bypasses."""
+    enc = _ENCODE
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, list) and value:
+            body = "[\n" + ",\n".join(map(enc, value)) + "\n]"
+        elif isinstance(value, dict) and value:
+            body = "{\n" + ",\n".join(f"{enc(k)}: {enc(value[k])}" for k in sorted(value)) + "\n}"
+        else:
+            body = enc(value)
+        items.append(f"{enc(key)}: {body}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def write_features(features: dict[str, np.ndarray], base_path: str) -> None:
@@ -667,8 +714,7 @@ def write_features(features: dict[str, np.ndarray], base_path: str) -> None:
         offset += arr.nbytes
         chunks.append(arr.tobytes())
     with open(base_path + ".json", "w", encoding="utf-8") as fp:
-        json.dump({"format": "bilayer-features", "version": 1, "tensors": manifest}, fp, indent=2)
-        fp.write("\n")
+        fp.write(_dump_json({"format": "bilayer-features", "version": 1, "tensors": manifest}))
     with open(base_path + ".bin", "wb") as fp:
         fp.write(b"".join(chunks))
 
@@ -735,7 +781,7 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
         "zs_examples": world.zs_examples,
         "social_edges": [list(e) for e in world.social_edges],
     }
-    _write("world.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write("world.json", _dump_json(doc))
     write_features(world.features, os.path.join(outdir, "features"))
     written.extend(["features.json", "features.bin"])
     return written
@@ -784,7 +830,6 @@ def load_world(indir: str) -> GroundTruthWorld:
         social_edges=[tuple(e) for e in doc["social_edges"]],
         prototypes=None,
     )
-    world._triples_dir = indir  # type: ignore[attr-defined]
     return world
 
 

@@ -194,6 +194,17 @@ class TestGen:
             n for n in os.listdir(out) if n != "manifest.json"
         )
 
+    def test_counts_match_the_statement_scans(self, ws, tmp_path, capsys):
+        out = str(tmp_path / "w")
+        assert main(["gen", "--config", ws["world_cfg"], "--out", out]) == 0
+        event = json.loads(capsys.readouterr().out.splitlines()[0])
+        store = load_world(out).build_store()
+        assert event["triples"] == sum(1 for _ in store.iter_positive())
+        assert event["negatives"] == sum(1 for _ in store.iter_negative())
+        for name, key in (("triples.jsonl", "triples"), ("negatives.jsonl", "negatives")):
+            with open(os.path.join(out, name), encoding="utf-8") as fp:
+                assert sum(1 for _ in fp) == event[key]
+
     def test_same_seed_is_byte_identical(self, ws, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["gen", "--config", ws["world_cfg"], "--out", a]) == 0

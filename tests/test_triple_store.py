@@ -1,5 +1,6 @@
-"""The store's incremental counting models against brute-force references,
-and its statement files against a per-line `json.dumps` writer."""
+"""The store's counting models against brute-force references, the bulk-built
+store against the quad-by-quad reference store on every query, and its
+statement files against a per-line `json.dumps` writer."""
 import io
 import json
 
@@ -18,13 +19,16 @@ from bilayer.triple_store import (
     write_statements,
 )
 from bilayer.vocab import Vocabulary
+from bilayer.world import WorldConfig, gen_world
 
 from util import (
+    ReferenceStore,
     brute_expected_truth,
     brute_label_conditional,
     brute_observation_dist,
     brute_pooled_dist,
     random_records,
+    reference_ingest,
     reference_jsonl,
     small_vocab,
     store_from_records,
@@ -351,8 +355,317 @@ class TestInterchange:
         store = TripleStore(vocab)
         with pytest.raises(StoreError):
             read_jsonl(store, io.StringIO('{"s": "e0"}\n'))
-        with pytest.raises(StoreError):
-            read_jsonl(store, io.StringIO("not json\n"))
+        with pytest.raises(StoreError, match="line 2: malformed"):
+            read_jsonl(store, io.StringIO('{"s": "e0", "p": "near", "o": "e1", "t": "t0", "y": 1}\n'
+                                          "not json\n"))
         bad_truth = '{"s": "e0", "p": "near", "o": "e1", "t": "t0", "y": 2}\n'
         with pytest.raises(StoreError):
             read_jsonl(store, io.StringIO(bad_truth))
+
+
+# -- the bulk-built store against the quad-by-quad reference ------------------------
+
+
+def _sample_unknowns(vocab, known: set, rng, n: int) -> list:
+    """Well-typed quads the store never saw, plus quads with ids of any kind."""
+    entities, instances = list(vocab.entities), list(vocab.instances)
+    labels, preds = list(vocab.labels), list(vocab.binary_predicates)
+    ha = vocab.has_attribute
+    out = []
+    while len(out) < n:
+        s = entities[int(rng.integers(len(entities)))]
+        t = instances[int(rng.integers(len(instances)))]
+        if rng.random() < 0.5:
+            quad = (s, ha, labels[int(rng.integers(len(labels)))], t)
+        else:
+            quad = (s, preds[int(rng.integers(len(preds)))],
+                    entities[int(rng.integers(len(entities)))], t)
+        if quad not in known:
+            out.append(quad)
+    out += [tuple(int(i) for i in rng.integers(len(vocab), size=4)) for _ in range(n)]
+    return out
+
+
+def _same_outcome(fn_a, fn_b):
+    """Both calls return the same value (compared by identity for UNKNOWN and
+    bools), or both raise the same exception type with the same message."""
+    results = []
+    for fn in (fn_a, fn_b):
+        try:
+            results.append(("value", fn()))
+        except StoreError as exc:
+            results.append(("error", type(exc), str(exc)))
+    (kind_a, *a), (kind_b, *b) = results
+    assert kind_a == kind_b, results
+    if kind_a == "value" and (a[0] is UNKNOWN or isinstance(a[0], bool)):
+        assert a[0] is b[0], results
+    else:
+        assert a == b, results
+
+
+def assert_matches_reference(store, ref, rng, n_unknown=200, n_window=None):
+    v = store.vocab
+    assert list(store.iter_positive()) == list(ref.iter_positive())
+    assert list(store.iter_negative()) == list(ref.iter_negative())
+    np.testing.assert_array_equal(store.positive_array(), ref.positive_array())
+    assert store.positive_array().dtype == np.int64
+    for truth in (True, False):
+        assert store.total_statements(truth) == ref.total_statements(truth)
+    assert store.observed_instances() == ref.observed_instances()
+    for t in v.instances:
+        assert store.n_statements(t) == ref.n_statements(t)
+        assert store.positives_at(t) == ref.positives_at(t)
+        _same_outcome(lambda: store.observation_dist(t).as_dict(),
+                      lambda: ref.observation_dist(t).as_dict())
+        if ref.n_statements(t):
+            got, want = store.observation_dist(t), ref.observation_dist(t)
+            assert got.support == want.support
+            np.testing.assert_array_equal(got.probs, want.probs)
+    _same_outcome(lambda: store.pooled_dist().as_dict(), lambda: ref.pooled_dist().as_dict())
+    if ref.total_statements():
+        assert store.pooled_dist().support == ref.pooled_dist().support
+
+    known = ref._positive | ref._negative
+    for quad in list(known) + _sample_unknowns(v, known, rng, n_unknown):
+        assert store.truth_of(*quad) is ref.truth_of(*quad), quad
+    for c1 in v.labels:
+        for c2 in v.labels:
+            _same_outcome(lambda: store.label_conditional(c1, c2),
+                          lambda: ref.label_conditional(c1, c2))
+    triples = sorted({q[:3] for q in known}) + [q[:3] for q in _sample_unknowns(v, known, rng, 20)]
+    for triple in triples:
+        _same_outcome(lambda: store.expected_truth(*triple), lambda: ref.expected_truth(*triple))
+        assert store.positive_count(*triple) == ref.positive_count(*triple)
+    windowed = triples if n_window is None else [triples[int(i)] for i in
+                                                  rng.choice(len(triples), n_window, replace=False)]
+    for horizon in (1, 2, 5):
+        store.horizon = ref.horizon = horizon
+        try:
+            for triple in windowed:
+                _same_outcome(lambda: store.expected_truth(*triple),
+                              lambda: ref.expected_truth(*triple))
+        finally:
+            store.horizon = ref.horizon = None
+
+
+def _ssl_style_adds(stores, vocab, rng, tag: str) -> None:
+    """What SSL does to a live store, done to each of `stores`: register a new
+    instance and a new entity, then add single statements about them at the
+    new instance, asking `truth_of` first; then close the new instance and an
+    old one."""
+    t = vocab.add_instance(f"{tag}.scene")
+    novel = vocab.add_entity(f"{tag}.novel")
+    old = list(vocab.entities)[:3]
+    ha = vocab.has_attribute
+    preds = list(vocab.binary_predicates)
+    quads = []
+    for fam, members in sorted(vocab.families.items()):
+        if fam != "Identity":
+            quads += [(e, ha, members[int(rng.integers(len(members)))], t) for e in (novel, old[0])]
+    quads += [(s, preds[int(rng.integers(len(preds)))], o, t)
+              for s, o in ((novel, old[0]), (old[1], novel), (old[0], old[2]))]
+    for quad in quads:
+        answers = {store.truth_of(*quad) for store in stores}
+        assert len(answers) == 1
+        if answers == {UNKNOWN}:
+            for store in stores:
+                store.add_observation(*quad, True)
+    for store in stores:
+        store.add_observation(old[2], preds[0], novel, t, False)
+        store.lcwa_expand(t, [novel] + old)
+        store.lcwa_expand(list(vocab.instances)[0], old[:2])
+
+
+class TestAgainstReference:
+    """Every query of the bulk-built store against the quad-by-quad store."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_records(self, seed):
+        vocab = small_vocab(n_entities=5, n_instances=4)
+        rng = np.random.default_rng(seed)
+        records = random_records(vocab, rng, n_true=40, n_false=30)
+        store, ref = TripleStore(vocab), ReferenceStore(vocab)
+        store.add_observations([r[:4] for r in records], [r[4] for r in records])
+        for s, p, o, t, y in records:
+            ref.add_observation(s, p, o, t, y)
+        assert_matches_reference(store, ref, rng)
+        single = store_from_records(vocab, records)
+        assert_matches_reference(single, ref, rng)
+        for t in vocab.instances[:2]:
+            members = vocab.entities[:3]
+            assert store.lcwa_expand(t, members) == ref.lcwa_expand(t, members)
+        assert_matches_reference(store, ref, rng)
+
+    def test_tiny_world(self, tiny_world, tiny_store):
+        assert_matches_reference(tiny_store, reference_ingest(tiny_world), np.random.default_rng(1),
+                                 n_window=200)
+
+    def test_default_world(self):
+        world = gen_world(WorldConfig(seed=5, unlabeled_fraction=0.1))
+        assert_matches_reference(world.build_store(), reference_ingest(world),
+                                 np.random.default_rng(2), n_unknown=2000, n_window=100)
+
+    @pytest.mark.parametrize("query_first", [True, False])
+    def test_ssl_style_single_adds(self, query_first):
+        # a world of its own: the vocabulary grows
+        world = gen_world(WorldConfig(n_entities=30, n_scenes=8, n_test_entities=3,
+                                      n_test_scenes=1, zero_shot_per_combo=1, seed=8))
+        store, ref = world.build_store(), reference_ingest(world)
+        rng = np.random.default_rng(3)
+        if query_first:  # every derived index exists before the adds
+            assert_matches_reference(store, ref, rng, n_unknown=20, n_window=100)
+        for tag in ("u0", "u1"):
+            _ssl_style_adds([store, ref], world.vocab, rng, tag)
+            assert_matches_reference(store, ref, rng, n_unknown=20, n_window=100)
+
+    def test_lcwa_expand_returns_the_reference_order(self, vocab):
+        rng = np.random.default_rng(9)
+        records = random_records(vocab, rng, n_true=25, n_false=10)
+        store, ref = store_from_records(vocab, records), ReferenceStore(vocab)
+        for s, p, o, t, y in records:
+            ref.add_observation(s, p, o, t, y)
+        e0, e1, e2, t1 = ids(vocab, "e0", "e1", "e2", "t1")
+        members = [e2, e0, e2, e1]  # a repeated member counts once
+        near = vocab.id_of("near")
+        for families, preds in ((None, None), (["Age", "Species"], None), ([], [near])):
+            assert (store.lcwa_expand(t1, members, families, preds)
+                    == ref.lcwa_expand(t1, members, families, preds))
+        assert_matches_reference(store, ref, rng)
+
+    def test_close_instances_is_one_lcwa_expand_per_instance(self, tiny_world):
+        v = tiny_world.vocab
+        scenes = tiny_world.scenes_of_kind("train")[:3]
+        labels = list(v.labels)
+        closures = [(v.id_of(s.name), [v.id_of(m) for m in s.members], labels,
+                     list(v.binary_predicates)) for s in scenes]
+        bulk, single = TripleStore(v), TripleStore(v)
+        implied = bulk.close_instances(closures)
+        for t, members, _, preds in closures:
+            single.lcwa_expand(t, members, None, preds)
+        assert list(bulk.iter_negative()) == list(single.iter_negative())
+        assert len(implied) == single.total_statements(False)
+        assert implied.shape[1] == 4
+
+
+class TestBulkChecks:
+    """A batch is refused at its first bad row, with the one-quad message, and
+    a refused batch adds nothing."""
+
+    def _cases(self, vocab):
+        e0, e1, t0, dog = ids(vocab, "e0", "e1", "t0", "Dog")
+        near, ha = vocab.id_of("near"), vocab.has_attribute
+        good = [(e0, near, e1, t0, True), (e1, ha, dog, t0, True)]
+        return {
+            "class subject": good + [(dog, near, e1, t0, True)],
+            "entity instance": good + [(e0, near, e1, e1, True)],
+            "entity object on unary": good + [(e0, ha, e1, t0, True)],
+            "class object on binary": good + [(e0, near, dog, t0, True)],
+            "unknown id": good + [(e0, near, e1, len(vocab) + 3, True)],
+            "negative id": good + [(e0, near, -1, t0, True)],
+            "conflict in batch": good + [(e0, near, e1, t0, False)],
+            "duplicate in batch": good + [(e1, ha, dog, t0, True)],
+        }
+
+    @pytest.mark.parametrize("case", [
+        "class subject", "entity instance", "entity object on unary", "class object on binary",
+        "unknown id", "negative id", "conflict in batch", "duplicate in batch",
+    ])
+    def test_same_error_as_single_and_reference(self, vocab, case):
+        rows = self._cases(vocab)[case]
+        errors = []
+        for make in (TripleStore, ReferenceStore):
+            store = make(vocab)
+            with pytest.raises(StoreError) as info:
+                for *quad, y in rows:
+                    store.add_observation(*quad, y)
+            errors.append((info.type, str(info.value)))
+        bulk = TripleStore(vocab)
+        with pytest.raises(StoreError) as info:
+            bulk.add_observations([r[:4] for r in rows], [r[4] for r in rows])
+        errors.append((info.type, str(info.value)))
+        assert errors[0] == errors[1] == errors[2]
+        assert bulk.total_statements(True) == bulk.total_statements(False) == 0
+
+    def test_conflict_and_duplicate_against_the_store(self, vocab):
+        e0, e1, e2, t0 = ids(vocab, "e0", "e1", "e2", "t0")
+        near = vocab.id_of("near")
+        store, ref = TripleStore(vocab), ReferenceStore(vocab)
+        for s in (store, ref):
+            s.add_observation(e0, near, e1, t0, True)
+        batch = [(e1, near, e2, t0), (e0, near, e1, t0)]
+        with pytest.raises(ConflictError) as bulk_error:
+            store.add_observations(batch, False)
+        with pytest.raises(ConflictError) as ref_error:
+            for quad in batch:
+                ref.add_observation(*quad, False)
+        assert str(bulk_error.value) == str(ref_error.value)
+        assert str(bulk_error.value) == "(e0, near, e1) at t0 already asserted with truth=True"
+        assert store.truth_of(e1, near, e2, t0) is UNKNOWN  # the refused batch added nothing
+        with pytest.raises(StoreError, match=r"duplicate observation \(") as dup:
+            store.add_observations(batch[::-1], True)
+        assert str(dup.value) == f"duplicate observation {(e0, near, e1, t0)}"
+
+    def test_first_bad_row_in_input_order(self, vocab):
+        e0, e1, t0, t1, dog = ids(vocab, "e0", "e1", "t0", "t1", "Dog")
+        near, ha = vocab.id_of("near"), vocab.has_attribute
+        rows = [(e0, near, e1, t1), (e0, ha, dog, t0), (e0, near, e1, t1), (dog, near, e0, t0)]
+        with pytest.raises(StoreError, match="duplicate"):
+            TripleStore(vocab).add_observations(rows, True)
+        with pytest.raises(StoreError, match="subject 'Dog'"):
+            TripleStore(vocab).add_observations(rows[::-1], True)
+
+    def test_ignore_policy_skips_duplicates_but_not_conflicts(self, vocab):
+        e0, e1, t0 = ids(vocab, "e0", "e1", "t0")
+        near = vocab.id_of("near")
+        store = TripleStore(vocab, duplicate_policy="ignore")
+        assert store.add_observations([(e0, near, e1, t0)] * 3, True) == 1
+        assert store.add_observations([(e0, near, e1, t0), (e1, near, e0, t0)], True) == 1
+        with pytest.raises(ConflictError):
+            store.add_observations([(e1, near, e0, t0)], [False])
+        assert store.total_statements() == 2
+
+    def test_closure_checks_match_reference(self, vocab):
+        e0, e1, t0, dog = ids(vocab, "e0", "e1", "t0", "Dog")
+        for args in ((t0, [e0, dog]), (e0, [e0, e1]), (t0, [e0, len(vocab)])):
+            errors = []
+            for store in (TripleStore(vocab), ReferenceStore(vocab)):
+                with pytest.raises(StoreError) as info:
+                    store.lcwa_expand(*args)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+        store = TripleStore(vocab)
+        with pytest.raises(StoreError, match="'Dog' is not an entity"):
+            store.close_instances([(t0, [e0, e1], [], []), (t0, [dog], [], [])])
+        assert store.total_statements(False) == 0
+
+
+class TestBuildPath:
+    def test_world_store_needs_no_single_adds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a world store is built in bulk")
+
+        monkeypatch.setattr(TripleStore, "add_observation", refuse)
+        monkeypatch.setattr(TripleStore, "lcwa_expand", refuse)
+        world = gen_world(WorldConfig(n_entities=60, n_scenes=12, n_test_entities=6,
+                                      n_test_scenes=2, zero_shot_per_combo=2,
+                                      unlabeled_fraction=0.2, seed=3))
+        store = world.build_store()
+        assert store.total_statements() > 0 and store.total_statements(False) > 0
+
+    def test_building_and_reading_arrays_builds_no_index(self, tiny_world):
+        store = TripleStore(tiny_world.vocab)
+        ref = reference_ingest(tiny_world)
+        store.add_observations(list(ref.iter_positive()), True)
+        store.positive_array()
+        list(store.iter_negative())
+        store.total_statements(False)
+        write_jsonl(store, io.StringIO())
+        assert (store._truth, store._counts, store._sites, store._spans) == (None,) * 4
+
+    def test_pack_orders_rows_past_int64(self):
+        rng = np.random.default_rng(0)
+        cols = [rng.integers(0, 3, 500) * (2 ** 40) + rng.integers(0, 2, 500) for _ in range(4)]
+        key = triple_store._pack(cols)
+        want = np.lexsort(cols[::-1])
+        np.testing.assert_array_equal(np.sort(key), key[want])
+        assert len(np.unique(key)) == len({tuple(r) for r in np.stack(cols, 1).tolist()})

@@ -11,9 +11,10 @@ import os
 import numpy as np
 import pytest
 
-from bilayer.triple_store import UNKNOWN, write_jsonl
+from bilayer.triple_store import UNKNOWN, ConflictError, write_jsonl
 from bilayer.world import (
     Ontology,
+    _dump_json,
     WorldConfig,
     WorldError,
     export_world,
@@ -418,6 +419,29 @@ class TestExport:
             write_jsonl(original, buf_a, truth=truth)
             write_jsonl(rebuilt, buf_b, truth=truth)
             assert buf_a.getvalue() == buf_b.getvalue()
+
+    def test_negatives_contradicting_triples_raise_conflict(self, clean_world, tmp_path):
+        outdir = tmp_path / "w"
+        export_world(clean_world, str(outdir))
+        rec = json.loads((outdir / "triples.jsonl").read_text(encoding="utf-8").splitlines()[3])
+        rec["y"] = 0
+        with open(outdir / "negatives.jsonl", "a", encoding="utf-8") as fp:
+            fp.write(json.dumps(rec) + "\n")
+        with pytest.raises(ConflictError) as info:
+            rebuild_store_from_files(load_world(str(outdir)), str(outdir))
+        assert str(info.value) == (f"({rec['s']}, {rec['p']}, {rec['o']}) at {rec['t']} "
+                                   "already asserted with truth=True")
+
+    def test_json_documents_put_one_element_on_a_line(self):
+        doc = {"b": [{"y": 1, "x": "ä"}, [1, 2]], "a": {"k2": [], "k1": {"z": None}},
+               "c": [], "d": {}, "e": 1.5}
+        text = _dump_json(doc)
+        assert text == (
+            '{\n"a": {\n"k1": {"z": null},\n"k2": []\n},\n'
+            '"b": [\n{"x": "\\u00e4", "y": 1},\n[1, 2]\n],\n'
+            '"c": [],\n"d": {},\n"e": 1.5\n}\n'
+        )
+        assert json.loads(text) == doc
 
     def test_seeded_export_is_byte_identical_and_matches_reference(self, tmp_path):
         # a default-size world: both statement files run to several write chunks

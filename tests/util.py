@@ -1,9 +1,10 @@
-"""Shared test helpers: a hand-rolled vocabulary builder and independent
-brute-force reference implementations of every counting model, of the decode
-walk, of the statement-file bytes, of the social-edge orientation model, and
-of the training inputs and heads as they were written per item: example dicts,
-per-example index swaps, one softmax head per label family, the copying CE
-head and the two-division sigmoid.
+"""Shared test helpers: a hand-rolled vocabulary builder, the triple store as
+it was written one quad at a time (the oracle of the bulk-built store), and
+independent brute-force reference implementations of every counting model, of
+the decode walk, of the statement-file bytes, of the social-edge orientation
+model, and of the training inputs and heads as they were written per item:
+example dicts, per-example index swaps, one softmax head per label family, the
+copying CE head and the two-division sigmoid.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +24,8 @@ import numpy as np
 from bilayer.graph import Batch
 from bilayer.params import ColumnMap, NetConfig, NetParams
 from bilayer.training import Examples, InjectionPool
-from bilayer.triple_store import TripleStore
+from bilayer.dists import Categorical
+from bilayer.triple_store import UNKNOWN, ConflictError, StoreError, TripleStore
 from bilayer.vocab import IDENTITY_FAMILY, Kind, Vocabulary
 from bilayer.world import substream
 
@@ -147,6 +151,205 @@ def brute_label_conditional(records: list[Record], ha: int, c1: int, c2: int):
     if den == 0:
         return None
     return Fraction(num, den)
+
+
+# -- reference store (one quad at a time, every index kept up to date on each add) ----
+
+
+@dataclass
+class ReferenceStore:
+    """The triple store as it was written quad by quad: Python sets of quads,
+    and counters and site sets updated on every add.  `lcwa_expand` walks
+    members x labels and member pairs x predicates one quad at a time.  The
+    bulk-built `TripleStore` must answer every query exactly as this does."""
+
+    vocab: Vocabulary
+    duplicate_policy: str = "error"
+    horizon: int | None = None
+
+    _positive: set = field(default_factory=set)
+    _negative: set = field(default_factory=set)
+    _pos_by_instance: dict = field(default_factory=lambda: defaultdict(list))
+    _pos_count: Counter = field(default_factory=Counter)
+    _known_count: Counter = field(default_factory=Counter)
+    _pos_sites: dict = field(default_factory=lambda: defaultdict(set))  # (p, o) -> {(s, t)}
+
+    def _check_kinds(self, s: int, p: int, o: int, t: int) -> None:
+        v = self.vocab
+        for i in (s, p, o, t):
+            if not 0 <= i < len(v):
+                raise StoreError(f"id {i} is not in the vocabulary")
+        if v.kind_of(s) is not Kind.ENTITY:
+            raise StoreError(f"subject {v.name_of(s)!r} is not an entity")
+        if v.kind_of(t) is not Kind.INSTANCE:
+            raise StoreError(f"instance {v.name_of(t)!r} is not an instance")
+        if v.kind_of(p) is not Kind.PREDICATE:
+            raise StoreError(f"predicate {v.name_of(p)!r} is not a predicate")
+        if p == v.has_attribute:
+            if v.kind_of(o) not in (Kind.CLASS, Kind.ATTRIBUTE):
+                raise StoreError(f"{v.name_of(o)!r} cannot be the object of {v.name_of(p)!r}")
+        elif v.kind_of(o) is not Kind.ENTITY:
+            raise StoreError(f"binary statement object {v.name_of(o)!r} is not an entity")
+
+    def add_observation(self, s: int, p: int, o: int, t: int, truth: bool) -> None:
+        self._check_kinds(s, p, o, t)
+        quad = (s, p, o, t)
+        opposite = self._negative if truth else self._positive
+        if quad in opposite:
+            raise ConflictError(
+                f"({self.vocab.name_of(s)}, {self.vocab.name_of(p)}, "
+                f"{self.vocab.name_of(o)}) at {self.vocab.name_of(t)} "
+                f"already asserted with truth={not truth}"
+            )
+        same = self._positive if truth else self._negative
+        if quad in same:
+            if self.duplicate_policy == "error":
+                raise StoreError(f"duplicate observation {quad}")
+            return
+        same.add(quad)
+        self._known_count[(s, p, o)] += 1
+        if truth:
+            self._pos_by_instance[t].append((s, p, o))
+            self._pos_count[(s, p, o)] += 1
+            self._pos_sites[(p, o)].add((s, t))
+
+    def lcwa_expand(self, t, observed_entities, families=None, predicates=None) -> list:
+        v = self.vocab
+        entities = list(dict.fromkeys(observed_entities))
+        for e in entities:
+            if not 0 <= e < len(v):
+                raise StoreError(f"id {e} is not in the vocabulary")
+            if v.kind_of(e) is not Kind.ENTITY:
+                raise StoreError(f"observed id {v.name_of(e)!r} is not an entity")
+        if not 0 <= t < len(v):
+            raise StoreError(f"id {t} is not in the vocabulary")
+        if v.kind_of(t) is not Kind.INSTANCE:
+            raise StoreError(f"{v.name_of(t)!r} is not an instance")
+        fam_names = list(families) if families is not None else [
+            f for f in v.families if f != IDENTITY_FAMILY
+        ]
+        preds = list(predicates) if predicates is not None else list(v.binary_predicates)
+        ha = v.has_attribute
+        implied = []
+        candidates = [(e, ha, c, t) for e in entities for fam in fam_names
+                      for c in v.family_members(fam)]
+        candidates += [(s, p, o, t) for s in entities for o in entities if s != o for p in preds]
+        for quad in candidates:
+            if quad in self._positive or quad in self._negative:
+                continue
+            self._negative.add(quad)
+            self._known_count[quad[:3]] += 1
+            implied.append(quad)
+        return implied
+
+    def truth_of(self, s, p, o, t):
+        if (s, p, o, t) in self._positive:
+            return True
+        if (s, p, o, t) in self._negative:
+            return False
+        return UNKNOWN
+
+    def n_statements(self, t) -> int:
+        return len(self._pos_by_instance.get(t, ()))
+
+    def total_statements(self, truth: bool = True) -> int:
+        return len(self._positive if truth else self._negative)
+
+    def positive_count(self, s, p, o) -> int:
+        return self._pos_count[(s, p, o)]
+
+    def observed_instances(self) -> tuple:
+        return tuple(sorted({q[3] for q in self._positive} | {q[3] for q in self._negative}))
+
+    def positives_at(self, t) -> tuple:
+        return tuple(sorted(set(self._pos_by_instance.get(t, ()))))
+
+    def iter_positive(self):
+        return iter(sorted(self._positive, key=lambda q: (q[3], q[0], q[1], q[2])))
+
+    def iter_negative(self):
+        return iter(sorted(self._negative, key=lambda q: (q[3], q[0], q[1], q[2])))
+
+    def positive_array(self) -> np.ndarray:
+        return np.array(list(self.iter_positive()), dtype=np.int64).reshape(-1, 4)
+
+    def observation_dist(self, t) -> Categorical:
+        if self.vocab.kind_of(t) is not Kind.INSTANCE:
+            raise StoreError(f"{self.vocab.name_of(t)!r} is not an instance")
+        triples = self._pos_by_instance.get(t)
+        if not triples:
+            raise StoreError(f"no true statements recorded at {self.vocab.name_of(t)!r}")
+        counts = Counter(triples)
+        support = tuple(sorted(counts))
+        n_t = sum(counts.values())
+        return Categorical(support, [counts[k] / n_t for k in support])
+
+    def pooled_dist(self) -> Categorical:
+        if not self._positive:
+            raise StoreError("store holds no true statements")
+        support = tuple(sorted(self._pos_count))
+        total = sum(self._pos_count.values())
+        return Categorical(support, [self._pos_count[k] / total for k in support])
+
+    def expected_truth(self, s, p, o):
+        if self.horizon is None:
+            known = self._known_count[(s, p, o)]
+            if known == 0:
+                return UNKNOWN
+            return self._pos_count[(s, p, o)] / known
+        window = set(self.observed_instances()[-self.horizon:])
+        pos = sum(1 for t in window if (s, p, o, t) in self._positive)
+        known = pos + sum(1 for t in window if (s, p, o, t) in self._negative)
+        if known == 0:
+            return UNKNOWN
+        return pos / known
+
+    def label_conditional(self, c1, c2):
+        ha = self.vocab.has_attribute
+        sites = self._pos_sites.get((ha, c1))
+        if not sites:
+            raise StoreError(f"label {self.vocab.name_of(c1)!r} never observed on any entity")
+        num = den = 0
+        for s, t in sites:
+            truth = self.truth_of(s, ha, c2, t)
+            if truth is UNKNOWN:
+                continue
+            den += 1
+            num += int(truth)
+        if den == 0:
+            return UNKNOWN
+        return num / den
+
+
+def reference_ingest(world, duplicate_policy: str = "error") -> ReferenceStore:
+    """A world's store built scene by scene through single adds and one
+    `lcwa_expand` per instance scene, as `world.build_store` once did."""
+    v = world.vocab
+    onto = world.ontology
+    store = ReferenceStore(v, duplicate_policy=duplicate_policy)
+    ha = v.has_attribute
+    scene_preds = [v.id_of(p) for p in onto.scene_predicates]
+    nonvisual_preds = [v.id_of(p) for p in onto.nonvisual_predicates]
+    social_pred = [v.id_of(onto.social_predicate)]
+    for scene in world.scenes:
+        if not scene.instance:
+            continue
+        t = v.id_of(scene.name)
+        member_ids = [v.id_of(m) for m in scene.members]
+        if scene.kind in ("train", "ex_train", "background"):
+            for name, e in zip(scene.members, member_ids):
+                for fam in onto.label_families:
+                    label = world.entity_record(name).labels[fam]
+                    store.add_observation(e, ha, v.id_of(label), t, True)
+        for s, p, o in scene.binaries:
+            store.add_observation(v.id_of(s), v.id_of(p), v.id_of(o), t, True)
+        if scene.kind in ("train", "ex_train"):
+            store.lcwa_expand(t, member_ids, onto.label_families, scene_preds)
+        elif scene.kind == "background":
+            store.lcwa_expand(t, member_ids, onto.label_families, nonvisual_preds)
+        elif scene.kind == "social":
+            store.lcwa_expand(t, member_ids, [], social_pred)
+    return store
 
 
 # -- reference statement file (one json.dumps per line) ------------------------------
