@@ -702,6 +702,7 @@ def ssl_step(
     ], rng)
     hidden = set(config.hidden_families) | set(config.excluded_families)
     ha = vocab.has_attribute
+    kept = []  # (s, p, o, t) of every pseudo-statement, in the order they are made
     for scene in scenes:
         t = vocab.id_of(scene.name)
         rows = assignments[scene.name]
@@ -713,9 +714,7 @@ def ssl_step(
                 if fam == IDENTITY_FAMILY or fam in hidden:
                     continue
                 report.pseudo_unary.append({**base, "fam": fam, "o": label})
-                # two boxes may resolve to one entity; record each statement once
-                if store is not None and store.truth_of(row["entity"], ha, label, t) is UNKNOWN:
-                    store.add_observation(row["entity"], ha, label, t, True)
+                kept.append((row["entity"], ha, label, t))
             report.pseudo_unary.append({**base, "fam": IDENTITY_FAMILY, "o": row["entity"]})
         for i, (s_box, _p, o_box) in enumerate(scene.binaries):
             trace = next(related)
@@ -725,9 +724,14 @@ def ssl_step(
                  "scene": scene.scene_key, "s_bb": scene.bb_key(s_box),
                  "o_bb": scene.bb_key(o_box), "rel": scene.rel_key(i)}
             )
-            if store is not None and store.truth_of(s, pred, o, t) is UNKNOWN:
-                store.add_observation(s, pred, o, t, True)
+            kept.append((s, pred, o, t))
         report.recognized[scene.name] = rows
+    if store is not None:
+        # two boxes may resolve to one entity: record each statement once, and
+        # only if the store does not know it yet
+        store.add_observations(
+            [q for q in dict.fromkeys(kept) if store.truth_of(*q) is UNKNOWN], True
+        )
 
     # train only entity and instance embedding columns on the pseudo-statements
     mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)

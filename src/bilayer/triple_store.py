@@ -5,36 +5,52 @@ instance t, each carrying an explicit truth value.  Truth values never
 default: a statement is true, false, or unknown (absent).  Unary statements
 use the reserved hasAttribute predicate with a class/attribute object.
 
-State.  The store's canonical state is two (n, 4) int64 arrays of (s, p, o, t)
-id rows, the true and the false statements, each sorted in (t, s, p, o)
-order: the order of `iter_positive` and `iter_negative`.  An add appends its
-rows as one more sorted block, and the first reader that needs the array
-merges the blocks.  Statements arrive in bulk, in a few array passes:
+Canonical state.  The store keeps three things:
+
+* the true statements and the explicitly asserted false ones, each as
+  (n, 4) int64 arrays of (s, p, o, t) id rows sorted in (t, s, p, o) order.
+  An add appends its rows as one more sorted block, and the first reader
+  that needs the array merges the blocks;
+* one closure record (entities, labels, predicates) per closed instance, kept
+  by instance t.  Closing t under the local closed-world assumption implies
+  false every statement at t that is not explicit and that a record of t
+  covers: s is one of its entities, and either p is hasAttribute and o one
+  of its labels, or p one of its predicates and o one of its entities other
+  than s.  Several closures of one instance stay separate records: the union
+  of their cross products is not the cross product of their unions.
+
+The rule equals "the cross product minus what was known at close time"
+because a later positive inside a closure is refused as a conflict, as one
+contradicting an explicit negative is.  Statements arrive in bulk:
 
 * `add_observations` checks a batch of rows at once: kinds against a per-id
   kind array, duplicates and conflicts within the batch with one sort, and
-  against the statements already stored through the point lookup below;
-* `close_instances` builds the closed-world negatives of many instances:
-  members x label-family members and ordered member pairs x predicates, minus
-  the statements already known at those instances.
+  against the store through `truth_of`, so an implied negative counts as
+  stored;
+* `close_instances` checks and records the closures of many instances.
 
 `add_observation` and `lcwa_expand` are their one-quad and one-instance
 cases.  A batch that fails a check adds nothing; the error names the first
 bad row in input order, with the message the one-quad case gives.
 
-Derived indexes.  Queries read indexes built from the arrays the first time a
-query needs one, so a store that is only built, trained on or written pays
-for none of them:
+Derived indexes.  Queries read indexes built from the canonical state the
+first time a query needs one, so a store that is only built, trained on or
+decoded from pays for none of them:
 
-* the point lookup behind `truth_of`: (s, p, o, t) -> truth, one dict lookup
-  per call, keyed by tuples that share one int object per id;
+* the implied-negative rows: every false statement, explicit or implied, as
+  one sorted array, built run of instances by run of instances.  It serves
+  `iter_negative`, `write_jsonl(truth=False)`, `total_statements(False)`
+  and the counts below;
+* the point lookup behind `truth_of`: explicit (s, p, o, t) -> truth, one
+  dict lookup per call, keyed by tuples that share one int object per id;
+  a miss is then checked against the records of t;
 * the positive and known counts behind `expected_truth`: (s, p, o) -> count;
-* the sites behind `label_conditional`: (p, o) -> the (s, t) rows at which
-  (s, p, o, t) is true;
+* the label co-occurrence counts behind `label_conditional`: per (s, t) site
+  with a positive label, which labels are true there and which known false;
 * the per-instance positives: t -> its slice of the positive array.
 
-Adds update the first two in place.  The last two point into the positive
-array, so adding positives drops them and the next query rebuilds them.
+Adds update the point lookup and the counts in place and drop whatever else
+they change; the next query rebuilds it.
 
 The counting models implemented here are the exact reference semantics for
 everything the trainable network only approximates:
@@ -93,6 +109,7 @@ _ENTITY, _CLASS, _ATTRIBUTE, _PREDICATE, _INSTANCE = (
 _OUTSIDE = -1  # kind code of an id the vocabulary does not hold
 
 ITER_CHUNK = 8192  # rows turned into tuples at a time
+RUN_ROWS = 8192  # rows of closure expansion or label co-occurrence handled at a time
 
 
 def _pack(cols) -> np.ndarray:
@@ -153,34 +170,63 @@ def _cross(a_off: np.ndarray, b_off: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return g, a_off[g] + local // nb[g], b_off[g] + local % nb[g]
 
 
+def _closure_rows(closures: list, ha: int) -> np.ndarray:
+    """The statements that (t, entities, labels, predicates) closures cover,
+    as (n, 4) s, p, o, t rows: the unary rows of every closure, then the
+    binary rows, in loop order: (entity, label), and (subject, object,
+    predicate) over ordered pairs of distinct entities."""
+    ts = np.array([c[0] for c in closures], dtype=np.int64)
+    ents, ent_off = _csr([c[1] for c in closures])
+    labels, lab_off = _csr([c[2] for c in closures])
+    preds, pred_off = _csr([c[3] for c in closures])
+    g, i, j = _cross(ent_off, lab_off)
+    unary = np.stack([ents[i], np.full(len(g), ha), labels[j], ts[g]], axis=1)
+    g, i, j = _cross(ent_off, ent_off)
+    distinct = ents[i] != ents[j]
+    g, i, j = g[distinct], i[distinct], j[distinct]
+    g, k, m = _cross(np.searchsorted(g, np.arange(len(ts) + 1)), pred_off)
+    binary = np.stack([ents[i[k]], preds[m], ents[j[k]], ts[g]], axis=1)
+    return np.concatenate([unary, binary])
+
+
+def _n_covered(entities: frozenset, labels: frozenset, preds: frozenset) -> int:
+    """How many statements one closure record covers."""
+    return len(entities) * (len(labels) + (len(entities) - 1) * len(preds))
+
+
 @dataclass(eq=False)
 class TripleStore:
     vocab: Vocabulary
     duplicate_policy: str = "error"  # "error" | "ignore"
     horizon: int | None = None  # expected_truth window, in instances; None = all
 
-    # canonical state: per truth value, sorted (n, 4) s, p, o, t blocks
+    # canonical state: per truth value, sorted (n, 4) s, p, o, t blocks of the
+    # explicit statements; t -> its closure records (entities, labels, predicates)
     _blocks: dict = field(default_factory=lambda: {True: [], False: []}, repr=False)
+    _closures: dict = field(default_factory=dict, repr=False)
     # derived indexes, None until a query needs them
-    _truth: dict | None = field(default=None, repr=False)  # (s, p, o, t) -> bool
+    _negatives: np.ndarray | None = field(default=None, repr=False)  # every false (n, 4) row
+    _truth: dict | None = field(default=None, repr=False)  # explicit (s, p, o, t) -> bool
     _counts: tuple | None = field(default=None, repr=False)  # Counters (s, p, o) -> positives, known
-    _sites: dict | None = field(default=None, repr=False)  # (p, o) -> (k, 2) s, t rows
+    _cooc: dict | None = field(default=None, repr=False)  # c1 -> {c2: P(c2 | c1)}
     _spans: dict | None = field(default=None, repr=False)  # t -> (lo, hi) in the positive array
     # per-id kind codes and shared int objects, extended as the vocabulary grows
     _kind_codes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8), repr=False)
     _ints: np.ndarray = field(default_factory=lambda: np.zeros(0, object), repr=False)
+    _ha: int = field(init=False, repr=False)  # hasAttribute's id, read by every `truth_of` miss
 
     def __post_init__(self) -> None:
         if self.duplicate_policy not in ("error", "ignore"):
             raise StoreError(f"bad duplicate policy {self.duplicate_policy!r}")
         if self.horizon is not None and self.horizon < 1:
             raise StoreError("horizon must be a positive instance count")
+        self._ha = self.vocab.has_attribute
 
-    # -- canonical arrays --------------------------------------------------------
+    # -- statement arrays --------------------------------------------------------
 
-    def _rows(self, truth: bool) -> np.ndarray:
-        """The statements of one truth value: a read-only (n, 4) int64 array of
-        s, p, o, t rows in (t, s, p, o) order."""
+    def _explicit(self, truth: bool) -> np.ndarray:
+        """The statements asserted with one truth value: a read-only (n, 4)
+        int64 array of s, p, o, t rows in (t, s, p, o) order."""
         blocks = self._blocks[truth]
         if len(blocks) != 1:
             rows = np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
@@ -190,8 +236,55 @@ class TripleStore:
             blocks[:] = [rows]
         return blocks[0]
 
+    def _rows(self, truth: bool) -> np.ndarray:
+        """Every statement of one truth value, implied negatives included, as
+        a read-only (n, 4) array in (t, s, p, o) order."""
+        if truth:
+            return self._explicit(True)
+        if self._negatives is None:
+            self._negatives = self._negative_rows()
+        return self._negatives
+
+    def _negative_rows(self) -> np.ndarray:
+        """The explicit and the implied negatives, merged in order.  The
+        closures are expanded a run of instances at a time: a run's covered
+        statements, minus the explicit ones of its span of instances, go
+        straight into an array sized for every covered statement, which then
+        shrinks in place, so the temporaries stay near RUN_ROWS rows."""
+        explicit = self._explicit(False)
+        if not self._closures:
+            return explicit
+        positive = self._explicit(True)
+        ts = sorted(self._closures)
+        sizes = [sum(_n_covered(*record) for record in self._closures[t]) for t in ts]
+        runs = [0]  # index in ts of each run's first instance
+        total = 0
+        for k, size in enumerate(sizes):
+            if k > runs[-1] and total + size > RUN_ROWS:
+                runs.append(k)
+                total = 0
+            total += size
+        starts = [ts[k] for k in runs[1:]]
+        cuts = [np.r_[0, np.searchsorted(rows[:, 3], starts), len(rows)] for rows in (positive, explicit)]
+        out = np.empty((sum(sizes) + len(explicit), 4), dtype=np.int64)
+        n = 0
+        for r, (a, b) in enumerate(zip(runs, runs[1:] + [len(ts)])):
+            known = positive[cuts[0][r]:cuts[0][r + 1]]
+            both = np.concatenate([
+                known, explicit[cuts[1][r]:cuts[1][r + 1]],
+                _closure_rows([(t, *record) for t in ts[a:b] for record in self._closures[t]], self._ha),
+            ])
+            _, first = np.unique(_quad_key(both), return_index=True)
+            first = first[first >= len(known)]
+            out[n:n + len(first)] = both[first]
+            n += len(first)
+        out.resize((n, 4), refcheck=False)
+        out.flags.writeable = False
+        return out
+
     def _append(self, rows: np.ndarray, truth: bool) -> None:
-        """Store sorted new rows of one truth value and bring the indexes along."""
+        """Store sorted new explicit rows of one truth value and bring the
+        indexes along."""
         if not len(rows):
             return
         rows.flags.writeable = False
@@ -204,8 +297,11 @@ class TripleStore:
             known.update(keys)
             if truth:
                 positives.update(keys)
+        self._cooc = None
         if truth:
-            self._sites = self._spans = None
+            self._spans = None
+        else:
+            self._negatives = None
 
     def _shared(self, rows: np.ndarray) -> Iterable[tuple]:
         """The rows as tuples of ints, one chunk converted at a time.  Every id
@@ -246,32 +342,49 @@ class TripleStore:
             raise StoreError(f"instance {v.name_of(t)!r} is not an instance")
         if v.kind_of(p) is not Kind.PREDICATE:
             raise StoreError(f"predicate {v.name_of(p)!r} is not a predicate")
-        if p == v.has_attribute:
-            if v.kind_of(o) not in (Kind.CLASS, Kind.ATTRIBUTE):
-                raise StoreError(
-                    f"{v.name_of(o)!r} cannot be the object of {v.name_of(p)!r}"
-                )
+        if p == self._ha:
+            self._check_label(o)
         elif v.kind_of(o) is not Kind.ENTITY:
             raise StoreError(
                 f"binary statement object {v.name_of(o)!r} is not an entity"
             )
 
+    def _check_label(self, c: int) -> None:
+        self._check_id(c)
+        v = self.vocab
+        if v.kind_of(c) not in (Kind.CLASS, Kind.ATTRIBUTE):
+            raise StoreError(f"{v.name_of(c)!r} cannot be the object of {v.name_of(self._ha)!r}")
+
+    def _check_predicate(self, p: int) -> None:
+        self._check_id(p)
+        v = self.vocab
+        if v.kind_of(p) is not Kind.PREDICATE or p == self._ha:
+            raise StoreError(f"{v.name_of(p)!r} is not a binary predicate")
+
     def _bad_kinds(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the rows `_check_kinds` refuses."""
         s, p, o, t = self._kinds(rows).T
-        unary = rows[:, 1] == self.vocab.has_attribute
+        unary = rows[:, 1] == self._ha
         o_ok = np.where(unary, (o == _CLASS) | (o == _ATTRIBUTE), o == _ENTITY)
         return ~((s == _ENTITY) & (t == _INSTANCE) & (p == _PREDICATE) & o_ok)
+
+    def _stored(self, rows: np.ndarray) -> np.ndarray:
+        """What the store holds for each row's quad: 1 true, 0 false (explicit
+        or implied by a closure), -1 unknown."""
+        code = {True: 1, False: 0}
+        truths = map(self.truth_of, *rows.T.tolist())
+        return np.fromiter((code.get(y, -1) for y in truths), dtype=np.int8, count=len(rows))
 
     def add_observations(self, rows, truth) -> int:
         """Add (s, p, o, t) id rows, each true or false (`truth` is one bool for
         all rows or one per row), as one step, and return how many were new.
 
         A row is refused if its ids have the wrong kinds, or if its quad is
-        already stored or comes earlier in the batch: with the other truth value
-        that is a `ConflictError`, with the same one a duplicate, which raises
-        under the "error" policy and is skipped under "ignore".  The error names
-        the first refused row in input order and nothing is added."""
+        already stored (a negative implied by a closure counts) or comes
+        earlier in the batch: with the other truth value that is a
+        `ConflictError`, with the same one a duplicate, which raises under the
+        "error" policy and is skipped under "ignore".  The error names the
+        first refused row in input order and nothing is added."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
         truth = np.broadcast_to(np.asarray(truth, dtype=bool), (len(rows),))
         if not len(rows):
@@ -283,10 +396,8 @@ class TripleStore:
         order, first, head = _first_seen(rows)
         # truth of an earlier statement of the row's quad: -1 none, 0 false, 1 true
         prior = np.where(first, -1, truth[head].astype(np.int8))
-        if self.total_statements(True) or self.total_statements(False):
-            stored = np.array(
-                list(map(self._truth_index().get, zip(*rows.T.tolist()), repeat(-1))), dtype=np.int8
-            )
+        if self._closures or any(map(len, chain(self._blocks[True], self._blocks[False]))):
+            stored = self._stored(rows)
             prior = np.where(stored >= 0, stored, prior)
         conflict = (prior >= 0) & (prior != truth)
         refused = bad_kind | conflict
@@ -312,49 +423,48 @@ class TripleStore:
     def add_observation(self, s: int, p: int, o: int, t: int, truth: bool) -> None:
         self.add_observations([(s, p, o, t)], truth)
 
-    def close_instances(self, closures: Iterable[tuple]) -> np.ndarray:
+    def close_instances(self, closures: Iterable[tuple]) -> None:
         """Close instances under the local closed-world assumption.
 
-        Each closure is (t, entities, labels, predicates).  Every statement
-        (e, hasAttribute, c, t) for an entity e and a label c, and (s, p, o, t)
-        for an ordered pair of distinct entities s, o and a predicate p, that is
-        not known yet is recorded false.  Returns these new negatives as (n, 4)
-        s, p, o, t rows: the unary rows of every closure, then the binary rows,
-        each in the order of the loops just named."""
+        Each closure is (t, entities, labels, predicates) and is kept as one
+        record of t.  From then on every statement (e, hasAttribute, c, t) for
+        an entity e and a label c, and (s, p, o, t) for an ordered pair of
+        distinct entities s, o and a predicate p, reads false unless it is
+        explicit.  Labels must be classes or attributes and predicates binary
+        ones.  A batch that fails a check records nothing."""
+        self._add_closures(self._closure_records(closures))
+
+    def _closure_records(self, closures: Iterable[tuple]) -> list[tuple]:
+        """Check closures and return them as (t, entities, labels, predicates)
+        records of frozensets; equal label or predicate lists share one set."""
         closures = list(closures)
         ts = np.array([c[0] for c in closures], dtype=np.int64)
         ents, ent_off = _csr([c[1] for c in closures])
-        labels, lab_off = _csr([c[2] for c in closures])
-        preds, pred_off = _csr([c[3] for c in closures])
         # a closure is refused if its instance or one of its entities has the wrong kind
         bad = self._kinds(ts) != _INSTANCE
         bad[np.repeat(np.arange(len(ts)), np.diff(ent_off))[self._kinds(ents) != _ENTITY]] = True
         if bad.any():
             t, entities = closures[int(np.argmax(bad))][:2]
             self._check_closure(t, entities)
-        others = np.r_[labels, preds]
-        outside = others[self._kinds(others) == _OUTSIDE]
-        if len(outside):
-            self._check_id(int(outside[0]))
+        shared = []  # per position: each distinct list, checked once, as a frozenset
+        for k, check in ((2, self._check_label), (3, self._check_predicate)):
+            sets = {}
+            for closure in closures:
+                key = tuple(closure[k])
+                if key not in sets:
+                    for i in key:
+                        check(i)
+                    sets[key] = frozenset(map(int, key))
+            shared.append(sets)
+        labels, preds = shared
+        return [(int(t), frozenset(map(int, entities)), labels[tuple(c)], preds[tuple(p)])
+                for t, entities, c, p in closures]
 
-        ha = self.vocab.has_attribute
-        g, i, j = _cross(ent_off, lab_off)
-        unary = np.stack([ents[i], np.full(len(g), ha), labels[j], ts[g]], axis=1)
-        g, i, j = _cross(ent_off, ent_off)
-        distinct = ents[i] != ents[j]
-        g, i, j = g[distinct], i[distinct], j[distinct]
-        g, k, m = _cross(np.searchsorted(g, np.arange(len(ts) + 1)), pred_off)
-        binary = np.stack([ents[i[k]], preds[m], ents[j[k]], ts[g]], axis=1)
-
-        # what is known at these instances comes first, so it wins every tie
-        known = [rows[np.isin(rows[:, 3], ts)] for rows in (self._rows(True), self._rows(False))]
-        both = np.concatenate(known + [unary, binary])
-        order, first, _ = _first_seen(both)
-        n_known = len(known[0]) + len(known[1])
-        new = first.copy()
-        new[:n_known] = False
-        self._append(both[order[new[order]]], False)
-        return both[n_known:][new[n_known:]]
+    def _add_closures(self, records: list[tuple]) -> None:
+        for t, *record in records:
+            self._closures.setdefault(t, []).append(tuple(record))
+        if records:
+            self._negatives = self._counts = self._cooc = None
 
     def _check_closure(self, t: int, entities) -> None:
         v = self.vocab
@@ -376,11 +486,12 @@ class TripleStore:
         """Close instance t: everything not asserted positive becomes negative.
 
         For each observed entity, every member of the given label families not
-        asserted true at t is recorded false; for each ordered pair of distinct
+        asserted true at t is implied false; for each ordered pair of distinct
         observed entities, likewise for the given binary predicates.  Families
         and predicates default to the full label-family set and all binary
         predicates.  Statements already known keep their value.  Returns the
-        newly implied negatives.
+        newly implied negatives: the unary ones, then the binary ones, each in
+        the order of the loops just named.
         """
         v = self.vocab
         fam_names = list(families) if families is not None else [
@@ -388,7 +499,13 @@ class TripleStore:
         ]
         labels = [c for fam in fam_names for c in v.family_members(fam)]
         preds = list(predicates) if predicates is not None else list(v.binary_predicates)
-        implied = self.close_instances([(t, list(observed_entities), labels, preds)])
+        closure = (t, list(dict.fromkeys(observed_entities)), labels, preds)
+        records = self._closure_records([closure])
+        rows = _closure_rows([closure], self._ha)
+        _, first = np.unique(_quad_key(rows), return_index=True)
+        rows = rows[np.sort(first)]
+        implied = rows[self._stored(rows) < 0]
+        self._add_closures(records)
         return list(map(tuple, implied.tolist()))
 
     # -- raw counts ----------------------------------------------------------
@@ -397,7 +514,7 @@ class TripleStore:
         if self._truth is None:
             index = {}
             for truth in (True, False):
-                index.update(zip(self._shared(self._rows(truth)), repeat(truth)))
+                index.update(zip(self._shared(self._explicit(truth)), repeat(truth)))
             self._truth = index
         return self._truth
 
@@ -405,7 +522,15 @@ class TripleStore:
         index = self._truth
         if index is None:
             index = self._truth_index()
-        return index.get((s, p, o, t), UNKNOWN)
+        value = index.get((s, p, o, t))
+        if value is not None:
+            return value
+        for entities, labels, preds in self._closures.get(t, ()):
+            if s in entities and (
+                o in labels if p == self._ha else o != s and p in preds and o in entities
+            ):
+                return False
+        return UNKNOWN
 
     def _instance_rows(self, t: int) -> np.ndarray:
         """The positives at instance t: rows of the positive array, in (s, p, o) order."""
@@ -422,7 +547,9 @@ class TripleStore:
 
     def total_statements(self, truth: bool = True) -> int:
         """Number of statements of one truth value; true ones by default."""
-        return sum(map(len, self._blocks[truth]))
+        if truth:
+            return sum(map(len, self._blocks[True]))
+        return len(self._rows(False))
 
     def _count_index(self) -> tuple[Counter, Counter]:
         if self._counts is None:
@@ -438,8 +565,13 @@ class TripleStore:
         return self._count_index()[0][(s, p, o)]
 
     def observed_instances(self) -> tuple[int, ...]:
-        ts = np.concatenate([self._rows(True)[:, 3], self._rows(False)[:, 3]])
-        return tuple(np.unique(ts).tolist())
+        """The instances with a statement: an explicit one, or one a closure
+        implies.  A closure that covers something implies it unless it is
+        explicit, so the closures need not be expanded."""
+        ts = {t for t, records in self._closures.items() if any(_n_covered(*r) for r in records)}
+        for truth in (True, False):
+            ts.update(np.unique(self._explicit(truth)[:, 3]).tolist())
+        return tuple(sorted(ts))
 
     def positives_at(self, t: int) -> tuple[tuple[int, int, int], ...]:
         return tuple(map(tuple, self._instance_rows(t)[:, :3].tolist()))
@@ -494,45 +626,64 @@ class TripleStore:
             if n is None:
                 return UNKNOWN
             return positives[key] / n
-        get = self._truth_index().get
-        truths = [get((s, p, o, t)) for t in window]
+        truths = [self.truth_of(s, p, o, t) for t in window]
         pos = truths.count(True)
         known = pos + truths.count(False)
         if known == 0:
             return UNKNOWN
         return pos / known
 
-    def _site_index(self) -> dict:
-        if self._sites is None:
-            rows = self._rows(True)
-            key = _pack([rows[:, 1], rows[:, 2]])
-            order = np.argsort(key, kind="stable")
-            rows = rows[order]
-            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-            ends = np.r_[starts[1:], len(rows)]
-            sites = rows[:, [0, 3]]
-            p, o = rows[starts, 1].tolist(), rows[starts, 2].tolist()
-            self._sites = {
-                po: sites[lo:hi] for po, lo, hi in zip(zip(p, o), starts.tolist(), ends.tolist())
+    def _cooc_index(self) -> dict:
+        """c1 -> {c2: P(c2 | c1)} for every label c1 true at some (s, t) site,
+        from per-site rows of which labels are true and which are known (true,
+        explicitly false, or in a closure of t that holds s)."""
+        if self._cooc is None:
+            ha, n_ids = self._ha, len(self.vocab)
+            pos, neg = (rows[rows[:, 1] == ha] for rows in (self._explicit(True), self._explicit(False)))
+            sites, site_of = np.unique(pos[:, 3] * n_ids + pos[:, 0], return_inverse=True)
+            closed: dict = {}  # label set -> site keys of the entities closed under it
+            for t, records in self._closures.items():
+                for entities, labels, _ in records:
+                    if labels:
+                        closed.setdefault(labels, []).extend(t * n_ids + e for e in entities)
+            labels = np.unique(np.concatenate([
+                pos[:, 2], neg[:, 2], np.fromiter(chain.from_iterable(closed), dtype=np.int64)]))
+            true = np.zeros((len(sites), len(labels)), dtype=bool)
+            true[site_of, np.searchsorted(labels, pos[:, 2])] = True
+            known = true.copy()
+            keys = neg[:, 3] * n_ids + neg[:, 0]
+            hit = np.isin(keys, sites)
+            known[np.searchsorted(sites, keys[hit]), np.searchsorted(labels, neg[hit, 2])] = True
+            for label_set, keys in closed.items():
+                keys = np.array(keys, dtype=np.int64)
+                at = np.searchsorted(sites, keys[np.isin(keys, sites)])
+                known[np.ix_(at, np.searchsorted(labels, sorted(label_set)))] = True
+            num = np.zeros((len(labels), len(labels)))
+            den = np.zeros((len(labels), len(labels)))
+            for lo in range(0, len(sites), RUN_ROWS):
+                block = true[lo:lo + RUN_ROWS].T.astype(np.float64)
+                num += block @ true[lo:lo + RUN_ROWS]
+                den += block @ known[lo:lo + RUN_ROWS]
+            num, den = num.astype(np.int64).tolist(), den.astype(np.int64).tolist()
+            ids = labels.tolist()
+            self._cooc = {
+                c1: {c2: num[i][j] / den[i][j] if den[i][j] else UNKNOWN for j, c2 in enumerate(ids)}
+                for i, c1 in enumerate(ids) if num[i][i]
             }
-        return self._sites
+        return self._cooc
 
     def label_conditional(self, c1: int, c2: int):
         """P(c2 | c1): among occasions where an entity carried label c1 and the
         truth of c2 for it was known, the fraction where c2 held too."""
-        ha = self.vocab.has_attribute
-        sites = self._site_index().get((ha, c1))
-        if sites is None:
+        cooc = self._cooc
+        if cooc is None:
+            cooc = self._cooc_index()
+        row = cooc.get(c1)
+        if row is None:
             raise StoreError(
                 f"label {self.vocab.name_of(c1)!r} never observed on any entity"
             )
-        s, t = sites.T.tolist()
-        truths = list(map(self._truth_index().get, zip(s, repeat(ha), repeat(c2), t)))
-        num = truths.count(True)
-        den = num + truths.count(False)
-        if den == 0:
-            return UNKNOWN
-        return num / den
+        return row.get(c2, UNKNOWN)
 
 
 # -- JSON Lines interchange ----------------------------------------------------

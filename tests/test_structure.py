@@ -3,7 +3,7 @@
 The decode schedule is walked in one place, `network.decode_many`.  Callers
 reach it through `decode`, `decode_many` or `decode_chunked`; a module that
 imports the step functions themselves is on its way to a second hand-written
-walk.
+walk.  The triple store's internals are read only inside `triple_store.py`.
 """
 from __future__ import annotations
 
@@ -41,3 +41,30 @@ def test_split_decodes_go_in_runs(module):
     `decode_many` call over a split would hold a score block per step for
     every box of it at once."""
     assert "decode_many" not in _names(module)
+
+
+def _store_internals() -> set[str]:
+    """The underscore names `TripleStore` defines: its fields and methods."""
+    tree = ast.parse((Path(bilayer.__file__).parent / "triple_store.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TripleStore")
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    names |= {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(bilayer.__file__).parent.glob("*.py") if p.name != "triple_store.py"
+))
+def test_store_internals_stay_in_the_store(module):
+    """The store's canonical state and its derived indexes are read only
+    inside `triple_store.py`, so the split between them stays in one file.
+    An attribute read on `self` is the module's own class's."""
+    internals = _store_internals()
+    assert {"_blocks", "_closures", "_negatives", "_truth"} <= internals
+    tree = ast.parse((Path(bilayer.__file__).parent / module).read_text(encoding="utf-8"))
+    reads = sorted(
+        f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in internals
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    )
+    assert not reads, f"{module} reads store internals: {reads}"

@@ -27,7 +27,7 @@ from bilayer.training import (
     train,
     write_history_csv,
 )
-from bilayer.triple_store import TripleStore
+from bilayer.triple_store import UNKNOWN, TripleStore
 from bilayer.world import WorldConfig, gen_world, substream
 
 from util import (
@@ -41,6 +41,7 @@ from util import (
     reference_decode,
     reference_injection_pool,
     reference_memory_examples,
+    reference_ingest,
     reference_perception_examples,
     small_params,
     small_vocab,
@@ -767,6 +768,39 @@ class TestSelfLabeledGrowth:
                 instance_id=ex["t"], subject_id=ex["s"], object_id=ex["o"], winner_take_all=True,
             ))
             assert ex["p"] == ref["ids"]["predicate"]
+
+    def test_ssl_adds_equal_single_adds(self):
+        """The pseudo-statements go into the store in one batch; the store
+        ends as single adds, each after a `truth_of`, would leave it, and the
+        report is the one a run without a store gives."""
+        from bilayer.params import ColumnMap
+
+        net = NetConfig(rep_dim=16, ctx_dim=8, feature_dim=24)
+        config = TrainConfig(seed=1, ssl_epochs=0, novelty_threshold=0.78)
+        reports, worlds = [], []
+        for with_store in (True, False):
+            world = gen_world(SSL_WORLD)
+            v = world.vocab
+            store = world.build_store() if with_store else None
+            params = NetParams.init(v, net, substream(0, "init"))
+            unlabeled = sorted(s.name for s in world.scenes_of_kind("unlabeled"))
+            reports.append(ssl_step(params, ColumnMap(v), v, world, unlabeled, config, store)[2])
+            worlds.append((world, store))
+        (world, store), (plain, _) = worlds
+        for key in ("new_entities", "recognized", "pseudo_unary", "pseudo_binary"):
+            assert getattr(reports[0], key) == getattr(reports[1], key)
+        report, ha = reports[0], world.vocab.has_attribute
+        quads = [(ex["s"], ha, ex["o"], ex["t"]) for ex in report.pseudo_unary
+                 if ex["fam"] != "Identity"]
+        quads += [(ex["s"], ex["p"], ex["o"], ex["t"]) for ex in report.pseudo_binary]
+        assert len(set(quads)) < len(quads)  # some boxes resolved to one entity
+        ref = reference_ingest(plain)
+        for quad in quads:
+            if ref.truth_of(*quad) is UNKNOWN:
+                ref.add_observation(*quad, True)
+        assert list(store.iter_positive()) == list(ref.iter_positive())
+        assert list(store.iter_negative()) == list(ref.iter_negative())
+        assert all(store.truth_of(*q) is True for q in quads)
 
     def test_ssl_step_rejects_featureless_scene(self, ssl_world):
         from bilayer.params import ColumnMap

@@ -3,6 +3,8 @@ store against the quad-by-quad reference store on every query, and its
 statement files against a per-line `json.dumps` writer."""
 import io
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from bilayer.triple_store import (
     write_statements,
 )
 from bilayer.vocab import Vocabulary
-from bilayer.world import WorldConfig, gen_world
+from bilayer.world import WorldConfig, gen_world, rebuild_store_from_files
 
 from util import (
     ReferenceStore,
@@ -539,12 +541,142 @@ class TestAgainstReference:
         closures = [(v.id_of(s.name), [v.id_of(m) for m in s.members], labels,
                      list(v.binary_predicates)) for s in scenes]
         bulk, single = TripleStore(v), TripleStore(v)
-        implied = bulk.close_instances(closures)
+        assert bulk.close_instances(closures) is None
         for t, members, _, preds in closures:
             single.lcwa_expand(t, members, None, preds)
         assert list(bulk.iter_negative()) == list(single.iter_negative())
-        assert len(implied) == single.total_statements(False)
-        assert implied.shape[1] == 4
+        assert bulk.total_statements(False) == single.total_statements(False)
+
+
+class TestClosureRule:
+    """Implied negatives are answered by a rule over closure records; the
+    reference store materializes every one, and the two agree."""
+
+    def test_positive_inside_a_closure_conflicts(self, vocab):
+        e0, e1, t0, t1, cat = ids(vocab, "e0", "e1", "t0", "t1", "Cat")
+        near, ha = vocab.id_of("near"), vocab.has_attribute
+        for quad, names in (((e0, ha, cat, t0), "e0, hasAttribute, Cat"), ((e1, near, e0, t0), "e1, near, e0")):
+            errors = []
+            for make in (TripleStore, ReferenceStore):
+                store = make(vocab)
+                store.lcwa_expand(t0, [e0, e1])
+                with pytest.raises(ConflictError) as info:
+                    store.add_observation(*quad, True)
+                errors.append(str(info.value))
+            bulk = TripleStore(vocab)
+            bulk.close_instances([(t0, [e0, e1], list(vocab.labels), list(vocab.binary_predicates))])
+            with pytest.raises(ConflictError) as info:
+                bulk.add_observations([(e0, near, e1, t1), quad], True)
+            errors.append(str(info.value))
+            assert errors == [f"({names}) at t0 already asserted with truth=False"] * 3
+            assert bulk.total_statements() == 0  # the refused batch added nothing
+
+    def test_implied_negative_is_a_duplicate(self, vocab):
+        e0, e1, t0, t1, cat = ids(vocab, "e0", "e1", "t0", "t1", "Cat")
+        near, ha = vocab.id_of("near"), vocab.has_attribute
+        quad, fresh = (e0, ha, cat, t0), (e0, near, e1, t1)
+        for make in (TripleStore, ReferenceStore):
+            strict = make(vocab)
+            strict.lcwa_expand(t0, [e0, e1])
+            with pytest.raises(StoreError, match=re.escape(f"duplicate observation {quad}")) as info:
+                strict.add_observation(*quad, False)
+            assert info.type is StoreError
+            lax = make(vocab, duplicate_policy="ignore")
+            lax.lcwa_expand(t0, [e0, e1])
+            n = lax.total_statements(False)
+            lax.add_observation(*quad, False)
+            assert lax.total_statements(False) == n
+            assert lax.truth_of(*quad) is False
+        bulk = TripleStore(vocab, duplicate_policy="ignore")
+        bulk.lcwa_expand(t0, [e0, e1])
+        assert bulk.add_observations([quad, fresh, quad], False) == 1
+        assert bulk.total_statements(False) == n + 1
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_one_instance_closed_twice(self, vocab, bulk):
+        e0, e1, e2, e3, t0 = ids(vocab, "e0", "e1", "e2", "e3", "t0")
+        dog, cat, young = ids(vocab, "Dog", "Cat", "Young")
+        near, chases, ha = vocab.id_of("near"), vocab.id_of("chases"), vocab.has_attribute
+        store, ref = TripleStore(vocab), ReferenceStore(vocab)
+        for s in (store, ref):
+            s.add_observation(e0, ha, dog, t0, True)
+            s.add_observation(e0, near, e1, t0, True)
+        closures = [([e0, e1], ["Species"], [near]), ([e1, e2, e3], ["Age"], [chases])]
+        for members, fams, preds in closures:
+            implied = ref.lcwa_expand(t0, members, fams, preds)
+            if not bulk:
+                assert store.lcwa_expand(t0, members, fams, preds) == implied
+        if bulk:
+            store.close_instances([
+                (t0, members, [c for f in fams for c in vocab.family_members(f)], preds)
+                for members, fams, preds in closures
+            ])
+        # the union of the members crossed with the union of the labels and
+        # predicates is not implied
+        assert store.truth_of(e0, ha, young, t0) is UNKNOWN
+        assert store.truth_of(e2, ha, cat, t0) is UNKNOWN
+        assert store.truth_of(e0, chases, e2, t0) is UNKNOWN
+        assert store.truth_of(e1, near, e2, t0) is UNKNOWN
+        assert store.truth_of(e1, ha, cat, t0) is False
+        assert store.truth_of(e3, chases, e1, t0) is False
+        assert_matches_reference(store, ref, np.random.default_rng(4))
+
+    def test_truth_outside_the_closure(self, vocab):
+        e0, e1, e2, t0, t1 = ids(vocab, "e0", "e1", "e2", "t0", "t1")
+        cat, young = ids(vocab, "Cat", "Young")
+        near, chases, ha = vocab.id_of("near"), vocab.id_of("chases"), vocab.has_attribute
+        store, ref = TripleStore(vocab), ReferenceStore(vocab)
+        for s in (store, ref):
+            s.lcwa_expand(t0, [e0, e1], ["Species"], [near])
+        cases = [
+            ((e0, ha, cat, t0), False),
+            ((e1, near, e0, t0), False),
+            ((e2, ha, cat, t0), UNKNOWN),  # subject outside the closure
+            ((e2, near, e0, t0), UNKNOWN),
+            ((e0, near, e2, t0), UNKNOWN),  # object outside the closure
+            ((e0, near, e0, t0), UNKNOWN),  # o == s
+            ((e0, chases, e1, t0), UNKNOWN),  # predicate outside the closure
+            ((e0, ha, young, t0), UNKNOWN),  # label outside the closure
+            ((e0, near, e1, t1), UNKNOWN),  # another instance
+        ]
+        for quad, want in cases:
+            assert store.truth_of(*quad) is want, quad
+            assert ref.truth_of(*quad) is want, quad
+
+    def test_closure_labels_and_predicates_are_checked(self, vocab):
+        e0, e1, t0, dog = ids(vocab, "e0", "e1", "t0", "Dog")
+        near, ha = vocab.id_of("near"), vocab.has_attribute
+        store = TripleStore(vocab)
+        for closure, message in (
+            ((t0, [e0, e1], [e1], [near]), "'e1' cannot be the object of 'hasAttribute'"),
+            ((t0, [e0, e1], [dog], [ha]), "'hasAttribute' is not a binary predicate"),
+            ((t0, [e0, e1], [dog], [dog]), "'Dog' is not a binary predicate"),
+            ((t0, [e0, e1], [dog], [len(vocab)]), f"id {len(vocab)} is not in the vocabulary"),
+        ):
+            with pytest.raises(StoreError, match=re.escape(message)):
+                store.close_instances([(t0, [e0], [dog], [near]), closure])
+        assert store.observed_instances() == () and store.total_statements(False) == 0
+
+    def test_store_from_the_statement_files_answers_alike(self, tiny_world, tiny_store, tmp_path):
+        for name, truth in (("triples.jsonl", True), ("negatives.jsonl", False)):
+            with open(tmp_path / name, "w", encoding="utf-8") as fp:
+                write_jsonl(tiny_store, fp, truth=truth)
+        files = rebuild_store_from_files(tiny_world, str(tmp_path))
+        assert files.total_statements(False) == tiny_store.total_statements(False)
+        v = tiny_world.vocab
+        known = list(tiny_store.iter_positive()) + list(tiny_store.iter_negative())
+        rng = np.random.default_rng(6)
+        for quad in known + _sample_unknowns(v, set(known), rng, 500):
+            assert files.truth_of(*quad) is tiny_store.truth_of(*quad), quad
+        for c1 in v.labels:
+            for c2 in v.labels:
+                _same_outcome(lambda: files.label_conditional(c1, c2),
+                              lambda: tiny_store.label_conditional(c1, c2))
+        triples = sorted({q[:3] for q in known}) + [q[:3] for q in _sample_unknowns(v, set(known), rng, 50)]
+        for triple in triples:
+            _same_outcome(lambda: files.expected_truth(*triple),
+                          lambda: tiny_store.expected_truth(*triple))
+        assert files.observed_instances() == tiny_store.observed_instances()
 
 
 class TestBulkChecks:
@@ -660,7 +792,50 @@ class TestBuildPath:
         list(store.iter_negative())
         store.total_statements(False)
         write_jsonl(store, io.StringIO())
-        assert (store._truth, store._counts, store._sites, store._spans) == (None,) * 4
+        assert (store._truth, store._counts, store._cooc, store._spans) == (None,) * 4
+
+    def test_queries_on_a_built_store_build_no_negative_rows(self):
+        world = gen_world(WorldConfig(seed=5))
+        tracemalloc.start()
+        try:
+            store = world.build_store()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * store.positive_array().nbytes
+        v, ha = world.vocab, world.vocab.has_attribute
+        answers = []
+        for scene in world.scenes_of_kind("train", "background"):
+            t = v.id_of(scene.name)
+            members = [v.id_of(m) for m in scene.members]
+            answers += [store.truth_of(e, ha, c, t) for e in members for c in v.labels]
+            answers += [store.truth_of(s, p, o, t) for s in members for o in members
+                        for p in v.binary_predicates]
+        answers += [store.truth_of(*q) for q in _sample_unknowns(v, set(), np.random.default_rng(8), 500)]
+        assert answers.count(False) > answers.count(True) > 0 and UNKNOWN in answers
+        for c1 in v.labels:
+            for c2 in v.labels:
+                try:
+                    store.label_conditional(c1, c2)
+                except StoreError:
+                    pass
+        store.observed_instances()
+        t = v.add_instance("fresh.scene")  # an SSL-style add checks against the store
+        store.add_observations([(v.entities[0], ha, v.labels[0], t)], True)
+        assert store.truth_of(v.entities[0], ha, v.labels[0], t) is True
+        assert store._negatives is None
+
+    def test_first_negative_scan_holds_little_beyond_its_rows(self):
+        store = gen_world(WorldConfig(seed=5)).build_store()
+        tracemalloc.start()
+        try:
+            store.iter_negative()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = store._negatives
+        assert len(rows) > store.total_statements()  # negatives are most of the statements
+        assert peak <= 2.5 * rows.nbytes
 
     def test_pack_orders_rows_past_int64(self):
         rng = np.random.default_rng(0)
