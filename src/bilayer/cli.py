@@ -133,8 +133,8 @@ def _manifest_run(command: str, args: argparse.Namespace, inputs: list[str], bod
 
 
 def _world_inputs(world_dir: str) -> list[str]:
-    names = ("config.json", "vocab.json", "triples.jsonl", "negatives.jsonl",
-             "features.json", "features.bin", "world.json")
+    names = ("config.json", "vocab.json", "triples.jsonl", "features.json", "features.bin",
+             "world.json")
     return [os.path.join(world_dir, n) for n in names]
 
 

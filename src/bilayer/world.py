@@ -16,6 +16,7 @@ risk labels are never shown to perception.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import zlib
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .triple_store import TripleStore, read_jsonl, write_jsonl
+from .triple_store import TripleStore, write_jsonl
 from .vocab import Vocabulary
 
 
@@ -266,17 +267,22 @@ def scene_features(
 # -- generation --------------------------------------------------------------------
 
 
+def _draw(seq: tuple, rng: np.random.Generator):
+    """`rng.choice(seq)` without its array conversion: the same single draw."""
+    return seq[int(rng.integers(len(seq)))]
+
+
 def _draw_entity(name: str, onto: Ontology, rng: np.random.Generator, protos, scale) -> EntityRecord:
-    b = str(rng.choice(onto.b_classes))
+    b = _draw(onto.b_classes, rng)
     p = onto.parent_of(b)
     g = onto.top_of(p)
     labels = {
         "BClass": b,
         "PClass": p,
         "GClass": g,
-        "Age": str(rng.choice(onto.ages)),
-        "Color": str(rng.choice(onto.colors)),
-        "Activity": str(rng.choice(onto.activities)),
+        "Age": _draw(onto.ages, rng),
+        "Color": _draw(onto.colors, rng),
+        "Activity": _draw(onto.activities, rng),
         "Risk": onto.risk_rule[g],
     }
     latent = protos[labels["Color"]] + scale * rng.normal(size=protos[b].shape)
@@ -312,55 +318,107 @@ def _hold_out(table, fraction, rng) -> list[tuple[str, str, str]]:
     return sorted(held)
 
 
-def _sample_predicate(table, heldout_set, cs, co, rng) -> str | None:
-    row = [(p, w) for p, w in table[(cs, co)] if (cs, p, co) not in heldout_set]
-    if not row:
+def _predicate_sampler(table, heldout_set) -> dict[tuple[str, str], tuple[list[str], list[float]]]:
+    """Per (subject class, object class) pair with a predicate left after the
+    hold-out: those predicates and the cumulative distribution of their
+    weights, normalized as `Generator.choice` normalizes `p`."""
+    sampler = {}
+    for (cs, co), row in table.items():
+        row = [(p, w) for p, w in row if (cs, p, co) not in heldout_set]
+        if row:
+            weights = np.array([w for _, w in row], dtype=np.float64)
+            weights /= weights.sum()
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            sampler[(cs, co)] = ([p for p, _ in row], cdf.tolist())
+    return sampler
+
+
+def _sample_predicate(sampler, cs, co, rng) -> str | None:
+    """`rng.choice(len(row), p=weights)` over the pair's row: the same single
+    uniform draw, looked up in the precomputed distribution."""
+    entry = sampler.get((cs, co))
+    if entry is None:
         return None
-    weights = np.array([w for _, w in row], dtype=np.float64)
-    weights /= weights.sum()
-    return row[int(rng.choice(len(row), p=weights))][0]
+    preds, cdf = entry
+    return preds[bisect.bisect_right(cdf, rng.random())]
+
+
+@dataclass
+class _ScenePool:
+    """An entity pool indexed once for scene composition: its records in pool
+    order and, per (family, label) theme, the positions of the theme's members
+    in that order."""
+    records: list[EntityRecord]
+    themes: dict[tuple[str, str], list[int]]
+
+
+def _scene_pool(records: list[EntityRecord]) -> _ScenePool:
+    themes: dict[tuple[str, str], list[int]] = {}
+    for pos, rec in enumerate(records):
+        for theme in rec.labels.items():
+            themes.setdefault(theme, []).append(pos)
+    return _ScenePool(records, themes)
+
+
+def _nth_free(j: int, taken: list[int]) -> int:
+    """The j-th (from 0) non-negative integer not in `taken`, a sorted list."""
+    for c in taken:
+        if c > j:
+            break
+        j += 1
+    return j
 
 
 def _compose_scene(
-    name, kind, instance, pool, onto, config, table, heldout_set, rng
+    name, kind, instance, pool: _ScenePool, onto, config, predicates, rng
 ) -> SceneRecord:
+    """A scene of k distinct members drawn from `pool` around a theme (a parent
+    class or a colour), then up to `binary_per_scene` binary statements among
+    them, their predicates drawn from `predicates` (`_predicate_sampler`).  While the theme has unchosen members, each pick takes one of them
+    with probability `theme_bias`; otherwise it takes any unchosen member.  A
+    pick draws j over the unchosen candidates and takes the j-th of them in
+    pool order, found by stepping past the sorted positions already chosen, so
+    a scene costs O(k^2) whatever the size of the pool."""
     if rng.random() < 0.5:
-        fam, name_ = "PClass", str(rng.choice(onto.p_classes))
+        fam, label = "PClass", _draw(onto.p_classes, rng)
     else:
-        fam, name_ = "Color", str(rng.choice(onto.colors))
-    theme = f"{fam}:{name_}"
+        fam, label = "Color", _draw(onto.colors, rng)
+    records = pool.records
+    themed = pool.themes.get((fam, label), [])
     k = 2 + int(rng.poisson(config.mean_entities_per_scene - 2))
-    k = min(k, len(pool))
-    themed = [e for e in pool if e.labels[fam] == name_]
-    members: list[str] = []
-    chosen: set[str] = set()
+    k = min(k, len(records))
+    picked: list[EntityRecord] = []
+    taken: list[int] = []         # chosen pool positions, sorted
+    taken_themed: list[int] = []  # chosen indices into `themed`, sorted
     for _ in range(k):
         use_theme = themed and rng.random() < config.theme_bias
-        options = [e for e in (themed if use_theme else pool) if e.name not in chosen]
-        if not options:
-            options = [e for e in pool if e.name not in chosen]
-        if not options:
-            break
-        pick = options[int(rng.integers(len(options)))]
-        members.append(pick.name)
-        chosen.add(pick.name)
-    by_name = {e.name: e for e in pool}
+        if use_theme and len(taken_themed) < len(themed):
+            j = int(rng.integers(len(themed) - len(taken_themed)))
+            pos = themed[_nth_free(j, taken_themed)]
+        else:  # k <= len(records), so an unchosen member is left
+            pos = _nth_free(int(rng.integers(len(records) - len(taken))), taken)
+        bisect.insort(taken, pos)
+        at = bisect.bisect_left(themed, pos)
+        if at < len(themed) and themed[at] == pos:
+            bisect.insort(taken_themed, at)
+        picked.append(records[pos])
+    members = [rec.name for rec in picked]
     binaries: list[tuple[str, str, str]] = []
-    if len(members) >= 2:
+    if len(picked) >= 2:
         seen = set()
         for _ in range(config.binary_per_scene):
             for _try in range(10):
-                i, j = rng.choice(len(members), size=2, replace=False)
-                s, o = members[int(i)], members[int(j)]
-                p = _sample_predicate(
-                    table, heldout_set, by_name[s].labels["BClass"], by_name[o].labels["BClass"], rng
-                )
-                if p is not None and (s, p, o) not in seen:
-                    seen.add((s, p, o))
-                    binaries.append((s, p, o))
+                i, j = rng.choice(len(picked), size=2, replace=False)
+                s, o = picked[int(i)], picked[int(j)]
+                p = _sample_predicate(predicates, s.labels["BClass"], o.labels["BClass"], rng)
+                if p is not None and (s.name, p, o.name) not in seen:
+                    seen.add((s.name, p, o.name))
+                    binaries.append((s.name, p, o.name))
                     break
     return SceneRecord(
-        name=name, kind=kind, instance=instance, members=members, binaries=binaries, theme=theme
+        name=name, kind=kind, instance=instance, members=members, binaries=binaries,
+        theme=f"{fam}:{label}",
     )
 
 
@@ -486,10 +544,10 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
     table_rng = substream(seed, "pair-table")
     table = _build_pair_table(onto, table_rng)
     heldout = _hold_out(table, config.zero_shot_fraction, substream(seed, "zero-shot"))
-    heldout_set = set(heldout)
+    predicates = _predicate_sampler(table, set(heldout))
 
     scene_rng = substream(seed, "scenes")
-    visual_pool = [e for e in entities.values() if e.visual]
+    visual_pool = _scene_pool([e for e in entities.values() if e.visual])
     scenes: list[SceneRecord] = []
     n_unlabeled = int(round(config.unlabeled_fraction * config.n_scenes))
     for i in range(config.n_scenes):
@@ -502,16 +560,15 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
                 visual_pool,
                 onto,
                 config,
-                table,
-                heldout_set,
+                predicates,
                 scene_rng,
             )
         )
-    test_pool = list(test_entities.values())
+    test_pool = _scene_pool(list(test_entities.values()))
     for i in range(config.n_test_scenes):
         scenes.append(
             _compose_scene(
-                f"g{i:04d}", "e_test", False, test_pool, onto, config, table, heldout_set, scene_rng
+                f"g{i:04d}", "e_test", False, test_pool, onto, config, predicates, scene_rng
             )
         )
 
@@ -734,6 +791,12 @@ def read_features(base_path: str) -> dict[str, np.ndarray]:
 
 
 def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
+    """Write the world to `outdir` and return the names written: `config.json`,
+    `vocab.json`, `triples.jsonl` (the store's positive statements, a readable
+    listing), `world.json` and the feature archive.  Every reader derives the
+    store from `world.json`, closed-world negatives included, so the implied
+    negatives are not written; a `negatives.jsonl` left by an older export is
+    neither read nor hashed."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -754,7 +817,6 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
 
     store = world.build_store()
     _write("triples.jsonl", lambda fp: write_jsonl(store, fp, truth=True))
-    _write("negatives.jsonl", lambda fp: write_jsonl(store, fp, truth=False))
 
     doc = {
         "entities": [
@@ -832,11 +894,3 @@ def load_world(indir: str) -> GroundTruthWorld:
     )
     return world
 
-
-def rebuild_store_from_files(world: GroundTruthWorld, indir: str) -> TripleStore:
-    store = TripleStore(world.vocab, duplicate_policy="error")
-    with open(os.path.join(indir, "triples.jsonl"), "r", encoding="utf-8") as fp:
-        read_jsonl(store, fp)
-    with open(os.path.join(indir, "negatives.jsonl"), "r", encoding="utf-8") as fp:
-        read_jsonl(store, fp)
-    return store

@@ -184,9 +184,11 @@ class TestGen:
         # visual entities plus generated owner persons
         assert lines[0]["entities"] == len(ws["world"].entities)
         assert lines[0]["triples"] > 0 and lines[0]["negatives"] > 0
-        for name in ("config.json", "vocab.json", "triples.jsonl", "negatives.jsonl",
+        for name in ("config.json", "vocab.json", "triples.jsonl",
                      "features.json", "features.bin", "world.json", "manifest.json"):
             assert os.path.isfile(os.path.join(out, name))
+        # the implied negatives are derived from world.json, not written
+        assert not os.path.exists(os.path.join(out, "negatives.jsonl"))
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["status"] == "ok"
         assert manifest["command"] == "gen"
@@ -201,9 +203,8 @@ class TestGen:
         store = load_world(out).build_store()
         assert event["triples"] == sum(1 for _ in store.iter_positive())
         assert event["negatives"] == sum(1 for _ in store.iter_negative())
-        for name, key in (("triples.jsonl", "triples"), ("negatives.jsonl", "negatives")):
-            with open(os.path.join(out, name), encoding="utf-8") as fp:
-                assert sum(1 for _ in fp) == event[key]
+        with open(os.path.join(out, "triples.jsonl"), encoding="utf-8") as fp:
+            assert sum(1 for _ in fp) == event["triples"]
 
     def test_same_seed_is_byte_identical(self, ws, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -240,6 +241,18 @@ class TestTrain:
         assert manifest["seed"] == 5
         # every world file the run depends on is hashed in the manifest
         assert any(k.endswith("features.bin") for k in manifest["inputs"])
+
+    def test_old_negatives_file_is_neither_read_nor_hashed(self, ws, tmp_path):
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        (world_dir / "negatives.jsonl").write_text("not a statement file\n", encoding="utf-8")
+        cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, "epochs": 1})
+        out = str(tmp_path / "run")
+        assert main(["train", str(world_dir), "--config", cfg, "--seed", "1", "--out", out]) == 0
+        inputs = json.load(open(os.path.join(out, "manifest.json")))["inputs"]
+        assert sorted(os.path.relpath(k, world_dir) for k in inputs if k != cfg) == [
+            "config.json", "features.bin", "features.json", "triples.jsonl", "vocab.json",
+            "world.json"]
 
     def test_stdout_epochs(self, ws, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, "epochs": 1})

@@ -21,7 +21,7 @@ from bilayer.triple_store import (
     write_statements,
 )
 from bilayer.vocab import Vocabulary
-from bilayer.world import WorldConfig, gen_world, rebuild_store_from_files
+from bilayer.world import WorldConfig, gen_world
 
 from util import (
     ReferenceStore,
@@ -30,6 +30,7 @@ from util import (
     brute_observation_dist,
     brute_pooled_dist,
     random_records,
+    rebuild_store_from_files,
     reference_ingest,
     reference_jsonl,
     small_vocab,

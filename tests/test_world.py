@@ -4,30 +4,44 @@ trips.  The orientation model gets a Monte-Carlo check against its closed form.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bilayer.triple_store import UNKNOWN, ConflictError, write_jsonl
+from bilayer.triple_store import UNKNOWN, ConflictError, TripleStore, read_jsonl, write_jsonl
 from bilayer.world import (
+    EntityRecord,
     Ontology,
+    _build_pair_table,
+    _compose_scene,
     _dump_json,
+    _hold_out,
+    _predicate_sampler,
+    _scene_pool,
     WorldConfig,
     WorldError,
     export_world,
     gen_world,
     load_world,
     read_features,
-    rebuild_store_from_files,
     social_network,
     substream,
     write_features,
 )
 
-from util import orientation_probability, reference_jsonl
+from util import (
+    orientation_probability,
+    rebuild_store_from_files,
+    reference_compose_scene,
+    reference_jsonl,
+)
 
 
 class TestOntology:
@@ -152,6 +166,30 @@ def clean_world():
 
 
 class TestGeneration:
+    # sha256 of the files that hold only the generator's draws and names (no
+    # BLAS arithmetic), so they are the same on every machine.  A change here
+    # is a change of the RNG consumption order or of the world's layout: a
+    # behaviour change to declare in CHANGES.md, never to re-pin silently.
+    PINNED = {
+        "tiny": {
+            "vocab.json": "58416bb4597115252bb9bbebd56785a21dc01074dd159abf4979f63ee03abee5",
+            "world.json": "274d94361a092156f1d094f127b0a0fa2fd0b7c030f8e38d3ef2f0c6bf1f09dd",
+            "triples.jsonl": "17ea5dbbce50ae7358fc04383f612592c6587c028712c2d8439f6ee3537e9251",
+        },
+        "default": {
+            "vocab.json": "9ec9fce9e054612e5bd1d61f214b6bd7735ace541cdafbf264e2988e883aa66f",
+            "world.json": "3a72b9eeb931ffc0be87cae973d9e35eb0c49a1f89080d16636eaee0bd88b3db",
+            "triples.jsonl": "2aaba830d4485c57376640f76d95b4a52fe2be7e9d438821e133358886654a6a",
+        },
+    }
+
+    @pytest.mark.parametrize("which", sorted(PINNED))
+    def test_seeded_world_files_match_pinned_digests(self, which, tiny_world, tmp_path):
+        world = tiny_world if which == "tiny" else gen_world(WorldConfig(seed=0))
+        export_world(world, str(tmp_path))
+        for name, digest in self.PINNED[which].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_deterministic_rebuild(self):
         config = WorldConfig(
             n_entities=20, n_scenes=6, n_test_entities=3, n_test_scenes=1,
@@ -269,6 +307,46 @@ class TestGeneration:
                     continue
                 across.extend(cos(a, b) for a in boxes[:10] for b in by_class[cj][:10])
         assert np.mean(within) > np.mean(across)
+
+
+class TestSceneComposition:
+    """The indexed `_compose_scene` against the pool-scanning reference: equal
+    generators give equal scenes and leave equal generator states."""
+
+    @given(
+        labels=st.lists(
+            st.tuples(st.sampled_from(Ontology().b_classes), st.sampled_from(Ontology().colors)),
+            min_size=0, max_size=12,
+        ),
+        mean_k=st.floats(2.0, 14.0),
+        theme_bias=st.sampled_from([0.0, 0.5, 1.0]),
+        binary_per_scene=st.integers(0, 4),
+        held_fraction=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_pool_scanning_reference(
+        self, labels, mean_k, theme_bias, binary_per_scene, held_fraction, seed
+    ):
+        onto = Ontology()
+        records = []
+        for i, (b, color) in enumerate(labels):
+            p = onto.parent_of(b)
+            records.append(EntityRecord(
+                name=f"e{i}", labels={"BClass": b, "PClass": p, "GClass": onto.top_of(p),
+                                      "Color": color}))
+        config = WorldConfig(mean_entities_per_scene=mean_k, theme_bias=theme_bias,
+                             binary_per_scene=binary_per_scene)
+        table = _build_pair_table(onto, substream(seed, "table"))
+        heldout_set = set(_hold_out(table, held_fraction, substream(seed, "held")))
+        pool, predicates = _scene_pool(records), _predicate_sampler(table, heldout_set)
+        fast, ref = substream(seed, "scenes"), substream(seed, "scenes")
+        for i in range(3):
+            args = (f"t{i}", "train", True)
+            want = reference_compose_scene(*args, records, onto, config, table, heldout_set, ref)
+            got = _compose_scene(*args, pool, onto, config, predicates, fast)
+            assert got == want
+        assert fast.random() == ref.random()
 
 
 class TestZeroShotHoldout:
@@ -407,22 +485,26 @@ class TestExport:
             assert a == b, f"{name} changed across a load/export round trip"
 
     def test_rebuilt_store_matches_original(self, clean_world, tmp_path):
-        import io
-
         outdir = tmp_path / "w"
-        export_world(clean_world, str(outdir))
-        loaded = load_world(str(outdir))
-        rebuilt = rebuild_store_from_files(loaded, str(outdir))
+        assert "negatives.jsonl" not in export_world(clean_world, str(outdir))
+        assert not (outdir / "negatives.jsonl").exists()
         original = clean_world.build_store()
+        listed = TripleStore(clean_world.vocab)
+        with open(outdir / "triples.jsonl", encoding="utf-8") as fp:
+            read_jsonl(listed, fp)
+        np.testing.assert_array_equal(listed.positive_array(), original.positive_array())
+        reloaded = load_world(str(outdir)).build_store()
         for truth in (True, False):
             buf_a, buf_b = io.StringIO(), io.StringIO()
             write_jsonl(original, buf_a, truth=truth)
-            write_jsonl(rebuilt, buf_b, truth=truth)
+            write_jsonl(reloaded, buf_b, truth=truth)
             assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_negatives_contradicting_triples_raise_conflict(self, clean_world, tmp_path):
         outdir = tmp_path / "w"
         export_world(clean_world, str(outdir))
+        with open(outdir / "negatives.jsonl", "w", encoding="utf-8") as fp:
+            write_jsonl(clean_world.build_store(), fp, truth=False)
         rec = json.loads((outdir / "triples.jsonl").read_text(encoding="utf-8").splitlines()[3])
         rec["y"] = 0
         with open(outdir / "negatives.jsonl", "a", encoding="utf-8") as fp:
@@ -453,6 +535,8 @@ class TestExport:
         for name in files[0]:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
         store = worlds[0].build_store()
-        for name, truth in (("triples.jsonl", True), ("negatives.jsonl", False)):
-            text = (dirs[0] / name).read_text(encoding="utf-8")
-            assert text == reference_jsonl(store, truth), name
+        text = (dirs[0] / "triples.jsonl").read_text(encoding="utf-8")
+        assert text == reference_jsonl(store, True)
+        buf = io.StringIO()
+        write_jsonl(store, buf, False)
+        assert buf.getvalue() == reference_jsonl(store, False)

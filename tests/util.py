@@ -1,10 +1,11 @@
 """Shared test helpers: a hand-rolled vocabulary builder, the triple store as
 it was written one quad at a time (the oracle of the bulk-built store), and
 independent brute-force reference implementations of every counting model, of
-the decode walk, of the statement-file bytes, of the social-edge orientation
-model, and of the training inputs and heads as they were written per item:
-example dicts, per-example index swaps, one softmax head per label family, the
-copying CE head and the two-division sigmoid.
+the decode walk, of the statement-file bytes and the store read back from
+them, of scene composition by scanning the entity pool, of the social-edge
+orientation model, and of the training inputs and heads as they were written
+per item: example dicts, per-example index swaps, one softmax head per label
+family, the copying CE head and the two-division sigmoid.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,9 +27,9 @@ from bilayer.graph import Batch
 from bilayer.params import ColumnMap, NetConfig, NetParams
 from bilayer.training import Examples, InjectionPool
 from bilayer.dists import Categorical
-from bilayer.triple_store import UNKNOWN, ConflictError, StoreError, TripleStore
+from bilayer.triple_store import UNKNOWN, ConflictError, StoreError, TripleStore, read_jsonl
 from bilayer.vocab import IDENTITY_FAMILY, Kind, Vocabulary
-from bilayer.world import substream
+from bilayer.world import SceneRecord, substream
 
 
 def small_vocab(
@@ -367,6 +369,75 @@ def reference_jsonl(store: TripleStore, truth: bool) -> str:
         json.dumps({"s": s, "p": p, "o": o, "t": t, "y": 1 if truth else 0},
                    separators=(", ", ": ")) + "\n"
         for t, s, p, o in named
+    )
+
+
+def rebuild_store_from_files(world, indir: str) -> TripleStore:
+    """A store read from a directory's `triples.jsonl` and `negatives.jsonl`
+    statement files, as exports once listed every implied negative."""
+    store = TripleStore(world.vocab, duplicate_policy="error")
+    for name in ("triples.jsonl", "negatives.jsonl"):
+        with open(os.path.join(indir, name), "r", encoding="utf-8") as fp:
+            read_jsonl(store, fp)
+    return store
+
+
+# -- reference scene composition (one scan of the pool per pick) ---------------------
+
+
+def reference_sample_predicate(table, heldout_set, cs, co, rng) -> str | None:
+    """A predicate for the class pair by `rng.choice` over its row's weights."""
+    row = [(p, w) for p, w in table[(cs, co)] if (cs, p, co) not in heldout_set]
+    if not row:
+        return None
+    weights = np.array([w for _, w in row], dtype=np.float64)
+    weights /= weights.sum()
+    return row[int(rng.choice(len(row), p=weights))][0]
+
+
+def reference_compose_scene(
+    name, kind, instance, pool, onto, config, table, heldout_set, rng
+) -> SceneRecord:
+    """`world._compose_scene` over a list of entity records, as it was written:
+    the theme's members and each pick's options are rebuilt by scanning the
+    pool, and labels and predicates are drawn with `rng.choice`."""
+    if rng.random() < 0.5:
+        fam, name_ = "PClass", str(rng.choice(onto.p_classes))
+    else:
+        fam, name_ = "Color", str(rng.choice(onto.colors))
+    theme = f"{fam}:{name_}"
+    k = 2 + int(rng.poisson(config.mean_entities_per_scene - 2))
+    k = min(k, len(pool))
+    themed = [e for e in pool if e.labels[fam] == name_]
+    members: list[str] = []
+    chosen: set[str] = set()
+    for _ in range(k):
+        use_theme = themed and rng.random() < config.theme_bias
+        options = [e for e in (themed if use_theme else pool) if e.name not in chosen]
+        if not options:
+            options = [e for e in pool if e.name not in chosen]
+        if not options:
+            break
+        pick = options[int(rng.integers(len(options)))]
+        members.append(pick.name)
+        chosen.add(pick.name)
+    by_name = {e.name: e for e in pool}
+    binaries: list[tuple[str, str, str]] = []
+    if len(members) >= 2:
+        seen = set()
+        for _ in range(config.binary_per_scene):
+            for _try in range(10):
+                i, j = rng.choice(len(members), size=2, replace=False)
+                s, o = members[int(i)], members[int(j)]
+                p = reference_sample_predicate(
+                    table, heldout_set, by_name[s].labels["BClass"], by_name[o].labels["BClass"], rng
+                )
+                if p is not None and (s, p, o) not in seen:
+                    seen.add((s, p, o))
+                    binaries.append((s, p, o))
+                    break
+    return SceneRecord(
+        name=name, kind=kind, instance=instance, members=members, binaries=binaries, theme=theme
     )
 
 
