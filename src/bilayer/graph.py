@@ -1,9 +1,11 @@
 """Teacher-forced pass through the decoding schedule, with exact gradients.
 
-Training unrolls the same instance -> subject -> labels -> object -> predicate
-schedule the decoder walks, but injects ground-truth (or deliberately
-substituted) indices at every commitment instead of sampled ones.  Each batch
-element is one statement; heads active per mode and arity:
+Training walks the same instance -> subject -> labels -> object -> predicate
+schedule the decoder walks, with the same step functions of `network`
+(`context_step`, `context_out`, `encode_input`, `index_scores`), but commits
+ground-truth (or deliberately substituted) indices at every step instead of
+picked ones.  Each batch element is one statement; heads active per mode and
+arity:
 
     episodic   unary   subject CE + label CE
     episodic   binary  subject CE + object CE + predicate CE
@@ -19,7 +21,11 @@ its own, and all other families share one segmented head that scores each
 and masks it to its family's columns.  Loss and accuracy are still reported
 per family.
 
-The backward pass is derived by hand for this fixed graph; tests check it
+A batch becomes a list of steps, each a small record of its feature box, its
+CE head and the columns it commits.  `forward` runs them in one loop; the
+direct perception variant is the same steps with no context and no
+commitment, so each of its heads reads only its own encoded box.  `backward`
+is derived by hand and walks the same records in reverse; tests check it
 against 64-bit central finite differences.
 """
 from __future__ import annotations
@@ -28,7 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NumericsError, sigmoid
+from .network import (
+    NumericsError,
+    context_out,
+    context_step,
+    encode_input,
+    index_scores,
+    initial_context,
+    sigmoid,
+)
 from .params import ColumnMap, NetParams
 from .vocab import IDENTITY_FAMILY
 
@@ -197,6 +211,72 @@ def _label_grads(
     return d_zs
 
 
+@dataclass
+class _Step:
+    """One step of the schedule as a batch runs it.
+
+    `box` holds the features encoded into the step's input (perception
+    only).  `head` is its CE head, (key, readout index, target positions),
+    read from the squashed input before the commitment.  `commit` holds the
+    embedding columns the step adds to its state; `pooled` marks the
+    semantic instance, whose state is the pooled stand-in vector.  `labels`
+    puts the label heads on the committed state.  `forward` fills `state`
+    with what `backward` reads: the squashed context the step was fed
+    ("sh"; before dropout "sh_raw", with its "mask"), the context step's
+    squashed mix "zm", the squashed input "z_tilde" and the squashed
+    committed state "z".
+    """
+
+    name: str
+    box: np.ndarray | None = None
+    head: tuple | None = None
+    commit: np.ndarray | None = None
+    pooled: bool = False
+    labels: bool = False
+    state: dict = field(default_factory=dict)
+
+
+def _schedule(cmap: ColumnMap, batch: Batch) -> list[_Step]:
+    """The steps of a batch, in schedule order.  The direct variant commits
+    nothing; `forward` also gives it no context."""
+    perceiving = batch.mode == "perception"
+    commits = not batch.direct
+
+    def box(feats):
+        return feats if perceiving else None
+
+    def concept_head(key, cols):
+        return key, cmap.concept_idx, cmap.concept_pos(cols)
+
+    nt = ("NT", cmap.instance_idx, cmap.instance_pos(batch.inst_cols)) if perceiving else None
+    steps = [
+        _Step(
+            "instance", box(batch.feat_scene), head=nt,
+            commit=batch.inst_cols if commits and batch.mode != "semantic" else None,
+            pooled=batch.mode == "semantic",
+        ),
+        _Step(
+            "subject", box(batch.feat_subj),
+            head=None if batch.mode == "semantic" else concept_head("NS", batch.subj_inject_cols),
+            commit=batch.subj_inject_cols if commits else None,
+            labels=batch.arity == "unary",
+        ),
+    ]
+    if batch.arity == "binary":
+        steps += [
+            _Step(
+                "object", box(batch.feat_obj),
+                head=concept_head("NO", batch.obj_inject_cols),
+                commit=batch.obj_inject_cols if commits else None,
+            ),
+            _Step(
+                "predicate", box(batch.feat_pred),
+                head=("NP", cmap.predicate_idx, cmap.predicate_pos(batch.pred_cols)),
+            ),
+        ]
+    return steps
+
+
 def forward(
     params: NetParams,
     cmap: ColumnMap,
@@ -206,6 +286,8 @@ def forward(
 ) -> tuple[float, dict]:
     """Run the teacher-forced graph; cache everything backward() needs.
 
+    Every step after the first folds the previous committed state into the
+    context and reads its input from it, plus its encoded box in perception.
     `dropout` masks context-state units (inverted scaling); it needs a
     generator and only applies to the recurrent path, so the direct variant
     ignores it.
@@ -219,134 +301,41 @@ def forward(
         raise GraphError("dropout needs a generator")
     inv_b = 1.0 / b
     dt = params.emb.dtype
-    read = params.readout
-    r_cpt = read[:, cmap.concept_idx]
-    cache: dict = {"heads": {}, "fam_heads": {}, "batch": batch}
-    heads = cache["heads"]
-
-    def drop(state: np.ndarray, tag: str) -> np.ndarray:
-        if dropout == 0.0:
-            return state
-        mask = (drop_rng.random(size=state.shape) >= dropout).astype(dt)
-        mask /= np.asarray(1.0 - dropout, dtype=dt)
-        cache["raw_" + tag] = state
-        cache["mask_" + tag] = mask
-        return state * mask
-
-    def enc(feats: np.ndarray) -> np.ndarray:
-        return feats.astype(dt) @ params.enc_w.T + params.enc_b
-
-    if batch.direct:
-        return _forward_direct(params, cmap, batch, cache, inv_b)
-
-    perceiving = batch.mode == "perception"
-
-    # instance step
-    if perceiving:
-        qt_tilde = enc(batch.feat_scene)
-        zt_tilde = sigmoid(qt_tilde)
-        heads["NT"] = _ce_head(
-            zt_tilde @ read[:, cmap.instance_idx],
-            cmap.instance_pos(batch.inst_cols),
-            inv_b,
-        )
-        qt = qt_tilde + params.emb[:, batch.inst_cols].T
-        cache["zt_tilde"] = zt_tilde
-    elif batch.mode == "episodic":
-        qt = params.emb[:, batch.inst_cols].T.copy()
-    else:
-        qt = np.broadcast_to(params.pooled, (b, params.config.rep_dim)).astype(dt)
-    zt = sigmoid(qt)
-
-    # context after the instance step; sig(0) of the initial context is 0.5
-    m1 = 0.5 + zt @ params.ctx_in.T
-    z1 = sigmoid(m1)
-    h1 = z1 @ params.ctx_rec.T
-    sh1 = drop(sigmoid(h1), "sh1")
-    g1 = sh1 @ params.ctx_out.T
-
-    # subject step
-    qs_tilde = g1 + (enc(batch.feat_subj) if perceiving else 0.0)
-    zs_tilde = sigmoid(qs_tilde)
-    if batch.mode != "semantic":
-        heads["NS"] = _ce_head(
-            zs_tilde @ r_cpt, cmap.concept_pos(batch.subj_inject_cols), inv_b
-        )
-    qs = qs_tilde + params.emb[:, batch.subj_inject_cols].T
-    zs = sigmoid(qs)
-
-    if batch.arity == "unary":
-        cache.update(_label_heads(zs, read, cmap, batch, inv_b))
-    else:
-        m2 = sh1 + zs @ params.ctx_in.T
-        z2 = sigmoid(m2)
-        h2 = z2 @ params.ctx_rec.T
-        sh2 = drop(sigmoid(h2), "sh2")
-        g2 = sh2 @ params.ctx_out.T
-        qo_tilde = g2 + (enc(batch.feat_obj) if perceiving else 0.0)
-        zo_tilde = sigmoid(qo_tilde)
-        heads["NO"] = _ce_head(
-            zo_tilde @ r_cpt, cmap.concept_pos(batch.obj_inject_cols), inv_b
-        )
-        qo = qo_tilde + params.emb[:, batch.obj_inject_cols].T
-        zo = sigmoid(qo)
-        m3 = sh2 + zo @ params.ctx_in.T
-        z3 = sigmoid(m3)
-        h3 = z3 @ params.ctx_rec.T
-        sh3 = drop(sigmoid(h3), "sh3")
-        g3 = sh3 @ params.ctx_out.T
-        qp = g3 + (enc(batch.feat_pred) if perceiving else 0.0)
-        zp = sigmoid(qp)
-        heads["NP"] = _ce_head(
-            zp @ read[:, cmap.predicate_idx],
-            cmap.predicate_pos(batch.pred_cols),
-            inv_b,
-        )
-        cache.update(
-            m2=m2, z2=z2, h2=h2, sh2=sh2, zo_tilde=zo_tilde, zo=zo,
-            m3=m3, z3=z3, h3=h3, sh3=sh3, zp=zp,
-        )
-
-    cache.update(zt=zt, m1=m1, z1=z1, h1=h1, sh1=sh1, zs_tilde=zs_tilde, zs=zs)
+    steps = _schedule(cmap, batch)
+    cache: dict = {"heads": {}, "fam_heads": {}, "steps": steps}
+    sh = None if batch.direct else initial_context(params)
+    z = None
+    for k, step in enumerate(steps):
+        st = step.state
+        q = None
+        if k and sh is not None:
+            st["zm"], sh = context_step(params, sh, z)
+            if dropout:
+                mask = (drop_rng.random(size=sh.shape) >= dropout).astype(dt)
+                mask /= np.asarray(1.0 - dropout, dtype=dt)
+                st["sh_raw"], st["mask"] = sh, mask
+                sh = sh * mask
+            st["sh"] = sh
+            q = context_out(params, sh)
+        if step.box is not None:
+            enc = encode_input(params, step.box)
+            q = enc if q is None else q + enc
+        if q is not None:
+            z = st["z_tilde"] = sigmoid(q)
+        if step.head is not None:
+            key, idx, targets = step.head
+            cache["heads"][key] = _ce_head(index_scores(params, z, idx), targets, inv_b)
+        if step.commit is not None:
+            cols = params.emb.T[step.commit]
+            z = sigmoid(cols if q is None else q + cols)
+        elif step.pooled:
+            z = sigmoid(np.broadcast_to(params.pooled, (b, params.config.rep_dim)).astype(dt))
+        st["z"] = z
+        if step.labels:
+            cache.update(_label_heads(z, params.readout, cmap, batch, inv_b))
     loss = _total_loss(cache)
     if not np.isfinite(loss):
-        _name_nonfinite(cache)
-    cache["loss"] = loss
-    return loss, cache
-
-
-def _forward_direct(params, cmap, batch, cache, inv_b) -> tuple[float, dict]:
-    dt = params.emb.dtype
-    read = params.readout
-    heads = cache["heads"]
-
-    def enc(feats):
-        return feats.astype(dt) @ params.enc_w.T + params.enc_b
-
-    zt = sigmoid(enc(batch.feat_scene))
-    zs = sigmoid(enc(batch.feat_subj))
-    heads["NT"] = _ce_head(
-        zt @ read[:, cmap.instance_idx], cmap.instance_pos(batch.inst_cols), inv_b
-    )
-    heads["NS"] = _ce_head(
-        zs @ read[:, cmap.concept_idx], cmap.concept_pos(batch.subj_inject_cols), inv_b
-    )
-    if batch.arity == "unary":
-        cache.update(_label_heads(zs, read, cmap, batch, inv_b))
-    else:
-        zo = sigmoid(enc(batch.feat_obj))
-        zp = sigmoid(enc(batch.feat_pred))
-        heads["NO"] = _ce_head(
-            zo @ read[:, cmap.concept_idx], cmap.concept_pos(batch.obj_inject_cols), inv_b
-        )
-        heads["NP"] = _ce_head(
-            zp @ read[:, cmap.predicate_idx], cmap.predicate_pos(batch.pred_cols), inv_b
-        )
-        cache.update(zo=zo, zp=zp)
-    cache.update(zt=zt, zs=zs)
-    loss = _total_loss(cache)
-    if not np.isfinite(loss):
-        _name_nonfinite(cache)
+        _name_nonfinite(steps)
     cache["loss"] = loss
     return loss, cache
 
@@ -357,10 +346,11 @@ def _total_loss(cache: dict) -> float:
     return float(loss)
 
 
-def _name_nonfinite(cache: dict) -> None:
-    for name, arr in cache.items():
-        if isinstance(arr, np.ndarray) and not np.all(np.isfinite(arr)):
-            raise NumericsError(f"non-finite values at graph node {name!r}")
+def _name_nonfinite(steps: list[_Step]) -> None:
+    for step in steps:
+        for key, arr in step.state.items():
+            if not np.all(np.isfinite(arr)):
+                raise NumericsError(f"non-finite values at graph node '{step.name}.{key}'")
     raise NumericsError("non-finite loss")
 
 
@@ -375,122 +365,59 @@ def zero_grads(params: NetParams) -> dict[str, np.ndarray]:
 
 
 def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> dict[str, np.ndarray]:
-    """Hand-derived reverse pass; returns gradients keyed like params.blocks()."""
+    """Hand-derived reverse pass over the forward's steps, last to first;
+    returns gradients keyed like params.blocks()."""
     grads = zero_grads(params)
     d_emb = grads["emb"]
     d_read = grads["emb_up"] if not params.config.tied else d_emb
     read = params.readout
-    heads = cache["heads"]
-    perceiving = batch.mode == "perception"
-
-    def head_into(h: dict, z: np.ndarray, idx) -> np.ndarray:
-        return _head_into(h, z, read, d_read, idx)
-
-    def enc_grads(dq: np.ndarray, feats: np.ndarray) -> None:
-        grads["enc_w"] += dq.T @ feats.astype(dq.dtype)
-        grads["enc_b"] += dq.sum(axis=0)
-
-    def through_drop(d_sh: np.ndarray, tag: str, sh: np.ndarray) -> np.ndarray:
-        """Gradient across a (possibly dropout-masked) sigmoid context state."""
-        mask = cache.get("mask_" + tag)
-        raw = cache.get("raw_" + tag, sh)
-        if mask is not None:
-            d_sh = d_sh * mask
-        return d_sh * raw * (1.0 - raw)
-
-    if batch.direct:
-        _backward_direct(cmap, batch, cache, head_into, enc_grads, read, d_read)
-        return grads
-
-    zt, zs = cache["zt"], cache["zs"]
-    zs_tilde = cache["zs_tilde"]
-    sh1, z1, m1 = cache["sh1"], cache["z1"], cache["m1"]
-
-    d_sh1 = np.zeros_like(sh1)
-
-    if batch.arity == "unary":
-        d_zs = _label_grads(zs, cache, cmap, read, d_read)
-    else:
-        zo, zo_tilde, zp = cache["zo"], cache["zo_tilde"], cache["zp"]
-        sh2, z2 = cache["sh2"], cache["z2"]
-        sh3, z3 = cache["sh3"], cache["z3"]
-
-        d_zp = head_into(heads["NP"], zp, cmap.predicate_idx)
-        d_qp = d_zp * zp * (1.0 - zp)
-        if perceiving:
-            enc_grads(d_qp, batch.feat_pred)
-        grads["ctx_out"] += d_qp.T @ sh3
-        d_sh3 = d_qp @ params.ctx_out
-        d_h3 = through_drop(d_sh3, "sh3", sh3)
-        grads["ctx_rec"] += d_h3.T @ z3
-        d_m3 = (d_h3 @ params.ctx_rec) * z3 * (1.0 - z3)
-        d_sh2 = d_m3.copy()
-        grads["ctx_in"] += d_m3.T @ zo
-        d_zo = d_m3 @ params.ctx_in
-        d_qo = d_zo * zo * (1.0 - zo)
-        np.add.at(d_emb.T, batch.obj_inject_cols, d_qo)
-        d_qo_tilde = d_qo
-        d_zo_tilde = head_into(heads["NO"], zo_tilde, cmap.concept_idx)
-        d_qo_tilde = d_qo_tilde + d_zo_tilde * zo_tilde * (1.0 - zo_tilde)
-        if perceiving:
-            enc_grads(d_qo_tilde, batch.feat_obj)
-        grads["ctx_out"] += d_qo_tilde.T @ sh2
-        d_sh2 += d_qo_tilde @ params.ctx_out
-        d_h2 = through_drop(d_sh2, "sh2", sh2)
-        grads["ctx_rec"] += d_h2.T @ z2
-        d_m2 = (d_h2 @ params.ctx_rec) * z2 * (1.0 - z2)
-        d_sh1 += d_m2
-        grads["ctx_in"] += d_m2.T @ zs
-        d_zs = d_m2 @ params.ctx_in
-
-    d_qs = d_zs * zs * (1.0 - zs)
-    np.add.at(d_emb.T, batch.subj_inject_cols, d_qs)
-    d_qs_tilde = d_qs
-    if batch.mode != "semantic":
-        d_zs_tilde = head_into(heads["NS"], zs_tilde, cmap.concept_idx)
-        d_qs_tilde = d_qs_tilde + d_zs_tilde * zs_tilde * (1.0 - zs_tilde)
-    if perceiving:
-        enc_grads(d_qs_tilde, batch.feat_subj)
-    grads["ctx_out"] += d_qs_tilde.T @ sh1
-    d_sh1 += d_qs_tilde @ params.ctx_out
-    d_h1 = through_drop(d_sh1, "sh1", sh1)
-    grads["ctx_rec"] += d_h1.T @ z1
-    d_m1 = (d_h1 @ params.ctx_rec) * z1 * (1.0 - z1)
-    grads["ctx_in"] += d_m1.T @ zt
-    d_zt = d_m1 @ params.ctx_in
-    d_qt = d_zt * zt * (1.0 - zt)
-
-    if batch.mode == "episodic":
-        np.add.at(d_emb.T, batch.inst_cols, d_qt)
-    elif batch.mode == "semantic":
-        grads["pooled"] += d_qt.sum(axis=0)
-    else:
-        np.add.at(d_emb.T, batch.inst_cols, d_qt)
-        zt_tilde = cache["zt_tilde"]
-        d_zt_tilde = head_into(heads["NT"], zt_tilde, cmap.instance_idx)
-        d_qt_tilde = d_qt + d_zt_tilde * zt_tilde * (1.0 - zt_tilde)
-        enc_grads(d_qt_tilde, batch.feat_scene)
+    steps = cache["steps"]
+    # gradients at the committed state of the step being walked and at the
+    # context it was fed, as far as the later steps have summed them
+    d_z = d_sh = None
+    for k in range(len(steps) - 1, -1, -1):
+        step, st = steps[k], steps[k].state
+        if step.labels:
+            g = _label_grads(st["z"], cache, cmap, read, d_read)
+            d_z = g if d_z is None else d_z + g
+        d_q = None
+        if step.commit is not None or step.pooled:
+            z = st["z"]
+            d_q = d_z * z * (1.0 - z)
+            if step.pooled:
+                grads["pooled"] += d_q.sum(axis=0)
+            else:
+                np.add.at(d_emb.T, step.commit, d_q)
+            d_z = None
+        if step.head is not None:
+            key, idx, _ = step.head
+            g = _head_into(cache["heads"][key], st["z_tilde"], read, d_read, idx)
+            d_z = g if d_z is None else g + d_z
+        if d_z is not None:
+            z = st["z_tilde"]
+            d = d_z * z * (1.0 - z)
+            d_q = d if d_q is None else d_q + d
+        if step.box is not None:
+            grads["enc_w"] += d_q.T @ step.box.astype(d_q.dtype)
+            grads["enc_b"] += d_q.sum(axis=0)
+        if "sh" not in st:  # the first step, or any step of the direct variant
+            d_z = None
+            continue
+        # back through context_out, the dropout mask and context_step
+        sh = st["sh"]
+        grads["ctx_out"] += d_q.T @ sh
+        d = d_q @ params.ctx_out
+        d_sh = d if d_sh is None else d_sh + d
+        if "mask" in st:
+            d_sh = d_sh * st["mask"]
+        raw = st.get("sh_raw", sh)
+        d_h = d_sh * raw * (1.0 - raw)
+        zm = st["zm"]
+        grads["ctx_rec"] += d_h.T @ zm
+        d_sh = (d_h @ params.ctx_rec) * zm * (1.0 - zm)
+        grads["ctx_in"] += d_sh.T @ steps[k - 1].state["z"]
+        d_z = d_sh @ params.ctx_in
     return grads
-
-
-def _backward_direct(cmap, batch, cache, head_into, enc_grads, read, d_read) -> None:
-    zt, zs = cache["zt"], cache["zs"]
-    heads = cache["heads"]
-
-    d_zt = head_into(heads["NT"], zt, cmap.instance_idx)
-    enc_grads(d_zt * zt * (1.0 - zt), batch.feat_scene)
-
-    d_zs = head_into(heads["NS"], zs, cmap.concept_idx)
-    if batch.arity == "unary":
-        d_zs = d_zs + _label_grads(zs, cache, cmap, read, d_read)
-    enc_grads(d_zs * zs * (1.0 - zs), batch.feat_subj)
-
-    if batch.arity == "binary":
-        zo, zp = cache["zo"], cache["zp"]
-        d_zo = head_into(heads["NO"], zo, cmap.concept_idx)
-        enc_grads(d_zo * zo * (1.0 - zo), batch.feat_obj)
-        d_zp = head_into(heads["NP"], zp, cmap.predicate_idx)
-        enc_grads(d_zp * zp * (1.0 - zp), batch.feat_pred)
 
 
 def loss_and_grads(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, dict]:

@@ -12,21 +12,26 @@ object, predicate.  Perception feeds encoded feature vectors into each step;
 episodic recall starts from the clamped instance index; semantic recall
 replaces the instance embedding with the trained pooled vector.
 
+The step functions (`context_step`, `context_out`, `encode_input`,
+`index_scores`) hold each step's math once.  They take squashed states, and
+two walks call them: `decode_many` here and the teacher-forced
+`graph.forward`.
+
 `decode_many` walks the schedule once for a batch of requests that share the
-mode, every flag and the arity; they differ only in features and clamps.
-Each step scores every row with one matrix product, and every score block a
-step picks from or mixes over must be finite.  A commitment takes, per row,
-the clamped index if the request names one (`instance_id` in episodic and
-perception mode, `subject_id`, `object_id`), else the attention mixture the
-variant asks for, else a pick: the argmax under winner-take-all, otherwise
-one draw per row in row order, steps in schedule order, so one request draws
-as a single pass always has.  Every family's label is read from the one
-concept-score block at the committed subject.  The direct variant scores
-each head from its own encoded box, with no feedback or context, and takes
-no clamps.  The attention flags apply only to perception that is not direct;
-anywhere else they are refused, as an ignored clamp is.  `decode_chunked`
-hands a long request list to `decode_many` in runs of DECODE_CHUNK, so the
-score blocks alive at once do not grow with it.
+mode, every flag and the arity; they differ only in features and clamps.  Each
+state is squashed once.  Each step scores every row with one matrix product,
+and every score block a step picks from or mixes over must be finite.  A
+commitment takes, per row, the clamped index if the request names one
+(`instance_id` in episodic and perception mode, `subject_id`, `object_id`),
+else the attention mixture the variant asks for, else a pick: the argmax under
+winner-take-all, otherwise one draw per row in row order, steps in schedule
+order, so one request draws as a single pass always has.  Every family's label
+is read from the one concept-score block at the committed subject.  The direct
+variant scores each head from its own encoded box, with no feedback or
+context, and takes no clamps.  The attention flags apply only to perception
+that is not direct; anywhere else they are refused, as an ignored clamp is.
+`decode_chunked` hands a long request list to `decode_many` in runs of
+DECODE_CHUNK, so the score blocks alive at once do not grow with it.
 """
 from __future__ import annotations
 
@@ -105,17 +110,28 @@ def _pick(scores: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarr
 
 # -- context layer and scoring ---------------------------------------------------
 #
-# Each function takes one vector or a batch of them, one per row.
+# The step functions return what the graph's reverse pass reads.  Each takes
+# one vector or a batch of them, one per row.
 
 
-def context_step(params: NetParams, ctx: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """One recurrence: fold the squashed representation into the context."""
-    m = sigmoid(ctx) + sigmoid(rep) @ params.ctx_in.T
-    return sigmoid(m) @ params.ctx_rec.T
+def initial_context(params: NetParams) -> np.ndarray:
+    """The squashed context a pass starts from: the context is zero, so
+    every unit reads sigmoid(0) = 0.5."""
+    return sigmoid(np.zeros(params.config.ctx_dim, dtype=params.emb.dtype))
 
 
-def context_out(params: NetParams, ctx: np.ndarray) -> np.ndarray:
-    return sigmoid(ctx) @ params.ctx_out.T
+def context_step(params: NetParams, sh: np.ndarray,
+                 z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One recurrence: fold the squashed representation `z` into the
+    squashed context `sh`.  Returns the squashed mix `zm` and the next
+    squashed context."""
+    zm = sigmoid(sh + z @ params.ctx_in.T)
+    return zm, sigmoid(zm @ params.ctx_rec.T)
+
+
+def context_out(params: NetParams, sh: np.ndarray) -> np.ndarray:
+    """What the squashed context `sh` feeds into the representation."""
+    return sh @ params.ctx_out.T
 
 
 def encode_input(params: NetParams, feat: np.ndarray) -> np.ndarray:
@@ -127,17 +143,20 @@ def encode_input(params: NetParams, feat: np.ndarray) -> np.ndarray:
     return feat @ params.enc_w.T + params.enc_b
 
 
-def index_scores(params: NetParams, rep: np.ndarray, idx) -> np.ndarray:
-    """Pre-activations of the index units `read[:, idx]` given a representation;
-    `idx` is a readout index of the ColumnMap or any column array."""
-    return sigmoid(rep) @ params.readout[:, idx]
+def index_scores(params: NetParams, z: np.ndarray, idx) -> np.ndarray:
+    """Pre-activations of the index units `read[:, idx]` given a squashed
+    representation `z`; `idx` is a readout index of the ColumnMap or any
+    column array."""
+    return z @ params.readout[:, idx]
 
 
-def attention_update(params: NetParams, rep: np.ndarray, idx, beta: float = 1.0) -> np.ndarray:
-    """Add the attention-weighted mixture of the columns `emb[:, idx]` instead
-    of a single sampled column.  At beta=inf this equals the winner-take-all
+def attention_update(params: NetParams, rep: np.ndarray, z: np.ndarray, idx,
+                     beta: float = 1.0) -> np.ndarray:
+    """Add to `rep` the mixture of the columns `emb[:, idx]` weighted by the
+    tempered softmax of their scores at `z`, the squashed `rep`, instead of a
+    single sampled column.  At beta=inf this equals the winner-take-all
     committed update."""
-    scores = _check_finite("attention scores", index_scores(params, rep, idx))
+    scores = _check_finite("attention scores", index_scores(params, z, idx))
     weights = _softmax_rows(scores, beta).astype(rep.dtype)
     return rep + weights @ params.emb[:, idx].T
 
@@ -254,8 +273,8 @@ def _encode(params: NetParams, feats: list[SceneInput], box: str) -> np.ndarray:
     return encode_input(params, np.stack([getattr(f, box) for f in feats]))
 
 
-def _scores(params: NetParams, step: str, rep: np.ndarray, idx) -> np.ndarray:
-    return _check_finite(f"{step} scores", index_scores(params, rep, idx))
+def _scores(params: NetParams, step: str, z: np.ndarray, idx) -> np.ndarray:
+    return _check_finite(f"{step} scores", index_scores(params, z, idx))
 
 
 def _pick_ids(cmap: ColumnMap, pick, scores: np.ndarray, cols: np.ndarray) -> list[int]:
@@ -272,12 +291,12 @@ def _support(cmap: ColumnMap, scores: np.ndarray, request: DecodeRequest, step: 
     return scores, cmap.concept_cols
 
 
-def _commit(params, cmap, rep, clamps, scores, cols, pick, mix=None):
-    """One commitment for every row.  A clamped row adds its symbol's column.
-    Each other row adds the column picked from `scores` (positions in
-    `cols`), or, with `mix = (idx, beta)`, the attention mixture over
-    `emb[:, idx]`, which commits no id.  Returns the new representations and
-    the per-row ids."""
+def _commit(params, cmap, rep, z, clamps, scores, cols, pick, mix=None):
+    """One commitment for every row of `rep` (squashed: `z`).  A clamped row
+    adds its symbol's column.  Each other row adds the column picked from
+    `scores` (positions in `cols`), or, with `mix = (idx, beta)`, the
+    attention mixture over `emb[:, idx]`, which commits no id.  Returns the
+    new representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
     if mix is None:
@@ -286,7 +305,7 @@ def _commit(params, cmap, rep, clamps, scores, cols, pick, mix=None):
             for i, sid in zip(free, _pick_ids(cmap, pick, block, cols)):
                 ids[i] = sid
         return rep + params.emb.T[cmap.cols_of(ids)], ids
-    out = attention_update(params, rep, *mix)
+    out = attention_update(params, rep, z, *mix)
     fixed = [i for i, c in enumerate(ids) if c is not None]
     if fixed:
         out[fixed] = rep[fixed] + params.emb.T[cmap.cols_of([ids[i] for i in fixed])]
@@ -352,7 +371,6 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
 
     perceiving = first.mode == "perception"
     feats = [r.features for r in requests]
-    dt = params.emb.dtype
     ids: dict[str, list] = {}
     scores: dict[str, np.ndarray] = {}
     reps: dict[str, np.ndarray] = {}
@@ -360,47 +378,51 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
     def fed(rep: np.ndarray, box: str) -> np.ndarray:
         return rep + _encode(params, feats, box) if perceiving else rep
 
-    def concept_step(step: str, ctx: np.ndarray) -> None:
-        """The subject or object step: score every concept, then commit."""
-        rep = fed(context_out(params, ctx), f"{step}_box")
-        scores[step] = _scores(params, step, rep, cmap.concept_idx)
+    def concept_step(step: str, sh: np.ndarray) -> np.ndarray:
+        """The subject or object step: score every concept, then commit.
+        Returns the squashed committed state."""
+        rep = fed(context_out(params, sh), f"{step}_box")
+        z = sigmoid(rep)
+        scores[step] = _scores(params, step, z, cmap.concept_idx)
         block, cols = _support(cmap, scores[step], first, step)
         mix = (cmap.entity_idx, soft_beta) if perceiving and first.concept_attention else None
         clamps = [getattr(r, f"{step}_id") for r in requests]
-        reps[step], ids[step] = _commit(params, cmap, rep, clamps, block, cols, pick, mix)
+        reps[step], ids[step] = _commit(params, cmap, rep, z, clamps, block, cols, pick, mix)
+        return sigmoid(reps[step])
 
     # instance step
     clamps = [r.instance_id for r in requests]
     if perceiving:
         rep = _encode(params, feats, "scene")
-        scores["instance"] = _scores(params, "instance", rep, cmap.instance_idx)
+        z = sigmoid(rep)
+        scores["instance"] = _scores(params, "instance", z, cmap.instance_idx)
         mix = (cmap.instance_idx, soft_beta) if first.instance_attention else None
         rep_t, ids["instance"] = _commit(
-            params, cmap, rep, clamps, scores["instance"], cmap.instance_cols, pick, mix
+            params, cmap, rep, z, clamps, scores["instance"], cmap.instance_cols, pick, mix
         )
     elif first.mode == "episodic":
         rep_t, ids["instance"] = params.emb.T[cmap.cols_of(clamps)], clamps
     else:  # semantic: only the pooled stand-in embedding, never a real column
         rep_t = np.tile(params.pooled, (len(requests), 1))
     reps["instance"] = rep_t
-    scores["instance_label"] = index_scores(params, rep_t, cmap.concept_idx)
-    ctx = context_step(params, np.zeros(params.config.ctx_dim, dtype=dt), rep_t)
-    concept_step("subject", ctx)
+    _, sh = context_step(params, initial_context(params), sigmoid(rep_t))
+    z_s = concept_step("subject", sh)
 
     # subject labels, one per family, from one concept-score block
-    scores["label"] = _scores(params, "label", reps["subject"], cmap.concept_idx)
+    scores["label"] = _scores(params, "label", z_s, cmap.concept_idx)
     labels = _pick_labels(cmap, scores["label"], pick)
     if not _binary(first):
         return _split(first, ids, labels, scores, reps)  # unary pass: no relation boxes
 
     # object step
-    ctx = context_step(params, ctx, reps["subject"])
-    concept_step("object", ctx)
+    _, sh = context_step(params, sh, z_s)
+    z_o = concept_step("object", sh)
 
     # predicate step: read out, no commitment
-    ctx = context_step(params, ctx, reps["object"])
-    reps["predicate"] = fed(context_out(params, ctx), "predicate_box")
-    scores["predicate"] = _scores(params, "predicate", reps["predicate"], cmap.predicate_idx)
+    _, sh = context_step(params, sh, z_o)
+    reps["predicate"] = fed(context_out(params, sh), "predicate_box")
+    z_p = sigmoid(reps["predicate"])
+    scores["predicate"] = _scores(params, "predicate", z_p, cmap.predicate_idx)
     if cmap.predicate_cols.size:
         ids["predicate"] = _pick_ids(cmap, pick, scores["predicate"], cmap.predicate_cols)
     return _split(first, ids, labels, scores, reps)
@@ -424,10 +446,10 @@ def _decode_direct(params, cmap, requests, pick) -> list[DecodeTrace]:
     ids: dict[str, list] = {}
     reps = {"instance": _encode(params, feats, "scene"),
             "subject": _encode(params, feats, "subject_box")}
-    scores = {"instance": _scores(params, "instance", reps["instance"], cmap.instance_idx)}
+    scores = {"instance": _scores(params, "instance", sigmoid(reps["instance"]), cmap.instance_idx)}
     if cmap.instance_cols.size:
         ids["instance"] = _pick_ids(cmap, pick, scores["instance"], cmap.instance_cols)
-    scores["subject"] = _scores(params, "subject", reps["subject"], cmap.concept_idx)
+    scores["subject"] = _scores(params, "subject", sigmoid(reps["subject"]), cmap.concept_idx)
     ids["subject"] = _pick_ids(cmap, pick, *_support(cmap, scores["subject"], first, "subject"))
     # labels read the same representation, so their concept scores are the subject's
     scores["label"] = scores["subject"]
@@ -435,9 +457,10 @@ def _decode_direct(params, cmap, requests, pick) -> list[DecodeTrace]:
     if _binary(first):
         reps["object"] = _encode(params, feats, "object_box")
         reps["predicate"] = _encode(params, feats, "predicate_box")
-        scores["object"] = _scores(params, "object", reps["object"], cmap.concept_idx)
+        scores["object"] = _scores(params, "object", sigmoid(reps["object"]), cmap.concept_idx)
         ids["object"] = _pick_ids(cmap, pick, *_support(cmap, scores["object"], first, "object"))
-        scores["predicate"] = _scores(params, "predicate", reps["predicate"], cmap.predicate_idx)
+        scores["predicate"] = _scores(params, "predicate", sigmoid(reps["predicate"]),
+                                      cmap.predicate_idx)
         if cmap.predicate_cols.size:
             ids["predicate"] = _pick_ids(cmap, pick, scores["predicate"], cmap.predicate_cols)
     return _split(first, ids, labels, scores, reps)
@@ -473,7 +496,7 @@ def chain_labels(
         )
         if cols.size == 0:
             break
-        pos = sample_index(index_scores(params, rep, cols), b, rng)
+        pos = sample_index(index_scores(params, sigmoid(rep), cols), b, rng)
         label = cmap.id_of_col(cols[pos])
         emitted.append(label)
         fired.add(label)

@@ -152,6 +152,8 @@ class WorldConfig:
             raise WorldError("noise levels must be nonnegative")
         if self.ex_noise_sigma is not None and self.ex_noise_sigma < 0:
             raise WorldError("noise levels must be nonnegative")
+        if self.n_test_scenes > 0 and self.n_test_entities < 1:
+            raise WorldError("test scenes need at least one test entity")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -226,6 +226,15 @@ class TestGen:
         cfg.write_text("{not json")
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 3
 
+    def test_test_scenes_without_test_entities_is_data_error(self, tmp_path):
+        cfg = _write_json(tmp_path / "empty-test.json", {
+            "n_entities": 30, "n_scenes": 10, "n_test_entities": 0, "n_test_scenes": 3, "seed": 5,
+        })
+        proc = _run_cli(["gen", "--config", cfg, "--out", str(tmp_path / "w")])
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "test entity" in proc.stderr
+        assert not os.path.exists(tmp_path / "w" / "features.bin")
+
 
 class TestTrain:
     def test_artifacts(self, ws):

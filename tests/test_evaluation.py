@@ -93,35 +93,85 @@ class TestHeadMetrics:
         assert a["heads"] == b["heads"]
         assert a["predicate_hits"] == b["predicate_hits"]
 
-    def test_graph_and_decoder_agree_on_clamped_pass(self, tiny_model, tiny_store, tiny_world):
+    @pytest.mark.parametrize("arity", ["unary", "binary"])
+    @pytest.mark.parametrize("mode", ["episodic", "semantic", "perception"])
+    def test_graph_and_decoder_agree_on_clamped_pass(self, tiny_model, tiny_world, mode, arity):
+        """Every head the graph scores equals the score block a winner-take-all
+        decode clamped to the batch's instance, subject and object reads:
+        the two walk the schedule with the same step functions."""
         params, cmap, _ = tiny_model
-        v = tiny_world.vocab
-        unary, _ = memory_examples(tiny_store, v)
-        examples = [e for e in table_rows(unary) if e["fam"] != "Identity"][:5]
-        for ex in examples:
-            batch = Batch(
-                mode="episodic", arity="unary",
-                inst_cols=cmap.cols_of([ex["t"]]),
-                subj_inject_cols=cmap.cols_of([ex["s"]]),
-                fam_rows={ex["fam"]: np.array([0])},
-                fam_target_cols={ex["fam"]: cmap.cols_of([ex["o"]])},
+        rng = substream(0, "agree", mode, arity)
+        fams = sorted(f for f, cols in cmap.family_cols.items() if cols.size)
+        b = len(fams)  # a unary row per family
+
+        def draw(cols):
+            return cols[rng.integers(0, cols.size, size=b)]
+
+        fields = {"subj_inject_cols": draw(cmap.entity_cols)}
+        if mode != "semantic":
+            fields["inst_cols"] = draw(cmap.instance_cols)
+        if arity == "unary":
+            fields["fam_rows"] = {f: np.array([i]) for i, f in enumerate(fams)}
+            fields["fam_target_cols"] = {
+                f: cmap.family_cols[f][rng.integers(0, cmap.family_cols[f].size, size=1)]
+                for f in fams
+            }
+        else:
+            fields["obj_inject_cols"] = draw(cmap.entity_cols)
+            fields["pred_cols"] = draw(cmap.predicate_cols)
+        boxes = ("feat_scene", "feat_subj")
+        if arity == "binary":
+            boxes += ("feat_obj", "feat_pred")
+        if mode == "perception":
+            dim = params.config.feature_dim
+            fields.update({box: rng.standard_normal((b, dim)) for box in boxes})
+        batch = Batch(mode=mode, arity=arity, **fields)
+        _, cache = graph.forward(params, cmap, batch)
+
+        def symbol(key, i):
+            return cmap.id_of_col(fields[key][i]) if key in fields else None
+
+        requests = [
+            DecodeRequest(
+                mode=mode, winner_take_all=True,
+                features=network.SceneInput(*(fields[box][i] for box in boxes))
+                if mode == "perception" else None,
+                instance_id=symbol("inst_cols", i), subject_id=symbol("subj_inject_cols", i),
+                object_id=symbol("obj_inject_cols", i),
             )
-            _, cache = graph.forward(params, cmap, batch)
-            fcols = cmap.family_cols[ex["fam"]]
-            head_scores = cache["labels"]["scores"][0, fcols - cmap.label_cols[0]]
-            trace = decode(
-                params, cmap, v,
-                DecodeRequest(
-                    mode="episodic", instance_id=ex["t"], subject_id=ex["s"],
-                    winner_take_all=True,
-                ),
-                substream(0, "agree"),
+            for i in range(b)
+        ]
+        traces = network.decode_many(params, cmap, tiny_world.vocab, requests, substream(0, "d"))
+
+        def decoded(key):
+            return np.stack([t.scores[key] for t in traces])
+
+        steps = {"NT": "instance", "NS": "subject", "NO": "object", "NP": "predicate"}
+        want_heads = {
+            ("perception", "unary"): {"NT", "NS"}, ("perception", "binary"): set(steps),
+            ("episodic", "unary"): {"NS"}, ("episodic", "binary"): {"NS", "NO", "NP"},
+            ("semantic", "unary"): set(), ("semantic", "binary"): {"NO", "NP"},
+        }[mode, arity]
+        assert set(cache["heads"]) == want_heads
+        for key, h in cache["heads"].items():
+            np.testing.assert_allclose(h["scores"], decoded(steps[key]), rtol=1e-5, atol=1e-6)
+        if arity == "binary":
+            return
+        label_scores = decoded("label")
+        h = cache["identity"]
+        pos = cmap.concept_pos(cmap.family_cols["Identity"])
+        np.testing.assert_allclose(
+            h["scores"], label_scores[h["rows"]][:, pos], rtol=1e-5, atol=1e-6
+        )
+        h = cache["labels"]
+        code_fam = {k: f for f, k in cmap.label_family_code.items()}
+        assert sorted([code_fam[k] for k in h["codes"]] + ["Identity"]) == fams
+        for j, (i, k) in enumerate(zip(h["rows"], h["codes"])):
+            fcols = cmap.family_cols[code_fam[k]]
+            np.testing.assert_allclose(
+                h["scores"][j, fcols - cmap.label_cols[0]],
+                label_scores[i, cmap.concept_pos(fcols)], rtol=1e-5, atol=1e-6,
             )
-            positions = cmap.concept_pos(fcols)
-            decode_scores = trace.scores["label"][positions]
-            np.testing.assert_allclose(decode_scores, head_scores, rtol=1e-4, atol=1e-4)
-            ns_scores = cache["heads"]["NS"]["scores"][0]
-            np.testing.assert_allclose(trace.scores["subject"], ns_scores, rtol=1e-4, atol=1e-4)
 
 
 class TestLabelConditional:

@@ -31,6 +31,7 @@ from bilayer.network import (
     encode_input,
     fused_stream,
     index_scores,
+    initial_context,
     sample_index,
     sigmoid,
     softmax,
@@ -173,21 +174,29 @@ class TestActivations:
 
 class TestContextAndEncoding:
     def test_context_step_formula(self):
+        # squashed context and representation in; the squashed mix and the
+        # next squashed context out
         v = small_vocab()
         params, _ = small_params(v, seed=2)
-        ctx = np.linspace(-1, 1, 4).astype(np.float32)
-        rep = np.linspace(-2, 2, 8).astype(np.float32)
-        m = _sig(ctx) + params.ctx_in @ _sig(rep)
-        want = params.ctx_rec @ _sig(m)
-        np.testing.assert_allclose(context_step(params, ctx, rep), want, rtol=1e-5)
+        sh = _sig(np.linspace(-1, 1, 4)).astype(np.float32)
+        z = _sig(np.linspace(-2, 2, 8)).astype(np.float32)
+        zm, sh_next = context_step(params, sh, z)
+        want_zm = _sig(sh + params.ctx_in @ z)
+        np.testing.assert_allclose(zm, want_zm, rtol=1e-5)
+        np.testing.assert_allclose(sh_next, _sig(params.ctx_rec @ want_zm), rtol=1e-5)
 
     def test_context_out_formula(self):
         v = small_vocab()
         params, _ = small_params(v, seed=2)
-        ctx = np.linspace(-1, 1, 4).astype(np.float32)
-        np.testing.assert_allclose(
-            context_out(params, ctx), params.ctx_out @ _sig(ctx), rtol=1e-5
-        )
+        sh = _sig(np.linspace(-1, 1, 4)).astype(np.float32)
+        np.testing.assert_allclose(context_out(params, sh), params.ctx_out @ sh, rtol=1e-5)
+
+    def test_initial_context_is_the_squashed_zero_context(self):
+        v = small_vocab()
+        params, _ = small_params(v)
+        sh = initial_context(params)
+        assert sh.dtype == params.emb.dtype
+        np.testing.assert_array_equal(sh, np.full(params.config.ctx_dim, 0.5))
 
     def test_encode_input_affine(self):
         v = small_vocab()
@@ -210,7 +219,7 @@ class TestAttention:
         params, cmap = small_params(v, seed=5)
         rep = np.linspace(-1, 1, 8).astype(np.float32)
         cols = cmap.instance_cols[:1]
-        got = attention_update(params, rep, cols, beta=0.7)
+        got = attention_update(params, rep, sigmoid(rep), cols, beta=0.7)
         np.testing.assert_allclose(got, rep + params.emb[:, cols[0]], atol=1e-7)
 
     def test_infinite_beta_equals_winner_take_all(self):
@@ -218,16 +227,16 @@ class TestAttention:
         params, cmap = small_params(v, seed=6)
         rep = np.linspace(-2, 2, 8).astype(np.float32)
         for cols in (cmap.entity_cols, cmap.instance_cols, cmap.concept_cols):
-            win = cols[int(np.argmax(index_scores(params, rep, cols)))]
+            win = cols[int(np.argmax(index_scores(params, sigmoid(rep), cols)))]
             committed = rep + params.emb[:, win]
-            soft = attention_update(params, rep, cols, beta=math.inf)
+            soft = attention_update(params, rep, sigmoid(rep), cols, beta=math.inf)
             np.testing.assert_allclose(soft, committed, atol=1e-9)
 
     def test_zero_beta_adds_column_mean(self):
         v = small_vocab()
         params, cmap = small_params(v, seed=7)
         rep = np.zeros(8, dtype=np.float32)
-        got = attention_update(params, rep, cmap.entity_cols, beta=0.0)
+        got = attention_update(params, rep, sigmoid(rep), cmap.entity_cols, beta=0.0)
         np.testing.assert_allclose(
             got, rep + params.emb[:, cmap.entity_cols].mean(axis=1), rtol=1e-5
         )
@@ -331,7 +340,8 @@ class TestDecodeValidation:
         params, cmap = small_params(v)
         params.emb[:, cmap.instance_cols[0]] = np.nan
         with pytest.raises(NumericsError, match="attention"):
-            attention_update(params, np.zeros(8, dtype=np.float32), cmap.instance_idx)
+            rep = np.zeros(8, dtype=np.float32)
+            attention_update(params, rep, sigmoid(rep), cmap.instance_idx)
 
     def test_semantic_rejects_instance_clamp(self):
         v = small_vocab()
@@ -527,7 +537,8 @@ class TestDecodeBehavior:
         req = DecodeRequest(mode="perception", features=feats, direct=True, winner_take_all=True)
         trace = decode(params, cmap, v, req, substream(0, "d"))
         assert trace.direct
-        want = index_scores(params, encode_input(params, feats.subject_box), cmap.concept_idx)
+        z = sigmoid(encode_input(params, feats.subject_box))
+        want = index_scores(params, z, cmap.concept_idx)
         np.testing.assert_array_equal(trace.scores["subject"], want)
         # changing the scene box must not move the subject scores in direct mode
         feats2 = _scene_features(9)

@@ -98,7 +98,7 @@ class TestColumnMap:
         assert isinstance(cmap.family_idx["Pet"], slice)
         rep = np.linspace(-1, 1, 8).astype(np.float32)
         np.testing.assert_array_equal(
-            index_scores(params, rep, idx),
+            index_scores(params, sigmoid(rep), idx),
             params.readout[:, [4, 6]].T @ sigmoid(rep),
         )
 

@@ -1,9 +1,12 @@
 """Structural checks on the package source.
 
-The decode schedule is walked in one place, `network.decode_many`.  Callers
-reach it through `decode`, `decode_many` or `decode_chunked`; a module that
-imports the step functions themselves is on its way to a second hand-written
-walk.  The triple store's internals are read only inside `triple_store.py`.
+The schedule's step math is written once, in the step functions of
+`network`.  Two walks call them: `network.decode_many`, which every decode
+goes through (via `decode`, `decode_many` or `decode_chunked`), and the
+teacher-forced `graph.forward`, whose hand-derived `backward` is the only
+other reader of the context and encoder weights.  Any other module that
+imports the step functions is on its way to a third hand-written walk.  The
+triple store's internals are read only inside `triple_store.py`.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import pytest
 import bilayer
 
 STEP_FUNCTIONS = {"context_step", "context_out", "encode_input", "index_scores"}
+STEP_WEIGHTS = {"ctx_in", "ctx_rec", "ctx_out", "enc_w", "enc_b"}
 
 
 def _names(module: str) -> set[str]:
@@ -41,6 +45,39 @@ def test_split_decodes_go_in_runs(module):
     `decode_many` call over a split would hold a score block per step for
     every box of it at once."""
     assert "decode_many" not in _names(module)
+
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((Path(bilayer.__file__).parent / module).read_text(encoding="utf-8"))
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def _reachable(funcs: dict[str, ast.FunctionDef], root: str) -> set[str]:
+    """`root` and every module-level function it names, transitively."""
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            named = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+            todo += sorted(named & funcs.keys())
+    return seen
+
+
+def test_graph_forward_walks_the_step_functions():
+    """`graph.forward`, with the helpers it calls, reads none of the step
+    weights: it computes each step with the step functions.  Only `backward`
+    reads them, for the transposed products."""
+    funcs = _functions("graph.py")
+    readers = {
+        name for name, fn in funcs.items()
+        if any(isinstance(n, ast.Attribute) and n.attr in STEP_WEIGHTS for n in ast.walk(fn))
+    }
+    forward = _reachable(funcs, "forward")
+    assert not readers & forward, f"forward reads step weights in {sorted(readers & forward)}"
+    assert readers == {"backward"}
+    called = {n.id for n in ast.walk(funcs["forward"]) if isinstance(n, ast.Name)}
+    assert STEP_FUNCTIONS <= called
 
 
 def _store_internals() -> set[str]:

@@ -82,6 +82,16 @@ class TestWorldConfig:
         with pytest.raises(WorldError):
             WorldConfig(noise_sigma=-0.5)
 
+    def test_test_scenes_need_test_entities(self):
+        # with no test entities every test scene would be empty, and its
+        # scene feature the NaN mean of no members
+        with pytest.raises(WorldError, match="test entit"):
+            WorldConfig(n_entities=30, n_scenes=10, n_test_entities=0, n_test_scenes=3, seed=5)
+        config = WorldConfig(n_entities=30, n_scenes=10, n_test_entities=0, n_test_scenes=0, seed=5)
+        world = gen_world(config)
+        assert not world.test_entities
+        assert all(np.all(np.isfinite(v)) for v in world.features.values())
+
     def test_round_trip(self):
         config = WorldConfig(n_entities=12, n_scenes=3, seed=4, owners=False)
         assert WorldConfig.from_dict(config.to_dict()) == config

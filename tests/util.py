@@ -556,7 +556,6 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
         rep_t, ids["instance"] = emb[:, col[request.instance_id]], request.instance_id
     else:
         rep_t = f64(params.pooled)
-    sc["instance_label"] = scores(rep_t, concepts)
     ctx = step(np.zeros(params.config.ctx_dim), rep_t)
     mix = entities if perceiving and request.concept_attention else None
 
