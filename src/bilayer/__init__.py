@@ -4,21 +4,19 @@ A symbolic layer (one unit per entity, class, attribute, predicate, and
 observation instance) and a dense representation layer share one embedding
 matrix.  Decoding walks instance -> subject -> labels -> object -> predicate;
 running it in different modes realizes perception (feature-driven), episodic
-memory (instance-driven), and semantic memory (pooled).  A Dirichlet mixture
-fuses the memory faces after an observation.
+memory (instance-driven), and semantic memory (pooled).  After an
+observation, `fused_stream` samples between the episodic and semantic walks
+with the weights of a Dirichlet posterior.
 """
 
 __version__ = "0.1.0"
 
-from .dists import Categorical, DistError, dirichlet_fuse
 from .evaluation import (
     EXPERIMENTS,
     EvalContext,
     EvalError,
     MetricReport,
-    hits_at_k,
     run_experiment,
-    top1_accuracy,
     zero_shot_split,
 )
 from .graph import Batch, GraphError, backward, forward, loss_and_grads
@@ -28,12 +26,10 @@ from .network import (
     NetworkError,
     NumericsError,
     SceneInput,
-    chain_labels,
     decode,
     decode_many,
     fused_stream,
     sigmoid,
-    softmax,
 )
 from .params import (
     ColumnMap,
@@ -52,7 +48,6 @@ from .training import (
     TrainingDiverged,
     consolidate,
     detect_novel_entity,
-    forgetting_probe,
     ssl_step,
     train,
 )
@@ -62,7 +57,6 @@ from .triple_store import (
     StoreError,
     TripleStore,
     is_known,
-    read_jsonl,
     write_jsonl,
 )
 from .vocab import IDENTITY_FAMILY, Kind, VocabError, Vocabulary

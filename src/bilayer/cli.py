@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .evaluation import EXPERIMENTS, EvalContext, EvalError, run_experiment
+from .evaluation import EXPERIMENTS, EvalContext, EvalError, check_experiments, run_experiment
 from .network import (
     DecodeRequest,
     NetworkError,
@@ -340,6 +340,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     )
     if not names:
         raise UsageError("no experiments named")
+    check_experiments(names, world)
 
     def body() -> list[str]:
         store = world.build_store()

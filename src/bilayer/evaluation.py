@@ -46,25 +46,6 @@ class EvalError(ValueError):
 # -- elementary metrics ------------------------------------------------------------
 
 
-def top1_accuracy(predictions: list, truths: list) -> float:
-    if len(predictions) != len(truths):
-        raise EvalError("predictions and truths differ in length")
-    if not predictions:
-        raise EvalError("empty prediction set")
-    return sum(1 for p, t in zip(predictions, truths) if p == t) / len(predictions)
-
-
-def hits_at_k(ranked: list[list], truths: list, k: int) -> float:
-    """Fraction of truths appearing within the first k ranked candidates."""
-    if k < 1:
-        raise EvalError("k must be at least 1")
-    if len(ranked) != len(truths):
-        raise EvalError("rankings and truths differ in length")
-    if not ranked:
-        raise EvalError("empty ranking set")
-    return sum(1 for row, t in zip(ranked, truths) if t in row[:k]) / len(ranked)
-
-
 def ranked_cols(scores: np.ndarray) -> np.ndarray:
     """Deterministic descending rank order (ties toward lower index)."""
     return np.argsort(-scores, kind="stable")
@@ -560,8 +541,6 @@ def _experiment_social_recall(ctx: EvalContext) -> tuple[dict, dict]:
     social_instances = {
         ctx.vocab.id_of(s.name) for s in ctx.world.scenes_of_kind("social")
     }
-    if not social_instances:
-        raise EvalError("world has no social instances")
     unary, binary = memory_examples(ctx.store, ctx.vocab)
     social = list(social_instances)
     binary = binary[np.isin(binary.cols["t"], social)]
@@ -577,8 +556,6 @@ def _experiment_social_recall(ctx: EvalContext) -> tuple[dict, dict]:
 
 def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     unlabeled = [s.name for s in ctx.world.scenes_of_kind("unlabeled")]
-    if not unlabeled:
-        raise EvalError("world has no unlabeled shard (set unlabeled_fraction > 0)")
     params, cmap = ctx.model()
     vocab2 = copy.deepcopy(ctx.vocab)
     params2 = params.copy()
@@ -692,11 +669,27 @@ def _fingerprint(ctx: EvalContext, name: str) -> str:
     return h.hexdigest()
 
 
+# the scene kind an experiment cannot run without, and what the world lacks then
+_NEEDS = {
+    "ssl-before-after": ("unlabeled", "no unlabeled shard (set unlabeled_fraction > 0)"),
+    "social-recall": ("social", "no social instances (set social to true)"),
+}
+
+
+def check_experiments(names: list[str], world: GroundTruthWorld) -> None:
+    """Refuse a list of experiments before any of them runs: a name that is
+    not in EXPERIMENTS, or an experiment whose scenes the world lacks."""
+    for name in names:
+        if name not in EXPERIMENTS:
+            raise EvalError(
+                f"unknown experiment {name!r}; valid names: {', '.join(sorted(EXPERIMENTS))}"
+            )
+        if name in _NEEDS and not world.scenes_of_kind(_NEEDS[name][0]):
+            raise EvalError(f"{name}: world has {_NEEDS[name][1]}")
+
+
 def run_experiment(name: str, ctx: EvalContext) -> MetricReport:
-    if name not in EXPERIMENTS:
-        raise EvalError(
-            f"unknown experiment {name!r}; valid names: {', '.join(sorted(EXPERIMENTS))}"
-        )
+    check_experiments([name], ctx.world)
     started = time.monotonic()
     metrics, counts = EXPERIMENTS[name](ctx)
     return MetricReport(

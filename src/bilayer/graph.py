@@ -335,7 +335,7 @@ def forward(
             cache.update(_label_heads(z, params.readout, cmap, batch, inv_b))
     loss = _total_loss(cache)
     if not np.isfinite(loss):
-        _name_nonfinite(steps)
+        _name_nonfinite(cache)
     cache["loss"] = loss
     return loss, cache
 
@@ -346,11 +346,20 @@ def _total_loss(cache: dict) -> float:
     return float(loss)
 
 
-def _name_nonfinite(steps: list[_Step]) -> None:
-    for step in steps:
+def _name_nonfinite(cache: dict) -> None:
+    """Name where a non-finite loss first shows: a step state, in schedule
+    order, else a head's scores.  The segmented label head holds -inf
+    outside each row's family by design, so only NaN and +inf count there."""
+    for step in cache["steps"]:
         for key, arr in step.state.items():
             if not np.all(np.isfinite(arr)):
                 raise NumericsError(f"non-finite values at graph node '{step.name}.{key}'")
+    heads = {**cache["heads"], **{k: cache[k] for k in ("identity", "labels") if k in cache}}
+    for key, h in heads.items():
+        scores = h["scores"]
+        bad = np.isnan(scores) | (scores == np.inf) if key == "labels" else ~np.isfinite(scores)
+        if bad.any():
+            raise NumericsError(f"non-finite scores at head '{key}'")
     raise NumericsError("non-finite loss")
 
 

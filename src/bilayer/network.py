@@ -42,7 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .params import ColumnMap, NetParams
-from .vocab import IDENTITY_FAMILY, Vocabulary
+from .vocab import Vocabulary
 
 
 class NetworkError(ValueError):
@@ -78,23 +78,6 @@ def _softmax_rows(scores: np.ndarray, beta: float) -> np.ndarray:
         return (np.arange(scores.shape[-1]) == scores.argmax(axis=-1)[..., None]).astype(np.float64)
     e = np.exp(beta * (scores - scores.max(axis=-1, keepdims=True)))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(scores: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """Tempered softmax. beta=0 is uniform; beta=inf is a one-hot argmax with
-    ties broken toward the lowest index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise NetworkError("softmax expects a nonempty vector")
-    return _softmax_rows(scores, beta)
-
-
-def sample_index(scores: np.ndarray, beta: float, rng: np.random.Generator) -> int:
-    """Draw a position from the tempered softmax over a score vector."""
-    scores = np.asarray(scores)
-    if scores.ndim != 1:
-        raise NetworkError("sample_index expects a vector")
-    return int(_pick(scores[None], beta, rng)[0])
 
 
 def _pick(scores: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
@@ -213,19 +196,6 @@ class DecodeTrace:
     predicate_id: int | None
     scores: dict[str, np.ndarray] = field(default_factory=dict)
     reps: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def triples(self, vocab: Vocabulary) -> list[tuple[int, int, int]]:
-        """Statements mirrored by the firing pattern of this pass."""
-        out = []
-        ha = vocab.has_attribute
-        if self.subject_id is not None:
-            for fam, label in self.labels.items():
-                if fam == IDENTITY_FAMILY:
-                    continue
-                out.append((self.subject_id, ha, label))
-            if self.object_id is not None and self.predicate_id is not None:
-                out.append((self.subject_id, self.predicate_id, self.object_id))
-        return out
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -464,44 +434,6 @@ def _decode_direct(params, cmap, requests, pick) -> list[DecodeTrace]:
         if cmap.predicate_cols.size:
             ids["predicate"] = _pick_ids(cmap, pick, scores["predicate"], cmap.predicate_cols)
     return _split(first, ids, labels, scores, reps)
-
-
-# -- embedded label chaining -----------------------------------------------------
-
-
-def chain_labels(
-    params: NetParams,
-    cmap: ColumnMap,
-    rep: np.ndarray,
-    rng: np.random.Generator,
-    steps: int,
-    beta: float = 1.0,
-    winner_take_all: bool = False,
-    exclude: set[int] | None = None,
-) -> list[int]:
-    """Symbolic chaining inside the representation: repeatedly sample a label,
-    fold its column back in, and continue.  The carried context is left
-    untouched.  Already-fired labels are excluded so the chain moves on."""
-    if steps < 1:
-        raise NetworkError("chain needs at least one step")
-    if cmap.label_cols.size == 0:
-        raise NetworkError("no class/attribute columns to chain over")
-    fired: set[int] = set(exclude or ())
-    rep = rep.astype(params.emb.dtype, copy=True)
-    b = math.inf if winner_take_all else beta
-    emitted: list[int] = []
-    for _ in range(steps):
-        cols = np.array(
-            [c for c in cmap.label_cols if cmap.id_of_col(c) not in fired], dtype=np.int64
-        )
-        if cols.size == 0:
-            break
-        pos = sample_index(index_scores(params, sigmoid(rep), cols), b, rng)
-        label = cmap.id_of_col(cols[pos])
-        emitted.append(label)
-        fired.add(label)
-        rep = rep + params.emb[:, cols[pos]]
-    return emitted
 
 
 # -- post-observation fusion -----------------------------------------------------

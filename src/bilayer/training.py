@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, asdict
-from typing import Callable, IO
+from typing import IO
 
 import numpy as np
 
@@ -760,7 +760,7 @@ def ssl_step(
     return params, cmap, report
 
 
-# -- consolidation and forgetting -------------------------------------------------------
+# -- consolidation ----------------------------------------------------------------------
 
 
 def consolidate(
@@ -790,34 +790,3 @@ def consolidate(
     for _ in range(steps):
         col += step_size * (evoked - col)
     return params, cmap, dup
-
-
-def forgetting_probe(
-    params: NetParams,
-    cmap: ColumnMap,
-    protected_ids: list[int],
-    perturb: Callable[[], tuple[NetParams, ColumnMap]],
-    recall: Callable[[NetParams, ColumnMap], float],
-) -> dict:
-    """Measure recall over protected ids before and after a perturbation
-    (continued training, growth, ...), plus per-column embedding drift."""
-    before = float(recall(params, cmap))
-    saved = {
-        pid: params.emb[:, cmap.col_of(pid)].astype(np.float64).copy()
-        for pid in protected_ids
-    }
-    new_params, new_cmap = perturb()
-    after = float(recall(new_params, new_cmap))
-    drift = {
-        pid: float(
-            np.linalg.norm(new_params.emb[:, new_cmap.col_of(pid)].astype(np.float64) - saved[pid])
-        )
-        for pid in protected_ids
-    }
-    return {
-        "recall_before": before,
-        "recall_after": after,
-        "delta": after - before,
-        "column_drift": drift,
-        "max_drift": max(drift.values(), default=0.0),
-    }

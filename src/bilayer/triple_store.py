@@ -1,4 +1,4 @@
-"""Sparse quadruple store with closed-world completion and counting models.
+"""Sparse quadruple store with closed-world completion and counting queries.
 
 Statements are (subject, predicate, object) triples observed at an episodic
 instance t, each carrying an explicit truth value.  Truth values never
@@ -29,9 +29,8 @@ contradicting an explicit negative is.  Statements arrive in bulk:
   stored;
 * `close_instances` checks and records the closures of many instances.
 
-`add_observation` and `lcwa_expand` are their one-quad and one-instance
-cases.  A batch that fails a check adds nothing; the error names the first
-bad row in input order, with the message the one-quad case gives.
+A batch that fails a check adds nothing; the error names the first bad row
+in input order.
 
 Derived indexes.  Queries read indexes built from the canonical state the
 first time a query needs one, so a store that is only built, trained on or
@@ -52,11 +51,9 @@ decoded from pays for none of them:
 Adds update the point lookup and the counts in place and drop whatever else
 they change; the next query rebuilds it.
 
-The counting models implemented here are the exact reference semantics for
-everything the trainable network only approximates:
+The counting queries are the exact reference semantics for what the
+trainable network only approximates:
 
-* observation model      P(s,p,o | t)    relative frequency within one instance
-* pooled model           P(s,p,o)        relative frequency over all instances
 * expected truth         E[y_{s,p,o}]    positives / known occasions
 * label conditional      P(c2 | c1)      co-occurrence frequency of two labels
 """
@@ -70,7 +67,6 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .dists import Categorical
 from .vocab import Kind, Vocabulary
 
 
@@ -197,8 +193,6 @@ def _n_covered(entities: frozenset, labels: frozenset, preds: frozenset) -> int:
 @dataclass(eq=False)
 class TripleStore:
     vocab: Vocabulary
-    duplicate_policy: str = "error"  # "error" | "ignore"
-    horizon: int | None = None  # expected_truth window, in instances; None = all
 
     # canonical state: per truth value, sorted (n, 4) s, p, o, t blocks of the
     # explicit statements; t -> its closure records (entities, labels, predicates)
@@ -216,10 +210,6 @@ class TripleStore:
     _ha: int = field(init=False, repr=False)  # hasAttribute's id, read by every `truth_of` miss
 
     def __post_init__(self) -> None:
-        if self.duplicate_policy not in ("error", "ignore"):
-            raise StoreError(f"bad duplicate policy {self.duplicate_policy!r}")
-        if self.horizon is not None and self.horizon < 1:
-            raise StoreError("horizon must be a positive instance count")
         self._ha = self.vocab.has_attribute
 
     # -- statement arrays --------------------------------------------------------
@@ -375,20 +365,19 @@ class TripleStore:
         truths = map(self.truth_of, *rows.T.tolist())
         return np.fromiter((code.get(y, -1) for y in truths), dtype=np.int8, count=len(rows))
 
-    def add_observations(self, rows, truth) -> int:
+    def add_observations(self, rows, truth) -> None:
         """Add (s, p, o, t) id rows, each true or false (`truth` is one bool for
-        all rows or one per row), as one step, and return how many were new.
+        all rows or one per row), as one step.
 
         A row is refused if its ids have the wrong kinds, or if its quad is
         already stored (a negative implied by a closure counts) or comes
         earlier in the batch: with the other truth value that is a
-        `ConflictError`, with the same one a duplicate, which raises under the
-        "error" policy and is skipped under "ignore".  The error names the
+        `ConflictError`, with the same one a duplicate.  The error names the
         first refused row in input order and nothing is added."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
         truth = np.broadcast_to(np.asarray(truth, dtype=bool), (len(rows),))
         if not len(rows):
-            return 0
+            return
         bad_kind = self._bad_kinds(rows)
         # a row with ids outside the vocabulary can share a sort key with another
         # row; that marks only the later of the two, and the bad row is refused
@@ -400,9 +389,7 @@ class TripleStore:
             stored = self._stored(rows)
             prior = np.where(stored >= 0, stored, prior)
         conflict = (prior >= 0) & (prior != truth)
-        refused = bad_kind | conflict
-        if self.duplicate_policy == "error":
-            refused |= prior >= 0
+        refused = bad_kind | (prior >= 0)
         if refused.any():
             i = int(np.argmax(refused))
             s, p, o, t = rows[i].tolist()
@@ -415,13 +402,8 @@ class TripleStore:
                     f"already asserted with truth={not truth[i]}"
                 )
             raise StoreError(f"duplicate observation {(s, p, o, t)}")
-        new = prior < 0
         for value in (True, False):
-            self._append(rows[order[(new & (truth == value))[order]]], value)
-        return int(new.sum())
-
-    def add_observation(self, s: int, p: int, o: int, t: int, truth: bool) -> None:
-        self.add_observations([(s, p, o, t)], truth)
+            self._append(rows[order[(truth == value)[order]]], value)
 
     def close_instances(self, closures: Iterable[tuple]) -> None:
         """Close instances under the local closed-world assumption.
@@ -432,7 +414,11 @@ class TripleStore:
         distinct entities s, o and a predicate p, reads false unless it is
         explicit.  Labels must be classes or attributes and predicates binary
         ones.  A batch that fails a check records nothing."""
-        self._add_closures(self._closure_records(closures))
+        records = self._closure_records(closures)
+        for t, *record in records:
+            self._closures.setdefault(t, []).append(tuple(record))
+        if records:
+            self._negatives = self._counts = self._cooc = None
 
     def _closure_records(self, closures: Iterable[tuple]) -> list[tuple]:
         """Check closures and return them as (t, entities, labels, predicates)
@@ -460,12 +446,6 @@ class TripleStore:
         return [(int(t), frozenset(map(int, entities)), labels[tuple(c)], preds[tuple(p)])
                 for t, entities, c, p in closures]
 
-    def _add_closures(self, records: list[tuple]) -> None:
-        for t, *record in records:
-            self._closures.setdefault(t, []).append(tuple(record))
-        if records:
-            self._negatives = self._counts = self._cooc = None
-
     def _check_closure(self, t: int, entities) -> None:
         v = self.vocab
         for e in entities:
@@ -475,38 +455,6 @@ class TripleStore:
         self._check_id(t)
         if v.kind_of(t) is not Kind.INSTANCE:
             raise StoreError(f"{v.name_of(t)!r} is not an instance")
-
-    def lcwa_expand(
-        self,
-        t: int,
-        observed_entities: Iterable[int],
-        families: Iterable[str] | None = None,
-        predicates: Iterable[int] | None = None,
-    ) -> list[Quad]:
-        """Close instance t: everything not asserted positive becomes negative.
-
-        For each observed entity, every member of the given label families not
-        asserted true at t is implied false; for each ordered pair of distinct
-        observed entities, likewise for the given binary predicates.  Families
-        and predicates default to the full label-family set and all binary
-        predicates.  Statements already known keep their value.  Returns the
-        newly implied negatives: the unary ones, then the binary ones, each in
-        the order of the loops just named.
-        """
-        v = self.vocab
-        fam_names = list(families) if families is not None else [
-            f for f in v.families if f != "Identity"
-        ]
-        labels = [c for fam in fam_names for c in v.family_members(fam)]
-        preds = list(predicates) if predicates is not None else list(v.binary_predicates)
-        closure = (t, list(dict.fromkeys(observed_entities)), labels, preds)
-        records = self._closure_records([closure])
-        rows = _closure_rows([closure], self._ha)
-        _, first = np.unique(_quad_key(rows), return_index=True)
-        rows = rows[np.sort(first)]
-        implied = rows[self._stored(rows) < 0]
-        self._add_closures(records)
-        return list(map(tuple, implied.tolist()))
 
     # -- raw counts ----------------------------------------------------------
 
@@ -561,9 +509,6 @@ class TripleStore:
             self._counts = tuple(counts)
         return self._counts
 
-    def positive_count(self, s: int, p: int, o: int) -> int:
-        return self._count_index()[0][(s, p, o)]
-
     def observed_instances(self) -> tuple[int, ...]:
         """The instances with a statement: an explicit one, or one a closure
         implies.  A closure that covers something implies it unless it is
@@ -587,51 +532,19 @@ class TripleStore:
         s, p, o, t, in `iter_positive` order."""
         return self._rows(True)
 
-    # -- counting models -------------------------------------------------------
-
-    def observation_dist(self, t: int) -> Categorical:
-        """P(s,p,o | t): uniform over the statements observed true at t."""
-        if self.vocab.kind_of(t) is not Kind.INSTANCE:
-            raise StoreError(f"{self.vocab.name_of(t)!r} is not an instance")
-        support = self.positives_at(t)
-        if not support:
-            raise StoreError(f"no true statements recorded at {self.vocab.name_of(t)!r}")
-        return Categorical(support, [1 / len(support)] * len(support))
-
-    def pooled_dist(self) -> Categorical:
-        """P(s,p,o) pooled over every instance: the background model."""
-        if not self.total_statements():
-            raise StoreError("store holds no true statements")
-        counts = self._count_index()[0]
-        support = tuple(sorted(counts))
-        total = sum(counts.values())
-        probs = [counts[k] / total for k in support]
-        return Categorical(support, probs)
-
-    def _window(self) -> set[int] | None:
-        if self.horizon is None:
-            return None
-        return set(self.observed_instances()[-self.horizon:])
+    # -- counting queries --------------------------------------------------------
 
     def expected_truth(self, s: int, p: int, o: int):
         """Fraction of known occasions on which (s,p,o) was true, or UNKNOWN."""
-        window = self._window()
-        if window is None:
-            counts = self._counts
-            if counts is None:
-                counts = self._count_index()
-            positives, known = counts
-            key = (s, p, o)
-            n = known.get(key)
-            if n is None:
-                return UNKNOWN
-            return positives[key] / n
-        truths = [self.truth_of(s, p, o, t) for t in window]
-        pos = truths.count(True)
-        known = pos + truths.count(False)
-        if known == 0:
+        counts = self._counts
+        if counts is None:
+            counts = self._count_index()
+        positives, known = counts
+        key = (s, p, o)
+        n = known.get(key)
+        if n is None:
             return UNKNOWN
-        return pos / known
+        return positives[key] / n
 
     def _cooc_index(self) -> dict:
         """c1 -> {c2: P(c2 | c1)} for every label c1 true at some (s, t) site,
@@ -735,26 +648,3 @@ def write_jsonl(store: TripleStore, fp: IO[str], truth: bool = True) -> int:
     ids = store._rows(truth)
     order = np.argsort(_quad_key(rank[ids]), kind="stable")
     return write_statements(fp, v, ids[order], truth)
-
-
-def read_jsonl(store: TripleStore, fp: IO[str]) -> int:
-    """Read statement lines into one id array and add it to the store in one
-    `add_observations` call.  Returns the number of statement lines."""
-    v = store.vocab
-    rows: list[list[int]] = []
-    truths: list[bool] = []
-    for line_no, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            rows.append([v.id_of(rec[k]) for k in ("s", "p", "o", "t")])
-            y = rec["y"]
-            if y not in (0, 1):
-                raise StoreError(f"bad truth value {y!r}")
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise StoreError(f"line {line_no}: malformed statement ({exc})") from exc
-        truths.append(bool(y))
-    store.add_observations(rows, truths)
-    return len(rows)

@@ -152,14 +152,6 @@ class Vocabulary:
         return tuple(i for i in self._of_kind(Kind.PREDICATE) if i != ha)
 
     @property
-    def concepts(self) -> tuple[int, ...]:
-        """Entities, classes and attributes: everything a subject/object head ranks."""
-        return tuple(
-            i for i, k in enumerate(self._kinds)
-            if k in (Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE)
-        )
-
-    @property
     def labels(self) -> tuple[int, ...]:
         return tuple(
             i for i, k in enumerate(self._kinds)

@@ -222,9 +222,9 @@ class GroundTruthWorld:
                 return s
         raise WorldError(f"unknown scene {name!r}")
 
-    def build_store(self, duplicate_policy: str = "error") -> TripleStore:
+    def build_store(self) -> TripleStore:
         if self._store is None:
-            self._store = _ingest(self, duplicate_policy)
+            self._store = _ingest(self)
         return self._store
 
 
@@ -682,7 +682,7 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
 # -- store ingestion ---------------------------------------------------------------
 
 
-def _ingest(world: GroundTruthWorld, duplicate_policy: str) -> TripleStore:
+def _ingest(world: GroundTruthWorld) -> TripleStore:
     """The world's store in two bulk steps: the positives of every instance
     scene as one array, in scene order (each member's labels in family order,
     then the scene's binary statements), then the closure of every instance.
@@ -691,7 +691,7 @@ def _ingest(world: GroundTruthWorld, duplicate_policy: str) -> TripleStore:
     social predicate."""
     v = world.vocab
     onto = world.ontology
-    store = TripleStore(v, duplicate_policy=duplicate_policy)
+    store = TripleStore(v)
     ha = v.has_attribute
     labels = [c for fam in onto.label_families for c in v.family_members(fam)]
     closing = {

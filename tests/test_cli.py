@@ -467,6 +467,30 @@ class TestEval:
         assert main(["eval", ws["checkpoint"], ws["world_dir"],
                      "--experiments", "daydreaming", "--out", str(tmp_path / "ev")]) == 3
 
+    def test_a_list_is_checked_before_any_experiment_runs(self, ws, tmp_path):
+        out = tmp_path / "ev"
+        assert main(["eval", ws["checkpoint"], ws["world_dir"],
+                     "--experiments", "episodic-recall,daydreaming", "--out", str(out)]) == 3
+        assert not out.exists()  # no report, not even a manifest
+
+    def test_experiments_the_world_cannot_feed_fail_before_any_runs(self, tmp_path):
+        # no unlabeled shard, as in a default world, and no social network
+        world_cfg = {**WORLD_CONFIG, "unlabeled_fraction": 0.0, "social": False}
+        wcfg = _write_json(tmp_path / "world.json", world_cfg)
+        tcfg = _write_json(tmp_path / "train.json", {**TRAIN_CONFIG, "epochs": 1})
+        world_dir, run = str(tmp_path / "world"), str(tmp_path / "run")
+        assert main(["gen", "--config", wcfg, "--out", world_dir]) == 0
+        assert main(["train", world_dir, "--config", tcfg, "--out", run]) == 0
+        out = tmp_path / "ev"
+        for names, lack in (("all", "social-recall: world has no social instances"),
+                            ("episodic-recall,ssl-before-after",
+                             "ssl-before-after: world has no unlabeled shard")):
+            proc = _run_cli(["eval", os.path.join(run, "model.json"), world_dir,
+                             "--experiments", names, "--out", str(out)])
+            assert proc.returncode == 3, proc.stderr
+            assert len(proc.stderr.splitlines()) == 1 and lack in proc.stderr
+            assert not out.exists()
+
 
 class TestSsl:
     def test_growth_run(self, ws, tmp_path, capsys):

@@ -12,46 +12,31 @@ from bilayer.evaluation import (
     EvalContext,
     EvalError,
     MetricReport,
+    check_experiments,
     head_metrics,
-    hits_at_k,
     label_conditional_estimate,
     perception_binary_eval,
     perception_unary_eval,
     ranked_cols,
     run_experiment,
-    top1_accuracy,
     zero_shot_split,
 )
 from bilayer.graph import Batch
 from bilayer.network import DecodeRequest, decode
 from bilayer.training import TrainConfig, memory_examples
-from bilayer.world import substream
+from bilayer.world import WorldConfig, gen_world, substream
 
 from util import table_rows
 
 
 class TestElementaryMetrics:
-    def test_top1(self):
-        assert top1_accuracy([1, 2, 3], [1, 9, 3]) == pytest.approx(2 / 3)
-        with pytest.raises(EvalError):
-            top1_accuracy([1], [1, 2])
-        with pytest.raises(EvalError):
-            top1_accuracy([], [])
-
-    def test_hits_at_k(self):
-        ranked = [[3, 1, 2], [2, 3, 1]]
-        assert hits_at_k(ranked, [3, 1], 1) == 0.5
-        assert hits_at_k(ranked, [3, 1], 3) == 1.0
-        with pytest.raises(EvalError):
-            hits_at_k(ranked, [3], 1)
-        with pytest.raises(EvalError):
-            hits_at_k(ranked, [3, 1], 0)
-        with pytest.raises(EvalError):
-            hits_at_k([], [], 1)
-
     def test_ranked_cols_is_stable(self):
         scores = np.array([0.4, 0.9, 0.4, 0.1])
         assert ranked_cols(scores).tolist() == [1, 0, 2, 3]
+
+    def test_ranked_cols_ranks_each_row(self):
+        scores = np.array([[0.4, 0.9, 0.4, 0.1], [0.0, 0.0, 0.5, 0.5]])
+        assert ranked_cols(scores).tolist() == [[1, 0, 2, 3], [2, 3, 0, 1]]
 
 
 @pytest.fixture()
@@ -92,6 +77,23 @@ class TestHeadMetrics:
         assert a["families"] == b["families"]
         assert a["heads"] == b["heads"]
         assert a["predicate_hits"] == b["predicate_hits"]
+
+    def test_hits_at_one_is_the_head_top1(self, tiny_model, tiny_store, tiny_world):
+        params, cmap, _ = tiny_model
+        unary, binary = memory_examples(tiny_store, tiny_world.vocab)
+        for mode in ("episodic", "semantic"):
+            m = head_metrics(params, cmap, unary, binary, mode)
+            assert m["predicate_hits"]["1"] == m["heads"]["NP"]
+            assert m["object_hits"]["1"] == m["heads"]["NO"]
+
+    def test_the_full_ranking_hits_every_target(self, tiny_model, tiny_store, tiny_world):
+        params, cmap, _ = tiny_model
+        unary, binary = memory_examples(tiny_store, tiny_world.vocab)
+        n_pred, n_obj = cmap.predicate_cols.size, cmap.concept_cols.size
+        m = head_metrics(params, cmap, unary, binary, "episodic", ks=(1, n_pred, n_obj))
+        assert m["predicate_hits"][str(n_pred)] == 1.0
+        assert m["object_hits"][str(n_obj)] == 1.0
+        assert m["predicate_hits"]["1"] <= m["predicate_hits"][str(n_obj)]
 
     @pytest.mark.parametrize("arity", ["unary", "binary"])
     @pytest.mark.parametrize("mode", ["episodic", "semantic", "perception"])
@@ -306,6 +308,48 @@ class TestMetricReport:
         assert ("demo", "nested.z", 1.0) in rows
         assert ("demo", "n.rows", 7.0) in rows
         assert all(name != "tag" for _, name, _ in rows)
+
+
+@pytest.fixture(scope="module")
+def bare_world():
+    """A world without an unlabeled shard or a social network."""
+    return gen_world(WorldConfig(n_entities=30, n_scenes=8, n_test_entities=4, n_test_scenes=2,
+                                 zero_shot_per_combo=2, unlabeled_fraction=0.0, social=False,
+                                 seed=5))
+
+
+class TestCheckExperiments:
+    def test_accepts_every_experiment_the_world_feeds(self, tiny_world):
+        check_experiments(sorted(EXPERIMENTS), tiny_world)
+
+    def test_an_empty_list_passes(self, bare_world):
+        check_experiments([], bare_world)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_an_unknown_name_is_refused_wherever_it_stands(self, tiny_world, at):
+        names = ["episodic-recall", "semantic-recall"]
+        names.insert(at, "daydreaming")
+        with pytest.raises(EvalError, match="unknown experiment 'daydreaming'"):
+            check_experiments(names, tiny_world)
+
+    @pytest.mark.parametrize("name, lack", [
+        ("ssl-before-after", "no unlabeled shard"),
+        ("social-recall", "no social instances"),
+    ])
+    def test_refuses_what_the_world_cannot_feed(self, bare_world, name, lack):
+        with pytest.raises(EvalError, match=f"^{name}: world has {lack}"):
+            check_experiments(["episodic-recall", name], bare_world)
+        check_experiments(sorted(set(EXPERIMENTS) - {"ssl-before-after", "social-recall"}),
+                          bare_world)
+
+    def test_run_experiment_refuses_before_running(self, ctx, bare_world, monkeypatch):
+        ran = []
+        monkeypatch.setitem(EXPERIMENTS, "ssl-before-after", lambda c: ran.append(c))
+        bare = EvalContext(world=bare_world, store=ctx.store, vocab=ctx.vocab, params=ctx.params,
+                           cmap=ctx.cmap, seed=ctx.seed, train_config=ctx.train_config)
+        with pytest.raises(EvalError, match="no unlabeled shard"):
+            run_experiment("ssl-before-after", bare)
+        assert ran == []
 
 
 class TestExperimentHarness:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bilayer.graph import Batch, forward
+from bilayer.graph import Batch, forward, mean_head_accuracy
 from bilayer.network import NumericsError
 from bilayer.world import substream
 
@@ -58,5 +58,33 @@ def test_non_finite_scores_alone_name_the_loss():
     v = small_vocab()
     params, cmap = small_params(v, seed=3, tied=False)
     params.emb_up[:, cmap.concept_cols] = np.nan
-    with pytest.raises(NumericsError, match="non-finite loss"):
+    with pytest.raises(NumericsError, match=re.escape("non-finite scores at head 'NS'")):
         forward(params, cmap, _batch(cmap, "episodic", "unary"))
+
+
+@pytest.mark.parametrize("family, head", [("Species", "labels"), ("Identity", "identity")])
+def test_non_finite_label_scores_name_their_head(family, head):
+    # the segmented label head's -inf outside each family is no fault;
+    # a NaN readout column inside the batch's family is
+    v = small_vocab()
+    params, cmap = small_params(v, seed=3, tied=False)
+    params.emb_up[:, cmap.family_cols[family]] = np.nan
+    batch = _batch(cmap, "semantic", "unary")
+    batch.fam_rows = {family: np.arange(len(batch))}
+    batch.fam_target_cols = {family: cmap.family_cols[family][:1].repeat(len(batch))}
+    with pytest.raises(NumericsError, match=re.escape(f"non-finite scores at head '{head}'")):
+        forward(params, cmap, batch)
+
+
+@pytest.mark.parametrize("arity", ["unary", "binary"])
+def test_mean_head_accuracy_averages_every_head(arity):
+    v = small_vocab()
+    params, cmap = small_params(v, seed=4)
+    _, cache = forward(params, cmap, _batch(cmap, "episodic", arity))
+    accs = [h["accuracy"] for h in (*cache["heads"].values(), *cache["fam_heads"].values())]
+    assert len(accs) == (3 if arity == "binary" else 2)  # NS with NO, NP or one family
+    assert mean_head_accuracy(cache) == pytest.approx(sum(accs) / len(accs))
+
+
+def test_mean_head_accuracy_of_no_heads_is_nan():
+    assert np.isnan(mean_head_accuracy({"heads": {}, "fam_heads": {}}))

@@ -22,7 +22,6 @@ from bilayer.network import (
     NumericsError,
     SceneInput,
     attention_update,
-    chain_labels,
     context_out,
     context_step,
     decode,
@@ -32,9 +31,9 @@ from bilayer.network import (
     fused_stream,
     index_scores,
     initial_context,
-    sample_index,
     sigmoid,
-    softmax,
+    _pick,
+    _softmax_rows,
 )
 from bilayer.world import substream
 
@@ -105,27 +104,27 @@ class TestActivations:
         scores = np.array([0.0, 1.0, 2.0])
         e = [math.exp(v) for v in (0.0, 1.0, 2.0)]
         want = np.array([v / sum(e) for v in e])
-        np.testing.assert_allclose(softmax(scores, 1.0), want, rtol=1e-12)
+        np.testing.assert_allclose(_softmax_rows(scores, 1.0), want, rtol=1e-12)
 
     def test_softmax_zero_beta_is_uniform(self):
-        out = softmax(np.array([5.0, -3.0, 0.0, 99.0]), 0.0)
-        np.testing.assert_array_equal(out, np.full(4, 0.25))
+        out = _softmax_rows(np.array([[5.0, -3.0, 0.0, 99.0], [1.0, 2.0, 3.0, 4.0]]), 0.0)
+        np.testing.assert_array_equal(out, np.full((2, 4), 0.25))
 
     def test_softmax_infinite_beta_is_argmax(self):
-        out = softmax(np.array([1.0, 7.0, 3.0]), math.inf)
+        out = _softmax_rows(np.array([1.0, 7.0, 3.0]), math.inf)
         np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
 
     def test_softmax_infinite_beta_breaks_ties_low(self):
-        out = softmax(np.array([2.0, 7.0, 7.0]), math.inf)
-        np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
+        out = _softmax_rows(np.array([[2.0, 7.0, 7.0], [5.0, 5.0, 1.0]]), math.inf)
+        np.testing.assert_array_equal(out, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_softmax_rejects_bad_input(self):
-        with pytest.raises(NetworkError):
-            softmax(np.array([]), 1.0)
-        with pytest.raises(NetworkError):
-            softmax(np.ones((2, 2)), 1.0)
-        with pytest.raises(NetworkError):
-            softmax(np.array([1.0, 2.0]), -0.5)
+        with pytest.raises(NetworkError, match="beta"):
+            _softmax_rows(np.array([1.0, 2.0]), -0.5)
+        with pytest.raises(NetworkError, match="beta"):
+            _pick(np.array([[1.0, 2.0]]), -0.5, substream(0, "m"))
+        with pytest.raises(NetworkError, match="no index units"):
+            _pick(np.zeros((2, 0)), 1.0, substream(0, "m"))
 
     @given(
         scores=st.lists(
@@ -139,8 +138,8 @@ class TestActivations:
         order = np.sort(arr)
         if arr.size > 1 and order[-1] - order[-2] < 1e-6:
             return  # tie: argmax not well defined
-        assert int(np.argmax(softmax(arr, beta))) == int(np.argmax(arr))
-        assert int(np.argmax(softmax(arr, math.inf))) == int(np.argmax(arr))
+        assert int(np.argmax(_softmax_rows(arr, beta))) == int(np.argmax(arr))
+        assert int(np.argmax(_softmax_rows(arr, math.inf))) == int(np.argmax(arr))
 
     @given(
         scores=st.lists(
@@ -150,26 +149,56 @@ class TestActivations:
     )
     @settings(max_examples=200, deadline=None)
     def test_softmax_normalizes(self, scores, beta):
-        out = softmax(np.array(scores), beta)
+        out = _softmax_rows(np.array(scores), beta)
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out >= 0)
 
-    def test_sample_index_infinite_beta_ignores_rng(self):
-        scores = np.array([0.0, 4.0, 1.0])
+    def test_pick_infinite_beta_is_argmax_without_a_draw(self):
+        scores = np.array([[0.0, 4.0, 1.0], [3.0, 3.0, 0.0]])  # the second row ties low
         for seed in range(5):
-            assert sample_index(scores, math.inf, substream(seed, "s")) == 1
+            rng = substream(seed, "s")
+            state = rng.bit_generator.state
+            assert _pick(scores, math.inf, rng).tolist() == [1, 0]
+            assert rng.bit_generator.state == state
 
-    def test_sample_index_frequencies(self):
-        scores = np.array([0.0, math.log(3.0)])  # probs 0.25 / 0.75
-        rng = substream(11, "freq")
-        n = 4000
-        hits = sum(sample_index(scores, 1.0, rng) for _ in range(n))
+    def test_pick_frequencies(self):
+        scores = np.tile([0.0, math.log(3.0)], (4000, 1))  # probs 0.25 / 0.75
+        hits = int(_pick(scores, 1.0, substream(11, "freq")).sum())
+        n = len(scores)
         sd = math.sqrt(n * 0.75 * 0.25)
         assert abs(hits - 0.75 * n) <= 3 * sd
 
-    def test_sample_index_rejects_a_matrix(self):
-        with pytest.raises(NetworkError, match="vector"):
-            sample_index(np.ones((2, 2)), 1.0, substream(0, "m"))
+    def test_softmax_rows_match_one_row_calls(self):
+        scores = substream(2, "rows").standard_normal((5, 7)) * 4.0
+        for beta in (0.3, 1.0, math.inf):
+            out = _softmax_rows(scores, beta)
+            for row, want in zip(scores, out):
+                np.testing.assert_array_equal(_softmax_rows(row, beta), want)
+
+    def test_softmax_is_shift_invariant_and_overflow_free(self):
+        scores = np.array([[0.0, 1.0, 2.0], [1000.0, 1001.0, 1002.0], [-1e4, -1e4 + 1, -1e4 + 2]])
+        out = _softmax_rows(scores, 1.0)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out[1], out[0], rtol=1e-12)
+        np.testing.assert_allclose(out[2], out[0], rtol=1e-12)
+
+    def test_pick_zero_beta_is_uniform(self):
+        scores = np.tile([9.0, -9.0, 0.0], (3000, 1))  # beta=0 ignores the scores
+        counts = np.bincount(_pick(scores, 0.0, substream(12, "flat")), minlength=3)
+        n = len(scores)
+        sd = math.sqrt(n * (1 / 3) * (2 / 3))
+        assert np.all(np.abs(counts - n / 3) <= 3 * sd)
+
+    def test_pick_draws_rows_in_order(self):
+        scores = substream(4, "order").standard_normal((6, 5))
+        batch = _pick(scores, 1.0, substream(8, "p"))
+        rng = substream(8, "p")
+        assert batch.tolist() == [int(_pick(row[None], 1.0, rng)[0]) for row in scores]
+
+    def test_pick_from_one_column_is_always_it(self):
+        scores = substream(5, "one").standard_normal((20, 1))
+        for beta in (0.0, 1.0, math.inf):
+            assert _pick(scores, beta, substream(0, "c")).tolist() == [0] * 20
 
 
 class TestContextAndEncoding:
@@ -503,7 +532,7 @@ class TestDecodeBehavior:
         v = small_vocab()
         params, cmap = small_params(v, seed=17)
         entities = set(v.entities)
-        concepts = set(v.concepts)
+        concepts = set(v.entities) | set(v.classes) | set(v.attributes)
         instances = set(v.instances)
         predicates = set(v.binary_predicates)
         families = v.families
@@ -529,6 +558,52 @@ class TestDecodeBehavior:
                 assert trace.predicate_id in predicates
             for fam, label in trace.labels.items():
                 assert label in families[fam]
+
+    @pytest.mark.parametrize("mode", ["perception", "episodic", "semantic"])
+    def test_one_label_per_family(self, mode):
+        v = small_vocab()
+        params, cmap = small_params(v, seed=18)
+        kwargs = {"features": _scene_features(5)} if mode == "perception" else {}
+        if mode == "episodic":
+            kwargs["instance_id"] = v.id_of("t0")
+        for seed in range(10):
+            trace = decode(params, cmap, v, DecodeRequest(mode=mode, beta=0.5, **kwargs),
+                           substream(seed, "fams"))
+            assert set(trace.labels) == set(v.families)
+            assert all(trace.labels[f] in v.families[f] for f in v.families)
+
+    def test_label_free_vocabulary_decodes_only_identity(self):
+        v = small_vocab(classes=(), attributes=(), families={})
+        params, cmap = small_params(v, seed=19)
+        for seed in range(5):
+            trace = decode(params, cmap, v, DecodeRequest(mode="semantic"), substream(seed, "id"))
+            assert list(trace.labels) == ["Identity"]
+            assert trace.labels["Identity"] in set(v.entities)
+
+    def test_winner_take_all_labels_are_the_family_argmax(self):
+        v = small_vocab()
+        params, cmap = small_params(v, seed=20)
+        req = DecodeRequest(mode="episodic", instance_id=v.id_of("t2"), winner_take_all=True)
+        trace = decode(params, cmap, v, req, substream(0, "wta"))
+        for fam, cols in cmap.family_cols.items():
+            best = cols[int(np.argmax(trace.scores["label"][cmap.family_idx[fam]]))]
+            assert trace.labels[fam] == cmap.id_of_col(best)
+
+    def test_unary_and_binary_passes_share_subject_and_labels(self):
+        """Labels are read before the object step, so the relation boxes
+        cannot change them."""
+        v = small_vocab()
+        params, cmap = small_params(v, seed=21)
+        feats = _scene_features(6)
+        unary = SceneInput(scene=feats.scene, subject_box=feats.subject_box)
+        a, b = (
+            decode(params, cmap, v,
+                   DecodeRequest(mode="perception", features=f, winner_take_all=True),
+                   substream(0, "share"))
+            for f in (unary, feats)
+        )
+        assert (a.instance_id, a.subject_id, a.labels) == (b.instance_id, b.subject_id, b.labels)
+        np.testing.assert_array_equal(a.scores["label"], b.scores["label"])
 
     def test_direct_reads_only_encoded_boxes(self):
         v = small_vocab()
@@ -561,23 +636,6 @@ class TestDecodeBehavior:
         assert trace.instance_id is None  # soft mixture, no committed id
         assert trace.subject_id is None and trace.object_id is None
         assert trace.predicate_id is not None
-
-    def test_trace_triples(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=20)
-        trace = decode(
-            params,
-            cmap,
-            v,
-            DecodeRequest(mode="episodic", instance_id=v.id_of("t0"), winner_take_all=True),
-            substream(0, "t"),
-        )
-        triples = trace.triples(v)
-        ha = v.has_attribute
-        unary = [(s, p, o) for s, p, o in triples if p == ha]
-        assert len(unary) == len([f for f in trace.labels if f != "Identity"])
-        binary = [(s, p, o) for s, p, o in triples if p != ha]
-        assert binary == [(trace.subject_id, trace.predicate_id, trace.object_id)]
 
 
 _VARIANT_FLAGS = {
@@ -750,53 +808,12 @@ class TestDecodeChunked:
         for a, b in zip(got, want):
             np.testing.assert_allclose(a.scores["label"], b.scores["label"], rtol=1e-12)
 
-
-class TestChainLabels:
-    def test_rejects_zero_steps(self):
+    def test_no_requests_make_no_calls(self, monkeypatch):
         v = small_vocab()
         params, cmap = small_params(v)
-        with pytest.raises(NetworkError, match="step"):
-            chain_labels(params, cmap, np.zeros(8), substream(0, "c"), steps=0)
-
-    def test_rejects_label_free_vocabulary(self):
-        v = small_vocab(classes=(), attributes=(), families={})
-        params, cmap = small_params(v)
-        with pytest.raises(NetworkError, match="columns"):
-            chain_labels(params, cmap, np.zeros(8), substream(0, "c"), steps=2)
-
-    def test_emits_labels_without_repeats(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=21)
-        rep = np.linspace(-1, 1, 8).astype(np.float32)
-        out = chain_labels(params, cmap, rep, substream(3, "c"), steps=10, beta=0.5)
-        labels = set(v.labels)
-        assert all(x in labels for x in out)
-        assert len(out) == len(set(out)) == len(labels)  # ten steps exhaust five labels
-
-    def test_exclusions_are_never_emitted(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=22)
-        rep = np.zeros(8, dtype=np.float32)
-        skip = {v.id_of("Dog"), v.id_of("Old")}
-        for seed in range(10):
-            out = chain_labels(
-                params, cmap, rep, substream(seed, "c"), steps=5, beta=1.0, exclude=skip
-            )
-            assert not skip.intersection(out)
-
-    def test_winner_take_all_is_deterministic(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=23)
-        rep = np.linspace(0, 1, 8).astype(np.float32)
-        runs = {
-            tuple(
-                chain_labels(
-                    params, cmap, rep, substream(s, "c"), steps=3, winner_take_all=True
-                )
-            )
-            for s in range(5)
-        }
-        assert len(runs) == 1
+        sizes = self._calls(monkeypatch)
+        assert list(decode_chunked(params, cmap, v, [], substream(0, "e"))) == []
+        assert sizes == []
 
 
 class TestFusedStream:
@@ -823,3 +840,33 @@ class TestFusedStream:
         k = sum(1 for d in draws if d["source"] == "semantic")
         sd = math.sqrt(n * 0.25 * 0.75)
         assert abs(k - 0.25 * n) <= 3 * sd
+
+    def test_semantic_share_falls_as_observations_grow(self):
+        """The background weight is gamma / (gamma + n_obs): each observation
+        of the instance moves draws toward the episodic decoder."""
+        n = 3000
+        shares = []
+        for n_obs in (0.5, 2.0, 8.0):
+            draws = fused_stream(lambda r: {}, lambda r: {}, 2.0, n_obs, substream(9, "f"), n)
+            shares.append(sum(d["source"] == "semantic" for d in draws) / n)
+            want = 2.0 / (2.0 + n_obs)
+            assert abs(shares[-1] - want) <= 3 * math.sqrt(want * (1 - want) / n)
+        assert shares[0] > shares[1] > shares[2]
+
+    def test_decoders_draw_from_the_stream_generator(self):
+        rng = substream(3, "f")
+        seen = []
+
+        def draw(r):
+            seen.append(r)
+            return {"x": float(r.random())}
+
+        draws = list(fused_stream(draw, draw, 1.0, 1.0, rng, 20))
+        assert len(draws) == len(seen) == 20
+        assert all(r is rng for r in seen)
+        assert len({d["x"] for d in draws}) == 20
+
+    def test_zero_draws_is_empty(self):
+        calls = []
+        out = list(fused_stream(calls.append, calls.append, 1.0, 1.0, substream(0, "f"), 0))
+        assert out == [] and calls == []

@@ -120,6 +120,13 @@ class TestNetConfig:
     def test_defaults_round_trip(self):
         assert NetConfig.from_dict(NetConfig().to_dict()) == NetConfig()
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_np_dtype_sets_every_block(self, dtype):
+        config = NetConfig(rep_dim=4, ctx_dim=3, feature_dim=5, dtype=dtype)
+        assert config.np_dtype() == np.dtype(dtype)
+        params = NetParams.init(small_vocab(), config, substream(0, "init"))
+        assert {arr.dtype for arr in params.blocks().values()} == {config.np_dtype()}
+
 
 class TestNetParams:
     def test_init_shapes(self):

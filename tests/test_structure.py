@@ -6,7 +6,9 @@ goes through (via `decode`, `decode_many` or `decode_chunked`), and the
 teacher-forced `graph.forward`, whose hand-derived `backward` is the only
 other reader of the context and encoder weights.  Any other module that
 imports the step functions is on its way to a third hand-written walk.  The
-triple store's internals are read only inside `triple_store.py`.
+triple store's internals are read only inside `triple_store.py`.  Every
+public name the package defines has a caller inside it, but for a short
+allowlist of names that the benchmark or the gradient tests call.
 """
 from __future__ import annotations
 
@@ -105,3 +107,53 @@ def test_store_internals_stay_in_the_store(module):
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     )
     assert not reads, f"{module} reads store internals: {reads}"
+
+
+# public names no module of the package calls, each with the caller that keeps it
+UNCALLED = {
+    "expected_truth": "the perfbench query round",
+    "iter_positive": "the perfbench query round",
+    "iter_negative": "the perfbench query round",
+    "loss_and_grads": "the entry point of the finite-difference gradient tests",
+}
+
+
+def _public_definitions() -> list[tuple[str, str, ast.AST]]:
+    """(module, qualified name, node) of every public top-level function and
+    class, and every public method of a top-level class, in the package."""
+    out = []
+    for path in sorted(Path(bilayer.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                out.append((path.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [(path.name, f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return out
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Code that no run path uses is deleted: every public definition is
+    named, as a name or an attribute, somewhere in the package outside
+    `__init__.py` and outside its own definition."""
+    named: dict[str, list[ast.AST]] = {}
+    for path in Path(bilayer.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                named.setdefault(node.attr, []).append(node)
+    uncalled = {}
+    for module, qualname, definition in _public_definitions():
+        own = {id(n) for n in ast.walk(definition)}
+        name = qualname.rsplit(".", 1)[-1]
+        if all(id(n) in own for n in named.get(name, ())):
+            uncalled[name] = f"{module}: {qualname}"
+    assert not uncalled.keys() - UNCALLED, sorted(uncalled[n] for n in uncalled.keys() - UNCALLED)
+    assert uncalled.keys() == UNCALLED.keys(), "an allowlisted name has a caller or is gone"

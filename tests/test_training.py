@@ -19,7 +19,6 @@ from bilayer.training import (
     consolidate,
     detect_novel_entity,
     examples_from_rows,
-    forgetting_probe,
     injection_pool,
     memory_examples,
     perception_examples,
@@ -70,6 +69,15 @@ class TestTrainConfig:
         config = TrainConfig(freeze_emb=True, freeze_enc=True, freeze_pooled=True)
         assert config.frozen_blocks() == {"emb", "emb_up", "enc_w", "enc_b", "pooled"}
         assert TrainConfig().frozen_blocks() == frozenset()
+
+    def test_mode_weight_reads_each_mode_weight(self):
+        config = TrainConfig(weight_perception=0.5, weight_episodic=2.0, weight_semantic=0.25)
+        assert [config.mode_weight(m) for m in ("perception", "episodic", "semantic")] == [
+            0.5, 2.0, 0.25]
+
+    def test_mode_weight_has_no_other_mode(self):
+        with pytest.raises(KeyError):
+            TrainConfig().mode_weight("dreaming")
 
     def test_round_trip(self):
         config = TrainConfig(epochs=3, modes=("episodic",), hidden_families=("Age",))
@@ -858,34 +866,3 @@ class TestConsolidation:
         assert dup_trace.labels == orig_trace.labels
         assert dup_trace.object_id == orig_trace.object_id
         assert dup_trace.predicate_id == orig_trace.predicate_id
-
-
-class TestForgettingProbe:
-    def test_null_perturbation(self):
-        v = small_vocab()
-        params, cmap = small_params(v)
-        out = forgetting_probe(
-            params, cmap,
-            protected_ids=[v.id_of("e0"), v.id_of("t0")],
-            perturb=lambda: (params, cmap),
-            recall=lambda p, c: 0.75,
-        )
-        assert out["recall_before"] == out["recall_after"] == 0.75
-        assert out["delta"] == 0.0
-        assert out["max_drift"] == 0.0
-        assert set(out["column_drift"]) == {v.id_of("e0"), v.id_of("t0")}
-
-    def test_detects_drift(self):
-        v = small_vocab()
-        params, cmap = small_params(v)
-        e0 = v.id_of("e0")
-
-        def perturb():
-            params.emb[:, cmap.col_of(e0)] += 1.0
-            return params, cmap
-
-        out = forgetting_probe(
-            params, cmap, [e0], perturb, recall=lambda p, c: 0.5
-        )
-        expected = float(np.sqrt(params.emb.shape[0]))
-        assert abs(out["max_drift"] - expected) < 1e-5

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilayer.triple_store import UNKNOWN, ConflictError, TripleStore, read_jsonl, write_jsonl
+from bilayer.triple_store import UNKNOWN, ConflictError, TripleStore, write_jsonl
 from bilayer.world import (
     EntityRecord,
     Ontology,
@@ -27,10 +27,13 @@ from bilayer.world import (
     _scene_pool,
     WorldConfig,
     WorldError,
+    entity_box_features,
     export_world,
     gen_world,
     load_world,
     read_features,
+    relation_box_features,
+    scene_features,
     social_network,
     substream,
     write_features,
@@ -38,6 +41,7 @@ from bilayer.world import (
 
 from util import (
     orientation_probability,
+    read_jsonl,
     rebuild_store_from_files,
     reference_compose_scene,
     reference_jsonl,
@@ -317,6 +321,46 @@ class TestGeneration:
                     continue
                 across.extend(cos(a, b) for a in boxes[:10] for b in by_class[cj][:10])
         assert np.mean(within) > np.mean(across)
+
+
+class TestFeatureSynthesis:
+    @staticmethod
+    def _parts(seed: int, widths: tuple) -> tuple:
+        rng = substream(seed, "parts")
+        projection = rng.standard_normal((6, sum(widths)))
+        return projection, [rng.standard_normal(w) for w in widths]
+
+    def test_entity_box_without_noise_is_the_projection(self):
+        projection, (proto, latent) = self._parts(1, (3, 2))
+        rng = substream(0, "noise")
+        state = rng.bit_generator.state
+        out = entity_box_features(projection, proto, latent, 0.0, rng)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(
+            out, (projection @ np.concatenate([proto, latent])).astype(np.float32))
+        assert rng.bit_generator.state == state  # no noise, no draw
+
+    def test_relation_box_without_noise_is_the_projection(self):
+        projection, (ls, lo, proto) = self._parts(2, (2, 2, 3))
+        out = relation_box_features(projection, ls, lo, proto, 0.0, substream(0, "noise"))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(
+            out, (projection @ np.concatenate([ls, lo, proto])).astype(np.float32))
+
+    def test_scene_without_noise_is_the_member_mean(self):
+        boxes = list(substream(3, "boxes").standard_normal((4, 6)).astype(np.float32))
+        out = scene_features(boxes, 0.0, substream(0, "noise"))
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, np.mean(boxes, axis=0), rtol=1e-6)
+
+    def test_noise_is_seeded_and_scaled_by_sigma(self):
+        projection, (proto, latent) = self._parts(4, (3, 2))
+        clean = entity_box_features(projection, proto, latent, 0.0, substream(0, "n"))
+        a = entity_box_features(projection, proto, latent, 0.5, substream(7, "n"))
+        b = entity_box_features(projection, proto, latent, 0.5, substream(7, "n"))
+        np.testing.assert_array_equal(a, b)
+        want = clean + 0.5 * substream(7, "n").normal(0.0, 1.0, size=6)
+        np.testing.assert_allclose(a, want, rtol=1e-5, atol=1e-5)
 
 
 class TestSceneComposition:

@@ -1,11 +1,11 @@
 """Shared test helpers: a hand-rolled vocabulary builder, the triple store as
 it was written one quad at a time (the oracle of the bulk-built store), and
-independent brute-force reference implementations of every counting model, of
-the decode walk, of the statement-file bytes and the store read back from
-them, of scene composition by scanning the entity pool, of the social-edge
-orientation model, and of the training inputs and heads as they were written
-per item: example dicts, per-example index swaps, one softmax head per label
-family, the copying CE head and the two-division sigmoid.
+independent brute-force reference implementations of the store's counting
+queries, of the decode walk, of the statement-file bytes and the store read
+back from them, of scene composition by scanning the entity pool, of the
+social-edge orientation model, and of the training inputs and heads as they
+were written per item: example dicts, per-example index swaps, one softmax
+head per label family, the copying CE head and the two-division sigmoid.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
@@ -26,8 +26,7 @@ import numpy as np
 from bilayer.graph import Batch
 from bilayer.params import ColumnMap, NetConfig, NetParams
 from bilayer.training import Examples, InjectionPool
-from bilayer.dists import Categorical
-from bilayer.triple_store import UNKNOWN, ConflictError, StoreError, TripleStore, read_jsonl
+from bilayer.triple_store import UNKNOWN, ConflictError, StoreError, TripleStore
 from bilayer.vocab import IDENTITY_FAMILY, Kind, Vocabulary
 from bilayer.world import SceneRecord, substream
 
@@ -114,23 +113,14 @@ def random_records(
 
 
 def store_from_records(vocab: Vocabulary, records: list[Record]) -> TripleStore:
+    """A store that took the records one add at a time, one block each."""
     store = TripleStore(vocab)
     for s, p, o, t, truth in records:
-        store.add_observation(s, p, o, t, truth)
+        store.add_observations([(s, p, o, t)], truth)
     return store
 
 
 # -- brute-force reference models (exact rational arithmetic) ----------------------
-
-
-def brute_observation_dist(records: list[Record], t: int) -> dict:
-    trues = [(s, p, o) for s, p, o, ti, y in records if ti == t and y]
-    return {k: Fraction(trues.count(k), len(trues)) for k in set(trues)}
-
-
-def brute_pooled_dist(records: list[Record]) -> dict:
-    trues = [(s, p, o) for s, p, o, _, y in records if y]
-    return {k: Fraction(trues.count(k), len(trues)) for k in set(trues)}
 
 
 def brute_expected_truth(records: list[Record], s: int, p: int, o: int):
@@ -166,8 +156,6 @@ class ReferenceStore:
     bulk-built `TripleStore` must answer every query exactly as this does."""
 
     vocab: Vocabulary
-    duplicate_policy: str = "error"
-    horizon: int | None = None
 
     _positive: set = field(default_factory=set)
     _negative: set = field(default_factory=set)
@@ -205,9 +193,7 @@ class ReferenceStore:
             )
         same = self._positive if truth else self._negative
         if quad in same:
-            if self.duplicate_policy == "error":
-                raise StoreError(f"duplicate observation {quad}")
-            return
+            raise StoreError(f"duplicate observation {quad}")
         same.add(quad)
         self._known_count[(s, p, o)] += 1
         if truth:
@@ -257,9 +243,6 @@ class ReferenceStore:
     def total_statements(self, truth: bool = True) -> int:
         return len(self._positive if truth else self._negative)
 
-    def positive_count(self, s, p, o) -> int:
-        return self._pos_count[(s, p, o)]
-
     def observed_instances(self) -> tuple:
         return tuple(sorted({q[3] for q in self._positive} | {q[3] for q in self._negative}))
 
@@ -275,36 +258,11 @@ class ReferenceStore:
     def positive_array(self) -> np.ndarray:
         return np.array(list(self.iter_positive()), dtype=np.int64).reshape(-1, 4)
 
-    def observation_dist(self, t) -> Categorical:
-        if self.vocab.kind_of(t) is not Kind.INSTANCE:
-            raise StoreError(f"{self.vocab.name_of(t)!r} is not an instance")
-        triples = self._pos_by_instance.get(t)
-        if not triples:
-            raise StoreError(f"no true statements recorded at {self.vocab.name_of(t)!r}")
-        counts = Counter(triples)
-        support = tuple(sorted(counts))
-        n_t = sum(counts.values())
-        return Categorical(support, [counts[k] / n_t for k in support])
-
-    def pooled_dist(self) -> Categorical:
-        if not self._positive:
-            raise StoreError("store holds no true statements")
-        support = tuple(sorted(self._pos_count))
-        total = sum(self._pos_count.values())
-        return Categorical(support, [self._pos_count[k] / total for k in support])
-
     def expected_truth(self, s, p, o):
-        if self.horizon is None:
-            known = self._known_count[(s, p, o)]
-            if known == 0:
-                return UNKNOWN
-            return self._pos_count[(s, p, o)] / known
-        window = set(self.observed_instances()[-self.horizon:])
-        pos = sum(1 for t in window if (s, p, o, t) in self._positive)
-        known = pos + sum(1 for t in window if (s, p, o, t) in self._negative)
+        known = self._known_count[(s, p, o)]
         if known == 0:
             return UNKNOWN
-        return pos / known
+        return self._pos_count[(s, p, o)] / known
 
     def label_conditional(self, c1, c2):
         ha = self.vocab.has_attribute
@@ -323,12 +281,12 @@ class ReferenceStore:
         return num / den
 
 
-def reference_ingest(world, duplicate_policy: str = "error") -> ReferenceStore:
+def reference_ingest(world) -> ReferenceStore:
     """A world's store built scene by scene through single adds and one
     `lcwa_expand` per instance scene, as `world.build_store` once did."""
     v = world.vocab
     onto = world.ontology
-    store = ReferenceStore(v, duplicate_policy=duplicate_policy)
+    store = ReferenceStore(v)
     ha = v.has_attribute
     scene_preds = [v.id_of(p) for p in onto.scene_predicates]
     nonvisual_preds = [v.id_of(p) for p in onto.nonvisual_predicates]
@@ -372,10 +330,20 @@ def reference_jsonl(store: TripleStore, truth: bool) -> str:
     )
 
 
+def read_jsonl(store: TripleStore, fp) -> int:
+    """Read statement lines by symbol name into the store with one
+    `add_observations` call; returns the number of lines."""
+    v = store.vocab
+    recs = [json.loads(line) for line in fp if line.strip()]
+    store.add_observations([[v.id_of(r[k]) for k in ("s", "p", "o", "t")] for r in recs],
+                           [bool(r["y"]) for r in recs])
+    return len(recs)
+
+
 def rebuild_store_from_files(world, indir: str) -> TripleStore:
     """A store read from a directory's `triples.jsonl` and `negatives.jsonl`
     statement files, as exports once listed every implied negative."""
-    store = TripleStore(world.vocab, duplicate_policy="error")
+    store = TripleStore(world.vocab)
     for name in ("triples.jsonl", "negatives.jsonl"):
         with open(os.path.join(indir, name), "r", encoding="utf-8") as fp:
             read_jsonl(store, fp)
