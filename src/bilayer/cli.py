@@ -10,10 +10,23 @@ One binary, five subcommands:
     bilayer ssl   CHECKPOINT WORLD_DIR --out DIR [--config train.json]
 
 stdout carries data (JSON Lines); logs go to stderr.  Exit codes: 0 ok,
-2 usage, 3 data error, 4 numeric failure.  Every command writes a
-manifest.json into --out recording config/input hashes and outputs, even when
-it fails; timestamps live only there, so reruns with one seed are
-byte-identical everywhere else.
+2 usage, 3 data error, 4 numeric failure.
+
+The `--config` of train, eval and ssl is one flat JSON object.  Its keys are
+the `TrainConfig` fields (epochs, batch_size, learning_rate, seed, modes,
+inject_rho, dropout, direct, hidden_families, excluded_families,
+ssl_learning_rate, ssl_epochs, novelty_threshold) and the network widths of
+`NetConfig` (rep_dim, ctx_dim, tied, dtype); feature_dim comes from the world.
+`bilayer train` writes the config it trained with in this shape, as
+train-config.json.  The `--config` of gen is a flat `WorldConfig`.  A file
+that is not a JSON object, or a key that is not one of these, exits 2
+(usage) with one line that names the unknown keys and lists the valid ones.
+A train setting out of range (a bare string for a list of modes or
+families, a family the vocabulary lacks) exits 3 (data), also with one line.
+
+Every command writes a manifest.json into --out recording config/input
+hashes and outputs, even when it fails; timestamps live only there, so reruns
+with one seed are byte-identical everywhere else.
 """
 from __future__ import annotations
 
@@ -24,6 +37,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
 from .evaluation import EXPERIMENTS, EvalContext, EvalError, check_experiments, run_experiment
@@ -91,11 +105,26 @@ def _load_json(path: str) -> dict:
         return json.load(fp)
 
 
+def _check_keys(what: str, doc, valid) -> None:
+    """Refuse a config that is not a JSON object or has keys outside `valid`."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"bad {what} config: not a JSON object")
+    unknown = sorted(set(doc) - set(valid))
+    if unknown:
+        raise UsageError(
+            f"bad {what} config: unknown keys {', '.join(unknown)}; "
+            f"valid keys: {', '.join(sorted(valid))}"
+        )
+
+
+_NET_KEYS = tuple(f.name for f in fields(NetConfig) if f.name != "feature_dim")
+
+
 def _split_train_config(doc: dict, feature_dim: int, seed: int | None) -> tuple[TrainConfig, NetConfig]:
     """One flat config file carries both the optimizer and network widths."""
-    net_keys = {"rep_dim", "ctx_dim", "tied", "dtype"}
-    net_doc = {k: doc[k] for k in list(doc) if k in net_keys}
-    train_doc = {k: v for k, v in doc.items() if k not in net_keys}
+    _check_keys("train", doc, [f.name for f in fields(TrainConfig)] + list(_NET_KEYS))
+    net_doc = {k: v for k, v in doc.items() if k in _NET_KEYS}
+    train_doc = {k: v for k, v in doc.items() if k not in _NET_KEYS}
     if seed is not None:
         train_doc["seed"] = seed
     try:
@@ -157,6 +186,7 @@ def _load_model(checkpoint: str, vocab: Vocabulary) -> tuple[NetParams, ColumnMa
 
 def cmd_gen(args: argparse.Namespace) -> None:
     doc = _load_json(args.config) if args.config else {}
+    _check_keys("world", doc, [f.name for f in fields(WorldConfig)])
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
@@ -208,8 +238,11 @@ def cmd_train(args: argparse.Namespace) -> None:
         save_checkpoint(params, world.vocab, os.path.join(args.out, "model"))
         with open(os.path.join(args.out, "history.csv"), "w", encoding="utf-8") as fp:
             write_history_csv(history, fp)
+        # the flat --config document of the shape actually trained, which is
+        # the checkpoint's on a resume
+        net_doc = {k: v for k, v in params.config.to_dict().items() if k in _NET_KEYS}
         with open(os.path.join(args.out, "train-config.json"), "w", encoding="utf-8") as fp:
-            json.dump(train_config.to_dict(), fp, indent=2, sort_keys=True)
+            json.dump({**train_config.to_dict(), **net_doc}, fp, indent=2, sort_keys=True)
             fp.write("\n")
         final = history[-1]["loss"] if history else float("nan")
         _emit({"event": "trained", "checkpoint": "model.json", "final_loss": final})
@@ -346,10 +379,10 @@ def cmd_eval(args: argparse.Namespace) -> None:
         store = world.build_store()
         params, cmap = _load_model(args.checkpoint, world.vocab)
         doc = _load_json(args.config) if args.config else {}
-        train_config, _ = _split_train_config(doc, world.config.feature_dim, args.seed)
+        train_config, net_config = _split_train_config(doc, world.config.feature_dim, args.seed)
         ctx = EvalContext(
-            world=world, store=store, vocab=world.vocab,
-            params=params, cmap=cmap, train_config=train_config,
+            world=world, store=store, vocab=world.vocab, params=params, cmap=cmap,
+            net_config=net_config, train_config=train_config,
             seed=args.seed if args.seed is not None else train_config.seed,
         )
         outputs = []

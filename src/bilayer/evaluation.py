@@ -136,6 +136,11 @@ def label_conditional_estimate(
 # -- decode pipelines ------------------------------------------------------------------
 
 
+# the soft-commitment temperature of every perception pass, and the label
+# pairs (c1, c2) whose conditional P(c2 | c1) semantic recall checks
+ATTENTION_BETA = 1.0
+CONDITIONAL_PAIRS = (("Dog", "Mammal"),)
+
 _VARIANTS = {
     "samp": dict(instance_attention=True, subject_support="entities", object_support="entities"),
     "sa": dict(instance_attention=True, concept_attention=True),
@@ -143,14 +148,14 @@ _VARIANTS = {
 }
 
 
-def _perceive(params, cmap, vocab, variant: str, inputs: list[SceneInput], attention_beta: float,
+def _perceive(params, cmap, vocab, variant: str, inputs: list[SceneInput],
               rng) -> Iterator[DecodeTrace]:
     """Winner-take-all perception traces of one variant, in batched passes."""
     if variant not in _VARIANTS:
         raise EvalError(f"unknown perception variant {variant!r}; choose from {tuple(_VARIANTS)}")
     requests = [
         DecodeRequest(mode="perception", features=feats, winner_take_all=True,
-                      attention_beta=attention_beta, **_VARIANTS[variant])
+                      attention_beta=ATTENTION_BETA, **_VARIANTS[variant])
         for feats in inputs
     ]
     return decode_chunked(params, cmap, vocab, requests, rng)
@@ -169,7 +174,6 @@ def perception_unary_eval(
     scenes: list,
     variant: str,
     families: tuple | None = None,
-    attention_beta: float = 1.0,
 ) -> dict:
     """Per-box decoding: one pass per scene member, all in one batch, label
     accuracy per family."""
@@ -179,7 +183,7 @@ def perception_unary_eval(
     if not boxes:
         raise EvalError("no boxes to evaluate")
     inputs = _box_inputs(world, boxes)
-    traces = _perceive(params, cmap, vocab, variant, inputs, attention_beta, rng)
+    traces = _perceive(params, cmap, vocab, variant, inputs, rng)
     hit = {f: 0 for f in fams}
     n = len(boxes)
     subj_hit = 0
@@ -212,7 +216,6 @@ def perception_binary_eval(
     examples: list[dict],
     variant: str,
     ks: tuple = (1, 10),
-    attention_beta: float = 1.0,
 ) -> dict:
     """Full-chain decoding per relation example, all in one batch.
 
@@ -227,7 +230,7 @@ def perception_binary_eval(
     pred_ids = [cmap.id_of_col(c) for c in cmap.predicate_cols]
     keys = ("scene", "s_bb", "o_bb", "rel")
     inputs = [SceneInput(*(world.features[ex[k]] for k in keys)) for ex in examples]
-    traces = _perceive(params, cmap, vocab, variant, inputs, attention_beta, rng)
+    traces = _perceive(params, cmap, vocab, variant, inputs, rng)
     for ex, trace in zip(examples, traces):
         order = ranked_cols(trace.scores["predicate"])
         truth = vocab.id_of(ex["p"]) if isinstance(ex["p"], str) else ex["p"]
@@ -295,8 +298,6 @@ class EvalContext:
     net_config: NetConfig | None = None
     train_config: TrainConfig | None = None
     seed: int = 0
-    attention_beta: float = 1.0
-    conditional_pairs: tuple = (("Dog", "Mammal"),)
     _models: dict = field(default_factory=dict)
 
     def config_with(self, **overrides) -> TrainConfig:
@@ -357,7 +358,7 @@ def _experiment_semantic_recall(ctx: EvalContext) -> tuple[dict, dict]:
     unary, binary = memory_examples(ctx.store, ctx.vocab)
     m = head_metrics(params, cmap, unary, binary, "semantic")
     conditionals = {}
-    for c1_name, c2_name in ctx.conditional_pairs:
+    for c1_name, c2_name in CONDITIONAL_PAIRS:
         c1, c2 = ctx.vocab.id_of(c1_name), ctx.vocab.id_of(c2_name)
         estimate = label_conditional_estimate(params, cmap, ctx.vocab, c1, c2)
         oracle = ctx.store.label_conditional(c1, c2)
@@ -392,8 +393,7 @@ def _experiment_perception_unary(ctx: EvalContext) -> tuple[dict, dict]:
         per = {}
         for variant in _VARIANTS:
             per[variant] = perception_unary_eval(
-                params, cmap, ctx.vocab, ctx.world, scenes, variant,
-                families=fams, attention_beta=ctx.attention_beta,
+                params, cmap, ctx.vocab, ctx.world, scenes, variant, families=fams
             )
         metrics[split] = {v: per[v]["mean_unary"] for v in per}
         metrics[f"{split}_families"] = {v: per[v]["families"] for v in per}
@@ -433,8 +433,7 @@ def _experiment_perception_binary(ctx: EvalContext) -> tuple[dict, dict]:
         per = {}
         for variant in _VARIANTS:
             per[variant] = perception_binary_eval(
-                params, cmap, ctx.vocab, ctx.world, examples, variant,
-                attention_beta=ctx.attention_beta,
+                params, cmap, ctx.vocab, ctx.world, examples, variant
             )
         metrics[split] = {v: per[v]["predicate_hits"] for v in per}
         metrics[f"{split}_chance"] = per["samp"]["chance"]
@@ -465,7 +464,7 @@ def _experiment_hidden_label(
 
     def risk_accuracy(params, cmap) -> float:
         traces = _perceive(params, cmap, ctx.vocab, "samp", _box_inputs(ctx.world, balanced),
-                           ctx.attention_beta, substream(0, "hidden-label"))
+                           substream(0, "hidden-label"))
         hits = 0
         for (_scene, m), trace in zip(balanced, traces):
             truth = ctx.vocab.id_of(ctx.world.entity_record(m).labels[family])
@@ -522,10 +521,7 @@ def _experiment_zero_shot(ctx: EvalContext) -> tuple[dict, dict]:
     ]
     if not examples:
         raise EvalError("world has no held-out relation examples")
-    m = perception_binary_eval(
-        params, cmap, ctx.vocab, ctx.world, examples, "samp",
-        attention_beta=ctx.attention_beta,
-    )
+    m = perception_binary_eval(params, cmap, ctx.vocab, ctx.world, examples, "samp")
     hits1 = m["predicate_hits"]["1"]
     metrics = {
         "hits": m["predicate_hits"],
@@ -570,8 +566,7 @@ def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
         if not scenes:
             return float("nan")
         return perception_unary_eval(
-            p, c, vocab2, ctx.world, scenes, "sa",
-            families=_visible_families(ctx), attention_beta=ctx.attention_beta,
+            p, c, vocab2, ctx.world, scenes, "sa", families=_visible_families(ctx)
         )["mean_unary"]
 
     before = supervised_recall(params, cmap)
@@ -666,6 +661,8 @@ def _fingerprint(ctx: EvalContext, name: str) -> str:
         h.update(params_digest(ctx.params).encode())
     if ctx.train_config is not None:
         h.update(json.dumps(ctx.train_config.to_dict(), sort_keys=True).encode())
+    if ctx.net_config is not None:
+        h.update(json.dumps(ctx.net_config.to_dict(), sort_keys=True).encode())
     return h.hexdigest()
 
 

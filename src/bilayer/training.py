@@ -17,6 +17,11 @@ conditionals P(c2 | c1).  Episodic batches are never swapped; they memorize.
 The swaps of a whole set are drawn at once, after its permutation: one
 uniform draw per swappable index and one integer draw per swap, from the
 entity's labels in the `InjectionPool`.
+
+Self-labeled growth (`ssl_step`) trains only the entity and instance columns
+of the embedding, and of the readout when it is untied; every other weight
+stays bit-identical.  One column mask states that rule: `train` hands it to
+`Adam`, which then steps only those two blocks and only the masked columns.
 """
 from __future__ import annotations
 
@@ -55,37 +60,23 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 128
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     modes: tuple = ALL_MODES
-    weight_perception: float = 1.0
-    weight_episodic: float = 1.0
-    weight_semantic: float = 1.0
     inject_rho: float = 0.5
-    inject_semantic: bool = True
     dropout: float = 0.0
     direct: bool = False            # feature-only variant (perception heads only)
     hidden_families: tuple = ()     # kept out of perception targets
     excluded_families: tuple = ()   # kept out of every loss
-    freeze_emb: bool = False
-    freeze_ctx_in: bool = False
-    freeze_ctx_rec: bool = False
-    freeze_ctx_out: bool = False
-    freeze_pooled: bool = False
-    freeze_enc: bool = False
     ssl_learning_rate: float = 1e-5
     ssl_epochs: int = 20
     novelty_threshold: float = 0.6
 
     def __post_init__(self) -> None:
-        if isinstance(self.modes, list):
-            self.modes = tuple(self.modes)
-        if isinstance(self.hidden_families, list):
-            self.hidden_families = tuple(self.hidden_families)
-        if isinstance(self.excluded_families, list):
-            self.excluded_families = tuple(self.excluded_families)
+        for key in ("modes", "hidden_families", "excluded_families"):
+            names = getattr(self, key)
+            if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+                raise TrainError(f"{key} must be a list of names, not {names!r}")
+            setattr(self, key, tuple(names))
         if self.learning_rate <= 0 or self.ssl_learning_rate <= 0:
             raise TrainError("learning rates must be positive")
         if self.batch_size < 1:
@@ -102,29 +93,6 @@ class TrainConfig:
         if self.direct and tuple(self.modes) != ("perception",):
             raise TrainError("the direct variant trains on perception batches only")
 
-    def frozen_blocks(self) -> frozenset:
-        out = set()
-        if self.freeze_emb:
-            out |= {"emb", "emb_up"}
-        if self.freeze_ctx_in:
-            out.add("ctx_in")
-        if self.freeze_ctx_rec:
-            out.add("ctx_rec")
-        if self.freeze_ctx_out:
-            out.add("ctx_out")
-        if self.freeze_pooled:
-            out.add("pooled")
-        if self.freeze_enc:
-            out |= {"enc_w", "enc_b"}
-        return frozenset(out)
-
-    def mode_weight(self, mode: str) -> float:
-        return {
-            "perception": self.weight_perception,
-            "episodic": self.weight_episodic,
-            "semantic": self.weight_semantic,
-        }[mode]
-
     def to_dict(self) -> dict:
         d = asdict(self)
         for key in ("modes", "hidden_families", "excluded_families"):
@@ -134,6 +102,15 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         return cls(**data)
+
+
+def _check_families(config: TrainConfig, vocab: Vocabulary) -> None:
+    """Refuse a hidden or excluded family the vocabulary does not have."""
+    unknown = sorted(set(config.hidden_families + config.excluded_families) - set(vocab.families))
+    if unknown:
+        raise TrainError(
+            f"unknown families {unknown}; the vocabulary has {sorted(vocab.families)}"
+        )
 
 
 # -- example construction --------------------------------------------------------
@@ -437,9 +414,20 @@ def build_batches(
 # -- optimizer ---------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+_EMB_BLOCKS = ("emb", "emb_up")
+
+
 class Adam:
-    """Adam with bias correction; frozen blocks and masked embedding columns
-    are skipped exactly (their parameters stay bit-identical).
+    """Adam with bias correction, at the usual constants `ADAM_BETA1`,
+    `ADAM_BETA2` and `ADAM_EPS` (Kingma & Ba, arXiv:1412.6980).
+
+    With `emb_col_mask` (a 0/1 weight per column) only the embedding, and the
+    readout when it is untied, are stepped, and only their masked columns
+    change; every other block and column stays bit-identical.  Moments are
+    kept only for the blocks it steps.
 
     The update runs in two scratch buffers per block that the optimizer owns,
     in the operation order of the textbook expressions
@@ -447,52 +435,38 @@ class Adam:
     `p -= lr (m / c1) / (sqrt(v / c2) + eps)`, so it allocates nothing per step.
     """
 
-    def __init__(
-        self,
-        params: NetParams,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: NetParams, learning_rate: float,
+                 emb_col_mask: np.ndarray | None = None):
         self.lr = learning_rate
-        self.b1, self.b2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.blocks().items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.blocks().items()}
-        self._scratch = {
-            k: (np.empty_like(v), np.empty_like(v)) for k, v in params.blocks().items()
-        }
+        self.emb_col_mask = emb_col_mask
+        stepped = {k: v for k, v in params.blocks().items()
+                   if emb_col_mask is None or k in _EMB_BLOCKS}
+        self.m = {k: np.zeros_like(v) for k, v in stepped.items()}
+        self.v = {k: np.zeros_like(v) for k, v in stepped.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in stepped.items()}
 
-    def step(
-        self,
-        params: NetParams,
-        grads: dict[str, np.ndarray],
-        frozen: frozenset = frozenset(),
-        emb_col_mask: np.ndarray | None = None,
-    ) -> None:
+    def step(self, params: NetParams, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
-        for name, p in params.blocks().items():
-            if name in frozen:
-                continue
-            g = grads[name]
-            m, v = self.m[name], self.v[name]
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        blocks = params.blocks()
+        for name, m in self.m.items():
+            p, g, v = blocks[name], grads[name], self.v[name]
             a, b = self._scratch[name]
-            m *= self.b1
-            m += np.multiply(1.0 - self.b1, g, out=a)
-            v *= self.b2
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            v *= ADAM_BETA2
             np.multiply(g, g, out=a)
-            v += np.multiply(1.0 - self.b2, a, out=a)
+            v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
             np.divide(m, c1, out=a)
             np.multiply(self.lr, a, out=a)
             np.divide(v, c2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
-            if emb_col_mask is not None and name in ("emb", "emb_up"):
-                a *= emb_col_mask
+            if self.emb_col_mask is not None:
+                a *= self.emb_col_mask
             p -= a
 
 
@@ -507,20 +481,21 @@ def train(
     config: TrainConfig,
     world: GroundTruthWorld | None = None,
     emb_col_mask: np.ndarray | None = None,
-    optimizer: Adam | None = None,
     pseudo: tuple[Examples, Examples] | None = None,
 ) -> list[dict]:
     """Multi-task loop over the configured modes; params update in place.
 
     Returns one history row per (epoch, mode): epoch, split, loss, metric.
-    `pseudo` substitutes a prebuilt (unary, binary) pair of perception
-    example sets for both the perception and episodic modes (self-labeled
-    training); it swaps nothing.
+    `emb_col_mask` restricts the update to those embedding columns (see
+    `Adam`).  `pseudo` substitutes a prebuilt (unary, binary) pair of
+    perception example sets for both the perception and episodic modes
+    (self-labeled training); it swaps nothing.
     """
     if "perception" in config.modes and world is None and pseudo is None:
         raise TrainError("perception training needs a world with features")
     if store.total_statements() == 0 and pseudo is None:
         raise TrainError("empty store")
+    _check_families(config, vocab)
 
     # build only the example sets and injection pools the configured modes read
     # (a mode that injects nothing never reads its pool)
@@ -533,7 +508,7 @@ def train(
     else:
         if modes & {"episodic", "semantic"}:
             mem_unary, mem_binary = memory_examples(store, vocab, config.excluded_families)
-        if "semantic" in modes and config.inject_semantic and injecting:
+        if "semantic" in modes and injecting:
             mem_pool = injection_pool(store, vocab, config.excluded_families)
         if "perception" in modes:
             per_hidden = tuple(set(config.hidden_families) | set(config.excluded_families))
@@ -541,10 +516,7 @@ def train(
             if injecting:
                 per_pool = injection_pool(store, vocab, per_hidden)
 
-    opt = optimizer or Adam(
-        params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
-    )
-    frozen = config.frozen_blocks()
+    opt = Adam(params, config.learning_rate, emb_col_mask)
     history: list[dict] = []
 
     for epoch in range(config.epochs):
@@ -567,8 +539,7 @@ def train(
                 bs = build_batches(
                     mem_unary, mem_binary, mode=mode, cmap=cmap,
                     batch_size=config.batch_size, rng=rng,
-                    rho=config.inject_rho if config.inject_semantic else 0.0,
-                    pool=mem_pool,
+                    rho=config.inject_rho, pool=mem_pool,
                 )
             tagged.extend((mode, b) for b in bs)
 
@@ -582,11 +553,7 @@ def train(
             except NumericsError as exc:
                 raise TrainingDiverged(epoch, mode, str(exc)) from exc
             grads = graph.backward(params, cmap, batch, cache)
-            w = config.mode_weight(mode)
-            if w != 1.0:
-                for g in grads.values():
-                    g *= w
-            opt.step(params, grads, frozen, emb_col_mask)
+            opt.step(params, grads)
             n = len(batch)
             sums[mode][0] += loss * n
             sums[mode][1] += graph.mean_head_accuracy(cache) * n
@@ -647,6 +614,7 @@ def ssl_step(
     passes of `decode_chunked` with the scene's instance clamped, and for
     labeling the recognized entities too.
     """
+    _check_families(config, vocab)
     report = SslReport()
     scenes = [world.scene(n) for n in scene_names]
     for scene in scenes:
@@ -741,15 +709,9 @@ def ssl_step(
         epochs=config.ssl_epochs,
         batch_size=config.batch_size,
         learning_rate=config.ssl_learning_rate,
-        adam_beta1=config.adam_beta1,
-        adam_beta2=config.adam_beta2,
-        adam_eps=config.adam_eps,
         seed=config.seed,
         modes=("perception", "episodic"),
         inject_rho=0.0,
-        inject_semantic=False,
-        freeze_ctx_in=True, freeze_ctx_rec=True, freeze_ctx_out=True,
-        freeze_pooled=True, freeze_enc=True,
     )
     report.history = train(
         params, cmap, vocab, store if store is not None else TripleStore(vocab),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import bilayer
+from bilayer import evaluation
 from bilayer.cli import main
 from bilayer.params import ColumnMap, load_checkpoint, params_digest, save_checkpoint
 from bilayer.world import load_world
@@ -95,6 +96,11 @@ def _dir_bytes(path, skip=("manifest.json",)) -> dict[str, bytes]:
         with open(os.path.join(path, name), "rb") as fp:
             out[name] = fp.read()
     return out
+
+
+def _inputs(ws, command: str) -> list[str]:
+    """The positional arguments of `command` on the shared world and run."""
+    return [ws["world_dir"]] if command == "train" else [ws["checkpoint"], ws["world_dir"]]
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +227,14 @@ class TestGen:
         cfg = _write_json(tmp_path / "bad.json", {"n_entities": 10, "flux": 1})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "w")]) == 2
 
+    def test_unknown_config_key_is_named_in_one_line(self, tmp_path):
+        cfg = _write_json(tmp_path / "bad.json", {"n_entities": 10, "flux": 1})
+        proc = _run_cli(["gen", "--config", cfg, "--out", str(tmp_path / "w")])
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "unknown keys flux; valid keys:" in lines[0]
+        assert "n_entities" in lines[0]
+
     def test_malformed_config_is_data_error(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -293,6 +307,24 @@ class TestTrain:
         original = load_checkpoint(os.path.join(ws["run_dir"], "model"), vocab)
         assert params_digest(resumed) != params_digest(original)
 
+    def test_train_config_file_reproduces_the_run(self, ws, tmp_path):
+        """The written train-config.json carries the network widths and the
+        seed, so feeding it back trains the same model byte for byte."""
+        written = json.load(open(os.path.join(ws["run_dir"], "train-config.json")))
+        assert written["rep_dim"] == TRAIN_CONFIG["rep_dim"] and "feature_dim" not in written
+        out = str(tmp_path / "again")
+        assert main(["train", ws["world_dir"], "--config",
+                     os.path.join(ws["run_dir"], "train-config.json"), "--out", out]) == 0
+        assert _dir_bytes(out) == _dir_bytes(ws["run_dir"])
+
+    def test_resume_records_the_checkpoint_shape(self, ws, tmp_path):
+        out = str(tmp_path / "resumed")
+        cfg = _write_json(tmp_path / "t.json", {"epochs": 1, "batch_size": 32})
+        assert main(["train", ws["world_dir"], "--config", cfg, "--seed", "6",
+                     "--out", out, "--checkpoint", ws["checkpoint"]]) == 0
+        written = json.load(open(os.path.join(out, "train-config.json")))
+        assert (written["rep_dim"], written["ctx_dim"]) == (24, 12)
+
     def test_missing_world_is_data_error(self, tmp_path):
         assert main(["train", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")]) == 3
 
@@ -303,6 +335,31 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "bad train config" in lines[0] and "epohcs" in lines[0]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ssl"])
+    def test_removed_keys_are_named_with_the_valid_ones(self, ws, tmp_path, command):
+        cfg = _write_json(tmp_path / "old.json",
+                          {"epochs": 1, "freeze_emb": True, "adam_beta1": 0.9})
+        proc = _run_cli([command, *_inputs(ws, command), "--config", cfg,
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert "unknown keys adam_beta1, freeze_emb; valid keys: batch_size," in lines[0]
+        assert "rep_dim" in lines[0] and "feature_dim" not in lines[0]
+
+    @pytest.mark.parametrize("command", ["train", "ssl"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"hidden_families": "Risk"}, "hidden_families must be a list of names"),
+        ({"excluded_families": ["Nope"]}, "unknown families ['Nope']"),
+    ])
+    def test_bad_family_list_is_data_error(self, ws, tmp_path, doc, message, command):
+        cfg = _write_json(tmp_path / "fam.json", {"epochs": 1, **doc})
+        proc = _run_cli([command, *_inputs(ws, command), "--config", cfg,
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     @pytest.mark.parametrize("command", ["eval", "ssl"])
     def test_unknown_config_key_is_usage_error_elsewhere(self, ws, tmp_path, command):
@@ -462,6 +519,19 @@ class TestEval:
             assert main(["eval", ws["checkpoint"], ws["world_dir"],
                          "--experiments", self.NAMES, "--seed", "5", "--out", out]) == 0
         assert _dir_bytes(a) == _dir_bytes(b)
+
+    def test_models_it_trains_take_the_config_widths(self, ws, tmp_path, monkeypatch):
+        widths = []
+
+        def record(params, *args, **kwargs):
+            widths.append(params.config.rep_dim)
+            return []
+
+        monkeypatch.setattr(evaluation, "train", record)
+        assert main(["eval", ws["checkpoint"], ws["world_dir"], "--config", ws["train_cfg"],
+                     "--experiments", "hidden-label-enrichment",
+                     "--out", str(tmp_path / "ev")]) == 0
+        assert widths == [TRAIN_CONFIG["rep_dim"]] * 2
 
     def test_unknown_experiment_is_data_error(self, ws, tmp_path):
         assert main(["eval", ws["checkpoint"], ws["world_dir"],

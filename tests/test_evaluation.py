@@ -23,6 +23,7 @@ from bilayer.evaluation import (
 )
 from bilayer.graph import Batch
 from bilayer.network import DecodeRequest, decode
+from bilayer.params import NetConfig
 from bilayer.training import TrainConfig, memory_examples
 from bilayer.world import WorldConfig, gen_world, substream
 
@@ -411,3 +412,9 @@ class TestExperimentHarness:
         rep2 = run_experiment("episodic-recall", other)
         assert rep.fingerprint != rep2.fingerprint
         assert rep.metrics == rep2.metrics  # same frozen model, different context tag
+        widths = EvalContext(
+            world=tiny_world, store=tiny_store, vocab=tiny_world.vocab,
+            params=params, cmap=cmap, seed=ctx.seed, train_config=ctx.train_config,
+            net_config=NetConfig(rep_dim=24, feature_dim=tiny_world.config.feature_dim),
+        )
+        assert run_experiment("episodic-recall", widths).fingerprint != rep.fingerprint

@@ -8,7 +8,8 @@ other reader of the context and encoder weights.  Any other module that
 imports the step functions is on its way to a third hand-written walk.  The
 triple store's internals are read only inside `triple_store.py`.  Every
 public name the package defines has a caller inside it, but for a short
-allowlist of names that the benchmark or the gradient tests call.
+allowlist of names that the benchmark or the gradient tests call, and every
+field of the two config classes is read outside its class.
 """
 from __future__ import annotations
 
@@ -157,3 +158,32 @@ def test_every_public_name_has_a_caller_in_the_package():
             uncalled[name] = f"{module}: {qualname}"
     assert not uncalled.keys() - UNCALLED, sorted(uncalled[n] for n in uncalled.keys() - UNCALLED)
     assert uncalled.keys() == UNCALLED.keys(), "an allowlisted name has a caller or is gone"
+
+
+# config classes whose fields are settings, and the fields kept with no reader
+# outside the class, each with the caller that keeps it
+SETTINGS = {"training.py": "TrainConfig", "evaluation.py": "EvalContext"}
+UNREAD_SETTINGS = {
+    "cmap": "the perfbench eval workload passes it; `EvalContext.model` reads it",
+}
+
+
+@pytest.mark.parametrize("module", sorted(SETTINGS))
+def test_every_setting_is_read_outside_its_class(module):
+    """A setting no run path reads is deleted, not kept as an option: every
+    public field of `TrainConfig` and `EvalContext` is read as an attribute
+    (matched by name) somewhere in the package outside its own class body."""
+    package = Path(bilayer.__file__).parent
+    tree = ast.parse((package / module).read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == SETTINGS[module])
+    settings = {n.target.id for n in cls.body
+                if isinstance(n, ast.AnnAssign) and not n.target.id.startswith("_")}
+    inside = {id(n) for n in ast.walk(cls)}
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(tree if path.name == module else ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in inside):
+                read.add(node.attr)
+    unread = sorted(settings - read - UNREAD_SETTINGS.keys())
+    assert not unread, f"{SETTINGS[module]} fields that nothing reads: {unread}"

@@ -65,19 +65,11 @@ class TestTrainConfig:
             TrainConfig(direct=True)  # direct needs perception-only modes
         TrainConfig(direct=True, modes=("perception",))
 
-    def test_frozen_blocks(self):
-        config = TrainConfig(freeze_emb=True, freeze_enc=True, freeze_pooled=True)
-        assert config.frozen_blocks() == {"emb", "emb_up", "enc_w", "enc_b", "pooled"}
-        assert TrainConfig().frozen_blocks() == frozenset()
-
-    def test_mode_weight_reads_each_mode_weight(self):
-        config = TrainConfig(weight_perception=0.5, weight_episodic=2.0, weight_semantic=0.25)
-        assert [config.mode_weight(m) for m in ("perception", "episodic", "semantic")] == [
-            0.5, 2.0, 0.25]
-
-    def test_mode_weight_has_no_other_mode(self):
-        with pytest.raises(KeyError):
-            TrainConfig().mode_weight("dreaming")
+    @pytest.mark.parametrize("key", ["modes", "hidden_families", "excluded_families"])
+    def test_refuses_a_bare_string_for_a_list(self, key):
+        with pytest.raises(TrainError, match=key):
+            TrainConfig(**{key: "Risk"})
+        assert TrainConfig(**{key: ["episodic"]}).to_dict()[key] == ["episodic"]
 
     def test_round_trip(self):
         config = TrainConfig(epochs=3, modes=("episodic",), hidden_families=("Age",))
@@ -436,15 +428,17 @@ class TestVectorizedBatches:
         assert calls[0] == calls[1] <= 6
 
 
-def _reference_adam_step(opt_state, params, grads, lr, b1, b2, eps, frozen, emb_col_mask):
-    """Textbook Adam written as plain expressions over fresh temporaries: the
-    reference the buffered Adam.step must match bit for bit."""
+def _reference_adam_step(opt_state, params, grads, lr, emb_col_mask):
+    """Textbook Adam (b1 0.9, b2 0.999, eps 1e-8) written as plain expressions
+    over fresh temporaries: the reference the buffered Adam.step must match
+    bit for bit.  With a column mask only the embedding blocks move."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     opt_state["t"] += 1
     t = opt_state["t"]
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params.blocks().items():
-        if name in frozen:
+        if emb_col_mask is not None and name not in ("emb", "emb_up"):
             continue
         g = grads[name]
         m, v = opt_state["m"][name], opt_state["v"][name]
@@ -459,32 +453,34 @@ def _reference_adam_step(opt_state, params, grads, lr, b1, b2, eps, frozen, emb_
 
 
 class TestAdam:
+    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("tied", [True, False])
-    def test_matches_reference_bit_for_bit(self, dtype, tied):
+    def test_matches_reference_bit_for_bit(self, dtype, tied, masked):
         v = small_vocab()
         params, cmap = small_params(v, dtype=dtype, tied=tied, seed=3)
         ref = params.copy()
-        lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-7
-        opt = Adam(params, lr, b1, b2, eps)
+        lr = 3e-3
+        mask = (np.arange(cmap.n_columns) % 3 != 0).astype(params.emb.dtype) if masked else None
+        opt = Adam(params, lr, mask)
+        stepped = [k for k in ref.blocks() if not masked or k in ("emb", "emb_up")]
         state = {
             "t": 0,
-            "m": {k: np.zeros_like(a) for k, a in ref.blocks().items()},
-            "v": {k: np.zeros_like(a) for k, a in ref.blocks().items()},
+            "m": {k: np.zeros_like(ref.blocks()[k]) for k in stepped},
+            "v": {k: np.zeros_like(ref.blocks()[k]) for k in stepped},
         }
-        mask = (np.arange(cmap.n_columns) % 3 != 0).astype(params.emb.dtype)
         rng = substream(3, "grads")
-        for step in range(6):
+        for _ in range(6):
             grads = {
                 k: rng.standard_normal(a.shape).astype(a.dtype)
                 for k, a in params.blocks().items()
             }
-            frozen = frozenset({"ctx_rec", "enc_b"}) if step % 2 else frozenset()
-            col_mask = mask if step >= 3 else None
-            opt.step(params, grads, frozen, col_mask)
-            _reference_adam_step(state, ref, grads, lr, b1, b2, eps, frozen, col_mask)
+            opt.step(params, grads)
+            _reference_adam_step(state, ref, grads, lr, mask)
+        assert sorted(opt.m) == sorted(opt.v) == sorted(stepped)
         for name, arr in ref.blocks().items():
             np.testing.assert_array_equal(params.blocks()[name], arr)
+        for name in stepped:
             np.testing.assert_array_equal(opt.m[name], state["m"][name])
             np.testing.assert_array_equal(opt.v[name], state["v"][name])
 
@@ -495,7 +491,7 @@ class TestAdam:
         g = np.linspace(-1.0, 1.0, params.pooled.size)
         grads["pooled"] = g.copy()
         before = {k: a.copy() for k, a in params.blocks().items()}
-        opt = Adam(params, learning_rate=0.1, eps=1e-8)
+        opt = Adam(params, learning_rate=0.1)
         opt.step(params, grads)
         # after one step the bias corrections cancel: update = lr * g / (|g| + eps)
         want = before["pooled"] - 0.1 * g / (np.abs(g) + 1e-8)
@@ -504,30 +500,40 @@ class TestAdam:
             if name != "pooled":
                 np.testing.assert_array_equal(params.blocks()[name], before[name])
 
-    def test_frozen_blocks_stay_bit_identical(self):
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_frozen_blocks_stay_bit_identical(self, tied):
+        """A column mask steps only the embedding blocks: the context,
+        pooled and encoder weights keep their bits, and no moments are kept
+        for them."""
         v = small_vocab()
-        params, _ = small_params(v)
+        params, cmap = small_params(v, tied=tied)
         grads = {k: np.ones_like(a) for k, a in params.blocks().items()}
         before = {k: a.copy() for k, a in params.blocks().items()}
-        opt = Adam(params, learning_rate=0.05)
-        opt.step(params, grads, frozen=frozenset({"ctx_rec", "enc_b"}))
-        np.testing.assert_array_equal(params.ctx_rec, before["ctx_rec"])
-        np.testing.assert_array_equal(params.enc_b, before["enc_b"])
-        assert not np.array_equal(params.ctx_in, before["ctx_in"])
+        opt = Adam(params, 0.05, np.ones(cmap.n_columns, dtype=params.emb.dtype))
+        opt.step(params, grads)
+        embedding = {"emb"} if tied else {"emb", "emb_up"}
+        assert set(opt.m) == set(opt.v) == embedding
+        for name, arr in params.blocks().items():
+            if name in embedding:
+                assert not np.array_equal(arr, before[name])
+            else:
+                np.testing.assert_array_equal(arr, before[name])
 
-    def test_column_mask_pins_embedding_columns(self):
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_column_mask_pins_embedding_columns(self, tied):
         v = small_vocab()
-        params, cmap = small_params(v)
+        params, cmap = small_params(v, tied=tied)
         grads = {k: np.ones_like(a) for k, a in params.blocks().items()}
-        before = params.emb.copy()
+        before = {k: a.copy() for k, a in params.blocks().items()}
         mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)
         mask[cmap.entity_cols] = 1.0
-        opt = Adam(params, learning_rate=0.05)
-        opt.step(params, grads, emb_col_mask=mask)
+        opt = Adam(params, 0.05, mask)
+        opt.step(params, grads)
         moved = cmap.entity_cols
         held = np.setdiff1d(np.arange(cmap.n_columns), moved)
-        assert not np.array_equal(params.emb[:, moved], before[:, moved])
-        np.testing.assert_array_equal(params.emb[:, held], before[:, held])
+        for name in ("emb",) if tied else ("emb", "emb_up"):
+            assert not np.array_equal(params.blocks()[name][:, moved], before[name][:, moved])
+            np.testing.assert_array_equal(params.blocks()[name][:, held], before[name][:, held])
 
 
 def _memory_setup(seed: int = 0):
@@ -587,16 +593,27 @@ class TestTrainLoop:
         ]
 
     def test_frozen_blocks_survive_training(self):
+        """`train` with a column mask moves only the masked embedding columns."""
         v, params, cmap, store = _memory_setup(seed=6)
         config = TrainConfig(
             epochs=2, batch_size=32, learning_rate=1e-2, seed=0, modes=("episodic",),
-            freeze_ctx_in=True, freeze_ctx_rec=True, freeze_ctx_out=True,
         )
+        mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)
+        mask[cmap.instance_cols] = 1.0
         before = {k: a.copy() for k, a in params.blocks().items()}
-        train(params, cmap, v, store, config)
-        for name in ("ctx_in", "ctx_rec", "ctx_out"):
+        train(params, cmap, v, store, config, emb_col_mask=mask)
+        for name in ("ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b"):
             np.testing.assert_array_equal(params.blocks()[name], before[name])
+        held = np.setdiff1d(np.arange(cmap.n_columns), cmap.instance_cols)
+        np.testing.assert_array_equal(params.emb[:, held], before["emb"][:, held])
         assert not np.array_equal(params.emb, before["emb"])
+
+    @pytest.mark.parametrize("key", ["hidden_families", "excluded_families"])
+    def test_refuses_a_family_the_vocabulary_lacks(self, key):
+        v, params, cmap, store = _memory_setup()
+        config = TrainConfig(epochs=1, modes=("episodic",), **{key: ("Risk",)})
+        with pytest.raises(TrainError, match="unknown families"):
+            train(params, cmap, v, store, config)
 
     def test_divergence_is_reported(self):
         v, params, cmap, store = _memory_setup(seed=7)
