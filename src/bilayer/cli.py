@@ -21,8 +21,10 @@ ssl_learning_rate, ssl_epochs, novelty_threshold) and the network widths of
 train-config.json.  The `--config` of gen is a flat `WorldConfig`.  A file
 that is not a JSON object, or a key that is not one of these, exits 2
 (usage) with one line that names the unknown keys and lists the valid ones.
-A train setting out of range (a bare string for a list of modes or
-families, a family the vocabulary lacks) exits 3 (data), also with one line.
+A setting of the wrong type or out of range (a bare string for a list of
+modes or families, a family the vocabulary lacks, a network width that is
+not a positive int, a world setting whose type is not its default's) exits 3
+(data), also with one line.
 
 Every command writes a manifest.json into --out recording config/input
 hashes and outputs, even when it fails; timestamps live only there, so reruns
@@ -271,7 +273,13 @@ def cmd_decode(args: argparse.Namespace) -> None:
     def body() -> list[str]:
         params, cmap = _load_model(args.checkpoint, vocab)
         rng = substream(args.seed if args.seed is not None else 0, "decode", args.mode)
-        n = args.n
+
+        def request(mode: str, **kwargs) -> DecodeRequest:
+            return DecodeRequest(mode=mode, subject_support=args.support,
+                                 object_support=args.support, **kwargs)
+
+        def record(req: DecodeRequest, r) -> dict:
+            return _decode_record(decode(params, cmap, vocab, req, r), vocab, args.mode)
 
         if args.mode == "perceive":
             if not args.t:
@@ -279,57 +287,32 @@ def cmd_decode(args: argparse.Namespace) -> None:
             scene = world.scene(args.t)
             if scene.scene_key not in world.features:
                 raise StoreError(f"scene {args.t!r} has no stored features")
-            passes = []
-            if scene.binaries:
-                for i, _ in enumerate(scene.binaries):
-                    s_name, _p, o_name = scene.binaries[i]
-                    passes.append(
-                        SceneInput(
-                            scene=world.features[scene.scene_key],
-                            subject_box=world.features[scene.bb_key(s_name)],
-                            object_box=world.features[scene.bb_key(o_name)],
-                            predicate_box=world.features[scene.rel_key(i)],
-                        )
-                    )
-            else:
-                for m in scene.members:
-                    passes.append(
-                        SceneInput(
-                            scene=world.features[scene.scene_key],
-                            subject_box=world.features[scene.bb_key(m)],
-                        )
-                    )
-            for feats in passes:
-                request = DecodeRequest(
-                    mode="perception", features=feats, instance_attention=True,
-                    subject_support=args.support, object_support=args.support,
-                )
-                trace = decode(params, cmap, vocab, request, rng)
-                _emit(_decode_record(trace, vocab, "perceive"))
+            keys = [
+                (scene.bb_key(s_name), scene.bb_key(o_name), scene.rel_key(i))
+                for i, (s_name, _p, o_name) in enumerate(scene.binaries)
+            ] or [(scene.bb_key(m),) for m in scene.members]
+            feats = world.features
+            passes = [
+                request("perception", instance_attention=True,
+                        features=SceneInput(feats[scene.scene_key], *(feats[k] for k in boxes)))
+                for boxes in keys
+            ]
+            for perceive in passes:
+                _emit(record(perceive, rng))
             return []
 
         if args.mode == "episodic":
             if not args.t:
                 raise UsageError("episodic needs --t INSTANCE")
-            t = vocab.id_of(args.t)
-            for _ in range(n):
-                request = DecodeRequest(
-                    mode="episodic", instance_id=t,
-                    subject_support=args.support, object_support=args.support,
-                )
-                trace = decode(params, cmap, vocab, request, rng)
-                _emit(_decode_record(trace, vocab, "episodic"))
+            episodic = request("episodic", instance_id=vocab.id_of(args.t))
+            for _ in range(args.n):
+                _emit(record(episodic, rng))
             return []
 
         if args.mode == "semantic":
-            s = vocab.id_of(args.s) if args.s else None
-            for _ in range(n):
-                request = DecodeRequest(
-                    mode="semantic", subject_id=s,
-                    subject_support=args.support, object_support=args.support,
-                )
-                trace = decode(params, cmap, vocab, request, rng)
-                _emit(_decode_record(trace, vocab, "semantic"))
+            semantic = request("semantic", subject_id=vocab.id_of(args.s) if args.s else None)
+            for _ in range(args.n):
+                _emit(record(semantic, rng))
             return []
 
         if args.mode == "fuse":
@@ -338,25 +321,11 @@ def cmd_decode(args: argparse.Namespace) -> None:
             if args.gamma is None:
                 raise UsageError("fuse needs --gamma")
             t = vocab.id_of(args.t)
-            store = world.build_store()
-            n_obs = store.n_statements(t)
-
-            def episodic_draw(r):
-                request = DecodeRequest(
-                    mode="episodic", instance_id=t,
-                    subject_support=args.support, object_support=args.support,
-                )
-                return _decode_record(decode(params, cmap, vocab, request, r), vocab, "fuse")
-
-            def semantic_draw(r):
-                request = DecodeRequest(
-                    mode="semantic",
-                    subject_support=args.support, object_support=args.support,
-                )
-                return _decode_record(decode(params, cmap, vocab, request, r), vocab, "fuse")
-
-            for record in fused_stream(semantic_draw, episodic_draw, args.gamma, n_obs, rng, n):
-                _emit(record)
+            n_obs = world.build_store().n_statements(t)
+            episodic, semantic = request("episodic", instance_id=t), request("semantic")
+            for rec in fused_stream(lambda r: record(semantic, r), lambda r: record(episodic, r),
+                                    args.gamma, n_obs, rng, args.n):
+                _emit(rec)
             return []
 
         raise UsageError(f"unknown mode {args.mode!r}")

@@ -136,9 +136,7 @@ def label_conditional_estimate(
 # -- decode pipelines ------------------------------------------------------------------
 
 
-# the soft-commitment temperature of every perception pass, and the label
-# pairs (c1, c2) whose conditional P(c2 | c1) semantic recall checks
-ATTENTION_BETA = 1.0
+# the label pairs (c1, c2) whose conditional P(c2 | c1) semantic recall checks
 CONDITIONAL_PAIRS = (("Dog", "Mammal"),)
 
 _VARIANTS = {
@@ -154,8 +152,7 @@ def _perceive(params, cmap, vocab, variant: str, inputs: list[SceneInput],
     if variant not in _VARIANTS:
         raise EvalError(f"unknown perception variant {variant!r}; choose from {tuple(_VARIANTS)}")
     requests = [
-        DecodeRequest(mode="perception", features=feats, winner_take_all=True,
-                      attention_beta=ATTENTION_BETA, **_VARIANTS[variant])
+        DecodeRequest(mode="perception", features=feats, winner_take_all=True, **_VARIANTS[variant])
         for feats in inputs
     ]
     return decode_chunked(params, cmap, vocab, requests, rng)

@@ -18,24 +18,30 @@ two walks call them: `decode_many` here and the teacher-forced
 `graph.forward`.
 
 `decode_many` walks the schedule once for a batch of requests that share the
-mode, every flag and the arity; they differ only in features and clamps.  Each
-state is squashed once.  Each step scores every row with one matrix product,
-and every score block a step picks from or mixes over must be finite.  A
-commitment takes, per row, the clamped index if the request names one
-(`instance_id` in episodic and perception mode, `subject_id`, `object_id`),
-else the attention mixture the variant asks for, else a pick: the argmax under
-winner-take-all, otherwise one draw per row in row order, steps in schedule
-order, so one request draws as a single pass always has.  Every family's label
-is read from the one concept-score block at the committed subject.  The direct
-variant scores each head from its own encoded box, with no feedback or
-context, and takes no clamps.  The attention flags apply only to perception
-that is not direct; anywhere else they are refused, as an ignored clamp is.
-`decode_chunked` hands a long request list to `decode_many` in runs of
-DECODE_CHUNK, so the score blocks alive at once do not grow with it.
+mode, every flag and the arity; they differ only in features and clamps.  It
+is one loop over the steps.  Each step after the first folds the previous
+committed state into the context and reads its input from it, plus the
+step's encoded box in perception.  The memory modes' instance step is the
+clamped column or the pooled vector and is not scored.  Every other step
+scores every row with one matrix product, and every score block a step picks
+from or mixes over must be finite.  A commitment takes, per row, the clamped
+index if the request names one (`instance_id` in episodic and perception
+mode, `subject_id`, `object_id`), else the attention mixture the variant asks
+for, else a pick: the argmax under winner-take-all, otherwise one draw per row
+from the softmax at temperature 1, rows in order, steps in schedule order, so
+one request draws as a single pass always has.  Attention mixes at
+temperature 1 too.  The predicate step only picks; a step that only picks
+records no id when it has no columns to pick from.  Every family's label is
+read from the one concept-score block at the committed subject.  The direct
+variant is the same loop with no context and no commitment: each head reads
+its own encoded box, and it takes no clamps.  The attention flags apply only
+to perception that is not direct; anywhere else they are refused, as an
+ignored clamp is.  `decode_chunked` hands a long request list to
+`decode_many` in runs of DECODE_CHUNK, so the score blocks alive at once do
+not grow with it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
@@ -68,26 +74,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows(scores: np.ndarray, beta: float) -> np.ndarray:
-    """Tempered softmax over the last axis in float64; each row comes out
-    exactly as a one-row call would give it."""
-    if beta < 0:
-        raise NetworkError("beta must be nonnegative")
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis in float64; each row comes out exactly as
+    a one-row call would give it."""
     scores = np.asarray(scores, dtype=np.float64)
-    if math.isinf(beta):
-        return (np.arange(scores.shape[-1]) == scores.argmax(axis=-1)[..., None]).astype(np.float64)
-    e = np.exp(beta * (scores - scores.max(axis=-1, keepdims=True)))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pick(scores: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
-    """One position per row of `scores`: the argmax (ties low, no draw) at
-    beta=inf, else a draw from the row's tempered softmax, rows in order."""
+def _pick(scores: np.ndarray, winner_take_all: bool, rng: np.random.Generator) -> np.ndarray:
+    """One position per row of `scores`: the argmax (ties low, no draw) under
+    winner-take-all, else a draw from the row's softmax, rows in order."""
     if scores.shape[-1] == 0:
         raise NetworkError("no index units to pick from")
-    if math.isinf(beta):
+    if winner_take_all:
         return scores.argmax(axis=-1)
-    probs = _softmax_rows(scores, beta)
+    probs = _softmax_rows(scores)
     return np.array([rng.choice(probs.shape[-1], p=p) for p in probs], dtype=np.int64)
 
 
@@ -133,14 +135,12 @@ def index_scores(params: NetParams, z: np.ndarray, idx) -> np.ndarray:
     return z @ params.readout[:, idx]
 
 
-def attention_update(params: NetParams, rep: np.ndarray, z: np.ndarray, idx,
-                     beta: float = 1.0) -> np.ndarray:
+def attention_update(params: NetParams, rep: np.ndarray, z: np.ndarray, idx) -> np.ndarray:
     """Add to `rep` the mixture of the columns `emb[:, idx]` weighted by the
-    tempered softmax of their scores at `z`, the squashed `rep`, instead of a
-    single sampled column.  At beta=inf this equals the winner-take-all
-    committed update."""
+    softmax of their scores at `z`, the squashed `rep`, instead of a single
+    picked column."""
     scores = _check_finite("attention scores", index_scores(params, z, idx))
-    weights = _softmax_rows(scores, beta).astype(rep.dtype)
+    weights = _softmax_rows(scores).astype(rep.dtype)
     return rep + weights @ params.emb[:, idx].T
 
 
@@ -170,11 +170,9 @@ class DecodeRequest:
     instance_id: int | None = None   # clamp: required for episodic, optional in perception
     subject_id: int | None = None    # optional clamp
     object_id: int | None = None     # optional clamp on a binary pass
-    beta: float = 1.0
     winner_take_all: bool = False
     instance_attention: bool = False  # perception: soft instance commitment
     concept_attention: bool = False   # perception: soft subject/object commitment
-    attention_beta: float | None = None  # temperature for the soft commitments only
     direct: bool = False              # perception: heads read only encoded boxes
     subject_support: str = "concepts"  # or "entities"
     object_support: str = "concepts"   # or "entities"
@@ -252,20 +250,28 @@ def _pick_ids(cmap: ColumnMap, pick, scores: np.ndarray, cols: np.ndarray) -> li
     return cmap.ids[cols[pick(scores)]].tolist()
 
 
-def _support(cmap: ColumnMap, scores: np.ndarray, request: DecodeRequest, step: str) -> tuple:
-    """The part of a concept-score block the request's subject/object pick
-    ranges over, and its columns.  Concepts lead the canonical column order,
-    so a concept column is its own position in the block."""
+def _heads(cmap: ColumnMap, request: DecodeRequest, step: str) -> tuple:
+    """What a scored step reads: the readout index of its score block, the
+    part of that block its pick ranges over (None: all of it), that part's
+    columns, and the readout index its attention mixture ranges over (None:
+    no mixture).  Concepts lead the canonical column order, so a concept
+    column is its own position in the concept block."""
+    if step == "instance":
+        mix = cmap.instance_idx if request.instance_attention else None
+        return cmap.instance_idx, None, cmap.instance_cols, mix
+    if step == "predicate":
+        return cmap.predicate_idx, None, cmap.predicate_cols, None
+    mix = cmap.entity_idx if request.concept_attention else None
     if getattr(request, f"{step}_support") == "entities":
-        return scores[:, cmap.entity_idx], cmap.entity_cols
-    return scores, cmap.concept_cols
+        return cmap.concept_idx, cmap.entity_idx, cmap.entity_cols, mix
+    return cmap.concept_idx, None, cmap.concept_cols, mix
 
 
 def _commit(params, cmap, rep, z, clamps, scores, cols, pick, mix=None):
     """One commitment for every row of `rep` (squashed: `z`).  A clamped row
     adds its symbol's column.  Each other row adds the column picked from
-    `scores` (positions in `cols`), or, with `mix = (idx, beta)`, the
-    attention mixture over `emb[:, idx]`, which commits no id.  Returns the
+    `scores` (positions in `cols`), or, with a readout index `mix`, the
+    attention mixture over `emb[:, mix]`, which commits no id.  Returns the
     new representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
@@ -275,7 +281,7 @@ def _commit(params, cmap, rep, z, clamps, scores, cols, pick, mix=None):
             for i, sid in zip(free, _pick_ids(cmap, pick, block, cols)):
                 ids[i] = sid
         return rep + params.emb.T[cmap.cols_of(ids)], ids
-    out = attention_update(params, rep, z, *mix)
+    out = attention_update(params, rep, z, mix)
     fixed = [i for i, c in enumerate(ids) if c is not None]
     if fixed:
         out[fixed] = rep[fixed] + params.emb.T[cmap.cols_of([ids[i] for i in fixed])]
@@ -330,71 +336,46 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
         ):
             raise NetworkError("batched requests must share the mode, every flag and the arity")
 
-    beta = math.inf if first.winner_take_all else first.beta
-    soft_beta = first.attention_beta if first.attention_beta is not None else beta
-
     def pick(scores: np.ndarray) -> np.ndarray:
-        return _pick(scores, beta, rng)
+        return _pick(scores, first.winner_take_all, rng)
 
-    if first.direct:
-        return _decode_direct(params, cmap, requests, pick)
-
-    perceiving = first.mode == "perception"
+    perceiving, direct = first.mode == "perception", first.direct
     feats = [r.features for r in requests]
     ids: dict[str, list] = {}
     scores: dict[str, np.ndarray] = {}
     reps: dict[str, np.ndarray] = {}
-
-    def fed(rep: np.ndarray, box: str) -> np.ndarray:
-        return rep + _encode(params, feats, box) if perceiving else rep
-
-    def concept_step(step: str, sh: np.ndarray) -> np.ndarray:
-        """The subject or object step: score every concept, then commit.
-        Returns the squashed committed state."""
-        rep = fed(context_out(params, sh), f"{step}_box")
+    sh = None if direct else initial_context(params)
+    steps = ["instance", "subject"] + (["object", "predicate"] if _binary(first) else [])
+    for step in steps:
+        rep = None
+        if step != "instance" and not direct:
+            _, sh = context_step(params, sh, z)
+            rep = context_out(params, sh)
+        if perceiving:
+            enc = _encode(params, feats, "scene" if step == "instance" else f"{step}_box")
+            rep = enc if rep is None else rep + enc
+        if rep is None:  # a memory mode's instance: the clamped column or the pooled vector
+            if first.mode == "episodic":
+                ids[step] = [r.instance_id for r in requests]
+                rep = params.emb.T[cmap.cols_of(ids[step])]
+            else:
+                rep = np.tile(params.pooled, (len(requests), 1))
         z = sigmoid(rep)
-        scores[step] = _scores(params, step, z, cmap.concept_idx)
-        block, cols = _support(cmap, scores[step], first, step)
-        mix = (cmap.entity_idx, soft_beta) if perceiving and first.concept_attention else None
-        clamps = [getattr(r, f"{step}_id") for r in requests]
-        reps[step], ids[step] = _commit(params, cmap, rep, z, clamps, block, cols, pick, mix)
-        return sigmoid(reps[step])
-
-    # instance step
-    clamps = [r.instance_id for r in requests]
-    if perceiving:
-        rep = _encode(params, feats, "scene")
-        z = sigmoid(rep)
-        scores["instance"] = _scores(params, "instance", z, cmap.instance_idx)
-        mix = (cmap.instance_idx, soft_beta) if first.instance_attention else None
-        rep_t, ids["instance"] = _commit(
-            params, cmap, rep, z, clamps, scores["instance"], cmap.instance_cols, pick, mix
-        )
-    elif first.mode == "episodic":
-        rep_t, ids["instance"] = params.emb.T[cmap.cols_of(clamps)], clamps
-    else:  # semantic: only the pooled stand-in embedding, never a real column
-        rep_t = np.tile(params.pooled, (len(requests), 1))
-    reps["instance"] = rep_t
-    _, sh = context_step(params, initial_context(params), sigmoid(rep_t))
-    z_s = concept_step("subject", sh)
-
-    # subject labels, one per family, from one concept-score block
-    scores["label"] = _scores(params, "label", z_s, cmap.concept_idx)
-    labels = _pick_labels(cmap, scores["label"], pick)
-    if not _binary(first):
-        return _split(first, ids, labels, scores, reps)  # unary pass: no relation boxes
-
-    # object step
-    _, sh = context_step(params, sh, z_s)
-    z_o = concept_step("object", sh)
-
-    # predicate step: read out, no commitment
-    _, sh = context_step(params, sh, z_o)
-    reps["predicate"] = fed(context_out(params, sh), "predicate_box")
-    z_p = sigmoid(reps["predicate"])
-    scores["predicate"] = _scores(params, "predicate", z_p, cmap.predicate_idx)
-    if cmap.predicate_cols.size:
-        ids["predicate"] = _pick_ids(cmap, pick, scores["predicate"], cmap.predicate_cols)
+        if step != "instance" or perceiving:
+            idx, part, cols, mix = _heads(cmap, first, step)
+            scores[step] = _scores(params, step, z, idx)
+            block = scores[step] if part is None else scores[step][:, part]
+            if direct or step == "predicate":  # read out, no commitment
+                if cols.size:
+                    ids[step] = _pick_ids(cmap, pick, block, cols)
+            else:
+                clamps = [getattr(r, f"{step}_id") for r in requests]
+                rep, ids[step] = _commit(params, cmap, rep, z, clamps, block, cols, pick, mix)
+                z = sigmoid(rep)
+        reps[step] = rep
+        if step == "subject":  # one label per family, from one concept-score block
+            scores["label"] = _scores(params, "label", z, cmap.concept_idx)
+            labels = _pick_labels(cmap, scores["label"], pick)
     return _split(first, ids, labels, scores, reps)
 
 
@@ -407,33 +388,6 @@ def decode_chunked(params: NetParams, cmap: ColumnMap, vocab: Vocabulary, reques
     run's score blocks are alive at a time.  Sampled picks draw run by run."""
     for start in range(0, len(requests), DECODE_CHUNK):
         yield from decode_many(params, cmap, vocab, requests[start:start + DECODE_CHUNK], rng)
-
-
-def _decode_direct(params, cmap, requests, pick) -> list[DecodeTrace]:
-    """Feature-only readouts: no index feedback, no context propagation."""
-    first = requests[0]
-    feats = [r.features for r in requests]
-    ids: dict[str, list] = {}
-    reps = {"instance": _encode(params, feats, "scene"),
-            "subject": _encode(params, feats, "subject_box")}
-    scores = {"instance": _scores(params, "instance", sigmoid(reps["instance"]), cmap.instance_idx)}
-    if cmap.instance_cols.size:
-        ids["instance"] = _pick_ids(cmap, pick, scores["instance"], cmap.instance_cols)
-    scores["subject"] = _scores(params, "subject", sigmoid(reps["subject"]), cmap.concept_idx)
-    ids["subject"] = _pick_ids(cmap, pick, *_support(cmap, scores["subject"], first, "subject"))
-    # labels read the same representation, so their concept scores are the subject's
-    scores["label"] = scores["subject"]
-    labels = _pick_labels(cmap, scores["label"], pick)
-    if _binary(first):
-        reps["object"] = _encode(params, feats, "object_box")
-        reps["predicate"] = _encode(params, feats, "predicate_box")
-        scores["object"] = _scores(params, "object", sigmoid(reps["object"]), cmap.concept_idx)
-        ids["object"] = _pick_ids(cmap, pick, *_support(cmap, scores["object"], first, "object"))
-        scores["predicate"] = _scores(params, "predicate", sigmoid(reps["predicate"]),
-                                      cmap.predicate_idx)
-        if cmap.predicate_cols.size:
-            ids["predicate"] = _pick_ids(cmap, pick, scores["predicate"], cmap.predicate_cols)
-    return _split(first, ids, labels, scores, reps)
 
 
 # -- post-observation fusion -----------------------------------------------------

@@ -130,6 +130,16 @@ class NetConfig:
     tied: bool = True       # shared up/down embedding matrix; False splits them
     dtype: str = "float32"
 
+    def __post_init__(self) -> None:
+        for name in ("rep_dim", "ctx_dim", "feature_dim"):
+            width = getattr(self, name)
+            if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+                raise ParamError(f"network {name} must be a positive int, not {width!r}")
+        if not isinstance(self.tied, bool):
+            raise ParamError(f"network tied must be true or false, not {self.tied!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ParamError(f"network dtype must be float32 or float64, not {self.dtype!r}")
+
     def np_dtype(self):
         return np.dtype(self.dtype)
 
@@ -144,7 +154,10 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetConfig":
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:  # not a mapping, or a key that is no setting
+            raise ParamError(f"bad network config: {exc}") from exc
 
 
 def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -169,10 +182,6 @@ class NetParams:
     def readout(self) -> np.ndarray:
         """Matrix whose columns score index units from a representation."""
         return self.emb if self.config.tied else self.emb_up
-
-    @property
-    def n_columns(self) -> int:
-        return self.emb.shape[1]
 
     @classmethod
     def init(cls, vocab: Vocabulary, config: NetConfig, rng: np.random.Generator) -> "NetParams":
@@ -224,14 +233,6 @@ class NetParams:
             emb_up=None if self.emb_up is None else self.emb_up.copy(),
             kind_counts=self.kind_counts,
         )
-
-    def astype(self, dtype: str) -> "NetParams":
-        dt = np.dtype(dtype)
-        out = self.copy()
-        out.config = NetConfig(**{**self.config.to_dict(), "dtype": dtype})
-        for name, arr in out.blocks().items():
-            setattr(out, name, arr.astype(dt))
-        return out
 
     def grow(self, vocab: Vocabulary, rng: np.random.Generator) -> ColumnMap:
         """Add freshly initialized columns for symbols registered after init.

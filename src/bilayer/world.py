@@ -20,7 +20,7 @@ import bisect
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -140,6 +140,15 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # each setting has its default's type; an int passes for a float, a bool for nothing else
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            kind = float if f.default is None else type(f.default)
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+                raise WorldError(f"world {f.name} must be of type {kind.__name__}, not {value!r}")
         if self.n_entities < 1 or self.n_scenes < 1:
             raise WorldError("need at least one entity and one scene")
         if self.mean_entities_per_scene < 2:

@@ -240,6 +240,18 @@ class TestGen:
         cfg.write_text("{not json")
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 3
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"seed": "x"}, "world seed must be of type int, not 'x'"),
+        ({"n_entities": 30.0}, "world n_entities must be of type int, not 30.0"),
+        ({"owners": 1}, "world owners must be of type bool, not 1"),
+    ])
+    def test_setting_of_the_wrong_type_is_data_error(self, tmp_path, doc, message):
+        cfg = _write_json(tmp_path / "typed.json", doc)
+        proc = _run_cli(["gen", "--config", cfg, "--out", str(tmp_path / "w")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and message in lines[0]
+
     def test_test_scenes_without_test_entities_is_data_error(self, tmp_path):
         cfg = _write_json(tmp_path / "empty-test.json", {
             "n_entities": 30, "n_scenes": 10, "n_test_entities": 0, "n_test_scenes": 3, "seed": 5,
@@ -361,6 +373,20 @@ class TestTrain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and message in lines[0]
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"rep_dim": "x"}, "network rep_dim must be a positive int, not 'x'"),
+        ({"dtype": "foo"}, "network dtype must be float32 or float64, not 'foo'"),
+        ({"tied": "no"}, "network tied must be true or false, not 'no'"),
+    ])
+    def test_network_setting_of_the_wrong_type_is_data_error(self, ws, tmp_path, doc, message):
+        cfg = _write_json(tmp_path / "net.json", {"epochs": 1, **doc})
+        out = tmp_path / "r"
+        proc = _run_cli(["train", ws["world_dir"], "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and message in lines[0]
+        assert not (out / "model.json").exists()
+
     @pytest.mark.parametrize("command", ["eval", "ssl"])
     def test_unknown_config_key_is_usage_error_elsewhere(self, ws, tmp_path, command):
         cfg = _write_json(tmp_path / "typo.json", {"epochs": 1, "epohcs": 2})
@@ -461,6 +487,23 @@ class TestDecode:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "sha256" in proc.stderr
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"tied": "no"}, "network tied must be true or false, not 'no'"),
+        ({"bogus": 1}, "bad network config: "),
+    ])
+    def test_bad_network_setting_in_the_manifest_is_data_error(self, ws, tmp_path, setting,
+                                                               message):
+        for ext in (".json", ".bin"):
+            shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        manifest["config"].update(setting)
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        proc = _run_cli(["decode", str(tmp_path / "model.json"), "--world", ws["world_dir"],
+                         "--mode", "semantic", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and message in lines[0]
 
     def test_non_finite_scores_are_numeric_error(self, ws, tmp_path):
         # untied, so only the committed subject's NaN column reaches the label scores

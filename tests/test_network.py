@@ -1,10 +1,11 @@
 """Activations, context recurrence, attention, decoding schedules, fusion sampling.
 
 The decode invariants under test: every distribution head normalizes, the
-argmax survives any positive temperature, semantic recall never touches real
-instance columns, winner-take-all equals the infinite-temperature attention
-limit, sampled ids stay inside their declared index sets, and a batched walk
-agrees with single passes and with the float64 reference walk in `util`.
+softmax keeps the argmax, winner-take-all is the argmax with ties low and no
+draw, semantic recall never touches real instance columns, sampled ids stay
+inside their declared index sets, a batched walk agrees with single passes
+and with the float64 reference walk in `util`, and the committed ids and
+labels of every run-path request kind stay pinned.
 """
 from __future__ import annotations
 
@@ -104,101 +105,75 @@ class TestActivations:
         scores = np.array([0.0, 1.0, 2.0])
         e = [math.exp(v) for v in (0.0, 1.0, 2.0)]
         want = np.array([v / sum(e) for v in e])
-        np.testing.assert_allclose(_softmax_rows(scores, 1.0), want, rtol=1e-12)
+        np.testing.assert_allclose(_softmax_rows(scores), want, rtol=1e-12)
 
-    def test_softmax_zero_beta_is_uniform(self):
-        out = _softmax_rows(np.array([[5.0, -3.0, 0.0, 99.0], [1.0, 2.0, 3.0, 4.0]]), 0.0)
-        np.testing.assert_array_equal(out, np.full((2, 4), 0.25))
-
-    def test_softmax_infinite_beta_is_argmax(self):
-        out = _softmax_rows(np.array([1.0, 7.0, 3.0]), math.inf)
-        np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
-
-    def test_softmax_infinite_beta_breaks_ties_low(self):
-        out = _softmax_rows(np.array([[2.0, 7.0, 7.0], [5.0, 5.0, 1.0]]), math.inf)
-        np.testing.assert_array_equal(out, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-
-    def test_softmax_rejects_bad_input(self):
-        with pytest.raises(NetworkError, match="beta"):
-            _softmax_rows(np.array([1.0, 2.0]), -0.5)
-        with pytest.raises(NetworkError, match="beta"):
-            _pick(np.array([[1.0, 2.0]]), -0.5, substream(0, "m"))
-        with pytest.raises(NetworkError, match="no index units"):
-            _pick(np.zeros((2, 0)), 1.0, substream(0, "m"))
+    def test_pick_needs_index_units(self):
+        for winner_take_all in (False, True):
+            with pytest.raises(NetworkError, match="no index units"):
+                _pick(np.zeros((2, 0)), winner_take_all, substream(0, "m"))
 
     @given(
         scores=st.lists(
             st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=2, max_size=8
         ),
-        beta=st.floats(min_value=1e-3, max_value=1e3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_argmax_invariant_to_positive_beta(self, scores, beta):
+    def test_softmax_keeps_the_argmax(self, scores):
         arr = np.array(scores)
         order = np.sort(arr)
         if arr.size > 1 and order[-1] - order[-2] < 1e-6:
             return  # tie: argmax not well defined
-        assert int(np.argmax(_softmax_rows(arr, beta))) == int(np.argmax(arr))
-        assert int(np.argmax(_softmax_rows(arr, math.inf))) == int(np.argmax(arr))
+        assert int(np.argmax(_softmax_rows(arr))) == int(np.argmax(arr))
 
     @given(
         scores=st.lists(
             st.floats(min_value=-200, max_value=200, allow_nan=False), min_size=1, max_size=16
         ),
-        beta=st.floats(min_value=0, max_value=1e4),
     )
     @settings(max_examples=200, deadline=None)
-    def test_softmax_normalizes(self, scores, beta):
-        out = _softmax_rows(np.array(scores), beta)
+    def test_softmax_normalizes(self, scores):
+        out = _softmax_rows(np.array(scores))
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out >= 0)
 
-    def test_pick_infinite_beta_is_argmax_without_a_draw(self):
+    def test_pick_winner_take_all_is_argmax_without_a_draw(self):
         scores = np.array([[0.0, 4.0, 1.0], [3.0, 3.0, 0.0]])  # the second row ties low
         for seed in range(5):
             rng = substream(seed, "s")
             state = rng.bit_generator.state
-            assert _pick(scores, math.inf, rng).tolist() == [1, 0]
+            assert _pick(scores, True, rng).tolist() == [1, 0]
             assert rng.bit_generator.state == state
 
     def test_pick_frequencies(self):
         scores = np.tile([0.0, math.log(3.0)], (4000, 1))  # probs 0.25 / 0.75
-        hits = int(_pick(scores, 1.0, substream(11, "freq")).sum())
+        hits = int(_pick(scores, False, substream(11, "freq")).sum())
         n = len(scores)
         sd = math.sqrt(n * 0.75 * 0.25)
         assert abs(hits - 0.75 * n) <= 3 * sd
 
     def test_softmax_rows_match_one_row_calls(self):
         scores = substream(2, "rows").standard_normal((5, 7)) * 4.0
-        for beta in (0.3, 1.0, math.inf):
-            out = _softmax_rows(scores, beta)
-            for row, want in zip(scores, out):
-                np.testing.assert_array_equal(_softmax_rows(row, beta), want)
+        out = _softmax_rows(scores)
+        for row, want in zip(scores, out):
+            np.testing.assert_array_equal(_softmax_rows(row), want)
 
     def test_softmax_is_shift_invariant_and_overflow_free(self):
         scores = np.array([[0.0, 1.0, 2.0], [1000.0, 1001.0, 1002.0], [-1e4, -1e4 + 1, -1e4 + 2]])
-        out = _softmax_rows(scores, 1.0)
+        out = _softmax_rows(scores)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[1], out[0], rtol=1e-12)
         np.testing.assert_allclose(out[2], out[0], rtol=1e-12)
 
-    def test_pick_zero_beta_is_uniform(self):
-        scores = np.tile([9.0, -9.0, 0.0], (3000, 1))  # beta=0 ignores the scores
-        counts = np.bincount(_pick(scores, 0.0, substream(12, "flat")), minlength=3)
-        n = len(scores)
-        sd = math.sqrt(n * (1 / 3) * (2 / 3))
-        assert np.all(np.abs(counts - n / 3) <= 3 * sd)
-
     def test_pick_draws_rows_in_order(self):
         scores = substream(4, "order").standard_normal((6, 5))
-        batch = _pick(scores, 1.0, substream(8, "p"))
+        batch = _pick(scores, False, substream(8, "p"))
         rng = substream(8, "p")
-        assert batch.tolist() == [int(_pick(row[None], 1.0, rng)[0]) for row in scores]
+        assert batch.tolist() == [int(_pick(row[None], False, rng)[0]) for row in scores]
 
     def test_pick_from_one_column_is_always_it(self):
         scores = substream(5, "one").standard_normal((20, 1))
-        for beta in (0.0, 1.0, math.inf):
-            assert _pick(scores, beta, substream(0, "c")).tolist() == [0] * 20
+        for winner_take_all in (False, True):
+            assert _pick(scores, winner_take_all, substream(0, "c")).tolist() == [0] * 20
 
 
 class TestContextAndEncoding:
@@ -248,27 +223,8 @@ class TestAttention:
         params, cmap = small_params(v, seed=5)
         rep = np.linspace(-1, 1, 8).astype(np.float32)
         cols = cmap.instance_cols[:1]
-        got = attention_update(params, rep, sigmoid(rep), cols, beta=0.7)
+        got = attention_update(params, rep, sigmoid(rep), cols)
         np.testing.assert_allclose(got, rep + params.emb[:, cols[0]], atol=1e-7)
-
-    def test_infinite_beta_equals_winner_take_all(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=6)
-        rep = np.linspace(-2, 2, 8).astype(np.float32)
-        for cols in (cmap.entity_cols, cmap.instance_cols, cmap.concept_cols):
-            win = cols[int(np.argmax(index_scores(params, sigmoid(rep), cols)))]
-            committed = rep + params.emb[:, win]
-            soft = attention_update(params, rep, sigmoid(rep), cols, beta=math.inf)
-            np.testing.assert_allclose(soft, committed, atol=1e-9)
-
-    def test_zero_beta_adds_column_mean(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=7)
-        rep = np.zeros(8, dtype=np.float32)
-        got = attention_update(params, rep, sigmoid(rep), cmap.entity_cols, beta=0.0)
-        np.testing.assert_allclose(
-            got, rep + params.emb[:, cmap.entity_cols].mean(axis=1), rtol=1e-5
-        )
 
 def _scene_features(seed: int, with_relation: bool = True) -> SceneInput:
     rng = substream(seed, "feat")
@@ -444,7 +400,7 @@ class TestDecodeBehavior:
             ("episodic", {"instance_id": v.id_of("t1")}),
             ("semantic", {}),
         ]:
-            req = DecodeRequest(mode=mode, beta=1.0, **kwargs)
+            req = DecodeRequest(mode=mode, **kwargs)
             t1 = decode(params, cmap, v, req, substream(42, "same"))
             t2 = decode(params, cmap, v, req, substream(42, "same"))
             assert _traces_equal(t1, t2)
@@ -456,38 +412,16 @@ class TestDecodeBehavior:
         traces = [decode(params, cmap, v, req, substream(s, "x")) for s in range(4)]
         assert all(_traces_equal(traces[0], t) for t in traces[1:])
 
-    def test_winner_take_all_matches_large_beta(self):
-        v = small_vocab()
-        params, cmap = small_params(v, seed=12)
-        wta = decode(
-            params,
-            cmap,
-            v,
-            DecodeRequest(mode="episodic", instance_id=v.id_of("t2"), winner_take_all=True),
-            substream(0, "a"),
-        )
-        hot = decode(
-            params,
-            cmap,
-            v,
-            DecodeRequest(mode="episodic", instance_id=v.id_of("t2"), beta=1e6),
-            substream(1, "b"),
-        )
-        assert wta.subject_id == hot.subject_id
-        assert wta.labels == hot.labels
-        assert wta.object_id == hot.object_id
-        assert wta.predicate_id == hot.predicate_id
-
     def test_semantic_never_reads_instance_columns(self):
         v = small_vocab()
         params, cmap = small_params(v, seed=13)
         clean = decode(
-            params, cmap, v, DecodeRequest(mode="semantic", beta=1.0), substream(5, "sem")
+            params, cmap, v, DecodeRequest(mode="semantic"), substream(5, "sem")
         )
         poisoned = params.copy()
         poisoned.emb[:, cmap.instance_cols] = np.nan  # any read would propagate
         dirty = decode(
-            poisoned, cmap, v, DecodeRequest(mode="semantic", beta=1.0), substream(5, "sem")
+            poisoned, cmap, v, DecodeRequest(mode="semantic"), substream(5, "sem")
         )
         assert _traces_equal(clean, dirty)
         np.testing.assert_array_equal(clean.reps["instance"], params.pooled)
@@ -545,7 +479,7 @@ class TestDecodeBehavior:
                 kwargs["instance_id"] = v.id_of(f"t{seed % 3}")
             support = "entities" if seed % 2 else "concepts"
             req = DecodeRequest(
-                mode=mode, beta=0.5, subject_support=support, object_support=support, **kwargs
+                mode=mode, subject_support=support, object_support=support, **kwargs
             )
             trace = decode(params, cmap, v, req, substream(seed, "fuzz"))
             pool = entities if support == "entities" else concepts
@@ -567,7 +501,7 @@ class TestDecodeBehavior:
         if mode == "episodic":
             kwargs["instance_id"] = v.id_of("t0")
         for seed in range(10):
-            trace = decode(params, cmap, v, DecodeRequest(mode=mode, beta=0.5, **kwargs),
+            trace = decode(params, cmap, v, DecodeRequest(mode=mode, **kwargs),
                            substream(seed, "fams"))
             assert set(trace.labels) == set(v.families)
             assert all(trace.labels[f] in v.families[f] for f in v.families)
@@ -622,6 +556,19 @@ class TestDecodeBehavior:
         trace2 = decode(params, cmap, v, req2, substream(0, "d"))
         np.testing.assert_array_equal(trace2.scores["subject"], trace.scores["subject"])
 
+    def test_without_instance_columns_only_a_direct_pass_decodes(self):
+        """A direct pass only picks the instance, so with no instance columns
+        it records none; a recurrent perception pass must commit one."""
+        v = small_vocab(n_instances=0)
+        params, cmap = small_params(v, seed=22)
+        feats = _scene_features(7)
+        direct = DecodeRequest(mode="perception", features=feats, direct=True)
+        trace = decode(params, cmap, v, direct, substream(0, "d"))
+        assert trace.instance_id is None and trace.subject_id is not None
+        with pytest.raises(NetworkError, match="no index units"):
+            decode(params, cmap, v, DecodeRequest(mode="perception", features=feats),
+                   substream(0, "d"))
+
     def test_attention_flags_skip_hard_commits(self):
         v = small_vocab()
         params, cmap = small_params(v, seed=19)
@@ -639,9 +586,8 @@ class TestDecodeBehavior:
 
 
 _VARIANT_FLAGS = {
-    "samp": dict(instance_attention=True, attention_beta=1.0,
-                 subject_support="entities", object_support="entities"),
-    "sa": dict(instance_attention=True, concept_attention=True, attention_beta=1.0),
+    "samp": dict(instance_attention=True, subject_support="entities", object_support="entities"),
+    "sa": dict(instance_attention=True, concept_attention=True),
     "direct": dict(direct=True, subject_support="entities", object_support="entities"),
 }
 
@@ -748,6 +694,172 @@ class TestReferenceWalk:
         v = small_vocab()
         params, cmap = small_params(v)
         assert decode_many(params, cmap, v, [], substream(0, "e")) == []
+
+
+def _run_path_requests(v) -> dict[str, list[DecodeRequest]]:
+    """Three requests of every kind a run path makes: the eval variants
+    (winner-take-all), `bilayer decode` perceive (sampled, instance
+    attention), episodic and semantic recall (sampled and winner-take-all,
+    free or with a subject clamp) and SSL's clamped recognition, labeling
+    and relation passes."""
+    ids = v.id_of
+    ent = dict(subject_support="entities", object_support="entities")
+    out = {}
+    for variant, flags in _VARIANT_FLAGS.items():
+        for arity in ("unary", "binary"):
+            out[f"eval-{variant}-{arity}"] = [
+                DecodeRequest(mode="perception", winner_take_all=True,
+                              features=_scene_features(10 + k, arity == "binary"), **flags)
+                for k in range(3)]
+    for arity in ("unary", "binary"):
+        out[f"perceive-{arity}"] = [
+            DecodeRequest(mode="perception", instance_attention=True,
+                          features=_scene_features(20 + k, arity == "binary"), **ent)
+            for k in range(3)]
+    for tag, wta in (("sampled", False), ("wta", True)):
+        out[f"episodic-{tag}"] = [
+            DecodeRequest(mode="episodic", instance_id=ids(f"t{k}"), winner_take_all=wta, **ent)
+            for k in range(3)]
+        out[f"episodic-{tag}-clamped"] = [
+            DecodeRequest(mode="episodic", instance_id=ids(f"t{k}"), subject_id=ids("e1"),
+                          winner_take_all=wta, **ent) for k in range(3)]
+        out[f"semantic-{tag}"] = [
+            DecodeRequest(mode="semantic", winner_take_all=wta, **ent) for _ in range(3)]
+        out[f"semantic-{tag}-clamped"] = [
+            DecodeRequest(mode="semantic", subject_id=ids(s), winner_take_all=wta, **ent)
+            for s in ("e0", "e2", "e3")]
+    ssl = dict(mode="perception", winner_take_all=True, subject_support="entities")
+    out["ssl-recognize"] = [
+        DecodeRequest(features=_scene_features(30 + k, False), instance_id=ids(f"t{k}"), **ssl)
+        for k in range(3)]
+    out["ssl-label"] = [
+        DecodeRequest(features=_scene_features(30 + k, False), instance_id=ids(f"t{k}"),
+                      subject_id=ids(f"e{k}"), **ssl) for k in range(3)]
+    out["ssl-relate"] = [
+        DecodeRequest(features=_scene_features(40 + k, True), instance_id=ids(f"t{k}"),
+                      subject_id=ids(f"e{k}"), object_id=ids(f"e{k + 1}"), **ssl)
+        for k in range(3)]
+    return out
+
+
+# per request kind, the ids and labels each of its three requests commits:
+# t, s, o, p (when recorded), then every family's label
+PINNED = {
+    "eval-samp-unary": [
+        "s=e1 Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "s=e0 Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "s=e0 Age=Young Identity=e0 Rank=Mammal Species=Cat",
+    ],
+    "eval-samp-binary": [
+        "s=e1 o=e0 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "s=e0 o=e1 p=near Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "s=e0 o=e0 p=near Age=Young Identity=e0 Rank=Mammal Species=Cat",
+    ],
+    "eval-sa-unary": [
+        "Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "Age=Young Identity=e0 Rank=Mammal Species=Cat",
+    ],
+    "eval-sa-binary": [
+        "p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "p=near Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "p=near Age=Young Identity=e0 Rank=Mammal Species=Cat",
+    ],
+    "eval-direct-unary": [
+        "t=t0 s=e0 Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "t=t0 s=e0 Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "t=t0 s=e0 Age=Young Identity=e0 Rank=Mammal Species=Cat",
+    ],
+    "eval-direct-binary": [
+        "t=t0 s=e0 o=e0 p=near Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "t=t0 s=e0 o=e1 p=near Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "t=t0 s=e0 o=e0 p=near Age=Young Identity=e0 Rank=Mammal Species=Cat",
+    ],
+    "perceive-unary": [
+        "s=e1 Age=Young Identity=e1 Rank=Mammal Species=Dog",
+        "s=e1 Age=Old Identity=e0 Rank=Mammal Species=Dog",
+        "s=e0 Age=Old Identity=e3 Rank=Mammal Species=Dog",
+    ],
+    "perceive-binary": [
+        "s=e1 o=e0 p=near Age=Young Identity=e0 Rank=Mammal Species=Dog",
+        "s=e3 o=e2 p=near Age=Young Identity=e1 Rank=Mammal Species=Dog",
+        "s=e3 o=e1 p=near Age=Young Identity=e1 Rank=Mammal Species=Cat",
+    ],
+    "episodic-sampled": [
+        "t=t0 s=e3 o=e3 p=chases Age=Old Identity=e0 Rank=Mammal Species=Dog",
+        "t=t1 s=e3 o=e0 p=chases Age=Old Identity=e1 Rank=Mammal Species=Cat",
+        "t=t2 s=e0 o=e2 p=near Age=Old Identity=e3 Rank=Mammal Species=Dog",
+    ],
+    "episodic-sampled-clamped": [
+        "t=t0 s=e1 o=e2 p=near Age=Young Identity=e0 Rank=Mammal Species=Dog",
+        "t=t1 s=e1 o=e1 p=near Age=Young Identity=e1 Rank=Mammal Species=Dog",
+        "t=t2 s=e1 o=e0 p=near Age=Young Identity=e1 Rank=Mammal Species=Cat",
+    ],
+    "semantic-sampled": [
+        "s=e1 o=e0 p=near Age=Old Identity=e2 Rank=Mammal Species=Cat",
+        "s=e3 o=e1 p=near Age=Young Identity=e0 Rank=Mammal Species=Cat",
+        "s=e1 o=e1 p=near Age=Old Identity=e0 Rank=Mammal Species=Dog",
+    ],
+    "semantic-sampled-clamped": [
+        "s=e0 o=e0 p=near Age=Young Identity=e0 Rank=Mammal Species=Dog",
+        "s=e2 o=e1 p=near Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "s=e3 o=e1 p=near Age=Old Identity=e3 Rank=Mammal Species=Dog",
+    ],
+    "episodic-wta": [
+        "t=t0 s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t1 s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t2 s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+    ],
+    "episodic-wta-clamped": [
+        "t=t0 s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t1 s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t2 s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+    ],
+    "semantic-wta": [
+        "s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "s=e1 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+    ],
+    "semantic-wta-clamped": [
+        "s=e0 o=e1 p=near Age=Old Identity=e0 Rank=Mammal Species=Dog",
+        "s=e2 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "s=e3 o=e1 p=near Age=Old Identity=e0 Rank=Mammal Species=Dog",
+    ],
+    "ssl-recognize": [
+        "t=t0 s=e1 Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t1 s=e0 Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "t=t2 s=e1 Age=Young Identity=e1 Rank=Mammal Species=Dog",
+    ],
+    "ssl-label": [
+        "t=t0 s=e0 Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t1 s=e1 Age=Old Identity=e0 Rank=Mammal Species=Cat",
+        "t=t2 s=e2 Age=Old Identity=e1 Rank=Mammal Species=Dog",
+    ],
+    "ssl-relate": [
+        "t=t0 s=e0 o=e1 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t1 s=e1 o=e2 p=near Age=Old Identity=e1 Rank=Mammal Species=Dog",
+        "t=t2 s=e2 o=e3 p=near Age=Young Identity=e0 Rank=Mammal Species=Cat",
+    ],
+}
+
+
+class TestPinnedDraws:
+    def test_run_path_requests_commit_the_pinned_ids(self):
+        """A change in the walk or in the order picks draw from the
+        generator changes these values.  A deliberate one re-pins them and
+        is declared."""
+        v = small_vocab()
+        params, cmap = small_params(v, seed=64, dtype="float64")
+        name = v.name_of
+        got = {}
+        for kind, requests in _run_path_requests(v).items():
+            got[kind] = []
+            for trace in decode_many(params, cmap, v, requests, substream(0, "pin", kind)):
+                ids = zip("tsop", _trace_ids(trace))
+                parts = [f"{k}={name(i)}" for k, i in ids if i is not None]
+                parts += [f"{fam}={name(i)}" for fam, i in sorted(trace.labels.items())]
+                got[kind].append(" ".join(parts))
+        assert got == PINNED
 
 
 class TestDecodeChunked:

@@ -175,15 +175,6 @@ class TestNetParams:
         dup.emb[0, 0] += 1.0
         assert params.emb[0, 0] != dup.emb[0, 0]
 
-    def test_astype_converts_every_block(self):
-        v = small_vocab()
-        params, _ = small_params(v, dtype="float32")
-        wide = params.astype("float64")
-        assert wide.config.dtype == "float64"
-        for arr in wide.blocks().values():
-            assert arr.dtype == np.float64
-        np.testing.assert_allclose(wide.emb, params.emb)
-
 
 class TestCheckpoint:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -4,12 +4,15 @@ The schedule's step math is written once, in the step functions of
 `network`.  Two walks call them: `network.decode_many`, which every decode
 goes through (via `decode`, `decode_many` or `decode_chunked`), and the
 teacher-forced `graph.forward`, whose hand-derived `backward` is the only
-other reader of the context and encoder weights.  Any other module that
-imports the step functions is on its way to a third hand-written walk.  The
-triple store's internals are read only inside `triple_store.py`.  Every
-public name the package defines has a caller inside it, but for a short
-allowlist of names that the benchmark or the gradient tests call, and every
-field of the two config classes is read outside its class.
+other reader of the context and encoder weights.  Each walk is one loop: in
+`network` only `decode_many` encodes a box, scores a step or steps the
+context, so the direct variant is that loop too, not a second walk.  Any
+other module that imports the step functions is on its way to a third
+hand-written walk.  The triple store's internals are read only inside
+`triple_store.py`.  Every public name the package defines has a caller inside
+it, but for a short allowlist of names that the benchmark or the gradient
+tests call, and every field of the two config classes is read outside its
+class.
 """
 from __future__ import annotations
 
@@ -65,6 +68,22 @@ def _reachable(funcs: dict[str, ast.FunctionDef], root: str) -> set[str]:
             named = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
             todo += sorted(named & funcs.keys())
     return seen
+
+
+# what a decode step does with the step functions: encode its box, score its
+# block, fold the previous state into the context and read the context out
+DECODE_STEP = {"_encode", "_scores", "context_step", "context_out"}
+
+
+def test_decode_many_is_the_only_decode_walk():
+    """Among `network`'s top-level functions only `decode_many` calls the
+    helpers that make up a decode step."""
+    callers = {
+        name for name, fn in _functions("network.py").items()
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in DECODE_STEP
+               for n in ast.walk(fn))
+    }
+    assert callers == {"decode_many"}, f"decode steps are also walked in {sorted(callers)}"
 
 
 def test_graph_forward_walks_the_step_functions():
@@ -140,7 +159,10 @@ def _public_definitions() -> list[tuple[str, str, ast.AST]]:
 def test_every_public_name_has_a_caller_in_the_package():
     """Code that no run path uses is deleted: every public definition is
     named, as a name or an attribute, somewhere in the package outside
-    `__init__.py` and outside its own definition."""
+    `__init__.py` and outside its own definition.  Names are matched, not
+    types, so a method that shares its name with another type's attribute
+    escapes this check: a `NetParams.astype` with no caller would pass,
+    because `ndarray.astype` is called."""
     named: dict[str, list[ast.AST]] = {}
     for path in Path(bilayer.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":

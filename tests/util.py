@@ -15,7 +15,6 @@ the decode schedule one unit at a time in float64 from the formulas.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -433,15 +432,15 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
 
     The formulas: a unit's score is its readout column dotted with the
     squashed representation; a commitment adds the winning unit's embedding
-    column (an attention commitment adds the softmax-weighted sum of the
-    entity or instance columns instead); the context after a step is
-    ctx_rec . sig(sig(ctx) + ctx_in . sig(rep)) from ctx = 0, and feeds the
-    next step through ctx_out . sig(ctx); perception adds enc_w . box + enc_b
-    to every step.  Each family's label is the argmax of its members' scores
-    at the committed subject.  The direct variant scores each head from its
-    encoded box alone.  Columns follow the canonical order (entities,
-    classes, attributes, predicates, instances).  Returns the committed ids,
-    the labels and the score vectors by step.
+    column (an attention commitment adds the sum of the entity or instance
+    columns weighted by the softmax of their scores at temperature 1); the
+    context after a step is ctx_rec . sig(sig(ctx) + ctx_in . sig(rep)) from
+    ctx = 0, and feeds the next step through ctx_out . sig(ctx); perception
+    adds enc_w . box + enc_b to every step.  Each family's label is the
+    argmax of its members' scores at the committed subject.  The direct
+    variant scores each head from its encoded box alone.  Columns follow the
+    canonical order (entities, classes, attributes, predicates, instances).
+    Returns the committed ids, the labels and the score vectors by step.
     """
     f64 = lambda a: np.asarray(a, dtype=np.float64)  # noqa: E731
     emb = f64(params.emb)
@@ -453,7 +452,6 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
     col = {sid: i for i, sid in enumerate(concepts + predicates + instances)}
     support = {"entities": entities, "concepts": concepts}
     families = {f: sorted(m, key=col.get) for f, m in vocab.families.items() if m}
-    mix_beta = request.attention_beta if request.attention_beta is not None else math.inf
 
     def scores(rep, ids):
         z = _ref_sig(rep)
@@ -464,12 +462,8 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
 
     def mixture(rep, ids):
         s = scores(rep, ids)
-        w = np.zeros_like(s)
-        if math.isinf(mix_beta):
-            w[int(np.argmax(s))] = 1.0
-        else:
-            w = np.exp(mix_beta * (s - s.max()))
-            w /= w.sum()
+        w = np.exp(s - s.max())
+        w /= w.sum()
         return rep + sum(wk * emb[:, col[i]] for wk, i in zip(w, ids))
 
     def enc(box):
