@@ -68,7 +68,7 @@ from .training import (
     write_history_csv,
 )
 from .triple_store import StoreError, write_statements
-from .vocab import VocabError, Vocabulary
+from .vocab import IDENTITY_FAMILY, VocabError, Vocabulary
 from .world import (
     WorldConfig,
     WorldError,
@@ -399,7 +399,7 @@ def cmd_ssl(args: argparse.Namespace) -> None:
             fp.write(vocab.dumps() + "\n")
         ha = vocab.has_attribute
         quads = [(ex["s"], ha, ex["o"], ex["t"])
-                 for ex in report.pseudo_unary if ex["fam"] != "Identity"]
+                 for ex in report.pseudo_unary if ex["fam"] != IDENTITY_FAMILY]
         quads += [(ex["s"], ex["p"], ex["o"], ex["t"]) for ex in report.pseudo_binary]
         with open(os.path.join(args.out, "pseudo.jsonl"), "w", encoding="utf-8") as fp:
             write_statements(fp, vocab, quads, truth=True, provenance="ssl")

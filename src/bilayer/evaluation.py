@@ -82,9 +82,8 @@ def head_metrics(
             fam_hit[fam] = fam_hit.get(fam, 0) + h["hits"]
             fam_n[fam] = fam_n.get(fam, 0) + h["n"]
         for name, h in cache["heads"].items():
-            hits = int((h["scores"].argmax(axis=1) == h["targets"]).sum())
-            head_hit[name] = head_hit.get(name, 0) + hits
-            head_n[name] = head_n.get(name, 0) + len(h["targets"])
+            head_hit[name] = head_hit.get(name, 0) + int(h["hits"].sum())
+            head_n[name] = head_n.get(name, 0) + h["hits"].size
             if name in ("NP", "NO"):
                 ranks = ranked_cols(h["scores"])
                 into = pred_hits if name == "NP" else obj_hits
@@ -123,8 +122,9 @@ def label_conditional_estimate(
         mode="semantic",
         arity="unary",
         subj_inject_cols=cmap.cols_of([c1]),
-        fam_rows={fam: np.array([0])},
-        fam_target_cols={fam: cmap.cols_of([c2])},
+        label_rows=np.array([0]),
+        label_fams=np.array([cmap.families.index(fam)]),
+        label_target_cols=cmap.cols_of([c2]),
     )
     _, cache = graph.forward(params, cmap, batch)
     if fam == IDENTITY_FAMILY:
@@ -216,9 +216,9 @@ def perception_binary_eval(
 ) -> dict:
     """Full-chain decoding per relation example, all in one batch.
 
-    Each example names feature keys (scene, s, o, rel) and the true predicate;
-    subject and object commitments come from the model, predicate is ranked at
-    the end.
+    Each example names feature keys (scene, s, o, rel) and the true predicate
+    (`p`, a name); subject and object commitments come from the model,
+    predicate is ranked at the end.
     """
     if not examples:
         raise EvalError("no relation examples to evaluate")
@@ -230,7 +230,7 @@ def perception_binary_eval(
     traces = _perceive(params, cmap, vocab, variant, inputs, rng)
     for ex, trace in zip(examples, traces):
         order = ranked_cols(trace.scores["predicate"])
-        truth = vocab.id_of(ex["p"]) if isinstance(ex["p"], str) else ex["p"]
+        truth = vocab.id_of(ex["p"])
         ranked = [pred_ids[int(i)] for i in order]
         for k in ks:
             if truth in ranked[:k]:

@@ -14,12 +14,14 @@ arity:
     perception unary   instance CE + subject CE + label CE
     perception binary  instance CE + subject CE + object CE + predicate CE
 
-A unary row's label CE is a softmax over its family's columns.  Two heads
-serve every family of a batch: the Identity family (the entity columns) has
-its own, and all other families share one segmented head that scores each
-(row, family) occurrence over the class and attribute block with one gemm
-and masks it to its family's columns.  Loss and accuracy are still reported
-per family.
+A unary batch lists its label targets as occurrences, each a (row, family
+code, target column) entry of three arrays; a row may occur in several
+families.  An occurrence's label CE is a softmax over its family's columns.
+Two heads serve every family of a batch: the Identity family (the entity
+columns) has its own, and all other families share one segmented head that
+scores each occurrence over the class and attribute block with one gemm and
+masks it to its family's columns.  Loss and accuracy are still reported per
+family.
 
 A batch becomes a list of steps, each a small record of its feature box, its
 CE head and the columns it commits.  `forward` runs them in one loop; the
@@ -60,14 +62,19 @@ class Batch:
 
     All index fields hold embedding column positions; targets are resolved to
     positions inside the relevant readout support during the forward pass.
+    A unary batch lists its label targets as occurrences, one entry each in
+    `label_rows` (the batch row), `label_fams` (the family's code, its index
+    in `ColumnMap.families`) and `label_target_cols`; a row may occur in
+    several families.
     """
 
     mode: str
     arity: str
     inst_cols: np.ndarray | None = None      # (B,) perception/episodic
     subj_inject_cols: np.ndarray | None = None  # (B,)
-    fam_rows: dict[str, np.ndarray] = field(default_factory=dict)
-    fam_target_cols: dict[str, np.ndarray] = field(default_factory=dict)
+    label_rows: np.ndarray | None = None     # (n,) unary: one per label occurrence
+    label_fams: np.ndarray | None = None
+    label_target_cols: np.ndarray | None = None
     obj_inject_cols: np.ndarray | None = None
     pred_cols: np.ndarray | None = None
     feat_scene: np.ndarray | None = None     # (B, feature_dim)
@@ -91,6 +98,8 @@ class Batch:
                 raise GraphError("perception batches need feature inputs")
         if self.mode != "semantic" and self.inst_cols is None:
             raise GraphError(f"{self.mode} batches need instance columns")
+        if self.arity == "unary" and self.label_fams is None:
+            raise GraphError("unary batches need label occurrences")
 
     def __len__(self) -> int:
         if self.subj_inject_cols is not None:
@@ -137,48 +146,42 @@ def _label_heads(
 ) -> dict:
     """The label heads of a unary batch at the subject state `zs`.
 
-    Returns `identity` (the Identity family's head, with its `rows`),
-    `labels` (the segmented head of every other family, with the `rows` and
-    family `codes` of its occurrences; its positions index the class and
-    attribute block `cmap.label_idx`, scores outside a row's family are
-    -inf) and `fam_heads`: per family, in name order, its loss, accuracy,
-    hits and row count.
+    The occurrences are taken grouped by family code (the families' name
+    order), each family's in batch order.  Returns `identity` (the Identity
+    family's head) and `labels` (the segmented head of every other family;
+    its positions index the class and attribute block `cmap.label_idx`, and
+    scores outside an occurrence's family are -inf), each with the `rows`,
+    family `codes` and readout `idx` of its occurrences, and `fam_heads`: per
+    family present, in name order, its loss, accuracy, hits and count.
     """
-    out: dict = {"fam_heads": {}}
-    fams = sorted(batch.fam_rows)
-    if IDENTITY_FAMILY in batch.fam_rows:
-        rows = batch.fam_rows[IDENTITY_FAMILY]
-        pos = np.searchsorted(
-            cmap.family_cols[IDENTITY_FAMILY], batch.fam_target_cols[IDENTITY_FAMILY]
-        )
-        out["identity"] = head = _ce_head(
-            zs[rows] @ read[:, cmap.family_idx[IDENTITY_FAMILY]], pos, inv_b
-        )
-        head["rows"] = rows
-    labels = [f for f in fams if f != IDENTITY_FAMILY]
-    if labels:
-        rows = np.concatenate([batch.fam_rows[f] for f in labels])
-        codes = np.repeat(
-            [cmap.label_family_code[f] for f in labels], [batch.fam_rows[f].size for f in labels]
-        )
-        targets = np.concatenate([batch.fam_target_cols[f] for f in labels])
-        scores = zs[rows] @ read[:, cmap.label_idx]
-        np.copyto(scores, -np.inf, where=cmap.label_outside[codes])
-        out["labels"] = head = _ce_head(scores, targets - cmap.label_cols[0], inv_b)
-        head.update(rows=rows, codes=codes)
-        n = len(cmap.label_family_code)
-        counts = np.bincount(codes, minlength=n)
-        hits = np.bincount(codes, weights=head["hits"], minlength=n)
-        losses = np.bincount(codes, weights=head["nll"], minlength=n) * inv_b
-    for fam in fams:
-        if fam == IDENTITY_FAMILY:
-            h = out["identity"]
-            out["fam_heads"][fam] = {"loss": h["loss"], "accuracy": h["accuracy"],
-                                     "hits": int(h["hits"].sum()), "n": h["hits"].size}
+    order = np.argsort(batch.label_fams, kind="stable")
+    rows, codes = batch.label_rows[order], batch.label_fams[order]
+    targets = batch.label_target_cols[order]
+    nll, hits = np.zeros(codes.size), np.zeros(codes.size)
+    out: dict = {}
+    ident = codes == cmap.identity_code
+    for key, m in (("identity", ident), ("labels", ~ident)):
+        if not m.any():
+            continue
+        idx = cmap.family_idx[IDENTITY_FAMILY] if key == "identity" else cmap.label_idx
+        scores = zs[rows[m]] @ read[:, idx]
+        if key == "identity":
+            pos = np.searchsorted(cmap.family_cols[IDENTITY_FAMILY], targets[m])
         else:
-            k = cmap.label_family_code[fam]
-            out["fam_heads"][fam] = {"loss": float(losses[k]), "accuracy": hits[k] / counts[k],
-                                     "hits": int(hits[k]), "n": int(counts[k])}
+            np.copyto(scores, -np.inf, where=cmap.label_outside[codes[m]])
+            pos = targets[m] - cmap.label_cols[0]
+        out[key] = head = _ce_head(scores, pos, inv_b)
+        head.update(rows=rows[m], codes=codes[m], idx=idx)
+        nll[m], hits[m] = head["nll"], head["hits"]
+    n = len(cmap.families)
+    counts = np.bincount(codes, minlength=n)
+    fam_hits = np.bincount(codes, weights=hits, minlength=n)
+    fam_loss = np.bincount(codes, weights=nll, minlength=n) * inv_b
+    out["fam_heads"] = {
+        cmap.families[k]: {"loss": float(fam_loss[k]), "accuracy": fam_hits[k] / counts[k],
+                           "hits": int(fam_hits[k]), "n": int(counts[k])}
+        for k in np.flatnonzero(counts)
+    }
     return out
 
 
@@ -191,23 +194,18 @@ def _head_into(h: dict, z: np.ndarray, read: np.ndarray, d_read: np.ndarray, idx
     return dscores @ read[:, idx].T
 
 
-def _label_grads(
-    zs: np.ndarray, cache: dict, cmap: ColumnMap, read: np.ndarray, d_read: np.ndarray
-) -> np.ndarray:
+def _label_grads(zs: np.ndarray, cache: dict, read: np.ndarray, d_read: np.ndarray) -> np.ndarray:
     """Backprop the label heads of `_label_heads`; returns dZ at `zs`."""
     d_zs = np.zeros_like(zs)
-    if "identity" in cache:
-        h = cache["identity"]
-        idx = cmap.family_idx[IDENTITY_FAMILY]
-        d_zs[h["rows"]] += _head_into(h, zs[h["rows"]], read, d_read, idx)
-    if "labels" in cache:
-        h = cache["labels"]
-        rows = h["rows"]
-        d = _head_into(h, zs[rows], read, d_read, cmap.label_idx)
-        if np.bincount(rows).max() == 1:
-            d_zs[rows] += d
-        else:  # a hand-built batch may list a row in two families
-            np.add.at(d_zs, rows, d)
+    for key in ("identity", "labels"):
+        if key in cache:
+            h = cache[key]
+            rows = h["rows"]
+            d = _head_into(h, zs[rows], read, d_read, h["idx"])
+            if np.bincount(rows).max() == 1:
+                d_zs[rows] += d
+            else:  # a hand-built batch may list a row in two families
+                np.add.at(d_zs, rows, d)
     return d_zs
 
 
@@ -387,7 +385,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     for k in range(len(steps) - 1, -1, -1):
         step, st = steps[k], steps[k].state
         if step.labels:
-            g = _label_grads(st["z"], cache, cmap, read, d_read)
+            g = _label_grads(st["z"], cache, read, d_read)
             d_z = g if d_z is None else d_z + g
         d_q = None
         if step.commit is not None or step.pooled:

@@ -80,15 +80,17 @@ class ColumnMap:
         self.instance_idx = _readout_index(self.instance_cols)
         self.predicate_idx = _readout_index(self.predicate_cols)
         self.family_idx = {fam: _readout_index(cols) for fam, cols in self.family_cols.items()}
-        # the label families' segmented head scores the class and attribute
-        # block, one row per family code, and masks out the columns `True`
-        # in that family's row of `label_outside`
+        # a family's code is its index in `families` (every family, sorted by
+        # name); the label families' segmented head scores the class and
+        # attribute block and masks out the columns `True` in the family's
+        # row of `label_outside` (all of them in the Identity row)
+        self.families = tuple(sorted(self.family_cols))
+        self.identity_code = self.families.index(IDENTITY_FAMILY)
         self.label_idx = _readout_index(self.label_cols)
-        label_fams = sorted(f for f in self.family_cols if f != IDENTITY_FAMILY)
-        self.label_family_code = {fam: k for k, fam in enumerate(label_fams)}
-        self.label_outside = np.ones((len(label_fams), self.label_cols.size), dtype=bool)
-        for fam, k in self.label_family_code.items():
-            self.label_outside[k, self.family_cols[fam] - offsets[1]] = False
+        self.label_outside = np.ones((len(self.families), self.label_cols.size), dtype=bool)
+        for k, fam in enumerate(self.families):
+            if k != self.identity_code:
+                self.label_outside[k, self.family_cols[fam] - offsets[1]] = False
         # position of a column inside the concept / instance / predicate lists
         self._concept_pos = np.full(self.n_columns, -1, dtype=np.int64)
         self._concept_pos[self.concept_cols] = np.arange(self.concept_cols.size)
@@ -306,21 +308,24 @@ def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tup
     return manifest_path, blob_path
 
 
-def _check_tensor_specs(specs: list[dict], blob_len: int, itemsize: int) -> None:
-    """Each tensor's bytes must hold its shape, and the tensors must tile the
-    blob from byte 0 to its end, so a truncated or padded blob is refused."""
+def check_tensor_specs(blob_path: str, blob_len: int, specs: list[dict], itemsize: int,
+                       name: str = "name") -> None:
+    """The tensors of an archive, listed in `specs` (each names itself in the
+    field `name`), must fit its blob: each tensor's bytes must hold its shape,
+    and the tensors must tile the blob from byte 0 to its end, so a truncated
+    or padded blob is refused."""
     end = 0
     for spec in sorted(specs, key=lambda s: s["offset"]):
-        name, shape, nbytes = spec["name"], spec["shape"], spec["nbytes"]
+        key, shape, nbytes = spec[name], spec["shape"], spec["nbytes"]
         if any(d < 0 for d in shape) or nbytes != math.prod(shape) * itemsize:
-            raise ParamError(f"checkpoint tensor {name!r}: {nbytes} bytes cannot hold {shape}")
+            raise ParamError(f"{blob_path}: tensor {key!r}: {nbytes} bytes cannot hold {shape}")
         if spec["offset"] != end:
-            raise ParamError(f"checkpoint tensor {name!r} starts at byte {spec['offset']}")
+            raise ParamError(f"{blob_path}: tensor {key!r} starts at byte {spec['offset']}")
         end += nbytes
         if end > blob_len:
-            raise ParamError(f"checkpoint blob has {blob_len} bytes; {name!r} ends at {end}")
+            raise ParamError(f"{blob_path} has {blob_len} bytes; tensor {key!r} ends at {end}")
     if end != blob_len:
-        raise ParamError(f"checkpoint blob has {blob_len} bytes; its tensors cover {end}")
+        raise ParamError(f"{blob_path} has {blob_len} bytes; its tensors cover {end}")
 
 
 def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
@@ -347,7 +352,7 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     if "blob_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise ParamError("checkpoint blob does not match the sha256 in its manifest")
     wire = "<f4" if config.dtype == "float32" else "<f8"
-    _check_tensor_specs(manifest["tensors"], len(blob), np.dtype(wire).itemsize)
+    check_tensor_specs(blob_path, len(blob), manifest["tensors"], np.dtype(wire).itemsize)
     arrays: dict[str, np.ndarray] = {}
     for spec in manifest["tensors"]:
         raw = blob[spec["offset"]: spec["offset"] + spec["nbytes"]]

@@ -7,7 +7,12 @@ chain.  Teacher forcing injects ground-truth indices at every commitment.
 
 An example set is built once per `train` call as an `Examples` table of
 integer columns (symbol ids, family codes, and for perception sets rows of
-one stacked feature matrix); a batch is a slice of one permutation of it.
+one stacked feature matrix).  `build_batches` turns a table into batches in
+one pass: one permutation, the swaps, every column in shuffled order, then
+consecutive slices.  A unary row is one label occurrence, so its family code
+and target go into the batch as they are.  `train` batches every mode the
+same way, from a per-mode table of (unary set, binary set, swap probability,
+pool).
 
 Generalized statements: with probability `inject_rho` the injected subject (or
 object) index is swapped for one of the entity's own class/attribute labels and
@@ -339,75 +344,45 @@ def build_batches(
 ) -> list[Batch]:
     """Shuffle, apply index swaps, resolve ids to columns, group into batches.
 
-    Each set is shuffled by one permutation and its batches are consecutive
-    slices of it, the unary set first.  Swaps (`_swapped`) touch unary
-    subjects outside the identity family, and binary subjects and objects
-    independently.  Perception batches gather their rows of the set's
-    feature matrix.
+    One pass per set, the unary set first: one permutation, then the swaps
+    (`_swapped`), then every column in shuffled order; its batches are
+    consecutive slices of those columns.  Swaps touch unary subjects outside
+    the identity family, and binary subjects and objects independently.  A
+    unary row is one label occurrence, so its batch takes the set's `fam`
+    and `o` columns as they are.  Perception batches gather their rows of the
+    set's feature matrix.
     """
     batches: list[Batch] = []
-    perceiving = mode == "perception"
-
-    def columns(table: Examples, order: np.ndarray, ids: dict[str, np.ndarray]) -> tuple:
-        """In shuffled order: the instance columns, the columns of `ids` and,
-        for perception, the feature rows."""
-        inst = None if mode == "semantic" else cmap.cols_of(table.cols["t"][order])
-        cols = {k: cmap.cols_of(v[order]) for k, v in ids.items()}
-        feats = {k: table.cols[k][order] for k in _FEATURE_COLS if perceiving and k in table.cols}
-        return inst, cols, feats
-
-    def gather(table: Examples, feats: dict, key: str, rows: slice) -> np.ndarray | None:
-        return table.features[feats[key][rows]] if perceiving else None
-
-    if len(unary):
-        order = rng.permutation(len(unary))
-        c = unary.cols
-        identity = unary.families.index(IDENTITY_FAMILY)
-        inj = _swapped(c["s"], c["fam"] != identity, rng, rho, pool)
-        inst, cols, feats = columns(unary, order, {"s": inj, "o": c["o"]})
-        fam = c["fam"][order]
-        for lo in range(0, len(order), batch_size):
-            rows = slice(lo, lo + batch_size)
-            # rows grouped by family code (the families' sorted order), in row order
-            counts = np.bincount(fam[rows], minlength=len(unary.families))
-            by_fam = np.split(np.argsort(fam[rows], kind="stable"), np.cumsum(counts)[:-1])
-            fam_rows = {unary.families[k]: by_fam[k] for k in np.flatnonzero(counts)}
-            targets = cols["o"][rows]
-            batches.append(
-                Batch(
-                    mode=mode, arity="unary",
-                    inst_cols=None if inst is None else inst[rows],
-                    subj_inject_cols=cols["s"][rows],
-                    fam_rows=fam_rows,
-                    fam_target_cols={f: targets[r] for f, r in fam_rows.items()},
-                    feat_scene=gather(unary, feats, "scene", rows),
-                    feat_subj=gather(unary, feats, "bb", rows),
-                    direct=direct,
-                )
-            )
-    if len(binary):
-        n = len(binary)
+    for arity, table in (("unary", unary), ("binary", binary)):
+        n = len(table)
+        if not n:
+            continue
         order = rng.permutation(n)
-        c = binary.cols
-        ends = _swapped(np.concatenate([c["s"], c["o"]]), np.ones(2 * n, dtype=bool), rng, rho,
-                        pool)
-        inst, cols, feats = columns(binary, order, {"s": ends[:n], "o": ends[n:], "p": c["p"]})
+        c = table.cols
+        if arity == "unary":
+            if table.families != cmap.families:
+                raise TrainError("the unary set's family codes do not follow the column map's")
+            s = _swapped(c["s"], c["fam"] != cmap.identity_code, rng, rho, pool)
+            ids = {"subj_inject_cols": s, "label_target_cols": c["o"]}
+            # each row is one occurrence; `label_rows` is its row in its batch
+            shuffled = {"label_fams": c["fam"][order], "label_rows": np.arange(n) % batch_size}
+            boxes = {"feat_scene": "scene", "feat_subj": "bb"}
+        else:
+            ends = _swapped(np.concatenate([c["s"], c["o"]]), np.ones(2 * n, dtype=bool), rng,
+                            rho, pool)
+            ids = {"subj_inject_cols": ends[:n], "obj_inject_cols": ends[n:], "pred_cols": c["p"]}
+            shuffled = {}
+            boxes = {"feat_scene": "scene", "feat_subj": "s_bb", "feat_obj": "o_bb",
+                     "feat_pred": "rel"}
+        if mode != "semantic":
+            ids["inst_cols"] = c["t"]
+        shuffled |= {k: cmap.cols_of(v[order]) for k, v in ids.items()}
+        if mode == "perception":
+            shuffled |= {k: table.features[c[key][order]] for k, key in boxes.items()}
         for lo in range(0, n, batch_size):
             rows = slice(lo, lo + batch_size)
-            batches.append(
-                Batch(
-                    mode=mode, arity="binary",
-                    inst_cols=None if inst is None else inst[rows],
-                    subj_inject_cols=cols["s"][rows],
-                    obj_inject_cols=cols["o"][rows],
-                    pred_cols=cols["p"][rows],
-                    feat_scene=gather(binary, feats, "scene", rows),
-                    feat_subj=gather(binary, feats, "s_bb", rows),
-                    feat_obj=gather(binary, feats, "o_bb", rows),
-                    feat_pred=gather(binary, feats, "rel", rows),
-                    direct=direct,
-                )
-            )
+            batches.append(Batch(mode=mode, arity=arity, direct=direct,
+                                 **{k: v[rows] for k, v in shuffled.items()}))
     return batches
 
 
@@ -488,8 +463,8 @@ def train(
     Returns one history row per (epoch, mode): epoch, split, loss, metric.
     `emb_col_mask` restricts the update to those embedding columns (see
     `Adam`).  `pseudo` substitutes a prebuilt (unary, binary) pair of
-    perception example sets for both the perception and episodic modes
-    (self-labeled training); it swaps nothing.
+    perception example sets for the sets of every mode (self-labeled
+    training); it swaps nothing.
     """
     if "perception" in config.modes and world is None and pseudo is None:
         raise TrainError("perception training needs a world with features")
@@ -497,24 +472,24 @@ def train(
         raise TrainError("empty store")
     _check_families(config, vocab)
 
-    # build only the example sets and injection pools the configured modes read
-    # (a mode that injects nothing never reads its pool)
-    modes = set(config.modes)
-    injecting = config.inject_rho > 0.0
-    mem_pool = per_pool = None
+    # per mode: (unary set, binary set, swap probability, pool); build only
+    # the sets and pools the configured modes read (a mode that injects
+    # nothing never reads its pool)
+    rho = config.inject_rho
     if pseudo is not None:
-        mem_unary, mem_binary = pseudo
-        per_unary, per_binary = pseudo
+        sets = {mode: (*pseudo, 0.0, None) for mode in ALL_MODES}
     else:
+        sets = {}
+        modes = set(config.modes)
         if modes & {"episodic", "semantic"}:
-            mem_unary, mem_binary = memory_examples(store, vocab, config.excluded_families)
-        if "semantic" in modes and injecting:
-            mem_pool = injection_pool(store, vocab, config.excluded_families)
+            memory = memory_examples(store, vocab, config.excluded_families)
+            injecting = "semantic" in modes and rho > 0
+            pool = injection_pool(store, vocab, config.excluded_families) if injecting else None
+            sets |= {"episodic": (*memory, 0.0, None), "semantic": (*memory, rho, pool)}
         if "perception" in modes:
-            per_hidden = tuple(set(config.hidden_families) | set(config.excluded_families))
-            per_unary, per_binary = perception_examples(world, vocab, per_hidden)
-            if injecting:
-                per_pool = injection_pool(store, vocab, per_hidden)
+            hidden = tuple(set(config.hidden_families) | set(config.excluded_families))
+            pool = injection_pool(store, vocab, hidden) if rho > 0 else None
+            sets["perception"] = (*perception_examples(world, vocab, hidden), rho, pool)
 
     opt = Adam(params, config.learning_rate, emb_col_mask)
     history: list[dict] = []
@@ -522,42 +497,28 @@ def train(
     for epoch in range(config.epochs):
         rng = substream(config.seed, "epoch", epoch)
         drop_rng = substream(config.seed, "dropout", epoch) if config.dropout > 0 else None
-        tagged: list[tuple[str, Batch]] = []
+        batches: list[Batch] = []
         for mode in config.modes:
-            if mode == "perception":
-                bs = build_batches(
-                    per_unary, per_binary, mode=mode, cmap=cmap,
-                    batch_size=config.batch_size, rng=rng,
-                    rho=config.inject_rho, pool=per_pool, direct=config.direct,
-                )
-            elif mode == "episodic":
-                bs = build_batches(
-                    mem_unary, mem_binary, mode=mode, cmap=cmap,
-                    batch_size=config.batch_size, rng=rng,
-                )
-            else:
-                bs = build_batches(
-                    mem_unary, mem_binary, mode=mode, cmap=cmap,
-                    batch_size=config.batch_size, rng=rng,
-                    rho=config.inject_rho, pool=mem_pool,
-                )
-            tagged.extend((mode, b) for b in bs)
+            unary, binary, mode_rho, pool = sets[mode]
+            batches += build_batches(unary, binary, mode=mode, cmap=cmap, rng=rng, rho=mode_rho,
+                                     pool=pool, batch_size=config.batch_size, direct=config.direct)
 
         sums = {m: [0.0, 0.0, 0] for m in config.modes}
-        for bi in rng.permutation(len(tagged)):
-            mode, batch = tagged[int(bi)]
+        for bi in rng.permutation(len(batches)):
+            batch = batches[int(bi)]
             try:
                 loss, cache = graph.forward(
                     params, cmap, batch, dropout=config.dropout, drop_rng=drop_rng
                 )
             except NumericsError as exc:
-                raise TrainingDiverged(epoch, mode, str(exc)) from exc
+                raise TrainingDiverged(epoch, batch.mode, str(exc)) from exc
             grads = graph.backward(params, cmap, batch, cache)
             opt.step(params, grads)
             n = len(batch)
-            sums[mode][0] += loss * n
-            sums[mode][1] += graph.mean_head_accuracy(cache) * n
-            sums[mode][2] += n
+            into = sums[batch.mode]
+            into[0] += loss * n
+            into[1] += graph.mean_head_accuracy(cache) * n
+            into[2] += n
         for mode in config.modes:
             total, acc, n = sums[mode]
             if n:
@@ -725,30 +686,27 @@ def ssl_step(
 # -- consolidation ----------------------------------------------------------------------
 
 
+CONSOLIDATE_STEPS = 80
+CONSOLIDATE_STEP_SIZE = 0.5
+
+
 def consolidate(
-    params: NetParams,
-    cmap: ColumnMap,
-    vocab: Vocabulary,
-    instance_id: int,
-    steps: int = 80,
-    step_size: float = 0.5,
-    rng: np.random.Generator | None = None,
+    params: NetParams, cmap: ColumnMap, vocab: Vocabulary, instance_id: int
 ) -> tuple[NetParams, ColumnMap, int]:
     """Replay an instance into a fresh duplicate index.
 
     Activating the instance evokes its representation (its own column); the new
-    column regresses onto that evoked vector, so decoding through the duplicate
-    reproduces the original's outputs.  Everything pre-existing is untouched.
+    column regresses onto that evoked vector, `CONSOLIDATE_STEPS` steps of
+    `CONSOLIDATE_STEP_SIZE` each, so decoding through the duplicate reproduces
+    the original's outputs.  Everything pre-existing is untouched.
     """
     if vocab.kind_of(instance_id) is not Kind.INSTANCE:
         raise TrainError("consolidation duplicates an instance index")
-    if steps < 1 or not 0.0 < step_size <= 1.0:
-        raise TrainError("need steps >= 1 and step_size in (0, 1]")
     name = vocab.name_of(instance_id)
     dup = vocab.add_instance(name + ".dup")
-    cmap = params.grow(vocab, rng or substream(0, "consolidate"))
+    cmap = params.grow(vocab, substream(0, "consolidate"))
     evoked = params.emb[:, cmap.col_of(instance_id)]
     col = params.emb[:, cmap.col_of(dup)]
-    for _ in range(steps):
-        col += step_size * (evoked - col)
+    for _ in range(CONSOLIDATE_STEPS):
+        col += CONSOLIDATE_STEP_SIZE * (evoked - col)
     return params, cmap, dup

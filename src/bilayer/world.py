@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
+from .params import check_tensor_specs
 from .triple_store import TripleStore, write_jsonl
 from .vocab import Vocabulary
 
@@ -794,11 +795,14 @@ def read_features(base_path: str) -> dict[str, np.ndarray]:
         raise WorldError("not a feature archive")
     with open(base_path + ".bin", "rb") as fp:
         blob = fp.read()
-    out = {}
-    for spec in manifest["tensors"]:
-        raw = blob[spec["offset"]: spec["offset"] + spec["nbytes"]]
-        out[spec["key"]] = np.frombuffer(raw, dtype="<f4").reshape(spec["shape"]).astype(np.float32)
-    return out
+    specs, size = manifest["tensors"], np.dtype("<f4").itemsize
+    check_tensor_specs(base_path + ".bin", len(blob), specs, size, name="key")
+    # the tensors tile the blob, so each is a view of one float32 copy of it
+    data = np.frombuffer(blob, dtype="<f4").astype(np.float32)
+    return {
+        s["key"]: data[s["offset"] // size:(s["offset"] + s["nbytes"]) // size].reshape(s["shape"])
+        for s in specs
+    }
 
 
 def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:

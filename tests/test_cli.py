@@ -289,6 +289,29 @@ class TestTrain:
             "config.json", "features.bin", "features.json", "triples.jsonl", "vocab.json",
             "world.json"]
 
+    @pytest.mark.parametrize("corruption, message", [
+        ("truncated", "ends at"),
+        ("unholdable shape", "cannot hold [49]"),
+        ("padded", "its tensors cover"),
+    ])
+    def test_corrupt_feature_archive_is_data_error(self, ws, tmp_path, corruption, message):
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        blob, manifest = world_dir / "features.bin", world_dir / "features.json"
+        if corruption == "truncated":
+            blob.write_bytes(blob.read_bytes()[:-100])
+        elif corruption == "padded":
+            blob.write_bytes(blob.read_bytes() + bytes(4))
+        else:
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            doc["tensors"][0]["shape"] = [49]  # 48 floats' bytes
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr, proc.stderr
+
     def test_stdout_epochs(self, ws, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, "epochs": 1})
         out = str(tmp_path / "run")

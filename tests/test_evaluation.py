@@ -114,11 +114,12 @@ class TestHeadMetrics:
         if mode != "semantic":
             fields["inst_cols"] = draw(cmap.instance_cols)
         if arity == "unary":
-            fields["fam_rows"] = {f: np.array([i]) for i, f in enumerate(fams)}
-            fields["fam_target_cols"] = {
-                f: cmap.family_cols[f][rng.integers(0, cmap.family_cols[f].size, size=1)]
+            fields["label_rows"] = np.arange(b)
+            fields["label_fams"] = np.array([cmap.families.index(f) for f in fams])
+            fields["label_target_cols"] = np.concatenate([
+                cmap.family_cols[f][rng.integers(0, cmap.family_cols[f].size, size=1)]
                 for f in fams
-            }
+            ])
         else:
             fields["obj_inject_cols"] = draw(cmap.entity_cols)
             fields["pred_cols"] = draw(cmap.predicate_cols)
@@ -167,10 +168,9 @@ class TestHeadMetrics:
             h["scores"], label_scores[h["rows"]][:, pos], rtol=1e-5, atol=1e-6
         )
         h = cache["labels"]
-        code_fam = {k: f for f, k in cmap.label_family_code.items()}
-        assert sorted([code_fam[k] for k in h["codes"]] + ["Identity"]) == fams
+        assert sorted([cmap.families[k] for k in h["codes"]] + ["Identity"]) == fams
         for j, (i, k) in enumerate(zip(h["rows"], h["codes"])):
-            fcols = cmap.family_cols[code_fam[k]]
+            fcols = cmap.family_cols[cmap.families[k]]
             np.testing.assert_allclose(
                 h["scores"][j, fcols - cmap.label_cols[0]],
                 label_scores[i, cmap.concept_pos(fcols)], rtol=1e-5, atol=1e-6,

@@ -38,15 +38,16 @@ def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5,
     if arity == "unary":
         rows = np.arange(b)
         # the label families take turns over the rows; every row is also an identity row
-        fam_rows = {f: rows[i:: len(labels)] for i, f in enumerate(labels)}
-        fam_rows["Identity"] = rows
-        kwargs["fam_rows"] = {f: r for f, r in fam_rows.items() if r.size}
-        kwargs["fam_target_cols"] = {
-            fam: cmap.family_cols[fam][
-                rng.integers(0, cmap.family_cols[fam].size, size=r.size)
-            ]
-            for fam, r in kwargs["fam_rows"].items()
-        }
+        fam_rows = [(f, rows[i:: len(labels)]) for i, f in enumerate(labels)]
+        fam_rows = [(f, r) for f, r in fam_rows + [("Identity", rows)] if r.size]
+        kwargs["label_rows"] = np.concatenate([r for _, r in fam_rows])
+        kwargs["label_fams"] = np.concatenate(
+            [np.full(r.size, cmap.families.index(f)) for f, r in fam_rows]
+        )
+        kwargs["label_target_cols"] = np.concatenate([
+            cmap.family_cols[f][rng.integers(0, cmap.family_cols[f].size, size=r.size)]
+            for f, r in fam_rows
+        ])
     else:
         preds = cmap.predicate_cols
         kwargs["obj_inject_cols"] = ents[rng.integers(0, ents.size, size=b)]
@@ -185,20 +186,23 @@ def test_label_head_matches_one_head_per_family(families):
     fam_rows = {f: rows[i:: len(labels)] for i, f in enumerate(labels)}
     fam_rows[labels[1]] = np.union1d(fam_rows[labels[1]], [0])  # row 0 sits in two families
     fam_rows["Identity"] = rows[::2]
+    subj = cmap.entity_cols[rng.integers(0, cmap.entity_cols.size, size=b)]
     batch = Batch(
-        mode="semantic", arity="unary",
-        subj_inject_cols=cmap.entity_cols[rng.integers(0, cmap.entity_cols.size, size=b)],
-        fam_rows=fam_rows,
-        fam_target_cols={
-            f: cmap.family_cols[f][rng.integers(0, cmap.family_cols[f].size, size=r.size)]
+        mode="semantic", arity="unary", subj_inject_cols=subj,
+        label_rows=np.concatenate(list(fam_rows.values())),
+        label_fams=np.concatenate(
+            [np.full(r.size, cmap.families.index(f)) for f, r in fam_rows.items()]
+        ),
+        label_target_cols=np.concatenate([
+            cmap.family_cols[f][rng.integers(0, cmap.family_cols[f].size, size=r.size)]
             for f, r in fam_rows.items()
-        },
+        ]),
     )
     read = params.readout
     want = reference_family_heads(zs, read, cmap, batch, 1.0 / b)
     heads = graph._label_heads(zs, read, cmap, batch, 1.0 / b)
     d_read = np.zeros_like(read)
-    d_zs = graph._label_grads(zs, heads, cmap, read, d_read)
+    d_zs = graph._label_grads(zs, heads, read, d_read)
     assert list(heads["fam_heads"]) == sorted(fam_rows)
     for fam, h in heads["fam_heads"].items():
         np.testing.assert_allclose(h["loss"], want["loss"][fam], rtol=1e-6)

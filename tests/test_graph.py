@@ -24,8 +24,9 @@ def _batch(cmap, mode: str, arity: str, b: int = 3) -> Batch:
     if mode != "semantic":
         fields["inst_cols"] = draw(cmap.instance_cols)
     if arity == "unary":
-        fields["fam_rows"] = {"Species": np.arange(b)}
-        fields["fam_target_cols"] = {"Species": draw(cmap.family_cols["Species"])}
+        fields["label_rows"] = np.arange(b)
+        fields["label_fams"] = np.full(b, cmap.families.index("Species"))
+        fields["label_target_cols"] = draw(cmap.family_cols["Species"])
     else:
         fields["obj_inject_cols"] = draw(cmap.entity_cols)
         fields["pred_cols"] = draw(cmap.predicate_cols)
@@ -70,8 +71,8 @@ def test_non_finite_label_scores_name_their_head(family, head):
     params, cmap = small_params(v, seed=3, tied=False)
     params.emb_up[:, cmap.family_cols[family]] = np.nan
     batch = _batch(cmap, "semantic", "unary")
-    batch.fam_rows = {family: np.arange(len(batch))}
-    batch.fam_target_cols = {family: cmap.family_cols[family][:1].repeat(len(batch))}
+    batch.label_fams = np.full(len(batch), cmap.families.index(family))
+    batch.label_target_cols = cmap.family_cols[family][:1].repeat(len(batch))
     with pytest.raises(NumericsError, match=re.escape(f"non-finite scores at head '{head}'")):
         forward(params, cmap, batch)
 

@@ -8,7 +8,10 @@ other reader of the context and encoder weights.  Each walk is one loop: in
 `network` only `decode_many` encodes a box, scores a step or steps the
 context, so the direct variant is that loop too, not a second walk.  Any
 other module that imports the step functions is on its way to a third
-hand-written walk.  The triple store's internals are read only inside
+hand-written walk.  Training batches its example tables in one pass: a
+`Batch` carries its label occurrences as arrays, `build_batches` makes every
+batch with one constructor call, and `train` batches every mode through one
+call.  The triple store's internals are read only inside
 `triple_store.py`.  Every public name the package defines has a caller inside
 it, but for a short allowlist of names that the benchmark or the gradient
 tests call, and every field of the two config classes is read outside its
@@ -17,11 +20,13 @@ class.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import bilayer
+from bilayer.graph import Batch
 
 STEP_FUNCTIONS = {"context_step", "context_out", "encode_input", "index_scores"}
 STEP_WEIGHTS = {"ctx_in", "ctx_rec", "ctx_out", "enc_w", "enc_b"}
@@ -100,6 +105,23 @@ def test_graph_forward_walks_the_step_functions():
     assert readers == {"backward"}
     called = {n.id for n in ast.walk(funcs["forward"]) if isinstance(n, ast.Name)}
     assert STEP_FUNCTIONS <= called
+
+
+def _calls(node: ast.AST, name: str) -> int:
+    """How many calls inside `node` call the bare name `name`."""
+    return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+               for n in ast.walk(node))
+
+
+def test_one_batching_pass():
+    """A batch holds arrays, not per-family dicts, so the example table's
+    columns go into it as they are; `training.py` builds a `Batch` at one
+    site, and `train` calls `build_batches` at one site for every mode."""
+    dict_fields = [f.name for f in dataclasses.fields(Batch) if "dict" in str(f.type)]
+    assert not dict_fields, f"Batch has dict fields {dict_fields}"
+    source = (Path(bilayer.__file__).parent / "training.py").read_text(encoding="utf-8")
+    assert _calls(ast.parse(source), "Batch") == 1
+    assert _calls(_functions("training.py")["train"], "build_batches") == 1
 
 
 def _store_internals() -> set[str]:

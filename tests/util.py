@@ -671,16 +671,15 @@ def reference_build_batches(unary, binary, *, mode, cmap, batch_size, rng, rho=0
         for chunk in chunks(len(unary)):
             exs = [unary[int(i)] for i in chunk]
             inj = [ex["s"] if ex["fam"] == IDENTITY_FAMILY else swapped(ex["s"]) for ex in exs]
-            fam_rows, fam_targets = {}, {}
-            for row, ex in enumerate(exs):
-                fam_rows.setdefault(ex["fam"], []).append(row)
-                fam_targets.setdefault(ex["fam"], []).append(ex["o"])
             batches.append(Batch(
                 mode=mode, arity="unary",
                 inst_cols=None if mode == "semantic" else cmap.cols_of([ex["t"] for ex in exs]),
                 subj_inject_cols=cmap.cols_of(inj),
-                fam_rows={f: np.asarray(r, dtype=np.int64) for f, r in fam_rows.items()},
-                fam_target_cols={f: cmap.cols_of(t) for f, t in fam_targets.items()},
+                # one label occurrence per example: its row, family code and target
+                label_rows=np.arange(len(exs), dtype=np.int64),
+                label_fams=np.array([cmap.families.index(ex["fam"]) for ex in exs],
+                                    dtype=np.int64),
+                label_target_cols=cmap.cols_of([ex["o"] for ex in exs]),
                 feat_scene=stack(exs, "scene"), feat_subj=stack(exs, "bb"), direct=direct,
             ))
     if binary:
@@ -720,15 +719,17 @@ def copying_ce_head(scores, target_pos, inv_b) -> dict:
 
 def reference_family_heads(zs, read, cmap, batch, inv_b) -> dict:
     """One softmax cross-entropy per label family of a unary batch, each over
-    its own family's columns.  Returns per-family loss and accuracy and the
+    its own family's columns and the batch's occurrences of that family.
+    Returns per-family loss and accuracy (keyed by family name) and the
     gradients of their summed loss at `zs` and at the readout."""
     loss, acc = {}, {}
     d_zs = np.zeros_like(zs)
     d_read = np.zeros_like(read)
-    for fam in sorted(batch.fam_rows):
-        rows = batch.fam_rows[fam]
+    for code in sorted(set(batch.label_fams.tolist())):
+        fam, mine = cmap.families[code], batch.label_fams == code
+        rows = batch.label_rows[mine]
         cols = cmap.family_cols[fam]
-        target = np.searchsorted(cols, batch.fam_target_cols[fam])
+        target = np.searchsorted(cols, batch.label_target_cols[mine])
         scores = zs[rows] @ read[:, cols]
         probs = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
