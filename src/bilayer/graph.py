@@ -371,6 +371,18 @@ def zero_grads(params: NetParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
 
 
+def _scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """`np.add.at(target, idx, vals)` bit for bit, faster: the rows of
+    `vals` that share an index are added in rounds, in row order, each round
+    one fancy-index `+=` over distinct indices."""
+    order = np.argsort(idx, kind="stable")
+    sidx = idx[order]
+    rank = np.arange(sidx.size) - np.searchsorted(sidx, sidx)  # repeat number of each
+    for r in range(int(rank.max(initial=-1)) + 1):
+        m = rank == r
+        target[sidx[m]] += vals[order[m]]
+
+
 def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> dict[str, np.ndarray]:
     """Hand-derived reverse pass over the forward's steps, last to first;
     returns gradients keyed like params.blocks()."""
@@ -394,7 +406,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
             if step.pooled:
                 grads["pooled"] += d_q.sum(axis=0)
             else:
-                np.add.at(d_emb.T, step.commit, d_q)
+                _scatter_add(d_emb.T, step.commit, d_q)
             d_z = None
         if step.head is not None:
             key, idx, _ = step.head

@@ -20,23 +20,31 @@ two walks call them: `decode_many` here and the teacher-forced
 `decode_many` walks the schedule once for a batch of requests that share the
 mode, every flag and the arity; they differ only in features and clamps.  It
 is one loop over the steps.  Each step after the first folds the previous
-committed state into the context and reads its input from it, plus the
-step's encoded box in perception.  The memory modes' instance step is the
-clamped column or the pooled vector and is not scored.  Every other step
-scores every row with one matrix product, and every score block a step picks
-from or mixes over must be finite.  A commitment takes, per row, the clamped
-index if the request names one (`instance_id` in episodic and perception
-mode, `subject_id`, `object_id`), else the attention mixture the variant asks
-for, else a pick: the argmax under winner-take-all, otherwise one draw per row
-from the softmax at temperature 1, rows in order, steps in schedule order, so
-one request draws as a single pass always has.  Attention mixes at
-temperature 1 too.  The predicate step only picks; a step that only picks
-records no id when it has no columns to pick from.  Every family's label is
-read from the one concept-score block at the committed subject.  The direct
-variant is the same loop with no context and no commitment: each head reads
-its own encoded box, and it takes no clamps.  The attention flags apply only
-to perception that is not direct; anywhere else they are refused, as an
-ignored clamp is.  `decode_chunked` hands a long request list to
+committed state into the context and reads its input from it, plus the step's
+encoded box in perception.  The memory modes' instance step is the clamped
+column or the pooled vector and is not scored.  Every other step scores every
+row with one matrix product, and every score block a step picks from or mixes
+over must be finite.  A commitment takes, per row, the clamped index if the
+request names one (`instance_id` in episodic and perception mode,
+`subject_id`, `object_id`), else the attention mixture the variant asks for,
+else a pick: the argmax under winner-take-all, otherwise a draw from the
+softmax at temperature 1.  Attention mixes at temperature 1 too.  The
+predicate step only picks; a step that only picks records no id when it has no
+columns to pick from.  Every family's label is read from the one concept-score
+block at the committed subject: Identity from the entity block, every other
+family from the class and attribute block masked to its columns.
+
+A sampled pick is an inverse-CDF draw, not `Generator.choice`: one uniform per
+row, and the row's pick is the first position whose float64 running sum of
+exp(score - max) exceeds the uniform times the row's total.  The uniforms come
+in schedule order, rows in order within a step, and the label step takes one
+per family and row at once, family-major in name order; so a batch of one
+request draws as a single pass always has.
+
+The direct variant is the same loop with no context and no commitment: each
+head reads its own encoded box, and it takes no clamps.  The attention flags
+apply only to perception that is not direct; anywhere else they are refused,
+as an ignored clamp is.  `decode_chunked` hands a long request list to
 `decode_many` in runs of DECODE_CHUNK, so the score blocks alive at once do
 not grow with it.
 """
@@ -48,7 +56,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .params import ColumnMap, NetParams
-from .vocab import Vocabulary
+from .vocab import IDENTITY_FAMILY, Vocabulary
 
 
 class NetworkError(ValueError):
@@ -64,14 +72,15 @@ class NumericsError(ArithmeticError):
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-free: with e = exp(-|x|) <= 1 it is
-    1 / (1 + e) for x >= 0 and e / (1 + e) below, one division for both.
-    `minimum(x, -x)` is -|x| that keeps the sign of a NaN input, so NaNs pass
-    through bit for bit."""
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, one division for both; the
+    numerator exp(min(x, 0)) is 1 above zero and e below.  `minimum(x, -x)`
+    is -|x| that keeps the sign of a NaN input, so NaNs pass through bit for
+    bit.  A 0-d input gives a 0-d array."""
     x = np.asarray(x)
     e = np.exp(np.minimum(x, -x))
-    out = np.where(x >= 0, 1, e)
+    out = np.exp(np.minimum(x, 0))
     out /= 1.0 + e
-    return out
+    return np.asarray(out)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -82,15 +91,25 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _draw(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw from the softmax over the last axis of `scores`: per
+    row, the first position whose float64 running sum of exp(score - max)
+    exceeds `u` (that row's uniform in [0, 1)) times the row's total.  A -inf
+    or underflowed position adds nothing to the sum, so it is never drawn."""
+    scores = np.asarray(scores, dtype=np.float64)
+    cdf = np.exp(scores - scores.max(axis=-1, keepdims=True)).cumsum(axis=-1)
+    return (cdf <= u[..., None] * cdf[..., -1:]).sum(axis=-1)
+
+
 def _pick(scores: np.ndarray, winner_take_all: bool, rng: np.random.Generator) -> np.ndarray:
     """One position per row of `scores`: the argmax (ties low, no draw) under
-    winner-take-all, else a draw from the row's softmax, rows in order."""
+    winner-take-all, else an inverse-CDF draw from the row's softmax on one
+    uniform per row, rows in order."""
     if scores.shape[-1] == 0:
         raise NetworkError("no index units to pick from")
     if winner_take_all:
         return scores.argmax(axis=-1)
-    probs = _softmax_rows(scores)
-    return np.array([rng.choice(probs.shape[-1], p=p) for p in probs], dtype=np.int64)
+    return _draw(scores, rng.random(scores.shape[:-1]))
 
 
 # -- context layer and scoring ---------------------------------------------------
@@ -288,16 +307,36 @@ def _commit(params, cmap, rep, z, clamps, scores, cols, pick, mix=None):
     return out, ids
 
 
-def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, pick) -> list[dict[str, int]]:
-    """Per row, one label per nonempty family, picked from that family's part
-    of the concept-score block."""
-    out: list[dict[str, int]] = [{} for _ in range(label_scores.shape[0])]
-    for fam, cols in sorted(cmap.family_cols.items()):
-        if cols.size:
-            won = _pick_ids(cmap, pick, label_scores[:, cmap.family_idx[fam]], cols)
-            for labels, label in zip(out, won):
-                labels[fam] = label
-    return out
+def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take_all: bool,
+                 rng: np.random.Generator) -> list[dict[str, int]]:
+    """Per row, one label per nonempty family, all read from the one
+    concept-score block.  Identity picks from its entity block; every other
+    family from the class and attribute block `cmap.label_idx` with the
+    scores outside the family set to -inf, the segmented layout of
+    training's label head.  Winner-take-all takes each masked row's argmax
+    (ties low, no draw).  Sampling draws every family's uniforms at once, one
+    per (family, row), family-major in name order, and each goes through the
+    inverse-CDF draw `_pick` uses."""
+    codes = np.array([k for k, fam in enumerate(cmap.families) if cmap.family_cols[fam].size],
+                     dtype=np.int64)
+    n = label_scores.shape[0]
+    u = None if winner_take_all else rng.random((codes.size, n))
+    won = np.empty((codes.size, n), dtype=np.int64)
+    ident = codes == cmap.identity_code
+    for key, m in (("identity", ident), ("labels", ~ident)):
+        if not m.any():
+            continue
+        if key == "identity":
+            cols = cmap.family_cols[IDENTITY_FAMILY]
+            block = label_scores[None, :, cmap.family_idx[IDENTITY_FAMILY]]
+        else:
+            cols = cmap.label_cols
+            block = np.where(cmap.label_outside[codes[m], None, :], -np.inf,
+                             label_scores[:, cmap.label_idx])
+        pos = block.argmax(axis=-1) if u is None else _draw(block, u[m])
+        won[m] = cmap.ids[cols[pos]]
+    names = [cmap.families[k] for k in codes]
+    return [dict(zip(names, row)) for row in won.T.tolist()]
 
 
 def _split(first: DecodeRequest, ids: dict, labels: list, scores: dict,
@@ -375,7 +414,7 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
         reps[step] = rep
         if step == "subject":  # one label per family, from one concept-score block
             scores["label"] = _scores(params, "label", z, cmap.concept_idx)
-            labels = _pick_labels(cmap, scores["label"], pick)
+            labels = _pick_labels(cmap, scores["label"], first.winner_take_all, rng)
     return _split(first, ids, labels, scores, reps)
 
 

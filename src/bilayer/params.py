@@ -308,19 +308,38 @@ def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tup
     return manifest_path, blob_path
 
 
+def _offset(spec: dict) -> int:
+    """A tensor spec's sort key: its offset, or -1 when that is no int, so
+    that such a spec is the first one refused."""
+    offset = spec.get("offset")
+    return offset if type(offset) is int else -1
+
+
 def check_tensor_specs(blob_path: str, blob_len: int, specs: list[dict], itemsize: int,
                        name: str = "name") -> None:
-    """The tensors of an archive, listed in `specs` (each names itself in the
-    field `name`), must fit its blob: each tensor's bytes must hold its shape,
-    and the tensors must tile the blob from byte 0 to its end, so a truncated
-    or padded blob is refused."""
+    """The tensors of an archive, listed in `specs`, must fit its blob.  Each
+    spec names itself with a string in the field `name` and has a `shape`
+    list of non-negative ints and int `offset` and `nbytes`; each tensor's
+    bytes must hold its shape, and the tensors must tile the blob from byte 0
+    to its end, so a truncated or padded blob is refused."""
+    if type(specs) is not list or not all(type(s) is dict for s in specs):
+        raise ParamError(f"{blob_path}: its manifest's tensors are not a list of objects")
     end = 0
-    for spec in sorted(specs, key=lambda s: s["offset"]):
-        key, shape, nbytes = spec[name], spec["shape"], spec["nbytes"]
-        if any(d < 0 for d in shape) or nbytes != math.prod(shape) * itemsize:
+    for spec in sorted(specs, key=_offset):
+        key, shape = spec.get(name), spec.get("shape")
+        offset, nbytes = spec.get("offset"), spec.get("nbytes")
+        if type(key) is not str:
+            raise ParamError(f"{blob_path}: a tensor has {name} {key!r}, not a string")
+        if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+            raise ParamError(f"{blob_path}: tensor {key!r} has shape {shape!r}, "
+                             "not a list of non-negative ints")
+        if type(offset) is not int or type(nbytes) is not int:
+            raise ParamError(f"{blob_path}: tensor {key!r} has offset {offset!r} and nbytes "
+                             f"{nbytes!r}; both must be ints")
+        if nbytes != math.prod(shape) * itemsize:
             raise ParamError(f"{blob_path}: tensor {key!r}: {nbytes} bytes cannot hold {shape}")
-        if spec["offset"] != end:
-            raise ParamError(f"{blob_path}: tensor {key!r} starts at byte {spec['offset']}")
+        if offset != end:
+            raise ParamError(f"{blob_path}: tensor {key!r} starts at byte {offset}")
         end += nbytes
         if end > blob_len:
             raise ParamError(f"{blob_path} has {blob_len} bytes; tensor {key!r} ends at {end}")
@@ -352,7 +371,7 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     if "blob_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise ParamError("checkpoint blob does not match the sha256 in its manifest")
     wire = "<f4" if config.dtype == "float32" else "<f8"
-    check_tensor_specs(blob_path, len(blob), manifest["tensors"], np.dtype(wire).itemsize)
+    check_tensor_specs(blob_path, len(blob), manifest.get("tensors"), np.dtype(wire).itemsize)
     arrays: dict[str, np.ndarray] = {}
     for spec in manifest["tensors"]:
         raw = blob[spec["offset"]: spec["offset"] + spec["nbytes"]]

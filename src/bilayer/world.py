@@ -795,7 +795,7 @@ def read_features(base_path: str) -> dict[str, np.ndarray]:
         raise WorldError("not a feature archive")
     with open(base_path + ".bin", "rb") as fp:
         blob = fp.read()
-    specs, size = manifest["tensors"], np.dtype("<f4").itemsize
+    specs, size = manifest.get("tensors"), np.dtype("<f4").itemsize
     check_tensor_specs(base_path + ".bin", len(blob), specs, size, name="key")
     # the tensors tile the blob, so each is a view of one float32 copy of it
     data = np.frombuffer(blob, dtype="<f4").astype(np.float32)

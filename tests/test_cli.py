@@ -312,6 +312,32 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("shape", "x", "has shape 'x', not a list of non-negative ints"),
+        ("shape", [48.0], "has shape [48.0], not a list of non-negative ints"),
+        ("offset", "0", "has offset '0' and nbytes"),
+        ("nbytes", None, "and nbytes None; both must be ints"),
+    ])
+    def test_mistyped_feature_manifest_is_data_error(self, ws, tmp_path, field, value, message):
+        """A wrong-typed or missing (None: deleted) field of a features.json
+        tensor is refused with one line that names the tensor."""
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        manifest = world_dir / "features.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        spec = doc["tensors"][3]
+        if value is None:
+            del spec[field]
+        else:
+            spec[field] = value
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and f"tensor {spec['key']!r} has" in lines[0], proc.stderr
+        assert message in lines[0], proc.stderr
+
     def test_stdout_epochs(self, ws, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, "epochs": 1})
         out = str(tmp_path / "run")
@@ -527,6 +553,30 @@ class TestDecode:
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("shape", [64, "x"], "tensor 'ctx_in' has shape [64, 'x'], not a list of non-negative"),
+        ("shape", None, "tensor 'ctx_in' has shape None, not a list of non-negative ints"),
+        ("nbytes", "x", "tensor 'ctx_in' has offset"),
+        ("name", None, "a tensor has name None, not a string"),
+    ])
+    def test_mistyped_checkpoint_manifest_is_data_error(self, ws, tmp_path, field, value,
+                                                        message):
+        """The same for a checkpoint manifest's tensor list."""
+        for ext in (".json", ".bin"):
+            shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        spec = next(t for t in manifest["tensors"] if t["name"] == "ctx_in")
+        if value is None:
+            del spec[field]
+        else:
+            spec[field] = value
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        proc = _run_cli(["decode", str(tmp_path / "model.json"), "--world", ws["world_dir"],
+                         "--mode", "semantic", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and message in lines[0], proc.stderr
 
     def test_non_finite_scores_are_numeric_error(self, ws, tmp_path):
         # untied, so only the committed subject's NaN column reaches the label scores

@@ -14,13 +14,10 @@ from bilayer.graph import Batch, backward, forward, loss_and_grads, zero_grads
 from bilayer.network import sigmoid
 from bilayer.world import substream
 
-from util import reference_family_heads, small_params, small_vocab
+from util import INTERLEAVED, reference_family_heads, small_params, small_vocab
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
-# Species skips Mammal's column (Dog, Cat, Mammal are registered in that
-# order), so its readout index is a column array rather than a slice
-INTERLEAVED = {"Species": ["Dog", "Mammal"], "Pet": ["Cat"], "Age": ["Young", "Old"]}
 
 
 def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5,

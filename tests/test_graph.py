@@ -1,5 +1,6 @@
 """The teacher-forced graph's step loop: how a non-finite forward names the
-node it first appears at."""
+node it first appears at, and the scatter that adds committed columns'
+gradients, which must equal `np.add.at` bit for bit."""
 from __future__ import annotations
 
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from bilayer.graph import Batch, forward, mean_head_accuracy
+from bilayer.graph import Batch, _scatter_add, forward, mean_head_accuracy
 from bilayer.network import NumericsError
 from bilayer.world import substream
 
@@ -89,3 +90,20 @@ def test_mean_head_accuracy_averages_every_head(arity):
 
 def test_mean_head_accuracy_of_no_heads_is_nan():
     assert np.isnan(mean_head_accuracy({"heads": {}, "fam_heads": {}}))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_rows, n_cols", [(0, 7), (5, 50), (128, 40), (128, 3), (40, 1)])
+def test_scatter_add_equals_add_at_bitwise(dtype, n_rows, n_cols):
+    """On the strided transpose of a gradient block, as `backward` calls it:
+    repeated columns (up to every row on one) add in row order, as
+    `np.add.at` adds them, so every last bit agrees."""
+    rng = substream(1, "scatter", n_rows, n_cols)
+    base = rng.standard_normal((16, 60)).astype(dtype)
+    cols = rng.integers(0, n_cols, size=n_rows) * (60 // n_cols)
+    scale = 10.0 ** rng.integers(-6, 6, (n_rows, 1))  # so the order of the adds shows
+    vals = (rng.standard_normal((n_rows, 16)) * scale).astype(dtype)
+    want, got = base.copy(), base.copy()
+    np.add.at(want.T, cols, vals)
+    _scatter_add(got.T, cols, vals)
+    assert got.tobytes() == want.tobytes()

@@ -2,10 +2,12 @@
 
 The decode invariants under test: every distribution head normalizes, the
 softmax keeps the argmax, winner-take-all is the argmax with ties low and no
-draw, semantic recall never touches real instance columns, sampled ids stay
-inside their declared index sets, a batched walk agrees with single passes
-and with the float64 reference walk in `util`, and the committed ids and
-labels of every run-path request kind stay pinned.
+draw, a sampled pick is an inverse-CDF draw on one uniform per row that
+follows the softmax and agrees with `Generator.choice` on the same uniforms,
+semantic recall never touches real instance columns, sampled ids stay inside
+their declared index sets, a batched walk agrees with single passes and with
+the float64 reference walk in `util`, and the committed ids and labels of
+every run-path request kind stay pinned.
 """
 from __future__ import annotations
 
@@ -33,12 +35,20 @@ from bilayer.network import (
     index_scores,
     initial_context,
     sigmoid,
+    _draw,
     _pick,
+    _pick_labels,
     _softmax_rows,
 )
 from bilayer.world import substream
 
-from util import reference_decode, small_params, small_vocab, two_division_sigmoid
+from util import (
+    INTERLEAVED,
+    reference_decode,
+    small_params,
+    small_vocab,
+    two_division_sigmoid,
+)
 
 
 def _sig(x):
@@ -174,6 +184,90 @@ class TestActivations:
         scores = substream(5, "one").standard_normal((20, 1))
         for winner_take_all in (False, True):
             assert _pick(scores, winner_take_all, substream(0, "c")).tolist() == [0] * 20
+
+
+def _choice_draws(scores: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """The reference sampler: one `Generator.choice(n, p=softmax)` per row,
+    rows in order, one uniform each."""
+    return [int(rng.choice(p.size, p=p)) for p in _softmax_rows(scores)]
+
+
+class TestSampler:
+    """The inverse-CDF draw behind every sampled pick: one uniform per row
+    (per family and row for labels), the row's softmax as its law, and
+    `choice`'s draws on the same uniforms."""
+
+    @pytest.mark.parametrize("kind, draws_per_row", [
+        ("semantic-sampled", 3), ("episodic-sampled-clamped", 2), ("perceive-binary", 3),
+        ("perceive-unary", 1), ("semantic-wta", 0),
+    ])
+    def test_a_pass_takes_one_uniform_per_row_and_pick(self, kind, draws_per_row):
+        """Each free pick (subject, object, predicate; an attention mixture
+        and a clamp draw nothing) and each label family takes exactly one
+        `random()` per row; winner-take-all takes none."""
+        v = small_vocab()
+        params, cmap = small_params(v, seed=64, dtype="float64")
+        requests = _run_path_requests(v)[kind]
+        n_families = 0 if requests[0].winner_take_all else len(cmap.families)
+        rng = substream(0, "advance", kind)
+        decode_many(params, cmap, v, requests, rng)
+        fresh = substream(0, "advance", kind)
+        fresh.random(len(requests) * (draws_per_row + n_families))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_draws_follow_the_softmax(self):
+        row = np.array([0.0, 1.5, -2.0, 0.3, 2.2, -0.7, 1.0, -4.0])
+        n = 20_000
+        counts = np.bincount(_pick(np.tile(row, (n, 1)), False, substream(3, "chi2")),
+                             minlength=row.size)
+        expected = n * _softmax_rows(row)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 24.32  # the 0.999 quantile of chi-square with 7 degrees of freedom
+
+    def test_masked_and_underflowed_positions_are_never_drawn(self):
+        ninf = -np.inf
+        row = np.array([ninf, -800.0, 0.0, ninf, -1e4, 1.0, -900.0, ninf])
+        drawable = {2, 5}
+        picks = _pick(np.tile(row, (20_000, 1)), False, substream(4, "mask"))
+        assert set(picks.tolist()) == drawable
+        # the extreme uniforms: 0 and the largest double below 1
+        edges = np.array([0.0, np.nextafter(1.0, 0.0)])
+        assert _draw(np.tile(row, (2, 1)), edges).tolist() == [2, 5]
+
+    def test_draws_equal_choice_away_from_cdf_boundaries(self):
+        rng = substream(6, "scores")
+        scores = rng.standard_normal((4000, 9)) * 3.0
+        got = _pick(scores, False, substream(6, "u")).tolist()
+        want = _choice_draws(scores, substream(6, "u"))
+        u = substream(6, "u").random(len(scores))
+        cdf = np.cumsum(_softmax_rows(scores), axis=1)
+        cdf /= cdf[:, -1:]
+        clear = np.abs(cdf - u[:, None]).min(axis=1) > 1e-9
+        assert clear.sum() > 0.99 * len(scores)
+        assert [g for g, c in zip(got, clear) if c] == [w for w, c in zip(want, clear) if c]
+
+    @pytest.mark.parametrize("families", [None, INTERLEAVED], ids=["contiguous", "interleaved"])
+    def test_labels_are_per_family_picks(self, families):
+        """One masked block per head gives what a pick from each family's own
+        block gives: the argmax with ties low under winner-take-all, and the
+        same inverse-CDF draw on that family's row of the uniforms, drawn
+        family-major in name order, when sampling."""
+        v = small_vocab(families=families)
+        _, cmap = small_params(v)
+        rng = substream(7, "labels")
+        n = 50
+        # integer scores, so every row has ties
+        scores = rng.integers(-2, 3, size=(n, cmap.concept_cols.size)).astype(np.float32)
+        before = rng.bit_generator.state
+        wta = _pick_labels(cmap, scores, True, rng)
+        assert rng.bit_generator.state == before
+        u = substream(7, "u").random((len(cmap.families), n))
+        sampled = _pick_labels(cmap, scores, False, substream(7, "u"))
+        for k, fam in enumerate(cmap.families):
+            block, cols = scores[:, cmap.family_idx[fam]], cmap.family_cols[fam]
+            assert [labels[fam] for labels in wta] == cmap.ids[cols[block.argmax(axis=1)]].tolist()
+            want = cmap.ids[cols[_draw(block, u[k])]].tolist()
+            assert [labels[fam] for labels in sampled] == want
 
 
 class TestContextAndEncoding:

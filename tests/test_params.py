@@ -285,6 +285,23 @@ class TestCheckpoint:
         with pytest.raises(ParamError, match="cannot hold"):
             load_checkpoint(base, v)
 
+    @pytest.mark.parametrize("tensors", [None, {"emb": {}}, ["emb"], 7])
+    def test_rejects_a_tensor_list_that_is_no_list_of_objects(self, tmp_path, tensors):
+        v = small_vocab()
+        params, _ = small_params(v)
+        base = str(tmp_path / "ck")
+        save_checkpoint(params, v, base)
+        with open(base + ".json") as fp:
+            manifest = json.load(fp)
+        if tensors is None:
+            del manifest["tensors"]
+        else:
+            manifest["tensors"] = tensors
+        with open(base + ".json", "w") as fp:
+            json.dump(manifest, fp)
+        with pytest.raises(ParamError, match="tensors are not a list of objects"):
+            load_checkpoint(base, v)
+
     def test_rejects_unknown_version(self, tmp_path):
         v = small_vocab()
         params, _ = small_params(v)

@@ -11,7 +11,9 @@ other module that imports the step functions is on its way to a third
 hand-written walk.  Training batches its example tables in one pass: a
 `Batch` carries its label occurrences as arrays, `build_batches` makes every
 batch with one constructor call, and `train` batches every mode through one
-call.  The triple store's internals are read only inside
+call.  Sampled picks draw no `Generator.choice`: `_pick` and `_pick_labels`
+turn their uniforms into positions through one inverse-CDF helper.  The
+triple store's internals are read only inside
 `triple_store.py`.  Every public name the package defines has a caller inside
 it, but for a short allowlist of names that the benchmark or the gradient
 tests call, and every field of the two config classes is read outside its
@@ -122,6 +124,27 @@ def test_one_batching_pass():
     source = (Path(bilayer.__file__).parent / "training.py").read_text(encoding="utf-8")
     assert _calls(ast.parse(source), "Batch") == 1
     assert _calls(_functions("training.py")["train"], "build_batches") == 1
+
+
+def _method_calls(node: ast.AST, attr: str) -> int:
+    """How many calls inside `node` call a method named `attr`."""
+    return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == attr for n in ast.walk(node))
+
+
+def test_sampled_picks_share_one_inverse_cdf_draw():
+    """`network` calls no `.choice(`.  The functions that take uniforms from
+    the generator are `_pick`, `_pick_labels` and `fused_stream` (its own
+    source coin), and one helper, the only one that accumulates a CDF, turns
+    the picks' uniforms into positions for both."""
+    source = (Path(bilayer.__file__).parent / "network.py").read_text(encoding="utf-8")
+    assert _method_calls(ast.parse(source), "choice") == 0
+    funcs = _functions("network.py")
+    drawers = {name for name, fn in funcs.items() if _method_calls(fn, "random")}
+    assert drawers == {"_pick", "_pick_labels", "fused_stream"}
+    (helper,) = [name for name, fn in funcs.items() if _method_calls(fn, "cumsum")]
+    assert _calls(funcs["_pick"], helper) == 1
+    assert _calls(funcs["_pick_labels"], helper) == 1
 
 
 def _store_internals() -> set[str]:

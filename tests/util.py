@@ -60,6 +60,11 @@ def small_vocab(
     return v
 
 
+# Species skips Mammal's column (Dog, Cat, Mammal are registered in that
+# order), so its readout index is a column array rather than a slice
+INTERLEAVED = {"Species": ["Dog", "Mammal"], "Pet": ["Cat"], "Age": ["Young", "Old"]}
+
+
 def small_params(
     vocab: Vocabulary,
     rep_dim: int = 8,
