@@ -56,6 +56,7 @@ from .params import (
     NetConfig,
     NetParams,
     ParamError,
+    check_keys,
     load_checkpoint,
     save_checkpoint,
 )
@@ -107,24 +108,13 @@ def _load_json(path: str) -> dict:
         return json.load(fp)
 
 
-def _check_keys(what: str, doc, valid) -> None:
-    """Refuse a config that is not a JSON object or has keys outside `valid`."""
-    if not isinstance(doc, dict):
-        raise UsageError(f"bad {what} config: not a JSON object")
-    unknown = sorted(set(doc) - set(valid))
-    if unknown:
-        raise UsageError(
-            f"bad {what} config: unknown keys {', '.join(unknown)}; "
-            f"valid keys: {', '.join(sorted(valid))}"
-        )
-
-
 _NET_KEYS = tuple(f.name for f in fields(NetConfig) if f.name != "feature_dim")
 
 
 def _split_train_config(doc: dict, feature_dim: int, seed: int | None) -> tuple[TrainConfig, NetConfig]:
     """One flat config file carries both the optimizer and network widths."""
-    _check_keys("train", doc, [f.name for f in fields(TrainConfig)] + list(_NET_KEYS))
+    check_keys("bad train config", doc, [f.name for f in fields(TrainConfig)] + list(_NET_KEYS),
+               error=UsageError)
     net_doc = {k: v for k, v in doc.items() if k in _NET_KEYS}
     train_doc = {k: v for k, v in doc.items() if k not in _NET_KEYS}
     if seed is not None:
@@ -188,7 +178,7 @@ def _load_model(checkpoint: str, vocab: Vocabulary) -> tuple[NetParams, ColumnMa
 
 def cmd_gen(args: argparse.Namespace) -> None:
     doc = _load_json(args.config) if args.config else {}
-    _check_keys("world", doc, [f.name for f in fields(WorldConfig)])
+    check_keys("bad world config", doc, [f.name for f in fields(WorldConfig)], error=UsageError)
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
@@ -285,16 +275,15 @@ def cmd_decode(args: argparse.Namespace) -> None:
             if not args.t:
                 raise UsageError("perceive needs --t SCENE")
             scene = world.scene(args.t)
-            if scene.scene_key not in world.features:
+            if scene.scene_key not in world.feature_index:
                 raise StoreError(f"scene {args.t!r} has no stored features")
             keys = [
                 (scene.bb_key(s_name), scene.bb_key(o_name), scene.rel_key(i))
                 for i, (s_name, _p, o_name) in enumerate(scene.binaries)
             ] or [(scene.bb_key(m),) for m in scene.members]
-            feats = world.features
             passes = [
                 request("perception", instance_attention=True,
-                        features=SceneInput(feats[scene.scene_key], *(feats[k] for k in boxes)))
+                        features=SceneInput(*world.features_of([scene.scene_key, *boxes])))
                 for boxes in keys
             ]
             for perceive in passes:

@@ -159,8 +159,9 @@ def _perceive(params, cmap, vocab, variant: str, inputs: list[SceneInput],
 
 
 def _box_inputs(world: GroundTruthWorld, boxes: list[tuple]) -> list[SceneInput]:
-    """Unary perception inputs, one per (scene, member) box."""
-    return [SceneInput(world.features[s.scene_key], world.features[s.bb_key(m)]) for s, m in boxes]
+    """Unary perception inputs, one per (scene, member) box, from one gather."""
+    keys = [k for s, m in boxes for k in (s.scene_key, s.bb_key(m))]
+    return [SceneInput(*rows) for rows in world.features_of(keys).reshape(len(boxes), 2, -1)]
 
 
 def perception_unary_eval(
@@ -225,8 +226,8 @@ def perception_binary_eval(
     rng = substream(0, "perception-eval")
     hits = {k: 0 for k in ks}
     pred_ids = [cmap.id_of_col(c) for c in cmap.predicate_cols]
-    keys = ("scene", "s_bb", "o_bb", "rel")
-    inputs = [SceneInput(*(world.features[ex[k]] for k in keys)) for ex in examples]
+    keys = [ex[k] for ex in examples for k in ("scene", "s_bb", "o_bb", "rel")]
+    inputs = [SceneInput(*rows) for rows in world.features_of(keys).reshape(len(examples), 4, -1)]
     traces = _perceive(params, cmap, vocab, variant, inputs, rng)
     for ex, trace in zip(examples, traces):
         order = ranked_cols(trace.scores["predicate"])

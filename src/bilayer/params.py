@@ -270,42 +270,22 @@ class NetParams:
 
 _TENSOR_ORDER = ("emb", "emb_up", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b")
 
+# the codec's own manifest fields; an archive's kind adds the rest
+_ARCHIVE_FIELDS = ("format", "version", "tensors", "blob_nbytes", "blob_sha256")
 
-def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tuple[str, str]:
-    """Write `<base>.json` (manifest) and `<base>.bin` (little-endian blob)."""
-    manifest_path = base_path + ".json"
-    blob_path = base_path + ".bin"
-    tensors = []
-    offset = 0
-    chunks = []
-    blocks = params.blocks()
-    for name in _TENSOR_ORDER:
-        arr = blocks.get(name)
-        if arr is None:
-            continue
-        raw = np.ascontiguousarray(arr, dtype="<f4" if params.config.dtype == "float32" else "<f8")
-        tensors.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": raw.nbytes}
-        )
-        offset += raw.nbytes
-        chunks.append(raw.tobytes())
-    blob = b"".join(chunks)
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
-        "kind_counts": list(params.kind_counts),
-        "vocab_sha256": vocab.digest(),
-        "tensors": tensors,
-        "blob_nbytes": len(blob),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    with open(manifest_path, "w", encoding="utf-8") as fp:
-        json.dump(manifest, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    with open(blob_path, "wb") as fp:
-        fp.write(blob)
-    return manifest_path, blob_path
+
+def check_keys(where: str, doc, valid, required=(), error=ParamError) -> None:
+    """Refuse, with one line that names `where`, a document that is no JSON
+    object, has a key outside `valid` or lacks one of `required`."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: not a JSON object")
+    unknown = sorted(set(doc) - set(valid))
+    if unknown:
+        raise error(f"{where}: unknown keys {', '.join(unknown)}; "
+                    f"valid keys: {', '.join(sorted(set(valid)))}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise error(f"{where}: missing keys {', '.join(missing)}")
 
 
 def _offset(spec: dict) -> int:
@@ -315,21 +295,20 @@ def _offset(spec: dict) -> int:
     return offset if type(offset) is int else -1
 
 
-def check_tensor_specs(blob_path: str, blob_len: int, specs: list[dict], itemsize: int,
-                       name: str = "name") -> None:
+def check_tensor_specs(blob_path: str, blob_len: int, specs: list[dict], itemsize: int) -> None:
     """The tensors of an archive, listed in `specs`, must fit its blob.  Each
-    spec names itself with a string in the field `name` and has a `shape`
-    list of non-negative ints and int `offset` and `nbytes`; each tensor's
-    bytes must hold its shape, and the tensors must tile the blob from byte 0
-    to its end, so a truncated or padded blob is refused."""
+    spec has a string `name`, a `shape` list of non-negative ints and int
+    `offset` and `nbytes`; each tensor's bytes must hold its shape, and the
+    tensors must tile the blob from byte 0 to its end, so a truncated or
+    padded blob is refused."""
     if type(specs) is not list or not all(type(s) is dict for s in specs):
         raise ParamError(f"{blob_path}: its manifest's tensors are not a list of objects")
     end = 0
     for spec in sorted(specs, key=_offset):
-        key, shape = spec.get(name), spec.get("shape")
+        key, shape = spec.get("name"), spec.get("shape")
         offset, nbytes = spec.get("offset"), spec.get("nbytes")
         if type(key) is not str:
-            raise ParamError(f"{blob_path}: a tensor has {name} {key!r}, not a string")
+            raise ParamError(f"{blob_path}: a tensor has name {key!r}, not a string")
         if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
             raise ParamError(f"{blob_path}: tensor {key!r} has shape {shape!r}, "
                              "not a list of non-negative ints")
@@ -347,54 +326,94 @@ def check_tensor_specs(blob_path: str, blob_len: int, specs: list[dict], itemsiz
         raise ParamError(f"{blob_path} has {blob_len} bytes; its tensors cover {end}")
 
 
-def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
-    manifest_path = base_path + ".json"
-    blob_path = base_path + ".bin"
-    if not (os.path.exists(manifest_path) and os.path.exists(blob_path)):
-        raise ParamError(f"checkpoint {base_path!r} not found")
-    with open(manifest_path, "r", encoding="utf-8") as fp:
+def write_archive(base_path: str, fmt: str, version: int, meta: dict,
+                  tensors: list[tuple[str, np.ndarray]], dtype) -> tuple[str, str]:
+    """Write a tensor archive: `<base>.bin`, the tensors' values as `dtype`,
+    little-endian, one after another, and `<base>.json`, its manifest: `fmt`,
+    `version`, the fields of `meta`, one spec per tensor and the blob's length
+    and sha256."""
+    wire = np.dtype(dtype).newbyteorder("<")
+    specs, chunks, offset = [], [], 0
+    for name, arr in tensors:
+        raw = np.ascontiguousarray(arr, dtype=wire)
+        specs.append({"name": name, "shape": list(arr.shape), "offset": offset,
+                      "nbytes": raw.nbytes})
+        offset += raw.nbytes
+        chunks.append(raw.tobytes())
+    blob = b"".join(chunks)
+    manifest = {**meta, "format": fmt, "version": version, "tensors": specs,
+                "blob_nbytes": len(blob), "blob_sha256": hashlib.sha256(blob).hexdigest()}
+    with open(base_path + ".json", "w", encoding="utf-8") as fp:
+        json.dump(manifest, fp, indent=2, sort_keys=True)
+        fp.write("\n")
+    with open(base_path + ".bin", "wb") as fp:
+        fp.write(blob)
+    return base_path + ".json", base_path + ".bin"
+
+
+def read_manifest(base_path: str, fmt: str, version: int, fields: tuple[str, ...]) -> dict:
+    """The manifest of the archive at `base_path`: a JSON object of format
+    `fmt` and version `version` that has every one of `fields` and no key
+    outside them and the codec's own.  The blob's length and digest may be
+    missing; manifests written before they were recorded lack both."""
+    path = base_path + ".json"
+    if not (os.path.exists(path) and os.path.exists(base_path + ".bin")):
+        raise ParamError(f"{fmt} archive {base_path!r} not found")
+    with open(path, "r", encoding="utf-8") as fp:
         manifest = json.load(fp)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ParamError("not a checkpoint manifest")
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ParamError(f"unsupported checkpoint version {manifest.get('version')!r}")
+    if type(manifest) is not dict or manifest.get("format") != fmt:
+        raise ParamError(f"{path}: not a {fmt} manifest")
+    if manifest.get("version") != version:
+        raise ParamError(f"{path}: {fmt} version {manifest.get('version')!r} is not readable; "
+                         f"this reader reads version {version}")
+    check_keys(path, manifest, _ARCHIVE_FIELDS + fields, fields)
+    return manifest
+
+
+def read_tensors(base_path: str, manifest: dict, dtype) -> dict[str, np.ndarray]:
+    """The tensors of the archive at `base_path` as `dtype` arrays, by name,
+    once its blob matches the length and digest its manifest records and its
+    specs tile the blob."""
+    blob_path = base_path + ".bin"
+    with open(blob_path, "rb") as fp:
+        blob = fp.read()
+    what = f"{blob_path}: the {manifest['format']} blob"
+    if "blob_nbytes" in manifest and len(blob) != manifest["blob_nbytes"]:
+        raise ParamError(f"{what} has {len(blob)} bytes; its manifest records "
+                         f"{manifest['blob_nbytes']}")
+    if "blob_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+        raise ParamError(f"{what} does not match the sha256 in its manifest")
+    wire = np.dtype(dtype).newbyteorder("<")
+    specs = manifest.get("tensors")
+    check_tensor_specs(blob_path, len(blob), specs, wire.itemsize)
+    return {
+        s["name"]: np.frombuffer(blob, wire, math.prod(s["shape"]), s["offset"])
+        .reshape(s["shape"]).astype(dtype)
+        for s in specs
+    }
+
+
+def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tuple[str, str]:
+    """Write `<base>.json` (manifest) and `<base>.bin` (little-endian blob)."""
+    blocks = params.blocks()
+    meta = {"config": params.config.to_dict(), "kind_counts": list(params.kind_counts),
+            "vocab_sha256": vocab.digest()}
+    tensors = [(name, blocks[name]) for name in _TENSOR_ORDER if name in blocks]
+    return write_archive(base_path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, meta, tensors,
+                         params.config.np_dtype())
+
+
+def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
+    manifest = read_manifest(base_path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                             ("config", "kind_counts", "vocab_sha256"))
     if manifest["vocab_sha256"] != vocab.digest():
         raise ParamError("checkpoint was saved against a different vocabulary")
     config = NetConfig.from_dict(manifest["config"])
-    with open(blob_path, "rb") as fp:
-        blob = fp.read()
-    # manifests written before the blob's length and digest were recorded lack both
-    if "blob_nbytes" in manifest and len(blob) != manifest["blob_nbytes"]:
-        raise ParamError(
-            f"checkpoint blob has {len(blob)} bytes; its manifest records {manifest['blob_nbytes']}"
-        )
-    if "blob_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
-        raise ParamError("checkpoint blob does not match the sha256 in its manifest")
-    wire = "<f4" if config.dtype == "float32" else "<f8"
-    check_tensor_specs(blob_path, len(blob), manifest.get("tensors"), np.dtype(wire).itemsize)
-    arrays: dict[str, np.ndarray] = {}
-    for spec in manifest["tensors"]:
-        raw = blob[spec["offset"]: spec["offset"] + spec["nbytes"]]
-        arr = np.frombuffer(raw, dtype=wire).reshape(spec["shape"]).astype(config.np_dtype())
-        arrays[spec["name"]] = arr
-    expected = {"emb", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b"}
-    if not config.tied:
-        expected.add("emb_up")
-    missing = expected.difference(arrays)
-    if missing:
-        raise ParamError(f"checkpoint missing tensors {sorted(missing)}")
-    params = NetParams(
-        config=config,
-        emb=arrays["emb"],
-        ctx_in=arrays["ctx_in"],
-        ctx_rec=arrays["ctx_rec"],
-        ctx_out=arrays["ctx_out"],
-        pooled=arrays["pooled"],
-        enc_w=arrays["enc_w"],
-        enc_b=arrays["enc_b"],
-        emb_up=arrays.get("emb_up"),
-        kind_counts=tuple(manifest["kind_counts"]),
-    )
+    arrays = read_tensors(base_path, manifest, config.np_dtype())
+    expected = {name for name in _TENSOR_ORDER if name != "emb_up" or not config.tied}
+    if set(arrays) != expected:
+        raise ParamError(f"checkpoint holds tensors {sorted(arrays)}, not {sorted(expected)}")
+    params = NetParams(config=config, kind_counts=tuple(manifest["kind_counts"]), **arrays)
     cmap = ColumnMap(vocab)
     if params.emb.shape != (config.rep_dim, cmap.n_columns):
         raise ParamError("checkpoint embedding shape does not match vocabulary")

@@ -7,12 +7,12 @@ chain.  Teacher forcing injects ground-truth indices at every commitment.
 
 An example set is built once per `train` call as an `Examples` table of
 integer columns (symbol ids, family codes, and for perception sets rows of
-one stacked feature matrix).  `build_batches` turns a table into batches in
-one pass: one permutation, the swaps, every column in shuffled order, then
-consecutive slices.  A unary row is one label occurrence, so its family code
-and target go into the batch as they are.  `train` batches every mode the
-same way, from a per-mode table of (unary set, binary set, swap probability,
-pool).
+the set's feature matrix, gathered from the world's).  `build_batches` turns
+a table into batches in one pass: one permutation, the swaps, every column
+in shuffled order, then consecutive slices.  A unary row is one label
+occurrence, so its family code and target go into the batch as they are.
+`train` batches every mode the same way, from a per-mode table of (unary
+set, binary set, swap probability, pool).
 
 Generalized statements: with probability `inject_rho` the injected subject (or
 object) index is swapped for one of the entity's own class/attribute labels and
@@ -128,9 +128,11 @@ class Examples:
     Unary sets hold the columns `t, s, fam, o`, where `fam` indexes
     `families` (every family of the vocabulary, sorted by name); binary sets
     hold `t, s, p, o`.  Perception sets also hold, for each feature input,
-    the row of `features` (one stacked float32 matrix) it reads: `scene, bb`
-    in unary sets, `scene, s_bb, o_bb, rel` in binary sets.  Indexing with a
-    slice, a mask or row indices selects those rows.
+    the row of `features` it reads: `scene, bb` in unary sets, `scene, s_bb,
+    o_bb, rel` in binary sets.  `features` is one float32 matrix, gathered
+    from the world's `features` in one step: the boxes the set reads, in the
+    order the set first reads them.  Indexing with a slice, a mask or row
+    indices selects those rows.
     """
 
     cols: dict[str, np.ndarray]
@@ -167,19 +169,12 @@ def _table(values: list[int], names: tuple[str, ...], **kwargs) -> Examples:
     return Examples({k: data[:, i] for i, k in enumerate(names)}, **kwargs)
 
 
-def _stack(features: dict[str, np.ndarray], keys: dict[str, int]) -> np.ndarray | None:
-    """The feature vectors of `keys` (key -> row), stacked in row order."""
-    if not keys:
-        return None
-    return np.stack([features[k] for k in keys]).astype(np.float32, copy=False)
-
-
 def examples_from_rows(
-    rows: list[dict], arity: str, vocab: Vocabulary, features: dict[str, np.ndarray]
+    rows: list[dict], arity: str, vocab: Vocabulary, world: GroundTruthWorld
 ) -> Examples:
     """A perception example set of `arity` from per-example dicts (the
-    self-labeled statements), rows in order; their feature keys become rows
-    of one stacked matrix."""
+    self-labeled statements), rows in order; each feature key names a box of
+    `world`."""
     families = _families(vocab)
     code = {f: i for i, f in enumerate(families)}
     keys: dict[str, int] = {}
@@ -193,7 +188,7 @@ def examples_from_rows(
 
     names = _UNARY_COLS if arity == "unary" else _BINARY_COLS
     values = [value(ex, k) for ex in rows for k in names]
-    return _table(values, names, families=families, features=_stack(features, keys))
+    return _table(values, names, families=families, features=world.features_of(list(keys)))
 
 
 def memory_examples(
@@ -246,7 +241,7 @@ def perception_examples(
     families = _families(vocab)
     code = {f: i for i, f in enumerate(families)}
     identity = code[IDENTITY_FAMILY]
-    keys: dict[str, int] = {}  # feature key -> row of the stacked matrix
+    keys: dict[str, int] = {}  # feature key -> row of the set's feature matrix
     visible: dict[str, list] = {}  # member -> (family code, label id) of its visible labels
     unary: list[int] = []
     binary: list[int] = []
@@ -272,7 +267,7 @@ def perception_examples(
                        keys.setdefault(scene.bb_key(s), len(keys)),
                        keys.setdefault(scene.bb_key(o), len(keys)),
                        keys.setdefault(scene.rel_key(i), len(keys)))
-    feats = _stack(world.features, keys)
+    feats = world.features_of(list(keys))
     return (
         _table(unary, _UNARY_COLS, families=families, features=feats),
         _table(binary, _BINARY_COLS, families=families, features=feats),
@@ -579,19 +574,18 @@ def ssl_step(
     report = SslReport()
     scenes = [world.scene(n) for n in scene_names]
     for scene in scenes:
-        if scene.scene_key not in world.features:
+        if scene.scene_key not in world.feature_index:
             raise TrainError(f"scene {scene.name!r} has no features")
         vocab.add_instance(scene.name)
         report.new_instances.append(scene.name)
     grow_rng = substream(config.seed, "ssl-grow")
     cmap = params.grow(vocab, grow_rng)
-    feats = world.features
     rng = substream(config.seed, "ssl-decode")  # winner-take-all passes draw nothing
 
     def perceive(scene, keys: list[str], **clamps) -> DecodeRequest:
         """A pass over the scene and the boxes `keys`: subject, or subject, object, relation."""
         return DecodeRequest(
-            mode="perception", features=SceneInput(feats[scene.scene_key], *(feats[k] for k in keys)),
+            mode="perception", features=SceneInput(*world.features_of([scene.scene_key, *keys])),
             instance_id=vocab.id_of(scene.name), winner_take_all=True, subject_support="entities",
             **clamps,
         )
@@ -677,8 +671,8 @@ def ssl_step(
     report.history = train(
         params, cmap, vocab, store if store is not None else TripleStore(vocab),
         ssl_config, world=world, emb_col_mask=mask,
-        pseudo=(examples_from_rows(report.pseudo_unary, "unary", vocab, feats),
-                examples_from_rows(report.pseudo_binary, "binary", vocab, feats)),
+        pseudo=(examples_from_rows(report.pseudo_unary, "unary", vocab, world),
+                examples_from_rows(report.pseudo_binary, "binary", vocab, world)),
     )
     return params, cmap, report
 

@@ -219,10 +219,6 @@ class Vocabulary:
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def loads(cls, text: str) -> "Vocabulary":
-        return cls.from_dict(json.loads(text))
-
     def digest(self) -> str:
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")

@@ -12,7 +12,10 @@ Feature vectors replace a vision backbone: a fixed random projection of the
 entity's class prototype concatenated with its private latent vector, plus
 fresh Gaussian noise per view.  Age and activity are deliberately absent from
 features (a single view cannot show them; only memory can recover them) and
-risk labels are never shown to perception.
+risk labels are never shown to perception.  Every box of every view (scene,
+entity box, relation box, zero-shot box) is one row of one float32 matrix,
+found by its key; the feature archive stores that matrix and its keys in row
+order as one tensor of the shared archive format (`params.write_archive`).
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .params import check_tensor_specs
+from .params import check_keys, read_manifest, read_tensors, write_archive
 from .triple_store import TripleStore, write_jsonl
 from .vocab import Vocabulary
 
@@ -168,10 +171,6 @@ class WorldConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorldConfig":
-        return cls(**data)
-
 
 @dataclass
 class EntityRecord:
@@ -203,13 +202,20 @@ class SceneRecord:
 
 @dataclass
 class GroundTruthWorld:
+    """A generated or loaded world.  `features` holds one float32 row per
+    box, `(n_boxes, feature_dim)`, and `feature_index` maps each box's key
+    (`SceneRecord.scene_key`, `bb_key`, `rel_key`, or a zero-shot example's
+    `<key>:scene|s|o|rel`) to its row.  Rows are in generation order, and
+    `feature_index` lists its keys in row order."""
+
     config: WorldConfig
     ontology: Ontology
     vocab: Vocabulary
     entities: dict[str, EntityRecord]
     test_entities: dict[str, EntityRecord]
     scenes: list[SceneRecord]
-    features: dict[str, np.ndarray]
+    features: np.ndarray
+    feature_index: dict[str, int]
     pair_table: dict[tuple[str, str], list[tuple[str, float]]]
     heldout: list[tuple[str, str, str]]
     zs_examples: list[dict]
@@ -222,6 +228,10 @@ class GroundTruthWorld:
         if rec is None:
             raise WorldError(f"unknown entity {name!r}")
         return rec
+
+    def features_of(self, keys: list[str]) -> np.ndarray:
+        """The feature rows of `keys`, in their order, in one gather."""
+        return self.features[[self.feature_index[k] for k in keys]]
 
     def scenes_of_kind(self, *kinds: str) -> list[SceneRecord]:
         return [s for s in self.scenes if s.kind in kinds]
@@ -241,27 +251,13 @@ class GroundTruthWorld:
 # -- feature synthesis -----------------------------------------------------------
 
 
-def entity_box_features(
-    projection: np.ndarray,
-    class_proto: np.ndarray,
-    latent: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
+def box_features(
+    projection: np.ndarray, parts: list[np.ndarray], sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    base = projection @ np.concatenate([class_proto, latent])
-    if sigma > 0:
-        base = base + rng.normal(0.0, sigma, size=base.shape)
-    return base.astype(np.float32)
-
-def relation_box_features(
-    projection: np.ndarray,
-    latent_s: np.ndarray,
-    latent_o: np.ndarray,
-    pred_proto: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    base = projection @ np.concatenate([latent_s, latent_o, pred_proto])
+    """A box's view: `projection` of its concatenated `parts` (an entity box's
+    class prototype and latent; a relation box's subject latent, object latent
+    and predicate prototype), plus fresh N(0, sigma) noise."""
+    base = projection @ np.concatenate(parts)
     if sigma > 0:
         base = base + rng.normal(0.0, sigma, size=base.shape)
     return base.astype(np.float32)
@@ -434,7 +430,8 @@ def _compose_scene(
     )
 
 
-def _scene_view_features(world: GroundTruthWorld, scene: SceneRecord, rng) -> None:
+def _scene_view_features(world: GroundTruthWorld, scene: SceneRecord, rng,
+                         boxes: dict[str, np.ndarray]) -> None:
     cfg = world.config
     protos = world.prototypes
     proj_ent = protos["_proj_entity"]
@@ -442,24 +439,16 @@ def _scene_view_features(world: GroundTruthWorld, scene: SceneRecord, rng) -> No
     sigma = cfg.noise_sigma
     if scene.kind == "ex_test" and cfg.ex_noise_sigma is not None:
         sigma = cfg.ex_noise_sigma
-    boxes = []
+    members = []
     for name in scene.members:
         rec = world.entity_record(name)
-        feat = entity_box_features(
-            proj_ent, protos[rec.labels["BClass"]], rec.latent, sigma, rng
-        )
-        world.features[scene.bb_key(name)] = feat
-        boxes.append(feat.astype(np.float64))
-    world.features[scene.scene_key] = scene_features(boxes, cfg.scene_noise_sigma, rng)
+        feat = box_features(proj_ent, [protos[rec.labels["BClass"]], rec.latent], sigma, rng)
+        boxes[scene.bb_key(name)] = feat
+        members.append(feat.astype(np.float64))
+    boxes[scene.scene_key] = scene_features(members, cfg.scene_noise_sigma, rng)
     for i, (s, p, o) in enumerate(scene.binaries):
-        world.features[scene.rel_key(i)] = relation_box_features(
-            proj_rel,
-            world.entity_record(s).latent,
-            world.entity_record(o).latent,
-            protos[p],
-            sigma,
-            rng,
-        )
+        parts = [world.entity_record(s).latent, world.entity_record(o).latent, protos[p]]
+        boxes[scene.rel_key(i)] = box_features(proj_rel, parts, sigma, rng)
 
 
 def social_network(
@@ -639,14 +628,16 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
     world = GroundTruthWorld(
         config=config, ontology=onto, vocab=vocab,
         entities=entities, test_entities=test_entities, scenes=scenes,
-        features={}, pair_table=table, heldout=heldout,
+        features=np.zeros((0, config.feature_dim), np.float32), feature_index={},
+        pair_table=table, heldout=heldout,
         zs_examples=[], social_edges=social_edges, prototypes=protos,
     )
 
+    boxes: dict[str, np.ndarray] = {}  # key -> feature vector, in generation order
     feat_rng = substream(seed, "features")
     for scene in scenes:
         if scene.kind in ("train", "ex_train", "ex_test", "e_test", "unlabeled"):
-            _scene_view_features(world, scene, feat_rng)
+            _scene_view_features(world, scene, feat_rng, boxes)
 
     zs_rng = substream(seed, "zs-examples")
     by_class: dict[str, list[str]] = {}
@@ -665,26 +656,26 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
                 continue
             key = f"zs{idx:04d}"
             s_rec, o_rec = entities[s], entities[o]
-            s_box = entity_box_features(
-                protos["_proj_entity"], protos[cs], s_rec.latent, config.noise_sigma, zs_rng
-            )
-            o_box = entity_box_features(
-                protos["_proj_entity"], protos[co], o_rec.latent, config.noise_sigma, zs_rng
-            )
-            world.features[f"{key}:s"] = s_box
-            world.features[f"{key}:o"] = o_box
-            world.features[f"{key}:scene"] = scene_features(
+            s_box = box_features(protos["_proj_entity"], [protos[cs], s_rec.latent],
+                                 config.noise_sigma, zs_rng)
+            o_box = box_features(protos["_proj_entity"], [protos[co], o_rec.latent],
+                                 config.noise_sigma, zs_rng)
+            boxes[f"{key}:s"] = s_box
+            boxes[f"{key}:o"] = o_box
+            boxes[f"{key}:scene"] = scene_features(
                 [s_box.astype(np.float64), o_box.astype(np.float64)],
                 config.scene_noise_sigma, zs_rng,
             )
-            world.features[f"{key}:rel"] = relation_box_features(
-                protos["_proj_relation"], s_rec.latent, o_rec.latent, protos[p],
+            boxes[f"{key}:rel"] = box_features(
+                protos["_proj_relation"], [s_rec.latent, o_rec.latent, protos[p]],
                 config.noise_sigma, zs_rng,
             )
             world.zs_examples.append({"key": key, "s": s, "p": p, "o": o,
                                       "s_class": cs, "o_class": co})
             idx += 1
 
+    world.features = np.stack(list(boxes.values()))
+    world.feature_index = {key: row for row, key in enumerate(boxes)}
     vocab.validate()
     return world
 
@@ -771,38 +762,32 @@ def _dump_json(doc: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
-def write_features(features: dict[str, np.ndarray], base_path: str) -> None:
-    manifest = []
-    offset = 0
-    chunks = []
-    for key in sorted(features):
-        arr = np.ascontiguousarray(features[key], dtype="<f4")
-        manifest.append(
-            {"key": key, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes}
-        )
-        offset += arr.nbytes
-        chunks.append(arr.tobytes())
-    with open(base_path + ".json", "w", encoding="utf-8") as fp:
-        fp.write(_dump_json({"format": "bilayer-features", "version": 1, "tensors": manifest}))
-    with open(base_path + ".bin", "wb") as fp:
-        fp.write(b"".join(chunks))
+FEATURES_FORMAT = "bilayer-features"
+FEATURES_VERSION = 2
 
 
-def read_features(base_path: str) -> dict[str, np.ndarray]:
-    with open(base_path + ".json", "r", encoding="utf-8") as fp:
-        manifest = json.load(fp)
-    if manifest.get("format") != "bilayer-features":
-        raise WorldError("not a feature archive")
-    with open(base_path + ".bin", "rb") as fp:
-        blob = fp.read()
-    specs, size = manifest.get("tensors"), np.dtype("<f4").itemsize
-    check_tensor_specs(base_path + ".bin", len(blob), specs, size, name="key")
-    # the tensors tile the blob, so each is a view of one float32 copy of it
-    data = np.frombuffer(blob, dtype="<f4").astype(np.float32)
-    return {
-        s["key"]: data[s["offset"] // size:(s["offset"] + s["nbytes"]) // size].reshape(s["shape"])
-        for s in specs
-    }
+def read_features(base_path: str, feature_dim: int) -> tuple[np.ndarray, dict[str, int]]:
+    """The feature matrix of the archive at `base_path` and its key -> row
+    index.  The archive holds one tensor, `features`, of `feature_dim`
+    columns, and its manifest lists one distinct key per row, in row order."""
+    path = base_path + ".json"
+    manifest = read_manifest(base_path, FEATURES_FORMAT, FEATURES_VERSION,
+                             ("keys", "blob_nbytes", "blob_sha256"))
+    tensors = read_tensors(base_path, manifest, np.float32)
+    matrix, keys = tensors.get("features"), manifest["keys"]
+    if len(tensors) != 1 or matrix is None or matrix.ndim != 2 or matrix.shape[1] != feature_dim:
+        shapes = {name: list(arr.shape) for name, arr in tensors.items()}
+        raise WorldError(f"{path}: holds tensors {shapes}, not one 'features' matrix "
+                         f"of {feature_dim} columns")
+    if type(keys) is not list or not all(type(k) is str for k in keys):
+        raise WorldError(f"{path}: its keys are not a list of strings")
+    if len(keys) != len(matrix):
+        raise WorldError(f"{path} lists {len(keys)} keys for {len(matrix)} feature rows")
+    index = {key: row for row, key in enumerate(keys)}
+    if len(index) != len(keys):
+        twice = next(k for row, k in enumerate(keys) if index[k] != row)
+        raise WorldError(f"{path}: key {twice!r} names two feature rows")
+    return matrix, index
 
 
 def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
@@ -859,53 +844,56 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
         "social_edges": [list(e) for e in world.social_edges],
     }
     _write("world.json", _dump_json(doc))
-    write_features(world.features, os.path.join(outdir, "features"))
+    write_archive(os.path.join(outdir, "features"), FEATURES_FORMAT, FEATURES_VERSION,
+                  {"keys": list(world.feature_index)}, [("features", world.features)],
+                  np.float32)
     written.extend(["features.json", "features.bin"])
     return written
 
 
-def load_world(indir: str) -> GroundTruthWorld:
-    with open(os.path.join(indir, "config.json"), "r", encoding="utf-8") as fp:
-        cfg_doc = json.load(fp)
-    config = WorldConfig.from_dict(cfg_doc["world"])
-    onto_doc = cfg_doc["ontology"]
-    for key in ("ages", "colors", "activities", "risks", "scene_predicates",
-                "nonvisual_predicates"):
-        onto_doc[key] = tuple(onto_doc[key])
-    onto = Ontology(**onto_doc)
-    with open(os.path.join(indir, "vocab.json"), "r", encoding="utf-8") as fp:
-        vocab = Vocabulary.loads(fp.read())
-    with open(os.path.join(indir, "world.json"), "r", encoding="utf-8") as fp:
+def _read_json(path: str, keys) -> dict:
+    """The JSON object in `path`, whose keys must be `keys`."""
+    with open(path, "r", encoding="utf-8") as fp:
         doc = json.load(fp)
-    entities = {
-        e["name"]: EntityRecord(name=e["name"], labels=e["labels"], visual=e["visual"])
-        for e in doc["entities"]
-    }
-    test_entities = {
-        e["name"]: EntityRecord(name=e["name"], labels=e["labels"], visual=e["visual"])
-        for e in doc["test_entities"]
-    }
-    scenes = [
-        SceneRecord(
-            name=s["name"], kind=s["kind"], instance=s["instance"],
-            members=list(s["members"]), binaries=[tuple(b) for b in s["binaries"]],
-            theme=s.get("theme"),
-        )
-        for s in doc["scenes"]
-    ]
-    pair_table = {
-        tuple(key.split("|")): [(p, float(w)) for p, w in row]
-        for key, row in doc["pair_table"].items()
-    }
-    world = GroundTruthWorld(
+    check_keys(path, doc, keys, keys, WorldError)
+    return doc
+
+
+_WORLD_KEYS = ("entities", "test_entities", "scenes", "pair_table", "heldout", "zs_examples",
+               "social_edges")
+
+
+def load_world(indir: str) -> GroundTruthWorld:
+    cfg_path = os.path.join(indir, "config.json")
+    cfg_doc = _read_json(cfg_path, ("world", "ontology"))
+    for key, cls in (("world", WorldConfig), ("ontology", Ontology)):
+        names = [f.name for f in fields(cls)]
+        check_keys(f"{cfg_path} {key}", cfg_doc[key], names, names, WorldError)
+    config = WorldConfig(**cfg_doc["world"])
+    onto = Ontology(**{k: tuple(v) if isinstance(v, list) else v
+                       for k, v in cfg_doc["ontology"].items()})
+    vocab = Vocabulary.from_dict(
+        _read_json(os.path.join(indir, "vocab.json"), tuple(Vocabulary().to_dict())))
+    doc_path = os.path.join(indir, "world.json")
+    doc = _read_json(doc_path, _WORLD_KEYS)
+    try:
+        entities = {e["name"]: EntityRecord(**e) for e in doc["entities"]}
+        test_entities = {e["name"]: EntityRecord(**e) for e in doc["test_entities"]}
+        scenes = [SceneRecord(**{**s, "binaries": [tuple(b) for b in s["binaries"]]})
+                  for s in doc["scenes"]]
+        pair_table = {
+            tuple(key.split("|")): [(p, float(w)) for p, w in row]
+            for key, row in doc["pair_table"].items()
+        }
+        heldout = [tuple(h) for h in doc["heldout"]]
+        social_edges = [tuple(e) for e in doc["social_edges"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise WorldError(f"{doc_path}: a record does not fit: {exc}") from exc
+    features, feature_index = read_features(os.path.join(indir, "features"), config.feature_dim)
+    return GroundTruthWorld(
         config=config, ontology=onto, vocab=vocab,
         entities=entities, test_entities=test_entities, scenes=scenes,
-        features=read_features(os.path.join(indir, "features")),
-        pair_table=pair_table,
-        heldout=[tuple(h) for h in doc["heldout"]],
-        zs_examples=doc["zs_examples"],
-        social_edges=[tuple(e) for e in doc["social_edges"]],
+        features=features, feature_index=feature_index, pair_table=pair_table,
+        heldout=heldout, zs_examples=doc["zs_examples"], social_edges=social_edges,
         prototypes=None,
     )
-    return world
-

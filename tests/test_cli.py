@@ -3,6 +3,7 @@ artifact layout, and same-seed reproducibility of everything but the manifest.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -293,19 +294,44 @@ class TestTrain:
         ("truncated", "ends at"),
         ("unholdable shape", "cannot hold [49]"),
         ("padded", "its tensors cover"),
+        ("cut blob", "its manifest records"),
+        ("flipped byte", "does not match the sha256 in its manifest"),
+        ("version 1", "bilayer-features version 1 is not readable; this reader reads version 2"),
+        ("short key list", "keys for"),
+        ("duplicate key", "names two feature rows"),
+        ("unknown field", "unknown keys note; valid keys: blob_nbytes, blob_sha256, format,"),
     ])
     def test_corrupt_feature_archive_is_data_error(self, ws, tmp_path, corruption, message):
         world_dir = tmp_path / "world"
         shutil.copytree(ws["world_dir"], world_dir)
-        blob, manifest = world_dir / "features.bin", world_dir / "features.json"
-        if corruption == "truncated":
-            blob.write_bytes(blob.read_bytes()[:-100])
-        elif corruption == "padded":
-            blob.write_bytes(blob.read_bytes() + bytes(4))
+        blob_path, manifest = world_dir / "features.bin", world_dir / "features.json"
+        blob, doc = blob_path.read_bytes(), json.loads(manifest.read_text(encoding="utf-8"))
+        n, dim = doc["tensors"][0]["shape"]
+        if corruption in ("truncated", "padded"):
+            # the manifest records the new blob, so the tensor spec is what refuses it
+            blob = blob[:-100] if corruption == "truncated" else blob + bytes(4)
+            doc["blob_nbytes"], doc["blob_sha256"] = len(blob), hashlib.sha256(blob).hexdigest()
+        elif corruption == "cut blob":
+            blob = blob[:-100]
+        elif corruption == "flipped byte":
+            flipped = bytearray(blob)
+            flipped[len(blob) // 3] ^= 0x01
+            blob = bytes(flipped)
+        elif corruption == "unholdable shape":
+            doc["tensors"][0]["shape"] = [49]  # one matrix's bytes
+        elif corruption == "version 1":  # one tensor per box, over the same blob
+            doc = {"format": "bilayer-features", "version": 1, "tensors": [
+                {"key": key, "shape": [dim], "offset": 4 * dim * i, "nbytes": 4 * dim}
+                for i, key in enumerate(doc["keys"])]}
+        elif corruption == "short key list":
+            message = f"lists {n - 1} keys for {n} feature rows"
+            del doc["keys"][-1]
+        elif corruption == "duplicate key":
+            doc["keys"][5] = doc["keys"][2]
         else:
-            doc = json.loads(manifest.read_text(encoding="utf-8"))
-            doc["tensors"][0]["shape"] = [49]  # 48 floats' bytes
-            manifest.write_text(json.dumps(doc), encoding="utf-8")
+            doc["note"] = 1
+        blob_path.write_bytes(blob)
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
         proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
                          "--out", str(tmp_path / "r")])
         assert proc.returncode == 3, proc.stderr
@@ -325,7 +351,7 @@ class TestTrain:
         shutil.copytree(ws["world_dir"], world_dir)
         manifest = world_dir / "features.json"
         doc = json.loads(manifest.read_text(encoding="utf-8"))
-        spec = doc["tensors"][3]
+        [spec] = doc["tensors"]
         if value is None:
             del spec[field]
         else:
@@ -335,8 +361,45 @@ class TestTrain:
                          "--out", str(tmp_path / "r")])
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and f"tensor {spec['key']!r} has" in lines[0], proc.stderr
+        assert len(lines) == 1 and "tensor 'features' has" in lines[0], proc.stderr
         assert message in lines[0], proc.stderr
+
+    @pytest.mark.parametrize("name, path, old, new, message", [
+        ("config.json", ["world"], "feature_dim", "feature_dimm",
+         "config.json world: unknown keys feature_dimm; valid keys: binary_per_scene,"),
+        ("config.json", ["ontology"], "owner_class", "ownr_class",
+         "config.json ontology: unknown keys ownr_class; valid keys: activities,"),
+        ("config.json", ["ontology"], "ages", None, "config.json ontology: missing keys ages"),
+        ("config.json", [], None, "worlds", "config.json: unknown keys worlds; valid keys: "),
+        ("world.json", ["scenes", 0], "members", None,
+         "world.json: a record does not fit: SceneRecord.__init__() missing 1 required "
+         "positional argument: 'members'"),
+        ("world.json", [], "pair_table", "pair_table",
+         "world.json: a record does not fit: 'int' object has no attribute 'items'"),
+        ("world.json", [], None, "note", "world.json: unknown keys note; valid keys: "),
+        ("world.json", [], "heldout", "held_out", "world.json: unknown keys held_out; valid"),
+        ("vocab.json", [], None, "note", "vocab.json: unknown keys note; valid keys: "),
+        ("vocab.json", [], "families", None, "vocab.json: missing keys families"),
+    ])
+    def test_mistyped_world_file_is_data_error(self, ws, tmp_path, name, path, old, new, message):
+        """A world file with a key renamed (`old` to `new`), deleted (no `new`),
+        added (no `old`) or set to 1 (`old` is `new`) is refused with one line
+        that names the file and the key."""
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        doc = json.loads((world_dir / name).read_text(encoding="utf-8"))
+        obj = doc
+        for key in path:
+            obj = obj[key]
+        value = obj.pop(old) if old not in (None, new) else 1
+        if new is not None:
+            obj[new] = value
+        (world_dir / name).write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and str(world_dir / message) in lines[0], proc.stderr
 
     def test_stdout_epochs(self, ws, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, "epochs": 1})

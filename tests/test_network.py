@@ -766,11 +766,10 @@ class TestReferenceWalk:
     def test_trained_perception_batch_matches_the_reference(self, tiny_model, tiny_world):
         params, cmap, _ = tiny_model
         v = tiny_world.vocab
-        feats = tiny_world.features
         requests = [
             DecodeRequest(
                 mode="perception", winner_take_all=True,
-                features=SceneInput(feats[scene.scene_key], feats[scene.bb_key(m)]),
+                features=SceneInput(*tiny_world.features_of([scene.scene_key, scene.bb_key(m)])),
                 **_VARIANT_FLAGS["samp"],
             )
             for scene in tiny_world.scenes_of_kind("ex_test") for m in scene.members

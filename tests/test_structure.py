@@ -12,9 +12,9 @@ hand-written walk.  Training batches its example tables in one pass: a
 `Batch` carries its label occurrences as arrays, `build_batches` makes every
 batch with one constructor call, and `train` batches every mode through one
 call.  Sampled picks draw no `Generator.choice`: `_pick` and `_pick_labels`
-turn their uniforms into positions through one inverse-CDF helper.  The
-triple store's internals are read only inside
-`triple_store.py`.  Every public name the package defines has a caller inside
+turn their uniforms into positions through one inverse-CDF helper.  Checkpoints
+and the feature archive share one tensor-archive codec in `params.py`.  The
+triple store's internals are read only inside `triple_store.py`.  Every public name the package defines has a caller inside
 it, but for a short allowlist of names that the benchmark or the gradient
 tests call, and every field of the two config classes is read outside its
 class.
@@ -172,6 +172,21 @@ def test_store_internals_stay_in_the_store(module):
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     )
     assert not reads, f"{module} reads store internals: {reads}"
+
+
+ARCHIVE_CODEC = {"frombuffer", "fromfile", "tofile", "tobytes", "check_tensor_specs"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(bilayer.__file__).parent.glob("*.py") if p.name != "params.py"
+))
+def test_one_tensor_archive_codec(module):
+    """Only `params.py` turns arrays into archive bytes or bytes back into
+    arrays, and only it checks tensor specs: every other module reads and
+    writes a manifest-and-blob archive through `write_archive`,
+    `read_manifest` and `read_tensors`."""
+    used = _names(module) & ARCHIVE_CODEC
+    assert not used, f"{module} reads or writes archive bytes itself: {sorted(used)}"
 
 
 # public names no module of the package calls, each with the caller that keeps it

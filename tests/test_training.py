@@ -50,6 +50,11 @@ from util import (
 )
 
 
+def _vectors(world) -> dict:
+    """The world's feature vectors by key, for the dict-keyed reference builders."""
+    return {key: world.features[row] for key, row in world.feature_index.items()}
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(TrainError):
@@ -143,7 +148,7 @@ class TestExampleConstruction:
         scenes = {s.name: s for s in tiny_world.scenes_of_kind("train", "ex_train")}
         assert len(unary) and len(binary)
         assert unary.features.dtype == np.float32 and unary.features is binary.features
-        vectors = {f.tobytes() for f in tiny_world.features.values()}
+        vectors = {f.tobytes() for f in tiny_world.features}
         unary, binary = table_rows(unary), table_rows(binary)
         for ex in unary:
             assert v.name_of(ex["t"]) in scenes
@@ -196,18 +201,18 @@ class TestExampleTables:
         v = tiny_world.vocab
         unary, binary = perception_examples(tiny_world, v, hidden)
         ref_unary, ref_binary = reference_perception_examples(tiny_world, v, hidden)
-        assert table_rows(unary) == keyed_rows(ref_unary, tiny_world.features)
-        assert table_rows(binary) == keyed_rows(ref_binary, tiny_world.features)
+        assert table_rows(unary) == keyed_rows(ref_unary, _vectors(tiny_world))
+        assert table_rows(binary) == keyed_rows(ref_binary, _vectors(tiny_world))
 
     def test_pseudo_dicts_convert_row_for_row(self, tiny_world):
         # self-labeled statements arrive as dicts of this layout
         v = tiny_world.vocab
         ref_unary, ref_binary = reference_perception_examples(tiny_world, v)
         for rows, arity in ((ref_unary, "unary"), (ref_binary, "binary")):
-            table = examples_from_rows(rows, arity, v, tiny_world.features)
-            assert table_rows(table) == keyed_rows(rows, tiny_world.features)
-            assert table_rows(table[:7]) == keyed_rows(rows[:7], tiny_world.features)
-        assert len(examples_from_rows([], "binary", v, tiny_world.features)) == 0
+            table = examples_from_rows(rows, arity, v, tiny_world)
+            assert table_rows(table) == keyed_rows(rows, _vectors(tiny_world))
+            assert table_rows(table[:7]) == keyed_rows(rows[:7], _vectors(tiny_world))
+        assert len(examples_from_rows([], "binary", v, tiny_world)) == 0
 
     def test_a_slice_is_a_table_of_those_rows(self, tiny_world):
         unary, _ = perception_examples(tiny_world, tiny_world.vocab)
@@ -355,7 +360,7 @@ class TestVectorizedBatches:
         if mode == "perception":
             tables = perception_examples(tiny_world, v)
             dicts = reference_perception_examples(tiny_world, v)
-            features = tiny_world.features
+            features = _vectors(tiny_world)
         else:
             tables = memory_examples(tiny_store, v)
             dicts = reference_memory_examples(tiny_store, v)
@@ -883,7 +888,7 @@ class TestSelfLabeledGrowth:
         params, cmap, report = ssl_step(params, ColumnMap(v), v, ssl_world, unlabeled, config)
         novel = [row["novel"] for rows in report.recognized.values() for row in rows]
         assert any(novel) and not all(novel)
-        feats = ssl_world.features
+        feats = _vectors(ssl_world)
         labels = [ex for ex in report.pseudo_unary if ex["fam"] != "Identity"]
         assert labels and report.pseudo_binary
         for ex in labels:
@@ -942,7 +947,7 @@ class TestSelfLabeledGrowth:
             v, NetConfig(rep_dim=16, ctx_dim=8, feature_dim=24), substream(0, "init")
         )
         scene = ssl_world.scenes_of_kind("unlabeled")[0]
-        del ssl_world.features[scene.scene_key]
+        del ssl_world.feature_index[scene.scene_key]
         with pytest.raises(TrainError, match="features"):
             ssl_step(
                 params, ColumnMap(v), v, ssl_world, [scene.name], TrainConfig(seed=0)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bilayer.vocab import IDENTITY_FAMILY, Kind, VocabError, Vocabulary
@@ -94,7 +96,7 @@ class TestFamilies:
 class TestSerialization:
     def test_round_trip_preserves_everything(self):
         v = small_vocab()
-        w = Vocabulary.loads(v.dumps())
+        w = Vocabulary.from_dict(json.loads(v.dumps()))
         assert w.to_dict() == v.to_dict()
         assert len(w) == len(v)
         for i in range(len(v)):
@@ -104,7 +106,7 @@ class TestSerialization:
 
     def test_digest_is_name_based(self):
         v1 = small_vocab()
-        v2 = Vocabulary.loads(v1.dumps())
+        v2 = Vocabulary.from_dict(json.loads(v1.dumps()))
         assert v1.digest() == v2.digest()
         v2.add_entity("extra")
         assert v1.digest() != v2.digest()

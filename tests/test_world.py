@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilayer.params import ParamError, write_archive
 from bilayer.triple_store import UNKNOWN, ConflictError, TripleStore, write_jsonl
 from bilayer.world import (
     EntityRecord,
@@ -25,18 +26,18 @@ from bilayer.world import (
     _hold_out,
     _predicate_sampler,
     _scene_pool,
+    FEATURES_FORMAT,
+    FEATURES_VERSION,
     WorldConfig,
     WorldError,
-    entity_box_features,
+    box_features,
     export_world,
     gen_world,
     load_world,
     read_features,
-    relation_box_features,
     scene_features,
     social_network,
     substream,
-    write_features,
 )
 
 from util import (
@@ -94,11 +95,11 @@ class TestWorldConfig:
         config = WorldConfig(n_entities=30, n_scenes=10, n_test_entities=0, n_test_scenes=0, seed=5)
         world = gen_world(config)
         assert not world.test_entities
-        assert all(np.all(np.isfinite(v)) for v in world.features.values())
+        assert np.all(np.isfinite(world.features))
 
     def test_round_trip(self):
         config = WorldConfig(n_entities=12, n_scenes=3, seed=4, owners=False)
-        assert WorldConfig.from_dict(config.to_dict()) == config
+        assert WorldConfig(**config.to_dict()) == config
 
 
 class TestSubstream:
@@ -216,9 +217,8 @@ class TestGeneration:
         assert [(s.name, s.kind, s.members, s.binaries) for s in a.scenes] == [
             (s.name, s.kind, s.members, s.binaries) for s in b.scenes
         ]
-        assert set(a.features) == set(b.features)
-        for key in a.features:
-            np.testing.assert_array_equal(a.features[key], b.features[key])
+        assert a.feature_index == b.feature_index
+        np.testing.assert_array_equal(a.features, b.features)
         assert a.heldout == b.heldout
         assert a.zs_examples == b.zs_examples
 
@@ -273,27 +273,26 @@ class TestGeneration:
             # same underlying situation, independently re-rendered views
             twin = trains["t" + s.name[1:]]
             assert s.members == twin.members
-            key_a, key_b = s.scene_key, twin.scene_key
-            assert not np.array_equal(world.features[key_a], world.features[key_b])
+            view_a, view_b = world.features_of([s.scene_key, twin.scene_key])
+            assert not np.array_equal(view_a, view_b)
 
     def test_feature_coverage(self, clean_world):
-        feats = clean_world.features
+        assert clean_world.features.shape == (len(clean_world.feature_index), 24)
+        assert clean_world.features.dtype == np.float32
+        feats = clean_world.feature_index
         for scene in clean_world.scenes_of_kind("train", "e_test"):
             assert scene.scene_key in feats
             for m in scene.members:
                 assert scene.bb_key(m) in feats
-                assert feats[scene.bb_key(m)].shape == (24,)
             for i in range(len(scene.binaries)):
                 assert scene.rel_key(i) in feats
 
     def test_noise_free_scene_feature_is_member_mean(self, clean_world):
         scene = clean_world.scenes_of_kind("train")[0]
-        boxes = [
-            clean_world.features[scene.bb_key(m)].astype(np.float64)
-            for m in scene.members
-        ]
+        boxes = clean_world.features_of([scene.bb_key(m) for m in scene.members])
         np.testing.assert_allclose(
-            clean_world.features[scene.scene_key], np.mean(boxes, axis=0), atol=1e-6
+            clean_world.features_of([scene.scene_key])[0],
+            np.mean(boxes.astype(np.float64), axis=0), atol=1e-6,
         )
 
     def test_box_features_cluster_by_class(self, clean_world):
@@ -302,7 +301,7 @@ class TestGeneration:
             for m in scene.members:
                 cls = clean_world.entity_record(m).labels["BClass"]
                 by_class.setdefault(cls, []).append(
-                    clean_world.features[scene.bb_key(m)].astype(np.float64)
+                    clean_world.features_of([scene.bb_key(m)])[0].astype(np.float64)
                 )
         by_class = {c: v for c, v in by_class.items() if len(v) >= 2}
         assert len(by_class) >= 2
@@ -334,7 +333,7 @@ class TestFeatureSynthesis:
         projection, (proto, latent) = self._parts(1, (3, 2))
         rng = substream(0, "noise")
         state = rng.bit_generator.state
-        out = entity_box_features(projection, proto, latent, 0.0, rng)
+        out = box_features(projection, [proto, latent], 0.0, rng)
         assert out.dtype == np.float32
         np.testing.assert_array_equal(
             out, (projection @ np.concatenate([proto, latent])).astype(np.float32))
@@ -342,7 +341,7 @@ class TestFeatureSynthesis:
 
     def test_relation_box_without_noise_is_the_projection(self):
         projection, (ls, lo, proto) = self._parts(2, (2, 2, 3))
-        out = relation_box_features(projection, ls, lo, proto, 0.0, substream(0, "noise"))
+        out = box_features(projection, [ls, lo, proto], 0.0, substream(0, "noise"))
         assert out.dtype == np.float32
         np.testing.assert_array_equal(
             out, (projection @ np.concatenate([ls, lo, proto])).astype(np.float32))
@@ -355,9 +354,9 @@ class TestFeatureSynthesis:
 
     def test_noise_is_seeded_and_scaled_by_sigma(self):
         projection, (proto, latent) = self._parts(4, (3, 2))
-        clean = entity_box_features(projection, proto, latent, 0.0, substream(0, "n"))
-        a = entity_box_features(projection, proto, latent, 0.5, substream(7, "n"))
-        b = entity_box_features(projection, proto, latent, 0.5, substream(7, "n"))
+        clean = box_features(projection, [proto, latent], 0.0, substream(0, "n"))
+        a = box_features(projection, [proto, latent], 0.5, substream(7, "n"))
+        b = box_features(projection, [proto, latent], 0.5, substream(7, "n"))
         np.testing.assert_array_equal(a, b)
         want = clean + 0.5 * substream(7, "n").normal(0.0, 1.0, size=6)
         np.testing.assert_allclose(a, want, rtol=1e-5, atol=1e-5)
@@ -446,7 +445,7 @@ class TestZeroShotHoldout:
             assert clean_world.entity_record(ex["s"]).labels["BClass"] == ex["s_class"]
             assert clean_world.entity_record(ex["o"]).labels["BClass"] == ex["o_class"]
             for suffix in (":s", ":o", ":scene", ":rel"):
-                assert ex["key"] + suffix in clean_world.features
+                assert ex["key"] + suffix in clean_world.feature_index
 
 
 class TestStoreIngestion:
@@ -506,17 +505,14 @@ class TestStoreIngestion:
 
 class TestExport:
     def test_feature_archive_round_trip(self, tmp_path):
-        rng = substream(0, "f")
-        feats = {
-            "a": rng.standard_normal(8).astype(np.float32),
-            "b:rel0": rng.standard_normal(8).astype(np.float32),
-        }
+        matrix = substream(0, "f").standard_normal((2, 8)).astype(np.float32)
         base = str(tmp_path / "features")
-        write_features(feats, base)
-        loaded = read_features(base)
-        assert set(loaded) == set(feats)
-        for key in feats:
-            np.testing.assert_array_equal(loaded[key], feats[key])
+        write_archive(base, FEATURES_FORMAT, FEATURES_VERSION, {"keys": ["b:rel0", "a"]},
+                      [("features", matrix)], np.float32)
+        loaded, index = read_features(base, 8)
+        assert index == {"b:rel0": 0, "a": 1}
+        np.testing.assert_array_equal(loaded, matrix)
+        assert loaded.dtype == np.float32 and loaded.flags.writeable
 
     def test_read_features_rejects_foreign_manifest(self, tmp_path):
         base = str(tmp_path / "features")
@@ -524,8 +520,21 @@ class TestExport:
             json.dump({"format": "other"}, fp)
         with open(base + ".bin", "wb") as fp:
             fp.write(b"")
-        with pytest.raises(WorldError, match="archive"):
-            read_features(base)
+        with pytest.raises(ParamError, match="not a bilayer-features manifest"):
+            read_features(base, 8)
+
+    def test_archive_holds_one_matrix_and_its_keys_in_row_order(self, clean_world, tmp_path):
+        export_world(clean_world, str(tmp_path))
+        doc = json.loads((tmp_path / "features.json").read_text(encoding="utf-8"))
+        assert (doc["format"], doc["version"]) == ("bilayer-features", 2)
+        n, dim = clean_world.features.shape
+        assert doc["tensors"] == [{"name": "features", "shape": [n, dim], "offset": 0,
+                                   "nbytes": n * dim * 4}]
+        assert doc["keys"] == list(clean_world.feature_index)
+        assert [clean_world.feature_index[k] for k in doc["keys"]] == list(range(n))
+        blob = (tmp_path / "features.bin").read_bytes()
+        assert doc["blob_sha256"] == hashlib.sha256(blob).hexdigest()
+        assert blob == clean_world.features.astype("<f4").tobytes()
 
     def test_export_load_reexport_is_byte_identical(self, clean_world, tmp_path):
         first = tmp_path / "one"
