@@ -62,7 +62,7 @@ from .triple_store import (
 from .vocab import IDENTITY_FAMILY, Kind, VocabError, Vocabulary
 from .world import (
     GroundTruthWorld,
-    Ontology,
+    ONTOLOGY,
     WorldConfig,
     WorldError,
     export_world,

@@ -18,13 +18,17 @@ inject_rho, dropout, direct, hidden_families, excluded_families,
 ssl_learning_rate, ssl_epochs, novelty_threshold) and the network widths of
 `NetConfig` (rep_dim, ctx_dim, tied, dtype); feature_dim comes from the world.
 `bilayer train` writes the config it trained with in this shape, as
-train-config.json.  The `--config` of gen is a flat `WorldConfig`.  A file
-that is not a JSON object, or a key that is not one of these, exits 2
-(usage) with one line that names the unknown keys and lists the valid ones.
-A setting of the wrong type or out of range (a bare string for a list of
-modes or families, a family the vocabulary lacks, a network width that is
-not a positive int, a world setting whose type is not its default's) exits 3
-(data), also with one line.
+train-config.json.  The `--config` of gen is a flat `WorldConfig`, the shape
+of the `config.json` every world directory holds, so `bilayer gen --config
+W/config.json` writes W's files again byte for byte.  A file that is not a
+JSON object, or a key that is not one of these, exits 2 (usage) with one
+line that names the unknown keys and lists the valid ones.  A setting of the
+wrong type or out of range (a train or world setting whose type is not its
+default's, a bare string for a list of modes or families, a family the
+vocabulary lacks, a network width that is not a positive int) exits 3
+(data), also with one line, as does a decode clamp of the wrong kind (an
+episodic or fuse `--t` that is not an instance, an `--s` that is not an
+entity, class or attribute).
 
 Every command writes a manifest.json into --out recording config/input
 hashes and outputs, even when it fails; timestamps live only there, so reruns
@@ -119,11 +123,7 @@ def _split_train_config(doc: dict, feature_dim: int, seed: int | None) -> tuple[
     train_doc = {k: v for k, v in doc.items() if k not in _NET_KEYS}
     if seed is not None:
         train_doc["seed"] = seed
-    try:
-        train_config = TrainConfig.from_dict(train_doc)
-    except TypeError as exc:
-        raise UsageError(f"bad train config: {exc}") from exc
-    return train_config, NetConfig(feature_dim=feature_dim, **net_doc)
+    return TrainConfig.from_dict(train_doc), NetConfig(feature_dim=feature_dim, **net_doc)
 
 
 def _manifest_run(command: str, args: argparse.Namespace, inputs: list[str], body) -> None:
@@ -181,10 +181,7 @@ def cmd_gen(args: argparse.Namespace) -> None:
     check_keys("bad world config", doc, [f.name for f in fields(WorldConfig)], error=UsageError)
     if args.seed is not None:
         doc["seed"] = args.seed
-    try:
-        config = WorldConfig(**doc)
-    except TypeError as exc:
-        raise UsageError(f"bad world config: {exc}") from exc
+    config = WorldConfig(**doc)
 
     def body() -> list[str]:
         world = gen_world(config)
@@ -257,6 +254,8 @@ def _decode_record(trace, vocab: Vocabulary, mode: str) -> dict:
 
 
 def cmd_decode(args: argparse.Namespace) -> None:
+    if args.n < 0:
+        raise UsageError(f"--n must be a nonnegative number of passes, not {args.n}")
     world = load_world(args.world)
     vocab = world.vocab
 

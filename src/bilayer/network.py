@@ -28,7 +28,9 @@ over must be finite.  A commitment takes, per row, the clamped index if the
 request names one (`instance_id` in episodic and perception mode,
 `subject_id`, `object_id`), else the attention mixture the variant asks for,
 else a pick: the argmax under winner-take-all, otherwise a draw from the
-softmax at temperature 1.  Attention mixes at temperature 1 too.  The
+softmax at temperature 1.  Attention mixes at temperature 1 too.  An
+instance clamp must name an instance, and a subject or object clamp an
+entity, class or attribute; a clamp of another kind is refused.  The
 predicate step only picks; a step that only picks records no id when it has no
 columns to pick from.  Every family's label is read from the one concept-score
 block at the committed subject: Identity from the entity block, every other
@@ -286,12 +288,27 @@ def _heads(cmap: ColumnMap, request: DecodeRequest, step: str) -> tuple:
     return cmap.concept_idx, None, cmap.concept_cols, mix
 
 
-def _commit(params, cmap, rep, z, clamps, scores, cols, pick, mix=None):
-    """One commitment for every row of `rep` (squashed: `z`).  A clamped row
-    adds its symbol's column.  Each other row adds the column picked from
-    `scores` (positions in `cols`), or, with a readout index `mix`, the
-    attention mixture over `emb[:, mix]`, which commits no id.  Returns the
-    new representations and the per-row ids."""
+def _step_cols(cmap: ColumnMap, vocab: Vocabulary, step: str, ids: list) -> np.ndarray:
+    """The columns of the ids `step` commits.  An instance step's ids must be
+    instances and a subject or object step's concepts (entities, classes or
+    attributes); a picked id always is, so one compare over every row finds
+    a clamp of the wrong kind."""
+    cols = cmap.cols_of(ids)
+    outside = (cmap.instance_pos(cols) if step == "instance" else cmap.concept_pos(cols)) < 0
+    if outside.any():
+        sid = ids[int(outside.argmax())]
+        want = "an instance" if step == "instance" else "an entity, class or attribute"
+        raise NetworkError(f"the {step} clamp {vocab.name_of(sid)!r} "
+                           f"({vocab.kind_of(sid).value}) is not {want}")
+    return cols
+
+
+def _commit(params, cmap, vocab, step, rep, z, clamps, scores, cols, pick, mix=None):
+    """One commitment of `step` for every row of `rep` (squashed: `z`).  A
+    clamped row adds its symbol's column.  Each other row adds the column
+    picked from `scores` (positions in `cols`), or, with a readout index
+    `mix`, the attention mixture over `emb[:, mix]`, which commits no id.
+    Returns the new representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
     if mix is None:
@@ -299,11 +316,12 @@ def _commit(params, cmap, rep, z, clamps, scores, cols, pick, mix=None):
             block = scores if len(free) == len(ids) else scores[free]
             for i, sid in zip(free, _pick_ids(cmap, pick, block, cols)):
                 ids[i] = sid
-        return rep + params.emb.T[cmap.cols_of(ids)], ids
+        return rep + params.emb.T[_step_cols(cmap, vocab, step, ids)], ids
     out = attention_update(params, rep, z, mix)
     fixed = [i for i, c in enumerate(ids) if c is not None]
     if fixed:
-        out[fixed] = rep[fixed] + params.emb.T[cmap.cols_of([ids[i] for i in fixed])]
+        clamped = _step_cols(cmap, vocab, step, [ids[i] for i in fixed])
+        out[fixed] = rep[fixed] + params.emb.T[clamped]
     return out, ids
 
 
@@ -396,7 +414,7 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
         if rep is None:  # a memory mode's instance: the clamped column or the pooled vector
             if first.mode == "episodic":
                 ids[step] = [r.instance_id for r in requests]
-                rep = params.emb.T[cmap.cols_of(ids[step])]
+                rep = params.emb.T[_step_cols(cmap, vocab, step, ids[step])]
             else:
                 rep = np.tile(params.pooled, (len(requests), 1))
         z = sigmoid(rep)
@@ -409,7 +427,8 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
                     ids[step] = _pick_ids(cmap, pick, block, cols)
             else:
                 clamps = [getattr(r, f"{step}_id") for r in requests]
-                rep, ids[step] = _commit(params, cmap, rep, z, clamps, block, cols, pick, mix)
+                rep, ids[step] = _commit(params, cmap, vocab, step, rep, z, clamps, block, cols,
+                                         pick, mix)
                 z = sigmoid(rep)
         reps[step] = rep
         if step == "subject":  # one label per family, from one concept-score block

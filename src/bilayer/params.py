@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class ColumnMap:
 
     def cols_of(self, symbol_ids) -> np.ndarray:
         pos = self._pos[np.asarray(symbol_ids, dtype=np.int64)]
-        if np.any(pos < 0):
+        if (pos < 0).any():
             raise ParamError("some symbol ids have no embedding column")
         return pos
 
@@ -286,6 +286,21 @@ def check_keys(where: str, doc, valid, required=(), error=ParamError) -> None:
     missing = [k for k in required if k not in doc]
     if missing:
         raise error(f"{where}: missing keys {', '.join(missing)}")
+
+
+def check_types(what: str, settings, error) -> None:
+    """Refuse, with one line, a setting of the dataclass `settings` whose
+    type is not its default's: an int passes for a float, and a bool passes
+    for nothing but a bool.  Settings whose default is not a scalar (a tuple
+    of names) are left to their class."""
+    for f in fields(settings):
+        kind = type(f.default)
+        if kind not in (bool, int, float, str):
+            continue
+        value = getattr(settings, f.name)
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise error(f"{what} {f.name} must be of type {kind.__name__}, not {value!r}")
 
 
 def _offset(spec: dict) -> int:

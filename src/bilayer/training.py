@@ -39,7 +39,7 @@ import numpy as np
 from . import graph
 from .graph import Batch
 from .network import DecodeRequest, NumericsError, SceneInput, decode_chunked, sigmoid
-from .params import ColumnMap, NetParams
+from .params import ColumnMap, NetParams, check_types
 from .triple_store import UNKNOWN, TripleStore
 from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
 from .world import GroundTruthWorld, substream
@@ -77,6 +77,7 @@ class TrainConfig:
     novelty_threshold: float = 0.6
 
     def __post_init__(self) -> None:
+        check_types("train", self, TrainError)
         for key in ("modes", "hidden_families", "excluded_families"):
             names = getattr(self, key)
             if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):

@@ -452,9 +452,12 @@ class TripleStore:
             self._check_id(e)
             if v.kind_of(e) is not Kind.ENTITY:
                 raise StoreError(f"observed id {v.name_of(e)!r} is not an entity")
+        self._check_instance(t)
+
+    def _check_instance(self, t: int) -> None:
         self._check_id(t)
-        if v.kind_of(t) is not Kind.INSTANCE:
-            raise StoreError(f"{v.name_of(t)!r} is not an instance")
+        if self.vocab.kind_of(t) is not Kind.INSTANCE:
+            raise StoreError(f"{self.vocab.name_of(t)!r} is not an instance")
 
     # -- raw counts ----------------------------------------------------------
 
@@ -491,6 +494,7 @@ class TripleStore:
 
     def n_statements(self, t: int) -> int:
         """Number of true statements recorded at instance t."""
+        self._check_instance(t)
         return len(self._instance_rows(t))
 
     def total_statements(self, truth: bool = True) -> int:

@@ -200,9 +200,11 @@ class Vocabulary:
             "attributes": vocab.add_attribute,
             "instances": vocab.add_instance,
         }
-        # Preserve registration order: ids are positional, so replay kinds in
-        # the order the export interleaves them is not needed; exports are
-        # grouped by kind and re-imports only need name->kind fidelity.
+        # An export lists the names grouped by kind, so a load registers the
+        # predicates, entities, classes, attributes and instances in turn, and
+        # numbers its ids differently from the vocabulary that was exported.
+        # Each name keeps its kind, its family and its place among the names
+        # of its kind, so a `ColumnMap` lays out the same columns.
         for name in data.get("predicates", []):
             if name != HAS_ATTRIBUTE:
                 vocab.add_predicate(name)

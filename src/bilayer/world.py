@@ -6,16 +6,20 @@ through a fixed subclass forest), an age, a color, and an activity, plus a
 risk label derived from a hidden rule (living things are Dangerous).  Scenes
 are sets of entities with a few binary statements whose predicate frequencies
 depend on the (subject class, object class) pair, so class-level regularities
-exist to be learned.
+exist to be learned.  The classes, labels and predicates are one constant,
+`ONTOLOGY`; what varies between worlds is a flat `WorldConfig`, the document
+`bilayer gen --config` reads and every exported world's `config.json` holds.
 
 Feature vectors replace a vision backbone: a fixed random projection of the
 entity's class prototype concatenated with its private latent vector, plus
-fresh Gaussian noise per view.  Age and activity are deliberately absent from
-features (a single view cannot show them; only memory can recover them) and
-risk labels are never shown to perception.  Every box of every view (scene,
-entity box, relation box, zero-shot box) is one row of one float32 matrix,
-found by its key; the feature archive stores that matrix and its keys in row
-order as one tensor of the shared archive format (`params.write_archive`).
+fresh Gaussian noise per view.  The prototypes and latents live only inside
+`gen_world`, so a loaded world holds what a generated one does.  Age and
+activity are deliberately absent from features (a single view cannot show
+them; only memory can recover them) and risk labels are never shown to
+perception.  Every box of every view (scene, entity box, relation box,
+zero-shot box) is one row of one float32 matrix, found by its key; the
+feature archive stores that matrix and its keys in row order as one tensor
+of the shared archive format (`params.write_archive`).
 """
 from __future__ import annotations
 
@@ -23,11 +27,11 @@ import bisect
 import json
 import os
 import zlib
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from .params import check_keys, read_manifest, read_tensors, write_archive
+from .params import check_keys, check_types, read_manifest, read_tensors, write_archive
 from .triple_store import TripleStore, write_jsonl
 from .vocab import Vocabulary
 
@@ -49,31 +53,23 @@ def substream(seed: int, *tags: str | int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Ontology:
-    g_children: dict = field(default_factory=lambda: {
-        "LivingBeing": ["Mammal", "Bird"],
-        "NonLivingBeing": ["Vehicle", "Furniture"],
-    })
-    p_children: dict = field(default_factory=lambda: {
-        "Mammal": ["Dog", "Cat", "Person"],
-        "Bird": ["Sparrow", "Owl"],
-        "Vehicle": ["Car", "Bus", "Bike"],
-        "Furniture": ["Chair", "Table"],
-    })
-    ages: tuple = ("Young", "Old")
-    colors: tuple = ("Black", "White", "Brown", "Green", "Gray")
-    activities: tuple = ("Resting", "Moving", "Eating", "Watching")
-    risks: tuple = ("Dangerous", "Harmless")
-    risk_rule: dict = field(default_factory=lambda: {
-        "LivingBeing": "Dangerous",
-        "NonLivingBeing": "Harmless",
-    })
-    scene_predicates: tuple = (
-        "near", "on", "under", "behind", "looksAt", "chases", "holds", "passes",
-    )
-    nonvisual_predicates: tuple = ("ownedBy", "lovedBy")
-    social_predicate: str = "knows"
-    owned_class: str = "Dog"
-    owner_class: str = "Person"
+    """The symbols every world is made of: a forest of top classes over
+    parent classes over base classes, the values of the attribute families,
+    the rule that gives each top class its risk, and the predicates.  Its
+    one instance is the constant `ONTOLOGY`; no world file carries it."""
+
+    g_children: dict[str, list[str]]
+    p_children: dict[str, list[str]]
+    ages: tuple[str, ...]
+    colors: tuple[str, ...]
+    activities: tuple[str, ...]
+    risks: tuple[str, ...]
+    risk_rule: dict[str, str]
+    scene_predicates: tuple[str, ...]
+    nonvisual_predicates: tuple[str, ...]
+    social_predicate: str
+    owned_class: str
+    owner_class: str
 
     @property
     def b_classes(self) -> tuple:
@@ -114,12 +110,34 @@ class Ontology:
             "Risk": self.risks,
         }
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+ONTOLOGY = Ontology(
+    g_children={"LivingBeing": ["Mammal", "Bird"], "NonLivingBeing": ["Vehicle", "Furniture"]},
+    p_children={
+        "Mammal": ["Dog", "Cat", "Person"], "Bird": ["Sparrow", "Owl"],
+        "Vehicle": ["Car", "Bus", "Bike"], "Furniture": ["Chair", "Table"],
+    },
+    ages=("Young", "Old"),
+    colors=("Black", "White", "Brown", "Green", "Gray"),
+    activities=("Resting", "Moving", "Eating", "Watching"),
+    risks=("Dangerous", "Harmless"),
+    risk_rule={"LivingBeing": "Dangerous", "NonLivingBeing": "Harmless"},
+    scene_predicates=("near", "on", "under", "behind", "looksAt", "chases", "holds", "passes"),
+    nonvisual_predicates=("ownedBy", "lovedBy"),
+    social_predicate="knows",
+    owned_class="Dog",
+    owner_class="Person",
+)
+
+SOCIAL_K = 5        # acquaintances per person in the social network
+SOCIAL_BETA = 1.0   # how sharply `social_network` orients an edge
 
 
 @dataclass
 class WorldConfig:
+    """The settings of a world: the flat document `bilayer gen --config`
+    reads and every world's `config.json` holds."""
+
     n_entities: int = 300
     n_scenes: int = 120
     mean_entities_per_scene: float = 4.0
@@ -127,9 +145,7 @@ class WorldConfig:
     feature_dim: int = 48
     proto_dim: int = 12
     noise_sigma: float = 0.3
-    ex_noise_sigma: float | None = None   # re-render noise for ex_test views
     scene_noise_sigma: float = 0.15
-    latent_scale: float = 1.0
     theme_bias: float = 0.7
     n_test_entities: int = 40
     n_test_scenes: int = 15
@@ -137,22 +153,12 @@ class WorldConfig:
     unlabeled_fraction: float = 0.0
     owners: bool = True
     social: bool = True
-    social_k: int = 5
-    social_beta: float = 1.0
     zero_shot_fraction: float = 0.10
     zero_shot_per_combo: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # each setting has its default's type; an int passes for a float, a bool for nothing else
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            kind = float if f.default is None else type(f.default)
-            allowed = (int, float) if kind is float else kind
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-                raise WorldError(f"world {f.name} must be of type {kind.__name__}, not {value!r}")
+        check_types("world", self, WorldError)
         if self.n_entities < 1 or self.n_scenes < 1:
             raise WorldError("need at least one entity and one scene")
         if self.mean_entities_per_scene < 2:
@@ -163,8 +169,6 @@ class WorldConfig:
             raise WorldError("zero_shot_fraction must be in [0, 1)")
         if self.noise_sigma < 0 or self.scene_noise_sigma < 0:
             raise WorldError("noise levels must be nonnegative")
-        if self.ex_noise_sigma is not None and self.ex_noise_sigma < 0:
-            raise WorldError("noise levels must be nonnegative")
         if self.n_test_scenes > 0 and self.n_test_entities < 1:
             raise WorldError("test scenes need at least one test entity")
 
@@ -174,10 +178,13 @@ class WorldConfig:
 
 @dataclass
 class EntityRecord:
+    """An entity's name, its label in each family and whether a scene may
+    show it (an owner is not visual).  Its latent vector, which the feature
+    synthesis reads, lives only inside `gen_world`."""
+
     name: str
     labels: dict[str, str]  # family -> label name
     visual: bool = True
-    latent: np.ndarray | None = None
 
 
 @dataclass
@@ -202,14 +209,16 @@ class SceneRecord:
 
 @dataclass
 class GroundTruthWorld:
-    """A generated or loaded world.  `features` holds one float32 row per
-    box, `(n_boxes, feature_dim)`, and `feature_index` maps each box's key
+    """A world, the same whether generated or loaded: `load_world` of an
+    export holds every field `gen_world` made.  Its symbols come from
+    `ONTOLOGY`.  `features` holds one float32 row per box, `(n_boxes,
+    feature_dim)`, and `feature_index` maps each box's key
     (`SceneRecord.scene_key`, `bb_key`, `rel_key`, or a zero-shot example's
     `<key>:scene|s|o|rel`) to its row.  Rows are in generation order, and
-    `feature_index` lists its keys in row order."""
+    `feature_index` lists its keys in row order.  The class prototypes and
+    entity latents that made the features are not kept."""
 
     config: WorldConfig
-    ontology: Ontology
     vocab: Vocabulary
     entities: dict[str, EntityRecord]
     test_entities: dict[str, EntityRecord]
@@ -220,7 +229,6 @@ class GroundTruthWorld:
     heldout: list[tuple[str, str, str]]
     zs_examples: list[dict]
     social_edges: list[tuple[str, str]]
-    prototypes: dict[str, np.ndarray] | None = None
     _store: TripleStore | None = None
 
     def entity_record(self, name: str) -> EntityRecord:
@@ -280,7 +288,10 @@ def _draw(seq: tuple, rng: np.random.Generator):
     return seq[int(rng.integers(len(seq)))]
 
 
-def _draw_entity(name: str, onto: Ontology, rng: np.random.Generator, protos, scale) -> EntityRecord:
+def _draw_entity(name: str, rng: np.random.Generator, protos) -> tuple[EntityRecord, np.ndarray]:
+    """An entity's labels and its latent vector: its colour's prototype plus
+    standard normal noise."""
+    onto = ONTOLOGY
     b = _draw(onto.b_classes, rng)
     p = onto.parent_of(b)
     g = onto.top_of(p)
@@ -293,16 +304,16 @@ def _draw_entity(name: str, onto: Ontology, rng: np.random.Generator, protos, sc
         "Activity": _draw(onto.activities, rng),
         "Risk": onto.risk_rule[g],
     }
-    latent = protos[labels["Color"]] + scale * rng.normal(size=protos[b].shape)
-    return EntityRecord(name=name, labels=labels, visual=True, latent=latent)
+    latent = protos[labels["Color"]] + rng.normal(size=protos[b].shape)
+    return EntityRecord(name=name, labels=labels), latent
 
 
-def _build_pair_table(onto: Ontology, rng: np.random.Generator):
+def _build_pair_table(rng: np.random.Generator):
     weights = (0.70, 0.20, 0.10)
     table: dict[tuple[str, str], list[tuple[str, float]]] = {}
-    preds = list(onto.scene_predicates)
-    for cs in onto.b_classes:
-        for co in onto.b_classes:
+    preds = list(ONTOLOGY.scene_predicates)
+    for cs in ONTOLOGY.b_classes:
+        for co in ONTOLOGY.b_classes:
             picks = rng.choice(len(preds), size=min(3, len(preds)), replace=False)
             table[(cs, co)] = [(preds[int(i)], weights[j]) for j, i in enumerate(picks)]
     return table
@@ -379,19 +390,20 @@ def _nth_free(j: int, taken: list[int]) -> int:
 
 
 def _compose_scene(
-    name, kind, instance, pool: _ScenePool, onto, config, predicates, rng
+    name, kind, instance, pool: _ScenePool, config, predicates, rng
 ) -> SceneRecord:
     """A scene of k distinct members drawn from `pool` around a theme (a parent
     class or a colour), then up to `binary_per_scene` binary statements among
-    them, their predicates drawn from `predicates` (`_predicate_sampler`).  While the theme has unchosen members, each pick takes one of them
+    them, their predicates drawn from `predicates` (`_predicate_sampler`).
+    While the theme has unchosen members, each pick takes one of them
     with probability `theme_bias`; otherwise it takes any unchosen member.  A
     pick draws j over the unchosen candidates and takes the j-th of them in
     pool order, found by stepping past the sorted positions already chosen, so
     a scene costs O(k^2) whatever the size of the pool."""
     if rng.random() < 0.5:
-        fam, label = "PClass", _draw(onto.p_classes, rng)
+        fam, label = "PClass", _draw(ONTOLOGY.p_classes, rng)
     else:
-        fam, label = "Color", _draw(onto.colors, rng)
+        fam, label = "Color", _draw(ONTOLOGY.colors, rng)
     records = pool.records
     themed = pool.themes.get((fam, label), [])
     k = 2 + int(rng.poisson(config.mean_entities_per_scene - 2))
@@ -430,25 +442,22 @@ def _compose_scene(
     )
 
 
-def _scene_view_features(world: GroundTruthWorld, scene: SceneRecord, rng,
+def _scene_view_features(scene: SceneRecord, records, protos, latents, cfg: WorldConfig, rng,
                          boxes: dict[str, np.ndarray]) -> None:
-    cfg = world.config
-    protos = world.prototypes
+    """Add the scene's boxes to `boxes`: each member's entity box, the scene
+    box, then each binary statement's relation box."""
     proj_ent = protos["_proj_entity"]
     proj_rel = protos["_proj_relation"]
-    sigma = cfg.noise_sigma
-    if scene.kind == "ex_test" and cfg.ex_noise_sigma is not None:
-        sigma = cfg.ex_noise_sigma
     members = []
     for name in scene.members:
-        rec = world.entity_record(name)
-        feat = box_features(proj_ent, [protos[rec.labels["BClass"]], rec.latent], sigma, rng)
+        b = records[name].labels["BClass"]
+        feat = box_features(proj_ent, [protos[b], latents[name]], cfg.noise_sigma, rng)
         boxes[scene.bb_key(name)] = feat
         members.append(feat.astype(np.float64))
     boxes[scene.scene_key] = scene_features(members, cfg.scene_noise_sigma, rng)
     for i, (s, p, o) in enumerate(scene.binaries):
-        parts = [world.entity_record(s).latent, world.entity_record(o).latent, protos[p]]
-        boxes[scene.rel_key(i)] = box_features(proj_rel, parts, sigma, rng)
+        parts = [latents[s], latents[o], protos[p]]
+        boxes[scene.rel_key(i)] = box_features(proj_rel, parts, cfg.noise_sigma, rng)
 
 
 def social_network(
@@ -484,8 +493,8 @@ def social_network(
     return out
 
 
-def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTruthWorld:
-    onto = ontology or Ontology()
+def gen_world(config: WorldConfig) -> GroundTruthWorld:
+    onto = ONTOLOGY
     seed = config.seed
 
     vocab = Vocabulary()
@@ -514,10 +523,11 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
         size=(config.feature_dim, 3 * config.proto_dim)
     ) / np.sqrt(3 * config.proto_dim)
 
+    latents: dict[str, np.ndarray] = {}  # entity name -> latent, for the feature synthesis
     ent_rng = substream(seed, "entities")
     entities: dict[str, EntityRecord] = {}
     for i in range(config.n_entities):
-        rec = _draw_entity(f"e{i:04d}", onto, ent_rng, protos, config.latent_scale)
+        rec, latents[f"e{i:04d}"] = _draw_entity(f"e{i:04d}", ent_rng, protos)
         entities[rec.name] = rec
         vocab.add_entity(rec.name)
 
@@ -526,7 +536,7 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
         own_rng = substream(seed, "owners")
         owned = [e for e in entities.values() if e.labels["BClass"] == onto.owned_class]
         for i, dog in enumerate(owned):
-            rec = _draw_entity(f"w{i:04d}", onto, own_rng, protos, config.latent_scale)
+            rec, latents[f"w{i:04d}"] = _draw_entity(f"w{i:04d}", own_rng, protos)
             rec.labels["BClass"] = onto.owner_class
             rec.labels["PClass"] = onto.parent_of(onto.owner_class)
             rec.labels["GClass"] = onto.top_of(rec.labels["PClass"])
@@ -539,11 +549,11 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
     test_rng = substream(seed, "test-entities")
     test_entities: dict[str, EntityRecord] = {}
     for i in range(config.n_test_entities):
-        rec = _draw_entity(f"v{i:04d}", onto, test_rng, protos, config.latent_scale)
+        rec, latents[f"v{i:04d}"] = _draw_entity(f"v{i:04d}", test_rng, protos)
         test_entities[rec.name] = rec
 
     table_rng = substream(seed, "pair-table")
-    table = _build_pair_table(onto, table_rng)
+    table = _build_pair_table(table_rng)
     heldout = _hold_out(table, config.zero_shot_fraction, substream(seed, "zero-shot"))
     predicates = _predicate_sampler(table, set(heldout))
 
@@ -559,7 +569,6 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
                 "unlabeled" if unlabeled else "train",
                 not unlabeled,
                 visual_pool,
-                onto,
                 config,
                 predicates,
                 scene_rng,
@@ -569,7 +578,7 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
     for i in range(config.n_test_scenes):
         scenes.append(
             _compose_scene(
-                f"g{i:04d}", "e_test", False, test_pool, onto, config, predicates, scene_rng
+                f"g{i:04d}", "e_test", False, test_pool, config, predicates, scene_rng
             )
         )
 
@@ -601,14 +610,12 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
 
     social_edges: list[tuple[str, str]] = []
     persons = {
-        name: rec.latent
+        name: latents[name]
         for name, rec in entities.items()
         if rec.labels["BClass"] == onto.owner_class
     }
-    if config.social and len(persons) >= config.social_k + 1:
-        per_person = social_network(
-            persons, config.social_k, config.social_beta, substream(seed, "social")
-        )
+    if config.social and len(persons) >= SOCIAL_K + 1:
+        per_person = social_network(persons, SOCIAL_K, SOCIAL_BETA, substream(seed, "social"))
         for i, name in enumerate(sorted(per_person)):
             edges = per_person[name]
             friends = sorted({u for e in edges for u in e if u != name})
@@ -625,26 +632,19 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
         if scene.instance:
             vocab.add_instance(scene.name)
 
-    world = GroundTruthWorld(
-        config=config, ontology=onto, vocab=vocab,
-        entities=entities, test_entities=test_entities, scenes=scenes,
-        features=np.zeros((0, config.feature_dim), np.float32), feature_index={},
-        pair_table=table, heldout=heldout,
-        zs_examples=[], social_edges=social_edges, prototypes=protos,
-    )
-
     boxes: dict[str, np.ndarray] = {}  # key -> feature vector, in generation order
+    records = {**entities, **test_entities}
     feat_rng = substream(seed, "features")
     for scene in scenes:
         if scene.kind in ("train", "ex_train", "ex_test", "e_test", "unlabeled"):
-            _scene_view_features(world, scene, feat_rng, boxes)
+            _scene_view_features(scene, records, protos, latents, config, feat_rng, boxes)
 
     zs_rng = substream(seed, "zs-examples")
     by_class: dict[str, list[str]] = {}
     for rec in entities.values():
         if rec.visual:
             by_class.setdefault(rec.labels["BClass"], []).append(rec.name)
-    idx = 0
+    zs_examples: list[dict] = []
     for cs, p, co in heldout:
         subj_pool, obj_pool = by_class.get(cs, []), by_class.get(co, [])
         if not subj_pool or not obj_pool:
@@ -654,11 +654,10 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
             o = obj_pool[int(zs_rng.integers(len(obj_pool)))]
             if s == o:
                 continue
-            key = f"zs{idx:04d}"
-            s_rec, o_rec = entities[s], entities[o]
-            s_box = box_features(protos["_proj_entity"], [protos[cs], s_rec.latent],
+            key = f"zs{len(zs_examples):04d}"
+            s_box = box_features(protos["_proj_entity"], [protos[cs], latents[s]],
                                  config.noise_sigma, zs_rng)
-            o_box = box_features(protos["_proj_entity"], [protos[co], o_rec.latent],
+            o_box = box_features(protos["_proj_entity"], [protos[co], latents[o]],
                                  config.noise_sigma, zs_rng)
             boxes[f"{key}:s"] = s_box
             boxes[f"{key}:o"] = o_box
@@ -667,17 +666,18 @@ def gen_world(config: WorldConfig, ontology: Ontology | None = None) -> GroundTr
                 config.scene_noise_sigma, zs_rng,
             )
             boxes[f"{key}:rel"] = box_features(
-                protos["_proj_relation"], [s_rec.latent, o_rec.latent, protos[p]],
+                protos["_proj_relation"], [latents[s], latents[o], protos[p]],
                 config.noise_sigma, zs_rng,
             )
-            world.zs_examples.append({"key": key, "s": s, "p": p, "o": o,
-                                      "s_class": cs, "o_class": co})
-            idx += 1
+            zs_examples.append({"key": key, "s": s, "p": p, "o": o, "s_class": cs, "o_class": co})
 
-    world.features = np.stack(list(boxes.values()))
-    world.feature_index = {key: row for row, key in enumerate(boxes)}
     vocab.validate()
-    return world
+    return GroundTruthWorld(
+        config=config, vocab=vocab, entities=entities, test_entities=test_entities,
+        scenes=scenes, features=np.stack(list(boxes.values())),
+        feature_index={key: row for row, key in enumerate(boxes)}, pair_table=table,
+        heldout=heldout, zs_examples=zs_examples, social_edges=social_edges,
+    )
 
 
 # -- store ingestion ---------------------------------------------------------------
@@ -691,7 +691,7 @@ def _ingest(world: GroundTruthWorld) -> TripleStore:
     predicates, background scenes the nonvisual ones, social scenes only the
     social predicate."""
     v = world.vocab
-    onto = world.ontology
+    onto = ONTOLOGY
     store = TripleStore(v)
     ha = v.has_attribute
     labels = [c for fam in onto.label_families for c in v.family_members(fam)]
@@ -810,9 +810,7 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
                 fp.write(content)
         written.append(name)
 
-    _write("config.json", json.dumps(
-        {"world": world.config.to_dict(), "ontology": world.ontology.to_dict()},
-        indent=2, sort_keys=True) + "\n")
+    _write("config.json", json.dumps(world.config.to_dict(), indent=2, sort_keys=True) + "\n")
     _write("vocab.json", world.vocab.dumps() + "\n")
 
     store = world.build_store()
@@ -864,14 +862,8 @@ _WORLD_KEYS = ("entities", "test_entities", "scenes", "pair_table", "heldout", "
 
 
 def load_world(indir: str) -> GroundTruthWorld:
-    cfg_path = os.path.join(indir, "config.json")
-    cfg_doc = _read_json(cfg_path, ("world", "ontology"))
-    for key, cls in (("world", WorldConfig), ("ontology", Ontology)):
-        names = [f.name for f in fields(cls)]
-        check_keys(f"{cfg_path} {key}", cfg_doc[key], names, names, WorldError)
-    config = WorldConfig(**cfg_doc["world"])
-    onto = Ontology(**{k: tuple(v) if isinstance(v, list) else v
-                       for k, v in cfg_doc["ontology"].items()})
+    config = WorldConfig(**_read_json(os.path.join(indir, "config.json"),
+                                      [f.name for f in fields(WorldConfig)]))
     vocab = Vocabulary.from_dict(
         _read_json(os.path.join(indir, "vocab.json"), tuple(Vocabulary().to_dict())))
     doc_path = os.path.join(indir, "world.json")
@@ -891,9 +883,8 @@ def load_world(indir: str) -> GroundTruthWorld:
         raise WorldError(f"{doc_path}: a record does not fit: {exc}") from exc
     features, feature_index = read_features(os.path.join(indir, "features"), config.feature_dim)
     return GroundTruthWorld(
-        config=config, ontology=onto, vocab=vocab,
+        config=config, vocab=vocab,
         entities=entities, test_entities=test_entities, scenes=scenes,
         features=features, feature_index=feature_index, pair_table=pair_table,
         heldout=heldout, zs_examples=doc["zs_examples"], social_edges=social_edges,
-        prototypes=None,
     )

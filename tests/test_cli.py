@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -19,7 +20,7 @@ import bilayer
 from bilayer import evaluation
 from bilayer.cli import main
 from bilayer.params import ColumnMap, load_checkpoint, params_digest, save_checkpoint
-from bilayer.world import load_world
+from bilayer.world import WorldConfig, load_world
 
 WORLD_CONFIG = {
     "n_entities": 48,
@@ -87,6 +88,14 @@ def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "bilayer.cli", *args], capture_output=True, text=True, env=env
     )
+
+
+def _main_errors(args: list[str], caplog) -> tuple[int, list[str]]:
+    """`main(args)` in this interpreter: its exit code and the messages it
+    logged as errors, for refusals checked in many variants."""
+    caplog.clear()
+    code = main(args)
+    return code, [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def _dir_bytes(path, skip=("manifest.json",)) -> dict[str, bytes]:
@@ -253,6 +262,25 @@ class TestGen:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and message in lines[0]
 
+    def test_a_world_config_regenerates_its_world(self, ws, tmp_path):
+        """A world's config.json is the flat document gen reads, so feeding it
+        back writes every file of the world again, byte for byte."""
+        out = str(tmp_path / "again")
+        config = os.path.join(ws["world_dir"], "config.json")
+        assert json.load(open(config)) == {**WorldConfig().to_dict(), **WORLD_CONFIG}
+        assert main(["gen", "--config", config, "--out", out]) == 0
+        assert _dir_bytes(out) == _dir_bytes(ws["world_dir"])
+
+    @pytest.mark.parametrize("key, value", [
+        ("ex_noise_sigma", 0.5), ("latent_scale", 1.0), ("social_k", 5), ("social_beta", 1.0),
+    ])
+    def test_removed_world_settings_are_usage_errors(self, tmp_path, caplog, key, value):
+        cfg = _write_json(tmp_path / "old.json", {"n_entities": 30, key: value})
+        code, errors = _main_errors(["gen", "--config", cfg, "--out", str(tmp_path / "w")], caplog)
+        assert code == 2
+        assert len(errors) == 1
+        assert f"unknown keys {key}; valid keys: binary_per_scene," in errors[0]
+
     def test_test_scenes_without_test_entities_is_data_error(self, tmp_path):
         cfg = _write_json(tmp_path / "empty-test.json", {
             "n_entities": 30, "n_scenes": 10, "n_test_entities": 0, "n_test_scenes": 3, "seed": 5,
@@ -365,11 +393,9 @@ class TestTrain:
         assert message in lines[0], proc.stderr
 
     @pytest.mark.parametrize("name, path, old, new, message", [
-        ("config.json", ["world"], "feature_dim", "feature_dimm",
-         "config.json world: unknown keys feature_dimm; valid keys: binary_per_scene,"),
-        ("config.json", ["ontology"], "owner_class", "ownr_class",
-         "config.json ontology: unknown keys ownr_class; valid keys: activities,"),
-        ("config.json", ["ontology"], "ages", None, "config.json ontology: missing keys ages"),
+        ("config.json", [], "feature_dim", "feature_dimm",
+         "config.json: unknown keys feature_dimm; valid keys: binary_per_scene,"),
+        ("config.json", [], "seed", None, "config.json: missing keys seed"),
         ("config.json", [], None, "worlds", "config.json: unknown keys worlds; valid keys: "),
         ("world.json", ["scenes", 0], "members", None,
          "world.json: a record does not fit: SceneRecord.__init__() missing 1 required "
@@ -400,6 +426,51 @@ class TestTrain:
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and str(world_dir / message) in lines[0], proc.stderr
+
+    def test_nested_world_config_is_data_error(self, ws, tmp_path):
+        """A world written when config.json nested the settings under "world"
+        next to an "ontology" block is refused, not read."""
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        config = json.loads((world_dir / "config.json").read_text(encoding="utf-8"))
+        nested = {"world": config, "ontology": {"ages": ["Young", "Old"]}}
+        (world_dir / "config.json").write_text(json.dumps(nested), encoding="utf-8")
+        proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert "config.json: unknown keys ontology, world; valid keys:" in lines[0]
+
+    def test_world_setting_of_the_wrong_type_is_data_error(self, ws, tmp_path):
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        config = json.loads((world_dir / "config.json").read_text(encoding="utf-8"))
+        (world_dir / "config.json").write_text(json.dumps({**config, "owners": 5}),
+                                               encoding="utf-8")
+        proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "world owners must be of type bool, not 5" in lines[0]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"epochs": 1.5}, "train epochs must be of type int, not 1.5"),
+        ({"seed": 1.0}, "train seed must be of type int, not 1.0"),
+        ({"learning_rate": "x"}, "train learning_rate must be of type float, not 'x'"),
+        ({"novelty_threshold": "a"}, "train novelty_threshold must be of type float, not 'a'"),
+        ({"direct": 0}, "train direct must be of type bool, not 0"),
+        ({"batch_size": True}, "train batch_size must be of type int, not True"),
+    ])
+    def test_train_setting_of_the_wrong_type_is_data_error(self, ws, tmp_path, caplog, doc,
+                                                           message):
+        cfg = _write_json(tmp_path / "typed.json", doc)
+        out = tmp_path / "r"
+        code, errors = _main_errors(["train", ws["world_dir"], "--config", cfg,
+                                     "--out", str(out)], caplog)
+        assert code == 3
+        assert errors == [message]
+        assert not (out / "model.json").exists()
 
     def test_stdout_epochs(self, ws, tmp_path, capsys):
         cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, "epochs": 1})
@@ -571,6 +642,37 @@ class TestDecode:
     def test_episodic_needs_instance(self, ws, tmp_path):
         assert main(["decode", ws["checkpoint"], "--world", ws["world_dir"],
                      "--mode", "episodic", "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--mode", "episodic", "--t", "e0001"],
+         "the instance clamp 'e0001' (entity) is not an instance"),
+        (["--mode", "episodic", "--t", "Dog"],
+         "the instance clamp 'Dog' (class) is not an instance"),
+        (["--mode", "semantic", "--s", "t0001"],
+         "the subject clamp 't0001' (instance) is not an entity, class or attribute"),
+        (["--mode", "semantic", "--s", "near"],
+         "the subject clamp 'near' (predicate) is not an entity, class or attribute"),
+        (["--mode", "fuse", "--t", "e0001", "--gamma", "1"], "'e0001' is not an instance"),
+    ])
+    def test_a_clamp_of_the_wrong_kind_is_data_error(self, ws, tmp_path, capsys, caplog, args,
+                                                     message):
+        code, errors = _main_errors(["decode", ws["checkpoint"], "--world", ws["world_dir"],
+                                     *args, "--n", "3", "--out", str(tmp_path / "d")], caplog)
+        assert code == 3
+        assert errors == [message]
+        assert capsys.readouterr().out == ""
+
+    def test_negative_pass_count_is_usage_error(self, ws, tmp_path):
+        proc = _run_cli(["decode", ws["checkpoint"], "--world", ws["world_dir"],
+                         "--mode", "semantic", "--n", "-3", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "--n must be a nonnegative number of passes, not -3" in lines[0]
+
+    def test_zero_passes_is_an_empty_stream(self, ws, tmp_path, capsys):
+        assert main(["decode", ws["checkpoint"], "--world", ws["world_dir"],
+                     "--mode", "semantic", "--n", "0", "--out", str(tmp_path / "d")]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_missing_checkpoint_is_data_error(self, ws, tmp_path):
         assert main(["decode", str(tmp_path / "ghost.json"), "--world", ws["world_dir"],

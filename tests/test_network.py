@@ -459,6 +459,46 @@ class TestDecodeValidation:
         with pytest.raises(NetworkError, match="object clamp"):
             decode(params, cmap, v, req, substream(0, "d"))
 
+    @pytest.mark.parametrize("mode, clamp, name, kind", [
+        ("episodic", "instance_id", "e0", "entity"),
+        ("episodic", "instance_id", "Dog", "class"),
+        ("perception", "instance_id", "near", "predicate"),
+        ("semantic", "subject_id", "t1", "instance"),
+        ("semantic", "subject_id", "near", "predicate"),
+        ("perception", "object_id", "t2", "instance"),
+    ])
+    def test_a_clamp_of_the_wrong_kind_is_refused(self, mode, clamp, name, kind):
+        """An instance clamp names an instance, a subject or object clamp an
+        entity, class or attribute: one of another kind is refused, whether it
+        clamps the only request or the second of a batch."""
+        v = small_vocab()
+        params, cmap = small_params(v)
+        feats = (lambda i: _scene_features(i)) if mode == "perception" else (lambda i: None)
+        base = {"instance_id": v.id_of("t0")} if mode == "episodic" else {}
+        good = DecodeRequest(mode=mode, features=feats(0), **base)
+        bad = DecodeRequest(mode=mode, features=feats(1), **{**base, clamp: v.id_of(name)})
+        want = "an instance" if clamp == "instance_id" else "an entity, class or attribute"
+        message = f"the {clamp[:-3]} clamp '{name}' \\({kind}\\) is not {want}"
+        for requests in ([bad], [good, bad]):
+            with pytest.raises(NetworkError, match=message):
+                decode_many(params, cmap, v, requests, substream(0, "d"))
+
+    @pytest.mark.parametrize("mode, clamp, name", [
+        ("episodic", "instance_id", "t1"),
+        ("semantic", "subject_id", "e2"),
+        ("semantic", "subject_id", "Dog"),
+        ("semantic", "subject_id", "Young"),
+        ("perception", "object_id", "Cat"),
+    ])
+    def test_a_clamp_of_the_right_kind_is_committed(self, mode, clamp, name):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        features = _scene_features(0) if mode == "perception" else None
+        base = {"instance_id": v.id_of("t0")} if mode == "episodic" else {}
+        req = DecodeRequest(mode=mode, features=features, **{**base, clamp: v.id_of(name)})
+        trace = decode(params, cmap, v, req, substream(0, "d"))
+        assert getattr(trace, clamp) == v.id_of(name)
+
     def test_batch_shares_flags_and_arity(self):
         v = small_vocab()
         params, cmap = small_params(v)

@@ -12,12 +12,13 @@ hand-written walk.  Training batches its example tables in one pass: a
 `Batch` carries its label occurrences as arrays, `build_batches` makes every
 batch with one constructor call, and `train` batches every mode through one
 call.  Sampled picks draw no `Generator.choice`: `_pick` and `_pick_labels`
-turn their uniforms into positions through one inverse-CDF helper.  Checkpoints
-and the feature archive share one tensor-archive codec in `params.py`.  The
-triple store's internals are read only inside `triple_store.py`.  Every public name the package defines has a caller inside
+turn their uniforms into positions through one inverse-CDF helper.
+Checkpoints and the feature archive share one tensor-archive codec in
+`params.py`.  The triple store's internals are read only inside
+`triple_store.py`.  Every public name the package defines has a caller inside
 it, but for a short allowlist of names that the benchmark or the gradient
-tests call, and every field of the two config classes is read outside its
-class.
+tests call, and every field of the three settings classes is read outside its
+class.  The ontology is one constant, constructed once.
 """
 from __future__ import annotations
 
@@ -244,7 +245,9 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 # config classes whose fields are settings, and the fields kept with no reader
 # outside the class, each with the caller that keeps it
-SETTINGS = {"training.py": "TrainConfig", "evaluation.py": "EvalContext"}
+SETTINGS = {
+    "training.py": "TrainConfig", "evaluation.py": "EvalContext", "world.py": "WorldConfig",
+}
 UNREAD_SETTINGS = {
     "cmap": "the perfbench eval workload passes it; `EvalContext.model` reads it",
 }
@@ -253,7 +256,7 @@ UNREAD_SETTINGS = {
 @pytest.mark.parametrize("module", sorted(SETTINGS))
 def test_every_setting_is_read_outside_its_class(module):
     """A setting no run path reads is deleted, not kept as an option: every
-    public field of `TrainConfig` and `EvalContext` is read as an attribute
+    public field of `TrainConfig`, `EvalContext` and `WorldConfig` is read as an attribute
     (matched by name) somewhere in the package outside its own class body."""
     package = Path(bilayer.__file__).parent
     tree = ast.parse((package / module).read_text(encoding="utf-8"))
@@ -269,3 +272,16 @@ def test_every_setting_is_read_outside_its_class(module):
                 read.add(node.attr)
     unread = sorted(settings - read - UNREAD_SETTINGS.keys())
     assert not unread, f"{SETTINGS[module]} fields that nothing reads: {unread}"
+
+
+def test_the_ontology_is_one_constant():
+    """Every world is made of the same symbols: the package constructs an
+    `Ontology` at one site, the module constant `ONTOLOGY`."""
+    calls, constants = 0, []
+    for path in Path(bilayer.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += _calls(tree, "Ontology")
+        constants += [target.id for node in tree.body
+                      if isinstance(node, ast.Assign) and _calls(node.value, "Ontology")
+                      for target in node.targets]
+    assert calls == 1 and constants == ["ONTOLOGY"], (calls, constants)

@@ -77,6 +77,9 @@ class TestTrainConfig:
             TrainConfig(**{key: "Risk"})
         assert TrainConfig(**{key: ["episodic"]}).to_dict()[key] == ["episodic"]
 
+    def test_an_int_passes_for_a_float(self):
+        assert TrainConfig(dropout=0, learning_rate=1).learning_rate == 1
+
     def test_round_trip(self):
         config = TrainConfig(epochs=3, modes=("episodic",), hidden_families=("Age",))
         again = TrainConfig.from_dict(config.to_dict())

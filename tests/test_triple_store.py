@@ -99,6 +99,15 @@ class TestIngestion:
             store.add_observations([(s, p, o, t)], True)
         assert store.total_statements() == 1
 
+    def test_statement_counts_are_per_instance(self, vocab):
+        s, o, t = ids(vocab, "e0", "e1", "t0")
+        store = TripleStore(vocab)
+        store.add_observations([(s, vocab.id_of("near"), o, t)], True)
+        assert store.n_statements(t) == 1
+        for name in ("e0", "Dog", "near"):
+            with pytest.raises(StoreError, match=f"'{name}' is not an instance"):
+                store.n_statements(vocab.id_of(name))
+
     def test_kind_checking(self, vocab):
         s, o, t = ids(vocab, "e0", "e1", "t0")
         p, ha = vocab.id_of("near"), vocab.has_attribute

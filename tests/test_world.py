@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from bilayer.params import ParamError, write_archive
 from bilayer.triple_store import UNKNOWN, ConflictError, TripleStore, write_jsonl
 from bilayer.world import (
     EntityRecord,
-    Ontology,
+    GroundTruthWorld,
+    ONTOLOGY,
     _build_pair_table,
     _compose_scene,
     _dump_json,
@@ -51,7 +53,7 @@ from util import (
 
 class TestOntology:
     def test_class_tree_is_closed(self):
-        onto = Ontology()
+        onto = ONTOLOGY
         for b in onto.b_classes:
             p = onto.parent_of(b)
             assert p in onto.p_classes
@@ -62,12 +64,12 @@ class TestOntology:
             onto.top_of("Ghost")
 
     def test_risk_rule_covers_top_classes(self):
-        onto = Ontology()
+        onto = ONTOLOGY
         assert set(onto.risk_rule) == set(onto.g_classes)
         assert set(onto.risk_rule.values()) <= set(onto.risks)
 
     def test_family_members_match_declared_families(self):
-        onto = Ontology()
+        onto = ONTOLOGY
         members = onto.family_members()
         assert tuple(members) == onto.label_families
         assert members["BClass"] == onto.b_classes
@@ -100,6 +102,16 @@ class TestWorldConfig:
     def test_round_trip(self):
         config = WorldConfig(n_entities=12, n_scenes=3, seed=4, owners=False)
         assert WorldConfig(**config.to_dict()) == config
+
+    def test_an_int_passes_for_a_float(self):
+        assert WorldConfig(noise_sigma=0).noise_sigma == 0
+
+    def test_the_world_types_hold_only_what_a_loaded_world_has(self):
+        """18 settings, no ontology (it is `ONTOLOGY`) and none of the
+        prototypes and latents that only the feature synthesis reads."""
+        assert len(fields(WorldConfig)) == 18
+        assert not {"ontology", "prototypes"} & {f.name for f in fields(GroundTruthWorld)}
+        assert [f.name for f in fields(EntityRecord)] == ["name", "labels", "visual"]
 
 
 class TestSubstream:
@@ -228,7 +240,7 @@ class TestGeneration:
             names = set(scene.members)
             for s, p, o in scene.binaries:
                 assert s in names and o in names and s != o
-                assert p in clean_world.ontology.scene_predicates
+                assert p in ONTOLOGY.scene_predicates
 
     def test_theme_bias_saturates(self, clean_world):
         # with bias 1.0 and large per-theme pools every member matches the theme
@@ -368,7 +380,7 @@ class TestSceneComposition:
 
     @given(
         labels=st.lists(
-            st.tuples(st.sampled_from(Ontology().b_classes), st.sampled_from(Ontology().colors)),
+            st.tuples(st.sampled_from(ONTOLOGY.b_classes), st.sampled_from(ONTOLOGY.colors)),
             min_size=0, max_size=12,
         ),
         mean_k=st.floats(2.0, 14.0),
@@ -381,7 +393,7 @@ class TestSceneComposition:
     def test_matches_the_pool_scanning_reference(
         self, labels, mean_k, theme_bias, binary_per_scene, held_fraction, seed
     ):
-        onto = Ontology()
+        onto = ONTOLOGY
         records = []
         for i, (b, color) in enumerate(labels):
             p = onto.parent_of(b)
@@ -390,14 +402,14 @@ class TestSceneComposition:
                                       "Color": color}))
         config = WorldConfig(mean_entities_per_scene=mean_k, theme_bias=theme_bias,
                              binary_per_scene=binary_per_scene)
-        table = _build_pair_table(onto, substream(seed, "table"))
+        table = _build_pair_table(substream(seed, "table"))
         heldout_set = set(_hold_out(table, held_fraction, substream(seed, "held")))
         pool, predicates = _scene_pool(records), _predicate_sampler(table, heldout_set)
         fast, ref = substream(seed, "scenes"), substream(seed, "scenes")
         for i in range(3):
             args = (f"t{i}", "train", True)
             want = reference_compose_scene(*args, records, onto, config, table, heldout_set, ref)
-            got = _compose_scene(*args, pool, onto, config, predicates, fast)
+            got = _compose_scene(*args, pool, config, predicates, fast)
             assert got == want
         assert fast.random() == ref.random()
 
@@ -411,7 +423,7 @@ class TestZeroShotHoldout:
             assert len(row) - removed.get(pair, 0) >= 1
 
     def test_pair_table_weights(self, clean_world):
-        onto = clean_world.ontology
+        onto = ONTOLOGY
         assert set(clean_world.pair_table) == {
             (cs, co) for cs in onto.b_classes for co in onto.b_classes
         }
@@ -424,7 +436,7 @@ class TestZeroShotHoldout:
     def test_no_scene_leaks_a_held_out_combo(self, clean_world):
         held = set(clean_world.heldout)
         assert held, "holdout must not be empty for this test"
-        scene_preds = set(clean_world.ontology.scene_predicates)
+        scene_preds = set(ONTOLOGY.scene_predicates)
         for scene in clean_world.scenes:
             for s, p, o in scene.binaries:
                 if p not in scene_preds:
@@ -453,7 +465,7 @@ class TestStoreIngestion:
         v = tiny_world.vocab
         store = tiny_world.build_store()
         ha = v.has_attribute
-        onto = tiny_world.ontology
+        onto = ONTOLOGY
         scene = tiny_world.scenes_of_kind("train")[0]
         t = v.id_of(scene.name)
         for m in scene.members:
@@ -535,6 +547,23 @@ class TestExport:
         blob = (tmp_path / "features.bin").read_bytes()
         assert doc["blob_sha256"] == hashlib.sha256(blob).hexdigest()
         assert blob == clean_world.features.astype("<f4").tobytes()
+
+    def test_a_loaded_world_equals_the_generated_one(self, tiny_world, tmp_path):
+        """`load_world` of an export holds every field `gen_world` made, equal
+        field by field.  The vocabulary holds the same symbols, kinds and
+        families; loading registers them kind by kind, so their ids differ.
+        The store is a cache that each side builds itself."""
+        export_world(tiny_world, str(tmp_path))
+        loaded = load_world(str(tmp_path))
+        for f in fields(GroundTruthWorld):
+            made, read = getattr(tiny_world, f.name), getattr(loaded, f.name)
+            if f.name == "vocab":
+                assert made.to_dict() == read.to_dict()
+            elif f.name == "features":
+                assert made.dtype == read.dtype
+                np.testing.assert_array_equal(made, read)
+            elif f.name != "_store":
+                assert made == read, f.name
 
     def test_export_load_reexport_is_byte_identical(self, clean_world, tmp_path):
         first = tmp_path / "one"

@@ -27,7 +27,7 @@ from bilayer.params import ColumnMap, NetConfig, NetParams
 from bilayer.training import Examples, InjectionPool
 from bilayer.triple_store import UNKNOWN, ConflictError, StoreError, TripleStore
 from bilayer.vocab import IDENTITY_FAMILY, Kind, Vocabulary
-from bilayer.world import SceneRecord, substream
+from bilayer.world import ONTOLOGY, SceneRecord, substream
 
 
 def small_vocab(
@@ -289,7 +289,7 @@ def reference_ingest(world) -> ReferenceStore:
     """A world's store built scene by scene through single adds and one
     `lcwa_expand` per instance scene, as `world.build_store` once did."""
     v = world.vocab
-    onto = world.ontology
+    onto = ONTOLOGY
     store = ReferenceStore(v)
     ha = v.has_attribute
     scene_preds = [v.id_of(p) for p in onto.scene_predicates]
