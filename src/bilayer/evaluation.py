@@ -405,7 +405,7 @@ def _experiment_perception_unary(ctx: EvalContext) -> tuple[dict, dict]:
     return metrics, counts
 
 
-def _binary_examples_from_scenes(world: GroundTruthWorld, scenes: list) -> list[dict]:
+def _binary_examples_from_scenes(scenes: list) -> list[dict]:
     out = []
     for scene in scenes:
         for i, (s, p, o) in enumerate(scene.binaries):
@@ -425,7 +425,7 @@ def _experiment_perception_binary(ctx: EvalContext) -> tuple[dict, dict]:
     counts: dict = {}
     for split, kind in (("ex", "ex_test"), ("e", "e_test")):
         scenes = ctx.world.scenes_of_kind(kind)
-        examples = _binary_examples_from_scenes(ctx.world, scenes)
+        examples = _binary_examples_from_scenes(scenes)
         if not examples:
             continue
         per = {}
@@ -510,15 +510,7 @@ def _experiment_zero_shot(ctx: EvalContext) -> tuple[dict, dict]:
     leaked = set(held) & _training_combos(ctx.world)
     if leaked:
         raise EvalError(f"held-out combos appear in training scenes: {sorted(leaked)[:3]}")
-    examples = [
-        {
-            "scene": f"{ex['key']}:scene", "s_bb": f"{ex['key']}:s",
-            "o_bb": f"{ex['key']}:o", "rel": f"{ex['key']}:rel", "p": ex["p"],
-        }
-        for ex in ctx.world.zs_examples
-    ]
-    if not examples:
-        raise EvalError("world has no held-out relation examples")
+    examples = _binary_examples_from_scenes(ctx.world.scenes_of_kind("zero_shot"))
     m = perception_binary_eval(params, cmap, ctx.vocab, ctx.world, examples, "samp")
     hits1 = m["predicate_hits"]["1"]
     metrics = {
@@ -668,6 +660,7 @@ def _fingerprint(ctx: EvalContext, name: str) -> str:
 _NEEDS = {
     "ssl-before-after": ("unlabeled", "no unlabeled shard (set unlabeled_fraction > 0)"),
     "social-recall": ("social", "no social instances (set social to true)"),
+    "zero-shot-binary": ("zero_shot", "no zero-shot views (set zero_shot_fraction > 0)"),
 }
 
 

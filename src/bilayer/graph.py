@@ -201,11 +201,8 @@ def _label_grads(zs: np.ndarray, cache: dict, read: np.ndarray, d_read: np.ndarr
         if key in cache:
             h = cache[key]
             rows = h["rows"]
-            d = _head_into(h, zs[rows], read, d_read, h["idx"])
-            if np.bincount(rows).max() == 1:
-                d_zs[rows] += d
-            else:  # a hand-built batch may list a row in two families
-                np.add.at(d_zs, rows, d)
+            # a row may occur in several families
+            _scatter_add(d_zs, rows, _head_into(h, zs[rows], read, d_read, h["idx"]))
     return d_zs
 
 

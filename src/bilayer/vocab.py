@@ -195,22 +195,21 @@ class Vocabulary:
     def from_dict(cls, data: dict) -> "Vocabulary":
         vocab = cls()
         adders = {
-            "entities": vocab.add_entity,
             "classes": vocab.add_class,
             "attributes": vocab.add_attribute,
+            "predicates": vocab.add_predicate,
+            "entities": vocab.add_entity,
             "instances": vocab.add_instance,
         }
-        # An export lists the names grouped by kind, so a load registers the
-        # predicates, entities, classes, attributes and instances in turn, and
-        # numbers its ids differently from the vocabulary that was exported.
-        # Each name keeps its kind, its family and its place among the names
-        # of its kind, so a `ColumnMap` lays out the same columns.
-        for name in data.get("predicates", []):
-            if name != HAS_ATTRIBUTE:
-                vocab.add_predicate(name)
-        for key in ("entities", "classes", "attributes", "instances"):
+        # An export lists the names grouped by kind, each kind in id order.  A
+        # load registers the kinds in the order a generated world does, so a
+        # loaded world numbers its symbols as the generated one did.  Each
+        # name keeps its kind, its family and its place among the names of its
+        # kind, so a `ColumnMap` lays out the same columns whatever the order.
+        for key, add in adders.items():
             for name in data.get(key, []):
-                adders[key](name)
+                if (key, name) != ("predicates", HAS_ATTRIBUTE):
+                    add(name)
         for family, members in data.get("families", {}).items():
             if family == IDENTITY_FAMILY:
                 continue

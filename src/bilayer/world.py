@@ -16,10 +16,12 @@ fresh Gaussian noise per view.  The prototypes and latents live only inside
 `gen_world`, so a loaded world holds what a generated one does.  Age and
 activity are deliberately absent from features (a single view cannot show
 them; only memory can recover them) and risk labels are never shown to
-perception.  Every box of every view (scene, entity box, relation box,
-zero-shot box) is one row of one float32 matrix, found by its key; the
-feature archive stores that matrix and its keys in row order as one tensor
-of the shared archive format (`params.write_archive`).
+perception.  Every view the world shows is a scene, a zero-shot view of a
+held-out (class, predicate, class) combination included, and each of its
+boxes (the scene box, its entity boxes, its relation boxes) is one row of
+one float32 matrix, found by its key; the feature archive stores that matrix
+and its keys in row order as one tensor of the shared archive format
+(`params.write_archive`).
 """
 from __future__ import annotations
 
@@ -190,7 +192,8 @@ class EntityRecord:
 @dataclass
 class SceneRecord:
     name: str
-    kind: str          # train | ex_train | ex_test | e_test | unlabeled | background | social
+    # train | ex_train | ex_test | e_test | unlabeled | background | social | zero_shot
+    kind: str
     instance: bool     # registered as an episodic instance
     members: list[str]
     binaries: list[tuple[str, str, str]]
@@ -212,11 +215,10 @@ class GroundTruthWorld:
     """A world, the same whether generated or loaded: `load_world` of an
     export holds every field `gen_world` made.  Its symbols come from
     `ONTOLOGY`.  `features` holds one float32 row per box, `(n_boxes,
-    feature_dim)`, and `feature_index` maps each box's key
-    (`SceneRecord.scene_key`, `bb_key`, `rel_key`, or a zero-shot example's
-    `<key>:scene|s|o|rel`) to its row.  Rows are in generation order, and
-    `feature_index` lists its keys in row order.  The class prototypes and
-    entity latents that made the features are not kept."""
+    feature_dim)`, and `feature_index` maps each box's key (a scene's
+    `SceneRecord.scene_key`, `bb_key` or `rel_key`) to its row.  Rows are in
+    generation order, and `feature_index` lists its keys in row order.  The
+    class prototypes and entity latents that made the features are not kept."""
 
     config: WorldConfig
     vocab: Vocabulary
@@ -227,8 +229,6 @@ class GroundTruthWorld:
     feature_index: dict[str, int]
     pair_table: dict[tuple[str, str], list[tuple[str, float]]]
     heldout: list[tuple[str, str, str]]
-    zs_examples: list[dict]
-    social_edges: list[tuple[str, str]]
     _store: TripleStore | None = None
 
     def entity_record(self, name: str) -> EntityRecord:
@@ -608,7 +608,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             )
         )
 
-    social_edges: list[tuple[str, str]] = []
     persons = {
         name: latents[name]
         for name, rec in entities.items()
@@ -626,7 +625,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
                     binaries=[(u, onto.social_predicate, v) for u, v in edges],
                 )
             )
-            social_edges.extend(edges)
 
     for scene in scenes:
         if scene.instance:
@@ -639,12 +637,14 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
         if scene.kind in ("train", "ex_train", "ex_test", "e_test", "unlabeled"):
             _scene_view_features(scene, records, protos, latents, config, feat_rng, boxes)
 
+    # zero-shot views: a scene of two visual entities that shows one held-out
+    # combination, never stored as an episode
     zs_rng = substream(seed, "zs-examples")
     by_class: dict[str, list[str]] = {}
     for rec in entities.values():
         if rec.visual:
             by_class.setdefault(rec.labels["BClass"], []).append(rec.name)
-    zs_examples: list[dict] = []
+    n_views = 0
     for cs, p, co in heldout:
         subj_pool, obj_pool = by_class.get(cs, []), by_class.get(co, [])
         if not subj_pool or not obj_pool:
@@ -654,29 +654,18 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             o = obj_pool[int(zs_rng.integers(len(obj_pool)))]
             if s == o:
                 continue
-            key = f"zs{len(zs_examples):04d}"
-            s_box = box_features(protos["_proj_entity"], [protos[cs], latents[s]],
-                                 config.noise_sigma, zs_rng)
-            o_box = box_features(protos["_proj_entity"], [protos[co], latents[o]],
-                                 config.noise_sigma, zs_rng)
-            boxes[f"{key}:s"] = s_box
-            boxes[f"{key}:o"] = o_box
-            boxes[f"{key}:scene"] = scene_features(
-                [s_box.astype(np.float64), o_box.astype(np.float64)],
-                config.scene_noise_sigma, zs_rng,
-            )
-            boxes[f"{key}:rel"] = box_features(
-                protos["_proj_relation"], [latents[s], latents[o], protos[p]],
-                config.noise_sigma, zs_rng,
-            )
-            zs_examples.append({"key": key, "s": s, "p": p, "o": o, "s_class": cs, "o_class": co})
+            view = SceneRecord(name=f"zs{n_views:04d}", kind="zero_shot", instance=False,
+                               members=[s, o], binaries=[(s, p, o)])
+            _scene_view_features(view, records, protos, latents, config, zs_rng, boxes)
+            scenes.append(view)
+            n_views += 1
 
     vocab.validate()
     return GroundTruthWorld(
         config=config, vocab=vocab, entities=entities, test_entities=test_entities,
         scenes=scenes, features=np.stack(list(boxes.values())),
         feature_index={key: row for row, key in enumerate(boxes)}, pair_table=table,
-        heldout=heldout, zs_examples=zs_examples, social_edges=social_edges,
+        heldout=heldout,
     )
 
 
@@ -838,8 +827,6 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
             for (cs, co), row in sorted(world.pair_table.items())
         },
         "heldout": [list(h) for h in world.heldout],
-        "zs_examples": world.zs_examples,
-        "social_edges": [list(e) for e in world.social_edges],
     }
     _write("world.json", _dump_json(doc))
     write_archive(os.path.join(outdir, "features"), FEATURES_FORMAT, FEATURES_VERSION,
@@ -857,8 +844,7 @@ def _read_json(path: str, keys) -> dict:
     return doc
 
 
-_WORLD_KEYS = ("entities", "test_entities", "scenes", "pair_table", "heldout", "zs_examples",
-               "social_edges")
+_WORLD_KEYS = ("entities", "test_entities", "scenes", "pair_table", "heldout")
 
 
 def load_world(indir: str) -> GroundTruthWorld:
@@ -868,9 +854,20 @@ def load_world(indir: str) -> GroundTruthWorld:
         _read_json(os.path.join(indir, "vocab.json"), tuple(Vocabulary().to_dict())))
     doc_path = os.path.join(indir, "world.json")
     doc = _read_json(doc_path, _WORLD_KEYS)
+    families = ONTOLOGY.label_families
+    family_set = set(families)
+
+    def entity(record: dict) -> EntityRecord:
+        """The record with its labels in family order, as `gen_world` made them."""
+        rec = EntityRecord(**record)
+        if rec.labels.keys() != family_set:  # the cheap test; check_keys names the key
+            check_keys(f"labels of {rec.name}", rec.labels, families, families, WorldError)
+        rec.labels = {fam: rec.labels[fam] for fam in families}
+        return rec
+
     try:
-        entities = {e["name"]: EntityRecord(**e) for e in doc["entities"]}
-        test_entities = {e["name"]: EntityRecord(**e) for e in doc["test_entities"]}
+        entities = {e["name"]: entity(e) for e in doc["entities"]}
+        test_entities = {e["name"]: entity(e) for e in doc["test_entities"]}
         scenes = [SceneRecord(**{**s, "binaries": [tuple(b) for b in s["binaries"]]})
                   for s in doc["scenes"]]
         pair_table = {
@@ -878,13 +875,11 @@ def load_world(indir: str) -> GroundTruthWorld:
             for key, row in doc["pair_table"].items()
         }
         heldout = [tuple(h) for h in doc["heldout"]]
-        social_edges = [tuple(e) for e in doc["social_edges"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise WorldError(f"{doc_path}: a record does not fit: {exc}") from exc
     features, feature_index = read_features(os.path.join(indir, "features"), config.feature_dim)
     return GroundTruthWorld(
-        config=config, vocab=vocab,
-        entities=entities, test_entities=test_entities, scenes=scenes,
-        features=features, feature_index=feature_index, pair_table=pair_table,
-        heldout=heldout, zs_examples=doc["zs_examples"], social_edges=social_edges,
+        config=config, vocab=vocab, entities=entities, test_entities=test_entities,
+        scenes=scenes, features=features, feature_index=feature_index, pair_table=pair_table,
+        heldout=heldout,
     )

@@ -404,6 +404,13 @@ class TestTrain:
          "world.json: a record does not fit: 'int' object has no attribute 'items'"),
         ("world.json", [], None, "note", "world.json: unknown keys note; valid keys: "),
         ("world.json", [], "heldout", "held_out", "world.json: unknown keys held_out; valid"),
+        ("world.json", ["entities", 0, "labels"], "Risk", None,
+         "world.json: a record does not fit: labels of e0000: missing keys Risk"),
+        ("world.json", ["entities", 0, "labels"], None, "Mood",
+         "world.json: a record does not fit: labels of e0000: unknown keys Mood; valid keys: "),
+        # the zero-shot views and social edges an older world kept beside its scenes
+        ("world.json", [], None, "zs_examples", "world.json: unknown keys zs_examples; valid"),
+        ("world.json", [], None, "social_edges", "world.json: unknown keys social_edges; valid"),
         ("vocab.json", [], None, "note", "vocab.json: unknown keys note; valid keys: "),
         ("vocab.json", [], "families", None, "vocab.json: missing keys families"),
     ])
@@ -825,8 +832,10 @@ class TestEval:
         assert not out.exists()  # no report, not even a manifest
 
     def test_experiments_the_world_cannot_feed_fail_before_any_runs(self, tmp_path):
-        # no unlabeled shard, as in a default world, and no social network
-        world_cfg = {**WORLD_CONFIG, "unlabeled_fraction": 0.0, "social": False}
+        # no unlabeled shard, as in a default world, no social network and no
+        # held-out combos to view zero-shot
+        world_cfg = {**WORLD_CONFIG, "unlabeled_fraction": 0.0, "social": False,
+                     "zero_shot_fraction": 0.0}
         wcfg = _write_json(tmp_path / "world.json", world_cfg)
         tcfg = _write_json(tmp_path / "train.json", {**TRAIN_CONFIG, "epochs": 1})
         world_dir, run = str(tmp_path / "world"), str(tmp_path / "run")
@@ -835,7 +844,9 @@ class TestEval:
         out = tmp_path / "ev"
         for names, lack in (("all", "social-recall: world has no social instances"),
                             ("episodic-recall,ssl-before-after",
-                             "ssl-before-after: world has no unlabeled shard")):
+                             "ssl-before-after: world has no unlabeled shard"),
+                            ("episodic-recall,zero-shot-binary",
+                             "zero-shot-binary: world has no zero-shot views")):
             proc = _run_cli(["eval", os.path.join(run, "model.json"), world_dir,
                              "--experiments", names, "--out", str(out)])
             assert proc.returncode == 3, proc.stderr

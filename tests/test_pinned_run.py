@@ -3,7 +3,9 @@
 `bilayer gen` on the tiny world, `bilayer train` for 2 epochs in all three
 modes, then, from that checkpoint, the `bilayer decode` streams of every
 mode (stdout), `bilayer eval --experiments all` with the run's config and
-`bilayer ssl`.  Every step runs in a fresh interpreter with one BLAS thread,
+`bilayer ssl`.  Four more 2-epoch runs from the same world pin the
+checkpoints of the other train configs: untied, dropout, direct and
+episodic-only.  Every step runs in a fresh interpreter with one BLAS thread,
 so a change of any arithmetic, draw order or file layout on the path shows
 up as a moved digest.  Unlike
 `TestGeneration`'s pins these hold float arithmetic, so they are tied to the
@@ -34,30 +36,41 @@ DECODES = {
     "decode/semantic-s.jsonl": ["--mode", "semantic", "--s", "e0001", "--n", "5"],
     "decode/fuse.jsonl": ["--mode", "fuse", "--t", "t0001", "--gamma", "20", "--n", "8"],
 }
+# each further train run's output directory and what it changes in TRAIN_CONFIG
+VARIANTS = {
+    "untied": {"tied": False},
+    "dropout": {"dropout": 0.2},
+    "direct": {"direct": True, "modes": ["perception"]},
+    "episodic": {"modes": ["episodic"]},
+}
 EXPERIMENTS = ("consolidation-fidelity", "episodic-recall", "hidden-label-enrichment",
                "perception-binary", "perception-unary", "semantic-recall", "social-recall",
                "ssl-before-after", "zero-shot-binary")
 
 PINNED = {
-    "run/model.json": "c5527056da0b637a3323097e5f4a22363188594207a6c5452e20cbda4eb36e51",
-    "run/model.bin": "4d5a9a50c810c1291cd2c2cae7fc2f5c94a7a08d7143bd8f6848d8b1380813c5",
+    "run/model.json": "9a055db2e5722f8d65188bf4af08d730706864758f3498b65a7b14ba9ac257c4",
+    "run/model.bin": "0e2d39688ca2ec38b3e88489009e6458d4fa6a22ec403b6c12db970332e942e8",
     "decode/perceive.jsonl": "3ff4ef0e96726887607f3cecdcbc3b1d8ea341f0a09f22312ebe6cca8b833648",
     "decode/episodic.jsonl": "da3736f91cdd84616259b992974a676851359bf41283c6ac78b801a9c0b74023",
     "decode/semantic.jsonl": "abc36018d5ae06a9947cad1fc8444425b106096ad21dde74f011110e57575d8f",
     "decode/semantic-s.jsonl": "14e0133ee2d8df3d39577ea5f0fd7dcbe6913808d1116ff968cb145e5508a363",
     "decode/fuse.jsonl": "23fa9acc6609b4b7d410c5ece17caf248701cd8b56a3197ff76f35f86632aca3",
-    "eval/report-consolidation-fidelity.json": "13619ab985cb0207096d3730140d465ad13faa101f38cdff7efd7fc8675ef288",
-    "eval/report-episodic-recall.json": "60a46a22c408bc16482f8d79ff49a281cb7cba573766a672c7f01e4695827772",
-    "eval/report-hidden-label-enrichment.json": "93955c23458525c6e6395f41c69901fe25f494104e93026e67b838ccbd77bccd",
-    "eval/report-perception-binary.json": "6222567aa472b63d94b1e22b00bc1023cf11e3b4a9feac02894016a3cfa41169",
-    "eval/report-perception-unary.json": "18067aee18cd094360a5db5fd88b59366e6f200e47968e49cad48d155e37c5d0",
-    "eval/report-semantic-recall.json": "0c500e79563a36e5fc2fb3cd5957443615b22bebe71af5e00931ea395be1a739",
-    "eval/report-social-recall.json": "a0fed9801116ab2b305a38fd95575ddf8d05c605f562579567692ed5940e8a10",
-    "eval/report-ssl-before-after.json": "3b1b41a9e9b2b6d5cc4d5261e916005897899dbf213415170c80571fdd999588",
-    "eval/report-zero-shot-binary.json": "5c37bf045595c9d5c82adfdbdd7c23c6af964696654b7c6915d896e5559e44fe",
-    "ssl/model.bin": "231b94d27c8a81a57f51cff2e8e556958ae8298e6fc947dbabb2b780fda39266",
-    "ssl/pseudo.jsonl": "026e72b71c8b7acbd71491baedba935094b8d454d80620a93990cb43a50d6cc2",
+    "eval/report-consolidation-fidelity.json": "f26bf684523537415a45ea54280f9665839bc9cbc2ff66dad1a3adabb8893a6a",
+    "eval/report-episodic-recall.json": "64a58b28e46e699b8f5b38c0556c4b2c5e431c698659f8eaa329befc97f0d5da",
+    "eval/report-hidden-label-enrichment.json": "ed9031965b6621fc22b2fabf715f591175128416ca2cbef963c3a23b7e7bfe73",
+    "eval/report-perception-binary.json": "7ce5da19332053e1325355d3efde427e323b2fa9b361b480c6d7a89bcafe849b",
+    "eval/report-perception-unary.json": "d810270e15f9114158d6275e5368718c575116765242b81d9f2bceea5aff48e6",
+    "eval/report-semantic-recall.json": "eaeb711487c1a5125bb704510745070a4f7ade8f14c6dcf3649ab3436bed2f99",
+    "eval/report-social-recall.json": "80d96d210aec28522f8d753887b73f22a37d7735d4105eb83e6402ea9aca16c6",
+    "eval/report-ssl-before-after.json": "c99be3a1c7abc7ce7148cb1a91ef57ecfacf4eb9024b044f6b215f86ae76394f",
+    "eval/report-zero-shot-binary.json": "f93306adc19b970b6b44a0dbdb44fac60014a7ad0bbdc43b62f859cc1c263f19",
+    "ssl/model.bin": "d562edc32563bd57c579ed2e21e6202d7373cd5a05d4713af120eaf663305206",
+    "ssl/pseudo.jsonl": "0bdb444768fbe5dc20dd655584be8b6876d63cfa724bdbdc99006e124a513a30",
     "ssl/vocab.json": "e9a2d28bad0269da170765f4a171276bbd7c744f1733340f8f57cd35047acb69",
+    "train-untied/model.bin": "3b15d548008aba3512a0b552dde0550fbd741bd1a09282db6aafa30201b8860e",
+    "train-dropout/model.bin": "8f6fc576b53b7abd6e90fbfd93a3b1f718f9ebdf5cda171a372b8da0a2d52cba",
+    "train-direct/model.bin": "08ddc8ab311a3517015e7fcbe68be90d3710c01f7e630b81bb4ad52c4c9a4871",
+    "train-episodic/model.bin": "f8cd400a5f6f65d1487974ce9a38b37c36fc679f9949b22e8c864797e0a41228",
 }
 
 REPIN = (
@@ -88,6 +101,11 @@ def test_seeded_run_matches_pinned_digests(tmp_path):
     _bilayer("gen", "--config", str(tmp_path / "world.json"), "--out", world)
     _bilayer("train", world, "--config", str(tmp_path / "train.json"), "--seed", "1",
              "--out", run)
+    for variant, change in VARIANTS.items():
+        config = tmp_path / f"train-{variant}.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, **change}), encoding="utf-8")
+        _bilayer("train", world, "--config", str(config), "--seed", "1",
+                 "--out", str(tmp_path / f"train-{variant}"))
     model = os.path.join(run, "model.json")
     (tmp_path / "decode").mkdir()
     for name, args in DECODES.items():

@@ -17,8 +17,9 @@ Checkpoints and the feature archive share one tensor-archive codec in
 `params.py`.  The triple store's internals are read only inside
 `triple_store.py`.  Every public name the package defines has a caller inside
 it, but for a short allowlist of names that the benchmark or the gradient
-tests call, and every field of the three settings classes is read outside its
-class.  The ontology is one constant, constructed once.
+tests call, every field of the three settings classes is read outside its
+class, and every field of a world is read outside `world.py`.  The ontology
+is one constant, constructed once.
 """
 from __future__ import annotations
 
@@ -272,6 +273,21 @@ def test_every_setting_is_read_outside_its_class(module):
                 read.add(node.attr)
     unread = sorted(settings - read - UNREAD_SETTINGS.keys())
     assert not unread, f"{SETTINGS[module]} fields that nothing reads: {unread}"
+
+
+def test_every_world_field_is_read_outside_world_py():
+    """A world keeps no state that nothing reads: every public field of
+    `GroundTruthWorld` is read as an attribute (matched by name) in some
+    package module other than `world.py`, which writes and loads them all."""
+    package = Path(bilayer.__file__).parent
+    state = {f.name for f in dataclasses.fields(bilayer.world.GroundTruthWorld)
+             if not f.name.startswith("_")}
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "world.py":
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert not state - read, f"world fields that nothing reads: {sorted(state - read)}"
 
 
 def test_the_ontology_is_one_constant():

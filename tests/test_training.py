@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bilayer import graph, training
+from bilayer.evaluation import head_metrics
 from bilayer.network import DecodeRequest, SceneInput, decode
 from bilayer.params import ColumnMap, NetConfig, NetParams, params_digest
 from bilayer.training import (
@@ -695,6 +696,33 @@ class TestTrainLoop:
         first = history[0]["loss"]
         last = history[-1]["loss"]
         assert last < first
+
+    # the lowest teacher-forced accuracy each head may read after QUALITY_RUN;
+    # with one BLAS thread it reads NT 1.000, NS 0.985, NO 1.000, NP 0.950 and
+    # labels 0.971 in perception, labels 0.717 and NP 0.455 in episodic memory,
+    # labels 0.711 and NP 0.455 in semantic memory, against about 0.27 on the
+    # labels and 0.015 on NP after 2 epochs at 1e-4
+    QUALITY_RUN = TrainConfig(epochs=10, learning_rate=1e-2, seed=0)
+    QUALITY_FLOOR = {
+        "perception": {"NT": 0.9, "NS": 0.9, "NO": 0.9, "NP": 0.9, "labels": 0.9},
+        "episodic": {"NP": 0.3, "labels": 0.6},
+        "semantic": {"NP": 0.3, "labels": 0.6},
+    }
+
+    def test_training_reaches_the_quality_floor(self, tiny_world, tiny_store):
+        """Training that stops learning fails here, whatever its digests."""
+        v = tiny_world.vocab
+        cmap = ColumnMap(v)
+        params = NetParams.init(v, NetConfig(feature_dim=tiny_world.config.feature_dim),
+                                substream(0, "init"))
+        train(params, cmap, v, tiny_store, self.QUALITY_RUN, world=tiny_world)
+        memory = memory_examples(tiny_store, v)
+        for mode, floor in self.QUALITY_FLOOR.items():
+            unary, binary = perception_examples(tiny_world, v) if mode == "perception" else memory
+            m = head_metrics(params, cmap, unary, binary, mode)
+            read = {**m["heads"], "labels": m["unary_top1"]}
+            low = {head: read[head] for head in floor if read[head] < floor[head]}
+            assert not low, f"{mode} heads below {floor}: {low}"
 
     def test_history_covers_every_epoch_and_mode(self):
         v, params, cmap, store = _memory_setup(seed=5)

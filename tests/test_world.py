@@ -200,12 +200,12 @@ class TestGeneration:
     PINNED = {
         "tiny": {
             "vocab.json": "58416bb4597115252bb9bbebd56785a21dc01074dd159abf4979f63ee03abee5",
-            "world.json": "274d94361a092156f1d094f127b0a0fa2fd0b7c030f8e38d3ef2f0c6bf1f09dd",
+            "world.json": "fd322a7802365a1bdb0806d8e113ae17c5e4cb06aaabf0a238c829c452777c77",
             "triples.jsonl": "17ea5dbbce50ae7358fc04383f612592c6587c028712c2d8439f6ee3537e9251",
         },
         "default": {
             "vocab.json": "9ec9fce9e054612e5bd1d61f214b6bd7735ace541cdafbf264e2988e883aa66f",
-            "world.json": "3a72b9eeb931ffc0be87cae973d9e35eb0c49a1f89080d16636eaee0bd88b3db",
+            "world.json": "65f6d305de053cbf76d4db62443515491c471e0d4d8b1c146ec4fa11c63c28a0",
             "triples.jsonl": "2aaba830d4485c57376640f76d95b4a52fe2be7e9d438821e133358886654a6a",
         },
     }
@@ -232,7 +232,6 @@ class TestGeneration:
         assert a.feature_index == b.feature_index
         np.testing.assert_array_equal(a.features, b.features)
         assert a.heldout == b.heldout
-        assert a.zs_examples == b.zs_examples
 
     def test_scene_membership(self, clean_world):
         for scene in clean_world.scenes:
@@ -298,6 +297,15 @@ class TestGeneration:
                 assert scene.bb_key(m) in feats
             for i in range(len(scene.binaries)):
                 assert scene.rel_key(i) in feats
+
+    def test_every_featured_box_belongs_to_a_scene(self, tiny_world):
+        keys = set()
+        for scene in tiny_world.scenes:
+            keys.add(scene.scene_key)
+            keys.update(scene.bb_key(m) for m in scene.members)
+            keys.update(scene.rel_key(i) for i in range(len(scene.binaries)))
+        strays = sorted(set(tiny_world.feature_index) - keys)
+        assert not strays, f"{len(strays)} boxes of no scene: {strays[:4]}"
 
     def test_noise_free_scene_feature_is_member_mean(self, clean_world):
         scene = clean_world.scenes_of_kind("train")[0]
@@ -434,10 +442,13 @@ class TestZeroShotHoldout:
             assert all(p in onto.scene_predicates for p in preds)
 
     def test_no_scene_leaks_a_held_out_combo(self, clean_world):
+        """Only the zero-shot views show a held-out combination."""
         held = set(clean_world.heldout)
         assert held, "holdout must not be empty for this test"
         scene_preds = set(ONTOLOGY.scene_predicates)
         for scene in clean_world.scenes:
+            if scene.kind == "zero_shot":
+                continue
             for s, p, o in scene.binaries:
                 if p not in scene_preds:
                     continue
@@ -448,16 +459,21 @@ class TestZeroShotHoldout:
                 )
                 assert combo not in held, f"{combo} leaked into scene {scene.name}"
 
-    def test_zero_shot_examples_materialize_held_out_combos(self, clean_world):
+    def test_zero_shot_views_show_held_out_combos(self, clean_world):
+        """A zero-shot view is a scene of two visual entities and one binary
+        statement of a held-out combination, never stored as an episode."""
         held = set(clean_world.heldout)
-        assert clean_world.zs_examples
-        for ex in clean_world.zs_examples:
-            assert (ex["s_class"], ex["p"], ex["o_class"]) in held
-            assert ex["s"] != ex["o"]
-            assert clean_world.entity_record(ex["s"]).labels["BClass"] == ex["s_class"]
-            assert clean_world.entity_record(ex["o"]).labels["BClass"] == ex["o_class"]
-            for suffix in (":s", ":o", ":scene", ":rel"):
-                assert ex["key"] + suffix in clean_world.feature_index
+        views = clean_world.scenes_of_kind("zero_shot")
+        assert views
+        for view in views:
+            assert not view.instance and view.name not in clean_world.vocab
+            (s, p, o), = view.binaries
+            assert view.members == [s, o] and s != o
+            labels = [clean_world.entity_record(e).labels["BClass"] for e in (s, o)]
+            assert (labels[0], p, labels[1]) in held
+            assert all(clean_world.entity_record(e).visual for e in (s, o))
+            for key in (view.scene_key, view.bb_key(s), view.bb_key(o), view.rel_key(0)):
+                assert key in clean_world.feature_index
 
 
 class TestStoreIngestion:
@@ -550,18 +566,24 @@ class TestExport:
 
     def test_a_loaded_world_equals_the_generated_one(self, tiny_world, tmp_path):
         """`load_world` of an export holds every field `gen_world` made, equal
-        field by field.  The vocabulary holds the same symbols, kinds and
-        families; loading registers them kind by kind, so their ids differ.
-        The store is a cache that each side builds itself."""
+        field by field and in the same order: the vocabulary numbers each
+        symbol as the generated one does, and each entity lists its labels in
+        family order.  The store is a cache that each side builds itself."""
         export_world(tiny_world, str(tmp_path))
         loaded = load_world(str(tmp_path))
         for f in fields(GroundTruthWorld):
             made, read = getattr(tiny_world, f.name), getattr(loaded, f.name)
             if f.name == "vocab":
-                assert made.to_dict() == read.to_dict()
+                assert [(made.name_of(i), made.kind_of(i)) for i in range(len(made))] == [
+                    (read.name_of(i), read.kind_of(i)) for i in range(len(read))]
+                assert made.families == read.families
             elif f.name == "features":
                 assert made.dtype == read.dtype
                 np.testing.assert_array_equal(made, read)
+            elif f.name in ("entities", "test_entities"):
+                assert made == read, f.name
+                assert [list(r.labels.items()) for r in made.values()] == [
+                    list(r.labels.items()) for r in read.values()], f.name
             elif f.name != "_store":
                 assert made == read, f.name
 
