@@ -17,7 +17,6 @@ from .evaluation import (
     EvalError,
     MetricReport,
     run_experiment,
-    zero_shot_split,
 )
 from .graph import Batch, GraphError, backward, forward, loss_and_grads
 from .network import (

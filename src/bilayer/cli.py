@@ -33,6 +33,12 @@ entity, class or attribute).
 Every command writes a manifest.json into --out recording config/input
 hashes and outputs, even when it fails; timestamps live only there, so reruns
 with one seed are byte-identical everywhere else.
+
+`bilayer ssl` writes the vocabulary it grew beside its checkpoint, as
+vocab.json.  A command that reads a checkpoint takes its symbols from that
+file when its sha256 is the checkpoint's and it extends the world's
+vocabulary (each world symbol keeps its kind, family and place within its
+kind), else from the world.  Training resumed from it writes one too.
 """
 from __future__ import annotations
 
@@ -62,6 +68,7 @@ from .params import (
     ParamError,
     check_keys,
     load_checkpoint,
+    read_checkpoint_manifest,
     save_checkpoint,
 )
 from .training import (
@@ -75,11 +82,13 @@ from .training import (
 from .triple_store import StoreError, write_statements
 from .vocab import IDENTITY_FAMILY, VocabError, Vocabulary
 from .world import (
+    GroundTruthWorld,
     WorldConfig,
     WorldError,
     export_world,
     gen_world,
     load_world,
+    read_vocab,
     substream,
 )
 
@@ -168,9 +177,25 @@ def _checkpoint_inputs(checkpoint: str) -> list[str]:
     return [base + ".json", base + ".bin"]
 
 
-def _load_model(checkpoint: str, vocab: Vocabulary) -> tuple[NetParams, ColumnMap]:
-    params = load_checkpoint(_checkpoint_base(checkpoint), vocab)
-    return params, ColumnMap(vocab)
+def _load_model(checkpoint: str, world: GroundTruthWorld) -> tuple[NetParams, ColumnMap]:
+    """The checkpoint's parameters and column map.  The vocab.json beside the
+    checkpoint becomes the world's vocabulary when its digest is the one the
+    checkpoint records and it extends the world's; call this before the
+    world's store is built."""
+    base = _checkpoint_base(checkpoint)
+    beside = os.path.join(os.path.dirname(base), "vocab.json")
+    if os.path.isfile(beside):
+        grown = read_vocab(beside)
+        if (grown.digest() == read_checkpoint_manifest(base)["vocab_sha256"]
+                and grown.extends(world.vocab)):
+            world.vocab = grown
+    return load_checkpoint(base, world.vocab), ColumnMap(world.vocab)
+
+
+def _write_vocab(vocab: Vocabulary, outdir: str) -> str:
+    with open(os.path.join(outdir, "vocab.json"), "w", encoding="utf-8") as fp:
+        fp.write(vocab.dumps() + "\n")
+    return "vocab.json"
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -207,21 +232,21 @@ def cmd_gen(args: argparse.Namespace) -> None:
 
 def cmd_train(args: argparse.Namespace) -> None:
     world = load_world(args.world)
-    store = world.build_store()
+    own_vocab = world.vocab
     doc = _load_json(args.config) if args.config else {}
     train_config, net_config = _split_train_config(doc, world.config.feature_dim, args.seed)
 
     def body() -> list[str]:
-        cmap = ColumnMap(world.vocab)
         if args.checkpoint:
-            params, _ = _load_model(args.checkpoint, world.vocab)
+            params, _ = _load_model(args.checkpoint, world)
             if params.config.to_dict() != net_config.to_dict():
                 log.info("resuming with the checkpoint's network shape")
         else:
             params = NetParams.init(
                 world.vocab, net_config, substream(train_config.seed, "init")
             )
-        history = train(params, cmap, world.vocab, store, train_config, world=world)
+        cmap = ColumnMap(world.vocab)
+        history = train(params, cmap, world.vocab, world.build_store(), train_config, world=world)
         for row in history:
             _emit({"event": "epoch", **row})
         save_checkpoint(params, world.vocab, os.path.join(args.out, "model"))
@@ -235,7 +260,10 @@ def cmd_train(args: argparse.Namespace) -> None:
             fp.write("\n")
         final = history[-1]["loss"] if history else float("nan")
         _emit({"event": "trained", "checkpoint": "model.json", "final_loss": final})
-        return ["model.json", "model.bin", "history.csv", "train-config.json"]
+        outputs = ["model.json", "model.bin", "history.csv", "train-config.json"]
+        if world.vocab is not own_vocab:  # resumed with the vocabulary `bilayer ssl` grew
+            outputs.append(_write_vocab(world.vocab, args.out))
+        return outputs
 
     inputs = _world_inputs(args.world) + ([args.config] if args.config else [])
     _manifest_run("train", args, inputs, body)
@@ -257,10 +285,10 @@ def cmd_decode(args: argparse.Namespace) -> None:
     if args.n < 0:
         raise UsageError(f"--n must be a nonnegative number of passes, not {args.n}")
     world = load_world(args.world)
-    vocab = world.vocab
 
     def body() -> list[str]:
-        params, cmap = _load_model(args.checkpoint, vocab)
+        params, cmap = _load_model(args.checkpoint, world)
+        vocab = world.vocab
         rng = substream(args.seed if args.seed is not None else 0, "decode", args.mode)
 
         def request(mode: str, **kwargs) -> DecodeRequest:
@@ -333,12 +361,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
     check_experiments(names, world)
 
     def body() -> list[str]:
-        store = world.build_store()
-        params, cmap = _load_model(args.checkpoint, world.vocab)
+        params, cmap = _load_model(args.checkpoint, world)
         doc = _load_json(args.config) if args.config else {}
         train_config, net_config = _split_train_config(doc, world.config.feature_dim, args.seed)
         ctx = EvalContext(
-            world=world, store=store, vocab=world.vocab, params=params, cmap=cmap,
+            world=world, store=world.build_store(), vocab=world.vocab, params=params, cmap=cmap,
             net_config=net_config, train_config=train_config,
             seed=args.seed if args.seed is not None else train_config.seed,
         )
@@ -371,8 +398,8 @@ def cmd_ssl(args: argparse.Namespace) -> None:
     world = load_world(args.world)
 
     def body() -> list[str]:
+        params, cmap = _load_model(args.checkpoint, world)
         vocab = world.vocab
-        params, cmap = _load_model(args.checkpoint, vocab)
         doc = _load_json(args.config) if args.config else {}
         config, _ = _split_train_config(doc, world.config.feature_dim, args.seed)
         unlabeled = [s.name for s in world.scenes_of_kind("unlabeled")]
@@ -383,8 +410,7 @@ def cmd_ssl(args: argparse.Namespace) -> None:
             params, cmap, vocab, world, unlabeled, config, store=store
         )
         save_checkpoint(params, vocab, os.path.join(args.out, "model"))
-        with open(os.path.join(args.out, "vocab.json"), "w", encoding="utf-8") as fp:
-            fp.write(vocab.dumps() + "\n")
+        _write_vocab(vocab, args.out)
         ha = vocab.has_attribute
         quads = [(ex["s"], ha, ex["o"], ex["t"])
                  for ex in report.pseudo_unary if ex["fam"] != IDENTITY_FAMILY]

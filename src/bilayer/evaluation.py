@@ -24,7 +24,7 @@ import numpy as np
 from . import graph
 from .graph import Batch
 from .network import DecodeRequest, DecodeTrace, SceneInput, decode_chunked
-from .params import ColumnMap, NetConfig, NetParams
+from .params import ColumnMap, NetConfig, NetParams, params_digest
 from .triple_store import TripleStore, is_known
 from .training import (
     Examples,
@@ -285,25 +285,23 @@ class MetricReport:
 
 @dataclass
 class EvalContext:
-    """Everything an experiment may need, with lazy model training and caching
-    so scenarios sharing a model train it once."""
+    """Everything an experiment may need: the world, its store and
+    vocabulary, the model under evaluation (`params`, `cmap`) and the train
+    config.  A model an experiment trains for itself (`model`) is trained
+    once per key and cached, so experiments that share it train it once."""
 
     world: GroundTruthWorld
     store: TripleStore
     vocab: Vocabulary
-    params: NetParams | None = None
-    cmap: ColumnMap | None = None
+    params: NetParams
+    cmap: ColumnMap
+    train_config: TrainConfig
     net_config: NetConfig | None = None
-    train_config: TrainConfig | None = None
     seed: int = 0
     _models: dict = field(default_factory=dict)
 
     def config_with(self, **overrides) -> TrainConfig:
-        base = self.train_config.to_dict() if self.train_config else TrainConfig().to_dict()
-        if self.train_config is None:
-            base["seed"] = self.seed
-        base.update(overrides)
-        return TrainConfig.from_dict(base)
+        return TrainConfig.from_dict({**self.train_config.to_dict(), **overrides})
 
     def fresh_params(self) -> tuple[NetParams, ColumnMap]:
         net = self.net_config or NetConfig(feature_dim=self.world.config.feature_dim)
@@ -313,9 +311,7 @@ class EvalContext:
         params = NetParams.init(self.vocab, net, substream(self.seed, "init"))
         return params, cmap
 
-    def model(self, key: str = "main", **overrides) -> tuple[NetParams, ColumnMap]:
-        if key == "main" and self.params is not None:
-            return self.params, self.cmap or ColumnMap(self.vocab)
+    def model(self, key: str, **overrides) -> tuple[NetParams, ColumnMap]:
         if key not in self._models:
             params, cmap = self.fresh_params()
             config = self.config_with(**overrides)
@@ -325,19 +321,13 @@ class EvalContext:
 
 
 def _visible_families(ctx: EvalContext) -> tuple:
-    cfg = ctx.train_config or TrainConfig()
-    out = [
-        f
-        for f in sorted(ctx.vocab.families)
-        if f != IDENTITY_FAMILY
-        and f not in cfg.hidden_families
-        and f not in cfg.excluded_families
-    ]
-    return tuple(out)
+    cfg = ctx.train_config
+    return tuple(f for f in sorted(ctx.vocab.families) if f != IDENTITY_FAMILY
+                 and f not in cfg.hidden_families and f not in cfg.excluded_families)
 
 
 def _experiment_episodic_recall(ctx: EvalContext) -> tuple[dict, dict]:
-    params, cmap = ctx.model()
+    params, cmap = ctx.params, ctx.cmap
     unary, binary = memory_examples(ctx.store, ctx.vocab)
     m = head_metrics(params, cmap, unary, binary, "episodic")
     metrics = {
@@ -352,7 +342,7 @@ def _experiment_episodic_recall(ctx: EvalContext) -> tuple[dict, dict]:
 
 
 def _experiment_semantic_recall(ctx: EvalContext) -> tuple[dict, dict]:
-    params, cmap = ctx.model()
+    params, cmap = ctx.params, ctx.cmap
     unary, binary = memory_examples(ctx.store, ctx.vocab)
     m = head_metrics(params, cmap, unary, binary, "semantic")
     conditionals = {}
@@ -379,7 +369,7 @@ def _experiment_semantic_recall(ctx: EvalContext) -> tuple[dict, dict]:
 def _experiment_perception_unary(ctx: EvalContext) -> tuple[dict, dict]:
     # every variant decodes through the same trained weights; "direct" only
     # changes the decode pathway, not the model
-    params, cmap = ctx.model()
+    params, cmap = ctx.params, ctx.cmap
     fams = _visible_families(ctx)
     ex_scenes = ctx.world.scenes_of_kind("ex_test")
     e_scenes = ctx.world.scenes_of_kind("e_test")
@@ -420,7 +410,7 @@ def _binary_examples_from_scenes(scenes: list) -> list[dict]:
 
 
 def _experiment_perception_binary(ctx: EvalContext) -> tuple[dict, dict]:
-    params, cmap = ctx.model()
+    params, cmap = ctx.params, ctx.cmap
     metrics: dict = {}
     counts: dict = {}
     for split, kind in (("ex", "ex_test"), ("e", "e_test")):
@@ -439,9 +429,7 @@ def _experiment_perception_binary(ctx: EvalContext) -> tuple[dict, dict]:
     return metrics, counts
 
 
-def _experiment_hidden_label(
-    ctx: EvalContext, family: str = "Risk", positive: str = "Dangerous"
-) -> tuple[dict, dict]:
+def _experiment_hidden_label(ctx: EvalContext, family: str = "Risk") -> tuple[dict, dict]:
     if family not in ctx.vocab.families:
         raise EvalError(f"world has no {family!r} family")
     base_params, base_cmap = ctx.model("hidden-base", excluded_families=(family,))
@@ -478,18 +466,6 @@ def _experiment_hidden_label(
     return metrics, {"balanced": len(balanced), "labels": len(by_label)}
 
 
-def zero_shot_split(world: GroundTruthWorld) -> tuple[list, list]:
-    """(combos usable in training, held-out combos); both deterministic."""
-    all_combos = {
-        (cs, p, co) for (cs, co), row in world.pair_table.items() for p, _ in row
-    }
-    if len(all_combos) < 2:
-        raise EvalError("need at least two (class, predicate, class) combos")
-    held = sorted(tuple(h) for h in world.heldout)
-    train_combos = sorted(all_combos - set(held))
-    return train_combos, held
-
-
 def _training_combos(world: GroundTruthWorld) -> set:
     seen = set()
     for scene in world.scenes_of_kind("train", "ex_train"):
@@ -505,9 +481,9 @@ def _training_combos(world: GroundTruthWorld) -> set:
 
 
 def _experiment_zero_shot(ctx: EvalContext) -> tuple[dict, dict]:
-    params, cmap = ctx.model()
-    _, held = zero_shot_split(ctx.world)
-    leaked = set(held) & _training_combos(ctx.world)
+    params, cmap = ctx.params, ctx.cmap
+    held = set(ctx.world.heldout)
+    leaked = held & _training_combos(ctx.world)
     if leaked:
         raise EvalError(f"held-out combos appear in training scenes: {sorted(leaked)[:3]}")
     examples = _binary_examples_from_scenes(ctx.world.scenes_of_kind("zero_shot"))
@@ -523,7 +499,7 @@ def _experiment_zero_shot(ctx: EvalContext) -> tuple[dict, dict]:
 
 
 def _experiment_social_recall(ctx: EvalContext) -> tuple[dict, dict]:
-    params, cmap = ctx.model()
+    params, cmap = ctx.params, ctx.cmap
     social_instances = {
         ctx.vocab.id_of(s.name) for s in ctx.world.scenes_of_kind("social")
     }
@@ -542,7 +518,7 @@ def _experiment_social_recall(ctx: EvalContext) -> tuple[dict, dict]:
 
 def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     unlabeled = [s.name for s in ctx.world.scenes_of_kind("unlabeled")]
-    params, cmap = ctx.model()
+    params, cmap = ctx.params, ctx.cmap
     vocab2 = copy.deepcopy(ctx.vocab)
     params2 = params.copy()
 
@@ -592,7 +568,7 @@ def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
 
 
 def _experiment_consolidation(ctx: EvalContext) -> tuple[dict, dict]:
-    params, cmap = ctx.model()
+    params, cmap = ctx.params, ctx.cmap
     vocab2 = copy.deepcopy(ctx.vocab)
     candidates = ctx.store.observed_instances()
     if not candidates:
@@ -645,12 +621,8 @@ def _fingerprint(ctx: EvalContext, name: str) -> str:
     h.update(ctx.vocab.digest().encode())
     h.update(json.dumps(ctx.world.config.to_dict(), sort_keys=True).encode())
     h.update(str(ctx.seed).encode())
-    if ctx.params is not None:
-        from .params import params_digest
-
-        h.update(params_digest(ctx.params).encode())
-    if ctx.train_config is not None:
-        h.update(json.dumps(ctx.train_config.to_dict(), sort_keys=True).encode())
+    h.update(params_digest(ctx.params).encode())
+    h.update(json.dumps(ctx.train_config.to_dict(), sort_keys=True).encode())
     if ctx.net_config is not None:
         h.update(json.dumps(ctx.net_config.to_dict(), sort_keys=True).encode())
     return h.hexdigest()

@@ -63,8 +63,6 @@ class ColumnMap:
         n_e, n_c, n_a, n_p, n_t = self.kind_counts
         offsets = np.cumsum([0, n_e, n_c, n_a, n_p, n_t])
         self.entity_cols = np.arange(offsets[0], offsets[1])
-        self.class_cols = np.arange(offsets[1], offsets[2])
-        self.attribute_cols = np.arange(offsets[2], offsets[3])
         self.predicate_cols = np.arange(offsets[3], offsets[4])
         self.instance_cols = np.arange(offsets[4], offsets[5])
         self.concept_cols = np.arange(offsets[0], offsets[3])
@@ -418,9 +416,15 @@ def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tup
                          params.config.np_dtype())
 
 
+def read_checkpoint_manifest(base_path: str) -> dict:
+    """The manifest of the checkpoint at `base_path`; its `vocab_sha256` is
+    the digest of the vocabulary the checkpoint was saved against."""
+    return read_manifest(base_path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                         ("config", "kind_counts", "vocab_sha256"))
+
+
 def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
-    manifest = read_manifest(base_path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-                             ("config", "kind_counts", "vocab_sha256"))
+    manifest = read_checkpoint_manifest(base_path)
     if manifest["vocab_sha256"] != vocab.digest():
         raise ParamError("checkpoint was saved against a different vocabulary")
     config = NetConfig.from_dict(manifest["config"])

@@ -233,11 +233,10 @@ def perception_examples(
     world: GroundTruthWorld,
     vocab: Vocabulary,
     hidden_families: tuple = (),
-    kinds: tuple = ("train", "ex_train"),
 ) -> tuple[Examples, Examples]:
-    """Feature-bearing examples from scenes that are registered instances:
-    per member, one row per visible label and an identity row; one row per
-    scene relation."""
+    """Feature-bearing examples from the train and ex_train scenes, which are
+    registered instances: per member, one row per visible label and an
+    identity row; one row per scene relation."""
     hidden = set(hidden_families)
     families = _families(vocab)
     code = {f: i for i, f in enumerate(families)}
@@ -246,9 +245,7 @@ def perception_examples(
     visible: dict[str, list] = {}  # member -> (family code, label id) of its visible labels
     unary: list[int] = []
     binary: list[int] = []
-    for scene in world.scenes_of_kind(*kinds):
-        if not scene.instance:
-            continue
+    for scene in world.scenes_of_kind("train", "ex_train"):
         t = vocab.id_of(scene.name)
         sc = keys.setdefault(scene.scene_key, len(keys))
         for m in scene.members:

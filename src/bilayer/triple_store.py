@@ -48,8 +48,8 @@ decoded from pays for none of them:
   with a positive label, which labels are true there and which known false;
 * the per-instance positives: t -> its slice of the positive array.
 
-Adds update the point lookup and the counts in place and drop whatever else
-they change; the next query rebuilds it.
+Adds update the point lookup in place and drop whatever else they change;
+the next query rebuilds it.
 
 The counting queries are the exact reference semantics for what the
 trainable network only approximates:
@@ -281,13 +281,7 @@ class TripleStore:
         self._blocks[truth].append(rows)
         if self._truth is not None:
             self._truth.update(zip(self._shared(rows), repeat(truth)))
-        if self._counts is not None:
-            positives, known = self._counts
-            keys = list(self._shared(rows[:, :3]))
-            known.update(keys)
-            if truth:
-                positives.update(keys)
-        self._cooc = None
+        self._counts = self._cooc = None
         if truth:
             self._spans = None
         else:

@@ -168,6 +168,17 @@ class Vocabulary:
         except KeyError:
             raise VocabError(f"unknown family {family!r}") from None
 
+    def extends(self, base: "Vocabulary") -> bool:
+        """Whether every symbol of `base` is here with its kind, its family and
+        its place among the symbols of its kind, so that every column a
+        `ColumnMap` of `base` lays out keeps its symbol here."""
+        for kind in Kind:
+            have, want = self._of_kind(kind), base._of_kind(kind)
+            if [self._names[i] for i in have[:len(want)]] != [base._names[i] for i in want]:
+                return False
+        return all(self._family_of.get(self._ids[name]) == base._family_of.get(i)
+                   for i, name in enumerate(base._names))
+
     def validate(self) -> None:
         seen: set[int] = set()
         for family, ids in self._families.items():
@@ -201,6 +212,11 @@ class Vocabulary:
             "entities": vocab.add_entity,
             "instances": vocab.add_instance,
         }
+        families = data.get("families", {})
+        if type(families) is not dict or not all(
+                type(names) is list and all(type(n) is str for n in names)
+                for names in [data.get(key, []) for key in adders] + list(families.values())):
+            raise VocabError("a vocabulary lists the names of each kind and family as strings")
         # An export lists the names grouped by kind, each kind in id order.  A
         # load registers the kinds in the order a generated world does, so a
         # loaded world numbers its symbols as the generated one did.  Each
@@ -210,7 +226,7 @@ class Vocabulary:
             for name in data.get(key, []):
                 if (key, name) != ("predicates", HAS_ATTRIBUTE):
                     add(name)
-        for family, members in data.get("families", {}).items():
+        for family, members in families.items():
             if family == IDENTITY_FAMILY:
                 continue
             vocab.define_family(family, members)

@@ -22,6 +22,12 @@ boxes (the scene box, its entity boxes, its relation boxes) is one row of
 one float32 matrix, found by its key; the feature archive stores that matrix
 and its keys in row order as one tensor of the shared archive format
 (`params.write_archive`).
+
+The record file `world.json` holds each fact once: an entity is a row of its
+name and its labels in family order, a scene its name, kind (which decides
+whether it is an episodic instance), members and binary statements.  What
+only generation reads (the predicate table, scene themes, which entities a
+scene may show) stays inside `gen_world`.
 """
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ import numpy as np
 
 from .params import check_keys, check_types, read_manifest, read_tensors, write_archive
 from .triple_store import TripleStore, write_jsonl
-from .vocab import Vocabulary
+from .vocab import VocabError, Vocabulary
 
 
 class WorldError(ValueError):
@@ -180,24 +186,33 @@ class WorldConfig:
 
 @dataclass
 class EntityRecord:
-    """An entity's name, its label in each family and whether a scene may
-    show it (an owner is not visual).  Its latent vector, which the feature
-    synthesis reads, lives only inside `gen_world`."""
+    """An entity's name and its label in each family, in the order of
+    `ONTOLOGY.label_families`.  Its latent vector, and whether a scene may
+    show it (an owner is not shown), live only inside `gen_world`."""
 
     name: str
     labels: dict[str, str]  # family -> label name
-    visual: bool = True
+
+
+INSTANCE_KINDS = ("train", "ex_train", "background", "social")
+SCENE_KINDS = INSTANCE_KINDS + ("ex_test", "e_test", "unlabeled", "zero_shot")
 
 
 @dataclass
 class SceneRecord:
+    """A scene: its members, its binary statements and its kind, one of
+    `SCENE_KINDS`.  The kind decides whether the scene is an episodic
+    instance; the theme that composed it lives only inside `gen_world`."""
+
     name: str
-    # train | ex_train | ex_test | e_test | unlabeled | background | social | zero_shot
     kind: str
-    instance: bool     # registered as an episodic instance
     members: list[str]
     binaries: list[tuple[str, str, str]]
-    theme: str | None = None   # "family:label" composition bias
+
+    @property
+    def instance(self) -> bool:
+        """Whether the scene is registered as an episodic instance."""
+        return self.kind in INSTANCE_KINDS
 
     @property
     def scene_key(self) -> str:
@@ -217,8 +232,11 @@ class GroundTruthWorld:
     `ONTOLOGY`.  `features` holds one float32 row per box, `(n_boxes,
     feature_dim)`, and `feature_index` maps each box's key (a scene's
     `SceneRecord.scene_key`, `bb_key` or `rel_key`) to its row.  Rows are in
-    generation order, and `feature_index` lists its keys in row order.  The
-    class prototypes and entity latents that made the features are not kept."""
+    generation order, and `feature_index` lists its keys in row order.
+    `heldout` lists the (class, predicate, class) combinations no train scene
+    shows.  What only made the world is not kept: the class prototypes and
+    entity latents behind the features, the predicate table the scenes drew
+    from, each scene's theme and which entities a scene may show."""
 
     config: WorldConfig
     vocab: Vocabulary
@@ -227,7 +245,6 @@ class GroundTruthWorld:
     scenes: list[SceneRecord]
     features: np.ndarray
     feature_index: dict[str, int]
-    pair_table: dict[tuple[str, str], list[tuple[str, float]]]
     heldout: list[tuple[str, str, str]]
     _store: TripleStore | None = None
 
@@ -389,9 +406,7 @@ def _nth_free(j: int, taken: list[int]) -> int:
     return j
 
 
-def _compose_scene(
-    name, kind, instance, pool: _ScenePool, config, predicates, rng
-) -> SceneRecord:
+def _compose_scene(name, kind, pool: _ScenePool, config, predicates, rng) -> SceneRecord:
     """A scene of k distinct members drawn from `pool` around a theme (a parent
     class or a colour), then up to `binary_per_scene` binary statements among
     them, their predicates drawn from `predicates` (`_predicate_sampler`).
@@ -436,10 +451,7 @@ def _compose_scene(
                     seen.add((s.name, p, o.name))
                     binaries.append((s.name, p, o.name))
                     break
-    return SceneRecord(
-        name=name, kind=kind, instance=instance, members=members, binaries=binaries,
-        theme=f"{fam}:{label}",
-    )
+    return SceneRecord(name=name, kind=kind, members=members, binaries=binaries)
 
 
 def _scene_view_features(scene: SceneRecord, records, protos, latents, cfg: WorldConfig, rng,
@@ -541,7 +553,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             rec.labels["PClass"] = onto.parent_of(onto.owner_class)
             rec.labels["GClass"] = onto.top_of(rec.labels["PClass"])
             rec.labels["Risk"] = onto.risk_rule[rec.labels["GClass"]]
-            rec.visual = False
             entities[rec.name] = rec
             vocab.add_entity(rec.name)
             owners.append((dog.name, rec.name))
@@ -558,7 +569,9 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
     predicates = _predicate_sampler(table, set(heldout))
 
     scene_rng = substream(seed, "scenes")
-    visual_pool = _scene_pool([e for e in entities.values() if e.visual])
+    hidden = {owner for _, owner in owners}  # no scene shows an owner
+    visual = [e for e in entities.values() if e.name not in hidden]
+    visual_pool = _scene_pool(visual)
     scenes: list[SceneRecord] = []
     n_unlabeled = int(round(config.unlabeled_fraction * config.n_scenes))
     for i in range(config.n_scenes):
@@ -567,7 +580,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             _compose_scene(
                 f"u{i:04d}" if unlabeled else f"t{i:04d}",
                 "unlabeled" if unlabeled else "train",
-                not unlabeled,
                 visual_pool,
                 config,
                 predicates,
@@ -577,35 +589,23 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
     test_pool = _scene_pool(list(test_entities.values()))
     for i in range(config.n_test_scenes):
         scenes.append(
-            _compose_scene(
-                f"g{i:04d}", "e_test", False, test_pool, config, predicates, scene_rng
-            )
+            _compose_scene(f"g{i:04d}", "e_test", test_pool, config, predicates, scene_rng)
         )
 
     if config.ex_split:
         for scene in [s for s in scenes if s.kind == "train"]:
-            scenes.append(
-                SceneRecord(
-                    name="x" + scene.name[1:], kind="ex_train", instance=True,
-                    members=list(scene.members), binaries=list(scene.binaries), theme=scene.theme,
-                )
-            )
-            scenes.append(
-                SceneRecord(
-                    name="y" + scene.name[1:], kind="ex_test", instance=False,
-                    members=list(scene.members), binaries=list(scene.binaries), theme=scene.theme,
-                )
-            )
+            for prefix, kind in (("x", "ex_train"), ("y", "ex_test")):
+                scenes.append(SceneRecord(name=prefix + scene.name[1:], kind=kind,
+                                          members=list(scene.members),
+                                          binaries=list(scene.binaries)))
 
     for i, (dog, owner) in enumerate(owners):
         binaries = [(dog, "ownedBy", owner)]
         if substream(seed, "affection", i).random() < 0.5:
             binaries.append((dog, "lovedBy", owner))
         scenes.append(
-            SceneRecord(
-                name=f"b{i:04d}", kind="background", instance=True,
-                members=[dog, owner], binaries=binaries,
-            )
+            SceneRecord(name=f"b{i:04d}", kind="background", members=[dog, owner],
+                        binaries=binaries)
         )
 
     persons = {
@@ -620,8 +620,7 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             friends = sorted({u for e in edges for u in e if u != name})
             scenes.append(
                 SceneRecord(
-                    name=f"s{i:04d}", kind="social", instance=True,
-                    members=[name] + friends,
+                    name=f"s{i:04d}", kind="social", members=[name] + friends,
                     binaries=[(u, onto.social_predicate, v) for u, v in edges],
                 )
             )
@@ -641,9 +640,8 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
     # combination, never stored as an episode
     zs_rng = substream(seed, "zs-examples")
     by_class: dict[str, list[str]] = {}
-    for rec in entities.values():
-        if rec.visual:
-            by_class.setdefault(rec.labels["BClass"], []).append(rec.name)
+    for rec in visual:
+        by_class.setdefault(rec.labels["BClass"], []).append(rec.name)
     n_views = 0
     for cs, p, co in heldout:
         subj_pool, obj_pool = by_class.get(cs, []), by_class.get(co, [])
@@ -654,8 +652,8 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             o = obj_pool[int(zs_rng.integers(len(obj_pool)))]
             if s == o:
                 continue
-            view = SceneRecord(name=f"zs{n_views:04d}", kind="zero_shot", instance=False,
-                               members=[s, o], binaries=[(s, p, o)])
+            view = SceneRecord(name=f"zs{n_views:04d}", kind="zero_shot", members=[s, o],
+                               binaries=[(s, p, o)])
             _scene_view_features(view, records, protos, latents, config, zs_rng, boxes)
             scenes.append(view)
             n_views += 1
@@ -664,8 +662,7 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
     return GroundTruthWorld(
         config=config, vocab=vocab, entities=entities, test_entities=test_entities,
         scenes=scenes, features=np.stack(list(boxes.values())),
-        feature_index={key: row for row, key in enumerate(boxes)}, pair_table=table,
-        heldout=heldout,
+        feature_index={key: row for row, key in enumerate(boxes)}, heldout=heldout,
     )
 
 
@@ -710,8 +707,7 @@ def _ingest(world: GroundTruthWorld) -> TripleStore:
                 unary_labels.append(label_ids[name])
         binaries.extend((v.id_of(s), v.id_of(p), v.id_of(o), t) for s, p, o in scene.binaries)
         binary_pos.extend([pos] * len(scene.binaries))
-        if scene.kind in closing:
-            closures.append((t, member_ids, *closing[scene.kind]))
+        closures.append((t, member_ids, *closing[scene.kind]))
 
     n_fam = len(onto.label_families)
     where, e, t = np.array(labeled, dtype=np.int64).reshape(-1, 3).T
@@ -805,29 +801,17 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
     store = world.build_store()
     _write("triples.jsonl", lambda fp: write_jsonl(store, fp, truth=True))
 
+    families = ONTOLOGY.label_families
     doc = {
-        "entities": [
-            {"name": r.name, "labels": r.labels, "visual": r.visual}
-            for r in world.entities.values()
-        ],
-        "test_entities": [
-            {"name": r.name, "labels": r.labels, "visual": r.visual}
-            for r in world.test_entities.values()
-        ],
-        "scenes": [
-            {
-                "name": s.name, "kind": s.kind, "instance": s.instance,
-                "members": s.members, "binaries": [list(b) for b in s.binaries],
-                "theme": s.theme,
-            }
-            for s in world.scenes
-        ],
-        "pair_table": {
-            f"{cs}|{co}": [[p, w] for p, w in row]
-            for (cs, co), row in sorted(world.pair_table.items())
-        },
-        "heldout": [list(h) for h in world.heldout],
+        key: [[r.name, *(r.labels[fam] for fam in families)] for r in records.values()]
+        for key, records in (("entities", world.entities), ("test_entities", world.test_entities))
     }
+    doc["scenes"] = [
+        {"name": s.name, "kind": s.kind, "members": s.members,
+         "binaries": [list(b) for b in s.binaries]}
+        for s in world.scenes
+    ]
+    doc["heldout"] = [list(h) for h in world.heldout]
     _write("world.json", _dump_json(doc))
     write_archive(os.path.join(outdir, "features"), FEATURES_FORMAT, FEATURES_VERSION,
                   {"keys": list(world.feature_index)}, [("features", world.features)],
@@ -844,42 +828,50 @@ def _read_json(path: str, keys) -> dict:
     return doc
 
 
-_WORLD_KEYS = ("entities", "test_entities", "scenes", "pair_table", "heldout")
+def read_vocab(path: str) -> Vocabulary:
+    """The vocabulary in the JSON file `path`, refused with one line that
+    names the file when it does not fit."""
+    try:
+        return Vocabulary.from_dict(_read_json(path, tuple(Vocabulary().to_dict())))
+    except VocabError as exc:
+        raise WorldError(f"{path}: {exc}") from exc
+
+
+_WORLD_KEYS = ("entities", "test_entities", "scenes", "heldout")
+
+
+def _entity_rows(doc_path: str, key: str, rows: list) -> dict[str, EntityRecord]:
+    """The records of `world.json`'s `key`: each a row `[name, label, ...]`
+    with one label per family, in family order."""
+    families = ONTOLOGY.label_families
+    records = {}
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != len(families) + 1:
+            raise WorldError(f"{doc_path}: {key}[{i}] is not a row [name, {', '.join(families)}]")
+        records[row[0]] = EntityRecord(row[0], dict(zip(families, row[1:])))
+    return records
 
 
 def load_world(indir: str) -> GroundTruthWorld:
     config = WorldConfig(**_read_json(os.path.join(indir, "config.json"),
                                       [f.name for f in fields(WorldConfig)]))
-    vocab = Vocabulary.from_dict(
-        _read_json(os.path.join(indir, "vocab.json"), tuple(Vocabulary().to_dict())))
+    vocab = read_vocab(os.path.join(indir, "vocab.json"))
     doc_path = os.path.join(indir, "world.json")
     doc = _read_json(doc_path, _WORLD_KEYS)
-    families = ONTOLOGY.label_families
-    family_set = set(families)
-
-    def entity(record: dict) -> EntityRecord:
-        """The record with its labels in family order, as `gen_world` made them."""
-        rec = EntityRecord(**record)
-        if rec.labels.keys() != family_set:  # the cheap test; check_keys names the key
-            check_keys(f"labels of {rec.name}", rec.labels, families, families, WorldError)
-        rec.labels = {fam: rec.labels[fam] for fam in families}
-        return rec
-
     try:
-        entities = {e["name"]: entity(e) for e in doc["entities"]}
-        test_entities = {e["name"]: entity(e) for e in doc["test_entities"]}
+        entities = _entity_rows(doc_path, "entities", doc["entities"])
+        test_entities = _entity_rows(doc_path, "test_entities", doc["test_entities"])
         scenes = [SceneRecord(**{**s, "binaries": [tuple(b) for b in s["binaries"]]})
                   for s in doc["scenes"]]
-        pair_table = {
-            tuple(key.split("|")): [(p, float(w)) for p, w in row]
-            for key, row in doc["pair_table"].items()
-        }
         heldout = [tuple(h) for h in doc["heldout"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise WorldError(f"{doc_path}: a record does not fit: {exc}") from exc
+    unknown = next((s for s in scenes if s.kind not in SCENE_KINDS), None)
+    if unknown is not None:
+        raise WorldError(f"{doc_path}: scene {unknown.name!r} is of kind {unknown.kind!r}, "
+                         f"not one of {', '.join(SCENE_KINDS)}")
     features, feature_index = read_features(os.path.join(indir, "features"), config.feature_dim)
     return GroundTruthWorld(
         config=config, vocab=vocab, entities=entities, test_entities=test_entities,
-        scenes=scenes, features=features, feature_index=feature_index, pair_table=pair_table,
-        heldout=heldout,
+        scenes=scenes, features=features, feature_index=feature_index, heldout=heldout,
     )

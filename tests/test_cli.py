@@ -20,7 +20,7 @@ import bilayer
 from bilayer import evaluation
 from bilayer.cli import main
 from bilayer.params import ColumnMap, load_checkpoint, params_digest, save_checkpoint
-from bilayer.world import WorldConfig, load_world
+from bilayer.world import ONTOLOGY, SCENE_KINDS, WorldConfig, load_world
 
 WORLD_CONFIG = {
     "n_entities": 48,
@@ -400,19 +400,27 @@ class TestTrain:
         ("world.json", ["scenes", 0], "members", None,
          "world.json: a record does not fit: SceneRecord.__init__() missing 1 required "
          "positional argument: 'members'"),
-        ("world.json", [], "pair_table", "pair_table",
-         "world.json: a record does not fit: 'int' object has no attribute 'items'"),
+        ("world.json", ["scenes", 0], "kind", "kind",
+         f"world.json: scene 't0000' is of kind 1, not one of {', '.join(SCENE_KINDS)}"),
         ("world.json", [], None, "note", "world.json: unknown keys note; valid keys: "),
         ("world.json", [], "heldout", "held_out", "world.json: unknown keys held_out; valid"),
-        ("world.json", ["entities", 0, "labels"], "Risk", None,
-         "world.json: a record does not fit: labels of e0000: missing keys Risk"),
-        ("world.json", ["entities", 0, "labels"], None, "Mood",
-         "world.json: a record does not fit: labels of e0000: unknown keys Mood; valid keys: "),
-        # the zero-shot views and social edges an older world kept beside its scenes
+        # what an older world kept: the predicate table, each scene's theme and
+        # instance flag, and zero-shot views and social edges beside its scenes
+        ("world.json", [], None, "pair_table", "world.json: unknown keys pair_table; valid"),
+        ("world.json", ["scenes", 0], None, "theme",
+         "world.json: a record does not fit: SceneRecord.__init__() got an unexpected keyword "
+         "argument 'theme'"),
         ("world.json", [], None, "zs_examples", "world.json: unknown keys zs_examples; valid"),
         ("world.json", [], None, "social_edges", "world.json: unknown keys social_edges; valid"),
         ("vocab.json", [], None, "note", "vocab.json: unknown keys note; valid keys: "),
         ("vocab.json", [], "families", None, "vocab.json: missing keys families"),
+        ("world.json", ["scenes", 0], None, "instance",
+         "world.json: a record does not fit: SceneRecord.__init__() got an unexpected keyword "
+         "argument 'instance'"),
+        ("vocab.json", [], "entities", "entities",
+         "vocab.json: a vocabulary lists the names of each kind and family as strings"),
+        ("vocab.json", ["families"], "Age", "Age",
+         "vocab.json: a vocabulary lists the names of each kind and family as strings"),
     ])
     def test_mistyped_world_file_is_data_error(self, ws, tmp_path, name, path, old, new, message):
         """A world file with a key renamed (`old` to `new`), deleted (no `new`),
@@ -433,6 +441,29 @@ class TestTrain:
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and str(world_dir / message) in lines[0], proc.stderr
+
+    @pytest.mark.parametrize("key, edit", [
+        # an entity record as an older world wrote it: a dict with a visual flag
+        ("entities", lambda row: {"name": row[0], "visual": True,
+                                  "labels": dict(zip(ONTOLOGY.label_families, row[1:]))}),
+        ("entities", lambda row: row[:-1]),
+        ("test_entities", lambda row: row + ["Happy"]),
+    ], ids=["dict-record", "short-row", "long-row"])
+    def test_entity_record_that_is_no_label_row_is_data_error(self, ws, tmp_path, key, edit):
+        """An entity is a row of its name and one label per family, in family
+        order; any other record is refused with one line naming it."""
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        doc = json.loads((world_dir / "world.json").read_text(encoding="utf-8"))
+        doc[key][1] = edit(doc[key][1])
+        (world_dir / "world.json").write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        row = f"[name, {', '.join(ONTOLOGY.label_families)}]"
+        assert len(lines) == 1, proc.stderr
+        assert f"{world_dir / 'world.json'}: {key}[1] is not a row {row}" in lines[0], proc.stderr
 
     def test_nested_world_config_is_data_error(self, ws, tmp_path):
         """A world written when config.json nested the settings under "world"
@@ -870,3 +901,62 @@ class TestSsl:
         with open(os.path.join(out, "pseudo.jsonl")) as fp:
             rows = [json.loads(l) for l in fp]
         assert rows and all(r["y"] == 1 and r["provenance"] == "ssl" for r in rows)
+
+
+@pytest.fixture(scope="module")
+def grown(ws):
+    """A 1-epoch train run on the shared world and the `bilayer ssl` growth
+    of its checkpoint."""
+    root = ws["root"]
+    tcfg = _write_json(root / "train-1epoch.json", {**TRAIN_CONFIG, "epochs": 1})
+    run, out = str(root / "run-1epoch"), str(root / "ssl-1epoch")
+    assert main(["train", ws["world_dir"], "--config", tcfg, "--out", run]) == 0
+    assert main(["ssl", os.path.join(run, "model.json"), ws["world_dir"], "--config", tcfg,
+                 "--out", out]) == 0
+    return {"dir": out, "checkpoint": os.path.join(out, "model.json"), "train_cfg": tcfg}
+
+
+class TestGrownCheckpoint:
+    """Every command that reads a checkpoint reads one `bilayer ssl` grew,
+    through the vocab.json written beside it."""
+
+    def test_episodic_decode_of_an_instance_ssl_added(self, ws, grown, tmp_path, capsys):
+        (name, *_) = [s.name for s in ws["world"].scenes_of_kind("unlabeled")]
+        assert name not in ws["world"].vocab
+        capsys.readouterr()
+        assert main(["decode", grown["checkpoint"], "--world", ws["world_dir"],
+                     "--mode", "episodic", "--t", name, "--n", "3",
+                     "--out", str(tmp_path / "d")]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 3 and all(r["t"] == name for r in records)
+        assert main(["decode", grown["checkpoint"], "--world", ws["world_dir"],
+                     "--mode", "semantic", "--n", "2", "--out", str(tmp_path / "s")]) == 0
+
+    def test_eval_reads_it(self, ws, grown, tmp_path):
+        out = tmp_path / "ev"
+        assert main(["eval", grown["checkpoint"], ws["world_dir"],
+                     "--experiments", "episodic-recall", "--out", str(out)]) == 0
+        report = json.loads((out / "report-episodic-recall.json").read_text(encoding="utf-8"))
+        assert report["counts"]["unary"] > 0
+
+    def test_training_resumes_from_it_and_keeps_its_vocabulary(self, ws, grown, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", ws["world_dir"], "--config", grown["train_cfg"],
+                     "--checkpoint", grown["checkpoint"], "--out", str(run)]) == 0
+        assert (run / "vocab.json").read_bytes() == open(
+            os.path.join(grown["dir"], "vocab.json"), "rb").read()
+        assert main(["eval", str(run / "model.json"), ws["world_dir"],
+                     "--experiments", "episodic-recall", "--out", str(tmp_path / "ev")]) == 0
+
+    def test_a_tampered_vocabulary_is_data_error(self, ws, grown, tmp_path):
+        shutil.copytree(grown["dir"], tmp_path / "ssl")
+        path = tmp_path / "ssl" / "vocab.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["instances"].pop()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli(["decode", str(tmp_path / "ssl" / "model.json"), "--world",
+                         ws["world_dir"], "--mode", "semantic", "--n", "1",
+                         "--out", str(tmp_path / "d")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "checkpoint was saved against a different vocabulary" in lines[0]

@@ -3,6 +3,8 @@ experiment harness (on a small trained model shared across the test session).
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from bilayer.evaluation import (
     perception_unary_eval,
     ranked_cols,
     run_experiment,
-    zero_shot_split,
 )
 from bilayer.graph import Batch
 from bilayer.network import DecodeRequest, decode
@@ -274,19 +275,6 @@ class TestPerceptionPipelines:
         assert run() == whole
 
 
-class TestZeroShotSplit:
-    def test_split_is_disjoint_and_complete(self, tiny_world):
-        train_combos, held = zero_shot_split(tiny_world)
-        assert held and train_combos
-        assert not set(train_combos) & set(held)
-        everything = {
-            (cs, p, co)
-            for (cs, co), row in tiny_world.pair_table.items()
-            for p, _ in row
-        }
-        assert set(train_combos) | set(held) == everything
-
-
 class TestMetricReport:
     def _report(self):
         return MetricReport(
@@ -391,6 +379,20 @@ class TestExperimentHarness:
         rep = run_experiment("social-recall", ctx)
         assert rep.counts["edges"] > 0
         assert 0.0 <= rep.metrics["predicate_top1"] <= 1.0
+
+    def test_zero_shot_reads_the_worlds_held_out_combos(self, ctx):
+        rep = run_experiment("zero-shot-binary", ctx)
+        assert rep.metrics["held_out_combos"] == len(ctx.world.heldout) > 0
+        views = ctx.world.scenes_of_kind("zero_shot")
+        assert rep.counts["examples"] == sum(len(view.binaries) for view in views)
+
+    def test_zero_shot_refuses_a_held_out_combo_a_train_scene_shows(self, ctx):
+        scene = ctx.world.scenes_of_kind("train")[0]
+        s, p, o = scene.binaries[0]
+        combo = tuple(ctx.world.entity_record(e).labels["BClass"] for e in (s, o))
+        leaky = dataclasses.replace(ctx.world, heldout=[(combo[0], p, combo[1])])
+        with pytest.raises(EvalError, match="held-out combos appear in training scenes"):
+            run_experiment("zero-shot-binary", dataclasses.replace(ctx, world=leaky))
 
     def test_consolidation_fidelity(self, ctx, tiny_model):
         params, _, _ = tiny_model

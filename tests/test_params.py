@@ -51,8 +51,7 @@ class TestColumnMap:
         v = small_vocab()
         cmap = ColumnMap(v)
         assert cmap.entity_cols.tolist() == [0, 1, 2, 3]
-        assert cmap.class_cols.tolist() == [4, 5, 6]
-        assert cmap.attribute_cols.tolist() == [7, 8]
+        assert cmap.kind_counts == (4, 3, 2, 2, 3)  # entities, classes, attributes, ...
         assert cmap.predicate_cols.tolist() == [9, 10]
         assert cmap.instance_cols.tolist() == [11, 12, 13]
         assert cmap.concept_cols.tolist() == list(range(9))

@@ -249,9 +249,7 @@ def test_every_public_name_has_a_caller_in_the_package():
 SETTINGS = {
     "training.py": "TrainConfig", "evaluation.py": "EvalContext", "world.py": "WorldConfig",
 }
-UNREAD_SETTINGS = {
-    "cmap": "the perfbench eval workload passes it; `EvalContext.model` reads it",
-}
+UNREAD_SETTINGS: dict[str, str] = {}
 
 
 @pytest.mark.parametrize("module", sorted(SETTINGS))
@@ -275,19 +273,32 @@ def test_every_setting_is_read_outside_its_class(module):
     assert not unread, f"{SETTINGS[module]} fields that nothing reads: {unread}"
 
 
+def _attribute_reads(tree: ast.AST, skip=()) -> set[str]:
+    """The attribute names `tree` reads, outside the functions named in `skip`."""
+    skipped = {id(n) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in skip for n in ast.walk(node)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped}
+
+
 def test_every_world_field_is_read_outside_world_py():
     """A world keeps no state that nothing reads: every public field of
     `GroundTruthWorld` is read as an attribute (matched by name) in some
-    package module other than `world.py`, which writes and loads them all."""
+    package module other than `world.py`, which writes and loads them all.
+    Every field of its records, `SceneRecord` and `EntityRecord`, is read by
+    some function other than the three that make, write and load them."""
     package = Path(bilayer.__file__).parent
-    state = {f.name for f in dataclasses.fields(bilayer.world.GroundTruthWorld)
-             if not f.name.startswith("_")}
-    read = set()
-    for path in package.glob("*.py"):
-        if path.name != "world.py":
-            read |= {node.attr for node in ast.walk(ast.parse(path.read_text("utf-8")))
-                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    assert not state - read, f"world fields that nothing reads: {sorted(state - read)}"
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in package.glob("*.py")}
+    outside = set().union(*(_attribute_reads(t) for name, t in trees.items() if name != "world.py"))
+    records = outside | _attribute_reads(trees["world.py"],
+                                         skip=("gen_world", "export_world", "load_world"))
+    unread = []
+    for cls, read in ((bilayer.world.GroundTruthWorld, outside),
+                      (bilayer.world.SceneRecord, records), (bilayer.world.EntityRecord, records)):
+        unread += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                   if not f.name.startswith("_") and f.name not in read]
+    assert not unread, f"world fields that nothing reads: {unread}"
 
 
 def test_the_ontology_is_one_constant():

@@ -123,3 +123,23 @@ class TestSerialization:
         v2.add_entity("b")
         v2.add_class("C")
         assert v1.digest() == v2.digest()
+
+    def test_a_grown_vocabulary_extends_its_base(self):
+        """Symbols added after the base's keep every column of the base; a
+        base symbol out of its place, of another kind or in another family
+        does not."""
+        base = small_vocab()
+        grown = Vocabulary.from_dict(json.loads(base.dumps()))
+        grown.add_instance("u0")
+        grown.add_entity("u0.0")
+        assert grown.extends(base) and base.extends(base)
+        assert not base.extends(grown)
+        edits = (
+            lambda doc: doc["entities"].reverse(),
+            lambda doc: (doc["attributes"].remove("Old"), doc["classes"].append("Old")),
+            lambda doc: doc["families"].update(Age=["Young"], Rank=["Mammal", "Old"]),
+        )
+        for edit in edits:
+            doc = json.loads(base.dumps())
+            edit(doc)
+            assert not Vocabulary.from_dict(doc).extends(base), doc

@@ -22,6 +22,8 @@ from bilayer.world import (
     EntityRecord,
     GroundTruthWorld,
     ONTOLOGY,
+    SCENE_KINDS,
+    SceneRecord,
     _build_pair_table,
     _compose_scene,
     _dump_json,
@@ -107,11 +109,14 @@ class TestWorldConfig:
         assert WorldConfig(noise_sigma=0).noise_sigma == 0
 
     def test_the_world_types_hold_only_what_a_loaded_world_has(self):
-        """18 settings, no ontology (it is `ONTOLOGY`) and none of the
-        prototypes and latents that only the feature synthesis reads."""
+        """18 settings, no ontology (it is `ONTOLOGY`) and none of what only
+        generation reads: the prototypes and latents, the predicate table,
+        each scene's theme and which entities a scene may show."""
         assert len(fields(WorldConfig)) == 18
-        assert not {"ontology", "prototypes"} & {f.name for f in fields(GroundTruthWorld)}
-        assert [f.name for f in fields(EntityRecord)] == ["name", "labels", "visual"]
+        assert not {"ontology", "prototypes", "pair_table"} & {
+            f.name for f in fields(GroundTruthWorld)}
+        assert [f.name for f in fields(EntityRecord)] == ["name", "labels"]
+        assert [f.name for f in fields(SceneRecord)] == ["name", "kind", "members", "binaries"]
 
 
 class TestSubstream:
@@ -200,12 +205,12 @@ class TestGeneration:
     PINNED = {
         "tiny": {
             "vocab.json": "58416bb4597115252bb9bbebd56785a21dc01074dd159abf4979f63ee03abee5",
-            "world.json": "fd322a7802365a1bdb0806d8e113ae17c5e4cb06aaabf0a238c829c452777c77",
+            "world.json": "40b7e60d44b870db039ee17d2924cad13584477113ab56b217da1360930468dd",
             "triples.jsonl": "17ea5dbbce50ae7358fc04383f612592c6587c028712c2d8439f6ee3537e9251",
         },
         "default": {
             "vocab.json": "9ec9fce9e054612e5bd1d61f214b6bd7735ace541cdafbf264e2988e883aa66f",
-            "world.json": "65f6d305de053cbf76d4db62443515491c471e0d4d8b1c146ec4fa11c63c28a0",
+            "world.json": "bc8e30921d5a87cd2022899a5c47b928bd37fb106c57939737540ddfc77a8a3e",
             "triples.jsonl": "2aaba830d4485c57376640f76d95b4a52fe2be7e9d438821e133358886654a6a",
         },
     }
@@ -242,19 +247,22 @@ class TestGeneration:
                 assert p in ONTOLOGY.scene_predicates
 
     def test_theme_bias_saturates(self, clean_world):
-        # with bias 1.0 and large per-theme pools every member matches the theme
+        # with bias 1.0 and large per-theme pools every member matches the
+        # theme, a parent class or a colour
         for scene in clean_world.scenes_of_kind("train"):
-            fam, label = scene.theme.split(":")
-            for m in scene.members:
-                assert clean_world.entity_record(m).labels[fam] == label
+            labels = [clean_world.entity_record(m).labels for m in scene.members]
+            assert any(len({rec[fam] for rec in labels}) == 1 for fam in ("PClass", "Color"))
 
-    def test_instance_registration(self, clean_world):
-        v = clean_world.vocab
-        for scene in clean_world.scenes:
+    def test_instance_registration(self, tiny_world):
+        """A scene is an episodic instance exactly when its kind is train,
+        ex_train, background or social, and every kind is one of `SCENE_KINDS`."""
+        v = tiny_world.vocab
+        kinds = {}
+        for scene in tiny_world.scenes:
             assert scene.instance == (scene.name in v)
-        kinds = {s.kind: s.instance for s in clean_world.scenes}
-        assert kinds["train"] is True
-        assert kinds["e_test"] is False
+            kinds[scene.kind] = scene.instance
+        assert kinds == {kind: kind in ("train", "ex_train", "background", "social")
+                         for kind in SCENE_KINDS}
 
     def test_held_out_entities_stay_out_of_vocabulary(self, clean_world):
         v = clean_world.vocab
@@ -415,7 +423,7 @@ class TestSceneComposition:
         pool, predicates = _scene_pool(records), _predicate_sampler(table, heldout_set)
         fast, ref = substream(seed, "scenes"), substream(seed, "scenes")
         for i in range(3):
-            args = (f"t{i}", "train", True)
+            args = (f"t{i}", "train")
             want = reference_compose_scene(*args, records, onto, config, table, heldout_set, ref)
             got = _compose_scene(*args, pool, config, predicates, fast)
             assert got == want
@@ -423,19 +431,29 @@ class TestSceneComposition:
 
 
 class TestZeroShotHoldout:
+    @staticmethod
+    def _pair_table(config):
+        """The predicate table `gen_world` draws the world's scenes from."""
+        return _build_pair_table(substream(config.seed, "pair-table"))
+
     def test_every_pair_keeps_a_predicate(self, clean_world):
+        table = self._pair_table(CLEAN)
+        assert clean_world.heldout == _hold_out(table, CLEAN.zero_shot_fraction,
+                                                substream(CLEAN.seed, "zero-shot"))
         removed: dict[tuple[str, str], int] = {}
         for cs, p, co in clean_world.heldout:
+            assert p in dict(table[(cs, co)])
             removed[(cs, co)] = removed.get((cs, co), 0) + 1
-        for pair, row in clean_world.pair_table.items():
+        for pair, row in table.items():
             assert len(row) - removed.get(pair, 0) >= 1
 
-    def test_pair_table_weights(self, clean_world):
+    def test_pair_table_weights(self):
         onto = ONTOLOGY
-        assert set(clean_world.pair_table) == {
+        table = self._pair_table(CLEAN)
+        assert set(table) == {
             (cs, co) for cs in onto.b_classes for co in onto.b_classes
         }
-        for row in clean_world.pair_table.values():
+        for row in table.values():
             assert [w for _, w in row] == [0.70, 0.20, 0.10][: len(row)]
             preds = [p for p, _ in row]
             assert len(preds) == len(set(preds))
@@ -459,21 +477,26 @@ class TestZeroShotHoldout:
                 )
                 assert combo not in held, f"{combo} leaked into scene {scene.name}"
 
-    def test_zero_shot_views_show_held_out_combos(self, clean_world):
-        """A zero-shot view is a scene of two visual entities and one binary
-        statement of a held-out combination, never stored as an episode."""
-        held = set(clean_world.heldout)
-        views = clean_world.scenes_of_kind("zero_shot")
-        assert views
-        for view in views:
-            assert not view.instance and view.name not in clean_world.vocab
-            (s, p, o), = view.binaries
-            assert view.members == [s, o] and s != o
-            labels = [clean_world.entity_record(e).labels["BClass"] for e in (s, o)]
-            assert (labels[0], p, labels[1]) in held
-            assert all(clean_world.entity_record(e).visual for e in (s, o))
-            for key in (view.scene_key, view.bb_key(s), view.bb_key(o), view.rel_key(0)):
-                assert key in clean_world.feature_index
+    def test_zero_shot_views_show_held_out_combos(self, clean_world, tiny_world):
+        """A zero-shot view is a scene of two entities a scene may show (no
+        owner) and one binary statement of a held-out combination, never
+        stored as an episode."""
+        for world in (clean_world, tiny_world):
+            held = set(world.heldout)
+            owners = {o for scene in world.scenes_of_kind("background")
+                      for _s, p, o in scene.binaries if p == "ownedBy"}
+            views = world.scenes_of_kind("zero_shot")
+            assert views
+            for view in views:
+                assert not view.instance and view.name not in world.vocab
+                (s, p, o), = view.binaries
+                assert view.members == [s, o] and s != o
+                labels = [world.entity_record(e).labels["BClass"] for e in (s, o)]
+                assert (labels[0], p, labels[1]) in held
+                assert not {s, o} & owners
+                for key in (view.scene_key, view.bb_key(s), view.bb_key(o), view.rel_key(0)):
+                    assert key in world.feature_index
+        assert owners, "the tiny world has owners"
 
 
 class TestStoreIngestion:
@@ -586,6 +609,20 @@ class TestExport:
                     list(r.labels.items()) for r in read.values()], f.name
             elif f.name != "_store":
                 assert made == read, f.name
+
+    def test_world_json_holds_each_fact_once(self, tiny_world, tmp_path):
+        """An entity is a row of its name and its labels in family order, a
+        scene holds its name, kind, members and binary statements, and
+        nothing else sits beside them but the held-out combinations."""
+        export_world(tiny_world, str(tmp_path))
+        doc = json.loads((tmp_path / "world.json").read_text(encoding="utf-8"))
+        assert sorted(doc) == ["entities", "heldout", "scenes", "test_entities"]
+        for key in ("entities", "test_entities"):
+            records = getattr(tiny_world, key).values()
+            assert doc[key] == [
+                [r.name, *(r.labels[fam] for fam in ONTOLOGY.label_families)] for r in records]
+        assert {tuple(sorted(scene)) for scene in doc["scenes"]} == {
+            ("binaries", "kind", "members", "name")}
 
     def test_export_load_reexport_is_byte_identical(self, clean_world, tmp_path):
         first = tmp_path / "one"

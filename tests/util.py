@@ -368,7 +368,7 @@ def reference_sample_predicate(table, heldout_set, cs, co, rng) -> str | None:
 
 
 def reference_compose_scene(
-    name, kind, instance, pool, onto, config, table, heldout_set, rng
+    name, kind, pool, onto, config, table, heldout_set, rng
 ) -> SceneRecord:
     """`world._compose_scene` over a list of entity records, as it was written:
     the theme's members and each pick's options are rebuilt by scanning the
@@ -377,7 +377,6 @@ def reference_compose_scene(
         fam, name_ = "PClass", str(rng.choice(onto.p_classes))
     else:
         fam, name_ = "Color", str(rng.choice(onto.colors))
-    theme = f"{fam}:{name_}"
     k = 2 + int(rng.poisson(config.mean_entities_per_scene - 2))
     k = min(k, len(pool))
     themed = [e for e in pool if e.labels[fam] == name_]
@@ -408,9 +407,7 @@ def reference_compose_scene(
                     seen.add((s, p, o))
                     binaries.append((s, p, o))
                     break
-    return SceneRecord(
-        name=name, kind=kind, instance=instance, members=members, binaries=binaries, theme=theme
-    )
+    return SceneRecord(name=name, kind=kind, members=members, binaries=binaries)
 
 
 # -- closed-form orientation of a social edge ----------------------------------------
