@@ -30,9 +30,10 @@ vocabulary lacks, a network width that is not a positive int) exits 3
 episodic or fuse `--t` that is not an instance, an `--s` that is not an
 entity, class or attribute).
 
-Every command writes a manifest.json into --out recording config/input
-hashes and outputs, even when it fails; timestamps live only there, so reruns
-with one seed are byte-identical everywhere else.
+A command writes a manifest.json into --out recording config/input hashes and
+outputs, even if its run fails; what eval and ssl refuse before the run (an
+unknown experiment, an unreadable checkpoint, nothing left to perceive) writes
+nothing.  Timestamps live only there; other files rerun byte for byte.
 
 `bilayer ssl` writes the vocabulary it grew beside its checkpoint, as
 vocab.json.  A command that reads a checkpoint takes its symbols from that
@@ -69,6 +70,7 @@ from .params import (
     check_keys,
     load_checkpoint,
     read_checkpoint_manifest,
+    read_json,
     save_checkpoint,
 )
 from .training import (
@@ -116,23 +118,21 @@ def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)
-
-
 _NET_KEYS = tuple(f.name for f in fields(NetConfig) if f.name != "feature_dim")
 
 
-def _split_train_config(doc: dict, feature_dim: int, seed: int | None) -> tuple[TrainConfig, NetConfig]:
-    """One flat config file carries both the optimizer and network widths."""
+def _split_train_config(args: argparse.Namespace,
+                        world: GroundTruthWorld) -> tuple[TrainConfig, NetConfig]:
+    """The optimizer settings and network widths of one flat `--config` file."""
+    doc = read_json(args.config) if args.config else {}
     check_keys("bad train config", doc, [f.name for f in fields(TrainConfig)] + list(_NET_KEYS),
                error=UsageError)
     net_doc = {k: v for k, v in doc.items() if k in _NET_KEYS}
     train_doc = {k: v for k, v in doc.items() if k not in _NET_KEYS}
-    if seed is not None:
-        train_doc["seed"] = seed
-    return TrainConfig.from_dict(train_doc), NetConfig(feature_dim=feature_dim, **net_doc)
+    if args.seed is not None:
+        train_doc["seed"] = args.seed
+    return (TrainConfig.from_dict(train_doc),
+            NetConfig(feature_dim=world.config.feature_dim, **net_doc))
 
 
 def _manifest_run(command: str, args: argparse.Namespace, inputs: list[str], body) -> None:
@@ -202,7 +202,7 @@ def _write_vocab(vocab: Vocabulary, outdir: str) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> None:
-    doc = _load_json(args.config) if args.config else {}
+    doc = read_json(args.config) if args.config else {}
     check_keys("bad world config", doc, [f.name for f in fields(WorldConfig)], error=UsageError)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -233,8 +233,7 @@ def cmd_gen(args: argparse.Namespace) -> None:
 def cmd_train(args: argparse.Namespace) -> None:
     world = load_world(args.world)
     own_vocab = world.vocab
-    doc = _load_json(args.config) if args.config else {}
-    train_config, net_config = _split_train_config(doc, world.config.feature_dim, args.seed)
+    train_config, net_config = _split_train_config(args, world)
 
     def body() -> list[str]:
         if args.checkpoint:
@@ -358,12 +357,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
     )
     if not names:
         raise UsageError("no experiments named")
-    check_experiments(names, world)
+    params, cmap = _load_model(args.checkpoint, world)
+    check_experiments(names, world, world.vocab)
 
     def body() -> list[str]:
-        params, cmap = _load_model(args.checkpoint, world)
-        doc = _load_json(args.config) if args.config else {}
-        train_config, net_config = _split_train_config(doc, world.config.feature_dim, args.seed)
+        train_config, net_config = _split_train_config(args, world)
         ctx = EvalContext(
             world=world, store=world.build_store(), vocab=world.vocab, params=params, cmap=cmap,
             net_config=net_config, train_config=train_config,
@@ -396,20 +394,17 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_ssl(args: argparse.Namespace) -> None:
     world = load_world(args.world)
+    params, cmap = _load_model(args.checkpoint, world)
+    unlabeled = [s.name for s in world.scenes_of_kind("unlabeled")]
+    if all(name in world.vocab for name in unlabeled):
+        raise TrainError(f"{args.checkpoint}: no unlabeled scene is left to perceive")
 
     def body() -> list[str]:
-        params, cmap = _load_model(args.checkpoint, world)
         vocab = world.vocab
-        doc = _load_json(args.config) if args.config else {}
-        config, _ = _split_train_config(doc, world.config.feature_dim, args.seed)
-        unlabeled = [s.name for s in world.scenes_of_kind("unlabeled")]
-        if not unlabeled:
-            raise StoreError("world has no unlabeled scenes")
+        config, _ = _split_train_config(args, world)
         store = world.build_store()
-        params, cmap, report = ssl_step(
-            params, cmap, vocab, world, unlabeled, config, store=store
-        )
-        save_checkpoint(params, vocab, os.path.join(args.out, "model"))
+        grown, _, report = ssl_step(params, cmap, vocab, world, unlabeled, config, store=store)
+        save_checkpoint(grown, vocab, os.path.join(args.out, "model"))
         _write_vocab(vocab, args.out)
         ha = vocab.has_attribute
         quads = [(ex["s"], ha, ex["o"], ex["t"])
@@ -424,8 +419,8 @@ def cmd_ssl(args: argparse.Namespace) -> None:
             "pseudo_statements": len(report.pseudo_unary) + len(report.pseudo_binary),
         }
         log.info(
-            "vocabulary grew by %d instances and %d entities",
-            len(report.new_instances), len(report.new_entities),
+            "vocabulary grew by %d instances and %d entities; skipped %d scenes it held",
+            len(report.new_instances), len(report.new_entities), report.skipped,
         )
         _emit(summary)
         return ["model.json", "model.bin", "vocab.json", "pseudo.jsonl"]

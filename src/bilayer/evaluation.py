@@ -636,9 +636,9 @@ _NEEDS = {
 }
 
 
-def check_experiments(names: list[str], world: GroundTruthWorld) -> None:
-    """Refuse a list of experiments before any of them runs: a name that is
-    not in EXPERIMENTS, or an experiment whose scenes the world lacks."""
+def check_experiments(names: list[str], world: GroundTruthWorld, vocab: Vocabulary) -> None:
+    """Refuse a list of experiments before any of them runs: a name not in
+    EXPERIMENTS, or one whose scenes the world lacks or, for SSL, `vocab` holds."""
     for name in names:
         if name not in EXPERIMENTS:
             raise EvalError(
@@ -646,10 +646,13 @@ def check_experiments(names: list[str], world: GroundTruthWorld) -> None:
             )
         if name in _NEEDS and not world.scenes_of_kind(_NEEDS[name][0]):
             raise EvalError(f"{name}: world has {_NEEDS[name][1]}")
+        if name == "ssl-before-after":
+            if all(s.name in vocab for s in world.scenes_of_kind("unlabeled")):
+                raise EvalError(f"{name}: the vocabulary holds every unlabeled scene's instance")
 
 
 def run_experiment(name: str, ctx: EvalContext) -> MetricReport:
-    check_experiments([name], ctx.world)
+    check_experiments([name], ctx.world, ctx.vocab)
     started = time.monotonic()
     metrics, counts = EXPERIMENTS[name](ctx)
     return MetricReport(

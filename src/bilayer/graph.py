@@ -1,11 +1,10 @@
 """Teacher-forced pass through the decoding schedule, with exact gradients.
 
-Training walks the same instance -> subject -> labels -> object -> predicate
-schedule the decoder walks, with the same step functions of `network`
-(`context_step`, `context_out`, `encode_input`, `index_scores`), but commits
-ground-truth (or deliberately substituted) indices at every step instead of
-picked ones.  Each batch element is one statement; heads active per mode and
-arity:
+Training walks the steps `network.schedule` lists for the decoder, with the
+same step functions (`context_step`, `context_out`, `encode_input`,
+`index_scores`), but commits ground-truth (or deliberately substituted)
+columns instead of picked ones.  Each batch element is one statement; heads
+active per mode and arity, the direct variant's being perception's:
 
     episodic   unary   subject CE + label CE
     episodic   binary  subject CE + object CE + predicate CE
@@ -23,12 +22,10 @@ scores each occurrence over the class and attribute block with one gemm and
 masks it to its family's columns.  Loss and accuracy are still reported per
 family.
 
-A batch becomes a list of steps, each a small record of its feature box, its
-CE head and the columns it commits.  `forward` runs them in one loop; the
-direct perception variant is the same steps with no context and no
-commitment, so each of its heads reads only its own encoded box.  `backward`
-is derived by hand and walks the same records in reverse; tests check it
-against 64-bit central finite differences.
+A batch gives each step of `network.schedule` its feature box, CE head and
+committed columns, and `forward` runs them in one loop.  `backward` is
+derived by hand and walks the same steps in reverse; tests check it against
+64-bit central finite differences.
 """
 from __future__ import annotations
 
@@ -37,12 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (
+    GROUP_POS,
+    POOLED,
     NumericsError,
+    StepSpec,
     context_out,
     context_step,
     encode_input,
     index_scores,
     initial_context,
+    schedule,
     sigmoid,
 )
 from .params import ColumnMap, NetParams
@@ -90,12 +91,9 @@ class Batch:
             raise GraphError(f"unknown arity {self.arity!r}")
         if self.direct and self.mode != "perception":
             raise GraphError("direct graphs are a perception variant")
-        if self.mode == "perception":
-            needed = [self.feat_scene, self.feat_subj]
-            if self.arity == "binary":
-                needed += [self.feat_obj, self.feat_pred]
-            if any(f is None for f in needed):
-                raise GraphError("perception batches need feature inputs")
+        specs = schedule(self.mode, self.arity == "binary", self.direct)
+        if any(spec.box and getattr(self, _FIELDS[spec.head][0]) is None for spec in specs):
+            raise GraphError("perception batches need feature inputs")
         if self.mode != "semantic" and self.inst_cols is None:
             raise GraphError(f"{self.mode} batches need instance columns")
         if self.arity == "unary" and self.label_fams is None:
@@ -206,69 +204,45 @@ def _label_grads(zs: np.ndarray, cache: dict, read: np.ndarray, d_read: np.ndarr
     return d_zs
 
 
+# a step's Batch fields, by its head: its features, and its targets and commits
+_FIELDS = {"NT": ("feat_scene", "inst_cols"), "NS": ("feat_subj", "subj_inject_cols"),
+           "NO": ("feat_obj", "obj_inject_cols"), "NP": ("feat_pred", "pred_cols")}
+# semantic memory is queried with its subject: it is given, and not trained
+_UNTRAINED = {("semantic", "NS")}
+
+
 @dataclass
 class _Step:
-    """One step of the schedule as a batch runs it.
-
-    `box` holds the features encoded into the step's input (perception
-    only).  `head` is its CE head, (key, readout index, target positions),
-    read from the squashed input before the commitment.  `commit` holds the
-    embedding columns the step adds to its state; `pooled` marks the
-    semantic instance, whose state is the pooled stand-in vector.  `labels`
-    puts the label heads on the committed state.  `forward` fills `state`
-    with what `backward` reads: the squashed context the step was fed
-    ("sh"; before dropout "sh_raw", with its "mask"), the context step's
-    squashed mix "zm", the squashed input "z_tilde" and the squashed
-    committed state "z".
+    """A step of `network.schedule` with a batch's arrays; `head` is (key,
+    readout index, target positions).  `forward` fills `state` with what
+    `backward` reads: the squashed context the step was fed ("sh"; before
+    dropout "sh_raw", with its "mask"), the context step's squashed mix "zm",
+    the squashed input "z_tilde" and the squashed committed state "z".
     """
 
-    name: str
-    box: np.ndarray | None = None
-    head: tuple | None = None
-    commit: np.ndarray | None = None
-    pooled: bool = False
-    labels: bool = False
+    spec: StepSpec
+    box: np.ndarray | None
+    head: tuple | None
+    commit: np.ndarray | None
+    labels: bool
     state: dict = field(default_factory=dict)
 
 
 def _schedule(cmap: ColumnMap, batch: Batch) -> list[_Step]:
-    """The steps of a batch, in schedule order.  The direct variant commits
-    nothing; `forward` also gives it no context."""
-    perceiving = batch.mode == "perception"
-    commits = not batch.direct
-
-    def box(feats):
-        return feats if perceiving else None
-
-    def concept_head(key, cols):
-        return key, cmap.concept_idx, cmap.concept_pos(cols)
-
-    nt = ("NT", cmap.instance_idx, cmap.instance_pos(batch.inst_cols)) if perceiving else None
-    steps = [
-        _Step(
-            "instance", box(batch.feat_scene), head=nt,
-            commit=batch.inst_cols if commits and batch.mode != "semantic" else None,
-            pooled=batch.mode == "semantic",
-        ),
-        _Step(
-            "subject", box(batch.feat_subj),
-            head=None if batch.mode == "semantic" else concept_head("NS", batch.subj_inject_cols),
-            commit=batch.subj_inject_cols if commits else None,
-            labels=batch.arity == "unary",
-        ),
-    ]
-    if batch.arity == "binary":
-        steps += [
-            _Step(
-                "object", box(batch.feat_obj),
-                head=concept_head("NO", batch.obj_inject_cols),
-                commit=batch.obj_inject_cols if commits else None,
-            ),
-            _Step(
-                "predicate", box(batch.feat_pred),
-                head=("NP", cmap.predicate_idx, cmap.predicate_pos(batch.pred_cols)),
-            ),
-        ]
+    """The batch's arrays for each step of its schedule: a head where the step
+    reads out a group the mode trains, labels where the batch has them."""
+    steps = []
+    for spec in schedule(batch.mode, batch.arity == "binary", batch.direct):
+        feat, key = _FIELDS[spec.head]
+        cols = getattr(batch, key)
+        head = None
+        if spec.group and (batch.mode, spec.head) not in _UNTRAINED:
+            head = spec.head, getattr(cmap, f"{spec.group}_idx"), GROUP_POS[spec.group](cmap, cols)
+        steps.append(_Step(
+            spec, getattr(batch, feat) if spec.box else None, head,
+            cols if spec.commit not in (None, POOLED) else None,
+            spec.labels and batch.label_fams is not None,
+        ))
     return steps
 
 
@@ -281,8 +255,6 @@ def forward(
 ) -> tuple[float, dict]:
     """Run the teacher-forced graph; cache everything backward() needs.
 
-    Every step after the first folds the previous committed state into the
-    context and reads its input from it, plus its encoded box in perception.
     `dropout` masks context-state units (inverted scaling); it needs a
     generator and only applies to the recurrent path, so the direct variant
     ignores it.
@@ -298,12 +270,11 @@ def forward(
     dt = params.emb.dtype
     steps = _schedule(cmap, batch)
     cache: dict = {"heads": {}, "fam_heads": {}, "steps": steps}
-    sh = None if batch.direct else initial_context(params)
-    z = None
-    for k, step in enumerate(steps):
+    sh, z = initial_context(params), None
+    for step in steps:
         st = step.state
         q = None
-        if k and sh is not None:
+        if step.spec.context:
             st["zm"], sh = context_step(params, sh, z)
             if dropout:
                 mask = (drop_rng.random(size=sh.shape) >= dropout).astype(dt)
@@ -323,7 +294,7 @@ def forward(
         if step.commit is not None:
             cols = params.emb.T[step.commit]
             z = sigmoid(cols if q is None else q + cols)
-        elif step.pooled:
+        elif step.spec.commit == POOLED:
             z = sigmoid(np.broadcast_to(params.pooled, (b, params.config.rep_dim)).astype(dt))
         st["z"] = z
         if step.labels:
@@ -348,7 +319,7 @@ def _name_nonfinite(cache: dict) -> None:
     for step in cache["steps"]:
         for key, arr in step.state.items():
             if not np.all(np.isfinite(arr)):
-                raise NumericsError(f"non-finite values at graph node '{step.name}.{key}'")
+                raise NumericsError(f"non-finite values at graph node '{step.spec.name}.{key}'")
     heads = {**cache["heads"], **{k: cache[k] for k in ("identity", "labels") if k in cache}}
     for key, h in heads.items():
         scores = h["scores"]
@@ -397,10 +368,10 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
             g = _label_grads(st["z"], cache, read, d_read)
             d_z = g if d_z is None else d_z + g
         d_q = None
-        if step.commit is not None or step.pooled:
+        if step.spec.commit:  # a teacher column or the pooled vector
             z = st["z"]
             d_q = d_z * z * (1.0 - z)
-            if step.pooled:
+            if step.spec.commit == POOLED:
                 grads["pooled"] += d_q.sum(axis=0)
             else:
                 _scatter_add(d_emb.T, step.commit, d_q)

@@ -7,34 +7,35 @@ firing index adds its column into the representation, and index pre-activations
 are inner products of columns with the squashed representation.  A recurrent
 context layer carries information across the steps of one decoding pass.
 
-A decoding pass walks a fixed schedule: instance, subject, subject labels,
-object, predicate.  Perception feeds encoded feature vectors into each step;
-episodic recall starts from the clamped instance index; semantic recall
-replaces the instance embedding with the trained pooled vector.
-
-The step functions (`context_step`, `context_out`, `encode_input`,
-`index_scores`) hold each step's math once.  They take squashed states, and
-two walks call them: `decode_many` here and the teacher-forced
+A decoding pass walks the schedule: instance, subject, subject labels,
+object, predicate.  `schedule(mode, binary, direct)` states it once, as a
+table of frozen `StepSpec`s built at import: per step, the box it encodes,
+the readout group it scores, what it commits, whether it folds in the
+context and whether the labels are read from it.  Perception encodes a box
+at every step.  The memory modes' instance is not scored: episodic recall
+commits the clamped column, semantic recall the trained pooled vector.  The
+predicate step only reads out.  The direct variant has no context and
+commits nothing, so each head reads only its own encoded box.  The step
+functions (`context_step`, `context_out`, `encode_input`, `index_scores`)
+hold each step's math once, on squashed states, and two walks call them,
+both reading the table: `decode_many` here and the teacher-forced
 `graph.forward`.
 
-`decode_many` walks the schedule once for a batch of requests that share the
-mode, every flag and the arity; they differ only in features and clamps.  It
-is one loop over the steps.  Each step after the first folds the previous
-committed state into the context and reads its input from it, plus the step's
-encoded box in perception.  The memory modes' instance step is the clamped
-column or the pooled vector and is not scored.  Every other step scores every
-row with one matrix product, and every score block a step picks from or mixes
-over must be finite.  A commitment takes, per row, the clamped index if the
-request names one (`instance_id` in episodic and perception mode,
-`subject_id`, `object_id`), else the attention mixture the variant asks for,
-else a pick: the argmax under winner-take-all, otherwise a draw from the
-softmax at temperature 1.  Attention mixes at temperature 1 too.  An
-instance clamp must name an instance, and a subject or object clamp an
-entity, class or attribute; a clamp of another kind is refused.  The
-predicate step only picks; a step that only picks records no id when it has no
-columns to pick from.  Every family's label is read from the one concept-score
-block at the committed subject: Identity from the entity block, every other
-family from the class and attribute block masked to its columns.
+`decode_many` walks the table once for a batch of requests that share the
+mode, every flag and the arity; they differ only in features and clamps.  A
+scored step scores every row with one matrix product, and every score block a
+step picks from or mixes over must be finite.  A commitment takes, per row,
+the clamped index if the request names one, else the attention mixture the
+request's flag for the group asks for (over the instances, or over the
+entities for a concept), else a pick: the argmax under winner-take-all,
+otherwise a draw from the softmax at temperature 1, as attention mixes.  A concept step picks from the entities only under
+`entities` support; concepts lead the column order, so the entities'
+readout index also indexes the concept block.  A clamp must name a symbol of
+the group its step commits; a step that only reads out records no id when it
+has no columns.
+Every family's label is read from the one concept-score block: Identity
+from the entity block, every other family from the class and attribute
+block masked to its columns.
 
 A sampled pick is an inverse-CDF draw, not `Generator.choice`: one uniform per
 row, and the row's pick is the first position whose float64 running sum of
@@ -43,16 +44,14 @@ in schedule order, rows in order within a step, and the label step takes one
 per family and row at once, family-major in name order; so a batch of one
 request draws as a single pass always has.
 
-The direct variant is the same loop with no context and no commitment: each
-head reads its own encoded box, and it takes no clamps.  The attention flags
-apply only to perception that is not direct; anywhere else they are refused,
-as an ignored clamp is.  `decode_chunked` hands a long request list to
-`decode_many` in runs of DECODE_CHUNK, so the score blocks alive at once do
-not grow with it.
+The direct variant takes no clamps, and the attention flags apply only to
+perception that is not direct; anywhere else they are refused, as an ignored
+clamp is.  `decode_chunked` hands a long request list to `decode_many` in
+runs of DECODE_CHUNK, so the score blocks alive at once do not grow with it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -170,6 +169,48 @@ def attention_update(params: NetParams, rep: np.ndarray, z: np.ndarray, idx) -> 
 
 MODES = ("perception", "episodic", "semantic")
 SUPPORTS = ("concepts", "entities")
+POOLED = "pooled"  # semantic recall's instance commits the trained pooled vector
+
+
+@dataclass(frozen=True)
+class StepSpec:
+    name: str
+    head: str           # its head in training and the metrics: NT, NS, NO or NP
+    box: str | None     # the SceneInput box encoded into its input
+    group: str | None   # the readout group it scores: instance, concept or predicate
+    commit: str | None  # the group whose column it adds, POOLED, or None: read out only
+    context: bool       # it first folds the previous committed state into the context
+    labels: bool        # the label heads read its committed state
+
+
+_PERCEPTION = (
+    StepSpec("instance", "NT", "scene", "instance", "instance", False, False),
+    StepSpec("subject", "NS", "subject_box", "concept", "concept", True, True),
+    StepSpec("object", "NO", "object_box", "concept", "concept", True, False),
+    StepSpec("predicate", "NP", "predicate_box", "predicate", None, True, False),
+)
+
+
+def _steps(mode: str, binary: bool, direct: bool) -> tuple[StepSpec, ...]:
+    """Perception's steps, cut after the subject in a unary pass, changed as
+    the module docstring says for the memory modes and the direct variant."""
+    specs = _PERCEPTION[:4 if binary else 2]
+    if direct:
+        specs = [replace(s, commit=None, context=False) for s in specs]
+    if mode != "perception":
+        first = replace(specs[0], group=None, commit=POOLED if mode == "semantic" else "instance")
+        specs = [replace(s, box=None) for s in (first, *specs[1:])]
+    return tuple(specs)
+
+
+_SCHEDULES = {(mode, binary, direct): _steps(mode, binary, direct)
+              for mode in MODES for binary in (False, True)
+              for direct in ((False, True) if mode == "perception" else (False,))}
+
+
+def schedule(mode: str, binary: bool, direct: bool) -> tuple[StepSpec, ...]:
+    """The steps of a pass, in order; the direct variant is perception's."""
+    return _SCHEDULES[mode, binary, direct]
 
 
 @dataclass
@@ -217,6 +258,9 @@ class DecodeTrace:
     reps: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+_TRACE_IDS = [(f.name, f.name[:-3]) for f in fields(DecodeTrace) if f.name.endswith("_id")]
+
+
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericsError(f"non-finite values in {name}")
@@ -258,8 +302,8 @@ def _check_request(request: DecodeRequest) -> None:
             raise NetworkError(f"unknown {step} support {support!r}; choose from {SUPPORTS}")
 
 
-def _encode(params: NetParams, feats: list[SceneInput], box: str) -> np.ndarray:
-    return encode_input(params, np.stack([getattr(f, box) for f in feats]))
+def _encode(params: NetParams, requests: list[DecodeRequest], box: str) -> np.ndarray:
+    return encode_input(params, np.stack([getattr(r.features, box) for r in requests]))
 
 
 def _scores(params: NetParams, step: str, z: np.ndarray, idx) -> np.ndarray:
@@ -271,44 +315,32 @@ def _pick_ids(cmap: ColumnMap, pick, scores: np.ndarray, cols: np.ndarray) -> li
     return cmap.ids[cols[pick(scores)]].tolist()
 
 
-def _heads(cmap: ColumnMap, request: DecodeRequest, step: str) -> tuple:
-    """What a scored step reads: the readout index of its score block, the
-    part of that block its pick ranges over (None: all of it), that part's
-    columns, and the readout index its attention mixture ranges over (None:
-    no mixture).  Concepts lead the canonical column order, so a concept
-    column is its own position in the concept block."""
-    if step == "instance":
-        mix = cmap.instance_idx if request.instance_attention else None
-        return cmap.instance_idx, None, cmap.instance_cols, mix
-    if step == "predicate":
-        return cmap.predicate_idx, None, cmap.predicate_cols, None
-    mix = cmap.entity_idx if request.concept_attention else None
-    if getattr(request, f"{step}_support") == "entities":
-        return cmap.concept_idx, cmap.entity_idx, cmap.entity_cols, mix
-    return cmap.concept_idx, None, cmap.concept_cols, mix
+# per readout group, the ColumnMap method giving a column's position in its block
+GROUP_POS = {"instance": ColumnMap.instance_pos, "concept": ColumnMap.concept_pos,
+             "predicate": ColumnMap.predicate_pos}
+_CLAMP_KINDS = {"instance": "an instance", "concept": "an entity, class or attribute"}
 
 
-def _step_cols(cmap: ColumnMap, vocab: Vocabulary, step: str, ids: list) -> np.ndarray:
-    """The columns of the ids `step` commits.  An instance step's ids must be
-    instances and a subject or object step's concepts (entities, classes or
-    attributes); a picked id always is, so one compare over every row finds
-    a clamp of the wrong kind."""
+def _step_cols(cmap: ColumnMap, vocab: Vocabulary, spec: StepSpec, ids: list) -> np.ndarray:
+    """The columns of the ids a step commits, each of which must lie in the
+    group `spec.commit`; a picked id always does, so one compare over every
+    row finds a clamp of the wrong kind."""
     cols = cmap.cols_of(ids)
-    outside = (cmap.instance_pos(cols) if step == "instance" else cmap.concept_pos(cols)) < 0
+    outside = GROUP_POS[spec.commit](cmap, cols) < 0
     if outside.any():
         sid = ids[int(outside.argmax())]
-        want = "an instance" if step == "instance" else "an entity, class or attribute"
-        raise NetworkError(f"the {step} clamp {vocab.name_of(sid)!r} "
-                           f"({vocab.kind_of(sid).value}) is not {want}")
+        raise NetworkError(f"the {spec.name} clamp {vocab.name_of(sid)!r} "
+                           f"({vocab.kind_of(sid).value}) is not {_CLAMP_KINDS[spec.commit]}")
     return cols
 
 
-def _commit(params, cmap, vocab, step, rep, z, clamps, scores, cols, pick, mix=None):
-    """One commitment of `step` for every row of `rep` (squashed: `z`).  A
-    clamped row adds its symbol's column.  Each other row adds the column
-    picked from `scores` (positions in `cols`), or, with a readout index
-    `mix`, the attention mixture over `emb[:, mix]`, which commits no id.
-    Returns the new representations and the per-row ids."""
+def _commit(params, cmap, vocab, spec, rep, z, clamps, scores, cols, pick, mix=None):
+    """One commitment of a step for every row of `rep` (squashed: `z`; None
+    when the step has no input but its clamps).  A clamped row adds its
+    symbol's column.  Each other row adds the column picked from `scores`
+    (positions in `cols`), or, with a readout index `mix`, the attention
+    mixture over `emb[:, mix]`, which commits no id.  Returns the new
+    representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
     if mix is None:
@@ -316,11 +348,12 @@ def _commit(params, cmap, vocab, step, rep, z, clamps, scores, cols, pick, mix=N
             block = scores if len(free) == len(ids) else scores[free]
             for i, sid in zip(free, _pick_ids(cmap, pick, block, cols)):
                 ids[i] = sid
-        return rep + params.emb.T[_step_cols(cmap, vocab, step, ids)], ids
+        added = params.emb.T[_step_cols(cmap, vocab, spec, ids)]
+        return (added if rep is None else rep + added), ids
     out = attention_update(params, rep, z, mix)
     fixed = [i for i, c in enumerate(ids) if c is not None]
     if fixed:
-        clamped = _step_cols(cmap, vocab, step, [ids[i] for i in fixed])
+        clamped = _step_cols(cmap, vocab, spec, [ids[i] for i in fixed])
         out[fixed] = rep[fixed] + params.emb.T[clamped]
     return out, ids
 
@@ -359,14 +392,15 @@ def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take_all: boo
 
 def _split(first: DecodeRequest, ids: dict, labels: list, scores: dict,
            reps: dict) -> list[DecodeTrace]:
-    """One trace per row; its scores and reps are rows of the batch blocks."""
+    """One trace per row; its ids, scores and reps are rows of the batch's.
+    A step with no ids (absent, or read out of no columns) records None."""
     none = [None] * len(labels)
-    t, s, o, p = (ids.get(k, none) for k in ("instance", "subject", "object", "predicate"))
+    ids = {key: ids.get(step, none) for key, step in _TRACE_IDS}
     return [
         DecodeTrace(
-            mode=first.mode, direct=first.direct, instance_id=t[i], subject_id=s[i],
-            labels=labels[i], object_id=o[i], predicate_id=p[i],
+            mode=first.mode, direct=first.direct, labels=labels[i],
             scores={k: v[i] for k, v in scores.items()}, reps={k: v[i] for k, v in reps.items()},
+            **{k: v[i] for k, v in ids.items()},
         )
         for i in range(len(labels))
     ]
@@ -396,42 +430,38 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
     def pick(scores: np.ndarray) -> np.ndarray:
         return _pick(scores, first.winner_take_all, rng)
 
-    perceiving, direct = first.mode == "perception", first.direct
-    feats = [r.features for r in requests]
+    mixes = {"instance": cmap.instance_idx if first.instance_attention else None,
+             "concept": cmap.entity_idx if first.concept_attention else None}
     ids: dict[str, list] = {}
     scores: dict[str, np.ndarray] = {}
     reps: dict[str, np.ndarray] = {}
-    sh = None if direct else initial_context(params)
-    steps = ["instance", "subject"] + (["object", "predicate"] if _binary(first) else [])
-    for step in steps:
-        rep = None
-        if step != "instance" and not direct:
+    sh, z = initial_context(params), None
+    for spec in schedule(first.mode, _binary(first), first.direct):
+        step, rep, block, cols = spec.name, None, None, None
+        if spec.context:
             _, sh = context_step(params, sh, z)
             rep = context_out(params, sh)
-        if perceiving:
-            enc = _encode(params, feats, "scene" if step == "instance" else f"{step}_box")
+        if spec.box:
+            enc = _encode(params, requests, spec.box)
             rep = enc if rep is None else rep + enc
-        if rep is None:  # a memory mode's instance: the clamped column or the pooled vector
-            if first.mode == "episodic":
-                ids[step] = [r.instance_id for r in requests]
-                rep = params.emb.T[_step_cols(cmap, vocab, step, ids[step])]
-            else:
-                rep = np.tile(params.pooled, (len(requests), 1))
-        z = sigmoid(rep)
-        if step != "instance" or perceiving:
-            idx, part, cols, mix = _heads(cmap, first, step)
-            scores[step] = _scores(params, step, z, idx)
-            block = scores[step] if part is None else scores[step][:, part]
-            if direct or step == "predicate":  # read out, no commitment
-                if cols.size:
-                    ids[step] = _pick_ids(cmap, pick, block, cols)
-            else:
-                clamps = [getattr(r, f"{step}_id") for r in requests]
-                rep, ids[step] = _commit(params, cmap, vocab, step, rep, z, clamps, block, cols,
-                                         pick, mix)
-                z = sigmoid(rep)
+        if spec.group:
+            z = sigmoid(rep)
+            scores[step] = block = _scores(params, step, z, getattr(cmap, f"{spec.group}_idx"))
+            cols = getattr(cmap, f"{spec.group}_cols")
+            if spec.group == "concept" and getattr(first, f"{step}_support") == "entities":
+                block, cols = block[:, cmap.entity_idx], cmap.entity_cols
+        if spec.commit == POOLED:
+            rep = np.tile(params.pooled, (len(requests), 1))
+        elif spec.commit:
+            clamps = [getattr(r, f"{step}_id") for r in requests]
+            rep, ids[step] = _commit(params, cmap, vocab, spec, rep, z, clamps, block, cols,
+                                     pick, mixes.get(spec.group))
+        elif cols.size:  # read out, no commitment
+            ids[step] = _pick_ids(cmap, pick, block, cols)
+        if spec.commit:
+            z = sigmoid(rep)
         reps[step] = rep
-        if step == "subject":  # one label per family, from one concept-score block
+        if spec.labels:  # one label per family, from one concept-score block
             scores["label"] = _scores(params, "label", z, cmap.concept_idx)
             labels = _pick_labels(cmap, scores["label"], first.winner_take_all, rng)
     return _split(first, ids, labels, scores, reps)

@@ -286,6 +286,20 @@ def check_keys(where: str, doc, valid, required=(), error=ParamError) -> None:
         raise error(f"{where}: missing keys {', '.join(missing)}")
 
 
+def read_json(path: str, keys=None, error=ParamError):
+    """The JSON document in the file `path`, refused with one line that names
+    the file if it does not parse, or, given `keys`, if it is not an object
+    with exactly those keys."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            doc = json.load(fp)
+    except ValueError as exc:  # the JSON decoder's, or a byte that is no UTF-8
+        raise error(f"{path}: not a JSON file: {exc}") from exc
+    if keys is not None:
+        check_keys(path, doc, keys, keys, error)
+    return doc
+
+
 def check_types(what: str, settings, error) -> None:
     """Refuse, with one line, a setting of the dataclass `settings` whose
     type is not its default's: an int passes for a float, and a bool passes
@@ -372,8 +386,7 @@ def read_manifest(base_path: str, fmt: str, version: int, fields: tuple[str, ...
     path = base_path + ".json"
     if not (os.path.exists(path) and os.path.exists(base_path + ".bin")):
         raise ParamError(f"{fmt} archive {base_path!r} not found")
-    with open(path, "r", encoding="utf-8") as fp:
-        manifest = json.load(fp)
+    manifest = read_json(path)
     if type(manifest) is not dict or manifest.get("format") != fmt:
         raise ParamError(f"{path}: not a {fmt} manifest")
     if manifest.get("version") != version:

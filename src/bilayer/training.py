@@ -546,6 +546,7 @@ class SslReport:
     pseudo_unary: list[dict] = field(default_factory=list)
     pseudo_binary: list[dict] = field(default_factory=list)
     history: list[dict] = field(default_factory=list)
+    skipped: int = 0  # scenes whose instance the vocabulary already held
 
 
 def ssl_step(
@@ -559,18 +560,20 @@ def ssl_step(
 ) -> tuple[NetParams, ColumnMap, SslReport]:
     """Self-labeled growth on unlabeled scenes.
 
-    Each scene gets a fresh instance index.  Every box is recognized with the
-    current weights; if no known entity unit clears the novelty threshold a new
-    entity index is allocated for it.  Winner-take-all labels and predicates
-    become pseudo-observations, and only the entity and instance embedding
-    columns train on them, at the dedicated low rate.  All other blocks stay
-    bit-identical.  Recognition and labeling are winner-take-all perception
-    passes of `decode_chunked` with the scene's instance clamped, and for
-    labeling the recognized entities too.
+    Each scene gets a fresh instance index, but one whose instance the
+    vocabulary holds was perceived before: it is skipped and counted.  Every box
+    is recognized with the current weights; if no known entity unit clears the
+    novelty threshold a new entity index is allocated for it.  Winner-take-all
+    labels and predicates become pseudo-observations, and only the entity and
+    instance embedding columns train on them, at the dedicated low rate; all
+    other blocks stay bit-identical.  Recognition and labeling are
+    winner-take-all perception passes of `decode_chunked` with the scene's
+    instance clamped, and for labeling the recognized entities too.
     """
     _check_families(config, vocab)
     report = SslReport()
-    scenes = [world.scene(n) for n in scene_names]
+    scenes = [world.scene(n) for n in scene_names if n not in vocab]
+    report.skipped = len(scene_names) - len(scenes)
     for scene in scenes:
         if scene.scene_key not in world.feature_index:
             raise TrainError(f"scene {scene.name!r} has no features")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from .params import check_keys, check_types, read_manifest, read_tensors, write_archive
+from .params import check_types, read_json, read_manifest, read_tensors, write_archive
 from .triple_store import TripleStore, write_jsonl
 from .vocab import VocabError, Vocabulary
 
@@ -820,19 +820,11 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
     return written
 
 
-def _read_json(path: str, keys) -> dict:
-    """The JSON object in `path`, whose keys must be `keys`."""
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    check_keys(path, doc, keys, keys, WorldError)
-    return doc
-
-
 def read_vocab(path: str) -> Vocabulary:
     """The vocabulary in the JSON file `path`, refused with one line that
     names the file when it does not fit."""
     try:
-        return Vocabulary.from_dict(_read_json(path, tuple(Vocabulary().to_dict())))
+        return Vocabulary.from_dict(read_json(path, tuple(Vocabulary().to_dict()), WorldError))
     except VocabError as exc:
         raise WorldError(f"{path}: {exc}") from exc
 
@@ -853,11 +845,11 @@ def _entity_rows(doc_path: str, key: str, rows: list) -> dict[str, EntityRecord]
 
 
 def load_world(indir: str) -> GroundTruthWorld:
-    config = WorldConfig(**_read_json(os.path.join(indir, "config.json"),
-                                      [f.name for f in fields(WorldConfig)]))
+    config = WorldConfig(**read_json(os.path.join(indir, "config.json"),
+                                     [f.name for f in fields(WorldConfig)], WorldError))
     vocab = read_vocab(os.path.join(indir, "vocab.json"))
     doc_path = os.path.join(indir, "world.json")
-    doc = _read_json(doc_path, _WORLD_KEYS)
+    doc = read_json(doc_path, _WORLD_KEYS, WorldError)
     try:
         entities = _entity_rows(doc_path, "entities", doc["entities"])
         test_entities = _entity_rows(doc_path, "test_entities", doc["test_entities"])

@@ -20,7 +20,7 @@ import bilayer
 from bilayer import evaluation
 from bilayer.cli import main
 from bilayer.params import ColumnMap, load_checkpoint, params_digest, save_checkpoint
-from bilayer.world import ONTOLOGY, SCENE_KINDS, WorldConfig, load_world
+from bilayer.world import ONTOLOGY, SCENE_KINDS, WorldConfig, load_world, read_vocab
 
 WORLD_CONFIG = {
     "n_entities": 48,
@@ -727,6 +727,27 @@ class TestDecode:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "checkpoint blob" in proc.stderr
 
+    @pytest.mark.parametrize("damage", ["truncated", "no utf-8"])
+    @pytest.mark.parametrize("name", [
+        "world/config.json", "world/vocab.json", "world/world.json", "world/features.json",
+        "run/model.json",
+    ])
+    def test_a_damaged_json_file_is_named(self, ws, tmp_path, caplog, name, damage):
+        """A JSON file cut short or holding a byte that is no UTF-8, be it a
+        world record, the vocabulary, the world's config or a tensor
+        manifest, is refused with one line that names it, not with the
+        decoder's bare line or a traceback."""
+        shutil.copytree(ws["world_dir"], tmp_path / "world")
+        shutil.copytree(ws["run_dir"], tmp_path / "run")
+        path = tmp_path / name
+        data = path.read_bytes()
+        path.write_bytes(data[:-40] if damage == "truncated" else data[:20] + b"\xff" + data[21:])
+        code, errors = _main_errors(["decode", str(tmp_path / "run" / "model.json"), "--world",
+                                     str(tmp_path / "world"), "--mode", "semantic",
+                                     "--out", str(tmp_path / "d")], caplog)
+        assert code == 3 and len(errors) == 1, errors
+        assert errors[0].startswith(f"{path}: not a JSON file: "), errors
+
     def test_flipped_bit_checkpoint_is_data_error(self, ws, tmp_path):
         for ext in (".json", ".bin"):
             shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
@@ -913,7 +934,8 @@ def grown(ws):
     assert main(["train", ws["world_dir"], "--config", tcfg, "--out", run]) == 0
     assert main(["ssl", os.path.join(run, "model.json"), ws["world_dir"], "--config", tcfg,
                  "--out", out]) == 0
-    return {"dir": out, "checkpoint": os.path.join(out, "model.json"), "train_cfg": tcfg}
+    return {"dir": out, "checkpoint": os.path.join(out, "model.json"), "train_cfg": tcfg,
+            "run": run}
 
 
 class TestGrownCheckpoint:
@@ -960,3 +982,45 @@ class TestGrownCheckpoint:
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "checkpoint was saved against a different vocabulary" in lines[0]
+
+    def test_a_chain_of_commands_grows_once(self, ws, grown, tmp_path, caplog):
+        """`train` -> `ssl` (the `grown` fixture), then `ssl` -> `eval all` ->
+        `decode` -> `train --checkpoint` -> `ssl`.  A grown checkpoint holds
+        every unlabeled scene's instance, so each later `ssl` and `eval all`
+        exits 3 with one line before it writes any output, and every other
+        step exits 0.  At the growth the new vocabulary extends the old, and
+        every block and column SSL does not train stays bitwise unchanged: all
+        but the entity and instance columns."""
+        world_dir, checkpoint = ws["world_dir"], grown["checkpoint"]
+
+        def refused(args, out, says):
+            code, errors = _main_errors([*args, "--out", str(out)], caplog)
+            assert code == 3 and len(errors) == 1 and says in errors[0], errors
+            assert not out.exists()
+
+        refused(["ssl", checkpoint, world_dir], tmp_path / "ssl2",
+                "no unlabeled scene is left to perceive")
+        refused(["eval", checkpoint, world_dir, "--experiments", "all"], tmp_path / "ev",
+                "ssl-before-after: the vocabulary holds every unlabeled scene's instance")
+        assert main(["decode", checkpoint, "--world", world_dir, "--mode", "semantic",
+                     "--n", "2", "--out", str(tmp_path / "d")]) == 0
+        run = tmp_path / "run"
+        assert main(["train", world_dir, "--config", grown["train_cfg"],
+                     "--checkpoint", checkpoint, "--out", str(run)]) == 0
+        refused(["ssl", str(run / "model.json"), world_dir], tmp_path / "ssl3",
+                "no unlabeled scene is left to perceive")
+
+        old_vocab = load_world(world_dir).vocab
+        new_vocab = read_vocab(os.path.join(grown["dir"], "vocab.json"))
+        assert new_vocab.extends(old_vocab) and len(new_vocab) > len(old_vocab)
+        before = load_checkpoint(os.path.join(grown["run"], "model"), old_vocab).blocks()
+        after = load_checkpoint(os.path.join(grown["dir"], "model"), new_vocab).blocks()
+        old_cols, new_cols = ColumnMap(old_vocab), ColumnMap(new_vocab)
+        kept = np.concatenate([old_cols.label_cols, old_cols.predicate_cols])
+        moved = new_cols.cols_of(old_cols.ids[kept])
+        assert before.keys() == after.keys()
+        for name, block in before.items():
+            if name in ("emb", "emb_up"):
+                np.testing.assert_array_equal(after[name][:, moved], block[:, kept])
+            else:
+                np.testing.assert_array_equal(after[name], block)

@@ -98,12 +98,15 @@ class TestHeadMetrics:
         assert m["predicate_hits"]["1"] <= m["predicate_hits"][str(n_obj)]
 
     @pytest.mark.parametrize("arity", ["unary", "binary"])
-    @pytest.mark.parametrize("mode", ["episodic", "semantic", "perception"])
+    @pytest.mark.parametrize("mode", ["episodic", "semantic", "perception", "direct"])
     def test_graph_and_decoder_agree_on_clamped_pass(self, tiny_model, tiny_world, mode, arity):
         """Every head the graph scores equals the score block a winner-take-all
         decode clamped to the batch's instance, subject and object reads:
-        the two walk the schedule with the same step functions."""
+        the two walk the schedule with the same step functions.  The direct
+        perception variant commits nothing, so its decode takes no clamps."""
         params, cmap, _ = tiny_model
+        direct = mode == "direct"
+        perceiving = direct or mode == "perception"
         rng = substream(0, "agree", mode, arity)
         fams = sorted(f for f, cols in cmap.family_cols.items() if cols.size)
         b = len(fams)  # a unary row per family
@@ -127,20 +130,20 @@ class TestHeadMetrics:
         boxes = ("feat_scene", "feat_subj")
         if arity == "binary":
             boxes += ("feat_obj", "feat_pred")
-        if mode == "perception":
+        if perceiving:
             dim = params.config.feature_dim
             fields.update({box: rng.standard_normal((b, dim)) for box in boxes})
-        batch = Batch(mode=mode, arity=arity, **fields)
+        batch = Batch(mode="perception" if direct else mode, arity=arity, direct=direct, **fields)
         _, cache = graph.forward(params, cmap, batch)
 
         def symbol(key, i):
-            return cmap.id_of_col(fields[key][i]) if key in fields else None
+            return cmap.id_of_col(fields[key][i]) if key in fields and not direct else None
 
         requests = [
             DecodeRequest(
-                mode=mode, winner_take_all=True,
+                mode=batch.mode, winner_take_all=True, direct=direct,
                 features=network.SceneInput(*(fields[box][i] for box in boxes))
-                if mode == "perception" else None,
+                if perceiving else None,
                 instance_id=symbol("inst_cols", i), subject_id=symbol("subj_inject_cols", i),
                 object_id=symbol("obj_inject_cols", i),
             )
@@ -156,6 +159,7 @@ class TestHeadMetrics:
             ("perception", "unary"): {"NT", "NS"}, ("perception", "binary"): set(steps),
             ("episodic", "unary"): {"NS"}, ("episodic", "binary"): {"NS", "NO", "NP"},
             ("semantic", "unary"): set(), ("semantic", "binary"): {"NO", "NP"},
+            ("direct", "unary"): {"NT", "NS"}, ("direct", "binary"): set(steps),
         }[mode, arity]
         assert set(cache["heads"]) == want_heads
         for key, h in cache["heads"].items():
@@ -309,17 +313,17 @@ def bare_world():
 
 class TestCheckExperiments:
     def test_accepts_every_experiment_the_world_feeds(self, tiny_world):
-        check_experiments(sorted(EXPERIMENTS), tiny_world)
+        check_experiments(sorted(EXPERIMENTS), tiny_world, tiny_world.vocab)
 
     def test_an_empty_list_passes(self, bare_world):
-        check_experiments([], bare_world)
+        check_experiments([], bare_world, bare_world.vocab)
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_an_unknown_name_is_refused_wherever_it_stands(self, tiny_world, at):
         names = ["episodic-recall", "semantic-recall"]
         names.insert(at, "daydreaming")
         with pytest.raises(EvalError, match="unknown experiment 'daydreaming'"):
-            check_experiments(names, tiny_world)
+            check_experiments(names, tiny_world, tiny_world.vocab)
 
     @pytest.mark.parametrize("name, lack", [
         ("ssl-before-after", "no unlabeled shard"),
@@ -327,9 +331,9 @@ class TestCheckExperiments:
     ])
     def test_refuses_what_the_world_cannot_feed(self, bare_world, name, lack):
         with pytest.raises(EvalError, match=f"^{name}: world has {lack}"):
-            check_experiments(["episodic-recall", name], bare_world)
+            check_experiments(["episodic-recall", name], bare_world, bare_world.vocab)
         check_experiments(sorted(set(EXPERIMENTS) - {"ssl-before-after", "social-recall"}),
-                          bare_world)
+                          bare_world, bare_world.vocab)
 
     def test_run_experiment_refuses_before_running(self, ctx, bare_world, monkeypatch):
         ran = []

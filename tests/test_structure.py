@@ -8,7 +8,9 @@ other reader of the context and encoder weights.  Each walk is one loop: in
 `network` only `decode_many` encodes a box, scores a step or steps the
 context, so the direct variant is that loop too, not a second walk.  Any
 other module that imports the step functions is on its way to a third
-hand-written walk.  Training batches its example tables in one pass: a
+hand-written walk.  The walks' control flow is one table, `network.schedule`:
+no other statement spells out the steps, and neither walk compares a step
+name.  Training batches its example tables in one pass: a
 `Batch` carries its label occurrences as arrays, `build_batches` makes every
 batch with one constructor call, and `train` batches every mode through one
 call.  Sampled picks draw no `Generator.choice`: `_pick` and `_pick_labels`
@@ -109,6 +111,44 @@ def test_graph_forward_walks_the_step_functions():
     assert readers == {"backward"}
     called = {n.id for n in ast.walk(funcs["forward"]) if isinstance(n, ast.Name)}
     assert STEP_FUNCTIONS <= called
+
+
+STEPS = ("instance", "subject", "object", "predicate")
+
+
+def _step_constants(node: ast.AST) -> set[str]:
+    """The step names `node` holds as string constants, docstrings aside."""
+    docs = {id(n.body[0].value) for n in ast.walk(node)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef)) and n.body
+            and isinstance(n.body[0], ast.Expr) and isinstance(n.body[0].value, ast.Constant)}
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and n.value in STEPS and id(n) not in docs}
+
+
+def test_only_the_schedule_table_spells_out_the_steps():
+    """The schedule is written once: `network`'s `_PERCEPTION` rows, the
+    table `schedule` is built from, name the steps in order, and no other
+    top-level statement of the package names three or more of them.  (Two
+    may meet elsewhere: instance and predicate are also symbol kinds and
+    readout groups.)  `graph.py` and `decode_many` read the step specs: they
+    compare no step name with a string literal."""
+    package = Path(bilayer.__file__).parent
+    tables, spelled = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+            if targets == ["_PERCEPTION"]:
+                tables.append((path.name, [row.args[0].value for row in node.value.elts]))
+            elif len(_step_constants(node)) > 2:
+                spelled.append(f"{path.name} line {node.lineno}")
+    assert tables == [("network.py", list(STEPS))]
+    assert not spelled, f"the steps are spelled out at {spelled}"
+    walks = {"graph.py": ast.parse((package / "graph.py").read_text(encoding="utf-8")),
+             "decode_many": _functions("network.py")["decode_many"]}
+    for where, tree in walks.items():
+        compared = sorted(f"line {n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                          and any(_step_constants(c) for c in (n.left, *n.comparators)))
+        assert not compared, f"{where} compares step names at {compared}"
 
 
 def _calls(node: ast.AST, name: str) -> int:
