@@ -12,7 +12,6 @@ carry a fingerprint over those inputs so reruns are comparable.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import time
@@ -224,22 +223,17 @@ def perception_binary_eval(
     if not examples:
         raise EvalError("no relation examples to evaluate")
     rng = substream(0, "perception-eval")
-    hits = {k: 0 for k in ks}
-    pred_ids = [cmap.id_of_col(c) for c in cmap.predicate_cols]
     keys = [ex[k] for ex in examples for k in ("scene", "s_bb", "o_bb", "rel")]
     inputs = [SceneInput(*rows) for rows in world.features_of(keys).reshape(len(examples), 4, -1)]
     traces = _perceive(params, cmap, vocab, variant, inputs, rng)
-    for ex, trace in zip(examples, traces):
-        order = ranked_cols(trace.scores["predicate"])
-        truth = vocab.id_of(ex["p"])
-        ranked = [pred_ids[int(i)] for i in order]
-        for k in ks:
-            if truth in ranked[:k]:
-                hits[k] += 1
+    # per example, the predicate positions by descending score, and the true one's
+    ranks = ranked_cols(np.stack([trace.scores["predicate"] for trace in traces]))
+    truth = cmap.predicate_pos(cmap.cols_of([vocab.id_of(ex["p"]) for ex in examples]))
     n = len(examples)
     return {
-        "predicate_hits": {str(k): hits[k] / n for k in ks},
-        "chance": 1.0 / len(pred_ids),
+        "predicate_hits": {str(k): int((ranks[:, :k] == truth[:, None]).any(axis=1).sum()) / n
+                           for k in ks},
+        "chance": 1.0 / cmap.predicate_cols.size,
         "n": n,
     }
 
@@ -467,17 +461,13 @@ def _experiment_hidden_label(ctx: EvalContext, family: str = "Risk") -> tuple[di
 
 
 def _training_combos(world: GroundTruthWorld) -> set:
-    seen = set()
-    for scene in world.scenes_of_kind("train", "ex_train"):
-        for s, p, o in scene.binaries:
-            seen.add(
-                (
-                    world.entity_record(s).labels["BClass"],
-                    p,
-                    world.entity_record(o).labels["BClass"],
-                )
-            )
-    return seen
+    """The (subject BClass, predicate, object BClass) of every training
+    binary; each entity's BClass is read once, a train entity's over a test
+    entity's of the same name, as `entity_record` resolves it."""
+    bclass = {name: rec.labels["BClass"] for records in (world.test_entities, world.entities)
+              for name, rec in records.items()}
+    return {(bclass[s], p, bclass[o]) for scene in world.scenes_of_kind("train", "ex_train")
+            for s, p, o in scene.binaries}
 
 
 def _experiment_zero_shot(ctx: EvalContext) -> tuple[dict, dict]:
@@ -519,7 +509,7 @@ def _experiment_social_recall(ctx: EvalContext) -> tuple[dict, dict]:
 def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     unlabeled = [s.name for s in ctx.world.scenes_of_kind("unlabeled")]
     params, cmap = ctx.params, ctx.cmap
-    vocab2 = copy.deepcopy(ctx.vocab)
+    vocab2 = ctx.vocab.copy()
     params2 = params.copy()
 
     unary, binary = memory_examples(ctx.store, ctx.vocab)
@@ -569,11 +559,18 @@ def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
 
 def _experiment_consolidation(ctx: EvalContext) -> tuple[dict, dict]:
     params, cmap = ctx.params, ctx.cmap
-    vocab2 = copy.deepcopy(ctx.vocab)
-    candidates = ctx.store.observed_instances()
-    if not candidates:
-        raise EvalError("no instances to consolidate")
-    target = max(candidates, key=lambda t: (len(ctx.store.positives_at(t)), -t))
+    vocab2 = ctx.vocab.copy()
+    # the observed instance with the most true statements, the lowest id
+    # among ties.  An instance with a true statement is observed, so while
+    # the store holds one the argmax over every id finds the target.
+    counts = np.bincount(ctx.store.positive_array()[:, 3])
+    if counts.size:
+        target = int(counts.argmax())
+    else:
+        candidates = ctx.store.observed_instances()
+        if not candidates:
+            raise EvalError("no instances to consolidate")
+        target = candidates[0]
     params2, cmap2, dup = consolidate(params.copy(), cmap, vocab2, target)
 
     subjects = sorted({s for s, _p, _o in ctx.store.positives_at(target)})

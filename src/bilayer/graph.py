@@ -94,8 +94,10 @@ class Batch:
         specs = schedule(self.mode, self.arity == "binary", self.direct)
         if any(spec.box and getattr(self, _FIELDS[spec.head][0]) is None for spec in specs):
             raise GraphError("perception batches need feature inputs")
-        if self.mode != "semantic" and self.inst_cols is None:
-            raise GraphError(f"{self.mode} batches need instance columns")
+        for spec in specs:
+            key = _FIELDS[spec.head][1]
+            if (_trains(self.mode, spec) or _commits_col(spec)) and getattr(self, key) is None:
+                raise GraphError(f"{self.mode} {self.arity} batches need {key}")
         if self.arity == "unary" and self.label_fams is None:
             raise GraphError("unary batches need label occurrences")
 
@@ -211,6 +213,16 @@ _FIELDS = {"NT": ("feat_scene", "inst_cols"), "NS": ("feat_subj", "subj_inject_c
 _UNTRAINED = {("semantic", "NS")}
 
 
+def _trains(mode: str, spec: StepSpec) -> bool:
+    """Whether the step has a CE head: it reads out a group the mode trains."""
+    return spec.group is not None and (mode, spec.head) not in _UNTRAINED
+
+
+def _commits_col(spec: StepSpec) -> bool:
+    """Whether the step commits its batch column (not the pooled vector)."""
+    return spec.commit not in (None, POOLED)
+
+
 @dataclass
 class _Step:
     """A step of `network.schedule` with a batch's arrays; `head` is (key,
@@ -236,11 +248,11 @@ def _schedule(cmap: ColumnMap, batch: Batch) -> list[_Step]:
         feat, key = _FIELDS[spec.head]
         cols = getattr(batch, key)
         head = None
-        if spec.group and (batch.mode, spec.head) not in _UNTRAINED:
+        if _trains(batch.mode, spec):
             head = spec.head, getattr(cmap, f"{spec.group}_idx"), GROUP_POS[spec.group](cmap, cols)
         steps.append(_Step(
             spec, getattr(batch, feat) if spec.box else None, head,
-            cols if spec.commit not in (None, POOLED) else None,
+            cols if _commits_col(spec) else None,
             spec.labels and batch.label_fams is not None,
         ))
     return steps

@@ -22,15 +22,20 @@ both reading the table: `decode_many` here and the teacher-forced
 `graph.forward`.
 
 `decode_many` walks the table once for a batch of requests that share the
-mode, every flag and the arity; they differ only in features and clamps.  A
-scored step scores every row with one matrix product, and every score block a
-step picks from or mixes over must be finite.  A commitment takes, per row,
-the clamped index if the request names one, else the attention mixture the
-request's flag for the group asks for (over the instances, or over the
-entities for a concept), else a pick: the argmax under winner-take-all,
-otherwise a draw from the softmax at temperature 1, as attention mixes.  A concept step picks from the entities only under
-`entities` support; concepts lead the column order, so the entities'
-readout index also indexes the concept block.  A clamp must name a symbol of
+mode, every flag and the arity; they differ only in features and clamps.  It
+checks the first request in full, and of every other one only the fields
+that may differ.  A scored step scores every row with one matrix product,
+once, and every score block a step picks from or mixes over must be finite.
+A commitment takes, per row, the clamped index if the request names one,
+else the attention mixture the request's flag for the group asks for (over
+the instances, or over the entities for a concept), else a pick: the argmax
+under winner-take-all, otherwise a draw from the softmax at temperature 1, as
+attention mixes.  The instance mixture is weighted by the block the step
+scored.  The entity mixture scores the entities by their own product: the
+entity prefix of the concept product can differ from it in the last bits.  A
+concept step picks from the entities only under `entities` support; entities
+lead the column order, so the entities' readout index also indexes the
+concept block.  A clamp must name a symbol of
 the group its step commits; a step that only reads out records no id when it
 has no columns.
 Every family's label is read from the one concept-score block: Identity
@@ -52,6 +57,7 @@ runs of DECODE_CHUNK, so the score blocks alive at once do not grow with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -155,12 +161,12 @@ def index_scores(params: NetParams, z: np.ndarray, idx) -> np.ndarray:
     return z @ params.readout[:, idx]
 
 
-def attention_update(params: NetParams, rep: np.ndarray, z: np.ndarray, idx) -> np.ndarray:
+def attention_update(params: NetParams, rep: np.ndarray, scores: np.ndarray, idx) -> np.ndarray:
     """Add to `rep` the mixture of the columns `emb[:, idx]` weighted by the
-    softmax of their scores at `z`, the squashed `rep`, instead of a single
-    picked column."""
-    scores = _check_finite("attention scores", index_scores(params, z, idx))
-    weights = _softmax_rows(scores).astype(rep.dtype)
+    softmax of `scores`, their scores at the squashed `rep`
+    (`index_scores(params, sigmoid(rep), idx)`), instead of a single picked
+    column."""
+    weights = _softmax_rows(_check_finite("attention scores", scores)).astype(rep.dtype)
     return rep + weights @ params.emb[:, idx].T
 
 
@@ -243,6 +249,7 @@ class DecodeRequest:
 # what every request of one decode_many batch has in common: all but these
 _PER_REQUEST = ("features", "instance_id", "subject_id", "object_id")
 _SHARED = [f.name for f in fields(DecodeRequest) if f.name not in _PER_REQUEST]
+_shared_of = attrgetter(*_SHARED)
 
 
 @dataclass
@@ -258,7 +265,8 @@ class DecodeTrace:
     reps: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-_TRACE_IDS = [(f.name, f.name[:-3]) for f in fields(DecodeTrace) if f.name.endswith("_id")]
+# the steps whose ids a trace records, in the order of its `_id` fields
+_TRACE_STEPS = [f.name[:-3] for f in fields(DecodeTrace) if f.name.endswith("_id")]
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -271,9 +279,13 @@ def _binary(request: DecodeRequest) -> bool:
     return request.features is None or request.features.object_box is not None
 
 
-def _check_request(request: DecodeRequest) -> None:
+def _check_request(request: DecodeRequest, shared: bool = True) -> None:
+    """Refuse a request that is no valid pass.  With `shared` false the
+    checks that read only the shared fields are left out: a batch makes them
+    once, on its first request, and runs the rest on every other request whose
+    shared fields equal the first's."""
     mode, feats = request.mode, request.features
-    if mode not in MODES:
+    if shared and mode not in MODES:
         raise NetworkError(f"unknown mode {mode!r}")
     perceiving = mode == "perception"
     if perceiving and feats is None:
@@ -286,20 +298,37 @@ def _check_request(request: DecodeRequest) -> None:
         raise NetworkError("episodic mode requires an instance id")
     if mode == "semantic" and request.instance_id is not None:
         raise NetworkError("semantic mode takes no instance clamp")
-    if request.direct and not perceiving:
+    if shared and request.direct and not perceiving:
         raise NetworkError("direct decoding only applies to perception")
     clamps = (request.instance_id, request.subject_id, request.object_id)
     if request.direct and any(c is not None for c in clamps):
         raise NetworkError("direct decoding takes no clamps")
-    for flag in ("instance_attention", "concept_attention"):
-        if getattr(request, flag) and (request.direct or not perceiving):
-            raise NetworkError(f"{flag} only applies to perception that is not direct")
+    if shared:
+        for flag in ("instance_attention", "concept_attention"):
+            if getattr(request, flag) and (request.direct or not perceiving):
+                raise NetworkError(f"{flag} only applies to perception that is not direct")
     if request.object_id is not None and not _binary(request):
         raise NetworkError("an object clamp needs object and predicate boxes")
-    for step in ("subject", "object"):
-        support = getattr(request, f"{step}_support")
-        if support not in SUPPORTS:
-            raise NetworkError(f"unknown {step} support {support!r}; choose from {SUPPORTS}")
+    if shared:
+        for step in ("subject", "object"):
+            support = getattr(request, f"{step}_support")
+            if support not in SUPPORTS:
+                raise NetworkError(f"unknown {step} support {support!r}; choose from {SUPPORTS}")
+
+
+def _check_batch(requests: list[DecodeRequest]) -> None:
+    """Check the first request in full and compare every other one's shared
+    fields with it as one tuple.  A request that differs is checked in full
+    before it is refused for differing, so each request is refused for the
+    same fault as when it is checked on its own."""
+    first = requests[0]
+    _check_request(first)
+    key, arity = _shared_of(first), _binary(first)
+    for request in requests[1:]:
+        same = _shared_of(request) == key
+        _check_request(request, shared=not same)
+        if not same or _binary(request) != arity:
+            raise NetworkError("batched requests must share the mode, every flag and the arity")
 
 
 def _encode(params: NetParams, requests: list[DecodeRequest], box: str) -> np.ndarray:
@@ -334,13 +363,13 @@ def _step_cols(cmap: ColumnMap, vocab: Vocabulary, spec: StepSpec, ids: list) ->
     return cols
 
 
-def _commit(params, cmap, vocab, spec, rep, z, clamps, scores, cols, pick, mix=None):
-    """One commitment of a step for every row of `rep` (squashed: `z`; None
-    when the step has no input but its clamps).  A clamped row adds its
-    symbol's column.  Each other row adds the column picked from `scores`
-    (positions in `cols`), or, with a readout index `mix`, the attention
-    mixture over `emb[:, mix]`, which commits no id.  Returns the new
-    representations and the per-row ids."""
+def _commit(params, cmap, vocab, spec, rep, clamps, scores, cols, pick, mix=None):
+    """One commitment of a step for every row of `rep` (None when the step
+    has no input but its clamps).  A clamped row adds its symbol's column.
+    Each other row adds the column picked from `scores` (positions in
+    `cols`), or, with `mix` a pair (score block, readout index), the attention
+    mixture over `emb[:, index]` weighted by that block, which commits no id.
+    Returns the new representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
     if mix is None:
@@ -350,7 +379,7 @@ def _commit(params, cmap, vocab, spec, rep, z, clamps, scores, cols, pick, mix=N
                 ids[i] = sid
         added = params.emb.T[_step_cols(cmap, vocab, spec, ids)]
         return (added if rep is None else rep + added), ids
-    out = attention_update(params, rep, z, mix)
+    out = attention_update(params, rep, *mix)
     fixed = [i for i, c in enumerate(ids) if c is not None]
     if fixed:
         clamped = _step_cols(cmap, vocab, spec, [ids[i] for i in fixed])
@@ -392,17 +421,18 @@ def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take_all: boo
 
 def _split(first: DecodeRequest, ids: dict, labels: list, scores: dict,
            reps: dict) -> list[DecodeTrace]:
-    """One trace per row; its ids, scores and reps are rows of the batch's.
-    A step with no ids (absent, or read out of no columns) records None."""
+    """One trace per row; its ids, scores and reps are rows of the batch's,
+    each block iterated once.  A step with no ids (absent, or read out of no
+    columns) records None."""
     none = [None] * len(labels)
-    ids = {key: ids.get(step, none) for key, step in _TRACE_IDS}
+    id_rows = zip(*[ids.get(step, none) for step in _TRACE_STEPS])
+    # positional, in DecodeTrace's field order: keywords cost more per trace.
+    # Every pass scores its subject, so no row is lost to an empty zip
     return [
-        DecodeTrace(
-            mode=first.mode, direct=first.direct, labels=labels[i],
-            scores={k: v[i] for k, v in scores.items()}, reps={k: v[i] for k, v in reps.items()},
-            **{k: v[i] for k, v in ids.items()},
-        )
-        for i in range(len(labels))
+        DecodeTrace(first.mode, first.direct, t, s, row_labels, o, p,
+                    dict(zip(scores, row_scores)), dict(zip(reps, row_reps)))
+        for row_labels, (t, s, o, p), row_scores, row_reps
+        in zip(labels, id_rows, zip(*scores.values()), zip(*reps.values()))
     ]
 
 
@@ -418,18 +448,13 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
     requests = list(requests)
     if not requests:
         return []
+    _check_batch(requests)
     first = requests[0]
-    for request in requests:
-        _check_request(request)
-        if request is not first and (
-            any(getattr(request, k) != getattr(first, k) for k in _SHARED)
-            or _binary(request) != _binary(first)
-        ):
-            raise NetworkError("batched requests must share the mode, every flag and the arity")
 
     def pick(scores: np.ndarray) -> np.ndarray:
         return _pick(scores, first.winner_take_all, rng)
 
+    # per group, the readout index an attention mix runs over
     mixes = {"instance": cmap.instance_idx if first.instance_attention else None,
              "concept": cmap.entity_idx if first.concept_attention else None}
     ids: dict[str, list] = {}
@@ -437,7 +462,7 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
     reps: dict[str, np.ndarray] = {}
     sh, z = initial_context(params), None
     for spec in schedule(first.mode, _binary(first), first.direct):
-        step, rep, block, cols = spec.name, None, None, None
+        step, rep, block, cols, mix = spec.name, None, None, None, None
         if spec.context:
             _, sh = context_step(params, sh, z)
             rep = context_out(params, sh)
@@ -446,16 +471,19 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
             rep = enc if rep is None else rep + enc
         if spec.group:
             z = sigmoid(rep)
-            scores[step] = block = _scores(params, step, z, getattr(cmap, f"{spec.group}_idx"))
+            idx = getattr(cmap, f"{spec.group}_idx")
+            scores[step] = block = _scores(params, step, z, idx)
             cols = getattr(cmap, f"{spec.group}_cols")
+            mix = mixes.get(spec.group)
+            if mix is not None:  # an instance mix weights the block just scored
+                mix = (block if mix is idx else index_scores(params, z, mix)), mix
             if spec.group == "concept" and getattr(first, f"{step}_support") == "entities":
                 block, cols = block[:, cmap.entity_idx], cmap.entity_cols
         if spec.commit == POOLED:
             rep = np.tile(params.pooled, (len(requests), 1))
         elif spec.commit:
             clamps = [getattr(r, f"{step}_id") for r in requests]
-            rep, ids[step] = _commit(params, cmap, vocab, spec, rep, z, clamps, block, cols,
-                                     pick, mixes.get(spec.group))
+            rep, ids[step] = _commit(params, cmap, vocab, spec, rep, clamps, block, cols, pick, mix)
         elif cols.size:  # read out, no commitment
             ids[step] = _pick_ids(cmap, pick, block, cols)
         if spec.commit:

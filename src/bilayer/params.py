@@ -68,7 +68,7 @@ class ColumnMap:
         self.concept_cols = np.arange(offsets[0], offsets[3])
         self.label_cols = np.arange(offsets[1], offsets[3])
         self.family_cols = {
-            fam: np.sort(np.array([self.col_of(i) for i in members], dtype=np.int64))
+            fam: np.sort(self.cols_of(members))
             for fam, members in vocab.families.items()
         }
         # the kind groups are contiguous by the canonical order; a label family
@@ -108,9 +108,6 @@ class ColumnMap:
         if (pos < 0).any():
             raise ParamError("some symbol ids have no embedding column")
         return pos
-
-    def id_of_col(self, col: int) -> int:
-        return int(self.ids[col])
 
     def concept_pos(self, cols) -> np.ndarray:
         return self._concept_pos[np.asarray(cols, dtype=np.int64)]

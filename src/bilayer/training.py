@@ -574,6 +574,8 @@ def ssl_step(
     report = SslReport()
     scenes = [world.scene(n) for n in scene_names if n not in vocab]
     report.skipped = len(scene_names) - len(scenes)
+    if not scenes:  # nothing to perceive: no growth and no training
+        return params, cmap, report
     for scene in scenes:
         if scene.scene_key not in world.feature_index:
             raise TrainError(f"scene {scene.name!r} has no features")

@@ -39,6 +39,8 @@ class Vocabulary:
     _ids: dict[str, int] = field(default_factory=dict)
     _families: dict[str, list[int]] = field(default_factory=dict)
     _family_of: dict[int, str] = field(default_factory=dict)
+    # `digest()` of the current symbols and families; cleared by every change
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if HAS_ATTRIBUTE not in self._ids:
@@ -53,6 +55,7 @@ class Vocabulary:
         if name in self._ids:
             raise VocabError(f"duplicate symbol {name!r}")
         idx = len(self._names)
+        self._digest = None
         self._names.append(name)
         self._kinds.append(kind)
         self._ids[name] = idx
@@ -92,9 +95,18 @@ class Vocabulary:
             if idx in self._family_of:
                 raise VocabError(f"{name!r} already belongs to {self._family_of[idx]!r}")
             ids.append(idx)
+        self._digest = None
         self._families[family] = ids
         for idx in ids:
             self._family_of[idx] = family
+
+    def copy(self) -> "Vocabulary":
+        """An independent vocabulary with the same symbols, ids and families."""
+        out = Vocabulary(list(self._names), list(self._kinds), dict(self._ids),
+                         {f: list(ids) for f, ids in self._families.items()},
+                         dict(self._family_of))
+        out._digest = self._digest
+        return out
 
     # -- lookups -----------------------------------------------------------
 
@@ -237,6 +249,9 @@ class Vocabulary:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        """sha256 of the sorted JSON of `to_dict()`, computed once per state."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(
+                json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+            ).hexdigest()
+        return self._digest

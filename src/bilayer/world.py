@@ -777,11 +777,13 @@ def read_features(base_path: str, feature_dim: int) -> tuple[np.ndarray, dict[st
 
 def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
     """Write the world to `outdir` and return the names written: `config.json`,
-    `vocab.json`, `triples.jsonl` (the store's positive statements, a readable
-    listing), `world.json` and the feature archive.  Every reader derives the
-    store from `world.json`, closed-world negatives included, so the implied
-    negatives are not written; a `negatives.jsonl` left by an older export is
-    neither read nor hashed."""
+    `vocab.json`, `triples.jsonl`, `world.json` and the feature archive.
+    `triples.jsonl` lists the store's positive statements for a reader; no
+    command parses it (a run's manifest only hashes it).  `load_world`
+    rebuilds the store from `world.json`, closed-world negatives included, so
+    a damaged `triples.jsonl` is harmless and the implied negatives are not
+    written; a `negatives.jsonl` left by an older export is neither read nor
+    hashed."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 

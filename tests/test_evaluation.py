@@ -24,11 +24,12 @@ from bilayer.evaluation import (
 )
 from bilayer.graph import Batch
 from bilayer.network import DecodeRequest, decode
-from bilayer.params import NetConfig
-from bilayer.training import TrainConfig, memory_examples
+from bilayer.params import ColumnMap, NetConfig
+from bilayer.training import TrainConfig, memory_examples, ssl_step
+from bilayer.triple_store import TripleStore
 from bilayer.world import WorldConfig, gen_world, substream
 
-from util import table_rows
+from util import small_params, small_vocab, table_rows
 
 
 class TestElementaryMetrics:
@@ -137,7 +138,7 @@ class TestHeadMetrics:
         _, cache = graph.forward(params, cmap, batch)
 
         def symbol(key, i):
-            return cmap.id_of_col(fields[key][i]) if key in fields and not direct else None
+            return int(cmap.ids[fields[key][i]]) if key in fields and not direct else None
 
         requests = [
             DecodeRequest(
@@ -406,6 +407,44 @@ class TestExperimentHarness:
         assert 0.0 <= rep.metrics["match_fraction"] <= 1.0
         assert rep.metrics["instance"] in ctx.vocab
         np.testing.assert_array_equal(params.emb, before)  # session model untouched
+
+    def test_consolidation_targets_the_instance_with_the_most_positives(self, ctx):
+        store = ctx.store
+        want = max(store.observed_instances(), key=lambda t: (len(store.positives_at(t)), -t))
+        rep = run_experiment("consolidation-fidelity", ctx)
+        assert rep.metrics["instance"] == ctx.vocab.name_of(want)
+
+    def test_consolidation_without_true_statements(self, ctx):
+        """With no true statement the target is the lowest observed instance,
+        and a store that observed nothing is refused."""
+        v = small_vocab()
+        params, cmap = small_params(v)
+        store = TripleStore(v)
+        bare = dataclasses.replace(ctx, vocab=v, params=params, cmap=cmap, store=store)
+        with pytest.raises(EvalError, match="no instances to consolidate"):
+            EXPERIMENTS["consolidation-fidelity"](bare)
+        near = v.id_of("near")
+        store.add_observations([(v.id_of("e0"), near, v.id_of("e1"), v.id_of(t))
+                                for t in ("t2", "t1")], False)
+        metrics, counts = EXPERIMENTS["consolidation-fidelity"](bare)
+        assert metrics["instance"] == "t1" and counts == {"subjects": 0}
+
+    def test_consolidation_fidelity_on_an_ssl_grown_vocabulary(self, ctx):
+        """Consolidation copies the grown vocabulary and grows it once more;
+        the shared fixture vocabulary stays as it was."""
+        vocab = ctx.vocab.copy()
+        digest = ctx.vocab.digest()
+        unlabeled = [s.name for s in ctx.world.scenes_of_kind("unlabeled")]
+        params, cmap, report = ssl_step(ctx.params.copy(), ColumnMap(vocab), vocab, ctx.world,
+                                        unlabeled, ctx.config_with(ssl_epochs=1))
+        assert report.new_instances and vocab.extends(ctx.vocab) and len(vocab) > len(ctx.vocab)
+        grown = dataclasses.replace(ctx, vocab=vocab, params=params, cmap=cmap)
+        n_grown = len(vocab)
+        rep = run_experiment("consolidation-fidelity", grown)
+        assert rep.metrics["preexisting_bitwise"] is True
+        assert np.isfinite(rep.metrics["match_fraction"])
+        assert len(vocab) == n_grown and ctx.vocab.digest() == digest
+        assert all(name not in ctx.vocab for name in report.new_instances)
 
     def test_fingerprint_tracks_inputs(self, ctx, tiny_world, tiny_store, tiny_model):
         rep = run_experiment("episodic-recall", ctx)

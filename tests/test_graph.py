@@ -3,12 +3,13 @@ node it first appears at, and the scatter that adds committed columns'
 gradients, which must equal `np.add.at` bit for bit."""
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from bilayer.graph import Batch, _scatter_add, forward, mean_head_accuracy
+from bilayer.graph import Batch, GraphError, _scatter_add, forward, mean_head_accuracy
 from bilayer.network import NumericsError
 from bilayer.world import substream
 
@@ -107,3 +108,30 @@ def test_scatter_add_equals_add_at_bitwise(dtype, n_rows, n_cols):
     np.add.at(want.T, cols, vals)
     _scatter_add(got.T, cols, vals)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode, arity, missing", [
+    ("episodic", "binary", "obj_inject_cols"),
+    ("episodic", "binary", "pred_cols"),
+    ("episodic", "unary", "subj_inject_cols"),
+    ("semantic", "binary", "subj_inject_cols"),
+    ("semantic", "binary", "pred_cols"),
+    ("perception", "binary", "obj_inject_cols"),
+    ("perception", "unary", "inst_cols"),
+    ("episodic", "unary", "inst_cols"),
+])
+def test_a_batch_without_the_columns_its_schedule_reads_is_refused(mode, arity, missing):
+    """Each step that commits its batch column or trains a head reads that
+    column field; a batch without it is refused, naming the field, before
+    `forward` runs."""
+    v = small_vocab()
+    _, cmap = small_params(v)
+    batch = _batch(cmap, mode, arity)
+    with pytest.raises(GraphError, match=f"{mode} {arity} batches need {missing}"):
+        dataclasses.replace(batch, **{missing: None})
+
+
+def test_a_semantic_batch_needs_no_instance_columns():
+    v = small_vocab()
+    params, cmap = small_params(v)
+    forward(params, cmap, dataclasses.replace(_batch(cmap, "semantic", "binary"), inst_cols=None))

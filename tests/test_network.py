@@ -11,6 +11,7 @@ every run-path request kind stay pinned.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -317,7 +318,7 @@ class TestAttention:
         params, cmap = small_params(v, seed=5)
         rep = np.linspace(-1, 1, 8).astype(np.float32)
         cols = cmap.instance_cols[:1]
-        got = attention_update(params, rep, sigmoid(rep), cols)
+        got = attention_update(params, rep, index_scores(params, sigmoid(rep), cols), cols)
         np.testing.assert_allclose(got, rep + params.emb[:, cols[0]], atol=1e-7)
 
 def _scene_features(seed: int, with_relation: bool = True) -> SceneInput:
@@ -420,7 +421,8 @@ class TestDecodeValidation:
         params.emb[:, cmap.instance_cols[0]] = np.nan
         with pytest.raises(NumericsError, match="attention"):
             rep = np.zeros(8, dtype=np.float32)
-            attention_update(params, rep, sigmoid(rep), cmap.instance_idx)
+            attention_update(params, rep, index_scores(params, sigmoid(rep), cmap.instance_idx),
+                             cmap.instance_idx)
 
     def test_semantic_rejects_instance_clamp(self):
         v = small_vocab()
@@ -509,6 +511,61 @@ class TestDecodeValidation:
         ):
             with pytest.raises(NetworkError, match="share"):
                 decode_many(params, cmap, v, [base, other], substream(0, "d"))
+
+    # per shared field, a value that differs from the batch's first request,
+    # and the refusal: a request that is sound on its own is refused for
+    # differing, one that is not for its own fault, as a lone request is
+    SHARED_CHANGES = {
+        "mode": ("episodic", "episodic mode forbids feature inputs"),
+        "winner_take_all": (True, "must share"),
+        "instance_attention": (True, "must share"),
+        "concept_attention": (True, "must share"),
+        "direct": (True, "must share"),
+        "subject_support": ("entities", "must share"),
+        "object_support": ("bogus", "unknown object support 'bogus'"),
+    }
+
+    def test_the_shared_changes_cover_every_shared_field(self):
+        assert sorted(self.SHARED_CHANGES) == sorted(network._SHARED)
+
+    @pytest.mark.parametrize("field", sorted(SHARED_CHANGES))
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_a_request_differing_in_one_shared_field_is_refused(self, field, at):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        value, message = self.SHARED_CHANGES[field]
+        requests = [DecodeRequest(mode="perception", features=_scene_features(i)) for i in range(3)]
+        requests[at] = dataclasses.replace(requests[at], **{field: value})
+        with pytest.raises(NetworkError, match=message):
+            decode_many(params, cmap, v, requests, substream(0, "d"))
+
+    @pytest.mark.parametrize("shared, own, message", [
+        (dict(mode="perception"), dict(features=None), "perception requires feature inputs"),
+        (dict(mode="perception"), dict(features="half"), "come together"),
+        (dict(mode="perception", direct=True), dict(features="scene", subject_id="e1"),
+         "direct decoding takes no clamps"),
+        (dict(mode="perception"), dict(features="unary", object_id="e1"), "an object clamp"),
+        (dict(mode="episodic"), dict(features="scene"), "episodic mode forbids feature inputs"),
+        (dict(mode="episodic"), dict(instance_id=None), "episodic mode requires an instance id"),
+        (dict(mode="semantic"), dict(instance_id="t1"), "semantic mode takes no instance clamp"),
+    ])
+    def test_a_later_request_is_checked_in_its_own_fields(self, shared, own, message):
+        """A batch checks its shared fields once, but every request's own
+        fields: features, clamps and arity."""
+        v = small_vocab()
+        params, cmap = small_params(v)
+        perceiving = shared["mode"] == "perception"
+        good = DecodeRequest(**shared, features=_scene_features(0) if perceiving else None,
+                             instance_id=v.id_of("t0") if shared["mode"] == "episodic" else None)
+        feats = _scene_features(1)
+        features = {None: None, "scene": feats,
+                    "half": SceneInput(feats.scene, feats.subject_box, feats.object_box),
+                    "unary": _scene_features(1, with_relation=False)}
+        bad = {k: features[x] if k == "features" else (None if x is None else v.id_of(x))
+               for k, x in own.items()}
+        requests = [good, good, dataclasses.replace(good, **bad)]
+        with pytest.raises(NetworkError, match=message):
+            decode_many(params, cmap, v, requests, substream(0, "d"))
 
 
 def _traces_equal(a, b) -> bool:
@@ -655,7 +712,7 @@ class TestDecodeBehavior:
         trace = decode(params, cmap, v, req, substream(0, "wta"))
         for fam, cols in cmap.family_cols.items():
             best = cols[int(np.argmax(trace.scores["label"][cmap.family_idx[fam]]))]
-            assert trace.labels[fam] == cmap.id_of_col(best)
+            assert trace.labels[fam] == int(cmap.ids[best])
 
     def test_unary_and_binary_passes_share_subject_and_labels(self):
         """Labels are read before the object step, so the relation boxes

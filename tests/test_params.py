@@ -37,7 +37,7 @@ class TestColumnMap:
         assert cmap.kind_counts == (4, 3, 2, 2, 3)
         for col, sid in enumerate(expected):
             assert cmap.col_of(sid) == col
-            assert cmap.id_of_col(col) == sid
+            assert int(cmap.ids[col]) == sid
 
     def test_has_attribute_gets_no_column(self):
         v = small_vocab()
@@ -62,9 +62,9 @@ class TestColumnMap:
         cmap = ColumnMap(v)
         for cols in cmap.family_cols.values():
             assert np.all(np.diff(cols) > 0)
-        species = {cmap.id_of_col(c) for c in cmap.family_cols["Species"]}
+        species = {int(cmap.ids[c]) for c in cmap.family_cols["Species"]}
         assert species == {v.id_of("Dog"), v.id_of("Cat")}
-        identity = {cmap.id_of_col(c) for c in cmap.family_cols["Identity"]}
+        identity = {int(cmap.ids[c]) for c in cmap.family_cols["Identity"]}
         assert identity == set(v.entities)
 
     def test_readout_groups_are_views(self, tiny_world):

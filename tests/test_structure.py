@@ -16,7 +16,9 @@ batch with one constructor call, and `train` batches every mode through one
 call.  Sampled picks draw no `Generator.choice`: `_pick` and `_pick_labels`
 turn their uniforms into positions through one inverse-CDF helper.
 Checkpoints and the feature archive share one tensor-archive codec in
-`params.py`.  The triple store's internals are read only inside
+`params.py`.  A decode scores each step once: an instance attention
+mixture weights the block its step scored.  No module copies state with
+`copy.deepcopy`.  The triple store's internals are read only inside
 `triple_store.py`.  Every public name the package defines has a caller inside
 it, but for a short allowlist of names that the benchmark or the gradient
 tests call, every field of the three settings classes is read outside its
@@ -29,10 +31,14 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bilayer
+from bilayer import network
 from bilayer.graph import Batch
+
+from util import small_params, small_vocab
 
 STEP_FUNCTIONS = {"context_step", "context_out", "encode_input", "index_scores"}
 STEP_WEIGHTS = {"ctx_in", "ctx_rec", "ctx_out", "enc_w", "enc_b"}
@@ -352,3 +358,40 @@ def test_the_ontology_is_one_constant():
                       if isinstance(node, ast.Assign) and _calls(node.value, "Ontology")
                       for target in node.targets]
     assert calls == 1 and constants == ["ONTOLOGY"], (calls, constants)
+
+
+@pytest.mark.parametrize("concept_attention", [False, True])
+@pytest.mark.parametrize("binary", [False, True])
+def test_each_scored_step_scores_once(monkeypatch, binary, concept_attention):
+    """A perception pass computes one score product per scored step and one
+    for the labels: the instance attention mixes over the block its step
+    scored.  The entity mixture of concept attention is one more product per
+    concept step, of the entity columns alone, which keeps its bits."""
+    v = small_vocab()
+    params, cmap = small_params(v)
+    calls, inner = [], network.index_scores
+
+    def counted(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(network, "index_scores", counted)
+    boxes = np.random.default_rng(0).standard_normal((4, 6))
+    feats = network.SceneInput(*boxes) if binary else network.SceneInput(*boxes[:2])
+    request = network.DecodeRequest(mode="perception", features=feats, instance_attention=True,
+                                    concept_attention=concept_attention)
+    network.decode_many(params, cmap, v, [request, request], np.random.default_rng(0))
+    specs = network.schedule("perception", binary, False)
+    mixes = sum(spec.group == "concept" and spec.commit is not None for spec in specs)
+    want = sum(spec.group is not None for spec in specs) + 1 + concept_attention * mixes
+    assert len(calls) == want, calls
+
+
+def test_no_deep_copies():
+    """State is copied by the owner's own `copy` (`Vocabulary.copy`,
+    `NetParams.copy`), never by `copy.deepcopy`, which walks every object."""
+    for path in sorted(Path(bilayer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "deepcopy" not in named, path.name

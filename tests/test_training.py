@@ -970,6 +970,32 @@ class TestSelfLabeledGrowth:
         assert list(store.iter_negative()) == list(ref.iter_negative())
         assert all(store.truth_of(*q) is True for q in quads)
 
+    def test_ssl_step_with_every_scene_skipped_changes_nothing(self, ssl_world):
+        """When the vocabulary holds every scene's instance there is nothing to
+        perceive: no growth, no training, and the report counts the scenes."""
+        from bilayer.params import ColumnMap
+
+        v = ssl_world.vocab
+        unlabeled = sorted(s.name for s in ssl_world.scenes_of_kind("unlabeled"))
+        for name in unlabeled:
+            v.add_instance(name)
+        params = NetParams.init(v, NetConfig(rep_dim=16, ctx_dim=8, feature_dim=24),
+                                substream(0, "init"))
+        cmap = ColumnMap(v)
+        before = {k: a.copy() for k, a in params.blocks().items()}
+        digest = v.digest()
+        store = ssl_world.build_store()
+        n_statements = store.total_statements()
+        got_params, got_cmap, report = ssl_step(params, cmap, v, ssl_world, unlabeled,
+                                                TrainConfig(seed=1), store)
+        assert got_params is params and got_cmap is cmap
+        for name, block in params.blocks().items():
+            assert block.tobytes() == before[name].tobytes(), name
+        assert v.digest() == digest and store.total_statements() == n_statements
+        assert report.skipped == len(unlabeled) > 0
+        assert report.history == [] and report.new_instances == report.new_entities == []
+        assert report.pseudo_unary == report.pseudo_binary == []
+
     def test_ssl_step_rejects_featureless_scene(self, ssl_world):
         from bilayer.params import ColumnMap
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -143,3 +144,39 @@ class TestSerialization:
             doc = json.loads(base.dumps())
             edit(doc)
             assert not Vocabulary.from_dict(doc).extends(base), doc
+
+
+def _fresh_digest(v: Vocabulary) -> str:
+    return hashlib.sha256(json.dumps(v.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestCopyAndDigest:
+    def test_copy_is_equal_and_independent(self):
+        v = small_vocab()
+        digest = v.digest()
+        before = v.to_dict()
+        c = v.copy()
+        assert c == v and c.to_dict() == before and c.digest() == digest
+        c.add_class("Bird")
+        c.add_entity("e9")
+        c.add_instance("t9")
+        c.define_family("Flies", ["Bird"])
+        assert c != v
+        assert v.to_dict() == before and v.digest() == digest == _fresh_digest(v)
+        assert "e9" not in v and "Flies" not in v.families
+        assert v.family_members(IDENTITY_FAMILY) == tuple(v.id_of(f"e{i}") for i in range(4))
+        assert c.digest() == _fresh_digest(c) != digest
+
+    @pytest.mark.parametrize("change", [
+        lambda v: v.add_entity("e9"),
+        lambda v: v.add_class("Bird"),
+        lambda v: v.add_attribute("Shy"),
+        lambda v: v.add_predicate("sees"),
+        lambda v: v.add_instance("t9"),
+        lambda v: (v.add_class("Bird"), v.digest(), v.define_family("Flies", ["Bird"])),
+    ], ids=["entity", "class", "attribute", "predicate", "instance", "family"])
+    def test_cached_digest_follows_every_change(self, change):
+        v = small_vocab()
+        stale = v.digest()
+        change(v)
+        assert v.digest() == _fresh_digest(v) != stale
