@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .vocab import IDENTITY_FAMILY, Vocabulary
+from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
 
 CHECKPOINT_FORMAT = "bilayer-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -46,11 +46,10 @@ class ColumnMap:
     """
 
     def __init__(self, vocab: Vocabulary):
-        entities = list(vocab.entities)
-        classes = list(vocab.classes)
-        attributes = list(vocab.attributes)
-        predicates = list(vocab.binary_predicates)
-        instances = list(vocab.instances)
+        groups = vocab.by_kind()
+        entities, classes, attributes, instances = (
+            groups[kind] for kind in (Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE, Kind.INSTANCE))
+        predicates = [p for p in groups[Kind.PREDICATE] if p != vocab.has_attribute]
         ids = entities + classes + attributes + predicates + instances
         self.ids = np.array(ids, dtype=np.int64)
         self.n_columns = len(ids)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, asdict
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -42,7 +43,7 @@ from .network import DecodeRequest, NumericsError, SceneInput, decode_chunked, s
 from .params import ColumnMap, NetParams, check_types
 from .triple_store import UNKNOWN, TripleStore
 from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
-from .world import GroundTruthWorld, substream
+from .world import ONTOLOGY, GroundTruthWorld, resolve_labels, resolve_scenes, substream
 
 
 class TrainError(ValueError):
@@ -132,8 +133,10 @@ class Examples:
     the row of `features` it reads: `scene, bb` in unary sets, `scene, s_bb,
     o_bb, rel` in binary sets.  `features` is one float32 matrix, gathered
     from the world's `features` in one step: the boxes the set reads, in the
-    order the set first reads them.  Indexing with a slice, a mask or row
-    indices selects those rows.
+    order the set first reads them.  For `perception_examples` that is scene
+    by scene: the scene box, its member boxes in member order, then its
+    relation boxes.  Indexing with a slice, a mask or row indices selects
+    those rows.
     """
 
     cols: dict[str, np.ndarray]
@@ -192,6 +195,16 @@ def examples_from_rows(
     return _table(values, names, families=families, features=world.features_of(list(keys)))
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """`np.unique(keys)` as one sort and one compare.  numpy 2's `unique`
+    hashes int64 keys first, which took over ten times as long for the
+    30,000 keys of a x4 world."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def memory_examples(
     store: TripleStore, vocab: Vocabulary, excluded_families: tuple = ()
 ) -> tuple[Examples, Examples]:
@@ -213,7 +226,7 @@ def memory_examples(
     entity[list(vocab.entities)] = True
     obj = ~label & entity[o]
     n = len(vocab)
-    pairs = np.unique(np.concatenate([s * n + t, o[obj] * n + t[obj]]))
+    pairs = _distinct(np.concatenate([s * n + t, o[obj] * n + t[obj]]))
     ident_s, ident_t = pairs // n, pairs % n
     identity = families.index(IDENTITY_FAMILY)
     unary = Examples(
@@ -235,41 +248,48 @@ def perception_examples(
     hidden_families: tuple = (),
 ) -> tuple[Examples, Examples]:
     """Feature-bearing examples from the train and ex_train scenes, which are
-    registered instances: per member, one row per visible label and an
-    identity row; one row per scene relation."""
-    hidden = set(hidden_families)
+    registered instances, in scene order: per member, one row per visible
+    label, in family order, then an identity row; one row per scene relation.
+
+    The scenes' names are resolved once (`resolve_scenes`), and the visible
+    labels once per distinct member (`resolve_labels`); each member's rows are
+    one repeat of its columns.  `features` holds each scene's boxes in turn:
+    the scene box, its member boxes in member order, then its relation boxes,
+    which is the order the rows first read them, so every feature column is
+    an offset into its scene's run of boxes."""
     families = _families(vocab)
-    code = {f: i for i, f in enumerate(families)}
-    identity = code[IDENTITY_FAMILY]
-    keys: dict[str, int] = {}  # feature key -> row of the set's feature matrix
-    visible: dict[str, list] = {}  # member -> (family code, label id) of its visible labels
-    unary: list[int] = []
-    binary: list[int] = []
-    for scene in world.scenes_of_kind("train", "ex_train"):
-        t = vocab.id_of(scene.name)
-        sc = keys.setdefault(scene.scene_key, len(keys))
-        for m in scene.members:
-            s = vocab.id_of(m)
-            bb = keys.setdefault(scene.bb_key(m), len(keys))
-            labels = visible.get(m)
-            if labels is None:
-                labels = visible[m] = [
-                    (code[fam], vocab.id_of(label))
-                    for fam, label in world.entity_record(m).labels.items() if fam not in hidden
-                ]
-            for fam, o in labels:
-                unary += (t, s, fam, o, sc, bb)
-            unary += (t, s, identity, s, sc, bb)
-        for i, (s, p, o) in enumerate(scene.binaries):
-            binary += (t, vocab.id_of(s), vocab.id_of(p), vocab.id_of(o), sc,
-                       keys.setdefault(scene.bb_key(s), len(keys)),
-                       keys.setdefault(scene.bb_key(o), len(keys)),
-                       keys.setdefault(scene.rel_key(i), len(keys)))
-    feats = world.features_of(list(keys))
-    return (
-        _table(unary, _UNARY_COLS, families=families, features=feats),
-        _table(binary, _BINARY_COLS, families=families, features=feats),
-    )
+    hidden = set(hidden_families)
+    visible = [f for f in ONTOLOGY.label_families if f not in hidden]
+    scenes = world.scenes_of_kind("train", "ex_train")
+    ids = resolve_scenes(scenes, vocab)
+    entities, row = np.unique(ids.members, return_inverse=True)
+    labels = resolve_labels(world, vocab, entities, visible)[row.reshape(-1)]
+    s = ids.members
+    o = np.concatenate([labels, s[:, None]], axis=1).reshape(-1)
+    fam = np.array([families.index(f) for f in visible + [IDENTITY_FAMILY]], dtype=np.int64)
+    width = fam.size
+
+    # each scene's run of boxes: its own, its members', its relations'
+    run = 1 + ids.n_members + ids.n_binaries
+    scene = np.cumsum(run) - run
+    first_member = np.cumsum(ids.n_members) - ids.n_members
+    first_binary = np.cumsum(ids.n_binaries) - ids.n_binaries
+    bb = np.arange(s.size) + (scene + 1 - first_member)[ids.member_scene]
+    rel = np.arange(len(ids.binaries)) + (scene + 1 + ids.n_members - first_binary)[
+        ids.binary_scene]
+    features = world.features_of(list(chain.from_iterable(sc.box_keys() for sc in scenes)))
+
+    unary = {
+        "t": np.repeat(ids.t[ids.member_scene], width), "s": np.repeat(s, width),
+        "fam": np.tile(fam, s.size), "o": o,
+        "scene": np.repeat(scene[ids.member_scene], width), "bb": np.repeat(bb, width),
+    }
+    binary = {
+        "t": ids.t[ids.binary_scene], "s": ids.binaries[:, 0], "p": ids.binaries[:, 1],
+        "o": ids.binaries[:, 2], "scene": scene[ids.binary_scene],
+        "s_bb": bb[ids.subject_at], "o_bb": bb[ids.object_at], "rel": rel,
+    }
+    return Examples(unary, families, features), Examples(binary, families, features)
 
 
 @dataclass(frozen=True)
@@ -296,7 +316,7 @@ def injection_pool(
     excluded = [families.index(f) for f in set(excluded_families) if f in families]
     keep = (p == vocab.has_attribute) & ~np.isin(fam_code[o], excluded)
     n = len(vocab)
-    pairs = np.unique(s[keep] * n + o[keep])
+    pairs = _distinct(s[keep] * n + o[keep])
     entities, counts = np.unique(pairs // n, return_counts=True)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return InjectionPool(entities, offsets, pairs % n)

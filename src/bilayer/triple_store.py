@@ -46,10 +46,11 @@ decoded from pays for none of them:
 * the positive and known counts behind `expected_truth`: (s, p, o) -> count;
 * the label co-occurrence counts behind `label_conditional`: per (s, t) site
   with a positive label, which labels are true there and which known false;
-* the per-instance positives: t -> its slice of the positive array.
+* the per-instance positives: t -> its slice of the positive array;
+* the observed instances: every instance with a statement, sorted.
 
-Adds update the point lookup in place and drop whatever else they change;
-the next query rebuilds it.
+Adds update the point lookup in place and drop whatever else they change,
+as closes do; the next query rebuilds it.
 
 The counting queries are the exact reference semantics for what the
 trainable network only approximates:
@@ -204,6 +205,7 @@ class TripleStore:
     _counts: tuple | None = field(default=None, repr=False)  # Counters (s, p, o) -> positives, known
     _cooc: dict | None = field(default=None, repr=False)  # c1 -> {c2: P(c2 | c1)}
     _spans: dict | None = field(default=None, repr=False)  # t -> (lo, hi) in the positive array
+    _observed: tuple | None = field(default=None, repr=False)  # `observed_instances()`
     # per-id kind codes and shared int objects, extended as the vocabulary grows
     _kind_codes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8), repr=False)
     _ints: np.ndarray = field(default_factory=lambda: np.zeros(0, object), repr=False)
@@ -281,7 +283,7 @@ class TripleStore:
         self._blocks[truth].append(rows)
         if self._truth is not None:
             self._truth.update(zip(self._shared(rows), repeat(truth)))
-        self._counts = self._cooc = None
+        self._counts = self._cooc = self._observed = None
         if truth:
             self._spans = None
         else:
@@ -409,14 +411,15 @@ class TripleStore:
         explicit.  Labels must be classes or attributes and predicates binary
         ones.  A batch that fails a check records nothing."""
         records = self._closure_records(closures)
-        for t, *record in records:
-            self._closures.setdefault(t, []).append(tuple(record))
+        for t, record in records:
+            self._closures.setdefault(t, []).append(record)
         if records:
-            self._negatives = self._counts = self._cooc = None
+            self._negatives = self._counts = self._cooc = self._observed = None
 
     def _closure_records(self, closures: Iterable[tuple]) -> list[tuple]:
-        """Check closures and return them as (t, entities, labels, predicates)
-        records of frozensets; equal label or predicate lists share one set."""
+        """Check closures and return them as (t, (entities, labels,
+        predicates)) pairs of an instance and a record of frozensets; equal
+        label or predicate lists share one set."""
         closures = list(closures)
         ts = np.array([c[0] for c in closures], dtype=np.int64)
         ents, ent_off = _csr([c[1] for c in closures])
@@ -426,19 +429,20 @@ class TripleStore:
         if bad.any():
             t, entities = closures[int(np.argmax(bad))][:2]
             self._check_closure(t, entities)
-        shared = []  # per position: each distinct list, checked once, as a frozenset
+        shared = []  # per position: each closure's set; each distinct list checked once
         for k, check in ((2, self._check_label), (3, self._check_predicate)):
-            sets = {}
+            sets, column = {}, []
             for closure in closures:
                 key = tuple(closure[k])
-                if key not in sets:
+                found = sets.get(key)
+                if found is None:
                     for i in key:
                         check(i)
-                    sets[key] = frozenset(map(int, key))
-            shared.append(sets)
-        labels, preds = shared
-        return [(int(t), frozenset(map(int, entities)), labels[tuple(c)], preds[tuple(p)])
-                for t, entities, c, p in closures]
+                    found = sets[key] = frozenset(map(int, key))
+                column.append(found)
+            shared.append(column)
+        return [(int(c[0]), (frozenset(map(int, c[1])), labels, preds))
+                for c, labels, preds in zip(closures, *shared)]
 
     def _check_closure(self, t: int, entities) -> None:
         v = self.vocab
@@ -510,11 +514,15 @@ class TripleStore:
     def observed_instances(self) -> tuple[int, ...]:
         """The instances with a statement: an explicit one, or one a closure
         implies.  A closure that covers something implies it unless it is
-        explicit, so the closures need not be expanded."""
-        ts = {t for t, records in self._closures.items() if any(_n_covered(*r) for r in records)}
-        for truth in (True, False):
-            ts.update(np.unique(self._explicit(truth)[:, 3]).tolist())
-        return tuple(sorted(ts))
+        explicit, so the closures need not be expanded.  Built on first use;
+        an add or a close drops it."""
+        if self._observed is None:
+            ts = {t for t, records in self._closures.items()
+                  if any(_n_covered(*r) for r in records)}
+            for truth in (True, False):
+                ts.update(np.unique(self._explicit(truth)[:, 3]).tolist())
+            self._observed = tuple(sorted(ts))
+        return self._observed
 
     def positives_at(self, t: int) -> tuple[tuple[int, int, int], ...]:
         return tuple(map(tuple, self._instance_rows(t)[:, :3].tolist()))

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 
 HAS_ATTRIBUTE = "hasAttribute"
 IDENTITY_FAMILY = "Identity"
@@ -116,6 +118,14 @@ class Vocabulary:
         except KeyError:
             raise VocabError(f"unknown symbol {name!r}") from None
 
+    def ids_of(self, names: list[str]) -> np.ndarray:
+        """The ids of `names`, in order, as one int64 array."""
+        try:
+            return np.fromiter(map(self._ids.__getitem__, names), dtype=np.int64, count=len(names))
+        except (KeyError, TypeError):
+            bad = next(n for n in names if type(n) is not str or n not in self._ids)
+            raise VocabError(f"unknown symbol {bad!r}") from None
+
     def name_of(self, idx: int) -> str:
         return self._names[idx]
 
@@ -133,6 +143,13 @@ class Vocabulary:
 
     def _of_kind(self, kind: Kind) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self._kinds) if k is kind)
+
+    def by_kind(self) -> dict[Kind, list[int]]:
+        """Every id grouped by its kind in one pass, each group in id order."""
+        groups: dict[Kind, list[int]] = {kind: [] for kind in Kind}
+        for i, kind in enumerate(self._kinds):
+            groups[kind].append(i)
+        return groups
 
     @property
     def entities(self) -> tuple[int, ...]:

@@ -27,7 +27,11 @@ The record file `world.json` holds each fact once: an entity is a row of its
 name and its labels in family order, a scene its name, kind (which decides
 whether it is an episodic instance), members and binary statements.  What
 only generation reads (the predicate table, scene themes, which entities a
-scene may show) stays inside `gen_world`.
+scene may show) stays inside `gen_world`.  A record that does not fit is
+refused with one line that names it: by `load_world` when its shape is
+wrong, and when the names are resolved (`resolve_scenes`, `resolve_labels`)
+when a scene lists a member twice or states something of a non-member, or
+an entity holds another family's label in a family's place.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, fields, asdict
+from itertools import chain
 
 import numpy as np
 
@@ -224,6 +229,13 @@ class SceneRecord:
     def rel_key(self, i: int) -> str:
         return f"rel:{self.name}:{i}"
 
+    def box_keys(self) -> list[str]:
+        """The keys of the scene's boxes: its own, its members' in member
+        order, then its relations' in statement order."""
+        name = self.name
+        return [f"scene:{name}", *[f"bb:{name}:{m}" for m in self.members],
+                *[f"rel:{name}:{i}" for i in range(len(self.binaries))]]
+
 
 @dataclass
 class GroundTruthWorld:
@@ -256,7 +268,7 @@ class GroundTruthWorld:
 
     def features_of(self, keys: list[str]) -> np.ndarray:
         """The feature rows of `keys`, in their order, in one gather."""
-        return self.features[[self.feature_index[k] for k in keys]]
+        return self.features[list(map(self.feature_index.__getitem__, keys))]
 
     def scenes_of_kind(self, *kinds: str) -> list[SceneRecord]:
         return [s for s in self.scenes if s.kind in kinds]
@@ -671,56 +683,131 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
 
 def _ingest(world: GroundTruthWorld) -> TripleStore:
     """The world's store in two bulk steps: the positives of every instance
-    scene as one array, in scene order (each member's labels in family order,
-    then the scene's binary statements), then the closure of every instance.
-    Labeled scenes close every label family; train scenes close the scene
-    predicates, background scenes the nonvisual ones, social scenes only the
-    social predicate."""
+    scene as one array, then the closure of every instance.  The scenes'
+    names are resolved once (`resolve_scenes`), and the labels once per
+    distinct labeled member (`resolve_labels`).  The store sees the positives
+    scene by scene, in `world.scenes` order: a labeled scene's members in
+    member order, each member's labels in family order, then the scene's
+    binary statements in order, so `add_observations` names the first bad row
+    of that order.  Labeled scenes close every label family; train scenes
+    close the scene predicates, background scenes the nonvisual ones, social
+    scenes only the social predicate."""
     v = world.vocab
     onto = ONTOLOGY
+    families = onto.label_families
+    n_fam = len(families)
     store = TripleStore(v)
-    ha = v.has_attribute
-    labels = [c for fam in onto.label_families for c in v.family_members(fam)]
+    scenes = [s for s in world.scenes if s.instance]
+    ids = resolve_scenes(scenes, v)
+    labeled = np.array([s.kind in ("train", "ex_train", "background") for s in scenes], dtype=bool)
+    at = labeled[ids.member_scene]
+    e, where = ids.members[at], ids.member_scene[at]
+    entities, row = np.unique(e, return_inverse=True)
+    labels = resolve_labels(world, v, entities, families)[row.reshape(-1)]
+    unary = np.stack([
+        np.repeat(e, n_fam), np.full(labels.size, v.has_attribute), labels.reshape(-1),
+        np.repeat(ids.t[where], n_fam),
+    ], axis=1)
+    binary = np.column_stack([ids.binaries, ids.t[ids.binary_scene]])
+    # input order: scene by scene, its unary rows before its binary ones
+    order = np.argsort(np.r_[np.repeat(where, n_fam), ids.binary_scene], kind="stable")
+    store.add_observations(np.concatenate([unary, binary])[order], True)
+
+    label_ids = [c for fam in families for c in v.family_members(fam)]
     closing = {
-        "train": (labels, [v.id_of(p) for p in onto.scene_predicates]),
-        "background": (labels, [v.id_of(p) for p in onto.nonvisual_predicates]),
+        "train": (label_ids, [v.id_of(p) for p in onto.scene_predicates]),
+        "background": (label_ids, [v.id_of(p) for p in onto.nonvisual_predicates]),
         "social": ([], [v.id_of(onto.social_predicate)]),
     }
     closing["ex_train"] = closing["train"]
-    label_ids: dict[str, list[int]] = {}  # entity name -> its labels in family order
-    labeled: list[tuple[int, int, int]] = []  # (scene position, entity, t) per labeled member
-    unary_labels: list[list[int]] = []
-    binaries: list[tuple[int, int, int, int]] = []
-    binary_pos: list[int] = []
-    closures = []
-    for pos, scene in enumerate(world.scenes):
-        if not scene.instance:
-            continue
-        t = v.id_of(scene.name)
-        member_ids = [v.id_of(m) for m in scene.members]
-        if scene.kind in ("train", "ex_train", "background"):
-            for name, e in zip(scene.members, member_ids):
-                if name not in label_ids:
-                    rec = world.entity_record(name)
-                    label_ids[name] = [v.id_of(rec.labels[fam]) for fam in onto.label_families]
-                labeled.append((pos, e, t))
-                unary_labels.append(label_ids[name])
-        binaries.extend((v.id_of(s), v.id_of(p), v.id_of(o), t) for s, p, o in scene.binaries)
-        binary_pos.extend([pos] * len(scene.binaries))
-        closures.append((t, member_ids, *closing[scene.kind]))
-
-    n_fam = len(onto.label_families)
-    where, e, t = np.array(labeled, dtype=np.int64).reshape(-1, 3).T
-    unary = np.stack([
-        np.repeat(e, n_fam), np.full(len(e) * n_fam, ha),
-        np.array(unary_labels, dtype=np.int64).reshape(-1), np.repeat(t, n_fam),
-    ], axis=1)
-    rows = np.concatenate([unary, np.array(binaries, dtype=np.int64).reshape(-1, 4)])
-    # input order: scene by scene, its unary rows before its binary ones
-    order = np.argsort(np.r_[np.repeat(where, n_fam), binary_pos], kind="stable")
-    store.add_observations(rows[order], True)
-    store.close_instances(closures)
+    members, ends = ids.members.tolist(), np.cumsum(ids.n_members).tolist()
+    store.close_instances([
+        (t, members[end - len(s.members):end], *closing[s.kind])
+        for s, t, end in zip(scenes, ids.t.tolist(), ends)
+    ])
     return store
+
+
+# -- resolving names -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SceneIds:
+    """A list of scenes with their names resolved, scene after scene: `t`
+    holds each scene's own id, `members` every member's id, `binaries` the
+    (subject, predicate, object) ids of every binary statement as an (n, 3)
+    array, and `member_scene` and `binary_scene` the scene of each member and
+    statement, as positions in the list.  `subject_at` and `object_at` give
+    the index in `members` of each statement's subject and object."""
+
+    t: np.ndarray
+    n_members: np.ndarray
+    members: np.ndarray
+    member_scene: np.ndarray
+    n_binaries: np.ndarray
+    binaries: np.ndarray
+    binary_scene: np.ndarray
+    subject_at: np.ndarray
+    object_at: np.ndarray
+
+
+def resolve_scenes(scenes: list[SceneRecord], vocab: Vocabulary) -> SceneIds:
+    """The ids of `scenes`' names, one `Vocabulary.ids_of` for each kind of
+    name.  A scene that lists a member twice, or a statement whose subject or
+    object is not a member of its scene, is refused with one line that names
+    the scene; a world from `gen_world` has neither."""
+    n_members = np.array([len(s.members) for s in scenes], dtype=np.int64)
+    n_binaries = np.array([len(s.binaries) for s in scenes], dtype=np.int64)
+    members = vocab.ids_of(list(chain.from_iterable(s.members for s in scenes)))
+    spo = vocab.ids_of(list(chain.from_iterable(chain.from_iterable(s.binaries for s in scenes))))
+    member_scene = np.repeat(np.arange(len(scenes)), n_members)
+    binary_scene = np.repeat(np.arange(len(scenes)), n_binaries)
+    # one key per (scene, member), sorted; -1 after the last never matches
+    n = len(vocab)
+    key = member_scene * n + members
+    order = np.argsort(key, kind="stable")
+    sorted_key = np.r_[key[order], -1]
+    twice = np.flatnonzero(sorted_key[1:-1] == sorted_key[:-2])
+    if twice.size:
+        i = int(order[twice + 1].min())
+        raise WorldError(f"world.json: scene {scenes[member_scene[i]].name!r} lists member "
+                         f"{vocab.name_of(int(members[i]))!r} twice")
+    spo = spo.reshape(-1, 3)
+    wanted = [binary_scene * n + spo[:, k] for k in (0, 2)]
+    found = [np.searchsorted(sorted_key[:-1], keys) for keys in wanted]
+    outside = (sorted_key[found[0]] != wanted[0]) | (sorted_key[found[1]] != wanted[1])
+    if outside.any():
+        i = int(np.argmax(outside))
+        scene = scenes[binary_scene[i]]
+        s, p, o = scene.binaries[i - int(np.searchsorted(binary_scene, binary_scene[i]))]
+        stranger = s if s not in scene.members else o
+        raise WorldError(f"world.json: scene {scene.name!r} states ({s}, {p}, {o}), but "
+                         f"{stranger!r} is not one of its members")
+    subject_at, object_at = (np.r_[order, -1][pos] for pos in found)
+    return SceneIds(vocab.ids_of([s.name for s in scenes]), n_members, members, member_scene,
+                    n_binaries, spo, binary_scene, subject_at, object_at)
+
+
+def resolve_labels(world: GroundTruthWorld, vocab: Vocabulary, entities: np.ndarray,
+                   families) -> np.ndarray:
+    """The ids of the labels of each entity id in `entities` in `families`,
+    one row per entity.  A label that is not one of its family's is refused
+    with one line that names the entity: one compare on the whole block."""
+    names = [vocab.name_of(e) for e in entities.tolist()]
+    block = vocab.ids_of([
+        labels[fam] for name in names for labels in (world.entity_record(name).labels,)
+        for fam in families
+    ]).reshape(len(names), len(families))
+    family = np.full(len(vocab), -1, dtype=np.int64)
+    for k, fam in enumerate(families):
+        family[list(vocab.family_members(fam))] = k
+    misplaced = family[block] != np.arange(len(families))
+    if misplaced.any():
+        i, k = np.argwhere(misplaced)[0].tolist()
+        label = int(block[i, k])
+        raise WorldError(f"world.json: entity {names[i]!r} has {vocab.name_of(label)!r} as its "
+                         f"{families[k]} label, a label of {vocab.family_of(label) or 'no family'}")
+    return block
 
 
 # -- export / import -----------------------------------------------------------------
@@ -764,11 +851,11 @@ def read_features(base_path: str, feature_dim: int) -> tuple[np.ndarray, dict[st
         shapes = {name: list(arr.shape) for name, arr in tensors.items()}
         raise WorldError(f"{path}: holds tensors {shapes}, not one 'features' matrix "
                          f"of {feature_dim} columns")
-    if type(keys) is not list or not all(type(k) is str for k in keys):
+    if type(keys) is not list or not {str}.issuperset(map(type, keys)):
         raise WorldError(f"{path}: its keys are not a list of strings")
     if len(keys) != len(matrix):
         raise WorldError(f"{path} lists {len(keys)} keys for {len(matrix)} feature rows")
-    index = {key: row for row, key in enumerate(keys)}
+    index = dict(zip(keys, range(len(keys))))
     if len(index) != len(keys):
         twice = next(k for row, k in enumerate(keys) if index[k] != row)
         raise WorldError(f"{path}: key {twice!r} names two feature rows")
@@ -838,15 +925,42 @@ def _entity_rows(doc_path: str, key: str, rows: list) -> dict[str, EntityRecord]
     """The records of `world.json`'s `key`: each a row `[name, label, ...]`
     with one label per family, in family order."""
     families = ONTOLOGY.label_families
-    records = {}
-    for i, row in enumerate(rows):
-        if type(row) is not list or len(row) != len(families) + 1:
-            raise WorldError(f"{doc_path}: {key}[{i}] is not a row [name, {', '.join(families)}]")
-        records[row[0]] = EntityRecord(row[0], dict(zip(families, row[1:])))
-    return records
+    width = len(families) + 1
+    if not ({list}.issuperset(map(type, rows)) and {width}.issuperset(map(len, rows))):
+        i = next(i for i, row in enumerate(rows) if type(row) is not list or len(row) != width)
+        raise WorldError(f"{doc_path}: {key}[{i}] is not a row [name, {', '.join(families)}]")
+    return {row[0]: EntityRecord(row[0], dict(zip(families, row[1:]))) for row in rows}
+
+
+def _check_scenes(doc_path: str, docs: list[dict], scenes: list[SceneRecord]) -> None:
+    """Refuse the first scene of an unknown kind, whose members are not a
+    list, or whose binaries are not a list of [subject, predicate, object]
+    lists, with one line that names the scene.  One scan of every scene's
+    lists finds whether there is one; only then are the scenes walked."""
+    statements = [doc["binaries"] for doc in docs]
+    flat = list(chain.from_iterable(statements))
+    if (all(s.kind in SCENE_KINDS for s in scenes)
+            and {list}.issuperset(map(type, [s.members for s in scenes]))
+            and {list}.issuperset(map(type, statements)) and {list}.issuperset(map(type, flat))
+            and {3}.issuperset(map(len, flat))):
+        return
+    for scene, binaries in zip(scenes, statements):
+        where = f"{doc_path}: scene {scene.name!r}"
+        if scene.kind not in SCENE_KINDS:
+            raise WorldError(f"{where} is of kind {scene.kind!r}, "
+                             f"not one of {', '.join(SCENE_KINDS)}")
+        if type(scene.members) is not list:
+            raise WorldError(f"{where} has members {scene.members!r}, not a list of names")
+        if type(binaries) is not list:
+            raise WorldError(f"{where} has binaries {binaries!r}, not a list of statements")
+        for b in binaries:
+            if type(b) is not list or len(b) != 3:
+                raise WorldError(f"{where} states {b!r}, not a list [subject, predicate, object]")
 
 
 def load_world(indir: str) -> GroundTruthWorld:
+    """The world exported to `indir`.  A record of `world.json` that does not
+    fit is refused with one line that names the file and the record."""
     config = WorldConfig(**read_json(os.path.join(indir, "config.json"),
                                      [f.name for f in fields(WorldConfig)], WorldError))
     vocab = read_vocab(os.path.join(indir, "vocab.json"))
@@ -860,10 +974,7 @@ def load_world(indir: str) -> GroundTruthWorld:
         heldout = [tuple(h) for h in doc["heldout"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise WorldError(f"{doc_path}: a record does not fit: {exc}") from exc
-    unknown = next((s for s in scenes if s.kind not in SCENE_KINDS), None)
-    if unknown is not None:
-        raise WorldError(f"{doc_path}: scene {unknown.name!r} is of kind {unknown.kind!r}, "
-                         f"not one of {', '.join(SCENE_KINDS)}")
+    _check_scenes(doc_path, doc["scenes"], scenes)
     features, feature_index = read_features(os.path.join(indir, "features"), config.feature_dim)
     return GroundTruthWorld(
         config=config, vocab=vocab, entities=entities, test_entities=test_entities,

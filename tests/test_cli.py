@@ -442,6 +442,61 @@ class TestTrain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and str(world_dir / message) in lines[0], proc.stderr
 
+    @staticmethod
+    def _scene_edits():
+        """Per case: an edit of world.json's first scene (a train scene with
+        a binary statement) or of the first entity it shows, and the line
+        that refuses it."""
+        families = ONTOLOGY.label_families
+        color, age = 1 + families.index("Color"), 1 + families.index("Age")
+
+        def short_statement(doc, scene):
+            scene["binaries"][0] = scene["binaries"][0][:2]
+            return f"world.json: scene 't0000' states {scene['binaries'][0]!r}, not a list " \
+                "[subject, predicate, object]"
+
+        def members_string(doc, scene):
+            scene["members"] = "abc"
+            return "world.json: scene 't0000' has members 'abc', not a list of names"
+
+        def stranger(doc, scene):
+            s, p, o = scene["binaries"][0]
+            other = next(row[0] for row in doc["entities"] if row[0] not in scene["members"])
+            scene["binaries"][0] = [other, p, o]
+            return f"world.json: scene 't0000' states ({other}, {p}, {o}), but {other!r} is " \
+                "not one of its members"
+
+        def misplaced_label(doc, scene):
+            row = next(row for row in doc["entities"] if row[0] == scene["members"][0])
+            row[color] = row[age]
+            return f"world.json: entity {row[0]!r} has {row[age]!r} as its Color label, " \
+                "a label of Age"
+
+        def repeated_member(doc, scene):
+            scene["members"].append(scene["members"][0])
+            return f"world.json: scene 't0000' lists member {scene['members'][0]!r} twice"
+
+        return [short_statement, members_string, stranger, misplaced_label, repeated_member]
+
+    @pytest.mark.parametrize("case", range(5), ids=[
+        "short-statement", "members-string", "stranger", "misplaced-label", "repeated-member"])
+    def test_malformed_scene_or_entity_is_data_error(self, ws, tmp_path, case):
+        """A scene whose members or statements do not fit, or an entity with
+        another family's label in a family's place, is refused with one line
+        that names world.json, the scene or entity, and the fault."""
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        doc = json.loads((world_dir / "world.json").read_text(encoding="utf-8"))
+        scene = doc["scenes"][0]
+        assert scene["name"] == "t0000" and scene["binaries"]
+        message = self._scene_edits()[case](doc, scene)
+        (world_dir / "world.json").write_text(json.dumps(doc), encoding="utf-8")
+        proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
+                         "--out", str(tmp_path / "r")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and message in lines[0], proc.stderr
+
     @pytest.mark.parametrize("key, edit", [
         # an entity record as an older world wrote it: a dict with a visual flag
         ("entities", lambda row: {"name": row[0], "visual": True,

@@ -16,6 +16,7 @@ from bilayer.params import (
     save_checkpoint,
 )
 from bilayer.network import index_scores, sigmoid
+from bilayer.vocab import Kind
 from bilayer.world import substream
 
 from util import small_params, small_vocab
@@ -38,6 +39,21 @@ class TestColumnMap:
         for col, sid in enumerate(expected):
             assert cmap.col_of(sid) == col
             assert int(cmap.ids[col]) == sid
+
+    def test_columns_of_a_grown_vocabulary_follow_the_kind_properties(self):
+        """Symbols registered out of kind order, as self-labeled growth and
+        consolidation add them, still get the canonical layout."""
+        v = small_vocab()
+        v.add_entity("e.novel")
+        v.add_instance("t0.dup")
+        v.add_predicate("lovedBy")
+        v.add_class("Owl")
+        assert v.by_kind() == {kind: list(v._of_kind(kind)) for kind in Kind}
+        cmap = ColumnMap(v)
+        want = v.entities + v.classes + v.attributes + v.binary_predicates + v.instances
+        assert cmap.ids.tolist() == list(want)
+        assert cmap.kind_counts == tuple(map(len, (
+            v.entities, v.classes, v.attributes, v.binary_predicates, v.instances)))
 
     def test_has_attribute_gets_no_column(self):
         v = small_vocab()

@@ -239,6 +239,7 @@ def test_one_tensor_archive_codec(module):
 
 # public names no module of the package calls, each with the caller that keeps it
 UNCALLED = {
+    "binary_predicates": "the perfbench query round",
     "expected_truth": "the perfbench query round",
     "iter_positive": "the perfbench query round",
     "iter_negative": "the perfbench query round",

@@ -2,6 +2,7 @@
 self-labeled growth, and consolidation."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 
@@ -29,7 +30,7 @@ from bilayer.training import (
     write_history_csv,
 )
 from bilayer.triple_store import UNKNOWN, TripleStore
-from bilayer.world import WorldConfig, gen_world, substream
+from bilayer.world import ONTOLOGY, WorldConfig, export_world, gen_world, load_world, substream
 
 from util import (
     copying_ce_head,
@@ -207,6 +208,59 @@ class TestExampleTables:
         ref_unary, ref_binary = reference_perception_examples(tiny_world, v, hidden)
         assert table_rows(unary) == keyed_rows(ref_unary, _vectors(tiny_world))
         assert table_rows(binary) == keyed_rows(ref_binary, _vectors(tiny_world))
+
+    @pytest.fixture(scope="class")
+    def default_world(self):
+        return gen_world(WorldConfig(seed=6))
+
+    @pytest.mark.parametrize("hidden", [(), ("Risk",), ONTOLOGY.label_families],
+                             ids=["none", "risk", "every-label-family"])
+    def test_perception_tables_of_a_default_world(self, default_world, hidden):
+        """Row for row the dict builder's rows, and a feature matrix of the
+        boxes in the order the rows first read them, scene by scene: the
+        scene box, its member boxes, its relation boxes."""
+        world, v = default_world, default_world.vocab
+        unary, binary = perception_examples(world, v, hidden)
+        ref_unary, ref_binary = reference_perception_examples(world, v, hidden)
+        assert table_rows(unary) == keyed_rows(ref_unary, _vectors(world))
+        assert table_rows(binary) == keyed_rows(ref_binary, _vectors(world))
+        keys: dict[str, None] = {}
+        for scene in dict.fromkeys(ex["scene"] for ex in ref_unary + ref_binary):
+            for ex in ref_unary:
+                if ex["scene"] == scene:
+                    keys.update(dict.fromkeys([ex["scene"], ex["bb"]]))
+            for ex in ref_binary:
+                if ex["scene"] == scene:
+                    keys.update(dict.fromkeys([ex["scene"], ex["s_bb"], ex["o_bb"], ex["rel"]]))
+        np.testing.assert_array_equal(unary.features, world.features_of(list(keys)))
+        assert binary.features is unary.features
+        only_identity = set(unary.cols["fam"].tolist()) == {unary.families.index("Identity")}
+        assert only_identity is (hidden == ONTOLOGY.label_families)
+
+    def test_a_world_without_labeled_scenes_gives_empty_tables(self, tiny_world):
+        world = dataclasses.replace(tiny_world, scenes=[
+            s for s in tiny_world.scenes if s.kind not in ("train", "ex_train")])
+        unary, binary = perception_examples(world, world.vocab)
+        assert len(unary) == len(binary) == 0
+        assert set(unary.cols) == {"t", "s", "fam", "o", "scene", "bb"}
+        assert set(binary.cols) == {"t", "s", "p", "o", "scene", "s_bb", "o_bb", "rel"}
+        assert all(col.dtype == np.int64 for col in [*unary.cols.values(), *binary.cols.values()])
+        assert unary.features.shape == (0, world.config.feature_dim)
+
+    def test_a_reloaded_world_opens_to_the_same_store_and_tables(self, tiny_world, tiny_store,
+                                                                  tmp_path):
+        export_world(tiny_world, str(tmp_path))
+        loaded = load_world(str(tmp_path))
+        store = loaded.build_store()
+        np.testing.assert_array_equal(store.positive_array(), tiny_store.positive_array())
+        assert list(store.iter_negative()) == list(tiny_store.iter_negative())
+        assert store._closures == tiny_store._closures
+        for got, want in zip(perception_examples(loaded, loaded.vocab),
+                             perception_examples(tiny_world, tiny_world.vocab)):
+            assert got.families == want.families and got.cols.keys() == want.cols.keys()
+            for k in want.cols:
+                np.testing.assert_array_equal(got.cols[k], want.cols[k])
+            np.testing.assert_array_equal(got.features, want.features)
 
     def test_pseudo_dicts_convert_row_for_row(self, tiny_world):
         # self-labeled statements arrive as dicts of this layout

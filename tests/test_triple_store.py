@@ -735,6 +735,18 @@ class TestBuildPath:
         assert store.truth_of(v.entities[0], ha, v.labels[0], t) is True
         assert store._negatives is None
 
+    def test_observed_instances_are_kept_until_an_add_or_a_close(self, vocab):
+        e0, e1, t0, t1, t2 = (vocab.id_of(n) for n in ("e0", "e1", "t0", "t1", "t2"))
+        ha, dog = vocab.has_attribute, vocab.id_of("Dog")
+        store = TripleStore(vocab)
+        store.add_observations([(e0, ha, dog, t0)], True)
+        first = store.observed_instances()
+        assert first == (t0,) and store.observed_instances() is first
+        store.add_observations([(e1, ha, dog, t1)], False)
+        assert store.observed_instances() == (t0, t1)
+        store.close_instances([(t2, [e0], [dog], [])])
+        assert store.observed_instances() == (t0, t1, t2)
+
     def test_first_negative_scan_holds_little_beyond_its_rows(self):
         store = gen_world(WorldConfig(seed=5)).build_store()
         tracemalloc.start()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from bilayer.vocab import IDENTITY_FAMILY, Kind, VocabError, Vocabulary
@@ -28,6 +29,17 @@ def test_registration_and_lookup():
     ]
     assert "Dog" in v and "Cat" not in v
     assert len(v) == 6  # the five above plus hasAttribute
+
+
+def test_ids_of_resolves_names_in_order_and_names_an_unknown_one():
+    v = Vocabulary()
+    a, b = v.add_entity("a"), v.add_class("B")
+    assert v.ids_of(["B", "a", "B"]).tolist() == [b, a, b]
+    assert v.ids_of([]).dtype == np.int64 and v.ids_of([]).size == 0
+    with pytest.raises(VocabError, match="unknown symbol 'c'"):
+        v.ids_of(["a", "c"])
+    with pytest.raises(VocabError, match=r"unknown symbol \['a'\]"):
+        v.ids_of(["a", ["a"]])
 
 
 def test_ids_are_dense_and_disjoint_across_kinds():

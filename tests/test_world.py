@@ -49,6 +49,7 @@ from util import (
     read_jsonl,
     rebuild_store_from_files,
     reference_compose_scene,
+    reference_ingest,
     reference_jsonl,
 )
 
@@ -552,6 +553,20 @@ class TestStoreIngestion:
         assert store.truth_of(v.id_of(member), ha, label, t) is UNKNOWN
         s, p, o = scene.binaries[0]
         assert store.truth_of(v.id_of(s), v.id_of(p), v.id_of(o), t) is True
+
+
+    @pytest.mark.parametrize("social", [True, False])
+    def test_default_worlds_pass_the_record_checks(self, social):
+        """A generated scene lists each member once and states only what its
+        members do, so the checks of the bulk build never refuse it."""
+        world = gen_world(WorldConfig(seed=2, social=social))
+        assert bool(world.scenes_of_kind("social")) is social
+        for scene in world.scenes:
+            assert len(set(scene.members)) == len(scene.members)
+            assert all(s in scene.members and o in scene.members for s, _, o in scene.binaries)
+        store, ref = world.build_store(), reference_ingest(world)
+        np.testing.assert_array_equal(store.positive_array(), ref.positive_array())
+        assert list(store.iter_negative()) == list(ref.iter_negative())
 
 
 class TestExport:
