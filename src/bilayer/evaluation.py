@@ -534,10 +534,15 @@ def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     after = supervised_recall(params3, cmap3)
     gen_after = generalization(params3, cmap3)
 
-    old_blocks = params.blocks()
+    # SSL trains only entity and instance columns: every other block, and the
+    # embeddings' label and predicate columns (matched by symbol), must not move
+    old_blocks, new_blocks = params.blocks(), params3.blocks()
+    old_cols = np.concatenate([cmap.label_cols, cmap.predicate_cols])
+    new_cols = cmap3.cols_of(cmap.ids[old_cols])
     frozen_ok = all(
-        np.array_equal(old_blocks[k], params3.blocks()[k])
-        for k in ("ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b")
+        np.array_equal(old_blocks[k][:, old_cols], new_blocks[k][:, new_cols])
+        if k in ("emb", "emb_up") else np.array_equal(old_blocks[k], new_blocks[k])
+        for k in old_blocks
     )
     metrics = {
         "recall_before": before,

@@ -23,7 +23,11 @@ The swaps of a whole set are drawn at once, after its permutation: one
 uniform draw per swappable index and one integer draw per swap, from the
 entity's labels in the `InjectionPool`.
 
-Self-labeled growth (`ssl_step`) trains only the entity and instance columns
+Self-labeled growth (`ssl_step`) makes its pseudo-statements once, as the two
+perception tables `train` reads: it lays out its scenes' boxes as
+`perception_examples` does, and each box's and relation's labels and
+predicates, picked by the decode passes, fill the same columns a labeled
+scene's ground truth does.  It trains only the entity and instance columns
 of the embedding, and of the readout when it is untied; every other weight
 stays bit-identical.  One column mask states that rule: `train` hands it to
 `Adam`, which then steps only those two blocks and only the masked columns.
@@ -43,7 +47,7 @@ from .network import DecodeRequest, NumericsError, SceneInput, decode_chunked, s
 from .params import ColumnMap, NetParams, check_types
 from .triple_store import UNKNOWN, TripleStore
 from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
-from .world import ONTOLOGY, GroundTruthWorld, resolve_labels, resolve_scenes, substream
+from .world import ONTOLOGY, GroundTruthWorld, SceneIds, resolve_labels, resolve_scenes, substream
 
 
 class TrainError(ValueError):
@@ -132,11 +136,10 @@ class Examples:
     hold `t, s, p, o`.  Perception sets also hold, for each feature input,
     the row of `features` it reads: `scene, bb` in unary sets, `scene, s_bb,
     o_bb, rel` in binary sets.  `features` is one float32 matrix, gathered
-    from the world's `features` in one step: the boxes the set reads, in the
-    order the set first reads them.  For `perception_examples` that is scene
-    by scene: the scene box, its member boxes in member order, then its
-    relation boxes.  Indexing with a slice, a mask or row indices selects
-    those rows.
+    from the world's `features` in one step, that a unary and a binary set
+    share: their scenes' boxes, scene by scene, the scene box, its member
+    boxes in member order, then its relation boxes (`_box_layout`).
+    Indexing with a slice, a mask or row indices selects those rows.
     """
 
     cols: dict[str, np.ndarray]
@@ -160,39 +163,6 @@ def _family_codes(vocab: Vocabulary, families: tuple[str, ...]) -> np.ndarray:
     for i, fam in enumerate(families):
         code[list(vocab.family_members(fam))] = i
     return code
-
-
-_UNARY_COLS = ("t", "s", "fam", "o", "scene", "bb")
-_BINARY_COLS = ("t", "s", "p", "o", "scene", "s_bb", "o_bb", "rel")
-_FEATURE_COLS = ("scene", "bb", "s_bb", "o_bb", "rel")
-
-
-def _table(values: list[int], names: tuple[str, ...], **kwargs) -> Examples:
-    """A table from its rows' values, row after row, in the order of `names`."""
-    data = np.array(values, dtype=np.int64).reshape(-1, len(names))
-    return Examples({k: data[:, i] for i, k in enumerate(names)}, **kwargs)
-
-
-def examples_from_rows(
-    rows: list[dict], arity: str, vocab: Vocabulary, world: GroundTruthWorld
-) -> Examples:
-    """A perception example set of `arity` from per-example dicts (the
-    self-labeled statements), rows in order; each feature key names a box of
-    `world`."""
-    families = _families(vocab)
-    code = {f: i for i, f in enumerate(families)}
-    keys: dict[str, int] = {}
-
-    def value(ex: dict, k: str) -> int:
-        if k == "fam":
-            return code[ex[k]]
-        if k in _FEATURE_COLS:
-            return keys.setdefault(ex[k], len(keys))
-        return ex[k]
-
-    names = _UNARY_COLS if arity == "unary" else _BINARY_COLS
-    values = [value(ex, k) for ex in rows for k in names]
-    return _table(values, names, families=families, features=world.features_of(list(keys)))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -250,44 +220,53 @@ def perception_examples(
     """Feature-bearing examples from the train and ex_train scenes, which are
     registered instances, in scene order: per member, one row per visible
     label, in family order, then an identity row; one row per scene relation.
-
-    The scenes' names are resolved once (`resolve_scenes`), and the visible
-    labels once per distinct member (`resolve_labels`); each member's rows are
-    one repeat of its columns.  `features` holds each scene's boxes in turn:
-    the scene box, its member boxes in member order, then its relation boxes,
-    which is the order the rows first read them, so every feature column is
-    an offset into its scene's run of boxes."""
-    families = _families(vocab)
+    The scenes' names are resolved once (`resolve_scenes`), the visible labels
+    once per distinct member (`resolve_labels`), and the boxes laid out as
+    `_box_layout` says."""
     hidden = set(hidden_families)
     visible = [f for f in ONTOLOGY.label_families if f not in hidden]
     scenes = world.scenes_of_kind("train", "ex_train")
     ids = resolve_scenes(scenes, vocab)
     entities, row = np.unique(ids.members, return_inverse=True)
     labels = resolve_labels(world, vocab, entities, visible)[row.reshape(-1)]
-    s = ids.members
-    o = np.concatenate([labels, s[:, None]], axis=1).reshape(-1)
-    fam = np.array([families.index(f) for f in visible + [IDENTITY_FAMILY]], dtype=np.int64)
-    width = fam.size
+    return _perception_tables(ids, _box_layout(world, scenes, ids), _families(vocab), visible,
+                              ids.members, labels, ids.binaries)
 
-    # each scene's run of boxes: its own, its members', its relations'
+
+def _box_layout(world: GroundTruthWorld, scenes: list, ids: SceneIds) -> tuple:
+    """The boxes of `scenes` (resolved as `ids`) as one feature matrix, scene
+    by scene: the scene box, its member boxes, then its relation boxes.
+    Returns the row of each scene's, member's and relation's box, and the
+    matrix, gathered from the world's in one step."""
     run = 1 + ids.n_members + ids.n_binaries
     scene = np.cumsum(run) - run
     first_member = np.cumsum(ids.n_members) - ids.n_members
     first_binary = np.cumsum(ids.n_binaries) - ids.n_binaries
-    bb = np.arange(s.size) + (scene + 1 - first_member)[ids.member_scene]
+    bb = np.arange(ids.members.size) + (scene + 1 - first_member)[ids.member_scene]
     rel = np.arange(len(ids.binaries)) + (scene + 1 + ids.n_members - first_binary)[
         ids.binary_scene]
     features = world.features_of(list(chain.from_iterable(sc.box_keys() for sc in scenes)))
+    return scene, bb, rel, features
 
+
+def _perception_tables(ids: SceneIds, layout: tuple, families: tuple[str, ...],
+                       label_families: list, s: np.ndarray, labels: np.ndarray,
+                       spo: np.ndarray) -> tuple[Examples, Examples]:
+    """The perception tables of scenes resolved as `ids` with their boxes at
+    `layout`.  Per member, with subject `s`: one row per column of `labels`
+    (of `label_families`), then an identity row, as one repeat of its
+    columns; per binary statement, one row of the (n, 3) ids `spo`."""
+    scene, bb, rel, features = layout
+    fam = np.array([families.index(f) for f in [*label_families, IDENTITY_FAMILY]], np.int64)
     unary = {
-        "t": np.repeat(ids.t[ids.member_scene], width), "s": np.repeat(s, width),
-        "fam": np.tile(fam, s.size), "o": o,
-        "scene": np.repeat(scene[ids.member_scene], width), "bb": np.repeat(bb, width),
+        "t": np.repeat(ids.t[ids.member_scene], fam.size), "s": np.repeat(s, fam.size),
+        "fam": np.tile(fam, s.size), "o": np.concatenate([labels, s[:, None]], axis=1).reshape(-1),
+        "scene": np.repeat(scene[ids.member_scene], fam.size), "bb": np.repeat(bb, fam.size),
     }
     binary = {
-        "t": ids.t[ids.binary_scene], "s": ids.binaries[:, 0], "p": ids.binaries[:, 1],
-        "o": ids.binaries[:, 2], "scene": scene[ids.binary_scene],
-        "s_bb": bb[ids.subject_at], "o_bb": bb[ids.object_at], "rel": rel,
+        "t": ids.t[ids.binary_scene], "s": spo[:, 0], "p": spo[:, 1], "o": spo[:, 2],
+        "scene": scene[ids.binary_scene], "s_bb": bb[ids.subject_at], "o_bb": bb[ids.object_at],
+        "rel": rel,
     }
     return Examples(unary, families, features), Examples(binary, families, features)
 
@@ -562,9 +541,8 @@ def detect_novel_entity(entity_sigmoids: np.ndarray, threshold: float) -> bool:
 class SslReport:
     new_instances: list[str] = field(default_factory=list)
     new_entities: list[str] = field(default_factory=list)
-    recognized: dict[str, list[dict]] = field(default_factory=dict)  # scene -> member rows
-    pseudo_unary: list[dict] = field(default_factory=list)
-    pseudo_binary: list[dict] = field(default_factory=list)
+    pseudo_unary: list[dict] = field(default_factory=list)   # rows t, s, fam (a name), o
+    pseudo_binary: list[dict] = field(default_factory=list)  # rows t, s, p, o
     history: list[dict] = field(default_factory=list)
     skipped: int = 0  # scenes whose instance the vocabulary already held
 
@@ -581,14 +559,24 @@ def ssl_step(
     """Self-labeled growth on unlabeled scenes.
 
     Each scene gets a fresh instance index, but one whose instance the
-    vocabulary holds was perceived before: it is skipped and counted.  Every box
-    is recognized with the current weights; if no known entity unit clears the
-    novelty threshold a new entity index is allocated for it.  Winner-take-all
-    labels and predicates become pseudo-observations, and only the entity and
-    instance embedding columns train on them, at the dedicated low rate; all
-    other blocks stay bit-identical.  Recognition and labeling are
-    winner-take-all perception passes of `decode_chunked` with the scene's
-    instance clamped, and for labeling the recognized entities too.
+    vocabulary holds was perceived before: it is skipped and counted.  The
+    scenes are resolved (`resolve_scenes`) and their boxes laid out as the
+    perception tables lay theirs out (`_box_layout`).  Every box is
+    recognized with the current weights; if no known entity unit clears the
+    novelty threshold a new entity index is allocated for it.  Recognition
+    and labeling are winner-take-all perception passes of `decode_chunked`
+    with the scene's instance clamped, and for labeling the recognized
+    entities too.  The picked labels and predicates are made once into the
+    two perception tables `train` reads: per box, its labels in family-name
+    order (no Identity, hidden or excluded family), then an identity row;
+    one row per scene relation.  The report's rows and the store's new
+    statements (each once, if the store does not know it) are read from them.
+
+    Only the entity and instance embedding columns train on them, at the
+    dedicated low rate; every other block and column stays bit-identical.
+    The entity and instance columns that existed before the step retrain
+    too, by design: "pre-existing columns untouched" is an invariant of
+    consolidation and of growth (`NetParams.grow`), not of SSL.
     """
     _check_families(config, vocab)
     report = SslReport()
@@ -604,98 +592,72 @@ def ssl_step(
     grow_rng = substream(config.seed, "ssl-grow")
     cmap = params.grow(vocab, grow_rng)
     rng = substream(config.seed, "ssl-decode")  # winner-take-all passes draw nothing
+    ids = resolve_scenes(scenes, vocab)
+    layout = _box_layout(world, scenes, ids)
+    scene_row, bb, rel, features = layout
+    # per box, and per statement: its instance, then the rows of the boxes its pass reads
+    boxes = np.c_[ids.t[ids.member_scene], scene_row[ids.member_scene], bb].tolist()
+    rels = np.c_[ids.t[ids.binary_scene], scene_row[ids.binary_scene], bb[ids.subject_at],
+                 bb[ids.object_at], rel].tolist()
 
-    def perceive(scene, keys: list[str], **clamps) -> DecodeRequest:
-        """A pass over the scene and the boxes `keys`: subject, or subject, object, relation."""
+    def perceive(t: int, *rows: int, **clamps) -> DecodeRequest:
         return DecodeRequest(
-            mode="perception", features=SceneInput(*world.features_of([scene.scene_key, *keys])),
-            instance_id=vocab.id_of(scene.name), winner_take_all=True, subject_support="entities",
-            **clamps,
+            mode="perception", features=SceneInput(*features[list(rows)]), instance_id=t,
+            winner_take_all=True, subject_support="entities", **clamps,
         )
 
     # recognition pass: novelty detection per box with current weights
-    boxes = [(scene, m) for scene in scenes for m in scene.members]
-    traces = decode_chunked(params, cmap, vocab, [perceive(s, [s.bb_key(m)]) for s, m in boxes], rng)
-    assignments: dict[str, list[dict]] = {scene.name: [] for scene in scenes}
-    for (scene, m), trace in zip(boxes, traces):
-        sig = sigmoid(trace.scores["subject"][cmap.entity_idx])
-        novel = detect_novel_entity(sig, config.novelty_threshold)
-        assignments[scene.name].append(
-            {"box": m, "novel": novel, "entity": None if novel else trace.subject_id,
-             "max_activation": float(sig.max()) if sig.size else 0.0}
-        )
-
-    for scene in scenes:
-        for i, row in enumerate(assignments[scene.name]):
-            if row["novel"]:
-                name = f"{scene.name}.{i}"
-                row["entity"] = vocab.add_entity(name)
-                report.new_entities.append(name)
+    entity = [
+        None if detect_novel_entity(sigmoid(trace.scores["subject"][cmap.entity_idx]),
+                                    config.novelty_threshold) else trace.subject_id
+        for trace in decode_chunked(params, cmap, vocab, [perceive(*box) for box in boxes], rng)
+    ]
+    names = [f"{scene.name}.{i}" for scene in scenes for i in range(len(scene.members))]
+    report.new_entities = [name for name, e in zip(names, entity) if e is None]
+    entity = [vocab.add_entity(name) if e is None else e for name, e in zip(names, entity)]
     if report.new_entities:
         cmap = params.grow(vocab, grow_rng)
 
-    # labeling pass: winner-take-all pseudo-statements through committed states
-    entity_of = {(scene.name, row["box"]): row["entity"]
-                 for scene in scenes for row in assignments[scene.name]}
+    # labeling passes: winner-take-all pseudo-statements through committed states
+    hidden = {IDENTITY_FAMILY, *config.hidden_families, *config.excluded_families}
+    label_families = [f for f in cmap.families if cmap.family_cols[f].size and f not in hidden]
     labeled = decode_chunked(params, cmap, vocab, [
-        perceive(scene, [scene.bb_key(m)], subject_id=entity_of[scene.name, m]) for scene, m in boxes
-    ], rng)
+        perceive(*box, subject_id=e) for box, e in zip(boxes, entity)], rng)
+    labels = [[trace.labels[f] for f in label_families] for trace in labeled]
     related = decode_chunked(params, cmap, vocab, [
-        perceive(scene, [scene.bb_key(s_box), scene.bb_key(o_box), scene.rel_key(i)],
-                 subject_id=entity_of[scene.name, s_box],
-                 object_id=entity_of[scene.name, o_box])
-        for scene in scenes for i, (s_box, _p, o_box) in enumerate(scene.binaries)
-    ], rng)
-    hidden = set(config.hidden_families) | set(config.excluded_families)
-    ha = vocab.has_attribute
-    kept = []  # (s, p, o, t) of every pseudo-statement, in the order they are made
-    for scene in scenes:
-        t = vocab.id_of(scene.name)
-        rows = assignments[scene.name]
-        for row in rows:
-            trace = next(labeled)
-            base = {"t": t, "s": row["entity"], "scene": scene.scene_key,
-                    "bb": scene.bb_key(row["box"])}
-            for fam, label in sorted(trace.labels.items()):
-                if fam == IDENTITY_FAMILY or fam in hidden:
-                    continue
-                report.pseudo_unary.append({**base, "fam": fam, "o": label})
-                kept.append((row["entity"], ha, label, t))
-            report.pseudo_unary.append({**base, "fam": IDENTITY_FAMILY, "o": row["entity"]})
-        for i, (s_box, _p, o_box) in enumerate(scene.binaries):
-            trace = next(related)
-            s, pred, o = trace.subject_id, trace.predicate_id, trace.object_id
-            report.pseudo_binary.append(
-                {"t": t, "s": s, "p": pred, "o": o,
-                 "scene": scene.scene_key, "s_bb": scene.bb_key(s_box),
-                 "o_bb": scene.bb_key(o_box), "rel": scene.rel_key(i)}
-            )
-            kept.append((s, pred, o, t))
-        report.recognized[scene.name] = rows
+        perceive(*r, subject_id=entity[i], object_id=entity[j])
+        for r, i, j in zip(rels, ids.subject_at.tolist(), ids.object_at.tolist())], rng)
+    spo = [(trace.subject_id, trace.predicate_id, trace.object_id) for trace in related]
+    unary, binary = _perception_tables(
+        ids, layout, cmap.families, label_families, np.array(entity, dtype=np.int64),
+        np.array(labels, dtype=np.int64).reshape(len(entity), len(label_families)),
+        np.array(spo, dtype=np.int64).reshape(-1, 3),
+    )
+    u, b = unary.cols, binary.cols
+    fam_names = np.array(cmap.families)[u["fam"]]
+    report.pseudo_unary = [dict(zip(("t", "s", "fam", "o"), row)) for row in zip(
+        u["t"].tolist(), u["s"].tolist(), fam_names.tolist(), u["o"].tolist())]
+    report.pseudo_binary = [dict(zip(("t", "s", "p", "o"), row)) for row in zip(
+        b["t"].tolist(), b["s"].tolist(), b["p"].tolist(), b["o"].tolist())]
     if store is not None:
         # two boxes may resolve to one entity: record each statement once, and
         # only if the store does not know it yet
-        store.add_observations(
-            [q for q in dict.fromkeys(kept) if store.truth_of(*q) is UNKNOWN], True
-        )
+        label = u["fam"] != cmap.identity_code
+        quads = np.r_[np.c_[u["s"], np.full(len(unary), vocab.has_attribute), u["o"],
+                            u["t"]][label], np.c_[b["s"], b["p"], b["o"], b["t"]]]
+        store.add_observations([q for q in dict.fromkeys(map(tuple, quads.tolist()))
+                                if store.truth_of(*q) is UNKNOWN], True)
 
     # train only entity and instance embedding columns on the pseudo-statements
     mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)
     mask[cmap.entity_cols] = 1.0
     mask[cmap.instance_cols] = 1.0
-    ssl_config = TrainConfig(
-        epochs=config.ssl_epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.ssl_learning_rate,
-        seed=config.seed,
-        modes=("perception", "episodic"),
-        inject_rho=0.0,
-    )
+    ssl_config = TrainConfig(epochs=config.ssl_epochs, batch_size=config.batch_size,
+                             learning_rate=config.ssl_learning_rate, seed=config.seed,
+                             modes=("perception", "episodic"), inject_rho=0.0)
     report.history = train(
         params, cmap, vocab, store if store is not None else TripleStore(vocab),
-        ssl_config, world=world, emb_col_mask=mask,
-        pseudo=(examples_from_rows(report.pseudo_unary, "unary", vocab, world),
-                examples_from_rows(report.pseudo_binary, "binary", vocab, world)),
+        ssl_config, world=world, emb_col_mask=mask, pseudo=(unary, binary),
     )
     return params, cmap, report
 

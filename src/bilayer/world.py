@@ -28,10 +28,11 @@ name and its labels in family order, a scene its name, kind (which decides
 whether it is an episodic instance), members and binary statements.  What
 only generation reads (the predicate table, scene themes, which entities a
 scene may show) stays inside `gen_world`.  A record that does not fit is
-refused with one line that names it: by `load_world` when its shape is
-wrong, and when the names are resolved (`resolve_scenes`, `resolve_labels`)
-when a scene lists a member twice or states something of a non-member, or
-an entity holds another family's label in a family's place.
+refused with one line that names it.  `load_world` refuses a wrong shape,
+and a scene that is no instance and lists a member twice or states
+something of a non-member; resolving the names (`resolve_scenes`,
+`resolve_labels`) refuses an instance scene with either fault, and an
+entity with another family's label in a family's place.
 """
 from __future__ import annotations
 
@@ -751,6 +752,20 @@ class SceneIds:
     object_at: np.ndarray
 
 
+def _member_fault(scene: SceneRecord) -> str | None:
+    """The line that refuses `scene` for its first member listed twice, or
+    else its first statement about a non-member; None if it has neither."""
+    where, listed, members = f"world.json: scene {scene.name!r}", scene.members, set(scene.members)
+    if len(members) < len(listed):
+        twice = next(m for i, m in enumerate(listed) if m in listed[:i])
+        return f"{where} lists member {twice!r} twice"
+    for s, p, o in scene.binaries:
+        if s not in members or o not in members:
+            stranger = s if s not in members else o
+            return f"{where} states ({s}, {p}, {o}), but {stranger!r} is not one of its members"
+    return None
+
+
 def resolve_scenes(scenes: list[SceneRecord], vocab: Vocabulary) -> SceneIds:
     """The ids of `scenes`' names, one `Vocabulary.ids_of` for each kind of
     name.  A scene that lists a member twice, or a statement whose subject or
@@ -769,20 +784,13 @@ def resolve_scenes(scenes: list[SceneRecord], vocab: Vocabulary) -> SceneIds:
     sorted_key = np.r_[key[order], -1]
     twice = np.flatnonzero(sorted_key[1:-1] == sorted_key[:-2])
     if twice.size:
-        i = int(order[twice + 1].min())
-        raise WorldError(f"world.json: scene {scenes[member_scene[i]].name!r} lists member "
-                         f"{vocab.name_of(int(members[i]))!r} twice")
+        raise WorldError(_member_fault(scenes[member_scene[int(order[twice + 1].min())]]))
     spo = spo.reshape(-1, 3)
     wanted = [binary_scene * n + spo[:, k] for k in (0, 2)]
     found = [np.searchsorted(sorted_key[:-1], keys) for keys in wanted]
     outside = (sorted_key[found[0]] != wanted[0]) | (sorted_key[found[1]] != wanted[1])
     if outside.any():
-        i = int(np.argmax(outside))
-        scene = scenes[binary_scene[i]]
-        s, p, o = scene.binaries[i - int(np.searchsorted(binary_scene, binary_scene[i]))]
-        stranger = s if s not in scene.members else o
-        raise WorldError(f"world.json: scene {scene.name!r} states ({s}, {p}, {o}), but "
-                         f"{stranger!r} is not one of its members")
+        raise WorldError(_member_fault(scenes[binary_scene[int(np.argmax(outside))]]))
     subject_at, object_at = (np.r_[order, -1][pos] for pos in found)
     return SceneIds(vocab.ids_of([s.name for s in scenes]), n_members, members, member_scene,
                     n_binaries, spo, binary_scene, subject_at, object_at)
@@ -975,6 +983,9 @@ def load_world(indir: str) -> GroundTruthWorld:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise WorldError(f"{doc_path}: a record does not fit: {exc}") from exc
     _check_scenes(doc_path, doc["scenes"], scenes)
+    for scene in scenes:
+        if not scene.instance and (fault := _member_fault(scene)):
+            raise WorldError(fault)
     features, feature_index = read_features(os.path.join(indir, "features"), config.feature_dim)
     return GroundTruthWorld(
         config=config, vocab=vocab, entities=entities, test_entities=test_entities,

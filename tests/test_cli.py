@@ -497,6 +497,41 @@ class TestTrain:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and message in lines[0], proc.stderr
 
+    @pytest.mark.parametrize("kind", ["ex_test", "e_test", "zero_shot", "unlabeled"])
+    def test_a_member_fault_in_a_scene_of_any_kind_is_data_error(self, ws, tmp_path, caplog,
+                                                                 kind):
+        """A statement about a non-member in a scene that is no instance is
+        refused as in an instance scene: `eval`, `decode --mode perceive` and
+        `ssl` each exit 3 with one line that names world.json and the scene.
+        So is a member listed twice."""
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        path = world_dir / "world.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        scene = next(sc for sc in doc["scenes"] if sc["kind"] == kind)
+        name, (s, p, o) = scene["name"], scene["binaries"][0]
+        other = next(row[0] for row in doc["entities"] if row[0] not in scene["members"])
+        scene["binaries"][0] = [s, p, other]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = (f"world.json: scene {name!r} states ({s}, {p}, {other}), but {other!r} is "
+                   "not one of its members")
+        commands = [["eval", ws["checkpoint"], str(world_dir)],
+                    ["decode", ws["checkpoint"], "--world", str(world_dir), "--mode", "perceive",
+                     "--t", name],
+                    ["ssl", ws["checkpoint"], str(world_dir)]]
+        for args in commands:
+            proc = _run_cli([*args, "--out", str(tmp_path / args[0])])
+            assert proc.returncode == 3, proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and message in lines[0], proc.stderr
+
+        scene["binaries"][0] = [s, p, o]
+        scene["members"].append(scene["members"][0])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for args in commands:
+            assert _main_errors([*args, "--out", str(tmp_path / args[0])], caplog) == (
+                3, [f"world.json: scene {name!r} lists member {scene['members'][0]!r} twice"])
+
     @pytest.mark.parametrize("key, edit", [
         # an entity record as an older world wrote it: a dict with a visual flag
         ("entities", lambda row: {"name": row[0], "visual": True,

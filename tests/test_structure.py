@@ -13,8 +13,10 @@ no other statement spells out the steps, and neither walk compares a step
 name.  Training batches its example tables in one pass: a
 `Batch` carries its label occurrences as arrays, `build_batches` makes every
 batch with one constructor call, and `train` batches every mode through one
-call.  Sampled picks draw no `Generator.choice`: `_pick` and `_pick_labels`
-turn their uniforms into positions through one inverse-CDF helper.
+call.  `training.py` gathers the world's feature rows at one site, the box
+layout the perception tables and SSL share.  Sampled picks draw no
+`Generator.choice`: `_pick` and `_pick_labels` turn their uniforms into
+positions through one inverse-CDF helper.
 Checkpoints and the feature archive share one tensor-archive codec in
 `params.py`.  A decode scores each step once: an instance attention
 mixture weights the block its step scored.  No module copies state with
@@ -193,6 +195,15 @@ def test_sampled_picks_share_one_inverse_cdf_draw():
     (helper,) = [name for name, fn in funcs.items() if _method_calls(fn, "cumsum")]
     assert _calls(funcs["_pick"], helper) == 1
     assert _calls(funcs["_pick_labels"], helper) == 1
+
+
+def test_training_gathers_features_at_one_site():
+    """`training.py` reads the world's feature rows in one place, the box
+    layout that the perception tables and SSL's decode passes share: every
+    other reader indexes that matrix by row, so no second keyed gather."""
+    source = (Path(bilayer.__file__).parent / "training.py").read_text(encoding="utf-8")
+    assert _method_calls(ast.parse(source), "features_of") == 1
+    assert _method_calls(_functions("training.py")["_box_layout"], "features_of") == 1
 
 
 def _store_internals() -> set[str]:

@@ -21,7 +21,6 @@ from bilayer.training import (
     build_batches,
     consolidate,
     detect_novel_entity,
-    examples_from_rows,
     injection_pool,
     memory_examples,
     perception_examples,
@@ -30,6 +29,7 @@ from bilayer.training import (
     write_history_csv,
 )
 from bilayer.triple_store import UNKNOWN, TripleStore
+from bilayer.vocab import Kind
 from bilayer.world import ONTOLOGY, WorldConfig, export_world, gen_world, load_world, substream
 
 from util import (
@@ -45,6 +45,7 @@ from util import (
     reference_memory_examples,
     reference_ingest,
     reference_perception_examples,
+    reference_pseudo_examples,
     small_params,
     small_vocab,
     store_from_records,
@@ -261,16 +262,6 @@ class TestExampleTables:
             for k in want.cols:
                 np.testing.assert_array_equal(got.cols[k], want.cols[k])
             np.testing.assert_array_equal(got.features, want.features)
-
-    def test_pseudo_dicts_convert_row_for_row(self, tiny_world):
-        # self-labeled statements arrive as dicts of this layout
-        v = tiny_world.vocab
-        ref_unary, ref_binary = reference_perception_examples(tiny_world, v)
-        for rows, arity in ((ref_unary, "unary"), (ref_binary, "binary")):
-            table = examples_from_rows(rows, arity, v, tiny_world)
-            assert table_rows(table) == keyed_rows(rows, _vectors(tiny_world))
-            assert table_rows(table[:7]) == keyed_rows(rows[:7], _vectors(tiny_world))
-        assert len(examples_from_rows([], "binary", v, tiny_world)) == 0
 
     def test_a_slice_is_a_table_of_those_rows(self, tiny_world):
         unary, _ = perception_examples(tiny_world, tiny_world.vocab)
@@ -930,12 +921,12 @@ class TestSelfLabeledGrowth:
             scene_part, idx = name.rsplit(".", 1)
             assert scene_part in unlabeled and idx.isdigit()
             assert name in v
-        # recognition covered every box of every scene
-        for name in unlabeled:
-            boxes = {row["box"] for row in report.recognized[name]}
-            assert boxes == set(ssl_world.scene(name).members)
-            for row in report.recognized[name]:
-                assert row["entity"] is not None
+        # recognition covered every box of every scene: each has its identity
+        # row, in scene and member order, and it names a registered entity
+        identity = [ex for ex in report.pseudo_unary if ex["fam"] == "Identity"]
+        assert [ex["t"] for ex in identity] == [
+            v.id_of(name) for name in unlabeled for _ in ssl_world.scene(name).members]
+        assert all(ex["o"] == ex["s"] and v.kind_of(ex["s"]) is Kind.ENTITY for ex in identity)
 
         # one pseudo-statement per (box, family) plus one identity row per box,
         # one per scene relation
@@ -953,12 +944,44 @@ class TestSelfLabeledGrowth:
             np.testing.assert_array_equal(params.emb[:, cmap.col_of(sid)], before)
         assert report.history  # the low-rate pseudo-training actually ran
 
+    @pytest.mark.parametrize("hidden, excluded", [((), ()), (("Color",), ("Risk",))])
+    def test_ssl_trains_on_its_report_rows_at_their_boxes(self, ssl_world, monkeypatch, hidden,
+                                                          excluded):
+        """The tables the pseudo-training reads are the report's rows, row for
+        row, and each feature column points at the vector of the box its row
+        was read from, walked from the scenes' records; hidden and excluded
+        families have no rows."""
+        from bilayer.params import ColumnMap
+
+        pseudo = []
+        real_train = training.train
+
+        def spy(*args, **kwargs):
+            pseudo.append(kwargs["pseudo"])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", spy)
+        v = ssl_world.vocab
+        params = NetParams.init(v, NetConfig(rep_dim=16, ctx_dim=8, feature_dim=24),
+                                substream(0, "init"))
+        unlabeled = sorted(s.name for s in ssl_world.scenes_of_kind("unlabeled"))
+        config = TrainConfig(seed=1, ssl_epochs=1, novelty_threshold=0.78,
+                             hidden_families=hidden, excluded_families=excluded)
+        _, _, report = ssl_step(params, ColumnMap(v), v, ssl_world, unlabeled, config)
+        (unary, binary), = pseudo
+        ref_unary, ref_binary = reference_pseudo_examples(report, ssl_world)
+        assert table_rows(unary) == keyed_rows(ref_unary, _vectors(ssl_world))
+        assert table_rows(binary) == keyed_rows(ref_binary, _vectors(ssl_world))
+        assert {ex["fam"] for ex in report.pseudo_unary} == set(v.families) - {*hidden, *excluded}
+        assert all(set(ex) == {"t", "s", "fam", "o"} for ex in report.pseudo_unary)
+        assert all(set(ex) == {"t", "s", "p", "o"} for ex in report.pseudo_binary)
+
     @pytest.mark.parametrize("chunk", [None, 2])
     def test_ssl_pseudo_statements_follow_the_reference_walk(self, ssl_world, chunk, monkeypatch):
         from bilayer import network
         from bilayer.params import ColumnMap
 
-        if chunk is not None:  # labeling and relation runs then interleave
+        if chunk is not None:  # each pass then runs in several decode_many calls
             monkeypatch.setattr(network, "DECODE_CHUNK", chunk)
 
         # float64 weights, so an argmax cannot flip between the model and the
@@ -971,18 +994,20 @@ class TestSelfLabeledGrowth:
         unlabeled = sorted(s.name for s in ssl_world.scenes_of_kind("unlabeled"))
         config = TrainConfig(seed=1, ssl_epochs=0, novelty_threshold=0.78)
         params, cmap, report = ssl_step(params, ColumnMap(v), v, ssl_world, unlabeled, config)
-        novel = [row["novel"] for rows in report.recognized.values() for row in rows]
-        assert any(novel) and not all(novel)
+        n_boxes = sum(len(ssl_world.scene(name).members) for name in unlabeled)
+        assert 0 < len(report.new_entities) < n_boxes
         feats = _vectors(ssl_world)
-        labels = [ex for ex in report.pseudo_unary if ex["fam"] != "Identity"]
-        assert labels and report.pseudo_binary
+        unary, binary = reference_pseudo_examples(report, ssl_world)
+        assert all(v.kind_of(ex["o"]) is Kind.ENTITY for ex in unary if ex["fam"] == "Identity")
+        labels = [ex for ex in unary if ex["fam"] != "Identity"]
+        assert labels and binary
         for ex in labels:
             ref = reference_decode(params, v, DecodeRequest(
                 mode="perception", features=SceneInput(feats[ex["scene"]], feats[ex["bb"]]),
                 instance_id=ex["t"], subject_id=ex["s"], winner_take_all=True,
             ))
             assert ex["o"] == ref["labels"][ex["fam"]]
-        for ex in report.pseudo_binary:
+        for ex in binary:
             ref = reference_decode(params, v, DecodeRequest(
                 mode="perception",
                 features=SceneInput(feats[ex["scene"]], feats[ex["s_bb"]], feats[ex["o_bb"]],
@@ -1009,9 +1034,11 @@ class TestSelfLabeledGrowth:
             reports.append(ssl_step(params, ColumnMap(v), v, world, unlabeled, config, store)[2])
             worlds.append((world, store))
         (world, store), (plain, _) = worlds
-        for key in ("new_entities", "recognized", "pseudo_unary", "pseudo_binary"):
+        for key in ("new_entities", "pseudo_unary", "pseudo_binary"):
             assert getattr(reports[0], key) == getattr(reports[1], key)
         report, ha = reports[0], world.vocab.has_attribute
+        n_boxes = sum(len(world.scene(name).members) for name in report.new_instances)
+        assert 0 < len(report.new_entities) < n_boxes
         quads = [(ex["s"], ha, ex["o"], ex["t"]) for ex in report.pseudo_unary
                  if ex["fam"] != "Identity"]
         quads += [(ex["s"], ex["p"], ex["o"], ex["t"]) for ex in report.pseudo_binary]

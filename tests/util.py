@@ -591,6 +591,32 @@ def reference_perception_examples(world, vocab, hidden_families=(), kinds=("trai
     return unary, binary
 
 
+def reference_pseudo_examples(report, world) -> tuple[list[dict], list[dict]]:
+    """An SSL report's pseudo-statement rows with the keys of the boxes each
+    was read from, walked from the new scenes' records: the unary rows run
+    through the scenes' members in order, each box's rows ending at its
+    identity row; the binary rows run through the scenes' statements."""
+    scenes = [world.scene(name) for name in report.new_instances]
+    unary, rows = [], iter(report.pseudo_unary)
+    for scene in scenes:
+        for m in scene.members:
+            for ex in rows:
+                unary.append({**ex, "scene": scene.scene_key, "bb": scene.bb_key(m)})
+                if ex["fam"] == IDENTITY_FAMILY:
+                    break
+    statements = [(scene, i, s, o) for scene in scenes
+                  for i, (s, _p, o) in enumerate(scene.binaries)]
+    binary = [
+        {**ex, "scene": scene.scene_key, "s_bb": scene.bb_key(s), "o_bb": scene.bb_key(o),
+         "rel": scene.rel_key(i)}
+        for ex, (scene, i, s, o) in zip(report.pseudo_binary, statements, strict=True)
+    ]
+    # every row is on a box, and every box has its identity row
+    assert len(unary) == len(report.pseudo_unary)
+    assert sum(ex["fam"] == IDENTITY_FAMILY for ex in unary) == sum(len(sc.members) for sc in scenes)
+    return unary, binary
+
+
 def reference_injection_pool(store, vocab, excluded_families=()) -> dict:
     """Per entity: the sorted list of labels eligible to replace its index."""
     ha = vocab.has_attribute
