@@ -30,14 +30,12 @@ A commitment takes, per row, the clamped index if the request names one,
 else the attention mixture the request's flag for the group asks for (over
 the instances, or over the entities for a concept), else a pick: the argmax
 under winner-take-all, otherwise a draw from the softmax at temperature 1, as
-attention mixes.  The instance mixture is weighted by the block the step
-scored.  The entity mixture scores the entities by their own product: the
-entity prefix of the concept product can differ from it in the last bits.  A
-concept step picks from the entities only under `entities` support; entities
+attention mixes.  A mixture is weighted by the block the step scored: the
+instance mixture by all of it, the entity mixture by its entity columns.  A
+concept step picks from the entities only under `entities` support.  Entities
 lead the column order, so the entities' readout index also indexes the
-concept block.  A clamp must name a symbol of
-the group its step commits; a step that only reads out records no id when it
-has no columns.
+concept block.  A clamp must name a symbol of the group its step commits; a
+step that only reads out records no id when it has no columns.
 Every family's label is read from the one concept-score block: Identity
 from the entity block, every other family from the class and attribute
 block masked to its columns.
@@ -475,8 +473,8 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
             scores[step] = block = _scores(params, step, z, idx)
             cols = getattr(cmap, f"{spec.group}_cols")
             mix = mixes.get(spec.group)
-            if mix is not None:  # an instance mix weights the block just scored
-                mix = (block if mix is idx else index_scores(params, z, mix)), mix
+            if mix is not None:  # a mix weights the block just scored, or its entity prefix
+                mix = (block if mix is idx else block[:, mix]), mix
             if spec.group == "concept" and getattr(first, f"{step}_support") == "entities":
                 block, cols = block[:, cmap.entity_idx], cmap.entity_cols
         if spec.commit == POOLED:

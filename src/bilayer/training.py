@@ -45,7 +45,7 @@ from . import graph
 from .graph import Batch
 from .network import DecodeRequest, NumericsError, SceneInput, decode_chunked, sigmoid
 from .params import ColumnMap, NetParams, check_types
-from .triple_store import UNKNOWN, TripleStore
+from .triple_store import UNKNOWN, TripleStore, distinct
 from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
 from .world import ONTOLOGY, GroundTruthWorld, SceneIds, resolve_labels, resolve_scenes, substream
 
@@ -157,24 +157,6 @@ def _families(vocab: Vocabulary) -> tuple[str, ...]:
     return tuple(sorted(vocab.families))
 
 
-def _family_codes(vocab: Vocabulary, families: tuple[str, ...]) -> np.ndarray:
-    """Per symbol id: the index of its family in `families`, -1 for none."""
-    code = np.full(len(vocab), -1, dtype=np.int64)
-    for i, fam in enumerate(families):
-        code[list(vocab.family_members(fam))] = i
-    return code
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """`np.unique(keys)` as one sort and one compare.  numpy 2's `unique`
-    hashes int64 keys first, which took over ten times as long for the
-    30,000 keys of a x4 world."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
 def memory_examples(
     store: TripleStore, vocab: Vocabulary, excluded_families: tuple = ()
 ) -> tuple[Examples, Examples]:
@@ -182,23 +164,21 @@ def memory_examples(
     order, then one identity pseudo-statement per (entity, instance)
     observation, sorted by entity and instance."""
     families = _families(vocab)
-    fam_code = _family_codes(vocab, families)
     s, p, o, t = store.positive_array().T
     label = p == vocab.has_attribute
-    fam = fam_code[o]
+    fam = vocab.family_codes()[o]
     if np.any(label & (fam < 0)):
         bad = vocab.name_of(int(o[label & (fam < 0)][0]))
         raise TrainError(f"label {bad!r} belongs to no family")
     excluded = [families.index(f) for f in set(excluded_families) if f in families]
     keep = label & ~np.isin(fam, excluded)
-    # observed (entity, instance) pairs: every subject, and entity objects of binaries
-    entity = np.zeros(len(vocab), dtype=bool)
-    entity[list(vocab.entities)] = True
-    obj = ~label & entity[o]
-    n = len(vocab)
-    pairs = _distinct(np.concatenate([s * n + t, o[obj] * n + t[obj]]))
-    ident_s, ident_t = pairs // n, pairs % n
+    # observed (entity, instance) pairs: every subject, and entity objects of
+    # binaries; the entities are the Identity family's members
     identity = families.index(IDENTITY_FAMILY)
+    obj = ~label & (fam == identity)
+    n = len(vocab)
+    pairs = distinct(np.concatenate([s * n + t, o[obj] * n + t[obj]]))
+    ident_s, ident_t = pairs // n, pairs % n
     unary = Examples(
         {
             "t": np.concatenate([t[keep], ident_t]),
@@ -290,12 +270,11 @@ def injection_pool(
 ) -> InjectionPool:
     """Per entity: the labels eligible to replace its index in a swap."""
     families = _families(vocab)
-    fam_code = _family_codes(vocab, families)
     s, p, o, _ = store.positive_array().T
     excluded = [families.index(f) for f in set(excluded_families) if f in families]
-    keep = (p == vocab.has_attribute) & ~np.isin(fam_code[o], excluded)
+    keep = (p == vocab.has_attribute) & ~np.isin(vocab.family_codes()[o], excluded)
     n = len(vocab)
-    pairs = _distinct(s[keep] * n + o[keep])
+    pairs = distinct(s[keep] * n + o[keep])
     entities, counts = np.unique(pairs // n, return_counts=True)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return InjectionPool(entities, offsets, pairs % n)

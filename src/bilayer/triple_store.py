@@ -68,7 +68,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .vocab import Kind, Vocabulary
+from .vocab import KIND_CODE, Kind, Vocabulary
 
 
 class StoreError(ValueError):
@@ -99,9 +99,8 @@ def is_known(value) -> bool:
 
 Quad = tuple[int, int, int, int]  # (s, p, o, t)
 
-_KIND_CODE = {kind: code for code, kind in enumerate(Kind)}
 _ENTITY, _CLASS, _ATTRIBUTE, _PREDICATE, _INSTANCE = (
-    _KIND_CODE[k] for k in (Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE, Kind.PREDICATE, Kind.INSTANCE)
+    KIND_CODE[k] for k in (Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE, Kind.PREDICATE, Kind.INSTANCE)
 )
 _OUTSIDE = -1  # kind code of an id the vocabulary does not hold
 
@@ -128,6 +127,21 @@ def _quad_key(rows: np.ndarray) -> np.ndarray:
     return _pack([rows[:, 3], rows[:, 0], rows[:, 1], rows[:, 2]])
 
 
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal keys in sorted `keys`."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """`np.unique(keys)` as one sort and one compare.  numpy 2's `unique`
+    hashes int64 keys first, which took over ten times as long for the
+    30,000 keys of a x4 world."""
+    keys = np.sort(keys)
+    return keys[_runs(keys)]
+
+
 def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the rows by quad with one stable sort.  Returns the rows' sort
     order in (t, s, p, o) order, a mask of the rows that hold the first
@@ -138,9 +152,7 @@ def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return zero, np.ones(len(rows), dtype=bool), zero
     key = _quad_key(rows)
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = key[1:] != key[:-1]
+    starts = _runs(key[order])
     first = np.empty(len(rows), dtype=bool)
     first[order] = starts
     head = np.empty(len(rows), dtype=np.int64)
@@ -206,8 +218,7 @@ class TripleStore:
     _cooc: dict | None = field(default=None, repr=False)  # c1 -> {c2: P(c2 | c1)}
     _spans: dict | None = field(default=None, repr=False)  # t -> (lo, hi) in the positive array
     _observed: tuple | None = field(default=None, repr=False)  # `observed_instances()`
-    # per-id kind codes and shared int objects, extended as the vocabulary grows
-    _kind_codes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8), repr=False)
+    # shared int objects per id, extended as the vocabulary grows
     _ints: np.ndarray = field(default_factory=lambda: np.zeros(0, object), repr=False)
     _ha: int = field(init=False, repr=False)  # hasAttribute's id, read by every `truth_of` miss
 
@@ -266,7 +277,8 @@ class TripleStore:
                 known, explicit[cuts[1][r]:cuts[1][r + 1]],
                 _closure_rows([(t, *record) for t in ts[a:b] for record in self._closures[t]], self._ha),
             ])
-            _, first = np.unique(_quad_key(both), return_index=True)
+            order, first, _ = _first_seen(both)
+            first = order[first[order]]  # each quad's first row, in (t, s, p, o) order
             first = first[first >= len(known)]
             out[n:n + len(first)] = both[first]
             n += len(first)
@@ -306,11 +318,7 @@ class TripleStore:
 
     def _kinds(self, ids: np.ndarray) -> np.ndarray:
         """Kind codes of an id array; `_OUTSIDE` for ids the vocabulary lacks."""
-        v = self.vocab
-        codes = self._kind_codes
-        if len(codes) < len(v):
-            new = [_KIND_CODE[v.kind_of(i)] for i in range(len(codes), len(v))]
-            codes = self._kind_codes = np.concatenate([codes, np.array(new, dtype=np.int8)])
+        codes = self.vocab.kind_codes()
         inside = (ids >= 0) & (ids < len(codes))
         return np.where(inside, codes[np.where(inside, ids, 0)], _OUTSIDE)
 
@@ -520,7 +528,7 @@ class TripleStore:
             ts = {t for t, records in self._closures.items()
                   if any(_n_covered(*r) for r in records)}
             for truth in (True, False):
-                ts.update(np.unique(self._explicit(truth)[:, 3]).tolist())
+                ts.update(distinct(self._explicit(truth)[:, 3]).tolist())
             self._observed = tuple(sorted(ts))
         return self._observed
 
@@ -559,13 +567,15 @@ class TripleStore:
         if self._cooc is None:
             ha, n_ids = self._ha, len(self.vocab)
             pos, neg = (rows[rows[:, 1] == ha] for rows in (self._explicit(True), self._explicit(False)))
-            sites, site_of = np.unique(pos[:, 3] * n_ids + pos[:, 0], return_inverse=True)
+            site_keys = pos[:, 3] * n_ids + pos[:, 0]  # sorted, as the rows are
+            first = _runs(site_keys)
+            sites, site_of = site_keys[first], np.cumsum(first) - 1
             closed: dict = {}  # label set -> site keys of the entities closed under it
             for t, records in self._closures.items():
                 for entities, labels, _ in records:
                     if labels:
                         closed.setdefault(labels, []).extend(t * n_ids + e for e in entities)
-            labels = np.unique(np.concatenate([
+            labels = distinct(np.concatenate([
                 pos[:, 2], neg[:, 2], np.fromiter(chain.from_iterable(closed), dtype=np.int64)]))
             true = np.zeros((len(sites), len(labels)), dtype=bool)
             true[site_of, np.searchsorted(labels, pos[:, 2])] = True

@@ -1,10 +1,12 @@
 """Symbol registries: entities, classes, attributes, predicates, instances.
 
-Every symbol gets a unique integer id from a single counter, so id spaces of
-the five kinds are disjoint by construction.  Classes and attributes are
-grouped into named label families; sampling and evaluation treat each family
-as one categorical variable.  The identity family groups the entity indices
-themselves so that an entity id can be predicted like any other label.
+Ids are dense ints, and one constructor numbers every symbol of a generated
+or loaded world: `Vocabulary.from_dict`, whose docstring states the rule.
+Only growth (`add_entity`, `add_instance`) appends a symbol after it.  Classes
+and attributes are grouped into named label families; sampling and
+evaluation treat each family as one categorical variable.  The identity
+family groups the entity indices themselves so that an entity id can be
+predicted like any other label.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +31,13 @@ class Kind(str, Enum):
     INSTANCE = "instance"
 
 
+# a kind's code in `Vocabulary.kind_codes`: its index in `Kind`
+KIND_CODE = {kind: code for code, kind in enumerate(Kind)}
+# the lists of an exported vocabulary, in the order `from_dict` numbers them
+_BLOCKS = {"classes": Kind.CLASS, "attributes": Kind.ATTRIBUTE, "predicates": Kind.PREDICATE,
+           "entities": Kind.ENTITY, "instances": Kind.INSTANCE}
+
+
 class VocabError(ValueError):
     pass
 
@@ -41,8 +51,11 @@ class Vocabulary:
     _ids: dict[str, int] = field(default_factory=dict)
     _families: dict[str, list[int]] = field(default_factory=dict)
     _family_of: dict[int, str] = field(default_factory=dict)
-    # `digest()` of the current symbols and families; cleared by every change
+    # `digest()`, `kind_codes()` and `family_codes()` of the current symbols
+    # and families; cleared by every change
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    _kind_codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _family_codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if HAS_ATTRIBUTE not in self._ids:
@@ -57,7 +70,7 @@ class Vocabulary:
         if name in self._ids:
             raise VocabError(f"duplicate symbol {name!r}")
         idx = len(self._names)
-        self._digest = None
+        self._digest = self._kind_codes = self._family_codes = None
         self._names.append(name)
         self._kinds.append(kind)
         self._ids[name] = idx
@@ -69,38 +82,8 @@ class Vocabulary:
         self._family_of[idx] = IDENTITY_FAMILY
         return idx
 
-    def add_class(self, name: str) -> int:
-        return self._register(name, Kind.CLASS)
-
-    def add_attribute(self, name: str) -> int:
-        return self._register(name, Kind.ATTRIBUTE)
-
-    def add_predicate(self, name: str) -> int:
-        return self._register(name, Kind.PREDICATE)
-
     def add_instance(self, name: str) -> int:
         return self._register(name, Kind.INSTANCE)
-
-    def define_family(self, family: str, members: list[str]) -> None:
-        """Group class/attribute symbols into one categorical label family."""
-        if family == IDENTITY_FAMILY:
-            raise VocabError(f"{IDENTITY_FAMILY!r} is maintained automatically")
-        if family in self._families:
-            raise VocabError(f"duplicate family {family!r}")
-        if not members:
-            raise VocabError(f"family {family!r} has no members")
-        ids = []
-        for name in members:
-            idx = self.id_of(name)
-            if self._kinds[idx] not in (Kind.CLASS, Kind.ATTRIBUTE):
-                raise VocabError(f"family member {name!r} is not a class or attribute")
-            if idx in self._family_of:
-                raise VocabError(f"{name!r} already belongs to {self._family_of[idx]!r}")
-            ids.append(idx)
-        self._digest = None
-        self._families[family] = ids
-        for idx in ids:
-            self._family_of[idx] = family
 
     def copy(self) -> "Vocabulary":
         """An independent vocabulary with the same symbols, ids and families."""
@@ -141,15 +124,39 @@ class Vocabulary:
     def __contains__(self, name: str) -> bool:
         return name in self._ids
 
+    def kind_codes(self) -> np.ndarray:
+        """Per id, its kind's `KIND_CODE`, as one read-only int8 array."""
+        if self._kind_codes is None:
+            codes = np.fromiter(map(KIND_CODE.__getitem__, self._kinds), np.int8, len(self._kinds))
+            codes.flags.writeable = False
+            self._kind_codes = codes
+        return self._kind_codes
+
+    def family_codes(self) -> np.ndarray:
+        """Per id, its family's code (`family_code`), -1 for none, as one
+        read-only int64 array."""
+        if self._family_codes is None:
+            codes = np.full(len(self._names), -1, dtype=np.int64)
+            for code, family in enumerate(sorted(self._families)):
+                codes[self._families[family]] = code
+            codes.flags.writeable = False
+            self._family_codes = codes
+        return self._family_codes
+
+    def family_code(self, family: str) -> int:
+        """The code of `family` in `family_codes()`: its index among the
+        sorted family names."""
+        if family not in self._families:
+            raise VocabError(f"unknown family {family!r}")
+        return sorted(self._families).index(family)
+
     def _of_kind(self, kind: Kind) -> tuple[int, ...]:
-        return tuple(i for i, k in enumerate(self._kinds) if k is kind)
+        return tuple(np.flatnonzero(self.kind_codes() == KIND_CODE[kind]).tolist())
 
     def by_kind(self) -> dict[Kind, list[int]]:
-        """Every id grouped by its kind in one pass, each group in id order."""
-        groups: dict[Kind, list[int]] = {kind: [] for kind in Kind}
-        for i, kind in enumerate(self._kinds):
-            groups[kind].append(i)
-        return groups
+        """Every id grouped by its kind, each group in id order."""
+        codes = self.kind_codes()
+        return {kind: np.flatnonzero(codes == code).tolist() for kind, code in KIND_CODE.items()}
 
     @property
     def entities(self) -> tuple[int, ...]:
@@ -182,10 +189,7 @@ class Vocabulary:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, k in enumerate(self._kinds)
-            if k in (Kind.CLASS, Kind.ATTRIBUTE)
-        )
+        return tuple(sorted(self.classes + self.attributes))
 
     @property
     def families(self) -> dict[str, tuple[int, ...]]:
@@ -208,16 +212,6 @@ class Vocabulary:
         return all(self._family_of.get(self._ids[name]) == base._family_of.get(i)
                    for i, name in enumerate(base._names))
 
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for family, ids in self._families.items():
-            if not ids and family != IDENTITY_FAMILY:
-                raise VocabError(f"family {family!r} is empty")
-            overlap = seen.intersection(ids)
-            if overlap:
-                raise VocabError(f"family {family!r} overlaps on ids {sorted(overlap)}")
-            seen.update(ids)
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -233,33 +227,54 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
-        vocab = cls()
-        adders = {
-            "classes": vocab.add_class,
-            "attributes": vocab.add_attribute,
-            "predicates": vocab.add_predicate,
-            "entities": vocab.add_entity,
-            "instances": vocab.add_instance,
-        }
+        """The vocabulary `data` lists, as `to_dict` writes it, numbered by the
+        one rule: hasAttribute is 0, then each kind follows as one block,
+        classes, attributes, predicates, entities, instances, each in the
+        order `data` lists it, so the id spaces of the kinds are disjoint.  A
+        name keeps its kind, its family and its place among the names of its
+        kind, so a `ColumnMap` lays out the same columns however the ids
+        fall.  A name that is empty or listed twice (hasAttribute under
+        another kind included) is refused, the first in that order; so is a
+        family that is empty or has a member that is unknown, not a class or
+        attribute, or in an earlier family."""
         families = data.get("families", {})
+        blocks = {key: data.get(key, []) for key in _BLOCKS}
         if type(families) is not dict or not all(
                 type(names) is list and all(type(n) is str for n in names)
-                for names in [data.get(key, []) for key in adders] + list(families.values())):
+                for names in [*blocks.values(), *families.values()]):
             raise VocabError("a vocabulary lists the names of each kind and family as strings")
-        # An export lists the names grouped by kind, each kind in id order.  A
-        # load registers the kinds in the order a generated world does, so a
-        # loaded world numbers its symbols as the generated one did.  Each
-        # name keeps its kind, its family and its place among the names of its
-        # kind, so a `ColumnMap` lays out the same columns whatever the order.
-        for key, add in adders.items():
-            for name in data.get(key, []):
-                if (key, name) != ("predicates", HAS_ATTRIBUTE):
-                    add(name)
+        blocks["predicates"] = [name for name in blocks["predicates"] if name != HAS_ATTRIBUTE]
+        names = [HAS_ATTRIBUTE, *chain.from_iterable(blocks.values())]
+        ids = dict(zip(names, range(len(names))))
+        if len(ids) < len(names) or "" in ids:
+            seen: set[str] = set()
+            for name in names:
+                if not name:
+                    raise VocabError("empty symbol name")
+                if name in seen:
+                    raise VocabError(f"duplicate symbol {name!r}")
+                seen.add(name)
+        kinds = [Kind.PREDICATE, *chain.from_iterable(
+            [kind] * len(blocks[key]) for key, kind in _BLOCKS.items())]
+        first = len(names) - len(blocks["entities"]) - len(blocks["instances"])
+        entities = list(range(first, first + len(blocks["entities"])))
+        family_of = dict.fromkeys(entities, IDENTITY_FAMILY)
+        vocab = cls(names, kinds, ids, {IDENTITY_FAMILY: entities}, family_of)
         for family, members in families.items():
             if family == IDENTITY_FAMILY:
                 continue
-            vocab.define_family(family, members)
-        vocab.validate()
+            if not members:
+                raise VocabError(f"family {family!r} has no members")
+            member_ids = []
+            for name in members:
+                idx = vocab.id_of(name)
+                if kinds[idx] not in (Kind.CLASS, Kind.ATTRIBUTE):
+                    raise VocabError(f"family member {name!r} is not a class or attribute")
+                if idx in family_of:
+                    raise VocabError(f"{name!r} already belongs to {family_of[idx]!r}")
+                member_ids.append(idx)
+            vocab._families[family] = member_ids
+            family_of.update(dict.fromkeys(member_ids, family))
         return vocab
 
     def dumps(self) -> str:

@@ -27,12 +27,14 @@ The record file `world.json` holds each fact once: an entity is a row of its
 name and its labels in family order, a scene its name, kind (which decides
 whether it is an episodic instance), members and binary statements.  What
 only generation reads (the predicate table, scene themes, which entities a
-scene may show) stays inside `gen_world`.  A record that does not fit is
-refused with one line that names it.  `load_world` refuses a wrong shape,
-and a scene that is no instance and lists a member twice or states
-something of a non-member; resolving the names (`resolve_scenes`,
-`resolve_labels`) refuses an instance scene with either fault, and an
-entity with another family's label in a family's place.
+scene may show) stays inside `gen_world`.  Generated and loaded worlds are
+numbered by one constructor: `gen_world` hands its name lists to
+`Vocabulary.from_dict`, as `load_world` hands it `vocab.json`.  A record that
+does not fit is refused with one line that names it.  `load_world` refuses a
+wrong shape, and a scene that is no instance and lists a member twice or
+states something of a non-member; resolving the names (`resolve_scenes`,
+`resolve_labels`) refuses an instance scene with either fault, and an entity
+with another family's label in a family's place.
 """
 from __future__ import annotations
 
@@ -522,18 +524,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
     onto = ONTOLOGY
     seed = config.seed
 
-    vocab = Vocabulary()
-    members = onto.family_members()
-    for fam in onto.label_families:
-        for name in members[fam]:
-            vocab.add_class(name) if fam in ("BClass", "PClass", "GClass") else vocab.add_attribute(name)
-        vocab.define_family(fam, list(members[fam]))
-    for p in onto.scene_predicates:
-        vocab.add_predicate(p)
-    for p in onto.nonvisual_predicates:
-        vocab.add_predicate(p)
-    vocab.add_predicate(onto.social_predicate)
-
     proto_rng = substream(seed, "prototypes")
     protos: dict[str, np.ndarray] = {}
     for name in (
@@ -554,7 +544,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
     for i in range(config.n_entities):
         rec, latents[f"e{i:04d}"] = _draw_entity(f"e{i:04d}", ent_rng, protos)
         entities[rec.name] = rec
-        vocab.add_entity(rec.name)
 
     owners: list[tuple[str, str]] = []  # (owned entity, owner entity)
     if config.owners:
@@ -567,7 +556,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             rec.labels["GClass"] = onto.top_of(rec.labels["PClass"])
             rec.labels["Risk"] = onto.risk_rule[rec.labels["GClass"]]
             entities[rec.name] = rec
-            vocab.add_entity(rec.name)
             owners.append((dog.name, rec.name))
 
     test_rng = substream(seed, "test-entities")
@@ -638,10 +626,6 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
                 )
             )
 
-    for scene in scenes:
-        if scene.instance:
-            vocab.add_instance(scene.name)
-
     boxes: dict[str, np.ndarray] = {}  # key -> feature vector, in generation order
     records = {**entities, **test_entities}
     feat_rng = substream(seed, "features")
@@ -671,7 +655,15 @@ def gen_world(config: WorldConfig) -> GroundTruthWorld:
             scenes.append(view)
             n_views += 1
 
-    vocab.validate()
+    members = onto.family_members()
+    vocab = Vocabulary.from_dict({
+        "classes": [*onto.b_classes, *onto.p_classes, *onto.g_classes],
+        "attributes": [*onto.ages, *onto.colors, *onto.activities, *onto.risks],
+        "predicates": [*onto.scene_predicates, *onto.nonvisual_predicates, onto.social_predicate],
+        "entities": list(entities),
+        "instances": [scene.name for scene in scenes if scene.instance],
+        "families": {fam: list(members[fam]) for fam in onto.label_families},
+    })
     return GroundTruthWorld(
         config=config, vocab=vocab, entities=entities, test_entities=test_entities,
         scenes=scenes, features=np.stack(list(boxes.values())),
@@ -806,10 +798,7 @@ def resolve_labels(world: GroundTruthWorld, vocab: Vocabulary, entities: np.ndar
         labels[fam] for name in names for labels in (world.entity_record(name).labels,)
         for fam in families
     ]).reshape(len(names), len(families))
-    family = np.full(len(vocab), -1, dtype=np.int64)
-    for k, fam in enumerate(families):
-        family[list(vocab.family_members(fam))] = k
-    misplaced = family[block] != np.arange(len(families))
+    misplaced = vocab.family_codes()[block] != [vocab.family_code(fam) for fam in families]
     if misplaced.any():
         i, k = np.argwhere(misplaced)[0].tolist()
         label = int(block[i, k])

@@ -1060,18 +1060,24 @@ class TestGrownCheckpoint:
         assert main(["eval", str(run / "model.json"), ws["world_dir"],
                      "--experiments", "episodic-recall", "--out", str(tmp_path / "ev")]) == 0
 
-    def test_a_tampered_vocabulary_is_data_error(self, ws, grown, tmp_path):
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: doc["instances"].pop(), "checkpoint was saved against a different vocabulary"),
+        (lambda doc: doc["instances"].append("e0000"), "{path}: duplicate symbol 'e0000'"),
+    ], ids=["instance-dropped", "duplicate-name"])
+    def test_a_tampered_vocabulary_is_data_error(self, ws, grown, tmp_path, tamper, message):
+        """A vocab.json beside a checkpoint that lost a symbol, or lists a
+        name twice, is refused with one line; the duplicate's names the file."""
         shutil.copytree(grown["dir"], tmp_path / "ssl")
         path = tmp_path / "ssl" / "vocab.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["instances"].pop()
+        tamper(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
         proc = _run_cli(["decode", str(tmp_path / "ssl" / "model.json"), "--world",
                          ws["world_dir"], "--mode", "semantic", "--n", "1",
                          "--out", str(tmp_path / "d")])
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and "checkpoint was saved against a different vocabulary" in lines[0]
+        assert len(lines) == 1 and message.format(path=path) in lines[0], proc.stderr
 
     def test_a_chain_of_commands_grows_once(self, ws, grown, tmp_path, caplog):
         """`train` -> `ssl` (the `grown` fixture), then `ssl` -> `eval all` ->

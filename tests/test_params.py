@@ -44,10 +44,9 @@ class TestColumnMap:
         """Symbols registered out of kind order, as self-labeled growth and
         consolidation add them, still get the canonical layout."""
         v = small_vocab()
-        v.add_entity("e.novel")
         v.add_instance("t0.dup")
-        v.add_predicate("lovedBy")
-        v.add_class("Owl")
+        v.add_entity("e.novel")
+        v.add_instance("t1.dup")
         assert v.by_kind() == {kind: list(v._of_kind(kind)) for kind in Kind}
         cmap = ColumnMap(v)
         want = v.entities + v.classes + v.attributes + v.binary_predicates + v.instances

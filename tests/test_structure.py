@@ -18,14 +18,16 @@ layout the perception tables and SSL share.  Sampled picks draw no
 `Generator.choice`: `_pick` and `_pick_labels` turn their uniforms into
 positions through one inverse-CDF helper.
 Checkpoints and the feature archive share one tensor-archive codec in
-`params.py`.  A decode scores each step once: an instance attention
-mixture weights the block its step scored.  No module copies state with
-`copy.deepcopy`.  The triple store's internals are read only inside
-`triple_store.py`.  Every public name the package defines has a caller inside
-it, but for a short allowlist of names that the benchmark or the gradient
-tests call, every field of the three settings classes is read outside its
-class, and every field of a world is read outside `world.py`.  The ontology
-is one constant, constructed once.
+`params.py`.  A decode scores each step once: an attention mixture weights
+the block its step scored.  Symbols are numbered in one place: only
+`Vocabulary.from_dict` builds a vocabulary in bulk, and outside `vocab.py`
+only self-labeled growth and consolidation append a symbol.  No module
+copies state with `copy.deepcopy`.  The triple store's internals are read
+only inside `triple_store.py`.  Every public name the package defines has a
+caller inside it, but for a short allowlist of names that the benchmark or
+the gradient tests call, every field of the three settings classes is read
+outside its class, and every field of a world is read outside `world.py`.
+The ontology is one constant, constructed once.
 """
 from __future__ import annotations
 
@@ -376,9 +378,9 @@ def test_the_ontology_is_one_constant():
 @pytest.mark.parametrize("binary", [False, True])
 def test_each_scored_step_scores_once(monkeypatch, binary, concept_attention):
     """A perception pass computes one score product per scored step and one
-    for the labels: the instance attention mixes over the block its step
-    scored.  The entity mixture of concept attention is one more product per
-    concept step, of the entity columns alone, which keeps its bits."""
+    for the labels, with or without concept attention: the instance mixture
+    is weighted by the block its step scored, the entity mixture by that
+    block's entity columns."""
     v = small_vocab()
     params, cmap = small_params(v)
     calls, inner = [], network.index_scores
@@ -394,9 +396,37 @@ def test_each_scored_step_scores_once(monkeypatch, binary, concept_attention):
                                     concept_attention=concept_attention)
     network.decode_many(params, cmap, v, [request, request], np.random.default_rng(0))
     specs = network.schedule("perception", binary, False)
-    mixes = sum(spec.group == "concept" and spec.commit is not None for spec in specs)
-    want = sum(spec.group is not None for spec in specs) + 1 + concept_attention * mixes
-    assert len(calls) == want, calls
+    assert len(calls) == sum(spec.group is not None for spec in specs) + 1, calls
+
+
+def test_symbols_are_numbered_in_one_place():
+    """`Vocabulary.from_dict` is the one bulk build.  The methods that append
+    one symbol (those that call `_register`) are growth's `add_entity` and
+    `add_instance`, and outside `vocab.py` only `ssl_step` and `consolidate`
+    call them; `world.py` calls none.  No other module constructs a
+    `Vocabulary` from lists or touches its tables."""
+    tree = ast.parse((Path(bilayer.__file__).parent / "vocab.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Vocabulary")
+    tables = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    appenders = {m.name for m in cls.body if isinstance(m, ast.FunctionDef)
+                 and m.name != "__post_init__" and _method_calls(m, "_register")}
+    assert appenders == {"add_entity", "add_instance"}
+    callers, built, touched = set(), [], []
+    for path in sorted(Path(bilayer.__file__).parent.glob("*.py")):
+        if path.name == "vocab.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {(path.name, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    and any(_method_calls(fn, name) for name in appenders)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Vocabulary" and (node.args or node.keywords)):
+                built.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Attribute) and node.attr in tables
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                touched.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert callers == {("training.py", "ssl_step"), ("training.py", "consolidate")}, callers
+    assert not built and not touched, (built, touched)
 
 
 def test_no_deep_copies():

@@ -234,23 +234,16 @@ class TestInterchange:
         assert set(rebuilt.iter_negative()) == set(store.iter_negative())
 
     def test_output_independent_of_registration_order(self):
-        # same statements through vocabularies built in different orders
-        # serialize to identical bytes
+        # same statements through vocabularies that list each kind in a
+        # different order serialize to identical bytes
         v1 = small_vocab()
-        v2 = Vocabulary()
-        for i in reversed(range(4)):
-            v2.add_entity(f"e{i}")
-        for i in reversed(range(3)):
-            v2.add_instance(f"t{i}")
-        for name in ("Mammal", "Cat", "Dog"):
-            v2.add_class(name)
-        for name in ("Old", "Young"):
-            v2.add_attribute(name)
-        for name in ("chases", "near"):
-            v2.add_predicate(name)
-        v2.define_family("Species", ["Dog", "Cat"])
-        v2.define_family("Rank", ["Mammal"])
-        v2.define_family("Age", ["Young", "Old"])
+        v2 = Vocabulary.from_dict({
+            "entities": [f"e{i}" for i in reversed(range(4))],
+            "instances": [f"t{i}" for i in reversed(range(3))],
+            "classes": ["Mammal", "Cat", "Dog"], "attributes": ["Old", "Young"],
+            "predicates": ["chases", "near"],
+            "families": {"Species": ["Dog", "Cat"], "Rank": ["Mammal"], "Age": ["Young", "Old"]},
+        })
 
         outs = []
         for v in (v1, v2):
@@ -279,16 +272,12 @@ class TestInterchange:
         # registered out of name order; quote, backslash, control character,
         # non-ASCII text, U+2028 and a character outside the BMP
         monkeypatch.setattr(triple_store, "WRITE_CHUNK", 5)
-        v = Vocabulary()
-        for name in ('t"2', "t\\1", "t\x010"):
-            v.add_instance(name)
-        for name in ("zoë", 'e"q', "e\\b", "e\u2028ls", "e\tx", "ä", "e😀"):
-            v.add_entity(name)
-        for name in ("Ünder", "near\u2029", "chasés"):
-            v.add_predicate(name)
-        v.add_class("Dög")
-        v.add_attribute("Old\x7f")
-        v.define_family("Kind", ["Dög", "Old\x7f"])
+        v = Vocabulary.from_dict({
+            "instances": ['t"2', "t\\1", "t\x010"],
+            "entities": ["zoë", 'e"q', "e\\b", "e\u2028ls", "e\tx", "ä", "e😀"],
+            "predicates": ["Ünder", "near\u2029", "chasés"],
+            "classes": ["Dög"], "attributes": ["Old\x7f"], "families": {"Kind": ["Dög", "Old\x7f"]},
+        })
         store = store_from_records(v, random_records(v, np.random.default_rng(5), 30, 25))
         buf = io.StringIO()
         n = write_jsonl(store, buf, truth=truth)

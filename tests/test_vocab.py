@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bilayer.vocab import IDENTITY_FAMILY, Kind, VocabError, Vocabulary
+from bilayer.vocab import IDENTITY_FAMILY, KIND_CODE, Kind, VocabError, Vocabulary
 
 from util import small_vocab
 
@@ -16,24 +16,28 @@ def test_has_attribute_preregistered():
     assert v.has_attribute not in v.binary_predicates
 
 
-def test_registration_and_lookup():
-    v = Vocabulary()
-    e = v.add_entity("sparky")
-    c = v.add_class("Dog")
-    a = v.add_attribute("Young")
-    p = v.add_predicate("chases")
-    t = v.add_instance("scene-1")
-    assert v.id_of("sparky") == e
-    assert [v.kind_of(i) for i in (e, c, a, p, t)] == [
-        Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE, Kind.PREDICATE, Kind.INSTANCE,
+def test_from_dict_numbers_each_kind_as_one_block():
+    """hasAttribute is 0, then classes, attributes, predicates, entities and
+    instances, each in its listed order, whatever the order of the keys."""
+    v = Vocabulary.from_dict({
+        "instances": ["scene-1"], "entities": ["sparky", "rex"], "predicates": ["chases"],
+        "attributes": ["Young"], "classes": ["Dog", "Cat"], "families": {},
+    })
+    assert [v.name_of(i) for i in range(len(v))] == [
+        "hasAttribute", "Dog", "Cat", "Young", "chases", "sparky", "rex", "scene-1"]
+    assert [v.kind_of(i) for i in range(len(v))] == [
+        Kind.PREDICATE, Kind.CLASS, Kind.CLASS, Kind.ATTRIBUTE, Kind.PREDICATE,
+        Kind.ENTITY, Kind.ENTITY, Kind.INSTANCE,
     ]
-    assert "Dog" in v and "Cat" not in v
-    assert len(v) == 6  # the five above plus hasAttribute
+    assert v.kind_codes().tolist() == [KIND_CODE[v.kind_of(i)] for i in range(len(v))]
+    assert v.id_of("sparky") == 5 and "Dog" in v and "Bird" not in v
+    assert v.add_entity("fido") == 8 and v.add_instance("scene-2") == 9
+    assert v.kind_of(8) is Kind.ENTITY and v.kind_of(9) is Kind.INSTANCE
 
 
 def test_ids_of_resolves_names_in_order_and_names_an_unknown_one():
-    v = Vocabulary()
-    a, b = v.add_entity("a"), v.add_class("B")
+    v = Vocabulary.from_dict({"classes": ["B"], "entities": ["a"]})
+    a, b = v.id_of("a"), v.id_of("B")
     assert v.ids_of(["B", "a", "B"]).tolist() == [b, a, b]
     assert v.ids_of([]).dtype == np.int64 and v.ids_of([]).size == 0
     with pytest.raises(VocabError, match="unknown symbol 'c'"):
@@ -48,16 +52,52 @@ def test_ids_are_dense_and_disjoint_across_kinds():
     assert sorted(all_ids) == list(range(len(v)))
 
 
-def test_duplicate_name_rejected_across_kinds():
-    v = Vocabulary()
-    v.add_entity("x")
-    with pytest.raises(VocabError):
-        v.add_class("x")
+def test_growth_refuses_a_taken_or_empty_name():
+    v = small_vocab()
+    with pytest.raises(VocabError, match="duplicate symbol 'Dog'"):
+        v.add_entity("Dog")
+    with pytest.raises(VocabError, match="duplicate symbol 't0'"):
+        v.add_instance("t0")
+    with pytest.raises(VocabError, match="empty symbol name"):
+        v.add_entity("")
 
 
-def test_empty_name_rejected():
-    with pytest.raises(VocabError):
-        Vocabulary().add_entity("")
+def _doc(**edits) -> dict:
+    doc = json.loads(small_vocab().dumps())
+    for key, value in edits.items():
+        doc[key] = value
+    return doc
+
+
+# one bad document per refusal, and the one line it is refused with; each
+# names the first offending name in numbering order
+REFUSALS = {
+    "name under two kinds": (
+        _doc(attributes=["Young", "e2", "Old"], instances=["t0", "Cat"]), "duplicate symbol 'e2'"),
+    "name twice in one kind": (_doc(entities=["e0", "e1", "e0"]), "duplicate symbol 'e0'"),
+    "empty name": (_doc(predicates=["near", "", "chases"], entities=["e0", "e0"]),
+                   "empty symbol name"),
+    "hasAttribute as an entity": (_doc(entities=["e0", "hasAttribute"]),
+                                  "duplicate symbol 'hasAttribute'"),
+    "family member that is an entity": (
+        _doc(families={"Species": ["Dog", "e0", "near"]}),
+        "family member 'e0' is not a class or attribute"),
+    "name in two families": (
+        _doc(families={"Species": ["Dog", "Cat"], "Pet": ["Young", "Cat", "Dog"]}),
+        "'Cat' already belongs to 'Species'"),
+    "unknown member": (_doc(families={"Species": ["Dog", "Wolf", "e0"]}),
+                       "unknown symbol 'Wolf'"),
+    "empty family": (_doc(families={"Species": ["Dog"], "Empty": [], "Rank": ["e0"]}),
+                     "family 'Empty' has no members"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_from_dict_refusals(case):
+    doc, message = REFUSALS[case]
+    with pytest.raises(VocabError) as err:
+        Vocabulary.from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_unknown_lookups_raise():
@@ -76,34 +116,24 @@ class TestFamilies:
         assert set(v.family_members("Age")) == {v.id_of("Young"), v.id_of("Old")}
 
     def test_identity_family_tracks_entities(self):
-        v = Vocabulary()
-        a, b = v.add_entity("a"), v.add_entity("b")
-        assert v.family_members(IDENTITY_FAMILY) == (a, b)
-        assert v.family_of(a) == IDENTITY_FAMILY
+        v = Vocabulary.from_dict({"entities": ["a"]})
+        b = v.add_entity("b")
+        assert v.family_members(IDENTITY_FAMILY) == (v.id_of("a"), b)
+        assert v.family_of(b) == IDENTITY_FAMILY
 
-    def test_identity_family_not_definable(self):
+    def test_a_listed_identity_family_is_ignored(self):
+        v = Vocabulary.from_dict(_doc(families={"Species": ["Dog"], IDENTITY_FAMILY: ["Dog"]}))
+        assert v.family_members(IDENTITY_FAMILY) == v.entities
+        assert v.family_of(v.id_of("Dog")) == "Species"
+
+    def test_family_codes_number_the_sorted_families(self):
         v = small_vocab()
-        with pytest.raises(VocabError):
-            v.define_family(IDENTITY_FAMILY, ["Dog"])
-
-    def test_member_in_two_families_rejected(self):
-        v = small_vocab()
-        with pytest.raises(VocabError):
-            v.define_family("Species2", ["Dog"])
-
-    def test_entity_member_rejected(self):
-        v = small_vocab()
-        v.add_class("Loner")
-        with pytest.raises(VocabError):
-            v.define_family("Bad", ["e0"])
-
-    def test_empty_family_rejected(self):
-        v = small_vocab()
-        with pytest.raises(VocabError):
-            v.define_family("Empty", [])
-
-    def test_validate_passes_on_wellformed(self):
-        small_vocab().validate()
+        names = sorted(v.families)
+        assert [v.family_code(f) for f in names] == list(range(len(names)))
+        assert v.family_codes().tolist() == [
+            -1 if v.family_of(i) is None else names.index(v.family_of(i)) for i in range(len(v))]
+        with pytest.raises(VocabError, match="unknown family 'Color'"):
+            v.family_code("Color")
 
 
 class TestSerialization:
@@ -127,14 +157,14 @@ class TestSerialization:
     def test_digest_ignores_registration_interleaving(self):
         # two sessions registering the same names in a different interleaving
         # (but same order within each kind) agree on the digest
-        v1 = Vocabulary()
+        v1, v2 = small_vocab(), small_vocab()
         v1.add_entity("a")
-        v1.add_class("C")
+        v1.add_instance("u")
         v1.add_entity("b")
-        v2 = Vocabulary()
         v2.add_entity("a")
         v2.add_entity("b")
-        v2.add_class("C")
+        v2.add_instance("u")
+        assert v1.name_of(len(v1) - 1) != v2.name_of(len(v2) - 1)
         assert v1.digest() == v2.digest()
 
     def test_a_grown_vocabulary_extends_its_base(self):
@@ -169,26 +199,28 @@ class TestCopyAndDigest:
         before = v.to_dict()
         c = v.copy()
         assert c == v and c.to_dict() == before and c.digest() == digest
-        c.add_class("Bird")
         c.add_entity("e9")
         c.add_instance("t9")
-        c.define_family("Flies", ["Bird"])
         assert c != v
         assert v.to_dict() == before and v.digest() == digest == _fresh_digest(v)
-        assert "e9" not in v and "Flies" not in v.families
+        assert "e9" not in v and len(v.kind_codes()) == len(v.family_codes()) == len(v)
         assert v.family_members(IDENTITY_FAMILY) == tuple(v.id_of(f"e{i}") for i in range(4))
         assert c.digest() == _fresh_digest(c) != digest
 
     @pytest.mark.parametrize("change", [
         lambda v: v.add_entity("e9"),
-        lambda v: v.add_class("Bird"),
-        lambda v: v.add_attribute("Shy"),
-        lambda v: v.add_predicate("sees"),
         lambda v: v.add_instance("t9"),
-        lambda v: (v.add_class("Bird"), v.digest(), v.define_family("Flies", ["Bird"])),
-    ], ids=["entity", "class", "attribute", "predicate", "instance", "family"])
-    def test_cached_digest_follows_every_change(self, change):
+        lambda v: (v.add_instance("t9"), v.digest(), v.kind_codes(), v.add_entity("e9")),
+    ], ids=["entity", "instance", "both"])
+    def test_cached_tables_follow_every_change(self, change):
+        """The digest, the kind codes and the family codes are built once per
+        state: each matches a fresh build after a change."""
         v = small_vocab()
-        stale = v.digest()
+        stale = v.digest(), v.kind_codes(), v.family_codes()
         change(v)
-        assert v.digest() == _fresh_digest(v) != stale
+        fresh = Vocabulary.from_dict(v.to_dict())
+        names = [v.name_of(i) for i in range(len(v))]
+        assert v.digest() == _fresh_digest(v) != stale[0]
+        assert v.kind_codes().tolist() == fresh.kind_codes()[fresh.ids_of(names)].tolist()
+        assert v.family_codes().tolist() == fresh.family_codes()[fresh.ids_of(names)].tolist()
+        assert len(stale[1]) == len(stale[2]) < len(v)

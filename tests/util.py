@@ -38,26 +38,16 @@ def small_vocab(
     predicates: tuple = ("near", "chases"),
     families: dict | None = None,
 ) -> Vocabulary:
-    v = Vocabulary()
-    for c in classes:
-        v.add_class(c)
-    for a in attributes:
-        v.add_attribute(a)
-    for p in predicates:
-        v.add_predicate(p)
-    for i in range(n_entities):
-        v.add_entity(f"e{i}")
-    for i in range(n_instances):
-        v.add_instance(f"t{i}")
     if families is None:
+        labels = {*classes, *attributes}
         families = {"Species": ["Dog", "Cat"], "Rank": ["Mammal"], "Age": ["Young", "Old"]}
-        families = {
-            f: [m for m in members if m in v] for f, members in families.items()
-        }
+        families = {f: [m for m in members if m in labels] for f, members in families.items()}
         families = {f: m for f, m in families.items() if m}
-    for fam, members in families.items():
-        v.define_family(fam, members)
-    return v
+    return Vocabulary.from_dict({
+        "classes": list(classes), "attributes": list(attributes), "predicates": list(predicates),
+        "entities": [f"e{i}" for i in range(n_entities)],
+        "instances": [f"t{i}" for i in range(n_instances)], "families": families,
+    })
 
 
 # Species skips Mammal's column (Dog, Cat, Mammal are registered in that
