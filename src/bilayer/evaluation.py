@@ -535,13 +535,13 @@ def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     gen_after = generalization(params3, cmap3)
 
     # SSL trains only entity and instance columns: every other block, and the
-    # embeddings' label and predicate columns (matched by symbol), must not move
+    # embedding's label and predicate columns (matched by symbol), must not move
     old_blocks, new_blocks = params.blocks(), params3.blocks()
     old_cols = np.concatenate([cmap.label_cols, cmap.predicate_cols])
     new_cols = cmap3.cols_of(cmap.ids[old_cols])
     frozen_ok = all(
         np.array_equal(old_blocks[k][:, old_cols], new_blocks[k][:, new_cols])
-        if k in ("emb", "emb_up") else np.array_equal(old_blocks[k], new_blocks[k])
+        if k == "emb" else np.array_equal(old_blocks[k], new_blocks[k])
         for k in old_blocks
     )
     metrics = {
@@ -589,13 +589,11 @@ def _experiment_consolidation(ctx: EvalContext) -> tuple[dict, dict]:
     ]
     matches = sum(int(a == b) for a, b in zip(outs[::2], outs[1::2]))
 
-    old = params.blocks()
-    new = params2.blocks()
-    pre_bitwise = all(
-        np.array_equal(old[k], new[k]) for k in old if k not in ("emb", "emb_up")
-    )
-    d_old = params.emb.shape[1]
-    pre_bitwise = pre_bitwise and np.array_equal(params.emb, params2.emb[:, :d_old])
+    # the duplicate's column is appended last; every column before it and
+    # every other block must keep its bits
+    old, new = params.blocks(), params2.blocks()
+    new["emb"] = new["emb"][:, :params.emb.shape[1]]
+    pre_bitwise = all(np.array_equal(old[k], new[k]) for k in old)
     metrics = {
         "match_fraction": matches / len(subjects) if subjects else float("nan"),
         "preexisting_bitwise": pre_bitwise,

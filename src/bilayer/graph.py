@@ -368,7 +368,6 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     returns gradients keyed like params.blocks()."""
     grads = zero_grads(params)
     d_emb = grads["emb"]
-    d_read = grads["emb_up"] if not params.config.tied else d_emb
     read = params.readout
     steps = cache["steps"]
     # gradients at the committed state of the step being walked and at the
@@ -377,7 +376,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
     for k in range(len(steps) - 1, -1, -1):
         step, st = steps[k], steps[k].state
         if step.labels:
-            g = _label_grads(st["z"], cache, read, d_read)
+            g = _label_grads(st["z"], cache, read, d_emb)
             d_z = g if d_z is None else d_z + g
         d_q = None
         if step.spec.commit:  # a teacher column or the pooled vector
@@ -390,7 +389,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
             d_z = None
         if step.head is not None:
             key, idx, _ = step.head
-            g = _head_into(cache["heads"][key], st["z_tilde"], read, d_read, idx)
+            g = _head_into(cache["heads"][key], st["z_tilde"], read, d_emb, idx)
             d_z = g if d_z is None else g + d_z
         if d_z is not None:
             z = st["z_tilde"]

@@ -20,7 +20,7 @@ import numpy as np
 from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
 
 CHECKPOINT_FORMAT = "bilayer-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ParamError(ValueError):
@@ -123,7 +123,6 @@ class NetConfig:
     rep_dim: int = 64       # width of the representation layer
     ctx_dim: int = 32       # width of the recurrent context layer
     feature_dim: int = 48   # width of incoming perceptual feature vectors
-    tied: bool = True       # shared up/down embedding matrix; False splits them
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
@@ -131,8 +130,6 @@ class NetConfig:
             width = getattr(self, name)
             if isinstance(width, bool) or not isinstance(width, int) or width < 1:
                 raise ParamError(f"network {name} must be a positive int, not {width!r}")
-        if not isinstance(self.tied, bool):
-            raise ParamError(f"network tied must be true or false, not {self.tied!r}")
         if self.dtype not in ("float32", "float64"):
             raise ParamError(f"network dtype must be float32 or float64, not {self.dtype!r}")
 
@@ -144,7 +141,6 @@ class NetConfig:
             "rep_dim": self.rep_dim,
             "ctx_dim": self.ctx_dim,
             "feature_dim": self.feature_dim,
-            "tied": self.tied,
             "dtype": self.dtype,
         }
 
@@ -164,20 +160,20 @@ def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtyp
 @dataclass
 class NetParams:
     config: NetConfig
-    emb: np.ndarray          # (rep_dim, n_columns) shared embedding columns
+    emb: np.ndarray          # (rep_dim, n_columns) one column per index unit
     ctx_in: np.ndarray       # (ctx_dim, rep_dim)    representation -> context
     ctx_rec: np.ndarray      # (ctx_dim, ctx_dim)    recurrent context weights
     ctx_out: np.ndarray      # (rep_dim, ctx_dim)    context -> representation
     pooled: np.ndarray       # (rep_dim,)            stand-in instance embedding
     enc_w: np.ndarray        # (rep_dim, feature_dim) feature adapter
     enc_b: np.ndarray        # (rep_dim,)
-    emb_up: np.ndarray | None = None  # untied readout matrix, same shape as emb
     kind_counts: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
 
     @property
     def readout(self) -> np.ndarray:
-        """Matrix whose columns score index units from a representation."""
-        return self.emb if self.config.tied else self.emb_up
+        """Matrix whose columns score index units from a representation: the
+        embedding itself, so a unit is scored and written back by one column."""
+        return self.emb
 
     @classmethod
     def init(cls, vocab: Vocabulary, config: NetConfig, rng: np.random.Generator) -> "NetParams":
@@ -185,7 +181,6 @@ class NetParams:
         r, h, f = config.rep_dim, config.ctx_dim, config.feature_dim
         dt = config.np_dtype()
         emb = _kaiming(rng, (r, cmap.n_columns), r, dt)
-        emb_up = None if config.tied else _kaiming(rng, (r, cmap.n_columns), r, dt)
         params = cls(
             config=config,
             emb=emb,
@@ -195,7 +190,6 @@ class NetParams:
             pooled=np.zeros(r, dtype=dt),
             enc_w=_kaiming(rng, (r, f), f, dt),
             enc_b=np.zeros(r, dtype=dt),
-            emb_up=emb_up,
             kind_counts=cmap.kind_counts,
         )
         if cmap.instance_cols.size:
@@ -203,7 +197,7 @@ class NetParams:
         return params
 
     def blocks(self) -> dict[str, np.ndarray]:
-        out = {
+        return {
             "emb": self.emb,
             "ctx_in": self.ctx_in,
             "ctx_rec": self.ctx_rec,
@@ -212,9 +206,6 @@ class NetParams:
             "enc_w": self.enc_w,
             "enc_b": self.enc_b,
         }
-        if not self.config.tied:
-            out["emb_up"] = self.emb_up
-        return out
 
     def copy(self) -> "NetParams":
         return NetParams(
@@ -226,7 +217,6 @@ class NetParams:
             pooled=self.pooled.copy(),
             enc_w=self.enc_w.copy(),
             enc_b=self.enc_b.copy(),
-            emb_up=None if self.emb_up is None else self.emb_up.copy(),
             kind_counts=self.kind_counts,
         )
 
@@ -245,24 +235,19 @@ class NetParams:
         dt = self.config.np_dtype()
         r = self.config.rep_dim
 
-        def rebuild(mat: np.ndarray) -> np.ndarray:
-            segments = []
-            start = 0
-            for n_old, n_new in zip(old, new):
-                segments.append(mat[:, start:start + n_old])
-                if n_new > n_old:
-                    segments.append(_kaiming(rng, (r, n_new - n_old), r, dt))
-                start += n_old
-            return np.concatenate(segments, axis=1)
-
-        self.emb = rebuild(self.emb)
-        if self.emb_up is not None:
-            self.emb_up = rebuild(self.emb_up)
+        segments = []
+        start = 0
+        for n_old, n_new in zip(old, new):
+            segments.append(self.emb[:, start:start + n_old])
+            if n_new > n_old:
+                segments.append(_kaiming(rng, (r, n_new - n_old), r, dt))
+            start += n_old
+        self.emb = np.concatenate(segments, axis=1)
         self.kind_counts = new
         return cmap
 
 
-_TENSOR_ORDER = ("emb", "emb_up", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b")
+_TENSOR_ORDER = ("emb", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b")
 
 # the codec's own manifest fields; an archive's kind adds the rest
 _ARCHIVE_FIELDS = ("format", "version", "tensors", "blob_nbytes", "blob_sha256")
@@ -420,7 +405,7 @@ def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tup
     blocks = params.blocks()
     meta = {"config": params.config.to_dict(), "kind_counts": list(params.kind_counts),
             "vocab_sha256": vocab.digest()}
-    tensors = [(name, blocks[name]) for name in _TENSOR_ORDER if name in blocks]
+    tensors = [(name, blocks[name]) for name in _TENSOR_ORDER]
     return write_archive(base_path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, meta, tensors,
                          params.config.np_dtype())
 
@@ -438,7 +423,7 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
         raise ParamError("checkpoint was saved against a different vocabulary")
     config = NetConfig.from_dict(manifest["config"])
     arrays = read_tensors(base_path, manifest, config.np_dtype())
-    expected = {name for name in _TENSOR_ORDER if name != "emb_up" or not config.tied}
+    expected = set(_TENSOR_ORDER)
     if set(arrays) != expected:
         raise ParamError(f"checkpoint holds tensors {sorted(arrays)}, not {sorted(expected)}")
     params = NetParams(config=config, kind_counts=tuple(manifest["kind_counts"]), **arrays)
@@ -450,10 +435,8 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
 
 def params_digest(params: NetParams) -> str:
     h = hashlib.sha256()
+    blocks = params.blocks()
     for name in _TENSOR_ORDER:
-        arr = params.blocks().get(name)
-        if arr is None:
-            continue
         h.update(name.encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(blocks[name]).tobytes())
     return h.hexdigest()

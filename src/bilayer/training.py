@@ -28,9 +28,9 @@ perception tables `train` reads: it lays out its scenes' boxes as
 `perception_examples` does, and each box's and relation's labels and
 predicates, picked by the decode passes, fill the same columns a labeled
 scene's ground truth does.  It trains only the entity and instance columns
-of the embedding, and of the readout when it is untied; every other weight
-stays bit-identical.  One column mask states that rule: `train` hands it to
-`Adam`, which then steps only those two blocks and only the masked columns.
+of the embedding; every other weight stays bit-identical.  One column mask
+states that rule: `train` hands it to `Adam`, which then steps only the
+embedding and only its masked columns.
 """
 from __future__ import annotations
 
@@ -363,17 +363,15 @@ def build_batches(
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_EMB_BLOCKS = ("emb", "emb_up")
 
 
 class Adam:
     """Adam with bias correction, at the usual constants `ADAM_BETA1`,
     `ADAM_BETA2` and `ADAM_EPS` (Kingma & Ba, arXiv:1412.6980).
 
-    With `emb_col_mask` (a 0/1 weight per column) only the embedding, and the
-    readout when it is untied, are stepped, and only their masked columns
-    change; every other block and column stays bit-identical.  Moments are
-    kept only for the blocks it steps.
+    With `emb_col_mask` (a 0/1 weight per column) only the embedding is
+    stepped, and only its masked columns change; every other block and column
+    stays bit-identical.  Moments are kept only for the blocks it steps.
 
     The update runs in two scratch buffers per block that the optimizer owns,
     in the operation order of the textbook expressions
@@ -387,7 +385,7 @@ class Adam:
         self.t = 0
         self.emb_col_mask = emb_col_mask
         stepped = {k: v for k, v in params.blocks().items()
-                   if emb_col_mask is None or k in _EMB_BLOCKS}
+                   if emb_col_mask is None or k == "emb"}
         self.m = {k: np.zeros_like(v) for k, v in stepped.items()}
         self.v = {k: np.zeros_like(v) for k, v in stepped.items()}
         self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in stepped.items()}

@@ -236,7 +236,7 @@ class Vocabulary:
         fall.  A name that is empty or listed twice (hasAttribute under
         another kind included) is refused, the first in that order; so is a
         family that is empty or has a member that is unknown, not a class or
-        attribute, or in an earlier family."""
+        attribute, listed twice or in an earlier family."""
         families = data.get("families", {})
         blocks = {key: data.get(key, []) for key in _BLOCKS}
         if type(families) is not dict or not all(
@@ -270,11 +270,13 @@ class Vocabulary:
                 idx = vocab.id_of(name)
                 if kinds[idx] not in (Kind.CLASS, Kind.ATTRIBUTE):
                     raise VocabError(f"family member {name!r} is not a class or attribute")
+                if family_of.get(idx) == family:
+                    raise VocabError(f"family {family!r} lists {name!r} twice")
                 if idx in family_of:
                     raise VocabError(f"{name!r} already belongs to {family_of[idx]!r}")
+                family_of[idx] = family
                 member_ids.append(idx)
             vocab._families[family] = member_ids
-            family_of.update(dict.fromkeys(member_ids, family))
         return vocab
 
     def dumps(self) -> str:

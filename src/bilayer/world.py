@@ -931,28 +931,33 @@ def _entity_rows(doc_path: str, key: str, rows: list) -> dict[str, EntityRecord]
 
 def _check_scenes(doc_path: str, docs: list[dict], scenes: list[SceneRecord]) -> None:
     """Refuse the first scene of an unknown kind, whose members are not a
-    list, or whose binaries are not a list of [subject, predicate, object]
-    lists, with one line that names the scene.  One scan of every scene's
-    lists finds whether there is one; only then are the scenes walked."""
+    list of names, or whose binaries are not a list of [subject, predicate,
+    object] lists of names, with one line that names the scene.  One scan of
+    every scene's lists finds whether there is one; only then are the scenes
+    walked."""
     statements = [doc["binaries"] for doc in docs]
     flat = list(chain.from_iterable(statements))
+    members = [s.members for s in scenes]
     if (all(s.kind in SCENE_KINDS for s in scenes)
-            and {list}.issuperset(map(type, [s.members for s in scenes]))
+            and {list}.issuperset(map(type, members))
             and {list}.issuperset(map(type, statements)) and {list}.issuperset(map(type, flat))
-            and {3}.issuperset(map(len, flat))):
+            and {3}.issuperset(map(len, flat))
+            and {str}.issuperset(map(type, chain.from_iterable(members)))
+            and {str}.issuperset(map(type, chain.from_iterable(flat)))):
         return
     for scene, binaries in zip(scenes, statements):
         where = f"{doc_path}: scene {scene.name!r}"
         if scene.kind not in SCENE_KINDS:
             raise WorldError(f"{where} is of kind {scene.kind!r}, "
                              f"not one of {', '.join(SCENE_KINDS)}")
-        if type(scene.members) is not list:
+        if type(scene.members) is not list or not {str}.issuperset(map(type, scene.members)):
             raise WorldError(f"{where} has members {scene.members!r}, not a list of names")
         if type(binaries) is not list:
             raise WorldError(f"{where} has binaries {binaries!r}, not a list of statements")
         for b in binaries:
-            if type(b) is not list or len(b) != 3:
-                raise WorldError(f"{where} states {b!r}, not a list [subject, predicate, object]")
+            if type(b) is not list or len(b) != 3 or not {str}.issuperset(map(type, b)):
+                raise WorldError(f"{where} states {b!r}, not a list [subject, predicate, "
+                                 "object] of names")
 
 
 def load_world(indir: str) -> GroundTruthWorld:

@@ -108,6 +108,17 @@ def _dir_bytes(path, skip=("manifest.json",)) -> dict[str, bytes]:
     return out
 
 
+def _append_untied_readout(manifest: dict, blob: Path) -> None:
+    """List a copy of the embedding as a second tensor, `emb_up`, appended
+    to the checkpoint's blob, with the blob's size and digest updated."""
+    emb = next(t for t in manifest["tensors"] if t["name"] == "emb")
+    data = blob.read_bytes()
+    manifest["tensors"].append({**emb, "name": "emb_up", "offset": len(data)})
+    data += data[emb["offset"]:emb["offset"] + emb["nbytes"]]
+    blob.write_bytes(data)
+    manifest["blob_nbytes"], manifest["blob_sha256"] = len(data), hashlib.sha256(data).hexdigest()
+
+
 def _inputs(ws, command: str) -> list[str]:
     """The positional arguments of `command` on the shared world and run."""
     return [ws["world_dir"]] if command == "train" else [ws["checkpoint"], ws["world_dir"]]
@@ -445,8 +456,8 @@ class TestTrain:
     @staticmethod
     def _scene_edits():
         """Per case: an edit of world.json's first scene (a train scene with
-        a binary statement) or of the first entity it shows, and the line
-        that refuses it."""
+        a binary statement), of the first entity it shows or of the first
+        scene of a kind that is no instance, and the line that refuses it."""
         families = ONTOLOGY.label_families
         color, age = 1 + families.index("Color"), 1 + families.index("Age")
 
@@ -476,10 +487,31 @@ class TestTrain:
             scene["members"].append(scene["members"][0])
             return f"world.json: scene 't0000' lists member {scene['members'][0]!r} twice"
 
-        return [short_statement, members_string, stranger, misplaced_label, repeated_member]
+        def list_member(doc, scene):
+            scene = next(sc for sc in doc["scenes"] if sc["kind"] == "unlabeled")
+            scene["members"][0] = [scene["members"][0]]
+            return f"world.json: scene {scene['name']!r} has members {scene['members']!r}, " \
+                "not a list of names"
 
-    @pytest.mark.parametrize("case", range(5), ids=[
-        "short-statement", "members-string", "stranger", "misplaced-label", "repeated-member"])
+        def dict_subject(doc, scene):
+            scene = next(sc for sc in doc["scenes"] if sc["kind"] == "ex_test" and sc["binaries"])
+            s, p, o = scene["binaries"][0]
+            scene["binaries"][0] = [{"name": s}, p, o]
+            return f"world.json: scene {scene['name']!r} states {scene['binaries'][0]!r}, " \
+                "not a list [subject, predicate, object] of names"
+
+        def int_object(doc, scene):
+            s, p, o = scene["binaries"][0]
+            scene["binaries"][0] = [s, p, 7]
+            return f"world.json: scene 't0000' states {scene['binaries'][0]!r}, not a list " \
+                "[subject, predicate, object] of names"
+
+        return [short_statement, members_string, stranger, misplaced_label, repeated_member,
+                list_member, dict_subject, int_object]
+
+    @pytest.mark.parametrize("case", range(8), ids=[
+        "short-statement", "members-string", "stranger", "misplaced-label", "repeated-member",
+        "unlabeled-list-member", "ex_test-dict-subject", "train-int-object"])
     def test_malformed_scene_or_entity_is_data_error(self, ws, tmp_path, case):
         """A scene whose members or statements do not fit, or an entity with
         another family's label in a family's place, is refused with one line
@@ -494,6 +526,7 @@ class TestTrain:
         proc = _run_cli(["train", str(world_dir), "--config", ws["train_cfg"],
                          "--out", str(tmp_path / "r")])
         assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and message in lines[0], proc.stderr
 
@@ -660,15 +693,18 @@ class TestTrain:
         assert len(lines) == 1 and "bad train config" in lines[0] and "epohcs" in lines[0]
 
     @pytest.mark.parametrize("command", ["train", "eval", "ssl"])
-    def test_removed_keys_are_named_with_the_valid_ones(self, ws, tmp_path, command):
-        cfg = _write_json(tmp_path / "old.json",
-                          {"epochs": 1, "freeze_emb": True, "adam_beta1": 0.9})
+    @pytest.mark.parametrize("doc, named", [
+        ({"epochs": 1, "freeze_emb": True, "adam_beta1": 0.9}, "adam_beta1, freeze_emb"),
+        ({"tied": False}, "tied"),
+    ], ids=["optimizer", "tied"])
+    def test_removed_keys_are_named_with_the_valid_ones(self, ws, tmp_path, command, doc, named):
+        cfg = _write_json(tmp_path / "old.json", doc)
         proc = _run_cli([command, *_inputs(ws, command), "--config", cfg,
                          "--out", str(tmp_path / "r")])
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert "unknown keys adam_beta1, freeze_emb; valid keys: batch_size," in lines[0]
+        assert f"unknown keys {named}; valid keys: batch_size," in lines[0]
         assert "rep_dim" in lines[0] and "feature_dim" not in lines[0]
 
     @pytest.mark.parametrize("command", ["train", "ssl"])
@@ -687,7 +723,7 @@ class TestTrain:
     @pytest.mark.parametrize("doc, message", [
         ({"rep_dim": "x"}, "network rep_dim must be a positive int, not 'x'"),
         ({"dtype": "foo"}, "network dtype must be float32 or float64, not 'foo'"),
-        ({"tied": "no"}, "network tied must be true or false, not 'no'"),
+        ({"ctx_dim": 0}, "network ctx_dim must be a positive int, not 0"),
     ])
     def test_network_setting_of_the_wrong_type_is_data_error(self, ws, tmp_path, doc, message):
         cfg = _write_json(tmp_path / "net.json", {"epochs": 1, **doc})
@@ -851,16 +887,23 @@ class TestDecode:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "sha256" in proc.stderr
 
-    @pytest.mark.parametrize("setting, message", [
-        ({"tied": "no"}, "network tied must be true or false, not 'no'"),
-        ({"bogus": 1}, "bad network config: "),
-    ])
-    def test_bad_network_setting_in_the_manifest_is_data_error(self, ws, tmp_path, setting,
-                                                               message):
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc, blob: doc["config"].update(dtype="float16"),
+         "network dtype must be float32 or float64, not 'float16'"),
+        (lambda doc, blob: doc["config"].update(bogus=1), "bad network config: "),
+        (lambda doc, blob: doc.update(version=1),
+         "bilayer-checkpoint version 1 is not readable; this reader reads version 2"),
+        (_append_untied_readout,
+         "checkpoint holds tensors ['ctx_in', 'ctx_out', 'ctx_rec', 'emb', 'emb_up', 'enc_b',"),
+    ], ids=["dtype", "unknown-setting", "version-1", "emb_up"])
+    def test_a_tampered_checkpoint_manifest_is_data_error(self, ws, tmp_path, tamper, message):
+        """A manifest with a bad network setting, of the old version, or
+        listing a readout tensor besides the embedding is refused with one
+        line."""
         for ext in (".json", ".bin"):
             shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
         manifest = json.loads((tmp_path / "model.json").read_text())
-        manifest["config"].update(setting)
+        tamper(manifest, tmp_path / "model.bin")
         (tmp_path / "model.json").write_text(json.dumps(manifest))
         proc = _run_cli(["decode", str(tmp_path / "model.json"), "--world", ws["world_dir"],
                          "--mode", "semantic", "--out", str(tmp_path / "d")])
@@ -893,12 +936,8 @@ class TestDecode:
         assert len(lines) == 1 and message in lines[0], proc.stderr
 
     def test_non_finite_scores_are_numeric_error(self, ws, tmp_path):
-        # untied, so only the committed subject's NaN column reaches the label scores
-        tcfg = _write_json(tmp_path / "train.json", {**TRAIN_CONFIG, "epochs": 1, "tied": False})
-        run = str(tmp_path / "run")
-        assert main(["train", ws["world_dir"], "--config", tcfg, "--out", run]) == 0
         vocab = ws["world"].vocab
-        params = load_checkpoint(str(tmp_path / "run" / "model"), vocab)
+        params = load_checkpoint(os.path.join(ws["run_dir"], "model"), vocab)
         params.emb[:, ColumnMap(vocab).entity_cols] = np.nan
         save_checkpoint(params, vocab, str(tmp_path / "nan"))
         proc = _run_cli(["decode", str(tmp_path / "nan.json"), "--world", ws["world_dir"],
@@ -1063,10 +1102,13 @@ class TestGrownCheckpoint:
     @pytest.mark.parametrize("tamper, message", [
         (lambda doc: doc["instances"].pop(), "checkpoint was saved against a different vocabulary"),
         (lambda doc: doc["instances"].append("e0000"), "{path}: duplicate symbol 'e0000'"),
-    ], ids=["instance-dropped", "duplicate-name"])
+        (lambda doc: doc["families"]["Age"].insert(0, "Old"),
+         "{path}: family 'Age' lists 'Old' twice"),
+    ], ids=["instance-dropped", "duplicate-name", "duplicate-family-member"])
     def test_a_tampered_vocabulary_is_data_error(self, ws, grown, tmp_path, tamper, message):
-        """A vocab.json beside a checkpoint that lost a symbol, or lists a
-        name twice, is refused with one line; the duplicate's names the file."""
+        """A vocab.json beside a checkpoint that lost a symbol, lists a name
+        twice or lists a family member twice, is refused with one line; the
+        duplicates' name the file."""
         shutil.copytree(grown["dir"], tmp_path / "ssl")
         path = tmp_path / "ssl" / "vocab.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -1116,7 +1158,7 @@ class TestGrownCheckpoint:
         moved = new_cols.cols_of(old_cols.ids[kept])
         assert before.keys() == after.keys()
         for name, block in before.items():
-            if name in ("emb", "emb_up"):
+            if name == "emb":
                 np.testing.assert_array_equal(after[name][:, moved], block[:, kept])
             else:
                 np.testing.assert_array_equal(after[name], block)

@@ -1,7 +1,7 @@
 """Analytic gradients checked coordinate-by-coordinate against 64-bit central
 finite differences, across every graph shape: all three modes, both arities,
-tied and untied readout, the direct perception variant, dropout, and batch
-sizes from one to nine.  Every trainable coordinate is probed.  The segmented
+the direct perception variant, dropout, and batch sizes from one to nine,
+with label families in contiguous and in interleaved columns.  Every trainable coordinate is probed.  The segmented
 label head is also checked against one softmax head per family.
 """
 from __future__ import annotations
@@ -60,36 +60,28 @@ def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5,
 
 
 CONFIGS = [
-    {"mode": "episodic", "arity": "unary", "tied": True},
-    {"mode": "episodic", "arity": "unary", "tied": False},
-    {"mode": "episodic", "arity": "binary", "tied": True},
-    {"mode": "episodic", "arity": "binary", "tied": False},
-    {"mode": "semantic", "arity": "unary", "tied": True},
-    {"mode": "semantic", "arity": "unary", "tied": False},
-    {"mode": "semantic", "arity": "binary", "tied": True},
-    {"mode": "semantic", "arity": "binary", "tied": False},
-    {"mode": "perception", "arity": "unary", "tied": True},
-    {"mode": "perception", "arity": "unary", "tied": False},
-    {"mode": "perception", "arity": "binary", "tied": True},
-    {"mode": "perception", "arity": "binary", "tied": False},
-    {"mode": "perception", "arity": "unary", "tied": True, "direct": True},
-    {"mode": "perception", "arity": "unary", "tied": False, "direct": True},
-    {"mode": "perception", "arity": "binary", "tied": True, "direct": True},
-    {"mode": "perception", "arity": "binary", "tied": False, "direct": True},
-    {"mode": "episodic", "arity": "binary", "tied": True, "dropout": 0.3},
-    {"mode": "semantic", "arity": "unary", "tied": True, "dropout": 0.25},
-    {"mode": "perception", "arity": "binary", "tied": True, "dropout": 0.3},
-    {"mode": "perception", "arity": "unary", "tied": False, "dropout": 0.2},
-    {"mode": "episodic", "arity": "unary", "tied": True, "batch": 1},
-    {"mode": "perception", "arity": "binary", "tied": True, "batch": 9},
-    {"mode": "perception", "arity": "unary", "tied": False, "interleaved": True},
-    {"mode": "perception", "arity": "unary", "tied": True, "direct": True, "interleaved": True},
-    {"mode": "episodic", "arity": "unary", "tied": True, "batch": 7, "all_families": True},
+    {"mode": "episodic", "arity": "unary"},
+    {"mode": "episodic", "arity": "binary"},
+    {"mode": "semantic", "arity": "unary"},
+    {"mode": "semantic", "arity": "binary"},
+    {"mode": "perception", "arity": "unary"},
+    {"mode": "perception", "arity": "binary"},
+    {"mode": "perception", "arity": "unary", "direct": True},
+    {"mode": "perception", "arity": "binary", "direct": True},
+    {"mode": "episodic", "arity": "binary", "dropout": 0.3},
+    {"mode": "semantic", "arity": "unary", "dropout": 0.25},
+    {"mode": "perception", "arity": "binary", "dropout": 0.3},
+    {"mode": "perception", "arity": "unary", "dropout": 0.2},
+    {"mode": "episodic", "arity": "unary", "batch": 1},
+    {"mode": "perception", "arity": "binary", "batch": 9},
+    {"mode": "perception", "arity": "unary", "interleaved": True},
+    {"mode": "perception", "arity": "unary", "direct": True, "interleaved": True},
+    {"mode": "episodic", "arity": "unary", "batch": 7, "all_families": True},
 ]
 
 
 def _config_id(cfg: dict) -> str:
-    bits = [cfg["mode"], cfg["arity"], "tied" if cfg["tied"] else "untied"]
+    bits = [cfg["mode"], cfg["arity"]]
     if cfg.get("direct"):
         bits.append("direct")
     if cfg.get("dropout"):
@@ -117,7 +109,7 @@ def _loss(params, cmap, batch, dropout: float, seed: int) -> float:
 def test_gradients_match_finite_differences(cfg):
     seed = CONFIGS.index(cfg)
     v = small_vocab(families=INTERLEAVED if cfg.get("interleaved") else None)
-    params, cmap = small_params(v, dtype="float64", tied=cfg["tied"], seed=seed)
+    params, cmap = small_params(v, dtype="float64", seed=seed)
     if cfg.get("interleaved"):
         assert isinstance(cmap.family_idx["Species"], np.ndarray)
     rng = substream(seed, "batch")
@@ -164,7 +156,7 @@ def test_semantic_mode_leaves_instance_columns_untouched():
 
 def test_zero_grads_mirror_blocks():
     v = small_vocab()
-    params, _ = small_params(v, tied=False)
+    params, _ = small_params(v)
     grads = zero_grads(params)
     for name, arr in params.blocks().items():
         assert grads[name].shape == arr.shape
@@ -174,7 +166,7 @@ def test_zero_grads_mirror_blocks():
 @pytest.mark.parametrize("families", [None, INTERLEAVED], ids=["contiguous", "interleaved"])
 def test_label_head_matches_one_head_per_family(families):
     v = small_vocab(families=families)
-    params, cmap = small_params(v, dtype="float64", tied=False, seed=61)
+    params, cmap = small_params(v, dtype="float64", seed=61)
     rng = substream(61, "label-head")
     b = 9
     zs = sigmoid(rng.standard_normal((b, params.config.rep_dim)))

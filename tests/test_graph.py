@@ -57,10 +57,11 @@ def test_non_finite_forward_names_the_first_bad_node(block, mode, arity, dropout
 
 
 def test_non_finite_scores_alone_name_the_loss():
-    # an untied readout reaches only the heads' scores, no cached state
+    # the class and attribute columns are scored by the subject head but
+    # never committed, so their NaN reaches only the heads' scores
     v = small_vocab()
-    params, cmap = small_params(v, seed=3, tied=False)
-    params.emb_up[:, cmap.concept_cols] = np.nan
+    params, cmap = small_params(v, seed=3)
+    params.emb[:, cmap.label_cols] = np.nan
     with pytest.raises(NumericsError, match=re.escape("non-finite scores at head 'NS'")):
         forward(params, cmap, _batch(cmap, "episodic", "unary"))
 
@@ -68,11 +69,14 @@ def test_non_finite_scores_alone_name_the_loss():
 @pytest.mark.parametrize("family, head", [("Species", "labels"), ("Identity", "identity")])
 def test_non_finite_label_scores_name_their_head(family, head):
     # the segmented label head's -inf outside each family is no fault;
-    # a NaN readout column inside the batch's family is
+    # a NaN column inside the batch's family is.  Every subject is clamped
+    # to one entity whose column stays finite, so no committed state is NaN.
     v = small_vocab()
-    params, cmap = small_params(v, seed=3, tied=False)
-    params.emb_up[:, cmap.family_cols[family]] = np.nan
+    params, cmap = small_params(v, seed=3)
+    subject = cmap.entity_cols[0]
+    params.emb[:, np.setdiff1d(cmap.family_cols[family], [subject])] = np.nan
     batch = _batch(cmap, "semantic", "unary")
+    batch.subj_inject_cols = np.full(len(batch), subject)
     batch.label_fams = np.full(len(batch), cmap.families.index(family))
     batch.label_target_cols = cmap.family_cols[family][:1].repeat(len(batch))
     with pytest.raises(NumericsError, match=re.escape(f"non-finite scores at head '{head}'")):

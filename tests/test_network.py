@@ -406,13 +406,17 @@ class TestDecodeValidation:
             decode(params, cmap, v, req, substream(0, "d"))
 
     def test_non_finite_label_scores_raise(self):
-        # an untied readout scores the subject fine; the committed NaN column
-        # only shows in the label scores
+        # the context holds the first two representation units at 0 before
+        # the subject commits, so Dog's two largest-float entries add nothing
+        # to the subject scores; committing the clamped Dog column saturates
+        # both units, and only the label scores overflow
         v = small_vocab()
-        params, cmap = small_params(v, tied=False)
-        params.emb[:, cmap.entity_cols] = np.nan
-        req = DecodeRequest(mode="semantic", subject_support="entities", object_support="entities")
-        with pytest.raises(NumericsError, match="label scores"):
+        params, cmap = small_params(v, dtype="float64")
+        params.ctx_out[:2] = -1e3
+        dog = v.id_of("Dog")
+        params.emb[:2, cmap.col_of(dog)] = np.finfo(np.float64).max
+        req = DecodeRequest(mode="semantic", subject_id=dog, winner_take_all=True)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="label scores"):
             decode(params, cmap, v, req, substream(0, "d"))
 
     def test_non_finite_attention_scores_raise(self):
@@ -828,8 +832,7 @@ class TestReferenceWalk:
     @pytest.mark.parametrize("mode, variant, binary", _CASES)
     def test_decode_and_decode_many_match_the_reference(self, mode, variant, binary, dtype, rtol):
         v = small_vocab()
-        # float64 runs tied and float32 untied, so both readout layouts are read
-        params, cmap = small_params(v, seed=50, dtype=dtype, tied=(dtype == "float64"))
+        params, cmap = small_params(v, seed=50, dtype=dtype)
         requests = _batch(v, mode, variant, binary)
         batch = decode_many(params, cmap, v, requests, substream(0, "ref"))
         for request, trace in zip(requests, batch):

@@ -1,6 +1,7 @@
 """Column bookkeeping, parameter init, checkpoint round trips, vocabulary growth."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -13,6 +14,7 @@ from bilayer.params import (
     NetParams,
     ParamError,
     load_checkpoint,
+    params_digest,
     save_checkpoint,
 )
 from bilayer.network import index_scores, sigmoid
@@ -128,11 +130,23 @@ class TestColumnMap:
 
 class TestNetConfig:
     def test_round_trip(self):
-        config = NetConfig(rep_dim=24, ctx_dim=12, feature_dim=10, tied=False, dtype="float64")
+        config = NetConfig(rep_dim=24, ctx_dim=12, feature_dim=10, dtype="float64")
         assert NetConfig.from_dict(config.to_dict()) == config
 
     def test_defaults_round_trip(self):
         assert NetConfig.from_dict(NetConfig().to_dict()) == NetConfig()
+
+    def test_settings_are_three_widths_and_a_dtype(self):
+        names = ["rep_dim", "ctx_dim", "feature_dim", "dtype"]
+        assert [f.name for f in dataclasses.fields(NetConfig)] == names
+        assert list(NetConfig().to_dict()) == names
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_refuses_a_tied_setting(self, tied):
+        """Every index unit has one embedding column, so there is no readout
+        to tie or untie; either value of the old key is an unknown setting."""
+        with pytest.raises(ParamError, match="bad network config: .*'tied'"):
+            NetConfig.from_dict({**NetConfig().to_dict(), "tied": tied})
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_np_dtype_sets_every_block(self, dtype):
@@ -171,16 +185,8 @@ class TestNetParams:
 
     def test_tied_readout_is_embedding(self):
         v = small_vocab()
-        params, _ = small_params(v, tied=True)
-        assert params.emb_up is None
+        params, _ = small_params(v)
         assert params.readout is params.emb
-
-    def test_untied_readout_is_separate(self):
-        v = small_vocab()
-        params, _ = small_params(v, tied=False)
-        assert params.emb_up is not None
-        assert params.readout is params.emb_up
-        assert not np.array_equal(params.emb, params.emb_up)
 
     def test_copy_is_deep_for_arrays(self):
         v = small_vocab()
@@ -189,13 +195,28 @@ class TestNetParams:
         dup.emb[0, 0] += 1.0
         assert params.emb[0, 0] != dup.emb[0, 0]
 
+    def test_copy_reads_out_through_its_own_embedding(self):
+        params, _ = small_params(small_vocab())
+        dup = params.copy()
+        assert dup.readout is dup.emb
+        assert dup.readout is not params.emb
+
+    @pytest.mark.parametrize("dtype, digest", [
+        ("float32", "3fd3bbe0836a76c87ffe252cfdf15264aa689573b93f42e083dd7600d7800e37"),
+        ("float64", "b5c78d5c11a4448b7fea576192885b5b7197e5430d24f498d739121c396362f7"),
+    ])
+    def test_digest_of_a_fresh_model_is_pinned(self, dtype, digest):
+        """The init stream and the digest's tensor order are fixed: a fresh
+        model of the small vocabulary hashes to the same hex in each dtype."""
+        params, _ = small_params(small_vocab(), dtype=dtype, seed=5)
+        assert params_digest(params) == digest
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_round_trip_bit_identical(self, tmp_path, dtype, tied):
+    def test_round_trip_bit_identical(self, tmp_path, dtype):
         v = small_vocab()
-        params, _ = small_params(v, dtype=dtype, tied=tied, seed=5)
+        params, _ = small_params(v, dtype=dtype, seed=5)
         base = str(tmp_path / "ck")
         manifest_path, blob_path = save_checkpoint(params, v, base)
         assert manifest_path.endswith(".json") and blob_path.endswith(".bin")
@@ -206,6 +227,17 @@ class TestCheckpoint:
             got = loaded.blocks()[name]
             assert got.dtype == arr.dtype
             np.testing.assert_array_equal(got, arr)
+
+    def test_manifest_lists_one_embedding_at_version_2(self, tmp_path):
+        v = small_vocab()
+        params, _ = small_params(v)
+        base = str(tmp_path / "ck")
+        save_checkpoint(params, v, base)
+        with open(base + ".json") as fp:
+            manifest = json.load(fp)
+        assert manifest["version"] == 2
+        assert [t["name"] for t in manifest["tensors"]] == [
+            "emb", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b"]
 
     def test_missing_files(self, tmp_path):
         v = small_vocab()
@@ -329,6 +361,22 @@ class TestCheckpoint:
         with pytest.raises(ParamError, match="version"):
             load_checkpoint(base, v)
 
+    def test_rejects_a_version_1_checkpoint(self, tmp_path):
+        """Version 1 could hold a second readout matrix; it is refused by
+        its version, before any tensor is read."""
+        v = small_vocab()
+        params, _ = small_params(v)
+        base = str(tmp_path / "ck")
+        save_checkpoint(params, v, base)
+        with open(base + ".json") as fp:
+            manifest = json.load(fp)
+        manifest["version"] = 1
+        with open(base + ".json", "w") as fp:
+            json.dump(manifest, fp)
+        with pytest.raises(ParamError, match="version 1 is not readable; this reader reads "
+                                             "version 2"):
+            load_checkpoint(base, v)
+
 
 class TestGrow:
     def test_existing_columns_survive_bitwise(self):
@@ -360,16 +408,13 @@ class TestGrow:
         params.grow(v, substream(0, "grow"))
         np.testing.assert_array_equal(params.emb, before)
 
-    def test_grow_untied_rebuilds_both_matrices(self):
+    def test_readout_follows_the_grown_embedding(self):
         v = small_vocab()
-        params, old_cmap = small_params(v, tied=False)
-        up_snapshot = params.emb_up[:, old_cmap.col_of(v.id_of("Dog"))].copy()
+        params, _ = small_params(v)
         v.add_entity("e_new")
         new_cmap = params.grow(v, substream(1, "grow"))
-        assert params.emb_up.shape == params.emb.shape
-        np.testing.assert_array_equal(
-            params.emb_up[:, new_cmap.col_of(v.id_of("Dog"))], up_snapshot
-        )
+        assert params.readout is params.emb
+        assert params.readout.shape == (params.config.rep_dim, new_cmap.n_columns)
 
     def test_rejects_shrunk_vocabulary(self):
         v = small_vocab()

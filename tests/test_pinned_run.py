@@ -3,9 +3,8 @@
 `bilayer gen` on the tiny world, `bilayer train` for 2 epochs in all three
 modes, then, from that checkpoint, the `bilayer decode` streams of every
 mode (stdout), `bilayer eval --experiments all` with the run's config and
-`bilayer ssl`.  Four more 2-epoch runs from the same world pin the
-checkpoints of the other train configs: untied, dropout, direct and
-episodic-only.  Every step runs in a fresh interpreter with one BLAS thread,
+`bilayer ssl`.  Three more 2-epoch runs from the same world pin the
+checkpoints of the other train configs: dropout, direct and episodic-only.  Every step runs in a fresh interpreter with one BLAS thread,
 so a change of any arithmetic, draw order or file layout on the path shows
 up as a moved digest.  Unlike
 `TestGeneration`'s pins these hold float arithmetic, so they are tied to the
@@ -38,7 +37,6 @@ DECODES = {
 }
 # each further train run's output directory and what it changes in TRAIN_CONFIG
 VARIANTS = {
-    "untied": {"tied": False},
     "dropout": {"dropout": 0.2},
     "direct": {"direct": True, "modes": ["perception"]},
     "episodic": {"modes": ["episodic"]},
@@ -48,26 +46,25 @@ EXPERIMENTS = ("consolidation-fidelity", "episodic-recall", "hidden-label-enrich
                "ssl-before-after", "zero-shot-binary")
 
 PINNED = {
-    "run/model.json": "9a055db2e5722f8d65188bf4af08d730706864758f3498b65a7b14ba9ac257c4",
+    "run/model.json": "266d035d61c059b5d3bd152e157aa70a6add3fe6dc70159f7e5d6b2dc9731447",
     "run/model.bin": "0e2d39688ca2ec38b3e88489009e6458d4fa6a22ec403b6c12db970332e942e8",
     "decode/perceive.jsonl": "3ff4ef0e96726887607f3cecdcbc3b1d8ea341f0a09f22312ebe6cca8b833648",
     "decode/episodic.jsonl": "da3736f91cdd84616259b992974a676851359bf41283c6ac78b801a9c0b74023",
     "decode/semantic.jsonl": "abc36018d5ae06a9947cad1fc8444425b106096ad21dde74f011110e57575d8f",
     "decode/semantic-s.jsonl": "14e0133ee2d8df3d39577ea5f0fd7dcbe6913808d1116ff968cb145e5508a363",
     "decode/fuse.jsonl": "23fa9acc6609b4b7d410c5ece17caf248701cd8b56a3197ff76f35f86632aca3",
-    "eval/report-consolidation-fidelity.json": "f26bf684523537415a45ea54280f9665839bc9cbc2ff66dad1a3adabb8893a6a",
-    "eval/report-episodic-recall.json": "64a58b28e46e699b8f5b38c0556c4b2c5e431c698659f8eaa329befc97f0d5da",
-    "eval/report-hidden-label-enrichment.json": "ed9031965b6621fc22b2fabf715f591175128416ca2cbef963c3a23b7e7bfe73",
-    "eval/report-perception-binary.json": "7ce5da19332053e1325355d3efde427e323b2fa9b361b480c6d7a89bcafe849b",
-    "eval/report-perception-unary.json": "d810270e15f9114158d6275e5368718c575116765242b81d9f2bceea5aff48e6",
-    "eval/report-semantic-recall.json": "eaeb711487c1a5125bb704510745070a4f7ade8f14c6dcf3649ab3436bed2f99",
-    "eval/report-social-recall.json": "80d96d210aec28522f8d753887b73f22a37d7735d4105eb83e6402ea9aca16c6",
-    "eval/report-ssl-before-after.json": "c99be3a1c7abc7ce7148cb1a91ef57ecfacf4eb9024b044f6b215f86ae76394f",
-    "eval/report-zero-shot-binary.json": "f93306adc19b970b6b44a0dbdb44fac60014a7ad0bbdc43b62f859cc1c263f19",
+    "eval/report-consolidation-fidelity.json": "22650e5944c8b835cb3be8b4bb6f42716a52de9aec08a7a33099484eabeecc67",
+    "eval/report-episodic-recall.json": "c41bee6b568350aed3ad3f331f6d0c6574a474562abaad27600910f76c440f5a",
+    "eval/report-hidden-label-enrichment.json": "c859b41a487bf48522f2fcdad3927c899144daf6f8f58cfb7e7dbfea918305a8",
+    "eval/report-perception-binary.json": "d58efab327a2c6b9b35f160be54897f849bec7f85e2bcca971b648ef71a21f28",
+    "eval/report-perception-unary.json": "1d1923522a962e19e85ba51c116756b77fced63ee1536715e364fd80caf0691a",
+    "eval/report-semantic-recall.json": "7a99a8d0245ffbe213e3710662708203416504cb2601b5a73f5a8b0286def11c",
+    "eval/report-social-recall.json": "a85ade9a332960d09cc669ae3283cbe68d35fca6dc62a6585d0ece179050a92e",
+    "eval/report-ssl-before-after.json": "5da19f828847972bf5bc5d76269c1888c85f370cd99ec86fc5210c8433ec4ac9",
+    "eval/report-zero-shot-binary.json": "8cee0f9b5d71eb3937f2c8a4162876f34737a9f623c169827efca9c6e8631a19",
     "ssl/model.bin": "d562edc32563bd57c579ed2e21e6202d7373cd5a05d4713af120eaf663305206",
     "ssl/pseudo.jsonl": "0bdb444768fbe5dc20dd655584be8b6876d63cfa724bdbdc99006e124a513a30",
     "ssl/vocab.json": "e9a2d28bad0269da170765f4a171276bbd7c744f1733340f8f57cd35047acb69",
-    "train-untied/model.bin": "3b15d548008aba3512a0b552dde0550fbd741bd1a09282db6aafa30201b8860e",
     "train-dropout/model.bin": "8f6fc576b53b7abd6e90fbfd93a3b1f718f9ebdf5cda171a372b8da0a2d52cba",
     "train-direct/model.bin": "08ddc8ab311a3517015e7fcbe68be90d3710c01f7e630b81bb4ad52c4c9a4871",
     "train-episodic/model.bin": "f8cd400a5f6f65d1487974ce9a38b37c36fc679f9949b22e8c864797e0a41228",

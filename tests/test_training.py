@@ -592,14 +592,14 @@ class TestPinnedBatches:
 def _reference_adam_step(opt_state, params, grads, lr, emb_col_mask):
     """Textbook Adam (b1 0.9, b2 0.999, eps 1e-8) written as plain expressions
     over fresh temporaries: the reference the buffered Adam.step must match
-    bit for bit.  With a column mask only the embedding blocks move."""
+    bit for bit.  With a column mask only the embedding moves."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     opt_state["t"] += 1
     t = opt_state["t"]
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, p in params.blocks().items():
-        if emb_col_mask is not None and name not in ("emb", "emb_up"):
+        if emb_col_mask is not None and name != "emb":
             continue
         g = grads[name]
         m, v = opt_state["m"][name], opt_state["v"][name]
@@ -608,7 +608,7 @@ def _reference_adam_step(opt_state, params, grads, lr, emb_col_mask):
         v *= b2
         v += (1.0 - b2) * (g * g)
         update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        if emb_col_mask is not None and name in ("emb", "emb_up"):
+        if emb_col_mask is not None:
             update = update * emb_col_mask
         p -= update.astype(p.dtype)
 
@@ -616,15 +616,14 @@ def _reference_adam_step(opt_state, params, grads, lr, emb_col_mask):
 class TestAdam:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_matches_reference_bit_for_bit(self, dtype, tied, masked):
+    def test_matches_reference_bit_for_bit(self, dtype, masked):
         v = small_vocab()
-        params, cmap = small_params(v, dtype=dtype, tied=tied, seed=3)
+        params, cmap = small_params(v, dtype=dtype, seed=3)
         ref = params.copy()
         lr = 3e-3
         mask = (np.arange(cmap.n_columns) % 3 != 0).astype(params.emb.dtype) if masked else None
         opt = Adam(params, lr, mask)
-        stepped = [k for k in ref.blocks() if not masked or k in ("emb", "emb_up")]
+        stepped = [k for k in ref.blocks() if not masked or k == "emb"]
         state = {
             "t": 0,
             "m": {k: np.zeros_like(ref.blocks()[k]) for k in stepped},
@@ -661,29 +660,25 @@ class TestAdam:
             if name != "pooled":
                 np.testing.assert_array_equal(params.blocks()[name], before[name])
 
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_frozen_blocks_stay_bit_identical(self, tied):
-        """A column mask steps only the embedding blocks: the context,
-        pooled and encoder weights keep their bits, and no moments are kept
-        for them."""
+    def test_frozen_blocks_stay_bit_identical(self):
+        """A column mask steps only the embedding: the context, pooled and
+        encoder weights keep their bits, and no moments are kept for them."""
         v = small_vocab()
-        params, cmap = small_params(v, tied=tied)
+        params, cmap = small_params(v)
         grads = {k: np.ones_like(a) for k, a in params.blocks().items()}
         before = {k: a.copy() for k, a in params.blocks().items()}
         opt = Adam(params, 0.05, np.ones(cmap.n_columns, dtype=params.emb.dtype))
         opt.step(params, grads)
-        embedding = {"emb"} if tied else {"emb", "emb_up"}
-        assert set(opt.m) == set(opt.v) == embedding
+        assert set(opt.m) == set(opt.v) == {"emb"}
         for name, arr in params.blocks().items():
-            if name in embedding:
+            if name == "emb":
                 assert not np.array_equal(arr, before[name])
             else:
                 np.testing.assert_array_equal(arr, before[name])
 
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_column_mask_pins_embedding_columns(self, tied):
+    def test_column_mask_pins_embedding_columns(self):
         v = small_vocab()
-        params, cmap = small_params(v, tied=tied)
+        params, cmap = small_params(v)
         grads = {k: np.ones_like(a) for k, a in params.blocks().items()}
         before = {k: a.copy() for k, a in params.blocks().items()}
         mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)
@@ -692,9 +687,8 @@ class TestAdam:
         opt.step(params, grads)
         moved = cmap.entity_cols
         held = np.setdiff1d(np.arange(cmap.n_columns), moved)
-        for name in ("emb",) if tied else ("emb", "emb_up"):
-            assert not np.array_equal(params.blocks()[name][:, moved], before[name][:, moved])
-            np.testing.assert_array_equal(params.blocks()[name][:, held], before[name][:, held])
+        assert not np.array_equal(params.emb[:, moved], before["emb"][:, moved])
+        np.testing.assert_array_equal(params.emb[:, held], before["emb"][:, held])
 
 
 def _memory_setup(seed: int = 0):

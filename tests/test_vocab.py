@@ -85,6 +85,12 @@ REFUSALS = {
     "name in two families": (
         _doc(families={"Species": ["Dog", "Cat"], "Pet": ["Young", "Cat", "Dog"]}),
         "'Cat' already belongs to 'Species'"),
+    "member twice in one family": (
+        _doc(families={"Species": ["Dog", "Cat"], "Age": ["Young", "Young", "Old"]}),
+        "family 'Age' lists 'Young' twice"),
+    "member twice, apart, in one family": (
+        _doc(families={"Species": ["Dog", "Cat"], "Age": ["Old", "Young", "Old"]}),
+        "family 'Age' lists 'Old' twice"),
     "unknown member": (_doc(families={"Species": ["Dog", "Wolf", "e0"]}),
                        "unknown symbol 'Wolf'"),
     "empty family": (_doc(families={"Species": ["Dog"], "Empty": [], "Rank": ["e0"]}),

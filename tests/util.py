@@ -62,11 +62,8 @@ def small_params(
     feature_dim: int = 6,
     seed: int = 0,
     dtype: str = "float32",
-    tied: bool = True,
 ) -> tuple[NetParams, ColumnMap]:
-    config = NetConfig(
-        rep_dim=rep_dim, ctx_dim=ctx_dim, feature_dim=feature_dim, dtype=dtype, tied=tied
-    )
+    config = NetConfig(rep_dim=rep_dim, ctx_dim=ctx_dim, feature_dim=feature_dim, dtype=dtype)
     params = NetParams.init(vocab, config, substream(seed, "init"))
     return params, ColumnMap(vocab)
 
@@ -422,7 +419,7 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
     """One winner-take-all pass of the schedule for a decode request, in
     float64, one index unit and one step at a time.
 
-    The formulas: a unit's score is its readout column dotted with the
+    The formulas: a unit's score is its embedding column dotted with the
     squashed representation; a commitment adds the winning unit's embedding
     column (an attention commitment adds the sum of the entity or instance
     columns weighted by the softmax of their scores at temperature 1); the
@@ -436,7 +433,6 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
     """
     f64 = lambda a: np.asarray(a, dtype=np.float64)  # noqa: E731
     emb = f64(params.emb)
-    read = emb if params.config.tied else f64(params.emb_up)
     entities = list(vocab.entities)
     concepts = entities + list(vocab.classes) + list(vocab.attributes)
     predicates = list(vocab.binary_predicates)
@@ -447,7 +443,7 @@ def reference_decode(params: NetParams, vocab: Vocabulary, request) -> dict:
 
     def scores(rep, ids):
         z = _ref_sig(rep)
-        return np.array([float(read[:, col[i]] @ z) for i in ids])
+        return np.array([float(emb[:, col[i]] @ z) for i in ids])
 
     def argmax(rep, ids):
         return ids[int(np.argmax(scores(rep, ids)))]
