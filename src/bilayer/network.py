@@ -35,10 +35,12 @@ instance mixture by all of it, the entity mixture by its entity columns.  A
 concept step picks from the entities only under `entities` support.  Entities
 lead the column order, so the entities' readout index also indexes the
 concept block.  A clamp must name a symbol of the group its step commits; a
-step that only reads out records no id when it has no columns.
-Every family's label is read from the one concept-score block: Identity
-from the entity block, every other family from the class and attribute
-block masked to its columns.
+picked row's column comes straight from the block it was picked from, so
+only clamped rows are checked.  A step that only reads out records no id
+when it has no columns.  Every family's label is read from the one
+concept-score block: Identity from the entity block, every other family from
+the class and attribute block masked to its columns.  What of that reads no
+score, the label plan, is built once with the ColumnMap (`label_plan`).
 
 A sampled pick is an inverse-CDF draw, not `Generator.choice`: one uniform per
 row, and the row's pick is the first position whose float64 running sum of
@@ -61,7 +63,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .params import ColumnMap, NetParams
-from .vocab import IDENTITY_FAMILY, Vocabulary
+from .vocab import Vocabulary
 
 
 class NetworkError(ValueError):
@@ -80,12 +82,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     1 / (1 + e) for x >= 0 and e / (1 + e) below, one division for both; the
     numerator exp(min(x, 0)) is 1 above zero and e below.  `minimum(x, -x)`
     is -|x| that keeps the sign of a NaN input, so NaNs pass through bit for
-    bit.  A 0-d input gives a 0-d array."""
+    bit.  A 0-d input gives a 0-d array.  Both temporaries are worked in
+    place; the input is never written."""
     x = np.asarray(x)
-    e = np.exp(np.minimum(x, -x))
-    out = np.exp(np.minimum(x, 0))
-    out /= 1.0 + e
-    return np.asarray(out)
+    if x.ndim == 0:  # a ufunc gives a 0-d input back as a scalar
+        return sigmoid(x.reshape(1)).reshape(())
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    e += 1.0
+    out = np.minimum(x, 0)
+    np.exp(out, out=out)
+    out /= e
+    return out
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -99,11 +107,14 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 def _draw(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw from the softmax over the last axis of `scores`: per
     row, the first position whose float64 running sum of exp(score - max)
-    exceeds `u` (that row's uniform in [0, 1)) times the row's total.  A -inf
-    or underflowed position adds nothing to the sum, so it is never drawn."""
-    scores = np.asarray(scores, dtype=np.float64)
-    cdf = np.exp(scores - scores.max(axis=-1, keepdims=True)).cumsum(axis=-1)
-    return (cdf <= u[..., None] * cdf[..., -1:]).sum(axis=-1)
+    exceeds `u` (that row's uniform in [0, 1)) times the row's total; the
+    total itself does, so every row has one.  A -inf or underflowed position
+    adds nothing to the sum, so it is never drawn.  One float64 buffer holds
+    the shifted scores, their exp and the sum."""
+    cdf = np.subtract(scores, np.maximum.reduce(scores, axis=-1, keepdims=True), dtype=np.float64)
+    np.exp(cdf, out=cdf)
+    cdf.cumsum(axis=-1, out=cdf)
+    return (cdf > u[..., None] * cdf[..., -1:]).argmax(axis=-1)
 
 
 def _pick(scores: np.ndarray, winner_take_all: bool, rng: np.random.Generator) -> np.ndarray:
@@ -125,8 +136,8 @@ def _pick(scores: np.ndarray, winner_take_all: bool, rng: np.random.Generator) -
 
 def initial_context(params: NetParams) -> np.ndarray:
     """The squashed context a pass starts from: the context is zero, so
-    every unit reads sigmoid(0) = 0.5."""
-    return sigmoid(np.zeros(params.config.ctx_dim, dtype=params.emb.dtype))
+    every unit reads sigmoid(0) = 0.5 exactly."""
+    return np.full(params.config.ctx_dim, 0.5, dtype=params.emb.dtype)
 
 
 def context_step(params: NetParams, sh: np.ndarray,
@@ -164,7 +175,7 @@ def attention_update(params: NetParams, rep: np.ndarray, scores: np.ndarray, idx
     softmax of `scores`, their scores at the squashed `rep`
     (`index_scores(params, sigmoid(rep), idx)`), instead of a single picked
     column."""
-    weights = _softmax_rows(_check_finite("attention scores", scores)).astype(rep.dtype)
+    weights = _softmax_rows(_check_finite(scores, "attention scores")).astype(rep.dtype)
     return rep + weights @ params.emb[:, idx].T
 
 
@@ -267,9 +278,10 @@ class DecodeTrace:
 _TRACE_STEPS = [f.name[:-3] for f in fields(DecodeTrace) if f.name.endswith("_id")]
 
 
-def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite values in {name}")
+def _check_finite(arr: np.ndarray, *name: str) -> np.ndarray:
+    """`arr`, refused if not all finite; `name`'s parts are joined only to raise."""
+    if not np.isfinite(arr).all():
+        raise NumericsError(f"non-finite values in {' '.join(name)}")
     return arr
 
 
@@ -334,17 +346,18 @@ def _encode(params: NetParams, requests: list[DecodeRequest], box: str) -> np.nd
 
 
 def _scores(params: NetParams, step: str, z: np.ndarray, idx) -> np.ndarray:
-    return _check_finite(f"{step} scores", index_scores(params, z, idx))
-
-
-def _pick_ids(cmap: ColumnMap, pick, scores: np.ndarray, cols: np.ndarray) -> list[int]:
-    """Per row, the symbol id of the column picked from `scores` over `cols`."""
-    return cmap.ids[cols[pick(scores)]].tolist()
+    return _check_finite(index_scores(params, z, idx), step, "scores")
 
 
 # per readout group, the ColumnMap method giving a column's position in its block
 GROUP_POS = {"instance": ColumnMap.instance_pos, "concept": ColumnMap.concept_pos,
              "predicate": ColumnMap.predicate_pos}
+# per readout group its ColumnMap (index, columns); per step its clamp and support
+_GROUP_OF = {g: attrgetter(f"{g}_idx", f"{g}_cols") for g in GROUP_POS}
+_CLAMP_OF = {f.name[:-3]: attrgetter(f.name) for f in fields(DecodeRequest)
+             if f.name.endswith("_id")}
+_SUPPORT_OF = {f.name[:-8]: attrgetter(f.name) for f in fields(DecodeRequest)
+               if f.name.endswith("_support")}
 _CLAMP_KINDS = {"instance": "an instance", "concept": "an entity, class or attribute"}
 
 
@@ -363,25 +376,28 @@ def _step_cols(cmap: ColumnMap, vocab: Vocabulary, spec: StepSpec, ids: list) ->
 
 def _commit(params, cmap, vocab, spec, rep, clamps, scores, cols, pick, mix=None):
     """One commitment of a step for every row of `rep` (None when the step
-    has no input but its clamps).  A clamped row adds its symbol's column.
-    Each other row adds the column picked from `scores` (positions in
-    `cols`), or, with `mix` a pair (score block, readout index), the attention
-    mixture over `emb[:, index]` weighted by that block, which commits no id.
-    Returns the new representations and the per-row ids."""
+    has no input but its clamps).  A clamped row adds its symbol's column,
+    checked by `_step_cols`.  Each other row adds the column picked from
+    `scores` (positions in `cols`), taken straight from `cols`, or, with `mix`
+    a pair (score block, readout index), the attention mixture over
+    `emb[:, index]` weighted by that block, which commits no id.  Returns the
+    new representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
+    fixed = [i for i, c in enumerate(ids) if c is not None]
+    at = np.empty(len(ids), dtype=np.int64)  # per row, the column it adds
+    if mix is None and free:
+        at[free] = picked = cols[pick(scores if len(free) == len(ids) else scores[free])]
+        for i, sid in zip(free, cmap.ids[picked].tolist()):
+            ids[i] = sid
+    if fixed:
+        at[fixed] = _step_cols(cmap, vocab, spec, [ids[i] for i in fixed])
     if mix is None:
-        if free:
-            block = scores if len(free) == len(ids) else scores[free]
-            for i, sid in zip(free, _pick_ids(cmap, pick, block, cols)):
-                ids[i] = sid
-        added = params.emb.T[_step_cols(cmap, vocab, spec, ids)]
+        added = params.emb.T[at]
         return (added if rep is None else rep + added), ids
     out = attention_update(params, rep, *mix)
-    fixed = [i for i, c in enumerate(ids) if c is not None]
     if fixed:
-        clamped = _step_cols(cmap, vocab, spec, [ids[i] for i in fixed])
-        out[fixed] = rep[fixed] + params.emb.T[clamped]
+        out[fixed] = rep[fixed] + params.emb.T[at[fixed]]
     return out, ids
 
 
@@ -394,26 +410,17 @@ def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take_all: boo
     training's label head.  Winner-take-all takes each masked row's argmax
     (ties low, no draw).  Sampling draws every family's uniforms at once, one
     per (family, row), family-major in name order, and each goes through the
-    inverse-CDF draw `_pick` uses."""
-    codes = np.array([k for k, fam in enumerate(cmap.families) if cmap.family_cols[fam].size],
-                     dtype=np.int64)
+    inverse-CDF draw `_pick` uses.  The map's `label_plan` holds all that
+    does not depend on the scores."""
+    names, heads = cmap.label_plan
     n = label_scores.shape[0]
-    u = None if winner_take_all else rng.random((codes.size, n))
-    won = np.empty((codes.size, n), dtype=np.int64)
-    ident = codes == cmap.identity_code
-    for key, m in (("identity", ident), ("labels", ~ident)):
-        if not m.any():
-            continue
-        if key == "identity":
-            cols = cmap.family_cols[IDENTITY_FAMILY]
-            block = label_scores[None, :, cmap.family_idx[IDENTITY_FAMILY]]
-        else:
-            cols = cmap.label_cols
-            block = np.where(cmap.label_outside[codes[m], None, :], -np.inf,
-                             label_scores[:, cmap.label_idx])
+    u = None if winner_take_all else rng.random((len(names), n))
+    won = np.empty((len(names), n), dtype=np.int64)
+    for m, idx, outside, col_ids in heads:
+        block = (label_scores[None, :, idx] if outside is None
+                 else np.where(outside, -np.inf, label_scores[:, idx]))
         pos = block.argmax(axis=-1) if u is None else _draw(block, u[m])
-        won[m] = cmap.ids[cols[pos]]
-    names = [cmap.families[k] for k in codes]
+        won[m] = col_ids[pos]
     return [dict(zip(names, row)) for row in won.T.tolist()]
 
 
@@ -469,21 +476,20 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
             rep = enc if rep is None else rep + enc
         if spec.group:
             z = sigmoid(rep)
-            idx = getattr(cmap, f"{spec.group}_idx")
+            idx, cols = _GROUP_OF[spec.group](cmap)
             scores[step] = block = _scores(params, step, z, idx)
-            cols = getattr(cmap, f"{spec.group}_cols")
             mix = mixes.get(spec.group)
             if mix is not None:  # a mix weights the block just scored, or its entity prefix
                 mix = (block if mix is idx else block[:, mix]), mix
-            if spec.group == "concept" and getattr(first, f"{step}_support") == "entities":
+            if spec.group == "concept" and _SUPPORT_OF[step](first) == "entities":
                 block, cols = block[:, cmap.entity_idx], cmap.entity_cols
         if spec.commit == POOLED:
             rep = np.tile(params.pooled, (len(requests), 1))
         elif spec.commit:
-            clamps = [getattr(r, f"{step}_id") for r in requests]
+            clamps = list(map(_CLAMP_OF[step], requests))
             rep, ids[step] = _commit(params, cmap, vocab, spec, rep, clamps, block, cols, pick, mix)
         elif cols.size:  # read out, no commitment
-            ids[step] = _pick_ids(cmap, pick, block, cols)
+            ids[step] = cmap.ids[cols[pick(block)]].tolist()
         if spec.commit:
             z = sigmoid(rep)
         reps[step] = rep

@@ -88,6 +88,16 @@ class ColumnMap:
         for k, fam in enumerate(self.families):
             if k != self.identity_code:
                 self.label_outside[k, self.family_cols[fam] - offsets[1]] = False
+        # the label draw's plan: the nonempty families' names, and per head
+        # (Identity's own block, the segmented one) its rows among them, its
+        # readout index, its -inf mask (None for Identity) and its columns' ids
+        codes = np.flatnonzero([self.family_cols[fam].size for fam in self.families])
+        ident = codes == self.identity_code
+        heads = [(ident, self.family_idx[IDENTITY_FAMILY], None,
+                  self.ids[self.family_cols[IDENTITY_FAMILY]]),
+                 (~ident, self.label_idx, self.label_outside[codes[~ident], None, :],
+                  self.ids[self.label_cols])]
+        self.label_plan = ([self.families[k] for k in codes], [h for h in heads if h[0].any()])
         # position of a column inside the concept / instance / predicate lists
         self._concept_pos = np.full(self.n_columns, -1, dtype=np.int64)
         self._concept_pos[self.concept_cols] = np.arange(self.concept_cols.size)
@@ -419,17 +429,17 @@ def read_checkpoint_manifest(base_path: str) -> dict:
 
 def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     manifest = read_checkpoint_manifest(base_path)
+    path = base_path + ".json"
     if manifest["vocab_sha256"] != vocab.digest():
-        raise ParamError("checkpoint was saved against a different vocabulary")
+        raise ParamError(f"{path}: checkpoint was saved against a different vocabulary")
     config = NetConfig.from_dict(manifest["config"])
     arrays = read_tensors(base_path, manifest, config.np_dtype())
-    expected = set(_TENSOR_ORDER)
-    if set(arrays) != expected:
-        raise ParamError(f"checkpoint holds tensors {sorted(arrays)}, not {sorted(expected)}")
+    expected = sorted(_TENSOR_ORDER)
+    if sorted(arrays) != expected:
+        raise ParamError(f"{path}: checkpoint holds tensors {sorted(arrays)}, not {expected}")
     params = NetParams(config=config, kind_counts=tuple(manifest["kind_counts"]), **arrays)
-    cmap = ColumnMap(vocab)
-    if params.emb.shape != (config.rep_dim, cmap.n_columns):
-        raise ParamError("checkpoint embedding shape does not match vocabulary")
+    if params.emb.shape != (config.rep_dim, ColumnMap(vocab).n_columns):
+        raise ParamError(f"{path}: checkpoint embedding shape does not match vocabulary")
     return params
 
 

@@ -911,6 +911,29 @@ class TestDecode:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and message in lines[0]
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc, blob: doc.update(vocab_sha256="0" * 64),
+         "checkpoint was saved against a different vocabulary"),
+        (_append_untied_readout, "checkpoint holds tensors ['ctx_in', "),
+        (lambda doc, blob: next(t for t in doc["tensors"] if t["name"] == "emb")["shape"]
+         .reverse(), "checkpoint embedding shape does not match vocabulary"),
+    ], ids=["vocabulary", "emb_up", "embedding-shape"])
+    def test_a_checkpoint_that_does_not_fit_names_its_manifest(self, ws, tmp_path, tamper,
+                                                              message):
+        """A checkpoint saved against another vocabulary, holding a tensor
+        besides the model's, or whose embedding has the wrong shape is
+        refused with one ERROR line that names its manifest."""
+        for ext in (".json", ".bin"):
+            shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        tamper(manifest, tmp_path / "model.bin")
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        proc = _run_cli(["decode", str(tmp_path / "model.json"), "--world", ws["world_dir"],
+                         "--mode", "semantic", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")], proc.stderr
+        assert proc.stderr.startswith(f"ERROR {tmp_path / 'model.json'}: {message}"), proc.stderr
+
     @pytest.mark.parametrize("field, value, message", [
         ("shape", [64, "x"], "tensor 'ctx_in' has shape [64, 'x'], not a list of non-negative"),
         ("shape", None, "tensor 'ctx_in' has shape None, not a list of non-negative ints"),

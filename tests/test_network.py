@@ -41,11 +41,15 @@ from bilayer.network import (
     _pick_labels,
     _softmax_rows,
 )
+from bilayer.training import consolidate
+from bilayer.vocab import IDENTITY_FAMILY
 from bilayer.world import substream
 
 from util import (
     INTERLEAVED,
     reference_decode,
+    reference_draw,
+    reference_pick_labels,
     small_params,
     small_vocab,
     two_division_sigmoid,
@@ -98,6 +102,23 @@ class TestActivations:
         x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e30], dtype=np.float32)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             sigmoid(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_leaves_its_input_and_keeps_0d(self, dtype):
+        """The temporaries are worked in place, never the input; a 0-d input
+        gives a 0-d array of the oracle's bytes."""
+        x = np.linspace(-50.0, 50.0, 42).astype(dtype)
+        x[[3, 7]] = np.nan, -np.inf
+        before = x.tobytes()
+        for arr in (x, x[::3], x.reshape(6, 7)[:, 1:5], x[9]):
+            sigmoid(arr)
+        assert x.tobytes() == before
+        for value in (0.0, -3.5, 80.0, np.nan):
+            arr = np.array(value, dtype=dtype)
+            out = sigmoid(arr)
+            assert isinstance(out, np.ndarray) and out.shape == () and out.dtype == dtype
+            assert out.tobytes() == two_division_sigmoid(arr).tobytes()
+            assert arr.tobytes() == np.array(value, dtype=dtype).tobytes()
 
     def test_sigmoid_hand_values(self):
         assert sigmoid(np.array(0.0)) == 0.5
@@ -234,6 +255,49 @@ class TestSampler:
         # the extreme uniforms: 0 and the largest double below 1
         edges = np.array([0.0, np.nextafter(1.0, 0.0)])
         assert _draw(np.tile(row, (2, 1)), edges).tolist() == [2, 5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(60, 9), (3, 40, 9)], ids=["rows", "families-rows"])
+    def test_draw_equals_the_float64_reference(self, dtype, shape):
+        """2-D (row, column) and 3-D (family, row, column) blocks holding -inf
+        entries draw what a plain float64 inverse-CDF walk of each row draws,
+        and the block is not written."""
+        rng = substream(12, "draw", len(shape))
+        scores = (rng.standard_normal(shape) * 4.0).astype(dtype)
+        scores[rng.random(shape) < 0.3] = -np.inf
+        scores[..., 4] = rng.standard_normal(shape[:-1])  # every row keeps a finite score
+        u = rng.random(shape[:-1])
+        u.flat[:2] = 0.0, np.nextafter(1.0, 0.0)
+        before = scores.tobytes()
+        got = _draw(scores, u)
+        assert got.shape == shape[:-1]
+        np.testing.assert_array_equal(got, reference_draw(scores, u))
+        assert scores.tobytes() == before
+
+    @pytest.mark.parametrize("families", [None, INTERLEAVED], ids=["contiguous", "interleaved"])
+    @pytest.mark.parametrize("growth", ["entity", "consolidated-instance"])
+    def test_the_label_plan_follows_growth(self, growth, families):
+        """The map that growth returns carries its own label plan: its picks
+        equal the per-call derivation's, and winner-take-all picks a grown
+        Identity column where it scores highest."""
+        v = small_vocab(families=families)
+        params, cmap = small_params(v, seed=13)
+        if growth == "entity":
+            v.add_entity("e_new")
+            cmap = params.grow(v, substream(13, "grow"))
+        else:
+            params, cmap, _ = consolidate(params, cmap, v, v.id_of("t1"))
+        scores = substream(13, "scores").standard_normal((30, cmap.concept_cols.size))
+        scores = scores.astype(np.float32)
+        for winner_take_all in (True, False):
+            got = _pick_labels(cmap, scores, winner_take_all, substream(13, "u"))
+            assert got == reference_pick_labels(cmap, scores, winner_take_all, substream(13, "u"))
+        newest = cmap.family_cols[IDENTITY_FAMILY][-1]
+        scores[:, newest] = scores.max() + 1.0
+        picked = {labels[IDENTITY_FAMILY] for labels in _pick_labels(cmap, scores, True, None)}
+        assert picked == {int(cmap.ids[newest])}
+        if growth == "entity":
+            assert picked == {v.id_of("e_new")}
 
     def test_draws_equal_choice_away_from_cdf_boundaries(self):
         rng = substream(6, "scores")
@@ -883,10 +947,74 @@ class TestReferenceWalk:
                 trace.scores["label"], ref["scores"]["label"], rtol=1e-4, atol=1e-4
             )
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["perception", "attention", "episodic", "semantic"])
+    def test_a_mixed_batch_equals_one_by_one(self, kind, dtype):
+        """Clamped and free rows in one winner-take-all batch: each row gets
+        the ids and labels of its own pass, and the score bytes of its row in
+        a batch of copies of its request.  (A one-row pass's matrix products
+        may round differently from a batch's in the last bit, so its scores
+        are only close.)"""
+        v = small_vocab(n_entities=6)
+        params, cmap = small_params(v, seed=52, dtype=dtype)
+        requests = _mixed_batch(v, kind)
+        batch = decode_many(params, cmap, v, requests, substream(0, "m"))
+        for i, (request, got) in enumerate(zip(requests, batch)):
+            want = decode(params, cmap, v, request, substream(0, "m"))
+            copies = decode_many(params, cmap, v, [request] * len(requests), substream(0, "m"))
+            assert _trace_ids(got) == _trace_ids(want) == _trace_ids(copies[i])
+            assert got.labels == want.labels and got.scores.keys() == want.scores.keys()
+            for key in want.scores:
+                assert got.scores[key].tobytes() == copies[i].scores[key].tobytes(), key
+                np.testing.assert_allclose(got.scores[key], want.scores[key], rtol=1e-5, atol=1e-6)
+        free = {t.subject_id for r, t in zip(requests, batch) if r.subject_id is None}
+        # a free subject commits its pick, or under attention the mixture, no
+        # id; perception's free rows pick apart, so a row mix-up shows
+        assert (free == {None}) == (kind == "attention")
+        assert len(free) > 2 or kind != "perception"
+
+    @pytest.mark.parametrize("kind, clamp, name", [
+        ("perception", "instance_id", "Dog"), ("perception", "object_id", "t0"),
+        ("semantic", "subject_id", "near"), ("episodic", "object_id", "t2"),
+    ])
+    def test_a_wrong_clamp_in_a_mixed_batch_is_refused(self, kind, clamp, name):
+        """A clamp of the wrong kind among clamped and free rows is refused
+        with the message it gets as a lone request."""
+        v = small_vocab(n_entities=6)
+        params, cmap = small_params(v)
+        requests = _mixed_batch(v, kind)
+        bad = dataclasses.replace(requests[0], **{clamp: v.id_of(name)})
+        with pytest.raises(NetworkError) as lone:
+            decode(params, cmap, v, bad, substream(0, "m"))
+        assert "is not" in str(lone.value)
+        requests.insert(2, bad)
+        with pytest.raises(NetworkError) as batched:
+            decode_many(params, cmap, v, requests, substream(0, "m"))
+        assert str(batched.value) == str(lone.value)
+
     def test_empty_batch(self):
         v = small_vocab()
         params, cmap = small_params(v)
         assert decode_many(params, cmap, v, [], substream(0, "e")) == []
+
+
+def _mixed_batch(v, kind: str) -> list[DecodeRequest]:
+    """Winner-take-all binary requests of one kind, free rows between
+    clamped ones: perception (`attention`: with both attention flags),
+    episodic or semantic recall."""
+    ids = v.id_of
+    clamps = [{"subject_id": ids("e0"), "object_id": ids("Young")}, {},
+              {"subject_id": ids("e2"), "object_id": ids("e1")}, {"subject_id": ids("Dog")},
+              {"object_id": ids("e3")}, {}, {}, {"subject_id": ids("e5")}, {}]
+    if kind == "episodic":
+        return [DecodeRequest(mode=kind, winner_take_all=True, instance_id=ids(f"t{k % 3}"), **c)
+                for k, c in enumerate(clamps)]
+    if kind == "semantic":
+        return [DecodeRequest(mode=kind, winner_take_all=True, **c) for c in clamps]
+    clamps[6] = {"instance_id": ids("t1")}
+    flags = dict(instance_attention=True, concept_attention=True) if kind == "attention" else {}
+    return [DecodeRequest(mode="perception", winner_take_all=True, features=_scene_features(60 + k),
+                          **flags, **c) for k, c in enumerate(clamps)]
 
 
 def _run_path_requests(v) -> dict[str, list[DecodeRequest]]:

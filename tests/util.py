@@ -5,7 +5,9 @@ queries, of the decode walk, of the statement-file bytes and the store read
 back from them, of scene composition by scanning the entity pool, of the
 social-edge orientation model, and of the training inputs and heads as they
 were written per item: example dicts, per-example index swaps, one softmax
-head per label family, the copying CE head and the two-division sigmoid.
+head per label family, the copying CE head and the two-division sigmoid; and the decode's
+inverse-CDF draw and label picks, one row at a time with the label plan
+derived on every call.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
@@ -765,3 +767,43 @@ def two_division_sigmoid(x):
     e = np.exp(np.minimum(x, -x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def reference_draw(scores, u) -> np.ndarray:
+    """The inverse-CDF draw one row at a time in float64: per row of the
+    last axis, the first position whose running sum of exp(score - max)
+    exceeds the row's uniform times the row's total."""
+    s = np.array(scores, dtype=np.float64)
+    rows, us = s.reshape(-1, s.shape[-1]), np.asarray(u, dtype=np.float64).reshape(-1)
+    out = []
+    for row, ui in zip(rows, us):
+        running, total = [], 0.0
+        for w in np.exp(row - row.max()).tolist():
+            total += w
+            running.append(total)
+        out.append(next((i for i, c in enumerate(running) if c > ui * total), len(running)))
+    return np.array(out, dtype=np.int64).reshape(s.shape[:-1])
+
+
+def reference_pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take_all: bool,
+                          rng: np.random.Generator) -> list[dict[str, int]]:
+    """Per row, one label per nonempty family, with every family's block
+    derived on the call from `cmap.families` and `cmap.family_cols`:
+    Identity scores its own columns, every other family the class and
+    attribute block with -inf outside its members.  Winner-take-all takes
+    the argmax (ties low); sampling draws `rng.random((n_families, n_rows))`,
+    family-major in name order, through `reference_draw`."""
+    names = [fam for fam in cmap.families if cmap.family_cols[fam].size]
+    n = label_scores.shape[0]
+    u = None if winner_take_all else rng.random((len(names), n))
+    labels = [{} for _ in range(n)]
+    for k, fam in enumerate(names):
+        members = cmap.family_cols[fam]
+        cols = members if fam == IDENTITY_FAMILY else cmap.label_cols
+        block = np.asarray(label_scores, dtype=np.float64)[:, cols]
+        if fam != IDENTITY_FAMILY:
+            block[:, ~np.isin(cols, members)] = -np.inf
+        pos = block.argmax(axis=1) if u is None else reference_draw(block, u[k])
+        for row, sid in zip(labels, cmap.ids[cols[pos]].tolist()):
+            row[fam] = sid
+    return labels
