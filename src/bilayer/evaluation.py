@@ -126,10 +126,9 @@ def label_conditional_estimate(
         label_target_cols=cmap.cols_of([c2]),
     )
     _, cache = graph.forward(params, cmap, batch)
-    if fam == IDENTITY_FAMILY:
-        pos = int(np.searchsorted(cmap.family_cols[fam], cmap.col_of(c2)))
-        return float(cache["identity"]["probs"][0, pos])
-    return float(cache["labels"]["probs"][0, cmap.col_of(c2) - cmap.label_cols[0]])
+    key, span = next((key, span) for key, serves, span, _ in cmap.label_heads
+                     if serves[batch.label_fams[0]])
+    return float(cache[key]["probs"][0, batch.label_target_cols[0] - span.start])
 
 
 # -- decode pipelines ------------------------------------------------------------------
@@ -228,12 +227,12 @@ def perception_binary_eval(
     traces = _perceive(params, cmap, vocab, variant, inputs, rng)
     # per example, the predicate positions by descending score, and the true one's
     ranks = ranked_cols(np.stack([trace.scores["predicate"] for trace in traces]))
-    truth = cmap.predicate_pos(cmap.cols_of([vocab.id_of(ex["p"]) for ex in examples]))
+    truth = cmap.pos("predicate", cmap.cols_of([vocab.id_of(ex["p"]) for ex in examples]))
     n = len(examples)
     return {
         "predicate_hits": {str(k): int((ranks[:, :k] == truth[:, None]).any(axis=1).sum()) / n
                            for k in ks},
-        "chance": 1.0 / cmap.predicate_cols.size,
+        "chance": 1.0 / ranks.shape[1],
         "n": n,
     }
 
@@ -537,7 +536,7 @@ def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     # SSL trains only entity and instance columns: every other block, and the
     # embedding's label and predicate columns (matched by symbol), must not move
     old_blocks, new_blocks = params.blocks(), params3.blocks()
-    old_cols = np.concatenate([cmap.label_cols, cmap.predicate_cols])
+    old_cols = np.r_[cmap.block["label"], cmap.block["predicate"]]
     new_cols = cmap3.cols_of(cmap.ids[old_cols])
     frozen_ok = all(
         np.array_equal(old_blocks[k][:, old_cols], new_blocks[k][:, new_cols])

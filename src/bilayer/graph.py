@@ -16,11 +16,11 @@ active per mode and arity, the direct variant's being perception's:
 A unary batch lists its label targets as occurrences, each a (row, family
 code, target column) entry of three arrays; a row may occur in several
 families.  An occurrence's label CE is a softmax over its family's columns.
-Two heads serve every family of a batch: the Identity family (the entity
-columns) has its own, and all other families share one segmented head that
-scores each occurrence over the class and attribute block with one gemm and
-masks it to its family's columns.  Loss and accuracy are still reported per
-family.
+The two heads of `ColumnMap.label_heads` serve every family: each scores
+its occurrences over its block with one gemm and masks them to their
+family's columns where it has a mask.  Which family a head serves, and
+every block a step reads, is the ColumnMap's; this module reads it there.
+Loss and accuracy are still reported per family.
 
 A batch gives each step of `network.schedule` its feature box, CE head and
 committed columns, and `forward` runs them in one loop.  `backward` is
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (
-    GROUP_POS,
     POOLED,
     NumericsError,
     StepSpec,
@@ -47,7 +46,6 @@ from .network import (
     sigmoid,
 )
 from .params import ColumnMap, NetParams
-from .vocab import IDENTITY_FAMILY
 
 MODES = ("episodic", "semantic", "perception")
 ARITIES = ("unary", "binary")
@@ -147,31 +145,27 @@ def _label_heads(
     """The label heads of a unary batch at the subject state `zs`.
 
     The occurrences are taken grouped by family code (the families' name
-    order), each family's in batch order.  Returns `identity` (the Identity
-    family's head) and `labels` (the segmented head of every other family;
-    its positions index the class and attribute block `cmap.label_idx`, and
-    scores outside an occurrence's family are -inf), each with the `rows`,
-    family `codes` and readout `idx` of its occurrences, and `fam_heads`: per
-    family present, in name order, its loss, accuracy, hits and count.
+    order), each family's in batch order.  Returns, keyed as in
+    `cmap.label_heads`, each head that serves an occurrence (`identity`, the
+    Identity family's, and `labels`, every other family's, whose scores
+    outside an occurrence's family are -inf), with the `rows`, family `codes`
+    and readout `idx` of its occurrences, and `fam_heads`: per family
+    present, in name order, its loss, accuracy, hits and count.
     """
     order = np.argsort(batch.label_fams, kind="stable")
     rows, codes = batch.label_rows[order], batch.label_fams[order]
     targets = batch.label_target_cols[order]
     nll, hits = np.zeros(codes.size), np.zeros(codes.size)
     out: dict = {}
-    ident = codes == cmap.identity_code
-    for key, m in (("identity", ident), ("labels", ~ident)):
+    for key, serves, span, outside in cmap.label_heads:
+        m = serves[codes]
         if not m.any():
             continue
-        idx = cmap.family_idx[IDENTITY_FAMILY] if key == "identity" else cmap.label_idx
-        scores = zs[rows[m]] @ read[:, idx]
-        if key == "identity":
-            pos = np.searchsorted(cmap.family_cols[IDENTITY_FAMILY], targets[m])
-        else:
-            np.copyto(scores, -np.inf, where=cmap.label_outside[codes[m]])
-            pos = targets[m] - cmap.label_cols[0]
-        out[key] = head = _ce_head(scores, pos, inv_b)
-        head.update(rows=rows[m], codes=codes[m], idx=idx)
+        scores = zs[rows[m]] @ read[:, span]
+        if outside is not None:
+            np.copyto(scores, -np.inf, where=outside[codes[m]])
+        out[key] = head = _ce_head(scores, targets[m] - span.start, inv_b)
+        head.update(rows=rows[m], codes=codes[m], idx=span)
         nll[m], hits[m] = head["nll"], head["hits"]
     n = len(cmap.families)
     counts = np.bincount(codes, minlength=n)
@@ -187,8 +181,8 @@ def _label_heads(
 
 def _head_into(h: dict, z: np.ndarray, read: np.ndarray, d_read: np.ndarray, idx) -> np.ndarray:
     """Backprop one CE head reading `read[:, idx]` from the squashed input
-    `z`: adds its readout gradient into `d_read` and returns dZ.  With a
-    slice `idx` the add is in place on a view."""
+    `z`: adds its readout gradient into `d_read` and returns dZ.  `idx` is a
+    block, a slice, so the add is in place on a view."""
     dscores = _ce_grad(h)
     d_read[:, idx] += z.T @ dscores
     return dscores @ read[:, idx].T
@@ -226,7 +220,7 @@ def _commits_col(spec: StepSpec) -> bool:
 @dataclass
 class _Step:
     """A step of `network.schedule` with a batch's arrays; `head` is (key,
-    readout index, target positions).  `forward` fills `state` with what
+    block, target positions).  `forward` fills `state` with what
     `backward` reads: the squashed context the step was fed ("sh"; before
     dropout "sh_raw", with its "mask"), the context step's squashed mix "zm",
     the squashed input "z_tilde" and the squashed committed state "z".
@@ -249,7 +243,8 @@ def _schedule(cmap: ColumnMap, batch: Batch) -> list[_Step]:
         cols = getattr(batch, key)
         head = None
         if _trains(batch.mode, spec):
-            head = spec.head, getattr(cmap, f"{spec.group}_idx"), GROUP_POS[spec.group](cmap, cols)
+            span = cmap.block[spec.group]
+            head = spec.head, span, cols - span.start
         steps.append(_Step(
             spec, getattr(batch, feat) if spec.box else None, head,
             cols if _commits_col(spec) else None,

@@ -32,15 +32,15 @@ the instances, or over the entities for a concept), else a pick: the argmax
 under winner-take-all, otherwise a draw from the softmax at temperature 1, as
 attention mixes.  A mixture is weighted by the block the step scored: the
 instance mixture by all of it, the entity mixture by its entity columns.  A
-concept step picks from the entities only under `entities` support.  Entities
-lead the column order, so the entities' readout index also indexes the
-concept block.  A clamp must name a symbol of the group its step commits; a
-picked row's column comes straight from the block it was picked from, so
-only clamped rows are checked.  A step that only reads out records no id
+concept step picks from the entities only under `entities` support.  The
+column layout is the ColumnMap's: a step scores `cmap.block[group]`, and a
+position picked from a block is the column `block.start + pos`, so a picked
+row's column needs no check; a clamp must name a symbol of the group its
+step commits.  The concept block starts at column 0, so the entity block
+also indexes the concept scores.  A step that only reads out records no id
 when it has no columns.  Every family's label is read from the one
-concept-score block: Identity from the entity block, every other family from
-the class and attribute block masked to its columns.  What of that reads no
-score, the label plan, is built once with the ColumnMap (`label_plan`).
+concept-score block by the ColumnMap's two `label_heads`, drawn by the plan
+built with them (`label_plan`).
 
 A sampled pick is an inverse-CDF draw, not `Generator.choice`: one uniform per
 row, and the row's pick is the first position whose float64 running sum of
@@ -165,8 +165,8 @@ def encode_input(params: NetParams, feat: np.ndarray) -> np.ndarray:
 
 def index_scores(params: NetParams, z: np.ndarray, idx) -> np.ndarray:
     """Pre-activations of the index units `read[:, idx]` given a squashed
-    representation `z`; `idx` is a readout index of the ColumnMap or any
-    column array."""
+    representation `z`; `idx` is a block of the ColumnMap or any column
+    array."""
     return z @ params.readout[:, idx]
 
 
@@ -349,11 +349,7 @@ def _scores(params: NetParams, step: str, z: np.ndarray, idx) -> np.ndarray:
     return _check_finite(index_scores(params, z, idx), step, "scores")
 
 
-# per readout group, the ColumnMap method giving a column's position in its block
-GROUP_POS = {"instance": ColumnMap.instance_pos, "concept": ColumnMap.concept_pos,
-             "predicate": ColumnMap.predicate_pos}
-# per readout group its ColumnMap (index, columns); per step its clamp and support
-_GROUP_OF = {g: attrgetter(f"{g}_idx", f"{g}_cols") for g in GROUP_POS}
+# per step its clamp and its support
 _CLAMP_OF = {f.name[:-3]: attrgetter(f.name) for f in fields(DecodeRequest)
              if f.name.endswith("_id")}
 _SUPPORT_OF = {f.name[:-8]: attrgetter(f.name) for f in fields(DecodeRequest)
@@ -362,32 +358,32 @@ _CLAMP_KINDS = {"instance": "an instance", "concept": "an entity, class or attri
 
 
 def _step_cols(cmap: ColumnMap, vocab: Vocabulary, spec: StepSpec, ids: list) -> np.ndarray:
-    """The columns of the ids a step commits, each of which must lie in the
-    group `spec.commit`; a picked id always does, so one compare over every
-    row finds a clamp of the wrong kind."""
+    """The columns of the clamped ids a step commits, each of which must lie
+    in the block of the group `spec.commit`.  The bounds are compared in
+    Python: a call mostly checks one clamp, where that is the cheapest."""
     cols = cmap.cols_of(ids)
-    outside = GROUP_POS[spec.commit](cmap, cols) < 0
-    if outside.any():
-        sid = ids[int(outside.argmax())]
-        raise NetworkError(f"the {spec.name} clamp {vocab.name_of(sid)!r} "
-                           f"({vocab.kind_of(sid).value}) is not {_CLAMP_KINDS[spec.commit]}")
+    span = cmap.block[spec.commit]
+    for sid, col in zip(ids, cols.tolist()):
+        if not span.start <= col < span.stop:
+            raise NetworkError(f"the {spec.name} clamp {vocab.name_of(sid)!r} "
+                               f"({vocab.kind_of(sid).value}) is not {_CLAMP_KINDS[spec.commit]}")
     return cols
 
 
-def _commit(params, cmap, vocab, spec, rep, clamps, scores, cols, pick, mix=None):
+def _commit(params, cmap, vocab, spec, rep, clamps, scores, span, pick, mix=None):
     """One commitment of a step for every row of `rep` (None when the step
     has no input but its clamps).  A clamped row adds its symbol's column,
     checked by `_step_cols`.  Each other row adds the column picked from
-    `scores` (positions in `cols`), taken straight from `cols`, or, with `mix`
-    a pair (score block, readout index), the attention mixture over
-    `emb[:, index]` weighted by that block, which commits no id.  Returns the
-    new representations and the per-row ids."""
+    `scores`, the scores of the block `span`, or, with `mix` a pair
+    (score block, block of columns), the attention mixture over
+    `emb[:, block]` weighted by that score block, which commits no id.
+    Returns the new representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
     fixed = [i for i, c in enumerate(ids) if c is not None]
     at = np.empty(len(ids), dtype=np.int64)  # per row, the column it adds
     if mix is None and free:
-        at[free] = picked = cols[pick(scores if len(free) == len(ids) else scores[free])]
+        at[free] = picked = span.start + pick(scores if len(free) == len(ids) else scores[free])
         for i, sid in zip(free, cmap.ids[picked].tolist()):
             ids[i] = sid
     if fixed:
@@ -404,23 +400,23 @@ def _commit(params, cmap, vocab, spec, rep, clamps, scores, cols, pick, mix=None
 def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take_all: bool,
                  rng: np.random.Generator) -> list[dict[str, int]]:
     """Per row, one label per nonempty family, all read from the one
-    concept-score block.  Identity picks from its entity block; every other
-    family from the class and attribute block `cmap.label_idx` with the
-    scores outside the family set to -inf, the segmented layout of
-    training's label head.  Winner-take-all takes each masked row's argmax
-    (ties low, no draw).  Sampling draws every family's uniforms at once, one
-    per (family, row), family-major in name order, and each goes through the
-    inverse-CDF draw `_pick` uses.  The map's `label_plan` holds all that
-    does not depend on the scores."""
+    concept-score block by the map's `label_heads`: each family picks from
+    its head's block, with the scores its head's mask holds outside the
+    family set to -inf, the layout of training's label heads.
+    Winner-take-all takes each masked row's argmax (ties low, no draw).
+    Sampling draws every family's uniforms at once, one per (family, row),
+    family-major in name order, and each goes through the inverse-CDF draw
+    `_pick` uses.  The map's `label_plan` holds all that does not depend on
+    the scores."""
     names, heads = cmap.label_plan
     n = label_scores.shape[0]
     u = None if winner_take_all else rng.random((len(names), n))
     won = np.empty((len(names), n), dtype=np.int64)
-    for m, idx, outside, col_ids in heads:
-        block = (label_scores[None, :, idx] if outside is None
-                 else np.where(outside, -np.inf, label_scores[:, idx]))
+    for m, span, outside in heads:
+        block = (label_scores[None, :, span] if outside is None
+                 else np.where(outside, -np.inf, label_scores[:, span]))
         pos = block.argmax(axis=-1) if u is None else _draw(block, u[m])
-        won[m] = col_ids[pos]
+        won[m] = cmap.ids[span][pos]
     return [dict(zip(names, row)) for row in won.T.tolist()]
 
 
@@ -459,15 +455,15 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
     def pick(scores: np.ndarray) -> np.ndarray:
         return _pick(scores, first.winner_take_all, rng)
 
-    # per group, the readout index an attention mix runs over
-    mixes = {"instance": cmap.instance_idx if first.instance_attention else None,
-             "concept": cmap.entity_idx if first.concept_attention else None}
+    # per group, the block of columns an attention mix runs over
+    mixes = {"instance": cmap.block["instance"] if first.instance_attention else None,
+             "concept": cmap.block["entity"] if first.concept_attention else None}
     ids: dict[str, list] = {}
     scores: dict[str, np.ndarray] = {}
     reps: dict[str, np.ndarray] = {}
     sh, z = initial_context(params), None
     for spec in schedule(first.mode, _binary(first), first.direct):
-        step, rep, block, cols, mix = spec.name, None, None, None, None
+        step, rep, block, span, mix = spec.name, None, None, None, None
         if spec.context:
             _, sh = context_step(params, sh, z)
             rep = context_out(params, sh)
@@ -476,25 +472,26 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
             rep = enc if rep is None else rep + enc
         if spec.group:
             z = sigmoid(rep)
-            idx, cols = _GROUP_OF[spec.group](cmap)
-            scores[step] = block = _scores(params, step, z, idx)
+            span = cmap.block[spec.group]
+            scores[step] = block = _scores(params, step, z, span)
             mix = mixes.get(spec.group)
             if mix is not None:  # a mix weights the block just scored, or its entity prefix
-                mix = (block if mix is idx else block[:, mix]), mix
+                mix = (block if mix is span else block[:, mix]), mix
             if spec.group == "concept" and _SUPPORT_OF[step](first) == "entities":
-                block, cols = block[:, cmap.entity_idx], cmap.entity_cols
+                span = cmap.block["entity"]
+                block = block[:, span]
         if spec.commit == POOLED:
             rep = np.tile(params.pooled, (len(requests), 1))
         elif spec.commit:
             clamps = list(map(_CLAMP_OF[step], requests))
-            rep, ids[step] = _commit(params, cmap, vocab, spec, rep, clamps, block, cols, pick, mix)
-        elif cols.size:  # read out, no commitment
-            ids[step] = cmap.ids[cols[pick(block)]].tolist()
+            rep, ids[step] = _commit(params, cmap, vocab, spec, rep, clamps, block, span, pick, mix)
+        elif block.shape[1]:  # read out, no commitment
+            ids[step] = cmap.ids[span][pick(block)].tolist()
         if spec.commit:
             z = sigmoid(rep)
         reps[step] = rep
         if spec.labels:  # one label per family, from one concept-score block
-            scores["label"] = _scores(params, "label", z, cmap.concept_idx)
+            scores["label"] = _scores(params, "label", z, cmap.block["concept"])
             labels = _pick_labels(cmap, scores["label"], first.winner_take_all, rng)
     return _split(first, ids, labels, scores, reps)
 

@@ -6,6 +6,10 @@ Columns are kept in canonical order (entities, classes, attributes, binary
 predicates, instances, each group in registration order), which is exactly the
 order the vocabulary JSON preserves, so checkpoints align by name across
 export/import even though integer ids are session local.
+
+`ColumnMap` is the one statement of the layout: each readout group's block
+of columns, a column's position in its block, and the two label heads, the
+only place that tells the Identity family from the others.
 """
 from __future__ import annotations
 
@@ -27,22 +31,16 @@ class ParamError(ValueError):
     pass
 
 
-def _readout_index(cols: np.ndarray) -> slice | np.ndarray:
-    """Index that reads the sorted columns `cols` out of a readout matrix: a
-    slice, so `read[:, idx]` is a view, when they form one contiguous run,
-    else the column array itself."""
-    if cols.size and int(cols[-1]) - int(cols[0]) + 1 == cols.size:
-        return slice(int(cols[0]), int(cols[-1]) + 1)
-    return cols
-
-
 class ColumnMap:
-    """Symbol id <-> embedding column position, plus index-set column arrays.
+    """Symbol id <-> embedding column position, and the readout layout.
 
-    Each group a head scores (entity, concept, instance, predicate, label,
-    every label family) also has a readout index, `<group>_idx` and
-    `family_idx[fam]`: `read[:, idx]` is its block of columns, and position
-    `i` in that block is column `<group>_cols[i]`.
+    The layout is stated here and nowhere else.  Every readout group a head
+    scores (entity, concept, label, predicate, instance) is one contiguous
+    run of the canonical order, so `block[group]` is a slice: `read[:,
+    block[g]]` is a view, and `pos(group, cols)` gives each column's position
+    in it.  The concept block starts at column 0, so the entity block and the
+    label block also index a concept score block.  `label_heads` holds the
+    two label heads every family is scored by.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -53,79 +51,57 @@ class ColumnMap:
         ids = entities + classes + attributes + predicates + instances
         self.ids = np.array(ids, dtype=np.int64)
         self.n_columns = len(ids)
-        self.kind_counts = (
-            len(entities), len(classes), len(attributes), len(predicates), len(instances),
-        )
-        self._pos = np.full(len(vocab), -1, dtype=np.int64)
+        self.kind_counts = tuple(map(len, (entities, classes, attributes, predicates, instances)))
+        # `_pos[id]` is symbol `id`'s column, or -1; an id past the last
+        # clips onto the -1 after it, and a negative one is refused by its sign
+        self._pos = np.full(len(vocab) + 1, -1, dtype=np.int64)
         self._pos[self.ids] = np.arange(self.n_columns)
 
-        n_e, n_c, n_a, n_p, n_t = self.kind_counts
-        offsets = np.cumsum([0, n_e, n_c, n_a, n_p, n_t])
-        self.entity_cols = np.arange(offsets[0], offsets[1])
-        self.predicate_cols = np.arange(offsets[3], offsets[4])
-        self.instance_cols = np.arange(offsets[4], offsets[5])
-        self.concept_cols = np.arange(offsets[0], offsets[3])
-        self.label_cols = np.arange(offsets[1], offsets[3])
-        self.family_cols = {
-            fam: np.sort(self.cols_of(members))
-            for fam, members in vocab.families.items()
-        }
-        # the kind groups are contiguous by the canonical order; a label family
-        # is contiguous unless a hand-written vocabulary interleaves it
-        self.entity_idx = _readout_index(self.entity_cols)
-        self.concept_idx = _readout_index(self.concept_cols)
-        self.instance_idx = _readout_index(self.instance_cols)
-        self.predicate_idx = _readout_index(self.predicate_cols)
-        self.family_idx = {fam: _readout_index(cols) for fam, cols in self.family_cols.items()}
+        e, _, a, p, t = np.cumsum(self.kind_counts).tolist()
+        self.block = {"entity": slice(0, e), "concept": slice(0, a), "label": slice(e, a),
+                      "predicate": slice(a, p), "instance": slice(p, t)}
+        self.family_cols = {fam: np.sort(self.cols_of(members))
+                            for fam, members in vocab.families.items()}
         # a family's code is its index in `families` (every family, sorted by
-        # name); the label families' segmented head scores the class and
-        # attribute block and masks out the columns `True` in the family's
-        # row of `label_outside` (all of them in the Identity row)
+        # name).  Each label head is (cache key, the codes it serves as a bool
+        # per code, its block, its -inf mask or None): Identity scores the
+        # entity block, its family; every other family the label block, with
+        # the columns True in its row of the mask set to -inf
         self.families = tuple(sorted(self.family_cols))
         self.identity_code = self.families.index(IDENTITY_FAMILY)
-        self.label_idx = _readout_index(self.label_cols)
-        self.label_outside = np.ones((len(self.families), self.label_cols.size), dtype=bool)
-        for k, fam in enumerate(self.families):
-            if k != self.identity_code:
-                self.label_outside[k, self.family_cols[fam] - offsets[1]] = False
+        ident = np.arange(len(self.families)) == self.identity_code
+        label = self.block["label"]
+        outside = np.ones((len(self.families), label.stop - label.start), dtype=bool)
+        for k in np.flatnonzero(~ident):
+            outside[k, self.family_cols[self.families[k]] - label.start] = False
+        self.label_heads = (("identity", ident, self.block["entity"], None),
+                            ("labels", ~ident, label, outside))
         # the label draw's plan: the nonempty families' names, and per head
-        # (Identity's own block, the segmented one) its rows among them, its
-        # readout index, its -inf mask (None for Identity) and its columns' ids
+        # serving any of them its rows among them, its block and its mask rows
         codes = np.flatnonzero([self.family_cols[fam].size for fam in self.families])
-        ident = codes == self.identity_code
-        heads = [(ident, self.family_idx[IDENTITY_FAMILY], None,
-                  self.ids[self.family_cols[IDENTITY_FAMILY]]),
-                 (~ident, self.label_idx, self.label_outside[codes[~ident], None, :],
-                  self.ids[self.label_cols])]
-        self.label_plan = ([self.families[k] for k in codes], [h for h in heads if h[0].any()])
-        # position of a column inside the concept / instance / predicate lists
-        self._concept_pos = np.full(self.n_columns, -1, dtype=np.int64)
-        self._concept_pos[self.concept_cols] = np.arange(self.concept_cols.size)
-        self._instance_pos = np.full(self.n_columns, -1, dtype=np.int64)
-        self._instance_pos[self.instance_cols] = np.arange(self.instance_cols.size)
-        self._predicate_pos = np.full(self.n_columns, -1, dtype=np.int64)
-        self._predicate_pos[self.predicate_cols] = np.arange(self.predicate_cols.size)
+        self.label_plan = ([self.families[k] for k in codes], [
+            (serves[codes], span, None if mask is None else mask[codes[serves[codes]], None, :])
+            for _, serves, span, mask in self.label_heads if serves[codes].any()])
 
     def col_of(self, symbol_id: int) -> int:
-        pos = int(self._pos[symbol_id])
-        if pos < 0:
+        pos = int(self._pos.take(symbol_id, mode="clip"))
+        if pos < 0 or symbol_id < 0:
             raise ParamError(f"symbol id {symbol_id} has no embedding column")
         return pos
 
     def cols_of(self, symbol_ids) -> np.ndarray:
-        pos = self._pos[np.asarray(symbol_ids, dtype=np.int64)]
-        if (pos < 0).any():
+        ids = np.asarray(symbol_ids, dtype=np.int64)
+        pos = self._pos.take(ids, mode="clip")
+        if pos.min(initial=0) < 0 or ids.min(initial=0) < 0:
             raise ParamError("some symbol ids have no embedding column")
         return pos
 
-    def concept_pos(self, cols) -> np.ndarray:
-        return self._concept_pos[np.asarray(cols, dtype=np.int64)]
-
-    def instance_pos(self, cols) -> np.ndarray:
-        return self._instance_pos[np.asarray(cols, dtype=np.int64)]
-
-    def predicate_pos(self, cols) -> np.ndarray:
-        return self._predicate_pos[np.asarray(cols, dtype=np.int64)]
+    def pos(self, group: str, cols) -> np.ndarray:
+        """Each column's position in the block of `group`, -1 outside it."""
+        span = self.block[group]
+        at = np.subtract(cols, span.start, dtype=np.int64)
+        at[(at < 0) | (at >= span.stop - span.start)] = -1
+        return at
 
 
 @dataclass
@@ -202,8 +178,11 @@ class NetParams:
             enc_b=np.zeros(r, dtype=dt),
             kind_counts=cmap.kind_counts,
         )
-        if cmap.instance_cols.size:
-            params.pooled[:] = emb[:, cmap.instance_cols].mean(axis=1)
+        # gathered with an index array: a mean over the strided slice view
+        # differs from the gathered copy's in the last bits
+        instances = np.r_[cmap.block["instance"]]
+        if instances.size:
+            params.pooled[:] = emb[:, instances].mean(axis=1)
         return params
 
     def blocks(self) -> dict[str, np.ndarray]:

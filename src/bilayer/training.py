@@ -585,7 +585,7 @@ def ssl_step(
 
     # recognition pass: novelty detection per box with current weights
     entity = [
-        None if detect_novel_entity(sigmoid(trace.scores["subject"][cmap.entity_idx]),
+        None if detect_novel_entity(sigmoid(trace.scores["subject"][cmap.block["entity"]]),
                                     config.novelty_threshold) else trace.subject_id
         for trace in decode_chunked(params, cmap, vocab, [perceive(*box) for box in boxes], rng)
     ]
@@ -627,8 +627,8 @@ def ssl_step(
 
     # train only entity and instance embedding columns on the pseudo-statements
     mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)
-    mask[cmap.entity_cols] = 1.0
-    mask[cmap.instance_cols] = 1.0
+    mask[cmap.block["entity"]] = 1.0
+    mask[cmap.block["instance"]] = 1.0
     ssl_config = TrainConfig(epochs=config.ssl_epochs, batch_size=config.batch_size,
                              learning_rate=config.ssl_learning_rate, seed=config.seed,
                              modes=("perception", "episodic"), inject_rho=0.0)

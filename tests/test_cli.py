@@ -22,6 +22,8 @@ from bilayer.cli import main
 from bilayer.params import ColumnMap, load_checkpoint, params_digest, save_checkpoint
 from bilayer.world import ONTOLOGY, SCENE_KINDS, WorldConfig, load_world, read_vocab
 
+from util import group_cols
+
 WORLD_CONFIG = {
     "n_entities": 48,
     "n_scenes": 10,
@@ -961,7 +963,7 @@ class TestDecode:
     def test_non_finite_scores_are_numeric_error(self, ws, tmp_path):
         vocab = ws["world"].vocab
         params = load_checkpoint(os.path.join(ws["run_dir"], "model"), vocab)
-        params.emb[:, ColumnMap(vocab).entity_cols] = np.nan
+        params.emb[:, ColumnMap(vocab).block["entity"]] = np.nan
         save_checkpoint(params, vocab, str(tmp_path / "nan"))
         proc = _run_cli(["decode", str(tmp_path / "nan.json"), "--world", ws["world_dir"],
                          "--mode", "semantic", "--n", "2", "--out", str(tmp_path / "d")])
@@ -1177,7 +1179,7 @@ class TestGrownCheckpoint:
         before = load_checkpoint(os.path.join(grown["run"], "model"), old_vocab).blocks()
         after = load_checkpoint(os.path.join(grown["dir"], "model"), new_vocab).blocks()
         old_cols, new_cols = ColumnMap(old_vocab), ColumnMap(new_vocab)
-        kept = np.concatenate([old_cols.label_cols, old_cols.predicate_cols])
+        kept = np.concatenate([group_cols(old_cols, "label"), group_cols(old_cols, "predicate")])
         moved = new_cols.cols_of(old_cols.ids[kept])
         assert before.keys() == after.keys()
         for name, block in before.items():

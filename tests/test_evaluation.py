@@ -29,7 +29,7 @@ from bilayer.training import TrainConfig, memory_examples, ssl_step
 from bilayer.triple_store import TripleStore
 from bilayer.world import WorldConfig, gen_world, substream
 
-from util import small_params, small_vocab, table_rows
+from util import group_cols, small_params, small_vocab, table_rows
 
 
 class TestElementaryMetrics:
@@ -92,7 +92,7 @@ class TestHeadMetrics:
     def test_the_full_ranking_hits_every_target(self, tiny_model, tiny_store, tiny_world):
         params, cmap, _ = tiny_model
         unary, binary = memory_examples(tiny_store, tiny_world.vocab)
-        n_pred, n_obj = cmap.predicate_cols.size, cmap.concept_cols.size
+        n_pred, n_obj = group_cols(cmap, "predicate").size, group_cols(cmap, "concept").size
         m = head_metrics(params, cmap, unary, binary, "episodic", ks=(1, n_pred, n_obj))
         assert m["predicate_hits"][str(n_pred)] == 1.0
         assert m["object_hits"][str(n_obj)] == 1.0
@@ -115,9 +115,9 @@ class TestHeadMetrics:
         def draw(cols):
             return cols[rng.integers(0, cols.size, size=b)]
 
-        fields = {"subj_inject_cols": draw(cmap.entity_cols)}
+        fields = {"subj_inject_cols": draw(group_cols(cmap, "entity"))}
         if mode != "semantic":
-            fields["inst_cols"] = draw(cmap.instance_cols)
+            fields["inst_cols"] = draw(group_cols(cmap, "instance"))
         if arity == "unary":
             fields["label_rows"] = np.arange(b)
             fields["label_fams"] = np.array([cmap.families.index(f) for f in fams])
@@ -126,8 +126,8 @@ class TestHeadMetrics:
                 for f in fams
             ])
         else:
-            fields["obj_inject_cols"] = draw(cmap.entity_cols)
-            fields["pred_cols"] = draw(cmap.predicate_cols)
+            fields["obj_inject_cols"] = draw(group_cols(cmap, "entity"))
+            fields["pred_cols"] = draw(group_cols(cmap, "predicate"))
         boxes = ("feat_scene", "feat_subj")
         if arity == "binary":
             boxes += ("feat_obj", "feat_pred")
@@ -169,7 +169,7 @@ class TestHeadMetrics:
             return
         label_scores = decoded("label")
         h = cache["identity"]
-        pos = cmap.concept_pos(cmap.family_cols["Identity"])
+        pos = cmap.pos("concept", cmap.family_cols["Identity"])
         np.testing.assert_allclose(
             h["scores"], label_scores[h["rows"]][:, pos], rtol=1e-5, atol=1e-6
         )
@@ -178,8 +178,8 @@ class TestHeadMetrics:
         for j, (i, k) in enumerate(zip(h["rows"], h["codes"])):
             fcols = cmap.family_cols[cmap.families[k]]
             np.testing.assert_allclose(
-                h["scores"][j, fcols - cmap.label_cols[0]],
-                label_scores[i, cmap.concept_pos(fcols)], rtol=1e-5, atol=1e-6,
+                h["scores"][j, fcols - cmap.block["label"].start],
+                label_scores[i, cmap.pos("concept", fcols)], rtol=1e-5, atol=1e-6,
             )
 
 

@@ -13,7 +13,7 @@ from bilayer.graph import Batch, GraphError, _scatter_add, forward, mean_head_ac
 from bilayer.network import NumericsError
 from bilayer.world import substream
 
-from util import small_params, small_vocab
+from util import group_cols, small_params, small_vocab
 
 
 def _batch(cmap, mode: str, arity: str, b: int = 3) -> Batch:
@@ -22,16 +22,16 @@ def _batch(cmap, mode: str, arity: str, b: int = 3) -> Batch:
     def draw(cols):
         return cols[rng.integers(0, cols.size, size=b)]
 
-    fields: dict = {"subj_inject_cols": draw(cmap.entity_cols)}
+    fields: dict = {"subj_inject_cols": draw(group_cols(cmap, "entity"))}
     if mode != "semantic":
-        fields["inst_cols"] = draw(cmap.instance_cols)
+        fields["inst_cols"] = draw(group_cols(cmap, "instance"))
     if arity == "unary":
         fields["label_rows"] = np.arange(b)
         fields["label_fams"] = np.full(b, cmap.families.index("Species"))
         fields["label_target_cols"] = draw(cmap.family_cols["Species"])
     else:
-        fields["obj_inject_cols"] = draw(cmap.entity_cols)
-        fields["pred_cols"] = draw(cmap.predicate_cols)
+        fields["obj_inject_cols"] = draw(group_cols(cmap, "entity"))
+        fields["pred_cols"] = draw(group_cols(cmap, "predicate"))
     if mode == "perception":
         boxes = ["feat_scene", "feat_subj"]
         if arity == "binary":
@@ -61,7 +61,7 @@ def test_non_finite_scores_alone_name_the_loss():
     # never committed, so their NaN reaches only the heads' scores
     v = small_vocab()
     params, cmap = small_params(v, seed=3)
-    params.emb[:, cmap.label_cols] = np.nan
+    params.emb[:, group_cols(cmap, "label")] = np.nan
     with pytest.raises(NumericsError, match=re.escape("non-finite scores at head 'NS'")):
         forward(params, cmap, _batch(cmap, "episodic", "unary"))
 
@@ -73,7 +73,7 @@ def test_non_finite_label_scores_name_their_head(family, head):
     # to one entity whose column stays finite, so no committed state is NaN.
     v = small_vocab()
     params, cmap = small_params(v, seed=3)
-    subject = cmap.entity_cols[0]
+    subject = group_cols(cmap, "entity")[0]
     params.emb[:, np.setdiff1d(cmap.family_cols[family], [subject])] = np.nan
     batch = _batch(cmap, "semantic", "unary")
     batch.subj_inject_cols = np.full(len(batch), subject)

@@ -41,12 +41,14 @@ from bilayer.network import (
     _pick_labels,
     _softmax_rows,
 )
+from bilayer.params import ParamError
 from bilayer.training import consolidate
 from bilayer.vocab import IDENTITY_FAMILY
 from bilayer.world import substream
 
 from util import (
     INTERLEAVED,
+    group_cols,
     reference_decode,
     reference_draw,
     reference_pick_labels,
@@ -287,7 +289,7 @@ class TestSampler:
             cmap = params.grow(v, substream(13, "grow"))
         else:
             params, cmap, _ = consolidate(params, cmap, v, v.id_of("t1"))
-        scores = substream(13, "scores").standard_normal((30, cmap.concept_cols.size))
+        scores = substream(13, "scores").standard_normal((30, group_cols(cmap, "concept").size))
         scores = scores.astype(np.float32)
         for winner_take_all in (True, False):
             got = _pick_labels(cmap, scores, winner_take_all, substream(13, "u"))
@@ -322,14 +324,15 @@ class TestSampler:
         rng = substream(7, "labels")
         n = 50
         # integer scores, so every row has ties
-        scores = rng.integers(-2, 3, size=(n, cmap.concept_cols.size)).astype(np.float32)
+        scores = rng.integers(-2, 3, size=(n, group_cols(cmap, "concept").size)).astype(np.float32)
         before = rng.bit_generator.state
         wta = _pick_labels(cmap, scores, True, rng)
         assert rng.bit_generator.state == before
         u = substream(7, "u").random((len(cmap.families), n))
         sampled = _pick_labels(cmap, scores, False, substream(7, "u"))
         for k, fam in enumerate(cmap.families):
-            block, cols = scores[:, cmap.family_idx[fam]], cmap.family_cols[fam]
+            cols = cmap.family_cols[fam]
+            block = scores[:, cols]
             assert [labels[fam] for labels in wta] == cmap.ids[cols[block.argmax(axis=1)]].tolist()
             want = cmap.ids[cols[_draw(block, u[k])]].tolist()
             assert [labels[fam] for labels in sampled] == want
@@ -381,7 +384,7 @@ class TestAttention:
         v = small_vocab()
         params, cmap = small_params(v, seed=5)
         rep = np.linspace(-1, 1, 8).astype(np.float32)
-        cols = cmap.instance_cols[:1]
+        cols = group_cols(cmap, "instance")[:1]
         got = attention_update(params, rep, index_scores(params, sigmoid(rep), cols), cols)
         np.testing.assert_allclose(got, rep + params.emb[:, cols[0]], atol=1e-7)
 
@@ -486,11 +489,11 @@ class TestDecodeValidation:
     def test_non_finite_attention_scores_raise(self):
         v = small_vocab()
         params, cmap = small_params(v)
-        params.emb[:, cmap.instance_cols[0]] = np.nan
+        params.emb[:, group_cols(cmap, "instance")[0]] = np.nan
         with pytest.raises(NumericsError, match="attention"):
             rep = np.zeros(8, dtype=np.float32)
-            attention_update(params, rep, index_scores(params, sigmoid(rep), cmap.instance_idx),
-                             cmap.instance_idx)
+            span = cmap.block["instance"]
+            attention_update(params, rep, index_scores(params, sigmoid(rep), span), span)
 
     def test_semantic_rejects_instance_clamp(self):
         v = small_vocab()
@@ -552,6 +555,21 @@ class TestDecodeValidation:
         for requests in ([bad], [good, bad]):
             with pytest.raises(NetworkError, match=message):
                 decode_many(params, cmap, v, requests, substream(0, "d"))
+
+    @pytest.mark.parametrize("mode, clamp", [
+        ("episodic", "instance_id"), ("semantic", "subject_id"), ("perception", "object_id"),
+    ])
+    def test_a_clamp_outside_the_vocabulary_is_refused(self, mode, clamp):
+        """A negative id does not wrap around to the last symbols' columns:
+        an instance clamp of -1 would otherwise commit the last instance."""
+        v = small_vocab()
+        params, cmap = small_params(v)
+        features = _scene_features(0) if mode == "perception" else None
+        base = {"instance_id": v.id_of("t0")} if mode == "episodic" else {}
+        for sid in (-1, -len(v), len(v)):
+            req = DecodeRequest(mode=mode, features=features, **{**base, clamp: sid})
+            with pytest.raises(ParamError, match="no embedding column"):
+                decode(params, cmap, v, req, substream(0, "d"))
 
     @pytest.mark.parametrize("mode, clamp, name", [
         ("episodic", "instance_id", "t1"),
@@ -678,7 +696,7 @@ class TestDecodeBehavior:
             params, cmap, v, DecodeRequest(mode="semantic"), substream(5, "sem")
         )
         poisoned = params.copy()
-        poisoned.emb[:, cmap.instance_cols] = np.nan  # any read would propagate
+        poisoned.emb[:, group_cols(cmap, "instance")] = np.nan  # any read would propagate
         dirty = decode(
             poisoned, cmap, v, DecodeRequest(mode="semantic"), substream(5, "sem")
         )
@@ -779,7 +797,7 @@ class TestDecodeBehavior:
         req = DecodeRequest(mode="episodic", instance_id=v.id_of("t2"), winner_take_all=True)
         trace = decode(params, cmap, v, req, substream(0, "wta"))
         for fam, cols in cmap.family_cols.items():
-            best = cols[int(np.argmax(trace.scores["label"][cmap.family_idx[fam]]))]
+            best = cols[int(np.argmax(trace.scores["label"][cmap.family_cols[fam]]))]
             assert trace.labels[fam] == int(cmap.ids[best])
 
     def test_unary_and_binary_passes_share_subject_and_labels(self):
@@ -806,7 +824,7 @@ class TestDecodeBehavior:
         trace = decode(params, cmap, v, req, substream(0, "d"))
         assert trace.direct
         z = sigmoid(encode_input(params, feats.subject_box))
-        want = index_scores(params, z, cmap.concept_idx)
+        want = index_scores(params, z, cmap.block["concept"])
         np.testing.assert_array_equal(trace.scores["subject"], want)
         # changing the scene box must not move the subject scores in direct mode
         feats2 = _scene_features(9)

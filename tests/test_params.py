@@ -17,11 +17,15 @@ from bilayer.params import (
     params_digest,
     save_checkpoint,
 )
-from bilayer.network import index_scores, sigmoid
 from bilayer.vocab import Kind
 from bilayer.world import substream
 
-from util import small_params, small_vocab
+from util import INTERLEAVED, group_cols, small_params, small_vocab
+
+# the symbol kinds each readout group's block holds
+GROUP_KINDS = {"entity": {Kind.ENTITY}, "concept": {Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE},
+               "label": {Kind.CLASS, Kind.ATTRIBUTE}, "predicate": {Kind.PREDICATE},
+               "instance": {Kind.INSTANCE}}
 
 
 class TestColumnMap:
@@ -64,15 +68,26 @@ class TestColumnMap:
         with pytest.raises(ParamError):
             cmap.cols_of([v.id_of("Dog"), v.has_attribute])
 
-    def test_index_set_spans(self):
+    def test_out_of_range_ids_are_refused(self):
+        """An id outside the vocabulary is refused like one with no column:
+        a negative id does not wrap around to the last symbols' columns."""
         v = small_vocab()
         cmap = ColumnMap(v)
-        assert cmap.entity_cols.tolist() == [0, 1, 2, 3]
+        for sid in (-1, -len(v), len(v), len(v) + 5):
+            with pytest.raises(ParamError, match=f"symbol id {sid} has no embedding column"):
+                cmap.col_of(sid)
+            with pytest.raises(ParamError, match="some symbol ids have no embedding column"):
+                cmap.cols_of([v.id_of("Dog"), sid])
+        assert cmap.cols_of(np.empty(0, dtype=np.int64)).size == 0
+        ids = np.array([[v.id_of("t2"), v.id_of("e0")], [v.id_of("near"), v.id_of("Old")]])
+        assert cmap.cols_of(ids).tolist() == [[13, 0], [9, 8]]
+
+    def test_index_set_spans(self):
+        cmap = ColumnMap(small_vocab())
         assert cmap.kind_counts == (4, 3, 2, 2, 3)  # entities, classes, attributes, ...
-        assert cmap.predicate_cols.tolist() == [9, 10]
-        assert cmap.instance_cols.tolist() == [11, 12, 13]
-        assert cmap.concept_cols.tolist() == list(range(9))
-        assert cmap.label_cols.tolist() == [4, 5, 6, 7, 8]
+        assert cmap.block == {"entity": slice(0, 4), "concept": slice(0, 9),
+                              "label": slice(4, 9), "predicate": slice(9, 11),
+                              "instance": slice(11, 14)}
 
     def test_family_cols_sorted(self):
         v = small_vocab()
@@ -84,48 +99,48 @@ class TestColumnMap:
         identity = {int(cmap.ids[c]) for c in cmap.family_cols["Identity"]}
         assert identity == set(v.entities)
 
-    def test_readout_groups_are_views(self, tiny_world):
-        """On a generated vocabulary every kind group and every family is one
-        contiguous run, so reading it from the readout copies nothing."""
-        cmap = ColumnMap(tiny_world.vocab)
-        params = NetParams.init(
-            tiny_world.vocab, NetConfig(rep_dim=8, ctx_dim=4, feature_dim=6), substream(1, "x")
-        )
-        read = params.readout
-        groups = [
-            (cmap.entity_idx, cmap.entity_cols),
-            (cmap.concept_idx, cmap.concept_cols),
-            (cmap.instance_idx, cmap.instance_cols),
-            (cmap.predicate_idx, cmap.predicate_cols),
-        ] + [(cmap.family_idx[f], cmap.family_cols[f]) for f in sorted(cmap.family_cols)]
-        assert "Identity" in cmap.family_idx
-        for idx, cols in groups:
-            assert isinstance(idx, slice)
-            block = read[:, idx]
-            assert np.shares_memory(block, read)
-            np.testing.assert_array_equal(block, read[:, cols])
+    def test_each_block_holds_its_kinds_as_a_view(self, tiny_world):
+        """On a hand-written and on a generated vocabulary, each group's block
+        holds exactly the symbols of its kinds, and reading it from the
+        embedding copies nothing."""
+        for v in (small_vocab(families=INTERLEAVED), tiny_world.vocab):
+            params, cmap = small_params(v)
+            assert cmap.block.keys() == GROUP_KINDS.keys()
+            for group, kinds in GROUP_KINDS.items():
+                want = [sid for sid in range(len(v))
+                        if v.kind_of(sid) in kinds and sid != v.has_attribute]
+                assert sorted(cmap.ids[cmap.block[group]].tolist()) == want
+                assert np.shares_memory(params.emb[:, cmap.block[group]], params.emb)
 
-    def test_interleaved_family_keeps_its_columns(self):
-        v = small_vocab(families={"Species": ["Dog", "Mammal"], "Pet": ["Cat"]})
-        params, cmap = small_params(v, seed=4)
-        idx = cmap.family_idx["Species"]
-        assert isinstance(idx, np.ndarray)
-        assert idx.tolist() == cmap.family_cols["Species"].tolist() == [4, 6]
-        assert isinstance(cmap.family_idx["Pet"], slice)
-        rep = np.linspace(-1, 1, 8).astype(np.float32)
-        np.testing.assert_array_equal(
-            index_scores(params, sigmoid(rep), idx),
-            params.readout[:, [4, 6]].T @ sigmoid(rep),
-        )
+    def test_pos_inverts_each_block(self):
+        cmap = ColumnMap(small_vocab())
+        every = np.arange(cmap.n_columns)
+        for group, span in cmap.block.items():
+            cols = every[span]
+            assert cmap.pos(group, cols).tolist() == list(range(cols.size))
+            # every other column, and one past the last, is outside
+            outside = np.r_[-1, np.setdiff1d(every, cols), cmap.n_columns]
+            assert cmap.pos(group, outside).tolist() == [-1] * outside.size
 
-    def test_positions_within_index_sets(self):
-        v = small_vocab()
-        cmap = ColumnMap(v)
-        assert cmap.concept_pos(cmap.concept_cols).tolist() == list(range(9))
-        assert cmap.instance_pos(cmap.instance_cols).tolist() == [0, 1, 2]
-        assert cmap.predicate_pos(cmap.predicate_cols).tolist() == [0, 1]
-        # a column outside the set maps to the -1 sentinel
-        assert cmap.instance_pos([0])[0] == -1
+    @pytest.mark.parametrize("families", [None, INTERLEAVED], ids=["contiguous", "interleaved"])
+    def test_every_family_is_served_by_one_head(self, families):
+        cmap = ColumnMap(small_vocab(families=families))
+        served = np.sum([serves for _, serves, _, _ in cmap.label_heads], axis=0)
+        assert served.tolist() == [1] * len(cmap.families)
+        for _, serves, span, _ in cmap.label_heads:
+            for k in np.flatnonzero(serves):
+                cols = cmap.family_cols[cmap.families[k]]
+                assert np.all((span.start <= cols) & (cols < span.stop))
+
+    def test_an_interleaved_family_is_masked_to_its_columns(self):
+        cmap = ColumnMap(small_vocab(families=INTERLEAVED))
+        assert cmap.family_cols["Species"].tolist() == [4, 6]  # Cat's column between
+        masked = [h for h in cmap.label_heads if h[3] is not None]
+        assert len(masked) == 1
+        _, serves, span, outside = masked[0]
+        for k in np.flatnonzero(serves):
+            inside = np.arange(cmap.n_columns)[span][~outside[k]]
+            assert inside.tolist() == cmap.family_cols[cmap.families[k]].tolist()
 
 
 class TestNetConfig:
@@ -173,7 +188,7 @@ class TestNetParams:
     def test_pooled_is_instance_mean(self):
         v = small_vocab()
         params, cmap = small_params(v)
-        want = params.emb[:, cmap.instance_cols].mean(axis=1)
+        want = params.emb[:, group_cols(cmap, "instance")].mean(axis=1)
         np.testing.assert_array_equal(params.pooled, want)
 
     def test_init_deterministic(self):

@@ -16,7 +16,8 @@ batch with one constructor call, and `train` batches every mode through one
 call.  `training.py` gathers the world's feature rows at one site, the box
 layout the perception tables and SSL share.  Sampled picks draw no
 `Generator.choice`: `_pick` and `_pick_labels` turn their uniforms into
-positions through one inverse-CDF helper.
+positions through one inverse-CDF helper.  The split of the label families
+between their two heads is stated in `params.py` alone.
 Checkpoints and the feature archive share one tensor-archive codec in
 `params.py`.  A decode scores each step once: an attention mixture weights
 the block its step scored.  Symbols are numbered in one place: only
@@ -184,19 +185,37 @@ def _method_calls(node: ast.AST, attr: str) -> int:
                and n.func.attr == attr for n in ast.walk(node))
 
 
+def _accumulates(node: ast.AST) -> bool:
+    """Whether `node` takes a running sum: calls `cumsum`, as a method or a
+    function, or `add.accumulate`."""
+    called = [ast.unparse(n.func).split(".") for n in ast.walk(node) if isinstance(n, ast.Call)]
+    return any(name[-1] == "cumsum" or name[-2:] == ["add", "accumulate"] for name in called)
+
+
 def test_sampled_picks_share_one_inverse_cdf_draw():
     """`network` calls no `.choice(`.  The functions that take uniforms from
     the generator are `_pick`, `_pick_labels` and `fused_stream` (its own
-    source coin), and one helper, the only one that accumulates a CDF, turns
-    the picks' uniforms into positions for both."""
+    source coin).  One helper turns the picks' uniforms into positions for
+    both: the one function both picks call is the only one in `network`
+    that accumulates a running sum, however it spells it."""
     source = (Path(bilayer.__file__).parent / "network.py").read_text(encoding="utf-8")
     assert _method_calls(ast.parse(source), "choice") == 0
     funcs = _functions("network.py")
     drawers = {name for name, fn in funcs.items() if _method_calls(fn, "random")}
     assert drawers == {"_pick", "_pick_labels", "fused_stream"}
-    (helper,) = [name for name, fn in funcs.items() if _method_calls(fn, "cumsum")]
-    assert _calls(funcs["_pick"], helper) == 1
-    assert _calls(funcs["_pick_labels"], helper) == 1
+    shared = {name for name in funcs
+              if _calls(funcs["_pick"], name) and _calls(funcs["_pick_labels"], name)}
+    accumulating = {name for name, fn in funcs.items() if _accumulates(fn)}
+    assert len(shared) == 1 and shared == accumulating, (shared, accumulating)
+
+
+@pytest.mark.parametrize("module", ["graph.py", "network.py"])
+def test_the_label_heads_are_split_in_params_only(module):
+    """Which families the Identity head serves and which the masked one is
+    `ColumnMap.label_heads`'s to say: the two walks read the heads, not the
+    Identity family or the families' columns."""
+    used = _names(module)
+    assert not used & {"IDENTITY_FAMILY", "family_cols"}, sorted(used)
 
 
 def test_training_gathers_features_at_one_site():

@@ -35,6 +35,7 @@ from bilayer.world import ONTOLOGY, WorldConfig, export_world, gen_world, load_w
 from util import (
     copying_ce_head,
     dict_table,
+    group_cols,
     keyed_rows,
     pool_dict,
     pool_from_dict,
@@ -452,7 +453,7 @@ class TestVectorizedBatches:
         v, cmap, pool, unary, binary = _swap_setup(n, seed=1)
         batches = build_batches(unary, binary, mode="semantic", cmap=cmap, batch_size=128,
                                 rng=substream(4, "b"), rho=0.5, pool=pool)
-        entity = set(cmap.entity_cols.tolist())
+        entity = set(group_cols(cmap, "entity").tolist())
         swapped = lambda cols: ~np.isin(cols, list(entity))  # noqa: E731
         n_label = int(np.sum(unary.cols["fam"] != unary.families.index("Identity")))
         unary_swaps = sum(int(swapped(b.subj_inject_cols).sum()) for b in batches
@@ -682,10 +683,10 @@ class TestAdam:
         grads = {k: np.ones_like(a) for k, a in params.blocks().items()}
         before = {k: a.copy() for k, a in params.blocks().items()}
         mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)
-        mask[cmap.entity_cols] = 1.0
+        mask[group_cols(cmap, "entity")] = 1.0
         opt = Adam(params, 0.05, mask)
         opt.step(params, grads)
-        moved = cmap.entity_cols
+        moved = group_cols(cmap, "entity")
         held = np.setdiff1d(np.arange(cmap.n_columns), moved)
         assert not np.array_equal(params.emb[:, moved], before["emb"][:, moved])
         np.testing.assert_array_equal(params.emb[:, held], before["emb"][:, held])
@@ -781,12 +782,12 @@ class TestTrainLoop:
             epochs=2, batch_size=32, learning_rate=1e-2, seed=0, modes=("episodic",),
         )
         mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)
-        mask[cmap.instance_cols] = 1.0
+        mask[group_cols(cmap, "instance")] = 1.0
         before = {k: a.copy() for k, a in params.blocks().items()}
         train(params, cmap, v, store, config, emb_col_mask=mask)
         for name in ("ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b"):
             np.testing.assert_array_equal(params.blocks()[name], before[name])
-        held = np.setdiff1d(np.arange(cmap.n_columns), cmap.instance_cols)
+        held = np.setdiff1d(np.arange(cmap.n_columns), group_cols(cmap, "instance"))
         np.testing.assert_array_equal(params.emb[:, held], before["emb"][:, held])
         assert not np.array_equal(params.emb, before["emb"])
 

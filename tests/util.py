@@ -53,8 +53,13 @@ def small_vocab(
 
 
 # Species skips Mammal's column (Dog, Cat, Mammal are registered in that
-# order), so its readout index is a column array rather than a slice
+# order), so its columns are no contiguous run of the label block
 INTERLEAVED = {"Species": ["Dog", "Mammal"], "Pet": ["Cat"], "Age": ["Young", "Old"]}
+
+
+def group_cols(cmap: ColumnMap, group: str) -> np.ndarray:
+    """The columns of a readout group's block, in order, as an array."""
+    return np.arange(cmap.n_columns)[cmap.block[group]]
 
 
 def small_params(
@@ -799,7 +804,7 @@ def reference_pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take
     labels = [{} for _ in range(n)]
     for k, fam in enumerate(names):
         members = cmap.family_cols[fam]
-        cols = members if fam == IDENTITY_FAMILY else cmap.label_cols
+        cols = members if fam == IDENTITY_FAMILY else group_cols(cmap, "label")
         block = np.asarray(label_scores, dtype=np.float64)[:, cols]
         if fam != IDENTITY_FAMILY:
             block[:, ~np.isin(cols, members)] = -np.inf
