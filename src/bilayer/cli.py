@@ -14,8 +14,8 @@ stdout carries data (JSON Lines); logs go to stderr.  Exit codes: 0 ok,
 
 The `--config` of train, eval and ssl is one flat JSON object.  Its keys are
 the `TrainConfig` fields (epochs, batch_size, learning_rate, seed, modes,
-inject_rho, dropout, direct, hidden_families, excluded_families,
-ssl_learning_rate, ssl_epochs, novelty_threshold) and the network widths of
+inject_rho, hidden_families, excluded_families, ssl_learning_rate,
+ssl_epochs, novelty_threshold) and the network widths of
 `NetConfig` (rep_dim, ctx_dim, dtype); feature_dim comes from the world.
 `bilayer train` writes the config it trained with in this shape, as
 train-config.json.  The `--config` of gen is a flat `WorldConfig`, the shape

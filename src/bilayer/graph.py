@@ -4,7 +4,7 @@ Training walks the steps `network.schedule` lists for the decoder, with the
 same step functions (`context_step`, `context_out`, `encode_input`,
 `index_scores`), but commits ground-truth (or deliberately substituted)
 columns instead of picked ones.  Each batch element is one statement; heads
-active per mode and arity, the direct variant's being perception's:
+active per mode and arity:
 
     episodic   unary   subject CE + label CE
     episodic   binary  subject CE + object CE + predicate CE
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (
+    MODES,
     POOLED,
     NumericsError,
     StepSpec,
@@ -47,7 +48,6 @@ from .network import (
 )
 from .params import ColumnMap, NetParams
 
-MODES = ("episodic", "semantic", "perception")
 ARITIES = ("unary", "binary")
 
 
@@ -80,16 +80,13 @@ class Batch:
     feat_subj: np.ndarray | None = None
     feat_obj: np.ndarray | None = None
     feat_pred: np.ndarray | None = None
-    direct: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise GraphError(f"unknown mode {self.mode!r}")
         if self.arity not in ARITIES:
             raise GraphError(f"unknown arity {self.arity!r}")
-        if self.direct and self.mode != "perception":
-            raise GraphError("direct graphs are a perception variant")
-        specs = schedule(self.mode, self.arity == "binary", self.direct)
+        specs = schedule(self.mode, self.arity == "binary", False)
         if any(spec.box and getattr(self, _FIELDS[spec.head][0]) is None for spec in specs):
             raise GraphError("perception batches need feature inputs")
         for spec in specs:
@@ -221,9 +218,9 @@ def _commits_col(spec: StepSpec) -> bool:
 class _Step:
     """A step of `network.schedule` with a batch's arrays; `head` is (key,
     block, target positions).  `forward` fills `state` with what
-    `backward` reads: the squashed context the step was fed ("sh"; before
-    dropout "sh_raw", with its "mask"), the context step's squashed mix "zm",
-    the squashed input "z_tilde" and the squashed committed state "z".
+    `backward` reads: the squashed context the step was fed ("sh"), the
+    context step's squashed mix "zm", the squashed input "z_tilde" and the
+    squashed committed state "z".
     """
 
     spec: StepSpec
@@ -238,7 +235,7 @@ def _schedule(cmap: ColumnMap, batch: Batch) -> list[_Step]:
     """The batch's arrays for each step of its schedule: a head where the step
     reads out a group the mode trains, labels where the batch has them."""
     steps = []
-    for spec in schedule(batch.mode, batch.arity == "binary", batch.direct):
+    for spec in schedule(batch.mode, batch.arity == "binary", False):
         feat, key = _FIELDS[spec.head]
         cols = getattr(batch, key)
         head = None
@@ -253,26 +250,11 @@ def _schedule(cmap: ColumnMap, batch: Batch) -> list[_Step]:
     return steps
 
 
-def forward(
-    params: NetParams,
-    cmap: ColumnMap,
-    batch: Batch,
-    dropout: float = 0.0,
-    drop_rng: np.random.Generator | None = None,
-) -> tuple[float, dict]:
-    """Run the teacher-forced graph; cache everything backward() needs.
-
-    `dropout` masks context-state units (inverted scaling); it needs a
-    generator and only applies to the recurrent path, so the direct variant
-    ignores it.
-    """
+def forward(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, dict]:
+    """Run the teacher-forced graph; cache everything backward() needs."""
     b = len(batch)
     if b == 0:
         raise GraphError("empty batch")
-    if not 0.0 <= dropout < 1.0:
-        raise GraphError("dropout must be in [0, 1)")
-    if dropout > 0.0 and drop_rng is None:
-        raise GraphError("dropout needs a generator")
     inv_b = 1.0 / b
     dt = params.emb.dtype
     steps = _schedule(cmap, batch)
@@ -283,11 +265,6 @@ def forward(
         q = None
         if step.spec.context:
             st["zm"], sh = context_step(params, sh, z)
-            if dropout:
-                mask = (drop_rng.random(size=sh.shape) >= dropout).astype(dt)
-                mask /= np.asarray(1.0 - dropout, dtype=dt)
-                st["sh_raw"], st["mask"] = sh, mask
-                sh = sh * mask
             st["sh"] = sh
             q = context_out(params, sh)
         if step.box is not None:
@@ -393,18 +370,15 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
         if step.box is not None:
             grads["enc_w"] += d_q.T @ step.box.astype(d_q.dtype)
             grads["enc_b"] += d_q.sum(axis=0)
-        if "sh" not in st:  # the first step, or any step of the direct variant
+        if "sh" not in st:  # the first step
             d_z = None
             continue
-        # back through context_out, the dropout mask and context_step
+        # back through context_out and context_step
         sh = st["sh"]
         grads["ctx_out"] += d_q.T @ sh
         d = d_q @ params.ctx_out
         d_sh = d if d_sh is None else d_sh + d
-        if "mask" in st:
-            d_sh = d_sh * st["mask"]
-        raw = st.get("sh_raw", sh)
-        d_h = d_sh * raw * (1.0 - raw)
+        d_h = d_sh * sh * (1.0 - sh)
         zm = st["zm"]
         grads["ctx_rec"] += d_h.T @ zm
         d_sh = (d_h @ params.ctx_rec) * zm * (1.0 - zm)

@@ -416,8 +416,12 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     expected = sorted(_TENSOR_ORDER)
     if sorted(arrays) != expected:
         raise ParamError(f"{path}: checkpoint holds tensors {sorted(arrays)}, not {expected}")
-    params = NetParams(config=config, kind_counts=tuple(manifest["kind_counts"]), **arrays)
-    if params.emb.shape != (config.rep_dim, ColumnMap(vocab).n_columns):
+    cmap = ColumnMap(vocab)
+    if manifest["kind_counts"] != list(cmap.kind_counts):
+        raise ParamError(f"{path}: checkpoint kind_counts {manifest['kind_counts']!r} are not "
+                         f"the vocabulary's {list(cmap.kind_counts)}")
+    params = NetParams(config=config, kind_counts=cmap.kind_counts, **arrays)
+    if params.emb.shape != (config.rep_dim, cmap.n_columns):
         raise ParamError(f"{path}: checkpoint embedding shape does not match vocabulary")
     return params
 

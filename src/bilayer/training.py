@@ -4,6 +4,8 @@ Examples are per-statement: each unary quadruple contributes one family target
 (plus the identity pseudo-statement tying an entity to itself at the instances
 where it was observed), each binary quadruple one subject/object/predicate
 chain.  Teacher forcing injects ground-truth indices at every commitment.
+Each batch trains through the one teacher-forced graph of its mode and arity
+(`graph.forward`); the feature-only direct pass is a decode variant only.
 
 An example set is built once per `train` call as an `Examples` table of
 integer columns (symbol ids, family codes, and for perception sets rows of
@@ -73,8 +75,6 @@ class TrainConfig:
     seed: int = 0
     modes: tuple = ALL_MODES
     inject_rho: float = 0.5
-    dropout: float = 0.0
-    direct: bool = False            # feature-only variant (perception heads only)
     hidden_families: tuple = ()     # kept out of perception targets
     excluded_families: tuple = ()   # kept out of every loss
     ssl_learning_rate: float = 1e-5
@@ -96,13 +96,12 @@ class TrainConfig:
             raise TrainError("epoch counts must be nonnegative")
         if not 0.0 <= self.inject_rho <= 1.0:
             raise TrainError("inject_rho must be in [0, 1]")
-        if not 0.0 <= self.dropout < 1.0:
-            raise TrainError("dropout must be in [0, 1)")
         bad = [m for m in self.modes if m not in ALL_MODES]
         if bad:
             raise TrainError(f"unknown modes {bad}")
-        if self.direct and tuple(self.modes) != ("perception",):
-            raise TrainError("the direct variant trains on perception batches only")
+        twice = sorted({m for m in self.modes if self.modes.count(m) > 1})
+        if twice:
+            raise TrainError(f"modes lists {twice} more than once")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -311,7 +310,6 @@ def build_batches(
     rng: np.random.Generator,
     rho: float = 0.0,
     pool: InjectionPool | None = None,
-    direct: bool = False,
 ) -> list[Batch]:
     """Shuffle, apply index swaps, resolve ids to columns, group into batches.
 
@@ -352,7 +350,7 @@ def build_batches(
             shuffled |= {k: table.features[c[key][order]] for k, key in boxes.items()}
         for lo in range(0, n, batch_size):
             rows = slice(lo, lo + batch_size)
-            batches.append(Batch(mode=mode, arity=arity, direct=direct,
+            batches.append(Batch(mode=mode, arity=arity,
                                  **{k: v[rows] for k, v in shuffled.items()}))
     return batches
 
@@ -465,20 +463,17 @@ def train(
 
     for epoch in range(config.epochs):
         rng = substream(config.seed, "epoch", epoch)
-        drop_rng = substream(config.seed, "dropout", epoch) if config.dropout > 0 else None
         batches: list[Batch] = []
         for mode in config.modes:
             unary, binary, mode_rho, pool = sets[mode]
             batches += build_batches(unary, binary, mode=mode, cmap=cmap, rng=rng, rho=mode_rho,
-                                     pool=pool, batch_size=config.batch_size, direct=config.direct)
+                                     pool=pool, batch_size=config.batch_size)
 
         sums = {m: [0.0, 0.0, 0] for m in config.modes}
         for bi in rng.permutation(len(batches)):
             batch = batches[int(bi)]
             try:
-                loss, cache = graph.forward(
-                    params, cmap, batch, dropout=config.dropout, drop_rng=drop_rng
-                )
+                loss, cache = graph.forward(params, cmap, batch)
             except NumericsError as exc:
                 raise TrainingDiverged(epoch, batch.mode, str(exc)) from exc
             grads = graph.backward(params, cmap, batch, cache)

@@ -622,7 +622,7 @@ class TestTrain:
         ({"seed": 1.0}, "train seed must be of type int, not 1.0"),
         ({"learning_rate": "x"}, "train learning_rate must be of type float, not 'x'"),
         ({"novelty_threshold": "a"}, "train novelty_threshold must be of type float, not 'a'"),
-        ({"direct": 0}, "train direct must be of type bool, not 0"),
+        ({"inject_rho": True}, "train inject_rho must be of type float, not True"),
         ({"batch_size": True}, "train batch_size must be of type int, not True"),
     ])
     def test_train_setting_of_the_wrong_type_is_data_error(self, ws, tmp_path, caplog, doc,
@@ -698,7 +698,9 @@ class TestTrain:
     @pytest.mark.parametrize("doc, named", [
         ({"epochs": 1, "freeze_emb": True, "adam_beta1": 0.9}, "adam_beta1, freeze_emb"),
         ({"tied": False}, "tied"),
-    ], ids=["optimizer", "tied"])
+        ({"epochs": 1, "dropout": 0.0}, "dropout"),
+        ({"epochs": 1, "direct": False}, "direct"),
+    ], ids=["optimizer", "tied", "dropout", "direct"])
     def test_removed_keys_are_named_with_the_valid_ones(self, ws, tmp_path, command, doc, named):
         cfg = _write_json(tmp_path / "old.json", doc)
         proc = _run_cli([command, *_inputs(ws, command), "--config", cfg,
@@ -935,6 +937,29 @@ class TestDecode:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")], proc.stderr
         assert proc.stderr.startswith(f"ERROR {tmp_path / 'model.json'}: {message}"), proc.stderr
+
+    @pytest.mark.parametrize("command", ["decode", "ssl"])
+    @pytest.mark.parametrize("kind_counts", [
+        lambda kc: 7, lambda kc: "abcde", lambda kc: ["a"] * 5, lambda kc: kc[:4],
+        lambda kc: [kc[0] - 1, *kc[1:4], kc[4] + 1],
+    ], ids=["int", "string", "strings", "four", "shifted"])
+    def test_kind_counts_that_are_not_the_vocabulary_s_are_refused(self, ws, tmp_path, caplog,
+                                                                 command, kind_counts):
+        """The manifest's per-kind column counts must be the vocabulary's:
+        `grow` inserts new columns where they say each kind ends."""
+        run = tmp_path / "run"
+        shutil.copytree(ws["run_dir"], run)
+        manifest = json.loads((run / "model.json").read_text())
+        want = manifest["kind_counts"]
+        manifest["kind_counts"] = kind_counts(want)
+        (run / "model.json").write_text(json.dumps(manifest))
+        args = (["--world", ws["world_dir"], "--mode", "semantic"] if command == "decode"
+                else [ws["world_dir"]])
+        code, errors = _main_errors([command, str(run / "model.json"), *args,
+                                     "--out", str(tmp_path / "out")], caplog)
+        assert code == 3
+        assert errors == [f"{run / 'model.json'}: checkpoint kind_counts "
+                          f"{manifest['kind_counts']!r} are not the vocabulary's {want}"]
 
     @pytest.mark.parametrize("field, value, message", [
         ("shape", [64, "x"], "tensor 'ctx_in' has shape [64, 'x'], not a list of non-negative"),

@@ -99,15 +99,13 @@ class TestHeadMetrics:
         assert m["predicate_hits"]["1"] <= m["predicate_hits"][str(n_obj)]
 
     @pytest.mark.parametrize("arity", ["unary", "binary"])
-    @pytest.mark.parametrize("mode", ["episodic", "semantic", "perception", "direct"])
+    @pytest.mark.parametrize("mode", ["episodic", "semantic", "perception"])
     def test_graph_and_decoder_agree_on_clamped_pass(self, tiny_model, tiny_world, mode, arity):
         """Every head the graph scores equals the score block a winner-take-all
         decode clamped to the batch's instance, subject and object reads:
-        the two walk the schedule with the same step functions.  The direct
-        perception variant commits nothing, so its decode takes no clamps."""
+        the two walk the schedule with the same step functions."""
         params, cmap, _ = tiny_model
-        direct = mode == "direct"
-        perceiving = direct or mode == "perception"
+        perceiving = mode == "perception"
         rng = substream(0, "agree", mode, arity)
         fams = sorted(f for f, cols in cmap.family_cols.items() if cols.size)
         b = len(fams)  # a unary row per family
@@ -134,15 +132,15 @@ class TestHeadMetrics:
         if perceiving:
             dim = params.config.feature_dim
             fields.update({box: rng.standard_normal((b, dim)) for box in boxes})
-        batch = Batch(mode="perception" if direct else mode, arity=arity, direct=direct, **fields)
+        batch = Batch(mode=mode, arity=arity, **fields)
         _, cache = graph.forward(params, cmap, batch)
 
         def symbol(key, i):
-            return int(cmap.ids[fields[key][i]]) if key in fields and not direct else None
+            return int(cmap.ids[fields[key][i]]) if key in fields else None
 
         requests = [
             DecodeRequest(
-                mode=batch.mode, winner_take_all=True, direct=direct,
+                mode=mode, winner_take_all=True,
                 features=network.SceneInput(*(fields[box][i] for box in boxes))
                 if perceiving else None,
                 instance_id=symbol("inst_cols", i), subject_id=symbol("subj_inject_cols", i),
@@ -160,7 +158,6 @@ class TestHeadMetrics:
             ("perception", "unary"): {"NT", "NS"}, ("perception", "binary"): set(steps),
             ("episodic", "unary"): {"NS"}, ("episodic", "binary"): {"NS", "NO", "NP"},
             ("semantic", "unary"): set(), ("semantic", "binary"): {"NO", "NP"},
-            ("direct", "unary"): {"NT", "NS"}, ("direct", "binary"): set(steps),
         }[mode, arity]
         assert set(cache["heads"]) == want_heads
         for key, h in cache["heads"].items():

@@ -1,7 +1,7 @@
 """Analytic gradients checked coordinate-by-coordinate against 64-bit central
-finite differences, across every graph shape: all three modes, both arities,
-the direct perception variant, dropout, and batch sizes from one to nine,
-with label families in contiguous and in interleaved columns.  Every trainable coordinate is probed.  The segmented
+finite differences, across every graph shape: all three modes and both
+arities, batch sizes from one to nine, with label families in contiguous and
+in interleaved columns.  Every trainable coordinate is probed.  The segmented
 label head is also checked against one softmax head per family.
 """
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bilayer import graph
-from bilayer.graph import Batch, backward, forward, loss_and_grads, zero_grads
+from bilayer.graph import Batch, forward, loss_and_grads, zero_grads
 from bilayer.network import sigmoid
 from bilayer.world import substream
 
@@ -20,13 +20,12 @@ FD_STEP = 1e-5
 REL_TOL = 1e-4
 
 
-def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5,
+def _make_batch(cmap, mode: str, arity: str, rng, b: int = 5,
                 labels: tuple = ("Species", "Age")) -> Batch:
     ents = group_cols(cmap, "entity")
     kwargs: dict = {
         "mode": mode,
         "arity": arity,
-        "direct": direct,
         "subj_inject_cols": ents[rng.integers(0, ents.size, size=b)],
     }
     if mode != "semantic":
@@ -59,33 +58,24 @@ def _make_batch(cmap, mode: str, arity: str, direct: bool, rng, b: int = 5,
     return Batch(**kwargs)
 
 
+# each config's seed is its own, so adding or deleting a config draws no
+# other config's parameters and batch anew
 CONFIGS = [
-    {"mode": "episodic", "arity": "unary"},
-    {"mode": "episodic", "arity": "binary"},
-    {"mode": "semantic", "arity": "unary"},
-    {"mode": "semantic", "arity": "binary"},
-    {"mode": "perception", "arity": "unary"},
-    {"mode": "perception", "arity": "binary"},
-    {"mode": "perception", "arity": "unary", "direct": True},
-    {"mode": "perception", "arity": "binary", "direct": True},
-    {"mode": "episodic", "arity": "binary", "dropout": 0.3},
-    {"mode": "semantic", "arity": "unary", "dropout": 0.25},
-    {"mode": "perception", "arity": "binary", "dropout": 0.3},
-    {"mode": "perception", "arity": "unary", "dropout": 0.2},
-    {"mode": "episodic", "arity": "unary", "batch": 1},
-    {"mode": "perception", "arity": "binary", "batch": 9},
-    {"mode": "perception", "arity": "unary", "interleaved": True},
-    {"mode": "perception", "arity": "unary", "direct": True, "interleaved": True},
-    {"mode": "episodic", "arity": "unary", "batch": 7, "all_families": True},
+    {"mode": "episodic", "arity": "unary", "seed": 0},
+    {"mode": "episodic", "arity": "binary", "seed": 1},
+    {"mode": "semantic", "arity": "unary", "seed": 2},
+    {"mode": "semantic", "arity": "binary", "seed": 3},
+    {"mode": "perception", "arity": "unary", "seed": 4},
+    {"mode": "perception", "arity": "binary", "seed": 5},
+    {"mode": "episodic", "arity": "unary", "batch": 1, "seed": 12},
+    {"mode": "perception", "arity": "binary", "batch": 9, "seed": 13},
+    {"mode": "perception", "arity": "unary", "interleaved": True, "seed": 14},
+    {"mode": "episodic", "arity": "unary", "batch": 7, "all_families": True, "seed": 16},
 ]
 
 
 def _config_id(cfg: dict) -> str:
     bits = [cfg["mode"], cfg["arity"]]
-    if cfg.get("direct"):
-        bits.append("direct")
-    if cfg.get("dropout"):
-        bits.append(f"drop{cfg['dropout']}")
     if cfg.get("batch"):
         bits.append(f"b{cfg['batch']}")
     if cfg.get("interleaved"):
@@ -95,36 +85,22 @@ def _config_id(cfg: dict) -> str:
     return "-".join(bits)
 
 
-def _loss(params, cmap, batch, dropout: float, seed: int) -> float:
-    # re-seeding the dropout stream repeats the exact masks, so finite
-    # differences probe the same realized network
-    if dropout:
-        loss, _ = forward(params, cmap, batch, dropout, substream(seed, "drop"))
-    else:
-        loss, _ = forward(params, cmap, batch)
+def _loss(params, cmap, batch) -> float:
+    loss, _ = forward(params, cmap, batch)
     return loss
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_config_id)
 def test_gradients_match_finite_differences(cfg):
-    seed = CONFIGS.index(cfg)
+    seed = cfg["seed"]
     v = small_vocab(families=INTERLEAVED if cfg.get("interleaved") else None)
     params, cmap = small_params(v, dtype="float64", seed=seed)
     if cfg.get("interleaved"):
         assert np.any(np.diff(cmap.family_cols["Species"]) > 1)
     rng = substream(seed, "batch")
     labels = ("Species", "Rank", "Age") if cfg.get("all_families") else ("Species", "Age")
-    batch = _make_batch(
-        cmap, cfg["mode"], cfg["arity"], cfg.get("direct", False), rng, cfg.get("batch", 5),
-        labels,
-    )
-    dropout = cfg.get("dropout", 0.0)
-
-    if dropout:
-        loss, cache = forward(params, cmap, batch, dropout, substream(seed, "drop"))
-        grads = backward(params, cmap, batch, cache)
-    else:
-        loss, grads = loss_and_grads(params, cmap, batch)
+    batch = _make_batch(cmap, cfg["mode"], cfg["arity"], rng, cfg.get("batch", 5), labels)
+    loss, grads = loss_and_grads(params, cmap, batch)
     assert np.isfinite(loss)
     assert set(grads) == set(params.blocks())
 
@@ -135,9 +111,9 @@ def test_gradients_match_finite_differences(cfg):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + FD_STEP
-            up = _loss(params, cmap, batch, dropout, seed)
+            up = _loss(params, cmap, batch)
             flat[i] = orig - FD_STEP
-            down = _loss(params, cmap, batch, dropout, seed)
+            down = _loss(params, cmap, batch)
             flat[i] = orig
             fd = (up - down) / (2 * FD_STEP)
             scale = max(abs(g[i]), abs(fd), 1e-6)
@@ -148,7 +124,7 @@ def test_gradients_match_finite_differences(cfg):
 def test_semantic_mode_leaves_instance_columns_untouched():
     v = small_vocab()
     params, cmap = small_params(v, dtype="float64", seed=50)
-    batch = _make_batch(cmap, "semantic", "binary", False, substream(50, "batch"))
+    batch = _make_batch(cmap, "semantic", "binary", substream(50, "batch"))
     _, grads = loss_and_grads(params, cmap, batch)
     assert np.all(grads["emb"][:, group_cols(cmap, "instance")] == 0.0)
     assert np.any(grads["pooled"] != 0.0)
@@ -217,7 +193,7 @@ def test_a_unary_batch_makes_three_softmax_heads(monkeypatch):
     # NS, the segmented label head and Identity, however many families the batch holds
     v = small_vocab()
     params, cmap = small_params(v)
-    batch = _make_batch(cmap, "episodic", "unary", False, substream(0, "heads"), 7,
+    batch = _make_batch(cmap, "episodic", "unary", substream(0, "heads"), 7,
                         ("Species", "Rank", "Age"))
     calls = []
     real = graph._ce_head

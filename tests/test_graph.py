@@ -40,20 +40,18 @@ def _batch(cmap, mode: str, arity: str, b: int = 3) -> Batch:
     return Batch(mode=mode, arity=arity, **fields)
 
 
-@pytest.mark.parametrize("block, mode, arity, dropout, node", [
-    ("ctx_rec", "episodic", "binary", 0.0, "subject.sh"),
-    ("ctx_rec", "episodic", "unary", 0.3, "subject.sh_raw"),
-    ("ctx_in", "semantic", "unary", 0.0, "subject.zm"),
-    ("ctx_out", "semantic", "binary", 0.0, "subject.z_tilde"),
-    ("enc_w", "perception", "unary", 0.0, "instance.z_tilde"),
+@pytest.mark.parametrize("block, mode, arity, node", [
+    ("ctx_rec", "episodic", "binary", "subject.sh"),
+    ("ctx_in", "semantic", "unary", "subject.zm"),
+    ("ctx_out", "semantic", "binary", "subject.z_tilde"),
+    ("enc_w", "perception", "unary", "instance.z_tilde"),
 ])
-def test_non_finite_forward_names_the_first_bad_node(block, mode, arity, dropout, node):
+def test_non_finite_forward_names_the_first_bad_node(block, mode, arity, node):
     v = small_vocab()
     params, cmap = small_params(v, seed=3)
     getattr(params, block)[0, 0] = np.nan
-    drop_rng = substream(0, "drop") if dropout else None
     with pytest.raises(NumericsError, match=re.escape(f"graph node '{node}'")):
-        forward(params, cmap, _batch(cmap, mode, arity), dropout, drop_rng)
+        forward(params, cmap, _batch(cmap, mode, arity))
 
 
 def test_non_finite_scores_alone_name_the_loss():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,26 @@ class TestCheckpoint:
         with open(base + ".json", "w") as fp:
             json.dump(manifest, fp)
         with pytest.raises(ParamError, match="tensors are not a list of objects"):
+            load_checkpoint(base, v)
+
+    @pytest.mark.parametrize("kind_counts", [
+        7, "abcde", ["a"] * 5, [1, 2, 3, 4], "shifted",
+    ], ids=["int", "string", "strings", "four", "shifted"])
+    def test_rejects_kind_counts_that_are_not_the_vocabulary_s(self, tmp_path, kind_counts):
+        v = small_vocab()
+        params, cmap = small_params(v)
+        base = str(tmp_path / "ck")
+        save_checkpoint(params, v, base)
+        with open(base + ".json") as fp:
+            manifest = json.load(fp)
+        want = list(cmap.kind_counts)
+        if kind_counts == "shifted":  # one entity column counted as an instance
+            kind_counts = [want[0] - 1, *want[1:4], want[4] + 1]
+        manifest["kind_counts"] = kind_counts
+        with open(base + ".json", "w") as fp:
+            json.dump(manifest, fp)
+        with pytest.raises(ParamError, match=re.escape(
+                f"checkpoint kind_counts {kind_counts!r} are not the vocabulary's {want}")):
             load_checkpoint(base, v)
 
     def test_rejects_unknown_version(self, tmp_path):

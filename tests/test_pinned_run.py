@@ -3,10 +3,10 @@
 `bilayer gen` on the tiny world, `bilayer train` for 2 epochs in all three
 modes, then, from that checkpoint, the `bilayer decode` streams of every
 mode (stdout), `bilayer eval --experiments all` with the run's config and
-`bilayer ssl`.  Three more 2-epoch runs from the same world pin the
-checkpoints of the other train configs: dropout, direct and episodic-only.  Every step runs in a fresh interpreter with one BLAS thread,
-so a change of any arithmetic, draw order or file layout on the path shows
-up as a moved digest.  Unlike
+`bilayer ssl`.  One more 2-epoch run from the same world pins the
+checkpoint of an episodic-only train config.  Every step runs in a fresh
+interpreter with one BLAS thread, so a change of any arithmetic, draw order
+or file layout on the path shows up as a moved digest.  Unlike
 `TestGeneration`'s pins these hold float arithmetic, so they are tied to the
 numpy and BLAS builds they were taken with.
 """
@@ -37,8 +37,6 @@ DECODES = {
 }
 # each further train run's output directory and what it changes in TRAIN_CONFIG
 VARIANTS = {
-    "dropout": {"dropout": 0.2},
-    "direct": {"direct": True, "modes": ["perception"]},
     "episodic": {"modes": ["episodic"]},
 }
 EXPERIMENTS = ("consolidation-fidelity", "episodic-recall", "hidden-label-enrichment",
@@ -53,20 +51,18 @@ PINNED = {
     "decode/semantic.jsonl": "abc36018d5ae06a9947cad1fc8444425b106096ad21dde74f011110e57575d8f",
     "decode/semantic-s.jsonl": "14e0133ee2d8df3d39577ea5f0fd7dcbe6913808d1116ff968cb145e5508a363",
     "decode/fuse.jsonl": "23fa9acc6609b4b7d410c5ece17caf248701cd8b56a3197ff76f35f86632aca3",
-    "eval/report-consolidation-fidelity.json": "22650e5944c8b835cb3be8b4bb6f42716a52de9aec08a7a33099484eabeecc67",
-    "eval/report-episodic-recall.json": "c41bee6b568350aed3ad3f331f6d0c6574a474562abaad27600910f76c440f5a",
-    "eval/report-hidden-label-enrichment.json": "c859b41a487bf48522f2fcdad3927c899144daf6f8f58cfb7e7dbfea918305a8",
-    "eval/report-perception-binary.json": "d58efab327a2c6b9b35f160be54897f849bec7f85e2bcca971b648ef71a21f28",
-    "eval/report-perception-unary.json": "1d1923522a962e19e85ba51c116756b77fced63ee1536715e364fd80caf0691a",
-    "eval/report-semantic-recall.json": "7a99a8d0245ffbe213e3710662708203416504cb2601b5a73f5a8b0286def11c",
-    "eval/report-social-recall.json": "a85ade9a332960d09cc669ae3283cbe68d35fca6dc62a6585d0ece179050a92e",
-    "eval/report-ssl-before-after.json": "5da19f828847972bf5bc5d76269c1888c85f370cd99ec86fc5210c8433ec4ac9",
-    "eval/report-zero-shot-binary.json": "8cee0f9b5d71eb3937f2c8a4162876f34737a9f623c169827efca9c6e8631a19",
+    "eval/report-consolidation-fidelity.json": "f74b9bc07b16ce0f48499cb56df138189f699e7db06c6903887198dacb55949d",
+    "eval/report-episodic-recall.json": "dd4aaf958fc8443a6d72ed3ecb3dcac81b5c7c25fe7233aa84a5bd3b14309449",
+    "eval/report-hidden-label-enrichment.json": "f3e21e2c5f2081a34f2757f873d952d6de57d09e75a8b97368721e9ee8a1f9af",
+    "eval/report-perception-binary.json": "20280963db8f9464a6b923c6652f3e80dcf7de12379872b6152db2470417498e",
+    "eval/report-perception-unary.json": "7d3909a71c98b0973c24f8ff9324a2e4a2c5d1feebea08cf217913bca4b3391d",
+    "eval/report-semantic-recall.json": "f63f6edc125e3aee39fa1f3dba45073fa162c3908fd27d9185c5aa7f2894138c",
+    "eval/report-social-recall.json": "a326d8c4d478c5488671fff1959bb618685753f479e6c80c768e5776e16cad35",
+    "eval/report-ssl-before-after.json": "d7f89f63c50e8c64b68fb633d301d26e676048d8de99bf87e627bd774fc79253",
+    "eval/report-zero-shot-binary.json": "3b451bb48fe121b97b3bad92eca542a346db1c25b90520c29529a715400ddea1",
     "ssl/model.bin": "d562edc32563bd57c579ed2e21e6202d7373cd5a05d4713af120eaf663305206",
     "ssl/pseudo.jsonl": "0bdb444768fbe5dc20dd655584be8b6876d63cfa724bdbdc99006e124a513a30",
     "ssl/vocab.json": "e9a2d28bad0269da170765f4a171276bbd7c744f1733340f8f57cd35047acb69",
-    "train-dropout/model.bin": "8f6fc576b53b7abd6e90fbfd93a3b1f718f9ebdf5cda171a372b8da0a2d52cba",
-    "train-direct/model.bin": "08ddc8ab311a3517015e7fcbe68be90d3710c01f7e630b81bb4ad52c4c9a4871",
     "train-episodic/model.bin": "f8cd400a5f6f65d1487974ce9a38b37c36fc679f9949b22e8c864797e0a41228",
 }
 

@@ -68,12 +68,12 @@ class TestTrainConfig:
         with pytest.raises(TrainError):
             TrainConfig(inject_rho=1.5)
         with pytest.raises(TrainError):
-            TrainConfig(dropout=1.0)
-        with pytest.raises(TrainError):
             TrainConfig(modes=("episodic", "dreaming"))
-        with pytest.raises(TrainError):
-            TrainConfig(direct=True)  # direct needs perception-only modes
-        TrainConfig(direct=True, modes=("perception",))
+
+    def test_refuses_a_mode_listed_twice(self):
+        # each epoch would train it twice and log each of its rows twice
+        with pytest.raises(TrainError, match=r"modes lists \['episodic'\] more than once"):
+            TrainConfig(modes=("episodic", "semantic", "episodic"))
 
     @pytest.mark.parametrize("key", ["modes", "hidden_families", "excluded_families"])
     def test_refuses_a_bare_string_for_a_list(self, key):
@@ -82,7 +82,7 @@ class TestTrainConfig:
         assert TrainConfig(**{key: ["episodic"]}).to_dict()[key] == ["episodic"]
 
     def test_an_int_passes_for_a_float(self):
-        assert TrainConfig(dropout=0, learning_rate=1).learning_rate == 1
+        assert TrainConfig(inject_rho=1, learning_rate=1).learning_rate == 1
 
     def test_round_trip(self):
         config = TrainConfig(epochs=3, modes=("episodic",), hidden_families=("Age",))
@@ -354,7 +354,7 @@ def _same_batches(got: list, want: list) -> None:
     """Batches equal field for field, bit for bit."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.mode, a.arity, a.direct) == (b.mode, b.arity, b.direct)
+        assert (a.mode, a.arity) == (b.mode, b.arity)
         for name in ("inst_cols", "subj_inject_cols", "label_rows", "label_fams",
                      "label_target_cols", "obj_inject_cols", "pred_cols",
                      "feat_scene", "feat_subj", "feat_obj", "feat_pred"):
@@ -717,7 +717,7 @@ class TestTrainLoop:
         v, params, cmap, store = _memory_setup(seed=3)
         config = TrainConfig(
             epochs=3, batch_size=16, learning_rate=1e-3, seed=11,
-            modes=("episodic", "semantic"), dropout=0.2,
+            modes=("episodic", "semantic"),
         )
         a = params.copy()
         b = params.copy()

@@ -669,7 +669,7 @@ def pool_from_dict(pool: dict) -> InjectionPool:
 
 
 def reference_build_batches(unary, binary, *, mode, cmap, batch_size, rng, rho=0.0, pool=None,
-                            features=None, direct=False) -> list[Batch]:
+                            features=None) -> list[Batch]:
     """Batches from example dicts, one index swap draw per example: shuffle,
     swap, resolve ids to columns, group into batches."""
 
@@ -701,7 +701,7 @@ def reference_build_batches(unary, binary, *, mode, cmap, batch_size, rng, rho=0
                 label_fams=np.array([cmap.families.index(ex["fam"]) for ex in exs],
                                     dtype=np.int64),
                 label_target_cols=cmap.cols_of([ex["o"] for ex in exs]),
-                feat_scene=stack(exs, "scene"), feat_subj=stack(exs, "bb"), direct=direct,
+                feat_scene=stack(exs, "scene"), feat_subj=stack(exs, "bb"),
             ))
     if binary:
         for chunk in chunks(len(binary)):
@@ -713,7 +713,7 @@ def reference_build_batches(unary, binary, *, mode, cmap, batch_size, rng, rho=0
                 obj_inject_cols=cmap.cols_of([swapped(ex["o"]) for ex in exs]),
                 pred_cols=cmap.cols_of([ex["p"] for ex in exs]),
                 feat_scene=stack(exs, "scene"), feat_subj=stack(exs, "s_bb"),
-                feat_obj=stack(exs, "o_bb"), feat_pred=stack(exs, "rel"), direct=direct,
+                feat_obj=stack(exs, "o_bb"), feat_pred=stack(exs, "rel"),
             ))
     return batches
 
