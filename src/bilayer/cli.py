@@ -257,7 +257,7 @@ def cmd_train(args: argparse.Namespace) -> None:
         with open(os.path.join(args.out, "train-config.json"), "w", encoding="utf-8") as fp:
             json.dump({**train_config.to_dict(), **net_doc}, fp, indent=2, sort_keys=True)
             fp.write("\n")
-        final = history[-1]["loss"] if history else float("nan")
+        final = history[-1]["loss"] if history else None  # JSON null, not NaN
         _emit({"event": "trained", "checkpoint": "model.json", "final_loss": final})
         outputs = ["model.json", "model.bin", "history.csv", "train-config.json"]
         if world.vocab is not own_vocab:  # resumed with the vocabulary `bilayer ssl` grew

@@ -22,14 +22,16 @@ family's columns where it has a mask.  Which family a head serves, and
 every block a step reads, is the ColumnMap's; this module reads it there.
 Loss and accuracy are still reported per family.
 
-A batch gives each step of `network.schedule` its feature box, CE head and
-committed columns, and `forward` runs them in one loop.  `backward` is
-derived by hand and walks the same steps in reverse; tests check it against
+`forward` walks `network.schedule` itself, one loop over its steps, as
+`decode_many` does: a step reads its feature box and its columns from the
+batch, its head's block from the ColumnMap, and leaves its state in
+`cache["states"]` under its name.  `backward` is derived by hand and walks
+the same table in reverse, reading those states; tests check it against
 64-bit central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,74 +216,50 @@ def _commits_col(spec: StepSpec) -> bool:
     return spec.commit not in (None, POOLED)
 
 
-@dataclass
-class _Step:
-    """A step of `network.schedule` with a batch's arrays; `head` is (key,
-    block, target positions).  `forward` fills `state` with what
-    `backward` reads: the squashed context the step was fed ("sh"), the
-    context step's squashed mix "zm", the squashed input "z_tilde" and the
-    squashed committed state "z".
-    """
-
-    spec: StepSpec
-    box: np.ndarray | None
-    head: tuple | None
-    commit: np.ndarray | None
-    labels: bool
-    state: dict = field(default_factory=dict)
-
-
-def _schedule(cmap: ColumnMap, batch: Batch) -> list[_Step]:
-    """The batch's arrays for each step of its schedule: a head where the step
-    reads out a group the mode trains, labels where the batch has them."""
-    steps = []
-    for spec in schedule(batch.mode, batch.arity == "binary", False):
-        feat, key = _FIELDS[spec.head]
-        cols = getattr(batch, key)
-        head = None
-        if _trains(batch.mode, spec):
-            span = cmap.block[spec.group]
-            head = spec.head, span, cols - span.start
-        steps.append(_Step(
-            spec, getattr(batch, feat) if spec.box else None, head,
-            cols if _commits_col(spec) else None,
-            spec.labels and batch.label_fams is not None,
-        ))
-    return steps
+def _arrays(batch: Batch, spec: StepSpec) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The step's feature box (None if it encodes none) and its batch
+    columns: its CE targets and the columns it commits."""
+    feat, key = _FIELDS[spec.head]
+    return getattr(batch, feat) if spec.box else None, getattr(batch, key)
 
 
 def forward(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, dict]:
-    """Run the teacher-forced graph; cache everything backward() needs."""
+    """Run the teacher-forced graph over the batch's `network.schedule` and
+    cache everything backward() needs.  `cache["states"]` holds each step's
+    state by step name, in schedule order: the squashed context it was fed
+    ("sh"), the context step's squashed mix "zm", the squashed input
+    "z_tilde" and the squashed committed state "z"."""
     b = len(batch)
     if b == 0:
         raise GraphError("empty batch")
     inv_b = 1.0 / b
     dt = params.emb.dtype
-    steps = _schedule(cmap, batch)
-    cache: dict = {"heads": {}, "fam_heads": {}, "steps": steps}
+    cache: dict = {"heads": {}, "fam_heads": {}, "states": {}}
     sh, z = initial_context(params), None
-    for step in steps:
-        st = step.state
+    for spec in schedule(batch.mode, batch.arity == "binary", False):
+        box, cols = _arrays(batch, spec)
+        st = cache["states"][spec.name] = {}
         q = None
-        if step.spec.context:
+        if spec.context:
             st["zm"], sh = context_step(params, sh, z)
             st["sh"] = sh
             q = context_out(params, sh)
-        if step.box is not None:
-            enc = encode_input(params, step.box)
+        if box is not None:
+            enc = encode_input(params, box)
             q = enc if q is None else q + enc
         if q is not None:
             z = st["z_tilde"] = sigmoid(q)
-        if step.head is not None:
-            key, idx, targets = step.head
-            cache["heads"][key] = _ce_head(index_scores(params, z, idx), targets, inv_b)
-        if step.commit is not None:
-            cols = params.emb.T[step.commit]
+        if _trains(batch.mode, spec):
+            span = cmap.block[spec.group]
+            scores = index_scores(params, z, span)
+            cache["heads"][spec.head] = _ce_head(scores, cols - span.start, inv_b)
+        if _commits_col(spec):
+            cols = params.emb.T[cols]
             z = sigmoid(cols if q is None else q + cols)
-        elif step.spec.commit == POOLED:
+        elif spec.commit == POOLED:
             z = sigmoid(np.broadcast_to(params.pooled, (b, params.config.rep_dim)).astype(dt))
         st["z"] = z
-        if step.labels:
+        if spec.labels and batch.label_fams is not None:
             cache.update(_label_heads(z, params.readout, cmap, batch, inv_b))
     loss = _total_loss(cache)
     if not np.isfinite(loss):
@@ -300,10 +278,10 @@ def _name_nonfinite(cache: dict) -> None:
     """Name where a non-finite loss first shows: a step state, in schedule
     order, else a head's scores.  The segmented label head holds -inf
     outside each row's family by design, so only NaN and +inf count there."""
-    for step in cache["steps"]:
-        for key, arr in step.state.items():
+    for name, st in cache["states"].items():
+        for key, arr in st.items():
             if not np.all(np.isfinite(arr)):
-                raise NumericsError(f"non-finite values at graph node '{step.spec.name}.{key}'")
+                raise NumericsError(f"non-finite values at graph node '{name}.{key}'")
     heads = {**cache["heads"], **{k: cache[k] for k in ("identity", "labels") if k in cache}}
     for key, h in heads.items():
         scores = h["scores"]
@@ -336,41 +314,44 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
 
 
 def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> dict[str, np.ndarray]:
-    """Hand-derived reverse pass over the forward's steps, last to first;
+    """Hand-derived reverse pass over the batch's `network.schedule`, last
+    step to first, from the states `forward` left in `cache["states"]`;
     returns gradients keyed like params.blocks()."""
     grads = zero_grads(params)
     d_emb = grads["emb"]
     read = params.readout
-    steps = cache["steps"]
+    specs = schedule(batch.mode, batch.arity == "binary", False)
+    states = cache["states"]
     # gradients at the committed state of the step being walked and at the
     # context it was fed, as far as the later steps have summed them
     d_z = d_sh = None
-    for k in range(len(steps) - 1, -1, -1):
-        step, st = steps[k], steps[k].state
-        if step.labels:
+    for k in range(len(specs) - 1, -1, -1):
+        spec, st = specs[k], states[specs[k].name]
+        box, cols = _arrays(batch, spec)
+        if spec.labels and batch.label_fams is not None:
             g = _label_grads(st["z"], cache, read, d_emb)
             d_z = g if d_z is None else d_z + g
         d_q = None
-        if step.spec.commit:  # a teacher column or the pooled vector
+        if spec.commit:  # a teacher column or the pooled vector
             z = st["z"]
             d_q = d_z * z * (1.0 - z)
-            if step.spec.commit == POOLED:
+            if spec.commit == POOLED:
                 grads["pooled"] += d_q.sum(axis=0)
             else:
-                _scatter_add(d_emb.T, step.commit, d_q)
+                _scatter_add(d_emb.T, cols, d_q)
             d_z = None
-        if step.head is not None:
-            key, idx, _ = step.head
-            g = _head_into(cache["heads"][key], st["z_tilde"], read, d_emb, idx)
+        if _trains(batch.mode, spec):
+            g = _head_into(cache["heads"][spec.head], st["z_tilde"], read, d_emb,
+                           cmap.block[spec.group])
             d_z = g if d_z is None else g + d_z
         if d_z is not None:
             z = st["z_tilde"]
             d = d_z * z * (1.0 - z)
             d_q = d if d_q is None else d_q + d
-        if step.box is not None:
-            grads["enc_w"] += d_q.T @ step.box.astype(d_q.dtype)
+        if box is not None:
+            grads["enc_w"] += d_q.T @ box.astype(d_q.dtype)
             grads["enc_b"] += d_q.sum(axis=0)
-        if "sh" not in st:  # the first step
+        if not spec.context:  # the first step
             d_z = None
             continue
         # back through context_out and context_step
@@ -382,7 +363,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
         zm = st["zm"]
         grads["ctx_rec"] += d_h.T @ zm
         d_sh = (d_h @ params.ctx_rec) * zm * (1.0 - zm)
-        grads["ctx_in"] += d_sh.T @ steps[k - 1].state["z"]
+        grads["ctx_in"] += d_sh.T @ states[specs[k - 1].name]["z"]
         d_z = d_sh @ params.ctx_in
     return grads
 

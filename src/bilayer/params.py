@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -123,12 +123,7 @@ class NetConfig:
         return np.dtype(self.dtype)
 
     def to_dict(self) -> dict:
-        return {
-            "rep_dim": self.rep_dim,
-            "ctx_dim": self.ctx_dim,
-            "feature_dim": self.feature_dim,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetConfig":
@@ -141,6 +136,9 @@ class NetConfig:
 def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+_TENSOR_ORDER = ("emb", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b")
 
 
 @dataclass
@@ -186,28 +184,11 @@ class NetParams:
         return params
 
     def blocks(self) -> dict[str, np.ndarray]:
-        return {
-            "emb": self.emb,
-            "ctx_in": self.ctx_in,
-            "ctx_rec": self.ctx_rec,
-            "ctx_out": self.ctx_out,
-            "pooled": self.pooled,
-            "enc_w": self.enc_w,
-            "enc_b": self.enc_b,
-        }
+        """The trainable blocks by name, in `_TENSOR_ORDER`."""
+        return {name: getattr(self, name) for name in _TENSOR_ORDER}
 
     def copy(self) -> "NetParams":
-        return NetParams(
-            config=self.config,
-            emb=self.emb.copy(),
-            ctx_in=self.ctx_in.copy(),
-            ctx_rec=self.ctx_rec.copy(),
-            ctx_out=self.ctx_out.copy(),
-            pooled=self.pooled.copy(),
-            enc_w=self.enc_w.copy(),
-            enc_b=self.enc_b.copy(),
-            kind_counts=self.kind_counts,
-        )
+        return replace(self, **{name: arr.copy() for name, arr in self.blocks().items()})
 
     def grow(self, vocab: Vocabulary, rng: np.random.Generator) -> ColumnMap:
         """Add freshly initialized columns for symbols registered after init.
@@ -236,10 +217,9 @@ class NetParams:
         return cmap
 
 
-_TENSOR_ORDER = ("emb", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b")
-
 # the codec's own manifest fields; an archive's kind adds the rest
-_ARCHIVE_FIELDS = ("format", "version", "tensors", "blob_nbytes", "blob_sha256")
+_BLOB_FIELDS = ("blob_nbytes", "blob_sha256")
+_ARCHIVE_FIELDS = ("format", "version", "tensors") + _BLOB_FIELDS
 
 
 def check_keys(where: str, doc, valid, required=(), error=ParamError) -> None:
@@ -350,9 +330,9 @@ def write_archive(base_path: str, fmt: str, version: int, meta: dict,
 
 def read_manifest(base_path: str, fmt: str, version: int, fields: tuple[str, ...]) -> dict:
     """The manifest of the archive at `base_path`: a JSON object of format
-    `fmt` and version `version` that has every one of `fields` and no key
-    outside them and the codec's own.  The blob's length and digest may be
-    missing; manifests written before they were recorded lack both."""
+    `fmt` and version `version` that records its blob's length and sha256,
+    has every one of `fields` and has no key outside them and the codec's
+    own."""
     path = base_path + ".json"
     if not (os.path.exists(path) and os.path.exists(base_path + ".bin")):
         raise ParamError(f"{fmt} archive {base_path!r} not found")
@@ -362,7 +342,7 @@ def read_manifest(base_path: str, fmt: str, version: int, fields: tuple[str, ...
     if manifest.get("version") != version:
         raise ParamError(f"{path}: {fmt} version {manifest.get('version')!r} is not readable; "
                          f"this reader reads version {version}")
-    check_keys(path, manifest, _ARCHIVE_FIELDS + fields, fields)
+    check_keys(path, manifest, _ARCHIVE_FIELDS + fields, fields + _BLOB_FIELDS)
     return manifest
 
 
@@ -374,10 +354,10 @@ def read_tensors(base_path: str, manifest: dict, dtype) -> dict[str, np.ndarray]
     with open(blob_path, "rb") as fp:
         blob = fp.read()
     what = f"{blob_path}: the {manifest['format']} blob"
-    if "blob_nbytes" in manifest and len(blob) != manifest["blob_nbytes"]:
+    if len(blob) != manifest["blob_nbytes"]:
         raise ParamError(f"{what} has {len(blob)} bytes; its manifest records "
                          f"{manifest['blob_nbytes']}")
-    if "blob_sha256" in manifest and hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise ParamError(f"{what} does not match the sha256 in its manifest")
     wire = np.dtype(dtype).newbyteorder("<")
     specs = manifest.get("tensors")
@@ -391,12 +371,10 @@ def read_tensors(base_path: str, manifest: dict, dtype) -> dict[str, np.ndarray]
 
 def save_checkpoint(params: NetParams, vocab: Vocabulary, base_path: str) -> tuple[str, str]:
     """Write `<base>.json` (manifest) and `<base>.bin` (little-endian blob)."""
-    blocks = params.blocks()
     meta = {"config": params.config.to_dict(), "kind_counts": list(params.kind_counts),
             "vocab_sha256": vocab.digest()}
-    tensors = [(name, blocks[name]) for name in _TENSOR_ORDER]
-    return write_archive(base_path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, meta, tensors,
-                         params.config.np_dtype())
+    return write_archive(base_path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, meta,
+                         list(params.blocks().items()), params.config.np_dtype())
 
 
 def read_checkpoint_manifest(base_path: str) -> dict:
@@ -428,8 +406,7 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
 
 def params_digest(params: NetParams) -> str:
     h = hashlib.sha256()
-    blocks = params.blocks()
-    for name in _TENSOR_ORDER:
+    for name, arr in params.blocks().items():
         h.update(name.encode())
-        h.update(np.ascontiguousarray(blocks[name]).tobytes())
+        h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()

@@ -840,8 +840,7 @@ def read_features(base_path: str, feature_dim: int) -> tuple[np.ndarray, dict[st
     index.  The archive holds one tensor, `features`, of `feature_dim`
     columns, and its manifest lists one distinct key per row, in row order."""
     path = base_path + ".json"
-    manifest = read_manifest(base_path, FEATURES_FORMAT, FEATURES_VERSION,
-                             ("keys", "blob_nbytes", "blob_sha256"))
+    manifest = read_manifest(base_path, FEATURES_FORMAT, FEATURES_VERSION, ("keys",))
     tensors = read_tensors(base_path, manifest, np.float32)
     matrix, keys = tensors.get("features"), manifest["keys"]
     if len(tensors) != 1 or matrix is None or matrix.ndim != 2 or matrix.shape[1] != feature_dim:

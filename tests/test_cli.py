@@ -646,6 +646,22 @@ class TestTrain:
         epochs = [l for l in lines if l["event"] == "epoch"]
         assert epochs and all(np.isfinite(e["loss"]) for e in epochs)
 
+    @pytest.mark.parametrize("doc", [{"epochs": 0}, {"epochs": 1, "modes": []}],
+                             ids=["no-epochs", "no-modes"])
+    def test_stdout_stays_json_lines_with_no_history(self, ws, tmp_path, capsys, doc):
+        """With nothing trained the final event's `final_loss` is null, so
+        every stdout line parses as strict JSON, which has no NaN."""
+        cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, **doc})
+        assert main(["train", ws["world_dir"], "--config", cfg, "--out",
+                     str(tmp_path / "run")]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lines = [json.loads(l, parse_constant=refuse)
+                 for l in capsys.readouterr().out.splitlines()]
+        assert lines == [{"event": "trained", "checkpoint": "model.json", "final_loss": None}]
+
     def test_same_seed_is_byte_identical(self, ws, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):
@@ -899,11 +915,12 @@ class TestDecode:
          "bilayer-checkpoint version 1 is not readable; this reader reads version 2"),
         (_append_untied_readout,
          "checkpoint holds tensors ['ctx_in', 'ctx_out', 'ctx_rec', 'emb', 'emb_up', 'enc_b',"),
-    ], ids=["dtype", "unknown-setting", "version-1", "emb_up"])
+        (lambda doc, blob: doc.pop("blob_sha256"), "model.json: missing keys blob_sha256"),
+    ], ids=["dtype", "unknown-setting", "version-1", "emb_up", "no-blob-sha256"])
     def test_a_tampered_checkpoint_manifest_is_data_error(self, ws, tmp_path, tamper, message):
-        """A manifest with a bad network setting, of the old version, or
-        listing a readout tensor besides the embedding is refused with one
-        line."""
+        """A manifest with a bad network setting, of the old version,
+        listing a readout tensor besides the embedding or without its blob's
+        digest is refused with one line."""
         for ext in (".json", ".bin"):
             shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))
         manifest = json.loads((tmp_path / "model.json").read_text())

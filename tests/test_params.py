@@ -319,20 +319,26 @@ class TestCheckpoint:
         with pytest.raises(ParamError, match="sha256"):
             load_checkpoint(base, v)
 
-    def test_loads_a_manifest_without_blob_fields(self, tmp_path):
-        # written before the blob's length and digest were recorded
+    @pytest.mark.parametrize("missing", [
+        ("blob_nbytes",), ("blob_sha256",), ("blob_nbytes", "blob_sha256"),
+    ], ids=["no-nbytes", "no-sha256", "neither"])
+    def test_refuses_a_manifest_without_blob_fields(self, tmp_path, missing):
+        """Every checkpoint records its blob's length and sha256, so a
+        manifest that lacks either is refused, not loaded with the blob
+        unchecked."""
         v = small_vocab()
         params, _ = small_params(v, seed=4)
         base = str(tmp_path / "ck")
         save_checkpoint(params, v, base)
         with open(base + ".json") as fp:
             manifest = json.load(fp)
-        del manifest["blob_nbytes"], manifest["blob_sha256"]
+        for key in missing:
+            del manifest[key]
         with open(base + ".json", "w") as fp:
             json.dump(manifest, fp)
-        loaded = load_checkpoint(base, v)
-        for name, arr in params.blocks().items():
-            np.testing.assert_array_equal(loaded.blocks()[name], arr)
+        with pytest.raises(ParamError) as err:
+            load_checkpoint(base, v)
+        assert str(err.value) == f"{base}.json: missing keys {', '.join(missing)}"
 
     def test_rejects_tensor_bytes_that_miss_its_shape(self, tmp_path):
         v = small_vocab()

@@ -28,7 +28,8 @@ only inside `triple_store.py`.  Every public name the package defines has a
 caller inside it, but for a short allowlist of names that the benchmark or
 the gradient tests call, every field of the three settings classes is read
 outside its class, and every field of a world is read outside `world.py`.
-The ontology is one constant, constructed once.
+The ontology is one constant, constructed once.  Every module but
+`__init__.py`, which re-exports, reads each name it imports.
 """
 from __future__ import annotations
 
@@ -456,3 +457,26 @@ def test_no_deep_copies():
         named = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert "deepcopy" not in named, path.name
+
+
+def _imported(tree: ast.AST) -> set[str]:
+    """The names `tree`'s import statements bind, `__future__`'s aside."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out |= {a.asname or a.name for a in node.names}
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(bilayer.__file__).parent.glob("*.py") if p.name != "__init__.py"
+))
+def test_every_imported_name_is_read(module):
+    """No unused import lingers, with no linter installed: each name a
+    module imports is read in it, as a name, in code or in an annotation."""
+    tree = ast.parse((Path(bilayer.__file__).parent / module).read_text(encoding="utf-8"))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = sorted(_imported(tree) - read)
+    assert not unused, f"{module} imports {unused} and never reads them"
