@@ -260,7 +260,7 @@ def forward(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, di
             z = sigmoid(np.broadcast_to(params.pooled, (b, params.config.rep_dim)).astype(dt))
         st["z"] = z
         if spec.labels and batch.label_fams is not None:
-            cache.update(_label_heads(z, params.readout, cmap, batch, inv_b))
+            cache.update(_label_heads(z, params.emb, cmap, batch, inv_b))
     loss = _total_loss(cache)
     if not np.isfinite(loss):
         _name_nonfinite(cache)
@@ -297,10 +297,6 @@ def mean_head_accuracy(cache: dict) -> float:
     return float(np.mean(accs)) if accs else float("nan")
 
 
-def zero_grads(params: NetParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
-
-
 def _scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
     """`np.add.at(target, idx, vals)` bit for bit, faster: the rows of
     `vals` that share an index are added in rounds, in row order, each round
@@ -313,13 +309,13 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
         target[sidx[m]] += vals[order[m]]
 
 
-def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> dict[str, np.ndarray]:
+def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> NetParams:
     """Hand-derived reverse pass over the batch's `network.schedule`, last
     step to first, from the states `forward` left in `cache["states"]`;
-    returns gradients keyed like params.blocks()."""
-    grads = zero_grads(params)
-    d_emb = grads["emb"]
-    read = params.readout
+    returns the gradient, a `NetParams` of `params`' layout."""
+    grads = NetParams(params.config, params.kind_counts)
+    d_emb = grads.emb
+    read = params.emb
     specs = schedule(batch.mode, batch.arity == "binary", False)
     states = cache["states"]
     # gradients at the committed state of the step being walked and at the
@@ -336,7 +332,7 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
             z = st["z"]
             d_q = d_z * z * (1.0 - z)
             if spec.commit == POOLED:
-                grads["pooled"] += d_q.sum(axis=0)
+                grads.pooled += d_q.sum(axis=0)
             else:
                 _scatter_add(d_emb.T, cols, d_q)
             d_z = None
@@ -349,25 +345,25 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> d
             d = d_z * z * (1.0 - z)
             d_q = d if d_q is None else d_q + d
         if box is not None:
-            grads["enc_w"] += d_q.T @ box.astype(d_q.dtype)
-            grads["enc_b"] += d_q.sum(axis=0)
+            grads.enc_w += d_q.T @ box.astype(d_q.dtype)
+            grads.enc_b += d_q.sum(axis=0)
         if not spec.context:  # the first step
             d_z = None
             continue
         # back through context_out and context_step
         sh = st["sh"]
-        grads["ctx_out"] += d_q.T @ sh
+        grads.ctx_out += d_q.T @ sh
         d = d_q @ params.ctx_out
         d_sh = d if d_sh is None else d_sh + d
         d_h = d_sh * sh * (1.0 - sh)
         zm = st["zm"]
-        grads["ctx_rec"] += d_h.T @ zm
+        grads.ctx_rec += d_h.T @ zm
         d_sh = (d_h @ params.ctx_rec) * zm * (1.0 - zm)
-        grads["ctx_in"] += d_sh.T @ states[specs[k - 1].name]["z"]
+        grads.ctx_in += d_sh.T @ states[specs[k - 1].name]["z"]
         d_z = d_sh @ params.ctx_in
     return grads
 
 
 def loss_and_grads(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, dict]:
     loss, cache = forward(params, cmap, batch)
-    return loss, backward(params, cmap, batch, cache)
+    return loss, backward(params, cmap, batch, cache).blocks()

@@ -164,10 +164,10 @@ def encode_input(params: NetParams, feat: np.ndarray) -> np.ndarray:
 
 
 def index_scores(params: NetParams, z: np.ndarray, idx) -> np.ndarray:
-    """Pre-activations of the index units `read[:, idx]` given a squashed
+    """Pre-activations of the index units `emb[:, idx]` given a squashed
     representation `z`; `idx` is a block of the ColumnMap or any column
     array."""
-    return z @ params.readout[:, idx]
+    return z @ params.emb[:, idx]
 
 
 def attention_update(params: NetParams, rep: np.ndarray, scores: np.ndarray, idx) -> np.ndarray:

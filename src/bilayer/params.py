@@ -7,9 +7,14 @@ predicates, instances, each group in registration order), which is exactly the
 order the vocabulary JSON preserves, so checkpoints align by name across
 export/import even though integer ids are session local.
 
-`ColumnMap` is the one statement of the layout: each readout group's block
-of columns, a column's position in its block, and the two label heads, the
-only place that tells the Identity family from the others.
+`ColumnMap` is the one statement of the column layout: each readout group's
+block of columns, a column's position in its block, and the two label heads,
+the only place that tells the Identity family from the others.
+
+`block_shapes` is the one statement of the parameter layout: each block's
+name and shape, in the checkpoint blob's order.  A `NetParams` is one buffer,
+`flat`, cut by it into views; gradients and Adam's moments share the layout,
+and a checkpoint's blob is `flat`'s little-endian bytes.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -127,93 +132,86 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetConfig":
-        try:
-            return cls(**data)
-        except TypeError as exc:  # not a mapping, or a key that is no setting
-            raise ParamError(f"bad network config: {exc}") from exc
+        """A checkpoint's config, which states every setting."""
+        names = [f.name for f in fields(cls)]
+        check_keys("bad network config", data, names, names)
+        return cls(**data)
 
 
-def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
+def _kaiming(rng: np.random.Generator, out: np.ndarray, fan_in: int) -> None:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    out[...] = rng.uniform(-bound, bound, size=out.shape)
 
 
-_TENSOR_ORDER = ("emb", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b")
+def block_shapes(config: NetConfig, kind_counts) -> dict[str, tuple[int, ...]]:
+    """Every parameter block's name and shape, in the checkpoint blob's order."""
+    r, h, f = config.rep_dim, config.ctx_dim, config.feature_dim
+    return {"emb": (r, sum(kind_counts)),  # one column per index unit
+            "ctx_in": (h, r),              # representation -> context
+            "ctx_rec": (h, h),             # recurrent context weights
+            "ctx_out": (r, h),             # context -> representation
+            "pooled": (r,),                # stand-in instance embedding
+            "enc_w": (r, f),               # feature adapter
+            "enc_b": (r,)}
 
 
-@dataclass
 class NetParams:
-    config: NetConfig
-    emb: np.ndarray          # (rep_dim, n_columns) one column per index unit
-    ctx_in: np.ndarray       # (ctx_dim, rep_dim)    representation -> context
-    ctx_rec: np.ndarray      # (ctx_dim, ctx_dim)    recurrent context weights
-    ctx_out: np.ndarray      # (rep_dim, ctx_dim)    context -> representation
-    pooled: np.ndarray       # (rep_dim,)            stand-in instance embedding
-    enc_w: np.ndarray        # (rep_dim, feature_dim) feature adapter
-    enc_b: np.ndarray        # (rep_dim,)
-    kind_counts: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
+    """The network's weights: one buffer, `flat`, cut by `block_shapes` into
+    blocks, each an attribute that is a view into it, so a block is written
+    in place and never rebound.  A fresh instance is zeros; a gradient is a
+    `NetParams` of its parameters' layout."""
 
-    @property
-    def readout(self) -> np.ndarray:
-        """Matrix whose columns score index units from a representation: the
-        embedding itself, so a unit is scored and written back by one column."""
-        return self.emb
+    def __init__(self, config: NetConfig, kind_counts: tuple[int, ...], flat=None):
+        shapes = block_shapes(config, kind_counts)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()]).tolist()
+        self.config, self.kind_counts = config, kind_counts
+        self.flat = np.zeros(ends[-1], dtype=config.np_dtype()) if flat is None else flat
+        for (name, shape), start, end in zip(shapes.items(), [0] + ends, ends):
+            setattr(self, name, self.flat[start:end].reshape(shape))
+        self.readout = self.emb  # the name perfbench's tracer reads the embedding by
 
     @classmethod
     def init(cls, vocab: Vocabulary, config: NetConfig, rng: np.random.Generator) -> "NetParams":
+        """Kaiming-uniform matrices drawn in block order, fan-in their input width."""
         cmap = ColumnMap(vocab)
-        r, h, f = config.rep_dim, config.ctx_dim, config.feature_dim
-        dt = config.np_dtype()
-        emb = _kaiming(rng, (r, cmap.n_columns), r, dt)
-        params = cls(
-            config=config,
-            emb=emb,
-            ctx_in=_kaiming(rng, (h, r), r, dt),
-            ctx_rec=_kaiming(rng, (h, h), h, dt),
-            ctx_out=_kaiming(rng, (r, h), h, dt),
-            pooled=np.zeros(r, dtype=dt),
-            enc_w=_kaiming(rng, (r, f), f, dt),
-            enc_b=np.zeros(r, dtype=dt),
-            kind_counts=cmap.kind_counts,
-        )
+        params = cls(config, cmap.kind_counts)
+        for name, block in params.blocks().items():
+            if block.ndim == 2:
+                _kaiming(rng, block, config.rep_dim if name == "emb" else block.shape[1])
         # gathered with an index array: a mean over the strided slice view
         # differs from the gathered copy's in the last bits
         instances = np.r_[cmap.block["instance"]]
         if instances.size:
-            params.pooled[:] = emb[:, instances].mean(axis=1)
+            params.pooled[:] = params.emb[:, instances].mean(axis=1)
         return params
 
     def blocks(self) -> dict[str, np.ndarray]:
-        """The trainable blocks by name, in `_TENSOR_ORDER`."""
-        return {name: getattr(self, name) for name in _TENSOR_ORDER}
+        """The blocks by name, in `block_shapes` order."""
+        return {name: getattr(self, name) for name in block_shapes(self.config, self.kind_counts)}
 
     def copy(self) -> "NetParams":
-        return replace(self, **{name: arr.copy() for name, arr in self.blocks().items()})
+        return NetParams(self.config, self.kind_counts, self.flat.copy())
 
     def grow(self, vocab: Vocabulary, rng: np.random.Generator) -> ColumnMap:
         """Add freshly initialized columns for symbols registered after init.
 
         Registration is append-only per kind, so every existing column keeps
         its values bit for bit; only new columns are inserted at their
-        canonical positions.  Returns the new column map.
+        canonical positions, in a new buffer.  Returns the new column map.
         """
         cmap = ColumnMap(vocab)
         old = self.kind_counts
         new = cmap.kind_counts
         if any(n < o for n, o in zip(new, old)):
             raise ParamError("vocabulary shrank; cannot grow parameters")
-        dt = self.config.np_dtype()
-        r = self.config.rep_dim
-
-        segments = []
-        start = 0
+        grown = NetParams(self.config, new)
+        grown.flat[grown.emb.size:] = self.flat[self.emb.size:]  # the blocks after `emb`, the first
+        start = at = 0
         for n_old, n_new in zip(old, new):
-            segments.append(self.emb[:, start:start + n_old])
-            if n_new > n_old:
-                segments.append(_kaiming(rng, (r, n_new - n_old), r, dt))
-            start += n_old
-        self.emb = np.concatenate(segments, axis=1)
-        self.kind_counts = new
+            grown.emb[:, at:at + n_old] = self.emb[:, start:start + n_old]
+            _kaiming(rng, grown.emb[:, at + n_old:at + n_new], self.config.rep_dim)
+            start, at = start + n_old, at + n_new
+        vars(self).update(vars(grown))
         return cmap
 
 
@@ -389,18 +387,24 @@ def load_checkpoint(base_path: str, vocab: Vocabulary) -> NetParams:
     path = base_path + ".json"
     if manifest["vocab_sha256"] != vocab.digest():
         raise ParamError(f"{path}: checkpoint was saved against a different vocabulary")
-    config = NetConfig.from_dict(manifest["config"])
+    try:
+        config = NetConfig.from_dict(manifest["config"])
+    except ParamError as exc:
+        raise ParamError(f"{path}: {exc}") from exc
     arrays = read_tensors(base_path, manifest, config.np_dtype())
-    expected = sorted(_TENSOR_ORDER)
-    if sorted(arrays) != expected:
-        raise ParamError(f"{path}: checkpoint holds tensors {sorted(arrays)}, not {expected}")
     cmap = ColumnMap(vocab)
+    params = NetParams(config, cmap.kind_counts)
+    blocks = params.blocks()
+    if sorted(arrays) != sorted(blocks):
+        raise ParamError(f"{path}: checkpoint holds tensors {sorted(arrays)}, not {sorted(blocks)}")
     if manifest["kind_counts"] != list(cmap.kind_counts):
         raise ParamError(f"{path}: checkpoint kind_counts {manifest['kind_counts']!r} are not "
                          f"the vocabulary's {list(cmap.kind_counts)}")
-    params = NetParams(config=config, kind_counts=cmap.kind_counts, **arrays)
-    if params.emb.shape != (config.rep_dim, cmap.n_columns):
-        raise ParamError(f"{path}: checkpoint embedding shape does not match vocabulary")
+    for name, block in blocks.items():
+        if arrays[name].shape != block.shape:
+            raise ParamError(f"{path}: checkpoint tensor {name!r} has shape "
+                             f"{list(arrays[name].shape)}, not {list(block.shape)}")
+        block[...] = arrays[name]
     return params
 
 

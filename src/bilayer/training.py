@@ -369,10 +369,11 @@ class Adam:
 
     With `emb_col_mask` (a 0/1 weight per column) only the embedding is
     stepped, and only its masked columns change; every other block and column
-    stays bit-identical.  Moments are kept only for the blocks it steps.
+    stays bit-identical.  The moments are one buffer each, in the layout of
+    what it steps: the whole of `flat`, or only `emb` under a column mask.
 
-    The update runs in two scratch buffers per block that the optimizer owns,
-    in the operation order of the textbook expressions
+    The update runs in two scratch buffers that the optimizer owns, in the
+    operation order of the textbook expressions
     `m = b1 m + (1 - b1) g`, `v = b2 v + (1 - b2) g^2`,
     `p -= lr (m / c1) / (sqrt(v / c2) + eps)`, so it allocates nothing per step.
     """
@@ -382,34 +383,30 @@ class Adam:
         self.lr = learning_rate
         self.t = 0
         self.emb_col_mask = emb_col_mask
-        stepped = {k: v for k, v in params.blocks().items()
-                   if emb_col_mask is None or k == "emb"}
-        self.m = {k: np.zeros_like(v) for k, v in stepped.items()}
-        self.v = {k: np.zeros_like(v) for k, v in stepped.items()}
-        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in stepped.items()}
+        stepped = params.flat if emb_col_mask is None else params.emb
+        self.m, self.v = np.zeros_like(stepped), np.zeros_like(stepped)
+        self._scratch = (np.empty_like(stepped), np.empty_like(stepped))
 
-    def step(self, params: NetParams, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: NetParams, grads: NetParams) -> None:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        blocks = params.blocks()
-        for name, m in self.m.items():
-            p, g, v = blocks[name], grads[name], self.v[name]
-            a, b = self._scratch[name]
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=a)
-            v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
-            np.divide(m, c1, out=a)
-            np.multiply(self.lr, a, out=a)
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
-            if self.emb_col_mask is not None:
-                a *= self.emb_col_mask
-            p -= a
+        p, g = (params.flat, grads.flat) if self.emb_col_mask is None else (params.emb, grads.emb)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=a)
+        v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
+        np.divide(m, c1, out=a)
+        np.multiply(self.lr, a, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        if self.emb_col_mask is not None:
+            a *= self.emb_col_mask
+        p -= a
 
 
 # -- training loop -------------------------------------------------------------------

@@ -937,12 +937,20 @@ class TestDecode:
          "checkpoint was saved against a different vocabulary"),
         (_append_untied_readout, "checkpoint holds tensors ['ctx_in', "),
         (lambda doc, blob: next(t for t in doc["tensors"] if t["name"] == "emb")["shape"]
-         .reverse(), "checkpoint embedding shape does not match vocabulary"),
-    ], ids=["vocabulary", "emb_up", "embedding-shape"])
+         .reverse(), "checkpoint tensor 'emb' has shape "),
+        (lambda doc, blob: doc["config"].pop("ctx_dim"),
+         "bad network config: missing keys ctx_dim"),
+        (lambda doc, blob: doc["config"].update(ctx_dim=7),
+         "checkpoint tensor 'ctx_in' has shape [12, 24], not [7, 24]"),
+        (lambda doc, blob: next(t for t in doc["tensors"] if t["name"] == "ctx_in")["shape"]
+         .reverse(), "checkpoint tensor 'ctx_in' has shape [24, 12], not [12, 24]"),
+    ], ids=["vocabulary", "emb_up", "embedding-shape", "no-ctx_dim", "ctx_dim-7",
+            "swapped-ctx_in"])
     def test_a_checkpoint_that_does_not_fit_names_its_manifest(self, ws, tmp_path, tamper,
                                                               message):
         """A checkpoint saved against another vocabulary, holding a tensor
-        besides the model's, or whose embedding has the wrong shape is
+        besides the model's, whose config lacks a setting, or one of whose
+        tensors has a shape other than its config and vocabulary give is
         refused with one ERROR line that names its manifest."""
         for ext in (".json", ".bin"):
             shutil.copyfile(os.path.join(ws["run_dir"], "model" + ext), tmp_path / ("model" + ext))

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from bilayer import graph
-from bilayer.graph import Batch, forward, loss_and_grads, zero_grads
+from bilayer.graph import Batch, backward, forward, loss_and_grads
 from bilayer.network import sigmoid
 from bilayer.world import substream
 
+from test_params import assert_one_buffer
 from util import INTERLEAVED, group_cols, reference_family_heads, small_params, small_vocab
 
 FD_STEP = 1e-5
@@ -130,13 +131,19 @@ def test_semantic_mode_leaves_instance_columns_untouched():
     assert np.any(grads["pooled"] != 0.0)
 
 
-def test_zero_grads_mirror_blocks():
+@pytest.mark.parametrize("mode", ["perception", "episodic", "semantic"])
+def test_backward_fills_one_buffer_of_the_params_layout(mode):
+    """The gradient is a `NetParams` of the parameters' config and column
+    counts, its blocks views into one fresh buffer."""
     v = small_vocab()
-    params, _ = small_params(v)
-    grads = zero_grads(params)
-    for name, arr in params.blocks().items():
-        assert grads[name].shape == arr.shape
-        assert not np.any(grads[name])
+    params, cmap = small_params(v, seed=12)
+    batch = _make_batch(cmap, mode, "binary", substream(12, "batch"))
+    _, cache = forward(params, cmap, batch)
+    grads = backward(params, cmap, batch, cache)
+    assert grads.config == params.config and grads.kind_counts == params.kind_counts
+    assert not np.shares_memory(grads.flat, params.flat)
+    assert grads.flat.any()
+    assert_one_buffer(grads)
 
 
 @pytest.mark.parametrize("families", [None, INTERLEAVED], ids=["contiguous", "interleaved"])
@@ -164,7 +171,7 @@ def test_label_head_matches_one_head_per_family(families):
             for f, r in fam_rows.items()
         ]),
     )
-    read = params.readout
+    read = params.emb
     want = reference_family_heads(zs, read, cmap, batch, 1.0 / b)
     heads = graph._label_heads(zs, read, cmap, batch, 1.0 / b)
     d_read = np.zeros_like(read)

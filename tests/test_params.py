@@ -14,6 +14,7 @@ from bilayer.params import (
     NetConfig,
     NetParams,
     ParamError,
+    block_shapes,
     load_checkpoint,
     params_digest,
     save_checkpoint,
@@ -27,6 +28,24 @@ from util import INTERLEAVED, group_cols, small_params, small_vocab
 GROUP_KINDS = {"entity": {Kind.ENTITY}, "concept": {Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE},
                "label": {Kind.CLASS, Kind.ATTRIBUTE}, "predicate": {Kind.PREDICATE},
                "instance": {Kind.INSTANCE}}
+
+
+def assert_one_buffer(params: NetParams) -> None:
+    """Every block of `params` is a C-contiguous view into its `flat`
+    buffer, of its `block_shapes` shape, at ascending offsets in that order,
+    and together the blocks tile the buffer."""
+    shapes = block_shapes(params.config, params.kind_counts)
+    blocks = params.blocks()
+    assert list(blocks) == list(shapes)
+    assert params.flat.ndim == 1 and params.flat.dtype == params.config.np_dtype()
+    base = params.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, block in blocks.items():
+        assert block.shape == shapes[name], name
+        assert block.flags.c_contiguous and np.shares_memory(block, params.flat), name
+        assert block.__array_interface__["data"][0] - base == offset * params.flat.itemsize, name
+        offset += block.size
+    assert offset == params.flat.size
 
 
 class TestColumnMap:
@@ -157,11 +176,20 @@ class TestNetConfig:
         assert [f.name for f in dataclasses.fields(NetConfig)] == names
         assert list(NetConfig().to_dict()) == names
 
+    @pytest.mark.parametrize("key", ["rep_dim", "ctx_dim", "feature_dim", "dtype"])
+    def test_refuses_a_config_missing_a_setting(self, key):
+        """A checkpoint's config states every setting: a default would not
+        be the width its tensors were saved with."""
+        doc = NetConfig(rep_dim=4, ctx_dim=3, feature_dim=5).to_dict()
+        del doc[key]
+        with pytest.raises(ParamError, match=f"^bad network config: missing keys {key}$"):
+            NetConfig.from_dict(doc)
+
     @pytest.mark.parametrize("tied", [True, False])
     def test_refuses_a_tied_setting(self, tied):
         """Every index unit has one embedding column, so there is no readout
         to tie or untie; either value of the old key is an unknown setting."""
-        with pytest.raises(ParamError, match="bad network config: .*'tied'"):
+        with pytest.raises(ParamError, match="bad network config: unknown keys tied;"):
             NetConfig.from_dict({**NetConfig().to_dict(), "tied": tied})
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -211,11 +239,12 @@ class TestNetParams:
         dup.emb[0, 0] += 1.0
         assert params.emb[0, 0] != dup.emb[0, 0]
 
-    def test_copy_reads_out_through_its_own_embedding(self):
+    def test_copy_owns_its_own_buffer(self):
         params, _ = small_params(small_vocab())
         dup = params.copy()
-        assert dup.readout is dup.emb
-        assert dup.readout is not params.emb
+        assert not np.shares_memory(dup.flat, params.flat)
+        np.testing.assert_array_equal(dup.flat, params.flat)
+        assert_one_buffer(dup)
 
     @pytest.mark.parametrize("dtype, digest", [
         ("float32", "3fd3bbe0836a76c87ffe252cfdf15264aa689573b93f42e083dd7600d7800e37"),
@@ -226,6 +255,40 @@ class TestNetParams:
         model of the small vocabulary hashes to the same hex in each dtype."""
         params, _ = small_params(small_vocab(), dtype=dtype, seed=5)
         assert params_digest(params) == digest
+
+
+class TestOneBuffer:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("make", ["init", "copy", "grow", "load_checkpoint"])
+    def test_every_block_is_a_view_of_flat_in_layout_order(self, tmp_path, make, dtype):
+        v = small_vocab()
+        params, _ = small_params(v, dtype=dtype, seed=4)
+        if make == "copy":
+            params = params.copy()
+        elif make == "grow":
+            v.add_entity("e_new")
+            v.add_instance("t_new")
+            params.grow(v, substream(4, "grow"))
+        elif make == "load_checkpoint":
+            save_checkpoint(params, v, str(tmp_path / "ck"))
+            params = load_checkpoint(str(tmp_path / "ck"), v)
+        assert_one_buffer(params)
+
+    def test_a_fresh_instance_is_zeros(self):
+        config = NetConfig(rep_dim=4, ctx_dim=3, feature_dim=5)
+        params = NetParams(config, (2, 1, 1, 1, 3))
+        assert not params.flat.any()
+        assert params.emb.shape == (4, 8)
+        assert_one_buffer(params)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_checkpoint_blob_is_flat_little_endian(self, tmp_path, dtype):
+        v = small_vocab()
+        params, _ = small_params(v, dtype=dtype, seed=5)
+        _, blob_path = save_checkpoint(params, v, str(tmp_path / "ck"))
+        with open(blob_path, "rb") as fp:
+            blob = fp.read()
+        assert blob == params.flat.astype(params.flat.dtype.newbyteorder("<")).tobytes()
 
 
 class TestCheckpoint:
@@ -450,13 +513,14 @@ class TestGrow:
         params.grow(v, substream(0, "grow"))
         np.testing.assert_array_equal(params.emb, before)
 
-    def test_readout_follows_the_grown_embedding(self):
+    def test_grown_embedding_has_the_grown_width(self):
         v = small_vocab()
         params, _ = small_params(v)
         v.add_entity("e_new")
         new_cmap = params.grow(v, substream(1, "grow"))
+        assert params.emb.shape == (params.config.rep_dim, new_cmap.n_columns)
         assert params.readout is params.emb
-        assert params.readout.shape == (params.config.rep_dim, new_cmap.n_columns)
+        assert_one_buffer(params)
 
     def test_rejects_shrunk_vocabulary(self):
         v = small_vocab()

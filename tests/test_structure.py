@@ -23,11 +23,13 @@ Checkpoints and the feature archive share one tensor-archive codec in
 the block its step scored.  Symbols are numbered in one place: only
 `Vocabulary.from_dict` builds a vocabulary in bulk, and outside `vocab.py`
 only self-labeled growth and consolidation append a symbol.  No module
-copies state with `copy.deepcopy`.  The triple store's internals are read
-only inside `triple_store.py`.  Every public name the package defines has a
-caller inside it, but for a short allowlist of names that the benchmark or
-the gradient tests call, every field of the three settings classes is read
-outside its class, and every field of a world is read outside `world.py`.
+copies state with `copy.deepcopy`, and none but `params.py` rebinds a
+parameter block, a view into its `NetParams`' one buffer.  The triple
+store's internals are read only inside `triple_store.py`.  Every public
+name the package defines has a caller inside it, but for a short allowlist
+of names that the benchmark or the gradient tests call, every field of the
+three settings classes is read outside its class, and every field of a
+world is read outside `world.py`.
 The ontology is one constant, constructed once.  Every module but
 `__init__.py`, which re-exports, reads each name it imports.
 """
@@ -43,6 +45,7 @@ import pytest
 import bilayer
 from bilayer import network
 from bilayer.graph import Batch
+from bilayer.params import NetConfig, block_shapes
 
 from util import small_params, small_vocab
 
@@ -457,6 +460,26 @@ def test_no_deep_copies():
         named = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert "deepcopy" not in named, path.name
+
+
+# the attributes of a `NetParams` that are its one buffer and views into it
+PARAM_BUFFERS = {"flat", *block_shapes(NetConfig(), (0,) * 5)}
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(bilayer.__file__).parent.glob("*.py") if p.name != "params.py"
+))
+def test_no_parameter_block_is_rebound_outside_params(module):
+    """A parameter block is a view into its `NetParams`' one buffer, which
+    Adam steps and a checkpoint writes.  Rebinding it (`params.emb = ...`)
+    would split it from that buffer, so only `params.py` binds them; every
+    other module writes a block in place (`+=`, `[...] =`)."""
+    tree = ast.parse((Path(bilayer.__file__).parent / module).read_text(encoding="utf-8"))
+    in_place = {id(n.target) for n in ast.walk(tree) if isinstance(n, ast.AugAssign)}
+    bound = [f"{module}:{n.lineno} .{n.attr}" for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+             and n.attr in PARAM_BUFFERS and id(n) not in in_place]
+    assert not bound, bound
 
 
 def _imported(tree: ast.AST) -> set[str]:
