@@ -45,9 +45,12 @@ class EvalError(ValueError):
 # -- elementary metrics ------------------------------------------------------------
 
 
-def ranked_cols(scores: np.ndarray) -> np.ndarray:
-    """Deterministic descending rank order (ties toward lower index)."""
-    return np.argsort(-scores, kind="stable")
+def target_ranks(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each row's target's place in descending score order, ties toward the
+    lower index: the columns above it, plus those tied with it before it."""
+    t = scores[np.arange(len(scores)), targets][:, None]
+    before = np.arange(scores.shape[1]) < targets[:, None]
+    return ((scores > t) | ((scores == t) & before)).sum(axis=1)
 
 
 # -- teacher-forced head metrics ------------------------------------------------------
@@ -84,12 +87,10 @@ def head_metrics(
             head_hit[name] = head_hit.get(name, 0) + int(h["hits"].sum())
             head_n[name] = head_n.get(name, 0) + h["hits"].size
             if name in ("NP", "NO"):
-                ranks = ranked_cols(h["scores"])
+                ranks = target_ranks(h["scores"], h["targets"])
                 into = pred_hits if name == "NP" else obj_hits
                 for k in ks:
-                    into[k] += int(
-                        (ranks[:, :k] == h["targets"][:, None]).any(axis=1).sum()
-                    )
+                    into[k] += int((ranks < k).sum())
     out: dict = {
         "loss": loss_sum / n_total if n_total else float("nan"),
         "families": {f: fam_hit[f] / fam_n[f] for f in fam_n},
@@ -225,14 +226,13 @@ def perception_binary_eval(
     keys = [ex[k] for ex in examples for k in ("scene", "s_bb", "o_bb", "rel")]
     inputs = [SceneInput(*rows) for rows in world.features_of(keys).reshape(len(examples), 4, -1)]
     traces = _perceive(params, cmap, vocab, variant, inputs, rng)
-    # per example, the predicate positions by descending score, and the true one's
-    ranks = ranked_cols(np.stack([trace.scores["predicate"] for trace in traces]))
+    scores = np.stack([trace.scores["predicate"] for trace in traces])
     truth = cmap.pos("predicate", cmap.cols_of([vocab.id_of(ex["p"]) for ex in examples]))
+    ranks = target_ranks(scores, truth)
     n = len(examples)
     return {
-        "predicate_hits": {str(k): int((ranks[:, :k] == truth[:, None]).any(axis=1).sum()) / n
-                           for k in ks},
-        "chance": 1.0 / ranks.shape[1],
+        "predicate_hits": {str(k): int((ranks < k).sum()) / n for k in ks},
+        "chance": 1.0 / scores.shape[1],
         "n": n,
     }
 

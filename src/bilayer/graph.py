@@ -298,15 +298,15 @@ def mean_head_accuracy(cache: dict) -> float:
 
 
 def _scatter_add(target: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """`np.add.at(target, idx, vals)` bit for bit, faster: the rows of
-    `vals` that share an index are added in rounds, in row order, each round
-    one fancy-index `+=` over distinct indices."""
-    order = np.argsort(idx, kind="stable")
-    sidx = idx[order]
-    rank = np.arange(sidx.size) - np.searchsorted(sidx, sidx)  # repeat number of each
-    for r in range(int(rank.max(initial=-1)) + 1):
-        m = rank == r
-        target[sidx[m]] += vals[order[m]]
+    """`np.add.at(target, idx, vals)` bit for bit, as one unbuffered add in
+    row order into the buffer of a C-contiguous target or its transpose, never
+    a copy.  numpy < 1.25 runs `ufunc.at` exact but slow (its generic path)."""
+    base = target if target.flags.c_contiguous else target.T
+    if not base.flags.c_contiguous:
+        raise ValueError("scatter target is neither C-contiguous nor its transpose")
+    step, across = (s // target.itemsize for s in target.strides)
+    pos = idx[:, None] * step + np.arange(target.shape[1]) * across
+    np.add.at(base.reshape(-1), pos.ravel(), vals.ravel())
 
 
 def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> NetParams:

@@ -19,8 +19,8 @@ from bilayer.evaluation import (
     label_conditional_estimate,
     perception_binary_eval,
     perception_unary_eval,
-    ranked_cols,
     run_experiment,
+    target_ranks,
 )
 from bilayer.graph import Batch
 from bilayer.network import DecodeRequest, decode
@@ -29,7 +29,7 @@ from bilayer.training import TrainConfig, memory_examples, ssl_step
 from bilayer.triple_store import TripleStore
 from bilayer.world import WorldConfig, gen_world, substream
 
-from util import group_cols, small_params, small_vocab, table_rows
+from util import group_cols, ranked_cols, small_params, small_vocab, table_rows
 
 
 class TestElementaryMetrics:
@@ -40,6 +40,24 @@ class TestElementaryMetrics:
     def test_ranked_cols_ranks_each_row(self):
         scores = np.array([[0.4, 0.9, 0.4, 0.1], [0.0, 0.0, 0.5, 0.5]])
         assert ranked_cols(scores).tolist() == [[1, 0, 2, 3], [2, 3, 0, 1]]
+
+    @pytest.mark.parametrize("width", [1, 11, 365])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_target_ranks_equal_the_place_in_the_full_ranking(self, width, signed):
+        """On scores full of ties, integer-valued or +0.0 against -0.0 among
+        ±inf, each target's counted rank is its place in the stable
+        descending sort, so hits at every k agree."""
+        rng = substream(2, "ranks", width, signed)
+        if signed:
+            scores = rng.choice([-np.inf, -1.5, -0.0, 0.0, 2.0, np.inf], size=(200, width))
+        else:
+            scores = rng.integers(-3, 4, size=(200, width)).astype(float)
+        targets = rng.integers(0, width, size=200)
+        is_target = ranked_cols(scores) == targets[:, None]
+        ranks = target_ranks(scores, targets)
+        assert ranks.tolist() == np.argmax(is_target, axis=1).tolist()
+        for k in (1, 10, width):
+            assert (ranks < k).sum() == is_target[:, :k].any(axis=1).sum()
 
 
 @pytest.fixture()

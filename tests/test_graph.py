@@ -96,20 +96,40 @@ def test_mean_head_accuracy_of_no_heads_is_nan():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n_rows, n_cols", [(0, 7), (5, 50), (128, 40), (128, 3), (40, 1)])
-def test_scatter_add_equals_add_at_bitwise(dtype, n_rows, n_cols):
-    """On the strided transpose of a gradient block, as `backward` calls it:
-    repeated columns (up to every row on one) add in row order, as
-    `np.add.at` adds them, so every last bit agrees."""
-    rng = substream(1, "scatter", n_rows, n_cols)
-    base = rng.standard_normal((16, 60)).astype(dtype)
+@pytest.mark.parametrize("n_rows, n_cols, width", [
+    (0, 7, 16), (5, 50, 16), (128, 40, 16), (128, 3, 16), (40, 1, 16), (128, 1, 16),
+    (128, 40, 1), (64, 9, 1),
+])
+@pytest.mark.parametrize("transposed", [True, False])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_scatter_add_equals_add_at_bitwise(dtype, n_rows, n_cols, width, transposed, zeros):
+    """On the strided transpose of a gradient block, as `backward` calls it,
+    and on a C-contiguous target, as `_label_grads` calls it: repeated
+    columns (up to every row on one) add in row order, as `np.add.at` adds
+    them, so every last bit agrees, -0.0 included."""
+    rng = substream(1, "scatter", n_rows, n_cols, width)
+    base = rng.standard_normal((width, 60)).astype(dtype)
     cols = rng.integers(0, n_cols, size=n_rows) * (60 // n_cols)
     scale = 10.0 ** rng.integers(-6, 6, (n_rows, 1))  # so the order of the adds shows
-    vals = (rng.standard_normal((n_rows, 16)) * scale).astype(dtype)
+    vals = (rng.standard_normal((n_rows, width)) * scale).astype(dtype)
+    if zeros:  # -0.0 + -0.0 stays -0.0; a +0.0 anywhere in the sum makes +0.0
+        base[:, ::2] = -0.0
+        vals[rng.random(vals.shape) < 0.7] = -0.0
+    if not transposed:
+        base = np.ascontiguousarray(base.T)
     want, got = base.copy(), base.copy()
-    np.add.at(want.T, cols, vals)
-    _scatter_add(got.T, cols, vals)
+    np.add.at(want.T if transposed else want, cols, vals)
+    _scatter_add(got.T if transposed else got, cols, vals)
     assert got.tobytes() == want.tobytes()
+
+
+def test_scatter_add_refuses_a_target_it_cannot_flatten():
+    """A target that is neither C-contiguous nor the transpose of a
+    C-contiguous array would be added into a copy, so it is refused."""
+    base = np.zeros((10, 8))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _scatter_add(base[::2], np.array([0, 1]), np.ones((2, 8)))
+    assert not base.any()
 
 
 @pytest.mark.parametrize("mode, arity, missing", [

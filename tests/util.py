@@ -7,7 +7,8 @@ social-edge orientation model, and of the training inputs and heads as they
 were written per item: example dicts, per-example index swaps, one softmax
 head per label family, the copying CE head and the two-division sigmoid; and the decode's
 inverse-CDF draw and label picks, one row at a time with the label plan
-derived on every call.
+derived on every call; and the full descending ranking of score rows, the
+oracle of the metrics' counted target ranks.
 
 The reference code here deliberately shares no logic with the package: it
 scans flat observation records with nested loops so the fast incremental
@@ -60,6 +61,12 @@ INTERLEAVED = {"Species": ["Dog", "Mammal"], "Pet": ["Cat"], "Age": ["Young", "O
 def group_cols(cmap: ColumnMap, group: str) -> np.ndarray:
     """The columns of a readout group's block, in order, as an array."""
     return np.arange(cmap.n_columns)[cmap.block[group]]
+
+
+def ranked_cols(scores: np.ndarray) -> np.ndarray:
+    """Each row's columns in descending score order, ties toward the lower
+    index."""
+    return np.argsort(-scores, kind="stable")
 
 
 def small_params(
