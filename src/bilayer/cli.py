@@ -301,8 +301,6 @@ def cmd_decode(args: argparse.Namespace) -> None:
             if not args.t:
                 raise UsageError("perceive needs --t SCENE")
             scene = world.scene(args.t)
-            if scene.scene_key not in world.feature_index:
-                raise StoreError(f"scene {args.t!r} has no stored features")
             keys = [
                 (scene.bb_key(s_name), scene.bb_key(o_name), scene.rel_key(i))
                 for i, (s_name, _p, o_name) in enumerate(scene.binaries)

@@ -173,9 +173,12 @@ def perception_unary_eval(
     families: tuple | None = None,
 ) -> dict:
     """Per-box decoding: one pass per scene member, all in one batch, label
-    accuracy per family."""
+    accuracy per family: `families`, or every label family when it is None.
+    With no family the mean is NaN."""
     rng = substream(0, "perception-eval")
-    fams = tuple(families or [f for f in sorted(cmap.family_cols) if f != IDENTITY_FAMILY])
+    if families is None:
+        families = [f for f in sorted(cmap.family_cols) if f != IDENTITY_FAMILY]
+    fams = tuple(families)
     boxes = [(scene, m) for scene in scenes for m in scene.members]
     if not boxes:
         raise EvalError("no boxes to evaluate")
@@ -194,9 +197,10 @@ def perception_unary_eval(
             subj_known += 1
             if trace.subject_id == vocab.id_of(m):
                 subj_hit += 1
+    acc = {f: hit[f] / n for f in fams}
     out = {
-        "families": {f: hit[f] / n for f in fams},
-        "mean_unary": float(np.mean([hit[f] / n for f in fams])),
+        "families": acc,
+        "mean_unary": float(np.mean(list(acc.values()))) if acc else float("nan"),
         "n_boxes": n,
     }
     if subj_known:

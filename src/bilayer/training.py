@@ -615,7 +615,7 @@ def ssl_step(
         quads = np.r_[np.c_[u["s"], np.full(len(unary), vocab.has_attribute), u["o"],
                             u["t"]][label], np.c_[b["s"], b["p"], b["o"], b["t"]]]
         store.add_observations([q for q in dict.fromkeys(map(tuple, quads.tolist()))
-                                if store.truth_of(*q) is UNKNOWN], True)
+                                if store.truth_of(*q) is UNKNOWN])
 
     # train only entity and instance embedding columns on the pseudo-statements
     mask = np.zeros(cmap.n_columns, dtype=params.emb.dtype)

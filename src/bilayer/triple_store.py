@@ -1,32 +1,29 @@
 """Sparse quadruple store with closed-world completion and counting queries.
 
 Statements are (subject, predicate, object) triples observed at an episodic
-instance t, each carrying an explicit truth value.  Truth values never
-default: a statement is true, false, or unknown (absent).  Unary statements
-use the reserved hasAttribute predicate with a class/attribute object.
+instance t.  Truth values never default: a statement is true, false, or
+unknown (absent).  Unary statements use the reserved hasAttribute predicate
+with a class/attribute object.
 
-Canonical state.  The store keeps three things:
+Canonical state.  The store keeps two things:
 
-* the true statements and the explicitly asserted false ones, each as
-  (n, 4) int64 arrays of (s, p, o, t) id rows sorted in (t, s, p, o) order.
-  An add appends its rows as one more sorted block, and the first reader
-  that needs the array merges the blocks;
+* the true statements, as one read-only (n, 4) int64 array of (s, p, o, t)
+  id rows sorted in (t, s, p, o) order.  An add merges its rows in;
 * one closure record (entities, labels, predicates) per closed instance, kept
   by instance t.  Closing t under the local closed-world assumption implies
-  false every statement at t that is not explicit and that a record of t
+  false every statement at t that is not true and that a record of t
   covers: s is one of its entities, and either p is hasAttribute and o one
   of its labels, or p one of its predicates and o one of its entities other
   than s.  Several closures of one instance stay separate records: the union
   of their cross products is not the cross product of their unions.
 
-The rule equals "the cross product minus what was known at close time"
-because a later positive inside a closure is refused as a conflict, as one
-contradicting an explicit negative is.  Statements arrive in bulk:
+A statement is false only under a closure.  The rule equals "the cross
+product minus what was known at close time" because a later positive inside
+a closure is refused as a conflict.  Statements arrive in bulk:
 
 * `add_observations` checks a batch of rows at once: kinds against a per-id
-  kind array, duplicates and conflicts within the batch with one sort, and
-  against the store through `truth_of`, so an implied negative counts as
-  stored;
+  kind array, duplicates within the batch with one sort, and against the
+  store through `truth_of`, so an implied negative counts as stored;
 * `close_instances` checks and records the closures of many instances.
 
 A batch that fails a check adds nothing; the error names the first bad row
@@ -36,13 +33,13 @@ Derived indexes.  Queries read indexes built from the canonical state the
 first time a query needs one, so a store that is only built, trained on or
 decoded from pays for none of them:
 
-* the implied-negative rows: every false statement, explicit or implied, as
+* the implied-negative rows: every statement a closure implies false, as
   one sorted array, built run of instances by run of instances.  It serves
   `iter_negative`, `write_jsonl(truth=False)`, `total_statements(False)`
   and the counts below;
-* the point lookup behind `truth_of`: explicit (s, p, o, t) -> truth, one
-  dict lookup per call, keyed by tuples that share one int object per id;
-  a miss is then checked against the records of t;
+* the point lookup behind `truth_of`: the set of true (s, p, o, t) tuples,
+  one set lookup per call, keyed by tuples that share one int object per
+  id; a miss is then checked against the records of t;
 * the positive and known counts behind `expected_truth`: (s, p, o) -> count;
 * the label co-occurrence counts behind `label_conditional`: per (s, t) site
   with a positive label, which labels are true there and which known false;
@@ -63,7 +60,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import IO, Iterable
 
 import numpy as np
@@ -76,7 +73,8 @@ class StoreError(ValueError):
 
 
 class ConflictError(StoreError):
-    """A statement was asserted with both truth values at the same instance."""
+    """A true statement was added inside a closure of its instance, which
+    implies it false."""
 
 
 class _Unknown:
@@ -106,6 +104,9 @@ _OUTSIDE = -1  # kind code of an id the vocabulary does not hold
 
 ITER_CHUNK = 8192  # rows turned into tuples at a time
 RUN_ROWS = 8192  # rows of closure expansion or label co-occurrence handled at a time
+
+_NO_ROWS = np.zeros((0, 4), dtype=np.int64)
+_NO_ROWS.flags.writeable = False
 
 
 def _pack(cols) -> np.ndarray:
@@ -142,22 +143,17 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     return keys[_runs(keys)]
 
 
-def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _first_seen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows by quad with one stable sort.  Returns the rows' sort
-    order in (t, s, p, o) order, a mask of the rows that hold the first
-    occurrence of their quad in input order, and for every row the input
-    index of that first occurrence."""
+    order in (t, s, p, o) order and a mask of the rows that hold the first
+    occurrence of their quad in input order."""
     if len(rows) < 2:
-        zero = np.zeros(len(rows), dtype=np.int64)
-        return zero, np.ones(len(rows), dtype=bool), zero
+        return np.zeros(len(rows), dtype=np.int64), np.ones(len(rows), dtype=bool)
     key = _quad_key(rows)
     order = np.argsort(key, kind="stable")
-    starts = _runs(key[order])
     first = np.empty(len(rows), dtype=bool)
-    first[order] = starts
-    head = np.empty(len(rows), dtype=np.int64)
-    head[order] = order[np.maximum.accumulate(np.where(starts, np.arange(len(rows)), 0))]
-    return order, first, head
+    first[order] = _runs(key[order])
+    return order, first
 
 
 def _csr(groups: list) -> tuple[np.ndarray, np.ndarray]:
@@ -207,13 +203,13 @@ def _n_covered(entities: frozenset, labels: frozenset, preds: frozenset) -> int:
 class TripleStore:
     vocab: Vocabulary
 
-    # canonical state: per truth value, sorted (n, 4) s, p, o, t blocks of the
-    # explicit statements; t -> its closure records (entities, labels, predicates)
-    _blocks: dict = field(default_factory=lambda: {True: [], False: []}, repr=False)
+    # canonical state: the sorted read-only (n, 4) s, p, o, t rows of the true
+    # statements; t -> its closure records (entities, labels, predicates)
+    _positives: np.ndarray = field(default_factory=lambda: _NO_ROWS, repr=False)
     _closures: dict = field(default_factory=dict, repr=False)
     # derived indexes, None until a query needs them
     _negatives: np.ndarray | None = field(default=None, repr=False)  # every false (n, 4) row
-    _truth: dict | None = field(default=None, repr=False)  # explicit (s, p, o, t) -> bool
+    _truth: set | None = field(default=None, repr=False)  # true (s, p, o, t) tuples
     _counts: tuple | None = field(default=None, repr=False)  # Counters (s, p, o) -> positives, known
     _cooc: dict | None = field(default=None, repr=False)  # c1 -> {c2: P(c2 | c1)}
     _spans: dict | None = field(default=None, repr=False)  # t -> (lo, hi) in the positive array
@@ -227,37 +223,24 @@ class TripleStore:
 
     # -- statement arrays --------------------------------------------------------
 
-    def _explicit(self, truth: bool) -> np.ndarray:
-        """The statements asserted with one truth value: a read-only (n, 4)
-        int64 array of s, p, o, t rows in (t, s, p, o) order."""
-        blocks = self._blocks[truth]
-        if len(blocks) != 1:
-            rows = np.concatenate(blocks) if blocks else np.zeros((0, 4), dtype=np.int64)
-            if len(blocks) > 1:
-                rows = rows[np.argsort(_quad_key(rows), kind="stable")]
-            rows.flags.writeable = False
-            blocks[:] = [rows]
-        return blocks[0]
-
     def _rows(self, truth: bool) -> np.ndarray:
-        """Every statement of one truth value, implied negatives included, as
-        a read-only (n, 4) array in (t, s, p, o) order."""
+        """Every statement of one truth value as a read-only (n, 4) array in
+        (t, s, p, o) order."""
         if truth:
-            return self._explicit(True)
+            return self._positives
         if self._negatives is None:
             self._negatives = self._negative_rows()
         return self._negatives
 
     def _negative_rows(self) -> np.ndarray:
-        """The explicit and the implied negatives, merged in order.  The
-        closures are expanded a run of instances at a time: a run's covered
-        statements, minus the explicit ones of its span of instances, go
-        straight into an array sized for every covered statement, which then
-        shrinks in place, so the temporaries stay near RUN_ROWS rows."""
-        explicit = self._explicit(False)
+        """The implied negatives, in order.  The closures are expanded a run
+        of instances at a time: a run's covered statements, minus the
+        positives of its span of instances, go straight into an array sized
+        for every covered statement, which then shrinks in place, so the
+        temporaries stay near RUN_ROWS rows."""
         if not self._closures:
-            return explicit
-        positive = self._explicit(True)
+            return _NO_ROWS
+        positive = self._positives
         ts = sorted(self._closures)
         sizes = [sum(_n_covered(*record) for record in self._closures[t]) for t in ts]
         runs = [0]  # index in ts of each run's first instance
@@ -268,16 +251,14 @@ class TripleStore:
                 total = 0
             total += size
         starts = [ts[k] for k in runs[1:]]
-        cuts = [np.r_[0, np.searchsorted(rows[:, 3], starts), len(rows)] for rows in (positive, explicit)]
-        out = np.empty((sum(sizes) + len(explicit), 4), dtype=np.int64)
+        cuts = np.r_[0, np.searchsorted(positive[:, 3], starts), len(positive)]
+        out = np.empty((sum(sizes), 4), dtype=np.int64)
         n = 0
         for r, (a, b) in enumerate(zip(runs, runs[1:] + [len(ts)])):
-            known = positive[cuts[0][r]:cuts[0][r + 1]]
-            both = np.concatenate([
-                known, explicit[cuts[1][r]:cuts[1][r + 1]],
-                _closure_rows([(t, *record) for t in ts[a:b] for record in self._closures[t]], self._ha),
-            ])
-            order, first, _ = _first_seen(both)
+            known = positive[cuts[r]:cuts[r + 1]]
+            covered = [(t, *record) for t in ts[a:b] for record in self._closures[t]]
+            both = np.concatenate([known, _closure_rows(covered, self._ha)])
+            order, first = _first_seen(both)
             first = order[first[order]]  # each quad's first row, in (t, s, p, o) order
             first = first[first >= len(known)]
             out[n:n + len(first)] = both[first]
@@ -286,20 +267,17 @@ class TripleStore:
         out.flags.writeable = False
         return out
 
-    def _append(self, rows: np.ndarray, truth: bool) -> None:
-        """Store sorted new explicit rows of one truth value and bring the
-        indexes along."""
-        if not len(rows):
-            return
-        rows.flags.writeable = False
-        self._blocks[truth].append(rows)
+    def _append(self, rows: np.ndarray) -> None:
+        """Merge sorted new positives into the positive array and bring the
+        indexes along.  A positive lies in no closure, so the negatives stay."""
         if self._truth is not None:
-            self._truth.update(zip(self._shared(rows), repeat(truth)))
-        self._counts = self._cooc = self._observed = None
-        if truth:
-            self._spans = None
-        else:
-            self._negatives = None
+            self._truth.update(self._shared(rows))
+        if len(self._positives):
+            rows = np.concatenate([self._positives, rows])
+            rows = rows[np.argsort(_quad_key(rows), kind="stable")]
+        rows.flags.writeable = False
+        self._positives = rows
+        self._counts = self._cooc = self._observed = self._spans = None
 
     def _shared(self, rows: np.ndarray) -> Iterable[tuple]:
         """The rows as tuples of ints, one chunk converted at a time.  Every id
@@ -363,51 +341,45 @@ class TripleStore:
         return ~((s == _ENTITY) & (t == _INSTANCE) & (p == _PREDICATE) & o_ok)
 
     def _stored(self, rows: np.ndarray) -> np.ndarray:
-        """What the store holds for each row's quad: 1 true, 0 false (explicit
-        or implied by a closure), -1 unknown."""
+        """What the store holds for each row's quad: 1 true, 0 false (implied
+        by a closure), -1 unknown."""
         code = {True: 1, False: 0}
         truths = map(self.truth_of, *rows.T.tolist())
         return np.fromiter((code.get(y, -1) for y in truths), dtype=np.int8, count=len(rows))
 
-    def add_observations(self, rows, truth) -> None:
-        """Add (s, p, o, t) id rows, each true or false (`truth` is one bool for
-        all rows or one per row), as one step.
+    def add_observations(self, rows) -> None:
+        """Add (s, p, o, t) id rows, all true, as one step.
 
         A row is refused if its ids have the wrong kinds, or if its quad is
-        already stored (a negative implied by a closure counts) or comes
-        earlier in the batch: with the other truth value that is a
-        `ConflictError`, with the same one a duplicate.  The error names the
-        first refused row in input order and nothing is added."""
+        already stored or comes earlier in the batch: a quad a closure
+        implies false is a `ConflictError`, a true one a duplicate.  The
+        error names the first refused row in input order and nothing is
+        added."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-        truth = np.broadcast_to(np.asarray(truth, dtype=bool), (len(rows),))
         if not len(rows):
             return
         bad_kind = self._bad_kinds(rows)
         # a row with ids outside the vocabulary can share a sort key with another
         # row; that marks only the later of the two, and the bad row is refused
         # itself, so the first refused row is still the first bad one
-        order, first, head = _first_seen(rows)
-        # truth of an earlier statement of the row's quad: -1 none, 0 false, 1 true
-        prior = np.where(first, -1, truth[head].astype(np.int8))
-        if self._closures or any(map(len, chain(self._blocks[True], self._blocks[False]))):
+        order, first = _first_seen(rows)
+        stored = np.full(len(rows), -1, dtype=np.int8)
+        if self._closures or len(self._positives):
             stored = self._stored(rows)
-            prior = np.where(stored >= 0, stored, prior)
-        conflict = (prior >= 0) & (prior != truth)
-        refused = bad_kind | (prior >= 0)
+        refused = bad_kind | ~first | (stored >= 0)
         if refused.any():
             i = int(np.argmax(refused))
             s, p, o, t = rows[i].tolist()
             if bad_kind[i]:
                 self._check_kinds(s, p, o, t)
-            if conflict[i]:
+            if stored[i] == 0:
                 v = self.vocab
                 raise ConflictError(
                     f"({v.name_of(s)}, {v.name_of(p)}, {v.name_of(o)}) at {v.name_of(t)} "
-                    f"already asserted with truth={not truth[i]}"
+                    "already asserted with truth=False"
                 )
             raise StoreError(f"duplicate observation {(s, p, o, t)}")
-        for value in (True, False):
-            self._append(rows[order[(truth == value)[order]]], value)
+        self._append(rows[order])
 
     def close_instances(self, closures: Iterable[tuple]) -> None:
         """Close instances under the local closed-world assumption.
@@ -416,7 +388,7 @@ class TripleStore:
         record of t.  From then on every statement (e, hasAttribute, c, t) for
         an entity e and a label c, and (s, p, o, t) for an ordered pair of
         distinct entities s, o and a predicate p, reads false unless it is
-        explicit.  Labels must be classes or attributes and predicates binary
+        true.  Labels must be classes or attributes and predicates binary
         ones.  A batch that fails a check records nothing."""
         records = self._closure_records(closures)
         for t, record in records:
@@ -467,21 +439,14 @@ class TripleStore:
 
     # -- raw counts ----------------------------------------------------------
 
-    def _truth_index(self) -> dict:
-        if self._truth is None:
-            index = {}
-            for truth in (True, False):
-                index.update(zip(self._shared(self._explicit(truth)), repeat(truth)))
-            self._truth = index
-        return self._truth
-
     def truth_of(self, s: int, p: int, o: int, t: int):
+        """True for a stored positive, False when a closure of t covers the
+        quad, UNKNOWN otherwise."""
         index = self._truth
         if index is None:
-            index = self._truth_index()
-        value = index.get((s, p, o, t))
-        if value is not None:
-            return value
+            index = self._truth = set(self._shared(self._positives))
+        if (s, p, o, t) in index:
+            return True
         for entities, labels, preds in self._closures.get(t, ()):
             if s in entities and (
                 o in labels if p == self._ha else o != s and p in preds and o in entities
@@ -505,9 +470,7 @@ class TripleStore:
 
     def total_statements(self, truth: bool = True) -> int:
         """Number of statements of one truth value; true ones by default."""
-        if truth:
-            return sum(map(len, self._blocks[True]))
-        return len(self._rows(False))
+        return len(self._rows(truth))
 
     def _count_index(self) -> tuple[Counter, Counter]:
         if self._counts is None:
@@ -520,15 +483,14 @@ class TripleStore:
         return self._counts
 
     def observed_instances(self) -> tuple[int, ...]:
-        """The instances with a statement: an explicit one, or one a closure
+        """The instances with a statement: a true one, or one a closure
         implies.  A closure that covers something implies it unless it is
-        explicit, so the closures need not be expanded.  Built on first use;
-        an add or a close drops it."""
+        true, so the closures need not be expanded.  Built on first use; an
+        add or a close drops it."""
         if self._observed is None:
             ts = {t for t, records in self._closures.items()
                   if any(_n_covered(*r) for r in records)}
-            for truth in (True, False):
-                ts.update(distinct(self._explicit(truth)[:, 3]).tolist())
+            ts.update(distinct(self._positives[:, 3]).tolist())
             self._observed = tuple(sorted(ts))
         return self._observed
 
@@ -563,10 +525,10 @@ class TripleStore:
     def _cooc_index(self) -> dict:
         """c1 -> {c2: P(c2 | c1)} for every label c1 true at some (s, t) site,
         from per-site rows of which labels are true and which are known (true,
-        explicitly false, or in a closure of t that holds s)."""
+        or in a closure of t that holds s)."""
         if self._cooc is None:
             ha, n_ids = self._ha, len(self.vocab)
-            pos, neg = (rows[rows[:, 1] == ha] for rows in (self._explicit(True), self._explicit(False)))
+            pos = self._positives[self._positives[:, 1] == ha]
             site_keys = pos[:, 3] * n_ids + pos[:, 0]  # sorted, as the rows are
             first = _runs(site_keys)
             sites, site_of = site_keys[first], np.cumsum(first) - 1
@@ -576,13 +538,10 @@ class TripleStore:
                     if labels:
                         closed.setdefault(labels, []).extend(t * n_ids + e for e in entities)
             labels = distinct(np.concatenate([
-                pos[:, 2], neg[:, 2], np.fromiter(chain.from_iterable(closed), dtype=np.int64)]))
+                pos[:, 2], np.fromiter(chain.from_iterable(closed), dtype=np.int64)]))
             true = np.zeros((len(sites), len(labels)), dtype=bool)
             true[site_of, np.searchsorted(labels, pos[:, 2])] = True
             known = true.copy()
-            keys = neg[:, 3] * n_ids + neg[:, 0]
-            hit = np.isin(keys, sites)
-            known[np.searchsorted(sites, keys[hit]), np.searchsorted(labels, neg[hit, 2])] = True
             for label_set, keys in closed.items():
                 keys = np.array(keys, dtype=np.int64)
                 at = np.searchsorted(sites, keys[np.isin(keys, sites)])

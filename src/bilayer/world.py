@@ -270,8 +270,13 @@ class GroundTruthWorld:
         return rec
 
     def features_of(self, keys: list[str]) -> np.ndarray:
-        """The feature rows of `keys`, in their order, in one gather."""
-        return self.features[list(map(self.feature_index.__getitem__, keys))]
+        """The feature rows of `keys`, in their order, in one gather.  A key
+        the feature archive lacks is refused."""
+        try:
+            rows = list(map(self.feature_index.__getitem__, keys))
+        except KeyError as exc:
+            raise WorldError(f"features.json lists no feature box {exc.args[0]!r}") from None
+        return self.features[rows]
 
     def scenes_of_kind(self, *kinds: str) -> list[SceneRecord]:
         return [s for s in self.scenes if s.kind in kinds]
@@ -704,7 +709,7 @@ def _ingest(world: GroundTruthWorld) -> TripleStore:
     binary = np.column_stack([ids.binaries, ids.t[ids.binary_scene]])
     # input order: scene by scene, its unary rows before its binary ones
     order = np.argsort(np.r_[np.repeat(where, n_fam), ids.binary_scene], kind="stable")
-    store.add_observations(np.concatenate([unary, binary])[order], True)
+    store.add_observations(np.concatenate([unary, binary])[order])
 
     label_ids = [c for fam in families for c in v.family_members(fam)]
     closing = {

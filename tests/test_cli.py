@@ -218,7 +218,7 @@ class TestGen:
             assert os.path.isfile(os.path.join(out, name))
         # the implied negatives are derived from world.json, not written
         assert not os.path.exists(os.path.join(out, "negatives.jsonl"))
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text(encoding="utf-8"))
         assert manifest["status"] == "ok"
         assert manifest["command"] == "gen"
         assert sorted(manifest["outputs"]) == sorted(
@@ -280,7 +280,8 @@ class TestGen:
         back writes every file of the world again, byte for byte."""
         out = str(tmp_path / "again")
         config = os.path.join(ws["world_dir"], "config.json")
-        assert json.load(open(config)) == {**WorldConfig().to_dict(), **WORLD_CONFIG}
+        written = json.loads(Path(config).read_text(encoding="utf-8"))
+        assert written == {**WorldConfig().to_dict(), **WORLD_CONFIG}
         assert main(["gen", "--config", config, "--out", out]) == 0
         assert _dir_bytes(out) == _dir_bytes(ws["world_dir"])
 
@@ -313,7 +314,7 @@ class TestTrain:
         with open(os.path.join(run, "history.csv")) as fp:
             header = fp.readline().strip()
         assert header == "epoch,split,loss,metric"
-        manifest = json.load(open(os.path.join(run, "manifest.json")))
+        manifest = json.loads(Path(run, "manifest.json").read_text(encoding="utf-8"))
         assert manifest["status"] == "ok"
         assert manifest["seed"] == 5
         # every world file the run depends on is hashed in the manifest
@@ -326,7 +327,7 @@ class TestTrain:
         cfg = _write_json(tmp_path / "t.json", {**TRAIN_CONFIG, "epochs": 1})
         out = str(tmp_path / "run")
         assert main(["train", str(world_dir), "--config", cfg, "--seed", "1", "--out", out]) == 0
-        inputs = json.load(open(os.path.join(out, "manifest.json")))["inputs"]
+        inputs = json.loads(Path(out, "manifest.json").read_text(encoding="utf-8"))["inputs"]
         assert sorted(os.path.relpath(k, world_dir) for k in inputs if k != cfg) == [
             "config.json", "features.bin", "features.json", "triples.jsonl", "vocab.json",
             "world.json"]
@@ -567,6 +568,35 @@ class TestTrain:
             assert _main_errors([*args, "--out", str(tmp_path / args[0])], caplog) == (
                 3, [f"world.json: scene {name!r} lists member {scene['members'][0]!r} twice"])
 
+    @pytest.mark.parametrize("kind, command", [("unlabeled", "ssl"), ("ex_test", "eval")])
+    def test_a_member_without_a_feature_box_is_data_error(self, ws, tmp_path, kind, command):
+        """A scene member the feature archive holds no box for is refused
+        with one line that names the box and features.json."""
+        world_dir = tmp_path / "world"
+        shutil.copytree(ws["world_dir"], world_dir)
+        path = world_dir / "world.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        scene = next(sc for sc in doc["scenes"] if sc["kind"] == kind)
+        member = next(row[0] for row in doc["entities"] if row[0] not in scene["members"])
+        scene["members"].append(member)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        extra = ["--experiments", "perception-unary"] if command == "eval" else []
+        proc = _run_cli([command, ws["checkpoint"], str(world_dir), *extra,
+                         "--out", str(tmp_path / "out")])
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        key = f"bb:{scene['name']}:{member}"
+        assert len(lines) == 1 and f"features.json lists no feature box {key!r}" in lines[0], \
+            proc.stderr
+
+    def test_perceiving_a_scene_without_features_is_data_error(self, ws, tmp_path, caplog):
+        """Social scenes have no feature boxes: perceiving one is refused with
+        the line that names the missing box."""
+        scene = ws["world"].scenes_of_kind("social")[0]
+        assert _main_errors(["decode", ws["checkpoint"], "--world", ws["world_dir"], "--mode",
+                             "perceive", "--t", scene.name, "--out", str(tmp_path)], caplog) == (
+            3, [f"features.json lists no feature box {scene.scene_key!r}"])
+
     @pytest.mark.parametrize("key, edit", [
         # an entity record as an older world wrote it: a dict with a visual flag
         ("entities", lambda row: {"name": row[0], "visual": True,
@@ -684,7 +714,7 @@ class TestTrain:
     def test_train_config_file_reproduces_the_run(self, ws, tmp_path):
         """The written train-config.json carries the network widths and the
         seed, so feeding it back trains the same model byte for byte."""
-        written = json.load(open(os.path.join(ws["run_dir"], "train-config.json")))
+        written = json.loads(Path(ws["run_dir"], "train-config.json").read_text(encoding="utf-8"))
         assert written["rep_dim"] == TRAIN_CONFIG["rep_dim"] and "feature_dim" not in written
         out = str(tmp_path / "again")
         assert main(["train", ws["world_dir"], "--config",
@@ -696,7 +726,7 @@ class TestTrain:
         cfg = _write_json(tmp_path / "t.json", {"epochs": 1, "batch_size": 32})
         assert main(["train", ws["world_dir"], "--config", cfg, "--seed", "6",
                      "--out", out, "--checkpoint", ws["checkpoint"]]) == 0
-        written = json.load(open(os.path.join(out, "train-config.json")))
+        written = json.loads(Path(out, "train-config.json").read_text(encoding="utf-8"))
         assert (written["rep_dim"], written["ctx_dim"]) == (24, 12)
 
     def test_missing_world_is_data_error(self, tmp_path):
@@ -769,7 +799,7 @@ class TestTrain:
         rc = main(["train", ws["world_dir"], "--config", ws["train_cfg"], "--seed", "5",
                    "--out", out, "--checkpoint", str(tmp_path / "poisoned.json")])
         assert rc == 4
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text(encoding="utf-8"))
         assert manifest["status"] == "failed"
 
 
@@ -1042,7 +1072,7 @@ class TestEval:
         events = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert [e["experiment"] for e in events] == self.NAMES.split(",")
         for name in self.NAMES.split(","):
-            doc = json.load(open(os.path.join(out, f"report-{name}.json")))
+            doc = json.loads(Path(out, f"report-{name}.json").read_text(encoding="utf-8"))
             assert doc["experiment"] == name
             assert len(doc["fingerprint"]) == 64
             assert "wall_clock_s" not in doc
@@ -1051,7 +1081,7 @@ class TestEval:
             body = fp.read()
         assert header == "experiment,metric,value"
         assert "episodic-recall,unary_top1," in body
-        index = json.load(open(os.path.join(out, "index.json")))
+        index = json.loads(Path(out, "index.json").read_text(encoding="utf-8"))
         assert index["csv"] == "metrics.csv"
         assert sorted(index["reports"]) == sorted(
             f"report-{n}.json" for n in self.NAMES.split(",")
@@ -1120,7 +1150,7 @@ class TestSsl:
         assert events[-1]["new_instances"] > 0
         for name in ("model.json", "model.bin", "vocab.json", "pseudo.jsonl", "manifest.json"):
             assert os.path.isfile(os.path.join(out, name))
-        vocab_doc = json.load(open(os.path.join(out, "vocab.json")))
+        vocab_doc = json.loads(Path(out, "vocab.json").read_text(encoding="utf-8"))
         n_before = len(ws["world"].vocab.instances)
         assert len(vocab_doc["instances"]) == n_before + events[-1]["new_instances"]
         with open(os.path.join(out, "pseudo.jsonl")) as fp:
@@ -1169,8 +1199,8 @@ class TestGrownCheckpoint:
         run = tmp_path / "run"
         assert main(["train", ws["world_dir"], "--config", grown["train_cfg"],
                      "--checkpoint", grown["checkpoint"], "--out", str(run)]) == 0
-        assert (run / "vocab.json").read_bytes() == open(
-            os.path.join(grown["dir"], "vocab.json"), "rb").read()
+        assert (run / "vocab.json").read_bytes() == Path(
+            grown["dir"], "vocab.json").read_bytes()
         assert main(["eval", str(run / "model.json"), ws["world_dir"],
                      "--experiments", "episodic-recall", "--out", str(tmp_path / "ev")]) == 0
 

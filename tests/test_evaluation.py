@@ -4,6 +4,7 @@ experiment harness (on a small trained model shared across the test session).
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,18 @@ class TestPerceptionPipelines:
         )
         assert "subject_top1" not in out  # held-out entities have no index units
 
+    def test_unary_eval_of_no_family_reports_none(self, tiny_model, tiny_world):
+        """An empty family list, as when every label family is hidden or
+        excluded, scores no family; it does not fall back to all of them."""
+        params, cmap, _ = tiny_model
+        scenes = tiny_world.scenes_of_kind("ex_test")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = perception_unary_eval(params, cmap, tiny_world.vocab, tiny_world, scenes,
+                                        "samp", families=())
+        assert out["families"] == {} and np.isnan(out["mean_unary"])
+        assert out["n_boxes"] == sum(len(s.members) for s in scenes)
+
     def test_unary_eval_rejects_empty(self, tiny_model, tiny_world):
         params, cmap, _ = tiny_model
         with pytest.raises(EvalError):
@@ -439,8 +452,8 @@ class TestExperimentHarness:
         with pytest.raises(EvalError, match="no instances to consolidate"):
             EXPERIMENTS["consolidation-fidelity"](bare)
         near = v.id_of("near")
-        store.add_observations([(v.id_of("e0"), near, v.id_of("e1"), v.id_of(t))
-                                for t in ("t2", "t1")], False)
+        store.close_instances([(v.id_of(t), [v.id_of("e0"), v.id_of("e1")], [], [near])
+                               for t in ("t2", "t1")])
         metrics, counts = EXPERIMENTS["consolidation-fidelity"](bare)
         assert metrics["instance"] == "t1" and counts == {"subjects": 0}
 

@@ -248,7 +248,7 @@ def test_store_internals_stay_in_the_store(module):
     inside `triple_store.py`, so the split between them stays in one file.
     An attribute read on `self` is the module's own class's."""
     internals = _store_internals()
-    assert {"_blocks", "_closures", "_negatives", "_truth"} <= internals
+    assert {"_positives", "_closures", "_negatives", "_truth"} <= internals
     tree = ast.parse((Path(bilayer.__file__).parent / module).read_text(encoding="utf-8"))
     reads = sorted(
         f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)

@@ -99,9 +99,9 @@ class TestExampleConstruction:
             (v.id_of("e0"), ha, v.id_of("Young"), v.id_of("t0"), True),
             (v.id_of("e1"), ha, v.id_of("Cat"), v.id_of("t1"), True),
             (v.id_of("e0"), v.id_of("near"), v.id_of("e1"), v.id_of("t0"), True),
-            (v.id_of("e1"), ha, v.id_of("Old"), v.id_of("t1"), False),
         ]
-        return store_from_records(v, rows)
+        # a closure implies that e1 is no Dog at t1
+        return store_from_records(v, rows, [(v.id_of("t1"), [v.id_of("e1")], ["Species"], [])])
 
     def test_memory_examples(self):
         v = small_vocab()
@@ -701,7 +701,7 @@ class TestAdam:
 def _memory_setup(seed: int = 0):
     v = small_vocab(n_entities=6, n_instances=4)
     params, cmap = small_params(v, seed=seed)
-    store = store_from_records(v, random_records(v, substream(seed, "rec"), 40, 10))
+    store = store_from_records(v, random_records(v, substream(seed, "rec"), 40))
     return v, params, cmap, store
 
 

@@ -19,16 +19,18 @@ from bilayer.triple_store import (
     write_jsonl,
     write_statements,
 )
-from bilayer.vocab import IDENTITY_FAMILY, Vocabulary
+from bilayer.vocab import Vocabulary
 from bilayer.world import WorldConfig, gen_world
 
 from util import (
     ReferenceStore,
     brute_expected_truth,
     brute_label_conditional,
+    closed_records,
+    closure_of,
+    random_closures,
     random_records,
     read_jsonl,
-    rebuild_store_from_files,
     reference_ingest,
     reference_jsonl,
     small_vocab,
@@ -45,23 +47,12 @@ def ids(vocab, *names):
     return tuple(vocab.id_of(n) for n in names)
 
 
-def _closure(vocab, t, members, families=None, predicates=None) -> tuple:
-    """The closure `ReferenceStore.lcwa_expand` makes of these arguments, as a
-    `close_instances` tuple: families default to every label family,
-    predicates to every binary one."""
-    if families is None:
-        families = [f for f in vocab.families if f != IDENTITY_FAMILY]
-    labels = [c for f in families for c in vocab.family_members(f)]
-    preds = list(vocab.binary_predicates) if predicates is None else list(predicates)
-    return (t, list(members), labels, preds)
-
-
-def _add(store, quad, truth) -> None:
-    """One statement into the store or the reference."""
+def _add(store, quad) -> None:
+    """One true statement into the store or the reference."""
     if isinstance(store, ReferenceStore):
-        store.add_observation(*quad, truth)
+        store.add_observation(*quad, True)
     else:
-        store.add_observations([quad], truth)
+        store.add_observations([quad])
 
 
 def _close(store, t, members, families=None, predicates=None) -> None:
@@ -69,7 +60,7 @@ def _close(store, t, members, families=None, predicates=None) -> None:
     if isinstance(store, ReferenceStore):
         store.lcwa_expand(t, members, families, predicates)
     else:
-        store.close_instances([_closure(store.vocab, t, members, families, predicates)])
+        store.close_instances([closure_of(store.vocab, t, members, families, predicates)])
 
 
 class TestIngestion:
@@ -77,7 +68,7 @@ class TestIngestion:
         s, o, t = ids(vocab, "e0", "e1", "t0")
         p = vocab.id_of("near")
         store = TripleStore(vocab)
-        store.add_observations([(s, p, o, t)], True)
+        store.add_observations([(s, p, o, t)])
         assert store.truth_of(s, p, o, t) is True
         assert store.truth_of(o, p, s, t) is UNKNOWN
         assert not is_known(store.truth_of(o, p, s, t))
@@ -86,23 +77,25 @@ class TestIngestion:
         s, o, t = ids(vocab, "e0", "e1", "t0")
         p = vocab.id_of("near")
         store = TripleStore(vocab)
-        store.add_observations([(s, p, o, t)], True)
+        store.close_instances([closure_of(vocab, t, [s, o])])
         with pytest.raises(ConflictError):
-            store.add_observations([(s, p, o, t)], False)
+            store.add_observations([(s, p, o, t)])
+        assert store.truth_of(s, p, o, t) is False
+        assert store.total_statements() == 0
 
     def test_duplicate_rejected(self, vocab):
         s, o, t = ids(vocab, "e0", "e1", "t0")
         p = vocab.id_of("near")
         store = TripleStore(vocab)
-        store.add_observations([(s, p, o, t)], True)
+        store.add_observations([(s, p, o, t)])
         with pytest.raises(StoreError, match="duplicate observation"):
-            store.add_observations([(s, p, o, t)], True)
+            store.add_observations([(s, p, o, t)])
         assert store.total_statements() == 1
 
     def test_statement_counts_are_per_instance(self, vocab):
         s, o, t = ids(vocab, "e0", "e1", "t0")
         store = TripleStore(vocab)
-        store.add_observations([(s, vocab.id_of("near"), o, t)], True)
+        store.add_observations([(s, vocab.id_of("near"), o, t)])
         assert store.n_statements(t) == 1
         for name in ("e0", "Dog", "near"):
             with pytest.raises(StoreError, match=f"'{name}' is not an instance"):
@@ -114,13 +107,13 @@ class TestIngestion:
         dog = vocab.id_of("Dog")
         store = TripleStore(vocab)
         with pytest.raises(StoreError):
-            store.add_observations([(dog, p, o, t)], True)  # class subject
+            store.add_observations([(dog, p, o, t)])  # class subject
         with pytest.raises(StoreError):
-            store.add_observations([(s, p, dog, t)], True)  # class object on binary
+            store.add_observations([(s, p, dog, t)])  # class object on binary
         with pytest.raises(StoreError):
-            store.add_observations([(s, ha, o, t)], True)  # entity object on unary
+            store.add_observations([(s, ha, o, t)])  # entity object on unary
         with pytest.raises(StoreError):
-            store.add_observations([(s, p, o, s)], True)  # entity as instance
+            store.add_observations([(s, p, o, s)])  # entity as instance
 
     def test_lcwa_expansion(self, vocab):
         ha = vocab.has_attribute
@@ -128,8 +121,8 @@ class TestIngestion:
         near, chases = ids(vocab, "near", "chases")
         dog = vocab.id_of("Dog")
         store = TripleStore(vocab)
-        store.add_observations([(s, ha, dog, t), (s, near, o, t)], True)
-        store.close_instances([_closure(vocab, t, [s, o])])
+        store.add_observations([(s, ha, dog, t), (s, near, o, t)])
+        store.close_instances([closure_of(vocab, t, [s, o])])
         # per entity: every family member not asserted goes false
         n_implied = 2 * len(vocab.labels) + 2 * len(vocab.binary_predicates) - 2
         assert store.total_statements(False) == n_implied
@@ -137,21 +130,21 @@ class TestIngestion:
         assert store.truth_of(s, ha, dog, t) is True  # untouched
         assert store.truth_of(o, chases, s, t) is False
         # closing twice implies nothing new
-        store.close_instances([_closure(vocab, t, [s, o])])
+        store.close_instances([closure_of(vocab, t, [s, o])])
         assert store.total_statements(False) == n_implied
 
 
 class TestPositiveArray:
     def test_rows_follow_iter_positive_and_track_new_positives(self, vocab):
         rng = np.random.default_rng(7)
-        records = random_records(vocab, rng, n_true=30, n_false=10)
-        store = store_from_records(vocab, records[:20] + records[30:])
+        records = random_records(vocab, rng, n_true=30)
+        store = store_from_records(vocab, records[:20])
         first = store.positive_array()
         assert first.tolist() == [list(q) for q in store.iter_positive()]
         assert not first.flags.writeable
         assert store.positive_array() is first  # nothing added: the same array
-        for s, p, o, t, truth in records[20:30]:
-            store.add_observations([(s, p, o, t)], truth)
+        for s, p, o, t, _ in records[20:]:
+            store.add_observations([(s, p, o, t)])
         assert store.positive_array().tolist() == [list(q) for q in store.iter_positive()]
         assert len(store.positive_array()) == 30
 
@@ -163,8 +156,9 @@ class TestCountingOracles:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_store_matches_brute_force(self, vocab, seed):
         rng = np.random.default_rng(seed)
-        records = random_records(vocab, rng, n_true=30, n_false=20)
-        store = store_from_records(vocab, records)
+        positives, closures = random_records(vocab, rng, n_true=30), random_closures(vocab, rng, 2)
+        store = store_from_records(vocab, positives, closures)
+        records = closed_records(vocab, positives, closures)[1]
         for s, p, o, _, _ in records:
             frac = brute_expected_truth(records, s, p, o)
             value = store.expected_truth(s, p, o)
@@ -189,8 +183,9 @@ class TestCountingOracles:
     def test_label_conditional_matches_brute_force(self, vocab, seed):
         rng = np.random.default_rng(100 + seed)
         ha = vocab.has_attribute
-        records = random_records(vocab, rng, n_true=40, n_false=30)
-        store = store_from_records(vocab, records)
+        positives, closures = random_records(vocab, rng, n_true=40), random_closures(vocab, rng, 3)
+        store = store_from_records(vocab, positives, closures)
+        records = closed_records(vocab, positives, closures)[1]
         for c1 in vocab.labels:
             for c2 in vocab.labels:
                 expect = brute_label_conditional(records, ha, c1, c2)
@@ -214,24 +209,27 @@ class TestCountingOracles:
         store = TripleStore(vocab)
         for i, t in enumerate(vocab.instances):
             s = vocab.entities[i % len(vocab.entities)]
-            store.add_observations([(s, ha, dog, t), (s, ha, mammal, t)], True)
+            store.add_observations([(s, ha, dog, t), (s, ha, mammal, t)])
         assert store.label_conditional(dog, mammal) == 1.0
 
 
 class TestInterchange:
     def test_jsonl_round_trip(self, vocab):
+        # the positives read back and closed alike give the same statements
         rng = np.random.default_rng(11)
-        records = random_records(vocab, rng, n_true=20, n_false=10)
-        store = store_from_records(vocab, records)
+        records, closures = random_records(vocab, rng, n_true=20), random_closures(vocab, rng, 1)
+        store = store_from_records(vocab, records, closures)
         pos, neg = io.StringIO(), io.StringIO()
         assert write_jsonl(store, pos, truth=True) == 20
-        assert write_jsonl(store, neg, truth=False) == 10
+        assert write_jsonl(store, neg, truth=False) == store.total_statements(False) > 0
         rebuilt = TripleStore(vocab)
-        pos.seek(0), neg.seek(0)
+        pos.seek(0)
         assert read_jsonl(rebuilt, pos) == 20
-        assert read_jsonl(rebuilt, neg) == 10
+        rebuilt.close_instances([closure_of(vocab, *c) for c in closures])
         assert set(rebuilt.iter_positive()) == set(store.iter_positive())
-        assert set(rebuilt.iter_negative()) == set(store.iter_negative())
+        again = io.StringIO()
+        write_jsonl(rebuilt, again, truth=False)
+        assert again.getvalue() == neg.getvalue()
 
     def test_output_independent_of_registration_order(self):
         # same statements through vocabularies that list each kind in a
@@ -251,7 +249,7 @@ class TestInterchange:
             for quad in ((v.id_of("e1"), v.id_of("near"), v.id_of("e0"), v.id_of("t1")),
                          (v.id_of("e0"), v.has_attribute, v.id_of("Dog"), v.id_of("t0")),
                          (v.id_of("e2"), v.id_of("chases"), v.id_of("e1"), v.id_of("t0"))):
-                store.add_observations([quad], True)
+                store.add_observations([quad])
             buf = io.StringIO()
             write_jsonl(store, buf)
             outs.append(buf.getvalue())
@@ -278,11 +276,14 @@ class TestInterchange:
             "predicates": ["Ünder", "near\u2029", "chasés"],
             "classes": ["Dög"], "attributes": ["Old\x7f"], "families": {"Kind": ["Dög", "Old\x7f"]},
         })
-        store = store_from_records(v, random_records(v, np.random.default_rng(5), 30, 25))
+        rng = np.random.default_rng(5)
+        records, closures = random_records(v, rng, 30), random_closures(v, rng, 3)
+        store = store_from_records(v, records, closures)
         buf = io.StringIO()
         n = write_jsonl(store, buf, truth=truth)
         want = reference_jsonl(store, truth)
-        assert n == (30 if truth else 25)
+        ref = closed_records(v, records, closures)[0]
+        assert n == ref.total_statements(truth) > 0
         assert buf.getvalue() == want
         assert buf.getvalue().isascii()
 
@@ -394,9 +395,8 @@ def _ssl_style_adds(stores, vocab, rng, tag: str) -> None:
         assert len(answers) == 1
         if answers == {UNKNOWN}:
             for store in stores:
-                _add(store, quad, True)
+                _add(store, quad)
     for store in stores:
-        _add(store, (old[2], preds[0], novel, t), False)
         _close(store, t, [novel] + old)
         _close(store, list(vocab.instances)[0], old[:2])
 
@@ -408,13 +408,13 @@ class TestAgainstReference:
     def test_random_records(self, seed):
         vocab = small_vocab(n_entities=5, n_instances=4)
         rng = np.random.default_rng(seed)
-        records = random_records(vocab, rng, n_true=40, n_false=30)
-        store, ref = TripleStore(vocab), ReferenceStore(vocab)
-        store.add_observations([r[:4] for r in records], [r[4] for r in records])
-        for s, p, o, t, y in records:
-            ref.add_observation(s, p, o, t, y)
+        records, closures = random_records(vocab, rng, n_true=40), random_closures(vocab, rng, 3)
+        store = TripleStore(vocab)
+        store.add_observations([r[:4] for r in records])
+        store.close_instances([closure_of(vocab, *c) for c in closures])
+        ref = closed_records(vocab, records, closures)[0]
         assert_matches_reference(store, ref, rng)
-        single = store_from_records(vocab, records)
+        single = store_from_records(vocab, records, closures)
         assert_matches_reference(single, ref, rng)
         for t in vocab.instances[:2]:
             members = vocab.entities[:3]
@@ -445,10 +445,9 @@ class TestAgainstReference:
 
     def test_closures_over_known_statements_match_the_reference(self, vocab):
         rng = np.random.default_rng(9)
-        records = random_records(vocab, rng, n_true=25, n_false=10)
-        store, ref = store_from_records(vocab, records), ReferenceStore(vocab)
-        for s, p, o, t, y in records:
-            ref.add_observation(s, p, o, t, y)
+        records, closures = random_records(vocab, rng, n_true=25), random_closures(vocab, rng, 1)
+        store = store_from_records(vocab, records, closures)
+        ref = closed_records(vocab, records, closures)[0]
         e0, e1, e2, t1 = ids(vocab, "e0", "e1", "e2", "t1")
         members = [e2, e0, e2, e1]  # a repeated member counts once
         near = vocab.id_of("near")
@@ -485,33 +484,15 @@ class TestClosureRule:
                 store = make(vocab)
                 _close(store, t0, [e0, e1])
                 with pytest.raises(ConflictError) as info:
-                    _add(store, quad, True)
+                    _add(store, quad)
                 errors.append(str(info.value))
             bulk = TripleStore(vocab)
             bulk.close_instances([(t0, [e0, e1], list(vocab.labels), list(vocab.binary_predicates))])
             with pytest.raises(ConflictError) as info:
-                bulk.add_observations([(e0, near, e1, t1), quad], True)
+                bulk.add_observations([(e0, near, e1, t1), quad])
             errors.append(str(info.value))
             assert errors == [f"({names}) at t0 already asserted with truth=False"] * 3
             assert bulk.total_statements() == 0  # the refused batch added nothing
-
-    def test_implied_negative_is_a_duplicate(self, vocab):
-        e0, e1, t0, t1, cat = ids(vocab, "e0", "e1", "t0", "t1", "Cat")
-        near, ha = vocab.id_of("near"), vocab.has_attribute
-        quad, fresh = (e0, ha, cat, t0), (e0, near, e1, t1)
-        for make in (TripleStore, ReferenceStore):
-            strict = make(vocab)
-            _close(strict, t0, [e0, e1])
-            with pytest.raises(StoreError, match=re.escape(f"duplicate observation {quad}")) as info:
-                _add(strict, quad, False)
-            assert info.type is StoreError
-        bulk = TripleStore(vocab)
-        _close(bulk, t0, [e0, e1])
-        n = bulk.total_statements(False)
-        with pytest.raises(StoreError, match=re.escape(f"duplicate observation {quad}")):
-            bulk.add_observations([fresh, quad], False)
-        assert bulk.total_statements(False) == n  # the refused batch added nothing
-        assert bulk.truth_of(*fresh) is UNKNOWN
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_one_instance_closed_twice(self, vocab, bulk):
@@ -520,8 +501,8 @@ class TestClosureRule:
         near, chases, ha = vocab.id_of("near"), vocab.id_of("chases"), vocab.has_attribute
         store, ref = TripleStore(vocab), ReferenceStore(vocab)
         for s in (store, ref):
-            _add(s, (e0, ha, dog, t0), True)
-            _add(s, (e0, near, e1, t0), True)
+            _add(s, (e0, ha, dog, t0))
+            _add(s, (e0, near, e1, t0))
         closures = [([e0, e1], ["Species"], [near]), ([e1, e2, e3], ["Age"], [chases])]
         for members, fams, preds in closures:
             ref.lcwa_expand(t0, members, fams, preds)
@@ -578,27 +559,6 @@ class TestClosureRule:
                 store.close_instances([(t0, [e0], [dog], [near]), closure])
         assert store.observed_instances() == () and store.total_statements(False) == 0
 
-    def test_store_from_the_statement_files_answers_alike(self, tiny_world, tiny_store, tmp_path):
-        for name, truth in (("triples.jsonl", True), ("negatives.jsonl", False)):
-            with open(tmp_path / name, "w", encoding="utf-8") as fp:
-                write_jsonl(tiny_store, fp, truth=truth)
-        files = rebuild_store_from_files(tiny_world, str(tmp_path))
-        assert files.total_statements(False) == tiny_store.total_statements(False)
-        v = tiny_world.vocab
-        known = list(tiny_store.iter_positive()) + list(tiny_store.iter_negative())
-        rng = np.random.default_rng(6)
-        for quad in known + _sample_unknowns(v, set(known), rng, 500):
-            assert files.truth_of(*quad) is tiny_store.truth_of(*quad), quad
-        for c1 in v.labels:
-            for c2 in v.labels:
-                _same_outcome(lambda: files.label_conditional(c1, c2),
-                              lambda: tiny_store.label_conditional(c1, c2))
-        triples = sorted({q[:3] for q in known}) + [q[:3] for q in _sample_unknowns(v, set(known), rng, 50)]
-        for triple in triples:
-            _same_outcome(lambda: files.expected_truth(*triple),
-                          lambda: tiny_store.expected_truth(*triple))
-        assert files.observed_instances() == tiny_store.observed_instances()
-
 
 class TestBulkChecks:
     """A batch is refused at its first bad row, with the message one-row adds
@@ -607,21 +567,20 @@ class TestBulkChecks:
     def _cases(self, vocab):
         e0, e1, t0, dog = ids(vocab, "e0", "e1", "t0", "Dog")
         near, ha = vocab.id_of("near"), vocab.has_attribute
-        good = [(e0, near, e1, t0, True), (e1, ha, dog, t0, True)]
+        good = [(e0, near, e1, t0), (e1, ha, dog, t0)]
         return {
-            "class subject": good + [(dog, near, e1, t0, True)],
-            "entity instance": good + [(e0, near, e1, e1, True)],
-            "entity object on unary": good + [(e0, ha, e1, t0, True)],
-            "class object on binary": good + [(e0, near, dog, t0, True)],
-            "unknown id": good + [(e0, near, e1, len(vocab) + 3, True)],
-            "negative id": good + [(e0, near, -1, t0, True)],
-            "conflict in batch": good + [(e0, near, e1, t0, False)],
-            "duplicate in batch": good + [(e1, ha, dog, t0, True)],
+            "class subject": good + [(dog, near, e1, t0)],
+            "entity instance": good + [(e0, near, e1, e1)],
+            "entity object on unary": good + [(e0, ha, e1, t0)],
+            "class object on binary": good + [(e0, near, dog, t0)],
+            "unknown id": good + [(e0, near, e1, len(vocab) + 3)],
+            "negative id": good + [(e0, near, -1, t0)],
+            "duplicate in batch": good + [(e1, ha, dog, t0)],
         }
 
     @pytest.mark.parametrize("case", [
         "class subject", "entity instance", "entity object on unary", "class object on binary",
-        "unknown id", "negative id", "conflict in batch", "duplicate in batch",
+        "unknown id", "negative id", "duplicate in batch",
     ])
     def test_same_error_as_single_and_reference(self, vocab, case):
         rows = self._cases(vocab)[case]
@@ -629,33 +588,35 @@ class TestBulkChecks:
         for make in (TripleStore, ReferenceStore):
             store = make(vocab)
             with pytest.raises(StoreError) as info:
-                for *quad, y in rows:
-                    _add(store, tuple(quad), y)
+                for quad in rows:
+                    _add(store, quad)
             errors.append((info.type, str(info.value)))
         bulk = TripleStore(vocab)
         with pytest.raises(StoreError) as info:
-            bulk.add_observations([r[:4] for r in rows], [r[4] for r in rows])
+            bulk.add_observations(rows)
         errors.append((info.type, str(info.value)))
         assert errors[0] == errors[1] == errors[2]
         assert bulk.total_statements(True) == bulk.total_statements(False) == 0
 
     def test_conflict_and_duplicate_against_the_store(self, vocab):
-        e0, e1, e2, t0 = ids(vocab, "e0", "e1", "e2", "t0")
+        e0, e1, e2, t0, t1 = ids(vocab, "e0", "e1", "e2", "t0", "t1")
         near = vocab.id_of("near")
         store, ref = TripleStore(vocab), ReferenceStore(vocab)
         for s in (store, ref):
-            _add(s, (e0, near, e1, t0), True)
-        batch = [(e1, near, e2, t0), (e0, near, e1, t0)]
+            _add(s, (e0, near, e1, t0))
+            _close(s, t1, [e0, e1], [], [near])
+        batch = [(e1, near, e2, t0), (e0, near, e1, t1)]
         with pytest.raises(ConflictError) as bulk_error:
-            store.add_observations(batch, False)
+            store.add_observations(batch)
         with pytest.raises(ConflictError) as ref_error:
             for quad in batch:
-                ref.add_observation(*quad, False)
+                _add(ref, quad)
         assert str(bulk_error.value) == str(ref_error.value)
-        assert str(bulk_error.value) == "(e0, near, e1) at t0 already asserted with truth=True"
+        assert str(bulk_error.value) == "(e0, near, e1) at t1 already asserted with truth=False"
         assert store.truth_of(e1, near, e2, t0) is UNKNOWN  # the refused batch added nothing
+        batch[1] = (e0, near, e1, t0)
         with pytest.raises(StoreError, match=r"duplicate observation \(") as dup:
-            store.add_observations(batch[::-1], True)
+            store.add_observations(batch[::-1])
         assert str(dup.value) == f"duplicate observation {(e0, near, e1, t0)}"
 
     def test_first_bad_row_in_input_order(self, vocab):
@@ -663,9 +624,9 @@ class TestBulkChecks:
         near, ha = vocab.id_of("near"), vocab.has_attribute
         rows = [(e0, near, e1, t1), (e0, ha, dog, t0), (e0, near, e1, t1), (dog, near, e0, t0)]
         with pytest.raises(StoreError, match="duplicate"):
-            TripleStore(vocab).add_observations(rows, True)
+            TripleStore(vocab).add_observations(rows)
         with pytest.raises(StoreError, match="subject 'Dog'"):
-            TripleStore(vocab).add_observations(rows[::-1], True)
+            TripleStore(vocab).add_observations(rows[::-1])
 
     def test_closure_checks_match_reference(self, vocab):
         e0, e1, t0, dog = ids(vocab, "e0", "e1", "t0", "Dog")
@@ -686,7 +647,7 @@ class TestBuildPath:
     def test_building_and_reading_arrays_builds_no_index(self, tiny_world):
         store = TripleStore(tiny_world.vocab)
         ref = reference_ingest(tiny_world)
-        store.add_observations(list(ref.iter_positive()), True)
+        store.add_observations(list(ref.iter_positive()))
         store.positive_array()
         list(store.iter_negative())
         store.total_statements(False)
@@ -720,7 +681,7 @@ class TestBuildPath:
                     pass
         store.observed_instances()
         t = v.add_instance("fresh.scene")  # an SSL-style add checks against the store
-        store.add_observations([(v.entities[0], ha, v.labels[0], t)], True)
+        store.add_observations([(v.entities[0], ha, v.labels[0], t)])
         assert store.truth_of(v.entities[0], ha, v.labels[0], t) is True
         assert store._negatives is None
 
@@ -728,10 +689,10 @@ class TestBuildPath:
         e0, e1, t0, t1, t2 = (vocab.id_of(n) for n in ("e0", "e1", "t0", "t1", "t2"))
         ha, dog = vocab.has_attribute, vocab.id_of("Dog")
         store = TripleStore(vocab)
-        store.add_observations([(e0, ha, dog, t0)], True)
+        store.add_observations([(e0, ha, dog, t0)])
         first = store.observed_instances()
         assert first == (t0,) and store.observed_instances() is first
-        store.add_observations([(e1, ha, dog, t1)], False)
+        store.add_observations([(e1, ha, dog, t1)])
         assert store.observed_instances() == (t0, t1)
         store.close_instances([(t2, [e0], [dog], [])])
         assert store.observed_instances() == (t0, t1, t2)

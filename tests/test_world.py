@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilayer.params import ParamError, write_archive
-from bilayer.triple_store import UNKNOWN, ConflictError, TripleStore, write_jsonl
+from bilayer.triple_store import UNKNOWN, TripleStore, write_jsonl
 from bilayer.world import (
     EntityRecord,
     GroundTruthWorld,
@@ -47,7 +47,6 @@ from bilayer.world import (
 from util import (
     orientation_probability,
     read_jsonl,
-    rebuild_store_from_files,
     reference_compose_scene,
     reference_ingest,
     reference_jsonl,
@@ -665,20 +664,6 @@ class TestExport:
             write_jsonl(original, buf_a, truth=truth)
             write_jsonl(reloaded, buf_b, truth=truth)
             assert buf_a.getvalue() == buf_b.getvalue()
-
-    def test_negatives_contradicting_triples_raise_conflict(self, clean_world, tmp_path):
-        outdir = tmp_path / "w"
-        export_world(clean_world, str(outdir))
-        with open(outdir / "negatives.jsonl", "w", encoding="utf-8") as fp:
-            write_jsonl(clean_world.build_store(), fp, truth=False)
-        rec = json.loads((outdir / "triples.jsonl").read_text(encoding="utf-8").splitlines()[3])
-        rec["y"] = 0
-        with open(outdir / "negatives.jsonl", "a", encoding="utf-8") as fp:
-            fp.write(json.dumps(rec) + "\n")
-        with pytest.raises(ConflictError) as info:
-            rebuild_store_from_files(load_world(str(outdir)), str(outdir))
-        assert str(info.value) == (f"({rec['s']}, {rec['p']}, {rec['o']}) at {rec['t']} "
-                                   "already asserted with truth=True")
 
     def test_json_documents_put_one_element_on_a_line(self):
         doc = {"b": [{"y": 1, "x": "ä"}, [1, 2]], "a": {"k2": [], "k1": {"z": None}},

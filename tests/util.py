@@ -18,7 +18,6 @@ the decode schedule one unit at a time in float64 from the formulas.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,10 +84,11 @@ def small_params(
 Record = tuple[int, int, int, int, bool]  # (s, p, o, t, truth)
 
 
-def random_records(
-    vocab: Vocabulary, rng: np.random.Generator, n_true: int, n_false: int
-) -> list[Record]:
-    """Random well-typed observation records without (quad, truth) conflicts."""
+Closure = tuple[int, list, list, list]  # `lcwa_expand`'s (t, members, families, predicates)
+
+
+def random_records(vocab: Vocabulary, rng: np.random.Generator, n_true: int) -> list[Record]:
+    """Random well-typed true records of distinct quads."""
     entities = list(vocab.entities)
     instances = list(vocab.instances)
     preds = list(vocab.binary_predicates)
@@ -96,33 +96,69 @@ def random_records(
     ha = vocab.has_attribute
     seen: set[tuple[int, int, int, int]] = set()
     out: list[Record] = []
-    want = [(True, n_true), (False, n_false)]
-    for truth, n in want:
-        made = 0
-        while made < n:
-            s = entities[int(rng.integers(len(entities)))]
-            t = instances[int(rng.integers(len(instances)))]
-            if rng.random() < 0.5:
-                p, o = ha, labels[int(rng.integers(len(labels)))]
-            else:
-                p = preds[int(rng.integers(len(preds)))]
-                o = entities[int(rng.integers(len(entities)))]
-                if o == s:
-                    continue
-            if (s, p, o, t) in seen:
+    while len(out) < n_true:
+        s = entities[int(rng.integers(len(entities)))]
+        t = instances[int(rng.integers(len(instances)))]
+        if rng.random() < 0.5:
+            p, o = ha, labels[int(rng.integers(len(labels)))]
+        else:
+            p = preds[int(rng.integers(len(preds)))]
+            o = entities[int(rng.integers(len(entities)))]
+            if o == s:
                 continue
-            seen.add((s, p, o, t))
-            out.append((s, p, o, t, truth))
-            made += 1
+        if (s, p, o, t) in seen:
+            continue
+        seen.add((s, p, o, t))
+        out.append((s, p, o, t, True))
     return out
 
 
-def store_from_records(vocab: Vocabulary, records: list[Record]) -> TripleStore:
-    """A store that took the records one add at a time, one block each."""
+def random_closures(vocab: Vocabulary, rng: np.random.Generator, n: int) -> list[Closure]:
+    """Random closures: each of an instance, two or three distinct entities,
+    and each label family and binary predicate with chance one half."""
+    entities, instances = list(vocab.entities), list(vocab.instances)
+    families = [f for f in vocab.families if f != IDENTITY_FAMILY]
+    preds = list(vocab.binary_predicates)
+    out = []
+    for _ in range(n):
+        t = instances[int(rng.integers(len(instances)))]
+        members = [entities[i] for i in rng.permutation(len(entities))[:int(rng.integers(2, 4))]]
+        out.append((t, members, [f for f in families if rng.random() < 0.5],
+                    [p for p in preds if rng.random() < 0.5]))
+    return out
+
+
+def closure_of(vocab: Vocabulary, t, members, families=None, predicates=None) -> tuple:
+    """The closure `ReferenceStore.lcwa_expand` makes of these arguments, as a
+    `close_instances` tuple: families default to every label family,
+    predicates to every binary one."""
+    if families is None:
+        families = [f for f in vocab.families if f != IDENTITY_FAMILY]
+    labels = [c for f in families for c in vocab.family_members(f)]
+    preds = list(vocab.binary_predicates) if predicates is None else list(predicates)
+    return (t, list(members), labels, preds)
+
+
+def store_from_records(vocab: Vocabulary, records: list[Record], closures=()) -> TripleStore:
+    """A store that took the true records one add at a time, then the
+    closures one close at a time."""
     store = TripleStore(vocab)
-    for s, p, o, t, truth in records:
-        store.add_observations([(s, p, o, t)], truth)
+    for s, p, o, t, _ in records:
+        store.add_observations([(s, p, o, t)])
+    for closure in closures:
+        store.close_instances([closure_of(vocab, *closure)])
     return store
+
+
+def closed_records(vocab: Vocabulary, records: list[Record], closures) -> tuple:
+    """The reference store of the true records closed by the closures, and
+    the records the brute-force oracles read: the true ones, then every quad
+    the reference's `lcwa_expand` returned, false."""
+    ref = ReferenceStore(vocab)
+    for record in records:
+        ref.add_observation(*record)
+    implied = [quad for closure in closures for quad in ref.lcwa_expand(*closure)]
+    return ref, records + [(*quad, False) for quad in implied]
 
 
 # -- brute-force reference models (exact rational arithmetic) ----------------------
@@ -336,23 +372,13 @@ def reference_jsonl(store: TripleStore, truth: bool) -> str:
 
 
 def read_jsonl(store: TripleStore, fp) -> int:
-    """Read statement lines by symbol name into the store with one
+    """Read true statement lines by symbol name into the store with one
     `add_observations` call; returns the number of lines."""
     v = store.vocab
     recs = [json.loads(line) for line in fp if line.strip()]
-    store.add_observations([[v.id_of(r[k]) for k in ("s", "p", "o", "t")] for r in recs],
-                           [bool(r["y"]) for r in recs])
+    assert all(r["y"] == 1 for r in recs)
+    store.add_observations([[v.id_of(r[k]) for k in ("s", "p", "o", "t")] for r in recs])
     return len(recs)
-
-
-def rebuild_store_from_files(world, indir: str) -> TripleStore:
-    """A store read from a directory's `triples.jsonl` and `negatives.jsonl`
-    statement files, as exports once listed every implied negative."""
-    store = TripleStore(world.vocab)
-    for name in ("triples.jsonl", "negatives.jsonl"):
-        with open(os.path.join(indir, name), "r", encoding="utf-8") as fp:
-            read_jsonl(store, fp)
-    return store
 
 
 # -- reference scene composition (one scan of the pool per pick) ---------------------
