@@ -297,37 +297,6 @@ def cmd_decode(args: argparse.Namespace) -> None:
         def record(req: DecodeRequest, r) -> dict:
             return _decode_record(decode(params, cmap, vocab, req, r), vocab, args.mode)
 
-        if args.mode == "perceive":
-            if not args.t:
-                raise UsageError("perceive needs --t SCENE")
-            scene = world.scene(args.t)
-            keys = [
-                (scene.bb_key(s_name), scene.bb_key(o_name), scene.rel_key(i))
-                for i, (s_name, _p, o_name) in enumerate(scene.binaries)
-            ] or [(scene.bb_key(m),) for m in scene.members]
-            passes = [
-                request("perception", instance_attention=True,
-                        features=SceneInput(*world.features_of([scene.scene_key, *boxes])))
-                for boxes in keys
-            ]
-            for perceive in passes:
-                _emit(record(perceive, rng))
-            return []
-
-        if args.mode == "episodic":
-            if not args.t:
-                raise UsageError("episodic needs --t INSTANCE")
-            episodic = request("episodic", instance_id=vocab.id_of(args.t))
-            for _ in range(args.n):
-                _emit(record(episodic, rng))
-            return []
-
-        if args.mode == "semantic":
-            semantic = request("semantic", subject_id=vocab.id_of(args.s) if args.s else None)
-            for _ in range(args.n):
-                _emit(record(semantic, rng))
-            return []
-
         if args.mode == "fuse":
             if not args.t:
                 raise UsageError("fuse needs --t INSTANCE")
@@ -341,7 +310,31 @@ def cmd_decode(args: argparse.Namespace) -> None:
                 _emit(rec)
             return []
 
-        raise UsageError(f"unknown mode {args.mode!r}")
+        if args.mode == "perceive":
+            if not args.t:
+                raise UsageError("perceive needs --t SCENE")
+            scene = world.scene(args.t)
+            keys = [
+                (scene.bb_key(s_name), scene.bb_key(o_name), scene.rel_key(i))
+                for i, (s_name, _p, o_name) in enumerate(scene.binaries)
+            ] or [(scene.bb_key(m),) for m in scene.members]
+            passes = [
+                request("perception", instance_attention=True,
+                        features=SceneInput(*world.features_of([scene.scene_key, *boxes])))
+                for boxes in keys
+            ]
+        elif args.mode == "episodic":
+            if not args.t:
+                raise UsageError("episodic needs --t INSTANCE")
+            passes = [request("episodic", instance_id=vocab.id_of(args.t))] * args.n
+        elif args.mode == "semantic":
+            subject = vocab.id_of(args.s) if args.s else None
+            passes = [request("semantic", subject_id=subject)] * args.n
+        else:
+            raise UsageError(f"unknown mode {args.mode!r}")
+        for req in passes:
+            _emit(record(req, rng))
+        return []
 
     inputs = _world_inputs(args.world) + _checkpoint_inputs(args.checkpoint)
     _manifest_run("decode", args, inputs, body)
@@ -409,7 +402,7 @@ def cmd_ssl(args: argparse.Namespace) -> None:
                  for ex in report.pseudo_unary if ex["fam"] != IDENTITY_FAMILY]
         quads += [(ex["s"], ex["p"], ex["o"], ex["t"]) for ex in report.pseudo_binary]
         with open(os.path.join(args.out, "pseudo.jsonl"), "w", encoding="utf-8") as fp:
-            write_statements(fp, vocab, quads, truth=True, provenance="ssl")
+            write_statements(fp, vocab, quads, provenance="ssl")
         summary = {
             "event": "ssl",
             "new_instances": len(report.new_instances),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -163,6 +163,25 @@ def _box_inputs(world: GroundTruthWorld, boxes: list[tuple]) -> list[SceneInput]
     return [SceneInput(*rows) for rows in world.features_of(keys).reshape(len(boxes), 2, -1)]
 
 
+def _box_hits(params, cmap, vocab, world: GroundTruthWorld, boxes: list[tuple], variant: str,
+              families: tuple, rng) -> tuple[dict, int, int]:
+    """Perceive each (scene, member) box once, in one batch, and count the
+    hits: per family, the boxes whose label is the member's; then how many
+    members the vocabulary holds, and how many of those were the subject
+    picked."""
+    traces = _perceive(params, cmap, vocab, variant, _box_inputs(world, boxes), rng)
+    hit = dict.fromkeys(families, 0)
+    subj_known = subj_hit = 0
+    for (_scene, m), trace in zip(boxes, traces):
+        labels = world.entity_record(m).labels
+        for fam in families:
+            hit[fam] += trace.labels.get(fam) == vocab.id_of(labels[fam])
+        if m in vocab:
+            subj_known += 1
+            subj_hit += trace.subject_id == vocab.id_of(m)
+    return hit, subj_known, subj_hit
+
+
 def perception_unary_eval(
     params: NetParams,
     cmap: ColumnMap,
@@ -182,21 +201,8 @@ def perception_unary_eval(
     boxes = [(scene, m) for scene in scenes for m in scene.members]
     if not boxes:
         raise EvalError("no boxes to evaluate")
-    inputs = _box_inputs(world, boxes)
-    traces = _perceive(params, cmap, vocab, variant, inputs, rng)
-    hit = {f: 0 for f in fams}
+    hit, subj_known, subj_hit = _box_hits(params, cmap, vocab, world, boxes, variant, fams, rng)
     n = len(boxes)
-    subj_hit = 0
-    subj_known = 0
-    for (_scene, m), trace in zip(boxes, traces):
-        rec = world.entity_record(m)
-        for fam in fams:
-            if fam in trace.labels and trace.labels[fam] == vocab.id_of(rec.labels[fam]):
-                hit[fam] += 1
-        if m in vocab:
-            subj_known += 1
-            if trace.subject_id == vocab.id_of(m):
-                subj_hit += 1
     acc = {f: hit[f] / n for f in fams}
     out = {
         "families": acc,
@@ -284,8 +290,8 @@ class MetricReport:
 class EvalContext:
     """Everything an experiment may need: the world, its store and
     vocabulary, the model under evaluation (`params`, `cmap`) and the train
-    config.  A model an experiment trains for itself (`model`) is trained
-    once per key and cached, so experiments that share it train it once."""
+    config.  An experiment that trains a model of its own starts it from
+    `fresh_params` and trains it with `config_with` its overrides."""
 
     world: GroundTruthWorld
     store: TripleStore
@@ -295,7 +301,6 @@ class EvalContext:
     train_config: TrainConfig
     net_config: NetConfig | None = None
     seed: int = 0
-    _models: dict = field(default_factory=dict)
 
     def config_with(self, **overrides) -> TrainConfig:
         return TrainConfig.from_dict({**self.train_config.to_dict(), **overrides})
@@ -307,14 +312,6 @@ class EvalContext:
         cmap = ColumnMap(self.vocab)
         params = NetParams.init(self.vocab, net, substream(self.seed, "init"))
         return params, cmap
-
-    def model(self, key: str, **overrides) -> tuple[NetParams, ColumnMap]:
-        if key not in self._models:
-            params, cmap = self.fresh_params()
-            config = self.config_with(**overrides)
-            train(params, cmap, self.vocab, self.store, config, world=self.world)
-            self._models[key] = (params, cmap)
-        return self._models[key]
 
 
 def _visible_families(ctx: EvalContext) -> tuple:
@@ -429,8 +426,6 @@ def _experiment_perception_binary(ctx: EvalContext) -> tuple[dict, dict]:
 def _experiment_hidden_label(ctx: EvalContext, family: str = "Risk") -> tuple[dict, dict]:
     if family not in ctx.vocab.families:
         raise EvalError(f"world has no {family!r} family")
-    base_params, base_cmap = ctx.model("hidden-base", excluded_families=(family,))
-    enriched_params, enriched_cmap = ctx.model("hidden-enriched", hidden_families=(family,))
     scenes = ctx.world.scenes_of_kind("ex_test") or ctx.world.scenes_of_kind("train")
 
     by_label: dict[str, list[tuple]] = {}
@@ -445,18 +440,17 @@ def _experiment_hidden_label(ctx: EvalContext, family: str = "Risk") -> tuple[di
     for label in sorted(by_label):
         balanced.extend(by_label[label][:take])
 
-    def risk_accuracy(params, cmap) -> float:
-        traces = _perceive(params, cmap, ctx.vocab, "samp", _box_inputs(ctx.world, balanced),
-                           substream(0, "hidden-label"))
-        hits = 0
-        for (_scene, m), trace in zip(balanced, traces):
-            truth = ctx.vocab.id_of(ctx.world.entity_record(m).labels[family])
-            hits += int(trace.labels.get(family) == truth)
-        return hits / len(balanced)
+    def accuracy(**overrides) -> float:
+        """The label accuracy on the balanced boxes of a model trained for it."""
+        params, cmap = ctx.fresh_params()
+        train(params, cmap, ctx.vocab, ctx.store, ctx.config_with(**overrides), world=ctx.world)
+        hit, _, _ = _box_hits(params, cmap, ctx.vocab, ctx.world, balanced, "samp", (family,),
+                              substream(0, "hidden-label"))
+        return hit[family] / len(balanced)
 
     metrics = {
-        "base_acc": risk_accuracy(base_params, base_cmap),
-        "enriched_acc": risk_accuracy(enriched_params, enriched_cmap),
+        "base_acc": accuracy(excluded_families=(family,)),
+        "enriched_acc": accuracy(hidden_families=(family,)),
         "chance": 1.0 / len(by_label),
         "family": family,
     }

@@ -40,7 +40,8 @@ step commits.  The concept block starts at column 0, so the entity block
 also indexes the concept scores.  A step that only reads out records no id
 when it has no columns.  Every family's label is read from the one
 concept-score block by the ColumnMap's two `label_heads`, drawn by the plan
-built with them (`label_plan`).
+built with them (`label_plan`).  A pass returns a `DecodeTrace`: its mode,
+the ids it picked and the score rows it picked them from.
 
 A sampled pick is an inverse-CDF draw, not `Generator.choice`: one uniform per
 row, and the row's pick is the first position whose float64 running sum of
@@ -263,15 +264,16 @@ _shared_of = attrgetter(*_SHARED)
 
 @dataclass
 class DecodeTrace:
+    """What one pass picked, per step (None where it picked nothing), and
+    the score rows it picked from, keyed by step and `label`."""
+
     mode: str
-    direct: bool
     instance_id: int | None
     subject_id: int | None
     labels: dict[str, int]
     object_id: int | None
     predicate_id: int | None
     scores: dict[str, np.ndarray] = field(default_factory=dict)
-    reps: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 # the steps whose ids a trace records, in the order of its `_id` fields
@@ -420,20 +422,17 @@ def _pick_labels(cmap: ColumnMap, label_scores: np.ndarray, winner_take_all: boo
     return [dict(zip(names, row)) for row in won.T.tolist()]
 
 
-def _split(first: DecodeRequest, ids: dict, labels: list, scores: dict,
-           reps: dict) -> list[DecodeTrace]:
-    """One trace per row; its ids, scores and reps are rows of the batch's,
-    each block iterated once.  A step with no ids (absent, or read out of no
+def _split(first: DecodeRequest, ids: dict, labels: list, scores: dict) -> list[DecodeTrace]:
+    """One trace per row; its ids and scores are rows of the batch's, each
+    block iterated once.  A step with no ids (absent, or read out of no
     columns) records None."""
     none = [None] * len(labels)
     id_rows = zip(*[ids.get(step, none) for step in _TRACE_STEPS])
     # positional, in DecodeTrace's field order: keywords cost more per trace.
     # Every pass scores its subject, so no row is lost to an empty zip
     return [
-        DecodeTrace(first.mode, first.direct, t, s, row_labels, o, p,
-                    dict(zip(scores, row_scores)), dict(zip(reps, row_reps)))
-        for row_labels, (t, s, o, p), row_scores, row_reps
-        in zip(labels, id_rows, zip(*scores.values()), zip(*reps.values()))
+        DecodeTrace(first.mode, t, s, row_labels, o, p, dict(zip(scores, row_scores)))
+        for row_labels, (t, s, o, p), row_scores in zip(labels, id_rows, zip(*scores.values()))
     ]
 
 
@@ -460,7 +459,6 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
              "concept": cmap.block["entity"] if first.concept_attention else None}
     ids: dict[str, list] = {}
     scores: dict[str, np.ndarray] = {}
-    reps: dict[str, np.ndarray] = {}
     sh, z = initial_context(params), None
     for spec in schedule(first.mode, _binary(first), first.direct):
         step, rep, block, span, mix = spec.name, None, None, None, None
@@ -489,11 +487,10 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
             ids[step] = cmap.ids[span][pick(block)].tolist()
         if spec.commit:
             z = sigmoid(rep)
-        reps[step] = rep
         if spec.labels:  # one label per family, from one concept-score block
             scores["label"] = _scores(params, "label", z, cmap.block["concept"])
             labels = _pick_labels(cmap, scores["label"], first.winner_take_all, rng)
-    return _split(first, ids, labels, scores, reps)
+    return _split(first, ids, labels, scores)
 
 
 DECODE_CHUNK = 64  # requests per decode_many call in decode_chunked

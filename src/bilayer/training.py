@@ -208,42 +208,40 @@ def perception_examples(
     ids = resolve_scenes(scenes, vocab)
     entities, row = np.unique(ids.members, return_inverse=True)
     labels = resolve_labels(world, vocab, entities, visible)[row.reshape(-1)]
-    return _perception_tables(ids, _box_layout(world, scenes, ids), _families(vocab), visible,
+    return _perception_tables(ids, vocab.ids_of([sc.name for sc in scenes]),
+                              _box_layout(world, scenes), _families(vocab), visible,
                               ids.members, labels, ids.binaries)
 
 
-def _box_layout(world: GroundTruthWorld, scenes: list, ids: SceneIds) -> tuple:
-    """The boxes of `scenes` (resolved as `ids`) as one feature matrix, scene
-    by scene: the scene box, its member boxes, then its relation boxes.
-    Returns the row of each scene's, member's and relation's box, and the
-    matrix, gathered from the world's in one step."""
-    run = 1 + ids.n_members + ids.n_binaries
-    scene = np.cumsum(run) - run
-    first_member = np.cumsum(ids.n_members) - ids.n_members
-    first_binary = np.cumsum(ids.n_binaries) - ids.n_binaries
-    bb = np.arange(ids.members.size) + (scene + 1 - first_member)[ids.member_scene]
-    rel = np.arange(len(ids.binaries)) + (scene + 1 + ids.n_members - first_binary)[
-        ids.binary_scene]
+def _box_layout(world: GroundTruthWorld, scenes: list) -> tuple:
+    """The boxes of `scenes` as one feature matrix, scene by scene: the scene
+    box, its member boxes, then its relation boxes.  Returns the row of each
+    scene's, member's and relation's box, and the matrix, gathered from the
+    world's in one step."""
+    counts = np.array([(1, len(sc.members), len(sc.binaries)) for sc in scenes], dtype=np.int64)
+    part = np.repeat(np.tile([0, 1, 2], len(scenes)), counts.reshape(-1))  # per row, its part
+    scene, bb, rel = (np.flatnonzero(part == k) for k in range(3))
     features = world.features_of(list(chain.from_iterable(sc.box_keys() for sc in scenes)))
     return scene, bb, rel, features
 
 
-def _perception_tables(ids: SceneIds, layout: tuple, families: tuple[str, ...],
+def _perception_tables(ids: SceneIds, t: np.ndarray, layout: tuple, families: tuple[str, ...],
                        label_families: list, s: np.ndarray, labels: np.ndarray,
                        spo: np.ndarray) -> tuple[Examples, Examples]:
-    """The perception tables of scenes resolved as `ids` with their boxes at
-    `layout`.  Per member, with subject `s`: one row per column of `labels`
-    (of `label_families`), then an identity row, as one repeat of its
-    columns; per binary statement, one row of the (n, 3) ids `spo`."""
+    """The perception tables of scenes resolved as `ids`, with instance ids
+    `t` and their boxes at `layout`.  Per member, with subject `s`: one row
+    per column of `labels` (of `label_families`), then an identity row, as
+    one repeat of its columns; per binary statement, one row of the (n, 3)
+    ids `spo`."""
     scene, bb, rel, features = layout
     fam = np.array([families.index(f) for f in [*label_families, IDENTITY_FAMILY]], np.int64)
     unary = {
-        "t": np.repeat(ids.t[ids.member_scene], fam.size), "s": np.repeat(s, fam.size),
+        "t": np.repeat(t[ids.member_scene], fam.size), "s": np.repeat(s, fam.size),
         "fam": np.tile(fam, s.size), "o": np.concatenate([labels, s[:, None]], axis=1).reshape(-1),
         "scene": np.repeat(scene[ids.member_scene], fam.size), "bb": np.repeat(bb, fam.size),
     }
     binary = {
-        "t": ids.t[ids.binary_scene], "s": spo[:, 0], "p": spo[:, 1], "o": spo[:, 2],
+        "t": t[ids.binary_scene], "s": spo[:, 0], "p": spo[:, 1], "o": spo[:, 2],
         "scene": scene[ids.binary_scene], "s_bb": bb[ids.subject_at], "o_bb": bb[ids.object_at],
         "rel": rel,
     }
@@ -530,9 +528,12 @@ def ssl_step(
     Each scene gets a fresh instance index, but one whose instance the
     vocabulary holds was perceived before: it is skipped and counted.  The
     scenes are resolved (`resolve_scenes`) and their boxes laid out as the
-    perception tables lay theirs out (`_box_layout`).  Every box is
-    recognized with the current weights; if no known entity unit clears the
-    novelty threshold a new entity index is allocated for it.  Recognition
+    perception tables lay theirs out (`_box_layout`) before the first
+    instance is registered, so a step refused for a scene listed twice, an
+    unknown name or a missing box leaves the vocabulary and the weights as
+    they were.  Every
+    box is recognized with the current weights; if no known entity unit
+    clears the novelty threshold a new entity index is allocated for it.  Recognition
     and labeling are winner-take-all perception passes of `decode_chunked`
     with the scene's instance clamped, and for labeling the recognized
     entities too.  The picked labels and predicates are made once into the
@@ -553,20 +554,21 @@ def ssl_step(
     report.skipped = len(scene_names) - len(scenes)
     if not scenes:  # nothing to perceive: no growth and no training
         return params, cmap, report
-    for scene in scenes:
-        if scene.scene_key not in world.feature_index:
-            raise TrainError(f"scene {scene.name!r} has no features")
-        vocab.add_instance(scene.name)
-        report.new_instances.append(scene.name)
+    names = [scene.name for scene in scenes]
+    if len(set(names)) < len(names):
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise TrainError(f"scene {twice!r} is listed twice")
+    ids = resolve_scenes(scenes, vocab)
+    layout = _box_layout(world, scenes)
+    t = np.array([vocab.add_instance(name) for name in names], dtype=np.int64)
+    report.new_instances = names
     grow_rng = substream(config.seed, "ssl-grow")
     cmap = params.grow(vocab, grow_rng)
     rng = substream(config.seed, "ssl-decode")  # winner-take-all passes draw nothing
-    ids = resolve_scenes(scenes, vocab)
-    layout = _box_layout(world, scenes, ids)
     scene_row, bb, rel, features = layout
     # per box, and per statement: its instance, then the rows of the boxes its pass reads
-    boxes = np.c_[ids.t[ids.member_scene], scene_row[ids.member_scene], bb].tolist()
-    rels = np.c_[ids.t[ids.binary_scene], scene_row[ids.binary_scene], bb[ids.subject_at],
+    boxes = np.c_[t[ids.member_scene], scene_row[ids.member_scene], bb].tolist()
+    rels = np.c_[t[ids.binary_scene], scene_row[ids.binary_scene], bb[ids.subject_at],
                  bb[ids.object_at], rel].tolist()
 
     def perceive(t: int, *rows: int, **clamps) -> DecodeRequest:
@@ -598,7 +600,7 @@ def ssl_step(
         for r, i, j in zip(rels, ids.subject_at.tolist(), ids.object_at.tolist())], rng)
     spo = [(trace.subject_id, trace.predicate_id, trace.object_id) for trace in related]
     unary, binary = _perception_tables(
-        ids, layout, cmap.families, label_families, np.array(entity, dtype=np.int64),
+        ids, t, layout, cmap.families, label_families, np.array(entity, dtype=np.int64),
         np.array(labels, dtype=np.int64).reshape(len(entity), len(label_families)),
         np.array(spo, dtype=np.int64).reshape(-1, 3),
     )

@@ -35,19 +35,18 @@ decoded from pays for none of them:
 
 * the implied-negative rows: every statement a closure implies false, as
   one sorted array, built run of instances by run of instances.  It serves
-  `iter_negative`, `write_jsonl(truth=False)`, `total_statements(False)`
-  and the counts below;
+  `iter_negative`, `total_statements(False)` and the counts below;
 * the point lookup behind `truth_of`: the set of true (s, p, o, t) tuples,
   one set lookup per call, keyed by tuples that share one int object per
   id; a miss is then checked against the records of t;
 * the positive and known counts behind `expected_truth`: (s, p, o) -> count;
 * the label co-occurrence counts behind `label_conditional`: per (s, t) site
-  with a positive label, which labels are true there and which known false;
-* the per-instance positives: t -> its slice of the positive array;
-* the observed instances: every instance with a statement, sorted.
+  with a positive label, which labels are true there and which known false.
 
 Adds update the point lookup in place and drop whatever else they change,
-as closes do; the next query rebuilds it.
+as closes do; the next query rebuilds it.  The positives of one instance
+are a slice of the positive array, found by two binary searches on its
+instance column, and `observed_instances` is worked out on each call.
 
 The counting queries are the exact reference semantics for what the
 trainable network only approximates:
@@ -212,8 +211,6 @@ class TripleStore:
     _truth: set | None = field(default=None, repr=False)  # true (s, p, o, t) tuples
     _counts: tuple | None = field(default=None, repr=False)  # Counters (s, p, o) -> positives, known
     _cooc: dict | None = field(default=None, repr=False)  # c1 -> {c2: P(c2 | c1)}
-    _spans: dict | None = field(default=None, repr=False)  # t -> (lo, hi) in the positive array
-    _observed: tuple | None = field(default=None, repr=False)  # `observed_instances()`
     # shared int objects per id, extended as the vocabulary grows
     _ints: np.ndarray = field(default_factory=lambda: np.zeros(0, object), repr=False)
     _ha: int = field(init=False, repr=False)  # hasAttribute's id, read by every `truth_of` miss
@@ -277,7 +274,7 @@ class TripleStore:
             rows = rows[np.argsort(_quad_key(rows), kind="stable")]
         rows.flags.writeable = False
         self._positives = rows
-        self._counts = self._cooc = self._observed = self._spans = None
+        self._counts = self._cooc = None
 
     def _shared(self, rows: np.ndarray) -> Iterable[tuple]:
         """The rows as tuples of ints, one chunk converted at a time.  Every id
@@ -394,7 +391,7 @@ class TripleStore:
         for t, record in records:
             self._closures.setdefault(t, []).append(record)
         if records:
-            self._negatives = self._counts = self._cooc = self._observed = None
+            self._negatives = self._counts = self._cooc = None
 
     def _closure_records(self, closures: Iterable[tuple]) -> list[tuple]:
         """Check closures and return them as (t, (entities, labels,
@@ -456,11 +453,8 @@ class TripleStore:
 
     def _instance_rows(self, t: int) -> np.ndarray:
         """The positives at instance t: rows of the positive array, in (s, p, o) order."""
-        rows = self._rows(True)
-        if self._spans is None:
-            ts, lo, n = np.unique(rows[:, 3], return_index=True, return_counts=True)
-            self._spans = dict(zip(ts.tolist(), zip(lo.tolist(), (lo + n).tolist())))
-        lo, hi = self._spans.get(t, (0, 0))
+        rows = self._positives
+        lo, hi = np.searchsorted(rows[:, 3], [t, t + 1])
         return rows[lo:hi]
 
     def n_statements(self, t: int) -> int:
@@ -485,14 +479,10 @@ class TripleStore:
     def observed_instances(self) -> tuple[int, ...]:
         """The instances with a statement: a true one, or one a closure
         implies.  A closure that covers something implies it unless it is
-        true, so the closures need not be expanded.  Built on first use; an
-        add or a close drops it."""
-        if self._observed is None:
-            ts = {t for t, records in self._closures.items()
-                  if any(_n_covered(*r) for r in records)}
-            ts.update(distinct(self._positives[:, 3]).tolist())
-            self._observed = tuple(sorted(ts))
-        return self._observed
+        true, so the closures need not be expanded."""
+        ts = {t for t, records in self._closures.items() if any(_n_covered(*r) for r in records)}
+        ts.update(distinct(self._positives[:, 3]).tolist())
+        return tuple(sorted(ts))
 
     def positives_at(self, t: int) -> tuple[tuple[int, int, int], ...]:
         return tuple(map(tuple, self._instance_rows(t)[:, :3].tolist()))
@@ -584,19 +574,19 @@ def write_statements(
     fp: IO[str],
     vocab: Vocabulary,
     quads,
-    truth: bool,
     provenance: str | None = None,
 ) -> int:
-    """Write (s, p, o, t) id rows, an (n, 4) array or a list of quads, in
-    order, one JSON object a line: `{"s": …, "p": …, "o": …, "t": …, "y": 0|1}`
-    with the symbol names, plus a last `"provenance"` key when one is given.
+    """Write true (s, p, o, t) id rows, an (n, 4) array or a list of quads,
+    in order, one JSON object a line: `{"s": …, "p": …, "o": …, "t": …,
+    "y": 1}` with the symbol names, plus a last `"provenance"` key when one
+    is given.
 
     Each symbol name is JSON-encoded once per call, and each run of
     WRITE_CHUNK rows is formatted with elementwise string additions over the
     encodings and written with one `fp.write`.  Returns the number of lines.
     """
     enc = np.array([json.dumps(vocab.name_of(i)) for i in range(len(vocab))], dtype=object)
-    tail = f', "y": {int(truth)}'
+    tail = ', "y": 1'
     if provenance is not None:
         tail += f', "provenance": {json.dumps(provenance)}'
     tail += "}\n"
@@ -608,8 +598,8 @@ def write_statements(
     return len(quads)
 
 
-def write_jsonl(store: TripleStore, fp: IO[str], truth: bool = True) -> int:
-    """Write the store's statements of one truth value, ordered by symbol names.
+def write_jsonl(store: TripleStore, fp: IO[str]) -> int:
+    """Write the store's true statements, ordered by symbol names.
 
     Lines are ordered by the names of (t, s, p, o), compared as strings, not by
     ids, so the file is identical when the same store is rebuilt in a session
@@ -620,6 +610,6 @@ def write_jsonl(store: TripleStore, fp: IO[str], truth: bool = True) -> int:
     v = store.vocab
     rank = np.empty(len(v), dtype=np.int64)
     rank[sorted(range(len(v)), key=v.name_of)] = np.arange(len(v))
-    ids = store._rows(truth)
+    ids = store.positive_array()
     order = np.argsort(_quad_key(rank[ids]), kind="stable")
-    return write_statements(fp, v, ids[order], truth)
+    return write_statements(fp, v, ids[order])

@@ -696,7 +696,7 @@ def _ingest(world: GroundTruthWorld) -> TripleStore:
     n_fam = len(families)
     store = TripleStore(v)
     scenes = [s for s in world.scenes if s.instance]
-    ids = resolve_scenes(scenes, v)
+    ids, ts = resolve_scenes(scenes, v), v.ids_of([s.name for s in scenes])
     labeled = np.array([s.kind in ("train", "ex_train", "background") for s in scenes], dtype=bool)
     at = labeled[ids.member_scene]
     e, where = ids.members[at], ids.member_scene[at]
@@ -704,9 +704,9 @@ def _ingest(world: GroundTruthWorld) -> TripleStore:
     labels = resolve_labels(world, v, entities, families)[row.reshape(-1)]
     unary = np.stack([
         np.repeat(e, n_fam), np.full(labels.size, v.has_attribute), labels.reshape(-1),
-        np.repeat(ids.t[where], n_fam),
+        np.repeat(ts[where], n_fam),
     ], axis=1)
-    binary = np.column_stack([ids.binaries, ids.t[ids.binary_scene]])
+    binary = np.column_stack([ids.binaries, ts[ids.binary_scene]])
     # input order: scene by scene, its unary rows before its binary ones
     order = np.argsort(np.r_[np.repeat(where, n_fam), ids.binary_scene], kind="stable")
     store.add_observations(np.concatenate([unary, binary])[order])
@@ -721,7 +721,7 @@ def _ingest(world: GroundTruthWorld) -> TripleStore:
     members, ends = ids.members.tolist(), np.cumsum(ids.n_members).tolist()
     store.close_instances([
         (t, members[end - len(s.members):end], *closing[s.kind])
-        for s, t, end in zip(scenes, ids.t.tolist(), ends)
+        for s, t, end in zip(scenes, ts.tolist(), ends)
     ])
     return store
 
@@ -731,18 +731,19 @@ def _ingest(world: GroundTruthWorld) -> TripleStore:
 
 @dataclass(frozen=True)
 class SceneIds:
-    """A list of scenes with their names resolved, scene after scene: `t`
-    holds each scene's own id, `members` every member's id, `binaries` the
+    """A list of scenes with their members' and statements' names resolved,
+    scene after scene: `n_members` holds each scene's member count,
+    `members` every member's id, `binaries` the
     (subject, predicate, object) ids of every binary statement as an (n, 3)
     array, and `member_scene` and `binary_scene` the scene of each member and
     statement, as positions in the list.  `subject_at` and `object_at` give
-    the index in `members` of each statement's subject and object."""
+    the index in `members` of each statement's subject and object.  The
+    scenes' own names are not resolved, so scenes can be resolved before
+    their instances are registered."""
 
-    t: np.ndarray
     n_members: np.ndarray
     members: np.ndarray
     member_scene: np.ndarray
-    n_binaries: np.ndarray
     binaries: np.ndarray
     binary_scene: np.ndarray
     subject_at: np.ndarray
@@ -764,10 +765,11 @@ def _member_fault(scene: SceneRecord) -> str | None:
 
 
 def resolve_scenes(scenes: list[SceneRecord], vocab: Vocabulary) -> SceneIds:
-    """The ids of `scenes`' names, one `Vocabulary.ids_of` for each kind of
-    name.  A scene that lists a member twice, or a statement whose subject or
-    object is not a member of its scene, is refused with one line that names
-    the scene; a world from `gen_world` has neither."""
+    """The ids of `scenes`' member and statement names, one
+    `Vocabulary.ids_of` for each kind of name.  A scene that lists a member
+    twice, or a statement whose subject or object is not a member of its
+    scene, is refused with one line that names the scene; a world from
+    `gen_world` has neither."""
     n_members = np.array([len(s.members) for s in scenes], dtype=np.int64)
     n_binaries = np.array([len(s.binaries) for s in scenes], dtype=np.int64)
     members = vocab.ids_of(list(chain.from_iterable(s.members for s in scenes)))
@@ -789,8 +791,7 @@ def resolve_scenes(scenes: list[SceneRecord], vocab: Vocabulary) -> SceneIds:
     if outside.any():
         raise WorldError(_member_fault(scenes[binary_scene[int(np.argmax(outside))]]))
     subject_at, object_at = (np.r_[order, -1][pos] for pos in found)
-    return SceneIds(vocab.ids_of([s.name for s in scenes]), n_members, members, member_scene,
-                    n_binaries, spo, binary_scene, subject_at, object_at)
+    return SceneIds(n_members, members, member_scene, spo, binary_scene, subject_at, object_at)
 
 
 def resolve_labels(world: GroundTruthWorld, vocab: Vocabulary, entities: np.ndarray,
@@ -889,7 +890,7 @@ def export_world(world: GroundTruthWorld, outdir: str) -> list[str]:
     _write("vocab.json", world.vocab.dumps() + "\n")
 
     store = world.build_store()
-    _write("triples.jsonl", lambda fp: write_jsonl(store, fp, truth=True))
+    _write("triples.jsonl", lambda fp: write_jsonl(store, fp))
 
     families = ONTOLOGY.label_families
     doc = {

@@ -701,7 +701,6 @@ class TestDecodeBehavior:
             poisoned, cmap, v, DecodeRequest(mode="semantic"), substream(5, "sem")
         )
         assert _traces_equal(clean, dirty)
-        np.testing.assert_array_equal(clean.reps["instance"], params.pooled)
 
     def test_episodic_starts_from_clamped_instance(self):
         v = small_vocab()
@@ -715,7 +714,6 @@ class TestDecodeBehavior:
             substream(0, "e"),
         )
         assert trace.instance_id == tid
-        np.testing.assert_array_equal(trace.reps["instance"], params.emb[:, cmap.col_of(tid)])
 
     def test_subject_clamp_is_honored(self):
         v = small_vocab()
@@ -822,7 +820,6 @@ class TestDecodeBehavior:
         feats = _scene_features(9)
         req = DecodeRequest(mode="perception", features=feats, direct=True, winner_take_all=True)
         trace = decode(params, cmap, v, req, substream(0, "d"))
-        assert trace.direct
         z = sigmoid(encode_input(params, feats.subject_box))
         want = index_scores(params, z, cmap.block["concept"])
         np.testing.assert_array_equal(trace.scores["subject"], want)
@@ -939,11 +936,9 @@ class TestReferenceWalk:
             want = decode(params, cmap, v, request, substream(0, "b"))
             assert _trace_ids(got) == _trace_ids(want)
             assert got.labels == want.labels
-            assert set(got.scores) == set(want.scores) and set(got.reps) == set(want.reps)
+            assert set(got.scores) == set(want.scores)
             for key in want.scores:
                 np.testing.assert_allclose(got.scores[key], want.scores[key], rtol=1e-5, atol=1e-6)
-            for key in want.reps:
-                np.testing.assert_allclose(got.reps[key], want.reps[key], rtol=1e-5, atol=1e-6)
 
     def test_trained_perception_batch_matches_the_reference(self, tiny_model, tiny_world):
         params, cmap, _ = tiny_model

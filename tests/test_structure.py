@@ -28,8 +28,9 @@ parameter block, a view into its `NetParams`' one buffer.  The triple
 store's internals are read only inside `triple_store.py`.  Every public
 name the package defines has a caller inside it, but for a short allowlist
 of names that the benchmark or the gradient tests call, every field of the
-three settings classes is read outside its class, and every field of a
-world is read outside `world.py`.
+three settings classes is read outside its class, every field of a world
+is read outside the functions that make, write and load it, and every
+field of a decode trace is read outside `network.py`.
 The ontology is one constant, constructed once.  Every module but
 `__init__.py`, which re-exports, reads each name it imports.
 """
@@ -365,23 +366,34 @@ def _attribute_reads(tree: ast.AST, skip=()) -> set[str]:
             and id(node) not in skipped}
 
 
-def test_every_world_field_is_read_outside_world_py():
+def test_every_world_field_has_a_reader():
     """A world keeps no state that nothing reads: every public field of
-    `GroundTruthWorld` is read as an attribute (matched by name) in some
-    package module other than `world.py`, which writes and loads them all.
-    Every field of its records, `SceneRecord` and `EntityRecord`, is read by
-    some function other than the three that make, write and load them."""
+    `GroundTruthWorld` and of its records, `SceneRecord` and `EntityRecord`,
+    is read as an attribute (matched by name) by some function other than
+    the three that make, write and load them all."""
     package = Path(bilayer.__file__).parent
     trees = {path.name: ast.parse(path.read_text("utf-8")) for path in package.glob("*.py")}
     outside = set().union(*(_attribute_reads(t) for name, t in trees.items() if name != "world.py"))
-    records = outside | _attribute_reads(trees["world.py"],
-                                         skip=("gen_world", "export_world", "load_world"))
-    unread = []
-    for cls, read in ((bilayer.world.GroundTruthWorld, outside),
-                      (bilayer.world.SceneRecord, records), (bilayer.world.EntityRecord, records)):
-        unread += [f"{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
-                   if not f.name.startswith("_") and f.name not in read]
+    read = outside | _attribute_reads(trees["world.py"],
+                                      skip=("gen_world", "export_world", "load_world"))
+    unread = [f"{cls.__name__}.{f.name}"
+              for cls in (bilayer.world.GroundTruthWorld, bilayer.world.SceneRecord,
+                          bilayer.world.EntityRecord)
+              for f in dataclasses.fields(cls) if not f.name.startswith("_") and f.name not in read]
     assert not unread, f"world fields that nothing reads: {unread}"
+
+
+def test_every_trace_field_is_read_outside_network_py():
+    """A decode trace holds only what some reader takes from it: every field
+    of `DecodeTrace` is read as an attribute (matched by name) in a package
+    module other than `network.py`, which fills them, or in a benchmark
+    script under `perfbench/`."""
+    package = Path(bilayer.__file__).parent
+    paths = [path for path in package.glob("*.py") if path.name != "network.py"]
+    paths += Path(__file__).resolve().parents[1].joinpath("perfbench").glob("*.py")
+    read = set().union(*(_attribute_reads(ast.parse(path.read_text("utf-8"))) for path in paths))
+    unread = [f.name for f in dataclasses.fields(network.DecodeTrace) if f.name not in read]
+    assert not unread, f"DecodeTrace fields that nothing reads: {unread}"
 
 
 def test_the_ontology_is_one_constant():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ from bilayer.training import (
     write_history_csv,
 )
 from bilayer.triple_store import UNKNOWN, TripleStore
-from bilayer.vocab import Kind
-from bilayer.world import ONTOLOGY, WorldConfig, export_world, gen_world, load_world, substream
+from bilayer.vocab import Kind, VocabError
+from bilayer.world import (
+    ONTOLOGY, WorldConfig, WorldError, export_world, gen_world, load_world, substream,
+)
 
 from util import (
     copying_ce_head,
@@ -1078,19 +1081,38 @@ class TestSelfLabeledGrowth:
         assert report.history == [] and report.new_instances == report.new_entities == []
         assert report.pseudo_unary == report.pseudo_binary == []
 
-    def test_ssl_step_rejects_featureless_scene(self, ssl_world):
-        from bilayer.params import ColumnMap
-
+    @pytest.mark.parametrize("fault", ["scene-box", "member-box", "unknown-member", "twice"])
+    def test_a_refused_step_leaves_nothing_behind(self, ssl_world, fault):
+        """Every check that can refuse a step runs before the first instance is
+        registered: a missing box, an unknown member or a scene listed twice
+        leaves the vocabulary and the weights as they were.  The faulty scene
+        comes last, after a good one."""
         v = ssl_world.vocab
         params = NetParams.init(
             v, NetConfig(rep_dim=16, ctx_dim=8, feature_dim=24), substream(0, "init")
         )
-        scene = ssl_world.scenes_of_kind("unlabeled")[0]
-        del ssl_world.feature_index[scene.scene_key]
-        with pytest.raises(TrainError, match="features"):
-            ssl_step(
-                params, ColumnMap(v), v, ssl_world, [scene.name], TrainConfig(seed=0)
-            )
+        good, scene = ssl_world.scenes_of_kind("unlabeled")[:2]
+        if fault == "scene-box":
+            del ssl_world.feature_index[scene.scene_key]
+            error, message = WorldError, f"no feature box {scene.scene_key!r}"
+        elif fault == "member-box":
+            scene.members.append(next(e for e in ssl_world.entities if e not in scene.members))
+            error, message = WorldError, f"no feature box {scene.bb_key(scene.members[-1])!r}"
+        elif fault == "unknown-member":  # with a box of its own
+            scene.members.append("stranger")
+            ssl_world.feature_index[scene.bb_key("stranger")] = len(ssl_world.features)
+            ssl_world.features = np.vstack([ssl_world.features, ssl_world.features[:1]])
+            error, message = VocabError, "unknown symbol 'stranger'"
+        else:
+            scene = good
+            error, message = TrainError, f"scene {good.name!r} is listed twice"
+        n, digest = len(v), v.digest()
+        kind_counts, flat = params.kind_counts, params.flat.tobytes()
+        with pytest.raises(error, match=re.escape(message)):
+            ssl_step(params, ColumnMap(v), v, ssl_world, [good.name, scene.name],
+                     TrainConfig(seed=0))
+        assert (len(v), v.digest()) == (n, digest)
+        assert params.kind_counts == kind_counts and params.flat.tobytes() == flat
 
 
 class TestConsolidation:

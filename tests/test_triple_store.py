@@ -219,17 +219,15 @@ class TestInterchange:
         rng = np.random.default_rng(11)
         records, closures = random_records(vocab, rng, n_true=20), random_closures(vocab, rng, 1)
         store = store_from_records(vocab, records, closures)
-        pos, neg = io.StringIO(), io.StringIO()
-        assert write_jsonl(store, pos, truth=True) == 20
-        assert write_jsonl(store, neg, truth=False) == store.total_statements(False) > 0
+        buf = io.StringIO()
+        assert write_jsonl(store, buf) == 20
         rebuilt = TripleStore(vocab)
-        pos.seek(0)
-        assert read_jsonl(rebuilt, pos) == 20
+        buf.seek(0)
+        assert read_jsonl(rebuilt, buf) == 20
         rebuilt.close_instances([closure_of(vocab, *c) for c in closures])
         assert set(rebuilt.iter_positive()) == set(store.iter_positive())
-        again = io.StringIO()
-        write_jsonl(rebuilt, again, truth=False)
-        assert again.getvalue() == neg.getvalue()
+        ref = closed_records(vocab, records, closures)[0]
+        assert set(rebuilt.iter_negative()) == set(ref.iter_negative()) != set()
 
     def test_output_independent_of_registration_order(self):
         # same statements through vocabularies that list each kind in a
@@ -255,18 +253,17 @@ class TestInterchange:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("truth", [True, False])
-    def test_generated_world_matches_reference(self, tiny_store, truth, monkeypatch):
-        # chunks of 7 lines, so each file takes many writes
+    def test_generated_world_matches_reference(self, tiny_store, monkeypatch):
+        # chunks of 7 lines, so the file takes many writes; the negatives are
+        # compared with the reference's in TestAgainstReference.test_tiny_world
         monkeypatch.setattr(triple_store, "WRITE_CHUNK", 7)
         buf = io.StringIO()
-        n = write_jsonl(tiny_store, buf, truth=truth)
-        want = reference_jsonl(tiny_store, truth)
+        n = write_jsonl(tiny_store, buf)
+        want = reference_jsonl(tiny_store, True)
         assert n == want.count("\n")
         assert buf.getvalue() == want
 
-    @pytest.mark.parametrize("truth", [True, False])
-    def test_names_that_need_escaping_match_reference(self, truth, monkeypatch):
+    def test_names_that_need_escaping_match_reference(self, monkeypatch):
         # registered out of name order; quote, backslash, control character,
         # non-ASCII text, U+2028 and a character outside the BMP
         monkeypatch.setattr(triple_store, "WRITE_CHUNK", 5)
@@ -280,24 +277,23 @@ class TestInterchange:
         records, closures = random_records(v, rng, 30), random_closures(v, rng, 3)
         store = store_from_records(v, records, closures)
         buf = io.StringIO()
-        n = write_jsonl(store, buf, truth=truth)
-        want = reference_jsonl(store, truth)
+        n = write_jsonl(store, buf)
         ref = closed_records(v, records, closures)[0]
-        assert n == ref.total_statements(truth) > 0
-        assert buf.getvalue() == want
+        assert n == ref.total_statements(True) > 0
+        assert buf.getvalue() == reference_jsonl(store, True)
         assert buf.getvalue().isascii()
+        assert set(store.iter_negative()) == set(ref.iter_negative()) != set()
 
-    @pytest.mark.parametrize("truth", [True, False])
-    def test_empty_store_writes_nothing(self, vocab, truth):
+    def test_empty_store_writes_nothing(self, vocab):
         buf = io.StringIO()
-        assert write_jsonl(TripleStore(vocab), buf, truth=truth) == 0
+        assert write_jsonl(TripleStore(vocab), buf) == 0
         assert buf.getvalue() == ""
 
     def test_statements_keep_their_order_and_end_with_provenance(self, vocab):
         e0, e1, near, t1, t0 = ids(vocab, "e0", "e1", "near", "t1", "t0")
         quads = [(e1, near, e0, t1), (e0, vocab.has_attribute, vocab.id_of("Dog"), t0)]
         buf = io.StringIO()
-        assert write_statements(buf, vocab, quads, truth=True, provenance="ssl") == 2
+        assert write_statements(buf, vocab, quads, provenance="ssl") == 2
         want = "".join(
             json.dumps({"s": s, "p": p, "o": o, "t": t, "y": 1, "provenance": "ssl"},
                        separators=(", ", ": ")) + "\n"
@@ -305,7 +301,7 @@ class TestInterchange:
         )
         assert buf.getvalue() == want
         empty = io.StringIO()
-        assert write_statements(empty, vocab, [], truth=False) == 0
+        assert write_statements(empty, vocab, []) == 0
         assert empty.getvalue() == ""
 
 
@@ -652,7 +648,7 @@ class TestBuildPath:
         list(store.iter_negative())
         store.total_statements(False)
         write_jsonl(store, io.StringIO())
-        assert (store._truth, store._counts, store._cooc, store._spans) == (None,) * 4
+        assert (store._truth, store._counts, store._cooc) == (None,) * 3
 
     def test_queries_on_a_built_store_build_no_negative_rows(self):
         world = gen_world(WorldConfig(seed=5))
@@ -685,13 +681,12 @@ class TestBuildPath:
         assert store.truth_of(v.entities[0], ha, v.labels[0], t) is True
         assert store._negatives is None
 
-    def test_observed_instances_are_kept_until_an_add_or_a_close(self, vocab):
+    def test_observed_instances_follow_adds_and_closes(self, vocab):
         e0, e1, t0, t1, t2 = (vocab.id_of(n) for n in ("e0", "e1", "t0", "t1", "t2"))
         ha, dog = vocab.has_attribute, vocab.id_of("Dog")
         store = TripleStore(vocab)
         store.add_observations([(e0, ha, dog, t0)])
-        first = store.observed_instances()
-        assert first == (t0,) and store.observed_instances() is first
+        assert store.observed_instances() == (t0,)
         store.add_observations([(e1, ha, dog, t1)])
         assert store.observed_instances() == (t0, t1)
         store.close_instances([(t2, [e0], [dog], [])])
