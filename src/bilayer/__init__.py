@@ -4,9 +4,9 @@ A symbolic layer (one unit per entity, class, attribute, predicate, and
 observation instance) and a dense representation layer share one embedding
 matrix.  Decoding walks instance -> subject -> labels -> object -> predicate;
 running it in different modes realizes perception (feature-driven), episodic
-memory (instance-driven), and semantic memory (pooled).  After an
-observation, `fused_stream` samples between the episodic and semantic walks
-with the weights of a Dirichlet posterior.
+memory (instance-driven), and semantic memory, the episodic memory of an
+instance not yet observed.  After an observation, `fused_stream` samples
+between the episodic and semantic walks by a Dirichlet posterior's weights.
 """
 
 __version__ = "0.1.0"

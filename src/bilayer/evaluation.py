@@ -114,7 +114,7 @@ def label_conditional_estimate(
     params: NetParams, cmap: ColumnMap, vocab: Vocabulary, c1: int, c2: int
 ) -> float:
     """Model probability of label c2 in its family, queried with subject c1
-    through the pooled (pre-observation) pathway."""
+    through semantic recall, at the pooled (pre-observation) column."""
     fam = vocab.family_of(c2)
     if fam is None:
         raise EvalError(f"{vocab.name_of(c2)} belongs to no label family")
@@ -503,6 +503,19 @@ def _experiment_social_recall(ctx: EvalContext) -> tuple[dict, dict]:
     return metrics, {"edges": m["n_binary"]}
 
 
+def _kept_bits(old: NetParams, cmap: ColumnMap, new: NetParams, new_cmap: ColumnMap,
+               cols: np.ndarray) -> bool:
+    """Whether `new` holds every block but the embedding as `old` does, bit
+    for bit, and of the embedding the pooled column and the symbol columns
+    `cols` of `cmap`, each matched by its symbol in `new_cmap`."""
+    old_cols = np.r_[cols, cmap.block["pooled"]]
+    new_cols = np.r_[new_cmap.cols_of(cmap.ids[cols]), new_cmap.block["pooled"]]
+    old_blocks, new_blocks = old.blocks(), new.blocks()
+    return all(np.array_equal(old_blocks[k][:, old_cols], new_blocks[k][:, new_cols])
+               if k == "emb" else np.array_equal(old_blocks[k], new_blocks[k])
+               for k in old_blocks)
+
+
 def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     unlabeled = [s.name for s in ctx.world.scenes_of_kind("unlabeled")]
     params, cmap = ctx.params, ctx.cmap
@@ -531,16 +544,9 @@ def _experiment_ssl(ctx: EvalContext) -> tuple[dict, dict]:
     after = supervised_recall(params3, cmap3)
     gen_after = generalization(params3, cmap3)
 
-    # SSL trains only entity and instance columns: every other block, and the
-    # embedding's label and predicate columns (matched by symbol), must not move
-    old_blocks, new_blocks = params.blocks(), params3.blocks()
-    old_cols = np.r_[cmap.block["label"], cmap.block["predicate"]]
-    new_cols = cmap3.cols_of(cmap.ids[old_cols])
-    frozen_ok = all(
-        np.array_equal(old_blocks[k][:, old_cols], new_blocks[k][:, new_cols])
-        if k == "emb" else np.array_equal(old_blocks[k], new_blocks[k])
-        for k in old_blocks
-    )
+    # SSL trains only entity and instance columns
+    frozen_ok = _kept_bits(params, cmap, params3, cmap3,
+                           np.r_[cmap.block["label"], cmap.block["predicate"]])
     metrics = {
         "recall_before": before,
         "recall_after": after,
@@ -586,14 +592,10 @@ def _experiment_consolidation(ctx: EvalContext) -> tuple[dict, dict]:
     ]
     matches = sum(int(a == b) for a, b in zip(outs[::2], outs[1::2]))
 
-    # the duplicate's column is appended last; every column before it and
-    # every other block must keep its bits
-    old, new = params.blocks(), params2.blocks()
-    new["emb"] = new["emb"][:, :params.emb.shape[1]]
-    pre_bitwise = all(np.array_equal(old[k], new[k]) for k in old)
     metrics = {
         "match_fraction": matches / len(subjects) if subjects else float("nan"),
-        "preexisting_bitwise": pre_bitwise,
+        "preexisting_bitwise": _kept_bits(params, cmap, params2, cmap2,
+                                          np.arange(cmap.ids.size)),
         "instance": ctx.vocab.name_of(target),
     }
     return metrics, {"subjects": len(subjects)}

@@ -8,7 +8,7 @@ active per mode and arity:
 
     episodic   unary   subject CE + label CE
     episodic   binary  subject CE + object CE + predicate CE
-    semantic   unary   label CE                       (subject given, pooled instance)
+    semantic   unary   label CE                       (subject given, pooled column)
     semantic   binary  object CE + predicate CE
     perception unary   instance CE + subject CE + label CE
     perception binary  instance CE + subject CE + object CE + predicate CE
@@ -37,7 +37,6 @@ import numpy as np
 
 from .network import (
     MODES,
-    POOLED,
     NumericsError,
     StepSpec,
     context_out,
@@ -91,9 +90,10 @@ class Batch:
         specs = schedule(self.mode, self.arity == "binary", False)
         if any(spec.box and getattr(self, _FIELDS[spec.head][0]) is None for spec in specs):
             raise GraphError("perception batches need feature inputs")
-        for spec in specs:
+        for spec in specs:  # no symbol, so no batch, names the pooled column
             key = _FIELDS[spec.head][1]
-            if (_trains(self.mode, spec) or _commits_col(spec)) and getattr(self, key) is None:
+            commits = spec.commit not in (None, "pooled")
+            if (_trains(self.mode, spec) or commits) and getattr(self, key) is None:
                 raise GraphError(f"{self.mode} {self.arity} batches need {key}")
         if self.arity == "unary" and self.label_fams is None:
             raise GraphError("unary batches need label occurrences")
@@ -211,16 +211,15 @@ def _trains(mode: str, spec: StepSpec) -> bool:
     return spec.group is not None and (mode, spec.head) not in _UNTRAINED
 
 
-def _commits_col(spec: StepSpec) -> bool:
-    """Whether the step commits its batch column (not the pooled vector)."""
-    return spec.commit not in (None, POOLED)
-
-
-def _arrays(batch: Batch, spec: StepSpec) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The step's feature box (None if it encodes none) and its batch
-    columns: its CE targets and the columns it commits."""
+def _arrays(batch: Batch, cmap: ColumnMap,
+            spec: StepSpec) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The step's feature box (None if it encodes none) and its columns: its
+    CE targets and the columns it commits, the batch's, or, where the step
+    commits the pooled column, that column on every row."""
     feat, key = _FIELDS[spec.head]
-    return getattr(batch, feat) if spec.box else None, getattr(batch, key)
+    cols = (np.full(len(batch), cmap.block["pooled"].start) if spec.commit == "pooled"
+            else getattr(batch, key))
+    return getattr(batch, feat) if spec.box else None, cols
 
 
 def forward(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, dict]:
@@ -233,11 +232,10 @@ def forward(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, di
     if b == 0:
         raise GraphError("empty batch")
     inv_b = 1.0 / b
-    dt = params.emb.dtype
     cache: dict = {"heads": {}, "fam_heads": {}, "states": {}}
     sh, z = initial_context(params), None
     for spec in schedule(batch.mode, batch.arity == "binary", False):
-        box, cols = _arrays(batch, spec)
+        box, cols = _arrays(batch, cmap, spec)
         st = cache["states"][spec.name] = {}
         q = None
         if spec.context:
@@ -253,11 +251,9 @@ def forward(params: NetParams, cmap: ColumnMap, batch: Batch) -> tuple[float, di
             span = cmap.block[spec.group]
             scores = index_scores(params, z, span)
             cache["heads"][spec.head] = _ce_head(scores, cols - span.start, inv_b)
-        if _commits_col(spec):
+        if spec.commit:
             cols = params.emb.T[cols]
             z = sigmoid(cols if q is None else q + cols)
-        elif spec.commit == POOLED:
-            z = sigmoid(np.broadcast_to(params.pooled, (b, params.config.rep_dim)).astype(dt))
         st["z"] = z
         if spec.labels and batch.label_fams is not None:
             cache.update(_label_heads(z, params.emb, cmap, batch, inv_b))
@@ -323,18 +319,15 @@ def backward(params: NetParams, cmap: ColumnMap, batch: Batch, cache: dict) -> N
     d_z = d_sh = None
     for k in range(len(specs) - 1, -1, -1):
         spec, st = specs[k], states[specs[k].name]
-        box, cols = _arrays(batch, spec)
+        box, cols = _arrays(batch, cmap, spec)
         if spec.labels and batch.label_fams is not None:
             g = _label_grads(st["z"], cache, read, d_emb)
             d_z = g if d_z is None else d_z + g
         d_q = None
-        if spec.commit:  # a teacher column or the pooled vector
+        if spec.commit:  # a teacher column or the pooled column
             z = st["z"]
             d_q = d_z * z * (1.0 - z)
-            if spec.commit == POOLED:
-                grads.pooled += d_q.sum(axis=0)
-            else:
-                _scatter_add(d_emb.T, cols, d_q)
+            _scatter_add(d_emb.T, cols, d_q)
             d_z = None
         if _trains(batch.mode, spec):
             g = _head_into(cache["heads"][spec.head], st["z_tilde"], read, d_emb,

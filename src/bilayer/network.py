@@ -13,13 +13,13 @@ table of frozen `StepSpec`s built at import: per step, the box it encodes,
 the readout group it scores, what it commits, whether it folds in the
 context and whether the labels are read from it.  Perception encodes a box
 at every step.  The memory modes' instance is not scored: episodic recall
-commits the clamped column, semantic recall the trained pooled vector.  The
-predicate step only reads out.  The direct variant has no context and
-commits nothing, so each head reads only its own encoded box.  The step
-functions (`context_step`, `context_out`, `encode_input`, `index_scores`)
-hold each step's math once, on squashed states, and two walks call them,
-both reading the table: `decode_many` here and the teacher-forced
-`graph.forward`.
+commits the clamped column, and semantic recall is episodic recall of the
+instance not yet observed, the pooled column.  The predicate step only reads
+out.  The direct variant has no context and commits nothing, so each head
+reads only its own encoded box.  The step functions (`context_step`,
+`context_out`, `encode_input`, `index_scores`) hold each step's math once, on
+squashed states, and two walks call them, both reading the table:
+`decode_many` here and the teacher-forced `graph.forward`.
 
 `decode_many` walks the table once for a batch of requests that share the
 mode, every flag and the arity; they differ only in features and clamps.  It
@@ -30,18 +30,20 @@ A commitment takes, per row, the clamped index if the request names one,
 else the attention mixture the request's flag for the group asks for (over
 the instances, or over the entities for a concept), else a pick: the argmax
 under winner-take-all, otherwise a draw from the softmax at temperature 1, as
-attention mixes.  A mixture is weighted by the block the step scored: the
-instance mixture by all of it, the entity mixture by its entity columns.  A
-concept step picks from the entities only under `entities` support.  The
-column layout is the ColumnMap's: a step scores `cmap.block[group]`, and a
-position picked from a block is the column `block.start + pos`, so a picked
-row's column needs no check; a clamp must name a symbol of the group its
-step commits.  The concept block starts at column 0, so the entity block
-also indexes the concept scores.  A step that only reads out records no id
-when it has no columns.  Every family's label is read from the one
-concept-score block by the ColumnMap's two `label_heads`, drawn by the plan
-built with them (`label_plan`).  A pass returns a `DecodeTrace`: its mode,
-the ids it picked and the score rows it picked them from.
+attention mixes.  A step that scores nothing and has no clamp (semantic
+recall's instance) commits its block's first column and records no id.  A
+mixture is weighted by the block the step scored: the instance mixture by all
+of it, the entity mixture by its entity columns.  A concept step picks from
+the entities only under `entities` support.  The column layout is the
+ColumnMap's: a step scores `cmap.block[group]`, and a position picked from a
+block is the column `block.start + pos`, so a picked row's column needs no
+check; a clamp must name a symbol of the group its step commits.  The
+concept block starts at column 0, so the entity block also indexes the
+concept scores.  A step that only reads out records no id when it has no
+columns.  Every family's label is read from the one concept-score block by
+the ColumnMap's two `label_heads`, drawn by the plan built with them
+(`label_plan`).  A pass returns a `DecodeTrace`: its mode, the ids it picked
+and the score rows it picked them from.
 
 A sampled pick is an inverse-CDF draw, not `Generator.choice`: one uniform per
 row, and the row's pick is the first position whose float64 running sum of
@@ -185,7 +187,6 @@ def attention_update(params: NetParams, rep: np.ndarray, scores: np.ndarray, idx
 
 MODES = ("perception", "episodic", "semantic")
 SUPPORTS = ("concepts", "entities")
-POOLED = "pooled"  # semantic recall's instance commits the trained pooled vector
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ class StepSpec:
     head: str           # its head in training and the metrics: NT, NS, NO or NP
     box: str | None     # the SceneInput box encoded into its input
     group: str | None   # the readout group it scores: instance, concept or predicate
-    commit: str | None  # the group whose column it adds, POOLED, or None: read out only
+    commit: str | None  # the block whose column it adds, or None: read out only
     context: bool       # it first folds the previous committed state into the context
     labels: bool        # the label heads read its committed state
 
@@ -214,7 +215,7 @@ def _steps(mode: str, binary: bool, direct: bool) -> tuple[StepSpec, ...]:
     if direct:
         specs = [replace(s, commit=None, context=False) for s in specs]
     if mode != "perception":
-        first = replace(specs[0], group=None, commit=POOLED if mode == "semantic" else "instance")
+        first = replace(specs[0], group=None, commit="pooled" if mode == "semantic" else "instance")
         specs = [replace(s, box=None) for s in (first, *specs[1:])]
     return tuple(specs)
 
@@ -378,13 +379,14 @@ def _commit(params, cmap, vocab, spec, rep, clamps, scores, span, pick, mix=None
     checked by `_step_cols`.  Each other row adds the column picked from
     `scores`, the scores of the block `span`, or, with `mix` a pair
     (score block, block of columns), the attention mixture over
-    `emb[:, block]` weighted by that score block, which commits no id.
+    `emb[:, block]` weighted by that score block, which commits no id; with
+    no scores, the first column of the block `spec.commit`, with no id.
     Returns the new representations and the per-row ids."""
     ids = list(clamps)
     free = [i for i, c in enumerate(ids) if c is None]
     fixed = [i for i, c in enumerate(ids) if c is not None]
-    at = np.empty(len(ids), dtype=np.int64)  # per row, the column it adds
-    if mix is None and free:
+    at = np.full(len(ids), cmap.block[spec.commit].start)  # per row, the column it adds
+    if mix is None and free and scores is not None:
         at[free] = picked = span.start + pick(scores if len(free) == len(ids) else scores[free])
         for i, sid in zip(free, cmap.ids[picked].tolist()):
             ids[i] = sid
@@ -478,15 +480,12 @@ def decode_many(params: NetParams, cmap: ColumnMap, vocab: Vocabulary,
             if spec.group == "concept" and _SUPPORT_OF[step](first) == "entities":
                 span = cmap.block["entity"]
                 block = block[:, span]
-        if spec.commit == POOLED:
-            rep = np.tile(params.pooled, (len(requests), 1))
-        elif spec.commit:
+        if spec.commit:
             clamps = list(map(_CLAMP_OF[step], requests))
             rep, ids[step] = _commit(params, cmap, vocab, spec, rep, clamps, block, span, pick, mix)
+            z = sigmoid(rep)
         elif block.shape[1]:  # read out, no commitment
             ids[step] = cmap.ids[span][pick(block)].tolist()
-        if spec.commit:
-            z = sigmoid(rep)
         if spec.labels:  # one label per family, from one concept-score block
             scores["label"] = _scores(params, "label", z, cmap.block["concept"])
             labels = _pick_labels(cmap, scores["label"], first.winner_take_all, rng)

@@ -5,7 +5,8 @@ layer: entities, classes, attributes, binary predicates, and instances.
 Columns are kept in canonical order (entities, classes, attributes, binary
 predicates, instances, each group in registration order), which is exactly the
 order the vocabulary JSON preserves, so checkpoints align by name across
-export/import even though integer ids are session local.
+export/import even though integer ids are session local.  The last column,
+the pooled one, has no symbol: it is the instance semantic recall commits.
 
 `ColumnMap` is the one statement of the column layout: each readout group's
 block of columns, a column's position in its block, and the two label heads,
@@ -29,7 +30,7 @@ import numpy as np
 from .vocab import IDENTITY_FAMILY, Kind, Vocabulary
 
 CHECKPOINT_FORMAT = "bilayer-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ParamError(ValueError):
@@ -45,7 +46,8 @@ class ColumnMap:
     block[g]]` is a view, and `pos(group, cols)` gives each column's position
     in it.  The concept block starts at column 0, so the entity block and the
     label block also index a concept score block.  `label_heads` holds the
-    two label heads every family is scored by.
+    two label heads every family is scored by.  `block["pooled"]` is the
+    one column after the instances, which no symbol names.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -55,16 +57,16 @@ class ColumnMap:
         predicates = [p for p in groups[Kind.PREDICATE] if p != vocab.has_attribute]
         ids = entities + classes + attributes + predicates + instances
         self.ids = np.array(ids, dtype=np.int64)
-        self.n_columns = len(ids)
+        self.n_columns = len(ids) + 1  # and the pooled column
         self.kind_counts = tuple(map(len, (entities, classes, attributes, predicates, instances)))
         # `_pos[id]` is symbol `id`'s column, or -1; an id past the last
         # clips onto the -1 after it, and a negative one is refused by its sign
         self._pos = np.full(len(vocab) + 1, -1, dtype=np.int64)
-        self._pos[self.ids] = np.arange(self.n_columns)
+        self._pos[self.ids] = np.arange(len(ids))
 
         e, _, a, p, t = np.cumsum(self.kind_counts).tolist()
         self.block = {"entity": slice(0, e), "concept": slice(0, a), "label": slice(e, a),
-                      "predicate": slice(a, p), "instance": slice(p, t)}
+                      "predicate": slice(a, p), "instance": slice(p, t), "pooled": slice(t, t + 1)}
         self.family_cols = {fam: np.sort(self.cols_of(members))
                             for fam, members in vocab.families.items()}
         # a family's code is its index in `families` (every family, sorted by
@@ -146,11 +148,10 @@ def _kaiming(rng: np.random.Generator, out: np.ndarray, fan_in: int) -> None:
 def block_shapes(config: NetConfig, kind_counts) -> dict[str, tuple[int, ...]]:
     """Every parameter block's name and shape, in the checkpoint blob's order."""
     r, h, f = config.rep_dim, config.ctx_dim, config.feature_dim
-    return {"emb": (r, sum(kind_counts)),  # one column per index unit
+    return {"emb": (r, sum(kind_counts) + 1),  # one column per index unit, and the pooled one
             "ctx_in": (h, r),              # representation -> context
             "ctx_rec": (h, h),             # recurrent context weights
             "ctx_out": (r, h),             # context -> representation
-            "pooled": (r,),                # stand-in instance embedding
             "enc_w": (r, f),               # feature adapter
             "enc_b": (r,)}
 
@@ -158,8 +159,9 @@ def block_shapes(config: NetConfig, kind_counts) -> dict[str, tuple[int, ...]]:
 class NetParams:
     """The network's weights: one buffer, `flat`, cut by `block_shapes` into
     blocks, each an attribute that is a view into it, so a block is written
-    in place and never rebound.  A fresh instance is zeros; a gradient is a
-    `NetParams` of its parameters' layout."""
+    in place and never rebound.  `pooled` is the view of the embedding's last
+    column, `ColumnMap.block["pooled"]`.  A fresh instance is zeros; a
+    gradient is a `NetParams` of its parameters' layout."""
 
     def __init__(self, config: NetConfig, kind_counts: tuple[int, ...], flat=None):
         shapes = block_shapes(config, kind_counts)
@@ -168,6 +170,7 @@ class NetParams:
         self.flat = np.zeros(ends[-1], dtype=config.np_dtype()) if flat is None else flat
         for (name, shape), start, end in zip(shapes.items(), [0] + ends, ends):
             setattr(self, name, self.flat[start:end].reshape(shape))
+        self.pooled = self.emb[:, -1]
         self.readout = self.emb  # the name perfbench's tracer reads the embedding by
 
     @classmethod
@@ -177,9 +180,10 @@ class NetParams:
         params = cls(config, cmap.kind_counts)
         for name, block in params.blocks().items():
             if block.ndim == 2:
-                _kaiming(rng, block, config.rep_dim if name == "emb" else block.shape[1])
-        # gathered with an index array: a mean over the strided slice view
-        # differs from the gathered copy's in the last bits
+                _kaiming(rng, block[:, :-1] if name == "emb" else block,
+                         config.rep_dim if name == "emb" else block.shape[1])
+        # the pooled column is the instances' mean, gathered with an index array:
+        # a mean over the strided slice view differs in the last bits
         instances = np.r_[cmap.block["instance"]]
         if instances.size:
             params.pooled[:] = params.emb[:, instances].mean(axis=1)
@@ -206,6 +210,7 @@ class NetParams:
             raise ParamError("vocabulary shrank; cannot grow parameters")
         grown = NetParams(self.config, new)
         grown.flat[grown.emb.size:] = self.flat[self.emb.size:]  # the blocks after `emb`, the first
+        grown.pooled[:] = self.pooled
         start = at = 0
         for n_old, n_new in zip(old, new):
             grown.emb[:, at:at + n_old] = self.emb[:, start:start + n_old]

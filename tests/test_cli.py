@@ -19,7 +19,10 @@ import pytest
 import bilayer
 from bilayer import evaluation
 from bilayer.cli import main
-from bilayer.params import ColumnMap, load_checkpoint, params_digest, save_checkpoint
+from bilayer.params import (
+    CHECKPOINT_FORMAT, ColumnMap, load_checkpoint, params_digest, read_checkpoint_manifest,
+    read_tensors, save_checkpoint, write_archive,
+)
 from bilayer.world import ONTOLOGY, SCENE_KINDS, WorldConfig, load_world, read_vocab
 
 from util import group_cols
@@ -942,7 +945,7 @@ class TestDecode:
          "network dtype must be float32 or float64, not 'float16'"),
         (lambda doc, blob: doc["config"].update(bogus=1), "bad network config: "),
         (lambda doc, blob: doc.update(version=1),
-         "bilayer-checkpoint version 1 is not readable; this reader reads version 2"),
+         "bilayer-checkpoint version 1 is not readable; this reader reads version 3"),
         (_append_untied_readout,
          "checkpoint holds tensors ['ctx_in', 'ctx_out', 'ctx_rec', 'emb', 'emb_up', 'enc_b',"),
         (lambda doc, blob: doc.pop("blob_sha256"), "model.json: missing keys blob_sha256"),
@@ -961,6 +964,25 @@ class TestDecode:
         assert proc.returncode == 3, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+    def test_a_version_2_checkpoint_is_data_error(self, ws, tmp_path):
+        """A checkpoint of version 2's layout, where the pooled vector is a
+        tensor of its own after `ctx_out` and not the embedding's last
+        column, is refused with one line that names its manifest."""
+        run, base = os.path.join(ws["run_dir"], "model"), str(tmp_path / "model")
+        manifest = read_checkpoint_manifest(run)
+        t = read_tensors(run, manifest, manifest["config"]["dtype"])
+        tensors = [("emb", t["emb"][:, :-1]), ("ctx_in", t["ctx_in"]), ("ctx_rec", t["ctx_rec"]),
+                   ("ctx_out", t["ctx_out"]), ("pooled", t["emb"][:, -1]), ("enc_w", t["enc_w"]),
+                   ("enc_b", t["enc_b"])]
+        meta = {k: manifest[k] for k in ("config", "kind_counts", "vocab_sha256")}
+        write_archive(base, CHECKPOINT_FORMAT, 2, meta, tensors, manifest["config"]["dtype"])
+        proc = _run_cli(["decode", base + ".json", "--world", ws["world_dir"],
+                         "--mode", "semantic", "--out", str(tmp_path / "d")])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"ERROR {base}.json: bilayer-checkpoint version 2 is not readable; "
+            "this reader reads version 3"]
 
     @pytest.mark.parametrize("tamper, message", [
         (lambda doc, blob: doc.update(vocab_sha256="0" * 64),

@@ -494,6 +494,27 @@ class TestExperimentHarness:
         monkeypatch.setattr(evaluation, "ssl_step", nudged)
         assert run_experiment("ssl-before-after", ctx).metrics["frozen_blocks_bitwise"] is frozen
 
+    @pytest.mark.parametrize("name, step, flag", [
+        ("ssl-before-after", "ssl_step", "frozen_blocks_bitwise"),
+        ("consolidation-fidelity", "consolidate", "preexisting_bitwise"),
+    ])
+    @pytest.mark.parametrize("nudge", [False, True])
+    def test_each_bitwise_flag_reads_the_pooled_column(self, ctx, monkeypatch, name, step,
+                                                       flag, nudge):
+        """The pooled column is no block of its own, yet both bitwise flags
+        check it: nudged after the step, and nothing else, it turns the flag
+        false; left as the step leaves it, the flag holds."""
+        real_step = getattr(evaluation, step)
+
+        def wrapped(*args, **kwargs):
+            params, cmap, out = real_step(*args, **kwargs)
+            if nudge:
+                params.pooled[0] += 1e-3
+            return params, cmap, out
+
+        monkeypatch.setattr(evaluation, step, wrapped)
+        assert run_experiment(name, ctx).metrics[flag] is (not nudge)
+
     def test_fingerprint_tracks_inputs(self, ctx, tiny_world, tiny_store, tiny_model):
         rep = run_experiment("episodic-recall", ctx)
         params, cmap, _ = tiny_model

@@ -128,7 +128,7 @@ def test_semantic_mode_leaves_instance_columns_untouched():
     batch = _make_batch(cmap, "semantic", "binary", substream(50, "batch"))
     _, grads = loss_and_grads(params, cmap, batch)
     assert np.all(grads["emb"][:, group_cols(cmap, "instance")] == 0.0)
-    assert np.any(grads["pooled"] != 0.0)
+    assert np.any(grads["emb"][:, cmap.block["pooled"]] != 0.0)
 
 
 @pytest.mark.parametrize("mode", ["perception", "episodic", "semantic"])

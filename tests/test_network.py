@@ -702,6 +702,35 @@ class TestDecodeBehavior:
         )
         assert _traces_equal(clean, dirty)
 
+    @pytest.mark.parametrize("winner_take_all", [True, False])
+    @pytest.mark.parametrize("subject", [None, "e1"])
+    def test_semantic_recall_is_episodic_recall_at_the_pooled_column(self, winner_take_all,
+                                                                      subject):
+        """An instance grown into a copy of the vocabulary, its column set to
+        the pooled column, decodes clamped as semantic recall decodes: the
+        same ids and every score row bitwise, sampled or winner-take-all,
+        with or without a subject clamp."""
+        v = small_vocab()
+        params, cmap = small_params(v, seed=16)
+        scratch = v.copy()
+        future = scratch.add_instance("t_future")
+        grown = params.copy()
+        grown_cmap = grown.grow(scratch, substream(16, "grow"))
+        grown.emb[:, grown_cmap.col_of(future)] = grown.pooled
+        sid = None if subject is None else v.id_of(subject)
+        shared = {"subject_id": sid, "winner_take_all": winner_take_all}
+        semantic = decode_many(params, cmap, v, [DecodeRequest(mode="semantic", **shared)] * 5,
+                               substream(16, "recall"))
+        episodic = decode_many(
+            grown, grown_cmap, scratch,
+            [DecodeRequest(mode="episodic", instance_id=future, **shared)] * 5,
+            substream(16, "recall"))
+        for sem, epi in zip(semantic, episodic):
+            assert sem.instance_id is None and epi.instance_id == future
+            assert _traces_equal(sem, dataclasses.replace(epi, instance_id=None))
+        if not (winner_take_all or subject):  # the draws differ, so they are compared
+            assert len({t.subject_id for t in semantic}) > 1
+
     def test_episodic_starts_from_clamped_instance(self):
         v = small_vocab()
         params, cmap = small_params(v, seed=14)

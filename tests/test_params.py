@@ -27,7 +27,7 @@ from util import INTERLEAVED, group_cols, small_params, small_vocab
 # the symbol kinds each readout group's block holds
 GROUP_KINDS = {"entity": {Kind.ENTITY}, "concept": {Kind.ENTITY, Kind.CLASS, Kind.ATTRIBUTE},
                "label": {Kind.CLASS, Kind.ATTRIBUTE}, "predicate": {Kind.PREDICATE},
-               "instance": {Kind.INSTANCE}}
+               "instance": {Kind.INSTANCE}, "pooled": set()}
 
 
 def assert_one_buffer(params: NetParams) -> None:
@@ -60,7 +60,7 @@ class TestColumnMap:
             + [v.id_of(f"t{i}") for i in range(3)]
         )
         assert cmap.ids.tolist() == expected
-        assert cmap.n_columns == len(expected)
+        assert cmap.n_columns == len(expected) + 1  # the pooled column, last
         assert cmap.kind_counts == (4, 3, 2, 2, 3)
         for col, sid in enumerate(expected):
             assert cmap.col_of(sid) == col
@@ -107,7 +107,7 @@ class TestColumnMap:
         assert cmap.kind_counts == (4, 3, 2, 2, 3)  # entities, classes, attributes, ...
         assert cmap.block == {"entity": slice(0, 4), "concept": slice(0, 9),
                               "label": slice(4, 9), "predicate": slice(9, 11),
-                              "instance": slice(11, 14)}
+                              "instance": slice(11, 14), "pooled": slice(14, 15)}
 
     def test_family_cols_sorted(self):
         v = small_vocab()
@@ -247,8 +247,8 @@ class TestNetParams:
         assert_one_buffer(dup)
 
     @pytest.mark.parametrize("dtype, digest", [
-        ("float32", "3fd3bbe0836a76c87ffe252cfdf15264aa689573b93f42e083dd7600d7800e37"),
-        ("float64", "b5c78d5c11a4448b7fea576192885b5b7197e5430d24f498d739121c396362f7"),
+        ("float32", "f9c2fb4239d210c2161c4c96285ac0f3971078bc1c7bdf409c91ca39a5d944d4"),
+        ("float64", "863e7075f6b30cfac54b047b891abd814df169bb7674d780b7d4b19d99de8251"),
     ])
     def test_digest_of_a_fresh_model_is_pinned(self, dtype, digest):
         """The init stream and the digest's tensor order are fixed: a fresh
@@ -278,7 +278,7 @@ class TestOneBuffer:
         config = NetConfig(rep_dim=4, ctx_dim=3, feature_dim=5)
         params = NetParams(config, (2, 1, 1, 1, 3))
         assert not params.flat.any()
-        assert params.emb.shape == (4, 8)
+        assert params.emb.shape == (4, 9)
         assert_one_buffer(params)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -307,16 +307,16 @@ class TestCheckpoint:
             assert got.dtype == arr.dtype
             np.testing.assert_array_equal(got, arr)
 
-    def test_manifest_lists_one_embedding_at_version_2(self, tmp_path):
+    def test_manifest_lists_one_embedding_at_version_3(self, tmp_path):
         v = small_vocab()
         params, _ = small_params(v)
         base = str(tmp_path / "ck")
         save_checkpoint(params, v, base)
         with open(base + ".json") as fp:
             manifest = json.load(fp)
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
         assert [t["name"] for t in manifest["tensors"]] == [
-            "emb", "ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b"]
+            "emb", "ctx_in", "ctx_rec", "ctx_out", "enc_w", "enc_b"]
 
     def test_missing_files(self, tmp_path):
         v = small_vocab()
@@ -479,7 +479,7 @@ class TestCheckpoint:
         with open(base + ".json", "w") as fp:
             json.dump(manifest, fp)
         with pytest.raises(ParamError, match="version 1 is not readable; this reader reads "
-                                             "version 2"):
+                                             "version 3"):
             load_checkpoint(base, v)
 
 

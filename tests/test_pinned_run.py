@@ -44,26 +44,26 @@ EXPERIMENTS = ("consolidation-fidelity", "episodic-recall", "hidden-label-enrich
                "ssl-before-after", "zero-shot-binary")
 
 PINNED = {
-    "run/model.json": "266d035d61c059b5d3bd152e157aa70a6add3fe6dc70159f7e5d6b2dc9731447",
-    "run/model.bin": "0e2d39688ca2ec38b3e88489009e6458d4fa6a22ec403b6c12db970332e942e8",
+    "run/model.json": "df519ad4adb921240f37c1a6c28e9a066fb55e7e3b20cdd3c8ae4d517dacde3e",
+    "run/model.bin": "c09aa963d3c062afe509a552e8090f77f8cb989cc7ea20eea7aca5aba4f78af5",
     "decode/perceive.jsonl": "3ff4ef0e96726887607f3cecdcbc3b1d8ea341f0a09f22312ebe6cca8b833648",
     "decode/episodic.jsonl": "da3736f91cdd84616259b992974a676851359bf41283c6ac78b801a9c0b74023",
     "decode/semantic.jsonl": "abc36018d5ae06a9947cad1fc8444425b106096ad21dde74f011110e57575d8f",
     "decode/semantic-s.jsonl": "14e0133ee2d8df3d39577ea5f0fd7dcbe6913808d1116ff968cb145e5508a363",
     "decode/fuse.jsonl": "23fa9acc6609b4b7d410c5ece17caf248701cd8b56a3197ff76f35f86632aca3",
-    "eval/report-consolidation-fidelity.json": "f74b9bc07b16ce0f48499cb56df138189f699e7db06c6903887198dacb55949d",
-    "eval/report-episodic-recall.json": "dd4aaf958fc8443a6d72ed3ecb3dcac81b5c7c25fe7233aa84a5bd3b14309449",
-    "eval/report-hidden-label-enrichment.json": "f3e21e2c5f2081a34f2757f873d952d6de57d09e75a8b97368721e9ee8a1f9af",
-    "eval/report-perception-binary.json": "20280963db8f9464a6b923c6652f3e80dcf7de12379872b6152db2470417498e",
-    "eval/report-perception-unary.json": "7d3909a71c98b0973c24f8ff9324a2e4a2c5d1feebea08cf217913bca4b3391d",
-    "eval/report-semantic-recall.json": "f63f6edc125e3aee39fa1f3dba45073fa162c3908fd27d9185c5aa7f2894138c",
-    "eval/report-social-recall.json": "a326d8c4d478c5488671fff1959bb618685753f479e6c80c768e5776e16cad35",
-    "eval/report-ssl-before-after.json": "d7f89f63c50e8c64b68fb633d301d26e676048d8de99bf87e627bd774fc79253",
-    "eval/report-zero-shot-binary.json": "3b451bb48fe121b97b3bad92eca542a346db1c25b90520c29529a715400ddea1",
-    "ssl/model.bin": "d562edc32563bd57c579ed2e21e6202d7373cd5a05d4713af120eaf663305206",
+    "eval/report-consolidation-fidelity.json": "56e500844b58a67d1481999aa481fa62f33f60a25919fdf177615f09f30f6fbb",
+    "eval/report-episodic-recall.json": "f183a5026cafd3a635dff19d57dd66f51932e4844e9b4a8762fe3647819f90fb",
+    "eval/report-hidden-label-enrichment.json": "fde8a7abff0d70a39312eecd364a82d76b4093c502016bb1bef3986da03890a1",
+    "eval/report-perception-binary.json": "0ef3d250ff2f9da3ba6d483f8bdc21826110c4ed0f8fd3f8774cfc47b87d1a21",
+    "eval/report-perception-unary.json": "8dcd0dec2749fd0fc95acfe63682adbfc51ed0f2a7403cd7ea8fee6a19b126d7",
+    "eval/report-semantic-recall.json": "e9bdb68a5a1e3f1e1d27d41c0d221a1276392e630cb1d22f3ec91b011dc67961",
+    "eval/report-social-recall.json": "e8120a68973fb385f0ad6af23038b06f9b51c0a55c3ea354cf4c294e025b47d6",
+    "eval/report-ssl-before-after.json": "94f3690f4930428d14e18841bd1fd21c9aefce781d5860b953a21a07b87797c1",
+    "eval/report-zero-shot-binary.json": "3fa1cb4e4659306c1d5fbc1d67be4ee13a5011eac6410c888ae3c8a02c6dd2a4",
+    "ssl/model.bin": "a025985164218c0e373243498b9a8f21ee05c63ebf1963b693d1c7d2fa8482cd",
     "ssl/pseudo.jsonl": "0bdb444768fbe5dc20dd655584be8b6876d63cfa724bdbdc99006e124a513a30",
     "ssl/vocab.json": "e9a2d28bad0269da170765f4a171276bbd7c744f1733340f8f57cd35047acb69",
-    "train-episodic/model.bin": "f8cd400a5f6f65d1487974ce9a38b37c36fc679f9949b22e8c864797e0a41228",
+    "train-episodic/model.bin": "d8681759e435e018d867b29f42db9be1fd1d3f2bb3763cbec6c1480587370480",
 }
 
 REPIN = (

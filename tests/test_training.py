@@ -660,19 +660,19 @@ class TestAdam:
         grads = _grads_like(params, np.zeros_like)
         g = np.linspace(-1.0, 1.0, params.pooled.size)
         grads.pooled[:] = g
-        before = {k: a.copy() for k, a in params.blocks().items()}
+        before = params.flat.copy()
+        pooled = before[:params.emb.size].reshape(params.emb.shape)[:, -1]
         opt = Adam(params, learning_rate=0.1)
         opt.step(params, grads)
         # after one step the bias corrections cancel: update = lr * g / (|g| + eps)
-        want = before["pooled"] - 0.1 * g / (np.abs(g) + 1e-8)
+        want = pooled - 0.1 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(params.pooled, want, rtol=1e-12)
-        for name in before:
-            if name != "pooled":
-                np.testing.assert_array_equal(params.blocks()[name], before[name])
+        params.pooled[:] = pooled  # every other weight keeps its bits
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_frozen_blocks_stay_bit_identical(self):
-        """A column mask steps only the embedding: the context, pooled and
-        encoder weights keep their bits, and the moments cover only `emb`."""
+        """A column mask steps only the embedding: the context and encoder
+        weights keep their bits, and the moments cover only `emb`."""
         v = small_vocab()
         params, cmap = small_params(v)
         grads = _grads_like(params, np.ones_like)
@@ -794,7 +794,7 @@ class TestTrainLoop:
         mask[group_cols(cmap, "instance")] = 1.0
         before = {k: a.copy() for k, a in params.blocks().items()}
         train(params, cmap, v, store, config, emb_col_mask=mask)
-        for name in ("ctx_in", "ctx_rec", "ctx_out", "pooled", "enc_w", "enc_b"):
+        for name in ("ctx_in", "ctx_rec", "ctx_out", "enc_w", "enc_b"):
             np.testing.assert_array_equal(params.blocks()[name], before[name])
         held = np.setdiff1d(np.arange(cmap.n_columns), group_cols(cmap, "instance"))
         np.testing.assert_array_equal(params.emb[:, held], before["emb"][:, held])
@@ -909,6 +909,7 @@ class TestSelfLabeledGrowth:
         frozen_before = {
             k: a.copy() for k, a in params.blocks().items() if k != "emb"
         }
+        pooled_before = params.pooled.copy()
         concepts = list(v.labels) + list(v.binary_predicates)
         concept_cols = {sid: params.emb[:, cmap.col_of(sid)].copy() for sid in concepts}
         n_statements_before = store.total_statements()
@@ -946,6 +947,7 @@ class TestSelfLabeledGrowth:
             np.testing.assert_array_equal(params.blocks()[name], before)
         for sid, before in concept_cols.items():
             np.testing.assert_array_equal(params.emb[:, cmap.col_of(sid)], before)
+        np.testing.assert_array_equal(params.pooled, pooled_before)
         assert report.history  # the low-rate pseudo-training actually ran
 
     @pytest.mark.parametrize("hidden, excluded", [((), ()), (("Color",), ("Risk",))])
@@ -1129,6 +1131,7 @@ class TestConsolidation:
         pre = {
             sid: params.emb[:, cmap.col_of(sid)].copy() for sid in cmap.ids
         }
+        pooled_before = params.pooled.copy()
         orig_trace = decode(
             params, cmap, v,
             DecodeRequest(mode="episodic", instance_id=tid, winner_take_all=True),
@@ -1143,6 +1146,8 @@ class TestConsolidation:
         )
         for sid, before in pre.items():
             np.testing.assert_array_equal(params.emb[:, cmap.col_of(sid)], before)
+        np.testing.assert_array_equal(params.pooled, pooled_before)
+        assert cmap.block["pooled"].start == params.emb.shape[1] - 1
         dup_trace = decode(
             params, cmap, v,
             DecodeRequest(mode="episodic", instance_id=dup, winner_take_all=True),
